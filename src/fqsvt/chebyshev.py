@@ -24,9 +24,13 @@ __all__ = [
     "certify_filter",
 ]
 
-# Interior margin left for phase-factor synthesis: certified filters satisfy
-# |f| <= 1 - SYNTHESIS_MARGIN on [-1, 1].
+# Interior margin left for phase-factor synthesis: a filter certified for
+# budget eps satisfies |f| <= 1 - synthesis_margin(eps) on [-1, 1].
 SYNTHESIS_MARGIN = 1e-6
+# Phase synthesis rejects targets whose sup-norm exceeds 1 - SYNTHESIS_GUARD.
+SYNTHESIS_GUARD = 1e-8
+# Smallest budget whose margin eps / 8 still clears the synthesis guard.
+EPS_FLOOR = 8.0 * SYNTHESIS_GUARD
 
 PARITY_TOL = 1e-12
 DEGREE_CAP = 2000
@@ -99,6 +103,11 @@ class FilterSpec:
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0):
             raise ValueError(f"error budget must lie in (0, 1), got {self.eps}")
+        if self.eps < EPS_FLOOR:
+            raise ValueError(
+                f"error budget {self.eps} is below the floor {EPS_FLOOR:g}: the "
+                "synthesis margin eps/8 would fall under the phase-synthesis guard"
+            )
         if self.delta <= 0.0:
             raise ValueError("transition width must be positive")
         if not (self.mu - self.delta / 2.0 > 0.0 and self.mu + self.delta / 2.0 < 1.0):
@@ -106,6 +115,15 @@ class FilterSpec:
                 f"transition window [{self.mu - self.delta / 2}, {self.mu + self.delta / 2}] "
                 "must sit strictly inside (0, 1)"
             )
+
+
+def synthesis_margin(eps: float) -> float:
+    """Margin below 1 that a filter with budget eps keeps for synthesis.
+
+    A fixed margin would eat the low-side budget eps/2 once eps nears it,
+    so small budgets shrink the margin to eps/8.
+    """
+    return min(SYNTHESIS_MARGIN, eps / 8.0)
 
 
 @dataclass
@@ -138,11 +156,14 @@ class FilterReport:
 
 
 def _sup_norm(coeffs: np.ndarray) -> float:
-    """Exact supremum of a Chebyshev series on [-1, 1].
+    """Exact supremum of |sum_k c_k T_k| on [-1, 1].
 
     Interior extrema are the real roots of the derivative, found through
     the Chebyshev colleague matrix; grid maxima can undershoot the true
     peak by O((degree/points)^2), which matters at the margin boundary.
+    For an even filter f(x) = G(2x^2 - 1), pass G's coefficients (the
+    u-basis `a` of `_even_chebyshev_coeffs`): x -> 2x^2 - 1 maps [-1, 1]
+    onto [-1, 1], so sup|f| = sup|G| exactly at half the degree.
     """
     cand = [-1.0, 1.0]
     der = np.polynomial.chebyshev.chebder(coeffs)
@@ -169,6 +190,7 @@ def certify_filter(f: ChebyshevSeries, spec: FilterSpec, gridsize: int = 2001) -
     lo_edge = spec.mu - spec.delta / 2.0
     hi_edge = spec.mu + spec.delta / 2.0
     half_eps = spec.eps / 2.0
+    sup_bound = 1.0 - synthesis_margin(spec.eps)
 
     xs_hi = _region_grid(hi_edge, 1.0, gridsize)
     worst_hi = np.abs(cheb_eval(f, xs_hi))
@@ -192,8 +214,8 @@ def certify_filter(f: ChebyshevSeries, spec: FilterSpec, gridsize: int = 2001) -
             bool(worst_lo[i_lo] < half_eps),
         ),
         sup_norm=ConditionReport(
-            "bounded-with-margin", 1.0 - SYNTHESIS_MARGIN, float(worst_all[i_all]),
-            float(xs_all[i_all]), bool(worst_all[i_all] <= 1.0 - SYNTHESIS_MARGIN),
+            "bounded-with-margin", sup_bound, float(worst_all[i_all]),
+            float(xs_all[i_all]), bool(worst_all[i_all] <= sup_bound),
         ),
     )
 
@@ -270,12 +292,13 @@ def heaviside_filter(
             )
         keep = degree // 2
     a = a[: keep + 1]
+    ceiling = 1.0 - synthesis_margin(spec.eps)
 
     def scaled_series(half_deg: int) -> ChebyshevSeries:
-        coeffs = _assemble_even(a[: half_deg + 1])
-        sup = _sup_norm(coeffs)
+        sup = _sup_norm(a[: half_deg + 1])
         return ChebyshevSeries(
-            coeffs * ((1.0 - SYNTHESIS_MARGIN) / max(1.0, sup * (1.0 + 1e-12))), "even"
+            _assemble_even(a[: half_deg + 1]) * (ceiling / max(1.0, sup * (1.0 + 1e-12))),
+            "even",
         )
 
     full = scaled_series(len(a) - 1)

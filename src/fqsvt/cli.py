@@ -30,11 +30,12 @@ from .baselines import (
 )
 from .blockenc import dilate_hermitian
 from .bosehubbard import GmonModel, band_labels, build_h0, build_h1, default_model, normalize_for_qsvt
-from .chebyshev import FilterSpec, certify_filter, heaviside_filter
+from .chebyshev import EPS_FLOOR, FilterSpec, certify_filter, heaviside_filter
 from .feedforward import (
     channel_distance,
     extract_kraus,
     feedforward_query_count,
+    round_budget,
     run_multiband,
 )
 from .linalg import (
@@ -136,11 +137,6 @@ def _resolve_model(doc: dict, seed: int):
         values = synthetic_band_spectrum(
             int(doc["bands"]), int(doc.get("per_band", 1)), float(doc.get("width", 0.0))
         )
-        dim = len(values)
-        if dim & (dim - 1):
-            raise ConfigError(
-                f"model: synthetic spectrum needs a power-of-two dimension, got {dim}"
-            )
         gen = rng(int(doc.get("basis_seed", seed)), 1)
         return hermitian_from_spectrum(values, gen), {"source": "synthetic"}
     raise ConfigError(f"model: unknown type {kind!r}")
@@ -174,6 +170,11 @@ def cmd_project(config: dict, out: Path, seed: int) -> int:
         "haar_samples": False, "input": False,
     }, "project")
     h, meta = _resolve_model(config["model"], seed)
+    dim = h.shape[0]
+    if dim & (dim - 1):
+        raise ConfigError(
+            f"model: the system register needs a power-of-two dimension, got {dim}"
+        )
     spectrum = eigh(h)
 
     band_doc = _check_keys(config["bands"], {"min_gap": False, "target": False}, "bands")
@@ -190,6 +191,16 @@ def cmd_project(config: dict, out: Path, seed: int) -> int:
         raise ConfigError(f"project: unknown mode {mode!r}")
     if "budget" not in config and "round_eps" not in config:
         raise ConfigError("project: pass budget or round_eps")
+    split_constant = float(config.get("split_constant", 4.0))
+    count = structure.band_count
+    if count > 1:
+        round_eps = (float(config["round_eps"]) if "round_eps" in config
+                     else round_budget(float(config["budget"]), count, split_constant))
+        if not EPS_FLOOR <= round_eps < 1.0:
+            raise ConfigError(
+                f"project: per-round budget {round_eps:.3g} outside "
+                f"[{EPS_FLOOR:g}, 1); raise budget or round_eps"
+            )
 
     enc = dilate_hermitian(h)
     n = enc.encoded_dim
@@ -199,7 +210,7 @@ def cmd_project(config: dict, out: Path, seed: int) -> int:
         enc, structure, float(config.get("budget", 0.0)), state,
         mode=mode, seed=seed,
         trajectories=int(config.get("trajectories", 1)),
-        split_constant=float(config.get("split_constant", 4.0)),
+        split_constant=split_constant,
         round_eps=float(config["round_eps"]) if "round_eps" in config else None,
     )
     _write_json(out / "bands.json", structure.to_json())
@@ -237,7 +248,6 @@ def cmd_project(config: dict, out: Path, seed: int) -> int:
     projectors = exact_projectors(spectrum, structure)
     samples = int(config.get("haar_samples", 32))
     proxy = channel_distance(kraus, projectors, samples=samples, seed=seed)
-    count = structure.band_count
     bound = (4.0 * count * math.log2(count) * tree.round_eps) if count > 1 else 0.0
     rows = [["distance_proxy", _fmt(proxy)],
             ["bound_4_L_log2L_eps", _fmt(bound)],

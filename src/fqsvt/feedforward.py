@@ -39,6 +39,7 @@ __all__ = [
     "extract_kraus",
     "channel_distance",
     "feedforward_query_count",
+    "round_budget",
 ]
 
 ANCILLA_PURITY_TOL = 1e-9
@@ -401,7 +402,6 @@ def _multiband_phase_table(
     structure: BandStructure,
     round_eps: float,
     synthesis_tol: float,
-    uniform_degree: bool,
 ) -> tuple[dict, int]:
     """Circuit phases for every reachable split index, at one common degree."""
     count = structure.band_count
@@ -428,10 +428,7 @@ def _multiband_phase_table(
     }
     filters = {k: heaviside_filter(spec) for k, spec in specs.items()}
     degree = max(f.degree for f in filters.values())
-    if uniform_degree:
-        filters = {
-            k: heaviside_filter(spec, degree=degree) for k, spec in specs.items()
-        }
+    filters = {k: heaviside_filter(spec, degree=degree) for k, spec in specs.items()}
     table = {
         k: to_circuit(synthesize_symmetric(f, synthesis_tol))
         for k, f in filters.items()
@@ -451,7 +448,6 @@ def run_multiband(
     split_constant: float = 4.0,
     round_eps: float | None = None,
     synthesis_tol: float = 1e-11,
-    uniform_degree: bool = True,
 ) -> BranchTree:
     """Adaptive multi-round band projection of an input state.
 
@@ -480,8 +476,8 @@ def run_multiband(
 
     ell = math.ceil(math.log2(count))
     if round_eps is None:
-        round_eps = budget / (split_constant * count * math.log2(count))
-    table, degree = _multiband_phase_table(structure, round_eps, synthesis_tol, uniform_degree)
+        round_eps = round_budget(budget, count, split_constant)
+    table, degree = _multiband_phase_table(structure, round_eps, synthesis_tol)
     policy = MultibandPolicy(structure, table)
 
     cache = _BlockCache(enc)
@@ -643,3 +639,8 @@ def feedforward_query_count(band_count: int, degree: int) -> int:
     if band_count < 1:
         raise ValueError("band count must be at least 1")
     return 2 * math.ceil(math.log2(band_count)) * degree
+
+
+def round_budget(budget: float, band_count: int, split_constant: float = 4.0) -> float:
+    """Per-round filter budget eps = budget / (split_constant L log2 L), for L >= 2."""
+    return budget / (split_constant * band_count * math.log2(band_count))

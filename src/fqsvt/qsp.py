@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import SR1, minimize
 
-from .chebyshev import ChebyshevSeries, _clenshaw
+from .chebyshev import SYNTHESIS_GUARD, ChebyshevSeries, _clenshaw
 
 __all__ = [
     "PhaseFactorSet",
@@ -81,25 +80,36 @@ def _require(ps: PhaseFactorSet, convention: str):
         raise ValueError(f"expected {convention} phase factors, got {ps.convention}")
 
 
+def _forward_pairs(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Every partial product of the QSP sequence as SU(2) pairs.
+
+    An SU(2) matrix [[a, b], [-conj(b), conj(a)]] is stored as the pair
+    (a, b). Entry [k, :, j] of the returned (d+1, 2, len(xs)) array holds
+    the pair of e^{i psi_0 Z} prod_{l=1..k} W(x_j) e^{i psi_l Z}, where W(x)
+    is the pair (x, i sqrt(1-x^2)) and e^{i psi Z} the pair (e^{i psi}, 0).
+    Right-multiplying (a, b) by W e^{i psi Z} gives
+    ((x a + i s b) e^{i psi}, (i s a + x b) e^{-i psi}), so each step is
+    four elementwise operations on a (2, n) array.
+    """
+    xs = np.clip(xs, -1.0, 1.0)
+    isx = 1j * np.sqrt(1.0 - xs * xs)
+    phases = np.exp(1j * values)
+    scale = np.stack([phases, phases.conj()], axis=1)[:, :, None]
+    d = len(values) - 1
+    pairs = np.empty((d + 1, 2, len(xs)), dtype=complex)
+    pairs[0, 0] = phases[0]
+    pairs[0, 1] = 0.0
+    for k in range(1, d + 1):
+        ab = pairs[k - 1]
+        np.multiply(xs * ab + isx * ab[::-1], scale[k], out=pairs[k])
+    return pairs
+
+
 def _batch_unitaries(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """U(x) for every x, as an array of shape (len(xs), 2, 2)."""
-    xs = np.clip(xs, -1.0, 1.0)
-    s = np.sqrt(1.0 - xs * xs)
-    n = len(xs)
-    w = np.empty((n, 2, 2), dtype=complex)
-    w[:, 0, 0] = xs
-    w[:, 0, 1] = 1j * s
-    w[:, 1, 0] = 1j * s
-    w[:, 1, 1] = xs
-    phases = np.exp(1j * values)
-    u = np.zeros((n, 2, 2), dtype=complex)
-    u[:, 0, 0] = phases[0]
-    u[:, 1, 1] = phases[0].conjugate()
-    for p in phases[1:]:
-        u = u @ w
-        u[:, :, 0] *= p
-        u[:, :, 1] *= p.conjugate()
-    return u
+    a, b = _forward_pairs(values, xs)[-1]
+    return np.stack([np.stack([a, b], axis=-1),
+                     np.stack([-b.conj(), a.conj()], axis=-1)], axis=-2)
 
 
 def qsp_unitary(x: float, psi: PhaseFactorSet) -> np.ndarray:
@@ -251,63 +261,38 @@ def _mirror(free: np.ndarray, d: int) -> np.ndarray:
     return full
 
 
+def _residual(free: np.ndarray, d: int, xs: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Residuals Re P(x_j) - f(x_j) from the forward sweep alone."""
+    return _forward_pairs(_mirror(free, d), xs)[d, 0].real - target
+
+
 def _residual_and_jacobian(free: np.ndarray, d: int, xs: np.ndarray, target: np.ndarray):
     """Residuals Re P(x_j) - f(x_j) and their Jacobian in the free phases.
 
-    Prefix/suffix products over the d+1 factors give every partial
-    derivative in two sweeps; the symmetry constraint ties mirrored phases
-    to one free variable each.
+    With the prefix pair A_k = (a_k, b_k) of factors 0..k and the full
+    product U = (a, b), the suffix of factors k+1..d is A_k^dagger U, so
+    dU/dpsi_k = A_k (iZ) A_k^dagger U and, for every k at once,
+    d(Re P)/d(psi_k) = -Im((|a_k|^2 - |b_k|^2) a + 2 a_k b_k conj(b)).
+    The symmetry constraint ties mirrored phases to one free variable each.
     """
-    full = _mirror(free, d)
-    n = len(xs)
-    s = np.sqrt(1.0 - xs * xs)
-    w = np.empty((n, 2, 2), dtype=complex)
-    w[:, 0, 0] = xs
-    w[:, 0, 1] = 1j * s
-    w[:, 1, 0] = 1j * s
-    w[:, 1, 1] = xs
-    phases = np.exp(1j * full)
-
-    prefix = np.empty((d + 1, n, 2, 2), dtype=complex)
-    u = np.zeros((n, 2, 2), dtype=complex)
-    u[:, 0, 0] = phases[0]
-    u[:, 1, 1] = phases[0].conjugate()
-    prefix[0] = u
-    for k in range(1, d + 1):
-        u = u @ w
-        u[:, :, 0] *= phases[k]
-        u[:, :, 1] *= phases[k].conjugate()
-        prefix[k] = u
-
-    suffix = np.empty((d + 1, n, 2, 2), dtype=complex)
-    tail = np.zeros((n, 2, 2), dtype=complex)
-    tail[:, 0, 0] = 1.0
-    tail[:, 1, 1] = 1.0
-    suffix[d] = tail
-    for k in range(d, 0, -1):
-        step = w.copy()
-        step[:, :, 0] *= phases[k]
-        step[:, :, 1] *= phases[k].conjugate()
-        suffix[k - 1] = step @ suffix[k]
-
-    residual = prefix[d][:, 0, 0].real - target
-
-    # d(Re P)/d(psi_k) = Re(i (A00 B00 - A01 B10)) with A = prefix[k], B = suffix[k].
-    grad_full = np.empty((d + 1, n))
-    for k in range(d + 1):
-        a, b = prefix[k], suffix[k]
-        grad_full[k] = -(a[:, 0, 0] * b[:, 0, 0] - a[:, 0, 1] * b[:, 1, 0]).imag
-
+    prefix = _forward_pairs(_mirror(free, d), xs)
+    pa, pb = prefix[:, 0], prefix[:, 1]
+    a, b = prefix[d]
+    weight = (pa * pa.conj()).real - (pb * pb.conj()).real
+    grad_full = -(weight * a + 2.0 * pa * pb * b.conj()).imag
+    # Phase j >= m is the mirror of free phase d - j; the middle phase of an
+    # even degree has no mirror partner.
     m = len(free)
-    jac = np.empty((n, m))
-    for i in range(m):
-        j = d - i
-        jac[:, i] = grad_full[i] if j == i else grad_full[i] + grad_full[j]
-    return residual, jac
+    jac_t = grad_full[:m].copy()
+    jac_t[: d + 1 - m] += grad_full[m:][::-1]
+    return a.real - target, jac_t.T
 
 
 def _damped_gauss_newton(free, d, xs, target, tol, history, max_iters=80):
-    """Gauss-Newton with backtracking on the max residual."""
+    """Gauss-Newton with backtracking on the max residual.
+
+    Line-search trials need only the residual, so they skip the Jacobian.
+    """
     for _ in range(max_iters):
         r, jac = _residual_and_jacobian(free, d, xs, target)
         cur = float(np.max(np.abs(r)))
@@ -319,16 +304,14 @@ def _damped_gauss_newton(free, d, xs, target, tol, history, max_iters=80):
         improved = False
         for _ in range(30):
             trial = free + t * step
-            rt, _ = _residual_and_jacobian(trial, d, xs, target)
-            if float(np.max(np.abs(rt))) < cur:
+            if float(np.max(np.abs(_residual(trial, d, xs, target)))) < cur:
                 free = trial
                 improved = True
                 break
             t *= 0.5
         if not improved:
             return free, cur
-    r, _ = _residual_and_jacobian(free, d, xs, target)
-    return free, float(np.max(np.abs(r)))
+    return free, float(np.max(np.abs(_residual(free, d, xs, target))))
 
 
 def synthesize_symmetric(f: ChebyshevSeries, tol: float) -> PhaseFactorSet:
@@ -339,7 +322,10 @@ def synthesize_symmetric(f: ChebyshevSeries, tol: float) -> PhaseFactorSet:
     synthesis margin; callers rescale, this routine never does. The
     least-squares objective over the positive Chebyshev nodes is minimized
     by damped Gauss-Newton from the (pi/4, 0, ..., 0, pi/4) iterate, with a
-    quasi-Newton (SR1 trust-region) fallback if it stalls.
+    quasi-Newton (SR1 trust-region) fallback if it stalls. Residuals and
+    the Jacobian come from one forward sweep of SU(2) pairs per call
+    (`_forward_pairs`); line-search trials and the final contract check on
+    the 2d-node grid evaluate residuals only.
     """
     if f.parity == "none":
         raise ValueError("synthesis target must have definite parity")
@@ -365,10 +351,10 @@ def synthesize_symmetric(f: ChebyshevSeries, tol: float) -> PhaseFactorSet:
 
     margin_grid = np.linspace(-1.0, 1.0, max(2001, 20 * (d + 1)))
     sup = float(np.max(np.abs(_clenshaw(f.coeffs, margin_grid))))
-    if sup > 1.0 - 1e-8:
+    if sup > 1.0 - SYNTHESIS_GUARD:
         raise ValueError(
-            f"target sup-norm {sup:.12f} violates the synthesis margin 1 - 1e-8; "
-            "rescale the target before synthesis"
+            f"target sup-norm {sup:.12f} violates the synthesis margin "
+            f"1 - {SYNTHESIS_GUARD:g}; rescale the target before synthesis"
         )
 
     xs = np.cos((2.0 * np.arange(1, d + 1) - 1.0) * math.pi / (4.0 * d))
@@ -385,6 +371,8 @@ def synthesize_symmetric(f: ChebyshevSeries, tol: float) -> PhaseFactorSet:
         # Gauss-Newton from the standard iterate converges in almost every
         # case; partially converged quasi-Newton iterates tend to leave the
         # benign basin, so the fallback must run with a generous budget.
+        from scipy.optimize import SR1, minimize
+
         def objective(fr):
             r, jac = _residual_and_jacobian(fr, d, xs, target)
             val = float(np.mean(r * r))
@@ -404,8 +392,7 @@ def synthesize_symmetric(f: ChebyshevSeries, tol: float) -> PhaseFactorSet:
     # Contract check on the full 2d-node grid (parity mirrors the positive nodes).
     check_grid = np.cos((2.0 * np.arange(1, 2 * d + 1) - 1.0) * math.pi / (4.0 * d))
     check_target = _clenshaw(f.coeffs, check_grid)
-    r, _ = _residual_and_jacobian(free, d, check_grid, check_target)
-    final = float(np.max(np.abs(r)))
+    final = float(np.max(np.abs(_residual(free, d, check_grid, check_target))))
     if final > tol:
         raise SynthesisError(
             f"phase synthesis stalled at residual {final:.3e} (target {tol:.3e}, "

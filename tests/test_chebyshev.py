@@ -3,13 +3,17 @@ import numpy as np
 import pytest
 
 from fqsvt.chebyshev import (
+    EPS_FLOOR,
     ChebyshevSeries,
     FilterSpec,
+    _sup_norm,
     certify_filter,
     cheb_eval,
     heaviside_filter,
+    synthesis_margin,
 )
 from fqsvt.linalg import rng
+from fqsvt.qsp import synthesize_symmetric
 
 
 def test_cheb_eval_t1_t2():
@@ -64,6 +68,35 @@ def test_heaviside_value_near_one_at_zero():
 def test_heaviside_even_parity_enforced():
     filt = heaviside_filter(FilterSpec(0.5, 0.2, 1e-3))
     assert np.max(np.abs(filt.coeffs[1::2])) <= 1e-12
+
+
+def test_sup_norm_in_u_variable_brackets_dense_grid_maximum():
+    filt = heaviside_filter(FilterSpec(0.5, 0.2, 1e-3))
+    xs = np.linspace(-1.0, 1.0, 200_001)
+    grid_max = float(np.max(np.abs(filt(xs))))
+    # The even filter is G(2x^2 - 1); G's coefficients are the even ones.
+    sup = _sup_norm(filt.coeffs[0::2])
+    assert grid_max <= sup <= grid_max + 1e-9
+    assert sup == pytest.approx(_sup_norm(filt.coeffs), abs=1e-12)
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-5, 4e-6, 1e-6, 1e-7])
+def test_heaviside_certifies_and_synthesizes_down_to_small_budgets(eps):
+    # A fixed 1e-6 synthesis margin used to eat the low-side budget for
+    # every eps <= 4e-6.
+    spec = FilterSpec(0.5, 0.2, eps)
+    filt = heaviside_filter(spec)
+    report = certify_filter(filt, spec)
+    assert report.passed
+    assert report.sup_norm.bound == 1.0 - synthesis_margin(eps)
+    psi = synthesize_symmetric(filt, 1e-11)
+    assert psi.symmetric and psi.degree == filt.degree
+
+
+def test_budget_below_floor_rejected():
+    FilterSpec(0.5, 0.2, EPS_FLOOR)
+    with pytest.raises(ValueError, match="floor"):
+        FilterSpec(0.5, 0.2, 0.5 * EPS_FLOOR)
 
 
 def test_heaviside_pinned_degree():

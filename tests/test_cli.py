@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fqsvt.bosehubbard import default_model
 from fqsvt.cli import main
 from fqsvt.linalg import matrix_to_json
 
@@ -99,6 +100,39 @@ def test_project_rejects_bad_spectrum_with_exit_1(tmp_path):
         "round_eps": 1e-2,
     })
     assert main(["project", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+
+def test_project_rejects_gmon_non_power_of_two_with_exit_2(tmp_path, capsys):
+    spec = default_model().to_json()
+    spec["nmax"] = 2  # two modes with three levels: dimension 9
+    cfg = write_config(tmp_path, {
+        "model": {"type": "gmon", "spec": spec},
+        "bands": {"target": 2},
+        "round_eps": 1e-2,
+    })
+    assert main(["project", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "power-of-two dimension, got 9" in capsys.readouterr().err
+
+
+def test_project_rejects_inline_non_power_of_two_with_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "model": {"type": "inline", "matrix": matrix_to_json(np.diag([0.2, 0.5, 0.8]))},
+        "bands": {"target": 3},
+        "round_eps": 1e-2,
+    })
+    assert main(["project", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "power-of-two dimension, got 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", [{"round_eps": 1e-8}, {"budget": 1e-7}])
+def test_project_rejects_round_budget_below_floor_with_exit_2(tmp_path, capsys, budget):
+    cfg = write_config(tmp_path, {
+        "model": {"type": "synthetic", "bands": 2, "per_band": 2, "width": 0.02},
+        "bands": {"target": 2},
+        **budget,
+    })
+    assert main(["project", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "per-round budget" in capsys.readouterr().err
 
 
 def test_baselines_csv(tmp_path):

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from fqsvt import qsp
 from fqsvt.chebyshev import ChebyshevSeries
 from fqsvt.linalg import rng
 from fqsvt.qsp import (
     PhaseFactorSet,
+    _batch_unitaries,
     _mirror,
+    _residual,
     _residual_and_jacobian,
     conjugation_identity_check,
     extract_pq,
@@ -52,6 +55,22 @@ def test_qsp_unitary_special_unitary():
         u = qsp_unitary(float(gen.uniform(-1, 1)), psi)
         assert abs(np.linalg.det(u) - 1.0) < 1e-12
         assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
+
+
+def test_batch_unitaries_match_explicit_matrix_product():
+    # Reference: the rotation product built from explicit 2x2 matrices.
+    gen = rng(7)
+    xs = np.linspace(-1, 1, 17)
+    for d in (0, 1, 4, 25):
+        values = gen.uniform(-np.pi, np.pi, d + 1)
+        got = _batch_unitaries(values, xs)
+        for x, u in zip(xs, got):
+            s = math.sqrt(1 - x * x)
+            w = np.array([[x, 1j * s], [1j * s, x]])
+            ref = np.diag(np.exp([1j * values[0], -1j * values[0]]))
+            for psi in values[1:]:
+                ref = ref @ w @ np.diag(np.exp([1j * psi, -1j * psi]))
+            assert np.max(np.abs(u - ref)) <= 1e-13
 
 
 def test_extract_pq_chebyshev_case():
@@ -175,22 +194,59 @@ def test_synthesize_rejects_mixed_parity():
 
 
 def test_gradient_matches_finite_differences():
+    # Even degrees exercise the unmirrored middle phase.
     gen = rng(6)
-    d = 9
+    for d in (9, 10, 184):
+        xs = np.cos((2 * np.arange(1, d + 1) - 1) * np.pi / (4 * d))
+        target = 0.4 * xs
+        free = gen.uniform(-0.6, 0.6, (d + 2) // 2)
+        _, jac = _residual_and_jacobian(free, d, xs, target)
+        step = 1e-6
+        for i in range(len(free)):
+            up, down = free.copy(), free.copy()
+            up[i] += step
+            down[i] -= step
+            numeric = (_residual(up, d, xs, target) - _residual(down, d, xs, target)) / (2 * step)
+            scale = max(1.0, np.max(np.abs(numeric)))
+            assert np.max(np.abs(jac[:, i] - numeric)) <= 1e-6 * scale, (d, i)
+
+
+@pytest.mark.parametrize("d", [1, 10, 184])
+def test_residual_matches_unitary_entry(d):
+    gen = rng(8)
     xs = np.cos((2 * np.arange(1, d + 1) - 1) * np.pi / (4 * d))
-    target = 0.4 * xs
-    free = gen.uniform(-0.6, 0.6, (d + 2) // 2)
-    _, jac = _residual_and_jacobian(free, d, xs, target)
-    step = 1e-6
-    for i in range(len(free)):
-        up, down = free.copy(), free.copy()
-        up[i] += step
-        down[i] -= step
-        ru, _ = _residual_and_jacobian(up, d, xs, target)
-        rd, _ = _residual_and_jacobian(down, d, xs, target)
-        numeric = (ru - rd) / (2 * step)
-        scale = max(1.0, np.max(np.abs(numeric)))
-        assert np.max(np.abs(jac[:, i] - numeric)) <= 1e-6 * scale
+    target = 0.3 * xs
+    free = gen.uniform(-np.pi, np.pi, (d + 2) // 2)
+    expected = _batch_unitaries(_mirror(free, d), xs)[:, 0, 0].real - target
+    r, _ = _residual_and_jacobian(free, d, xs, target)
+    assert np.max(np.abs(_residual(free, d, xs, target) - expected)) <= 1e-13
+    assert np.array_equal(r, _residual(free, d, xs, target))
+
+
+def test_synthesize_reaches_tolerance_through_fallback(monkeypatch):
+    # Gauss-Newton reports a stall on its first call, so the SR1
+    # trust-region fallback must carry the synthesis to tolerance.
+    real = qsp._damped_gauss_newton
+    calls = []
+
+    def stall_once(free, d, xs, target, tol, history, max_iters=80):
+        calls.append(d)
+        if len(calls) == 1:
+            return free, math.inf
+        return real(free, d, xs, target, tol, history, max_iters)
+
+    monkeypatch.setattr(qsp, "_damped_gauss_newton", stall_once)
+    gen = rng(9)
+    d = 10
+    coeffs = 0.9 * extract_pq(random_symmetric(gen, d)).p.real
+    coeffs[1::2] = 0.0
+    target = ChebyshevSeries(coeffs, "even")
+    tol = 1e-11
+    psi = synthesize_symmetric(target, tol)
+    assert len(calls) == 2
+    xs = np.cos((2 * np.arange(1, 2 * d + 1) - 1) * np.pi / (4 * d))
+    realized = _batch_unitaries(psi.values, xs)[:, 0, 0].real
+    assert np.max(np.abs(realized - target(xs))) <= tol
 
 
 def test_phase_set_json_round_trip():
