@@ -39,7 +39,6 @@ from .feedforward import (
     channel_distance,
     extract_kraus,
     feedforward_query_count,
-    mar_monitoring,
     run_1fqsvt,
     run_multiband,
 )
@@ -47,7 +46,7 @@ from .linalg import (
     HermitianSpectrum,
     StateVector,
     eigh,
-    haar_state,
+    haar_vector,
     matfun,
     rng,
     trace_norm,

@@ -51,12 +51,6 @@ class BandStructure:
     def dimension(self) -> int:
         return sum(len(b) for b in self.bands)
 
-    def band_of(self, index: int) -> int:
-        for j, band in enumerate(self.bands):
-            if index in band:
-                return j
-        raise ValueError(f"index {index} not in any band")
-
     def to_json(self) -> dict:
         return {
             "L": self.band_count,

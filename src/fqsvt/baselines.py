@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import BandStructure, exact_projectors
-from .linalg import HermitianSpectrum, StateVector, check_hermitian, dagger, eigh, rng
+from .linalg import HermitianSpectrum, StateVector, check_hermitian, dagger, eigh, haar_vector, rng
 
 __all__ = [
     "AdiabaticSchedule",
@@ -58,12 +58,6 @@ class WalkEstimate:
     trials: int
     queries_per_trial: int
 
-    @property
-    def expected_queries_to_success(self) -> float:
-        if self.success_rate == 0.0:
-            return math.inf
-        return self.queries_per_trial / self.success_rate
-
 
 def random_walk_success(
     structure: BandStructure,
@@ -95,8 +89,7 @@ def random_walk_success(
     successes = 0
     for trial in range(trials):
         gen = rng(seed, trial)
-        z = gen.standard_normal(n) + 1j * gen.standard_normal(n)
-        state = z / np.linalg.norm(z)
+        state = haar_vector(gen, n)
         lo, hi = 0, 2**ell
         for level in range(1, ell + 1):
             mid = lo + 2 ** (ell - level)

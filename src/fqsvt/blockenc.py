@@ -55,14 +55,6 @@ class BlockEncoding:
     def ancilla_dim(self) -> int:
         return 2**self.m
 
-    def verify_encodes(self, h: np.ndarray, tol: float = UNITARITY_TOL) -> float:
-        """Max deviation of the top-left block from H / alpha."""
-        n = self.encoded_dim
-        dev = float(np.max(np.abs(self.unitary[:n, :n] - np.asarray(h) / self.alpha)))
-        if dev > tol:
-            raise ValueError(f"top-left block deviates from H/alpha by {dev:.3e}")
-        return dev
-
     def to_json(self) -> dict:
         from .linalg import matrix_to_json
 

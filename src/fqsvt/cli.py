@@ -41,6 +41,7 @@ from .feedforward import (
 from .linalg import (
     StateVector,
     eigh,
+    haar_vector,
     hermitian_from_spectrum,
     matrix_from_json,
     matrix_to_json,
@@ -117,11 +118,17 @@ def cmd_phases(config: dict, out: Path, seed: int) -> int:
 
 
 def _resolve_model(doc: dict, seed: int):
-    """Config model block -> (Hamiltonian with spectrum in (0,1), metadata)."""
+    """Config model block -> (Hamiltonian with spectrum in [0, 1], metadata)."""
     kind = doc.get("type")
     if kind == "inline":
         _check_keys(doc, {"type": True, "matrix": True}, "model")
-        return matrix_from_json(doc["matrix"]), {"source": "inline"}
+        try:
+            h = matrix_from_json(doc["matrix"])
+            # The dilation validates shape, hermiticity and the [0, 1] spectrum.
+            dilate_hermitian(h)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"model: invalid inline matrix: {exc}") from exc
+        return h, {"source": "inline"}
     if kind == "gmon":
         _check_keys(doc, {"type": True, "spec": False, "margin": False,
                           "perturb_seed": False}, "model")
@@ -150,16 +157,24 @@ def _resolve_input(doc: dict, spectrum, seed: int) -> np.ndarray:
         return spectrum.vectors.sum(axis=1) / math.sqrt(n)
     if kind == "haar":
         _check_keys(doc, {"type": True, "seed": False}, "input")
-        gen = rng(int(doc.get("seed", seed)), 2)
-        z = gen.standard_normal(n) + 1j * gen.standard_normal(n)
-        return z / np.linalg.norm(z)
+        return haar_vector(rng(int(doc.get("seed", seed)), 2), n)
     if kind == "eigenstate":
         _check_keys(doc, {"type": True, "index": True}, "input")
-        return spectrum.vectors[:, int(doc["index"])].copy()
+        index = int(doc["index"])
+        if not 0 <= index < n:
+            raise ConfigError(f"input: eigenstate index {index} outside [0, {n})")
+        return spectrum.vectors[:, index].copy()
     if kind == "amplitudes":
         _check_keys(doc, {"type": True, "values": True}, "input")
         amp = np.array([complex(re, im) for re, im in doc["values"]])
-        return amp / np.linalg.norm(amp)
+        if amp.shape != (n,):
+            raise ConfigError(f"input: expected {n} amplitudes, got {len(amp)}")
+        if not np.all(np.isfinite(amp)):
+            raise ConfigError("input: amplitudes must be finite")
+        norm = np.linalg.norm(amp)
+        if norm == 0.0:
+            raise ConfigError("input: amplitudes are all zero")
+        return amp / norm
     raise ConfigError(f"input: unknown type {kind!r}")
 
 

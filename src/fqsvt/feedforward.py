@@ -1,12 +1,13 @@
 """Measurement-and-reset runtime with outcome-conditioned circuit selection.
 
 A run alternates circuit blocks with measure-and-reset (MAR) of the
-monitoring qubit. The policy object maps the bit history to the next block
-descriptor (phases, encoding orientation, initialization rule); the driver
+monitoring qubit. One policy, `MultibandPolicy`, maps the bit history to
+the next block descriptor (phases and initialization rule); one driver
 either enumerates every branch with unnormalized states or samples one
 trajectory per seed. The two-block primitive realizes f^2(H) on outcome
-(0,0) and -(1 - f^2(H)) on (1,0); the multi-band driver stacks rounds of
-it, choosing each threshold from the measured band bits.
+(0,0) and -(1 - f^2(H)) on (1,0); it is the two-band case of the policy,
+and the multi-band driver stacks rounds of it, choosing each threshold
+from the measured band bits.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .bands import BandStructure, check_band_assumption
 from .blockenc import BlockEncoding, encoded_block
 from .chebyshev import FilterSpec, heaviside_filter
-from .linalg import StateVector, dagger, eigh, rng, trace_norm
+from .linalg import StateVector, dagger, eigh, haar_vector, rng, trace_norm
 from .qsp import PhaseFactorSet, synthesize_symmetric, to_circuit, to_su2
 from .qsvt import assemble_full
 
@@ -27,13 +28,10 @@ __all__ = [
     "MeasurementRecord",
     "BranchNode",
     "BlockDescriptor",
-    "FeedforwardPolicy",
-    "OneStepPolicy",
     "MultibandPolicy",
     "TreeLeaf",
     "BranchTree",
     "KrausExtraction",
-    "mar_monitoring",
     "run_1fqsvt",
     "run_multiband",
     "extract_kraus",
@@ -98,69 +96,44 @@ class BlockDescriptor:
     """
 
     phases: PhaseFactorSet
-    orientation: str = "forward"
     init_from_last_bit: bool = False
     ancilla_reflect: bool = False
 
 
-class FeedforwardPolicy:
-    """Deterministic map from the outcome history to the next block descriptor."""
-
-    def next_block(self, bits: tuple) -> BlockDescriptor | None:
-        raise NotImplementedError
-
-
-class OneStepPolicy(FeedforwardPolicy):
-    """Two blocks joined by one MAR: the second block follows the degree parity.
-
-    An even-degree first block leaves its garbage in the same ancilla basis
-    it started from, so the second block repeats it verbatim. An odd-degree
-    first block leaves the completion-basis factor behind; on the symmetric
-    dilation that factor is the negated one, and the ancilla reflection
-    around the second block cancels it exactly.
-    """
-
-    def __init__(self, phi: PhaseFactorSet):
-        if phi.convention != "circuit":
-            raise ValueError("policy blocks use circuit-convention phases")
-        if not to_su2(phi).symmetric:
-            raise ValueError(
-                "the two-block primitive requires symmetric phase factors "
-                "(palindromic rotation-convention values)"
-            )
-        self.phi = phi
-
-    def next_block(self, bits: tuple) -> BlockDescriptor | None:
-        if len(bits) == 0:
-            return BlockDescriptor(self.phi, "forward", init_from_last_bit=False)
-        if len(bits) == 1:
-            return BlockDescriptor(
-                self.phi,
-                "forward",
-                init_from_last_bit=True,
-                ancilla_reflect=self.phi.degree % 2 == 1,
-            )
-        return None
-
-
-class MultibandPolicy(FeedforwardPolicy):
-    """Adaptive binary splitting over a band structure.
+class MultibandPolicy:
+    """Adaptive binary splitting over `band_count` bands.
 
     Replays the index arithmetic from the measured band bits: at round j
     with claimed prefix i, the split index is k = i + 2^(ell - j). Rounds
     whose split index reaches past the last gap are structural no-ops (the
     corresponding digit is known to be zero), and expansion stops outright
     if a corrupted prefix reaches past the last band.
+
+    Each round is the two-block primitive: the first block runs the split's
+    phases plainly; after its MAR the second block repeats them with the
+    garbage branch fed back. An even-degree first block leaves its garbage
+    in the ancilla basis it started from, so the second block repeats it
+    verbatim. An odd-degree first block leaves the completion-basis factor
+    behind; on the symmetric dilation that factor is the negated one, and
+    the ancilla reflection around the second block cancels it exactly.
     """
 
-    def __init__(self, structure: BandStructure, phase_table: dict):
-        self.structure = structure
+    def __init__(self, band_count: int, phase_table: dict):
+        for phi in phase_table.values():
+            if phi.convention != "circuit":
+                raise ValueError("policy blocks use circuit-convention phases")
+            if not to_su2(phi).symmetric:
+                raise ValueError(
+                    "the two-block primitive requires symmetric phase factors "
+                    "(palindromic rotation-convention values)"
+                )
+        self.band_count = band_count
         self.phase_table = phase_table
-        self.ell = math.ceil(math.log2(structure.band_count)) if structure.band_count > 1 else 0
+        self.ell = math.ceil(math.log2(band_count)) if band_count > 1 else 0
 
     def _replay(self, band_bits: tuple) -> tuple:
         """(claimed prefix, next executable round, split index) after the given bits."""
-        ell, count = self.ell, self.structure.band_count
+        ell, count = self.ell, self.band_count
         i = 0
         consumed = 0
         for j in range(1, ell + 1):
@@ -184,61 +157,30 @@ class MultibandPolicy(FeedforwardPolicy):
             phi = self._current_phase(bits)
             return BlockDescriptor(
                 phi,
-                "forward",
                 init_from_last_bit=True,
                 ancilla_reflect=phi.degree % 2 == 1,
             )
         _, round_j, k = self._replay(bits[0::2])
         if round_j is None:
             return None
-        return BlockDescriptor(self.phase_table[k], "forward", init_from_last_bit=False)
+        return BlockDescriptor(self.phase_table[k], init_from_last_bit=False)
 
     def _current_phase(self, bits: tuple) -> PhaseFactorSet:
         _, _, k = self._replay(bits[0:-1:2])
         return self.phase_table[k]
 
 
-def mar_monitoring(
-    state: StateVector, mode: str = "enumerate", seed: int = 0, stream: int = 0
-) -> list[BranchNode]:
-    """Measure the top qubit, record the bit, and reset it to |0>.
-
-    Enumerate mode returns both unnormalized branches; sample mode draws one
-    branch with probability equal to its squared norm (normalized by the
-    input weight) and returns it alone.
-    """
-    total = state.norm**2
-    if total == 0.0:
-        raise ValueError("cannot measure a zero-norm state")
-    half = len(state.amplitudes) // 2
-    branches = []
-    for bit in (0, 1):
-        part = state.amplitudes[bit * half : (bit + 1) * half]
-        reset = np.concatenate([part, np.zeros(half, dtype=complex)])
-        branches.append(
-            BranchNode(MeasurementRecord((bit,)), StateVector(state.n_qubits, reset),
-                       float(np.vdot(part, part).real))
-        )
-    if mode == "enumerate":
-        return branches
-    if mode == "sample":
-        gen = rng(seed, stream)
-        p0 = branches[0].probability / total
-        return [branches[0] if gen.random() < p0 else branches[1]]
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 class _BlockCache:
-    """Assembled circuit matrices keyed by (phase values, orientation)."""
+    """Assembled circuit matrices keyed by phase values."""
 
     def __init__(self, enc: BlockEncoding):
         self.enc = enc
         self._cache: dict = {}
 
     def matrix(self, desc: BlockDescriptor) -> np.ndarray:
-        key = (desc.phases.values.tobytes(), desc.orientation)
+        key = desc.phases.values.tobytes()
         if key not in self._cache:
-            self._cache[key] = assemble_full(self.enc, desc.phases, desc.orientation)
+            self._cache[key] = assemble_full(self.enc, desc.phases)
         return self._cache[key]
 
 
@@ -251,7 +193,7 @@ class _Branch:
 
 def _run_blocks(
     enc: BlockEncoding,
-    policy: FeedforwardPolicy,
+    policy: MultibandPolicy,
     system: np.ndarray,
     mode: str,
     seed: int,
@@ -327,14 +269,15 @@ def run_1fqsvt(
 ) -> list[BranchNode]:
     """Two-block feedforward primitive on a unit-norm system state.
 
-    Enumerate mode returns all four (s1, s2) branches with unnormalized
-    ancilla (x) system registers; the (0,0) branch carries f^2(H)|phi> and
-    the (1,0) branch carries -(1 - f^2(H))|phi>. Sample mode returns the
-    single branch realized under the seed.
+    This is one round of the multi-band policy with a single split. Enumerate
+    mode returns all four (s1, s2) branches with unnormalized ancilla (x)
+    system registers; the (0,0) branch carries f^2(H)|phi> and the (1,0)
+    branch carries -(1 - f^2(H))|phi>. Sample mode returns the single branch
+    realized under the seed.
     """
     if abs(state.norm - 1.0) > 1e-8:
         raise ValueError("input system state must be unit norm")
-    policy = OneStepPolicy(phi)
+    policy = MultibandPolicy(2, {1: phi})
     branches = _run_blocks(enc, policy, state.amplitudes, mode, seed, stream)
     n = enc.encoded_dim
     out = []
@@ -471,14 +414,13 @@ def run_multiband(
         register[:n] = state.amplitudes
         leaf = TreeLeaf(MeasurementRecord(()), StateVector(reg_qubits, register),
                         1.0, 0, False, 0)
-        return BranchTree([leaf], structure, 0, 0.0, 0, enc,
-                          MultibandPolicy(structure, {}), mode)
+        return BranchTree([leaf], structure, 0, 0.0, 0, enc, MultibandPolicy(1, {}), mode)
 
     ell = math.ceil(math.log2(count))
     if round_eps is None:
         round_eps = round_budget(budget, count, split_constant)
     table, degree = _multiband_phase_table(structure, round_eps, synthesis_tol)
-    policy = MultibandPolicy(structure, table)
+    policy = MultibandPolicy(count, table)
 
     cache = _BlockCache(enc)
     if mode == "enumerate":
@@ -619,9 +561,7 @@ def channel_distance(
             if spec.values[col] > 0.5:
                 inputs.append(spec.vectors[:, col])
     gen = rng(seed, 0)
-    for _ in range(samples):
-        z = gen.standard_normal(n) + 1j * gen.standard_normal(n)
-        inputs.append(z / np.linalg.norm(z))
+    inputs.extend(haar_vector(gen, n) for _ in range(samples))
 
     worst = 0.0
     for phi in inputs:

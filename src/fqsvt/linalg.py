@@ -1,15 +1,14 @@
 """Dense complex linear algebra and randomness substrate.
 
 Everything downstream (block encodings, circuit assembly, band projectors,
-verification oracles) is built on the routines here: a cyclic-Jacobi
+verification oracles) is built on the routines here: a validated LAPACK
 Hermitian eigensolver, matrix functions through diagonalization, the trace
-norm, and seeded Haar-random state sampling.
+norm, and seeded Haar-random vector sampling.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,7 @@ __all__ = [
     "eigh",
     "matfun",
     "trace_norm",
-    "haar_state",
+    "haar_vector",
     "random_hermitian",
     "hermitian_from_spectrum",
     "dagger",
@@ -28,11 +27,6 @@ __all__ = [
     "matrix_to_json",
     "matrix_from_json",
 ]
-
-# Convergence threshold for the Jacobi sweep, relative to ||H||_F.
-_JACOBI_REL_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 100
-
 
 def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
@@ -107,73 +101,15 @@ def check_hermitian(h: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return h
 
 
-def eigh(h: np.ndarray, tol: float = 1e-10) -> HermitianSpectrum:
-    """Diagonalize a Hermitian matrix with cyclic Jacobi rotations.
+def eigh(h: np.ndarray) -> HermitianSpectrum:
+    """Diagonalize a Hermitian matrix with LAPACK (`numpy.linalg.eigh`).
 
     Eigenvalues are returned ascending with matching eigenvector columns.
     Within a degenerate cluster the eigenvector basis is solver-defined;
     downstream band logic only ever uses projectors, which are basis-free.
     """
-    h = check_hermitian(h, tol=tol)
-    n = h.shape[0]
-    a = 0.5 * (h + dagger(h))
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return HermitianSpectrum(np.array([a[0, 0].real]), v)
-
-    norm_f = np.linalg.norm(a)
-    if norm_f == 0.0:
-        return HermitianSpectrum(np.zeros(n), v)
-    threshold = _JACOBI_REL_TOL * norm_f
-    # Rotations smaller than this cannot move the off-diagonal mass past
-    # the convergence threshold; skipping them saves whole sweeps.
-    skip = threshold / (n * n)
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = a.copy()
-        np.fill_diagonal(off, 0.0)
-        if np.linalg.norm(off) < threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                phase = apq / r
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * r)
-                t = 1.0 / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                if tau < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # Unitary G = diag(1, e^{-i art}) R(c, s) acting on the (p, q) plane.
-                gp = s * phase.conjugate()
-                gc = c * phase.conjugate()
-                row_p = c * a[p, :] - (s * phase) * a[q, :]
-                row_q = s * a[p, :] + (c * phase) * a[q, :]
-                a[p, :] = row_p
-                a[q, :] = row_q
-                col_p = c * a[:, p] - gp * a[:, q]
-                col_q = s * a[:, p] + gc * a[:, q]
-                a[:, p] = col_p
-                a[:, q] = col_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vol_p = c * v[:, p] - gp * v[:, q]
-                vol_q = s * v[:, p] + gc * v[:, q]
-                v[:, p] = vol_p
-                v[:, q] = vol_q
-    else:
-        raise RuntimeError("Jacobi eigensolver did not converge")
-
-    values = np.diagonal(a).real.copy()
-    order = np.argsort(values, kind="stable")
-    return HermitianSpectrum(values[order], v[:, order])
+    values, vectors = np.linalg.eigh(check_hermitian(h))
+    return HermitianSpectrum(values, vectors)
 
 
 def matfun(h: np.ndarray, g, spectrum: HermitianSpectrum | None = None) -> np.ndarray:
@@ -198,30 +134,17 @@ def trace_norm(a: np.ndarray) -> float:
         raise ValueError("matrix entries must be finite")
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {a.shape}")
-    scale = float(np.max(np.abs(a), initial=0.0))
-    if scale == 0.0:
-        return 0.0
-    if a.shape[0] == a.shape[1] and np.max(np.abs(a - dagger(a))) <= 1e-12 * max(1.0, scale):
-        # Hermitian case: singular values are |eigenvalues|, computed
-        # directly to avoid squaring away half the precision.
-        return float(np.sum(np.abs(eigh(a).values)))
-    gram = dagger(a) @ a if a.shape[0] >= a.shape[1] else a @ dagger(a)
-    evals = eigh(gram).values
-    # Gram eigenvalues below the roundoff floor are numerically zero; without
-    # the cutoff their square roots inflate the sum by ~sqrt(eps) each.
-    floor = gram.shape[0] * np.finfo(float).eps * float(np.max(evals, initial=0.0))
-    evals = np.where(evals > floor, evals, 0.0)
-    return float(np.sum(np.sqrt(evals)))
+    return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
-def haar_state(qubits: int, seed: int, stream: int = 0) -> StateVector:
-    """Unit-norm Haar-random state on `qubits` qubits, reproducible per (seed, stream)."""
-    if qubits < 1:
-        raise ValueError("qubits must be >= 1")
-    gen = rng(seed, stream)
-    dim = 2**qubits
+def haar_vector(gen: np.random.Generator, dim: int) -> np.ndarray:
+    """Unit-norm Haar-random vector of length `dim` drawn from `gen`.
+
+    The real parts are drawn before the imaginary parts, so a given
+    generator state always yields the same vector.
+    """
     z = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
-    return StateVector(qubits, z / np.linalg.norm(z))
+    return z / np.linalg.norm(z)
 
 
 def random_hermitian(dim: int, gen: np.random.Generator, scale: float = 1.0) -> np.ndarray:

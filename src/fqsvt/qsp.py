@@ -138,10 +138,6 @@ class QspPolynomialPair:
     def eval_q(self, x) -> np.ndarray:
         return _clenshaw(self.q, np.clip(np.asarray(x, dtype=float), -1.0, 1.0))
 
-    def real_part_series(self) -> ChebyshevSeries:
-        """Re P as a real Chebyshev series (the realized target f)."""
-        return ChebyshevSeries(self.p.real.copy(), "none")
-
 
 def _cheb_interpolate(values: np.ndarray, theta: np.ndarray, degree: int) -> np.ndarray:
     """Chebyshev coefficients from samples at first-kind nodes cos(theta)."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockenc import BlockEncoding, csd_factors
+from .blockenc import BlockEncoding, csd_factors, dilate_hermitian
 from .chebyshev import _clenshaw
 from .linalg import StateVector, check_hermitian, dagger
 from .qsp import PhaseFactorSet, extract_pq, to_su2
@@ -29,8 +29,6 @@ __all__ = [
     "garbage_state",
 ]
 
-ORIENTATIONS = ("forward", "adjoint")
-
 
 def _ctrl_rotation(phi: float, n: int, m_dim: int) -> np.ndarray:
     """diag(e^{i phi} I_N, e^{-i phi} I_{N (M-1)})."""
@@ -39,19 +37,16 @@ def _ctrl_rotation(phi: float, n: int, m_dim: int) -> np.ndarray:
     return diag
 
 
-def assemble_interleaved(
-    enc: BlockEncoding, phi: PhaseFactorSet, orientation: str = "forward"
-) -> np.ndarray:
+def assemble_interleaved(enc: BlockEncoding, phi: PhaseFactorSet) -> np.ndarray:
     """Product R(phi_0) prod_k U^{(-1)^{d-k}} R(phi_k) on the NM-dim register.
 
-    The adjoint orientation swaps every appearance of the encoding with its
-    inverse, which the feedforward runtime uses for odd-degree second blocks.
+    The encoding and its inverse alternate, ending on U itself. The
+    feedforward runtime runs odd-degree second blocks through this same
+    matrix, conjugated by a reflection on the encoding ancillas.
     """
     if phi.convention != "circuit":
         raise ValueError("interleaved assembly takes circuit-convention phases")
-    if orientation not in ORIENTATIONS:
-        raise ValueError(f"unknown orientation {orientation!r}")
-    base = enc.unitary if orientation == "forward" else dagger(enc.unitary)
+    base = enc.unitary
     base_inv = dagger(base)
     n, m_dim = enc.encoded_dim, enc.ancilla_dim
     d = phi.degree
@@ -63,12 +58,10 @@ def assemble_interleaved(
     return u
 
 
-def assemble_full(
-    enc: BlockEncoding, phi: PhaseFactorSet, orientation: str = "forward"
-) -> np.ndarray:
+def assemble_full(enc: BlockEncoding, phi: PhaseFactorSet) -> np.ndarray:
     """Full circuit unitary of size 2NM: Hadamard butterfly over +Phi / -Phi sectors."""
-    u_pos = assemble_interleaved(enc, phi, orientation)
-    u_neg = assemble_interleaved(enc, PhaseFactorSet(-phi.values, "circuit"), orientation)
+    u_pos = assemble_interleaved(enc, phi)
+    u_neg = assemble_interleaved(enc, PhaseFactorSet(-phi.values, "circuit"))
     a = 0.5 * (u_pos + u_neg)
     b = 0.5 * (u_pos - u_neg)
     size = u_pos.shape[0]
@@ -82,18 +75,15 @@ def assemble_full(
 
 @dataclass
 class QsvtCircuit:
-    """An assembled circuit with its encoding, phases, and orientation."""
+    """An assembled circuit with its encoding and phases."""
 
     encoding: BlockEncoding
     phases: PhaseFactorSet
-    orientation: str = "forward"
 
     def __post_init__(self):
         if self.phases.convention != "circuit":
             raise ValueError("circuit phases must use the circuit convention")
-        if self.orientation not in ORIENTATIONS:
-            raise ValueError(f"unknown orientation {self.orientation!r}")
-        self.matrix = assemble_full(self.encoding, self.phases, self.orientation)
+        self.matrix = assemble_full(self.encoding, self.phases)
         size = self.matrix.shape[0]
         dev = np.max(np.abs(dagger(self.matrix) @ self.matrix - np.eye(size)))
         if dev > 1e-10:
@@ -137,30 +127,6 @@ class PredictedBlocks:
         return [self.table[0, 1], self.table[1, 0]]
 
 
-class _DilationMemo:
-    # predicted_blocks and garbage_state both need the dilation factors of
-    # the same H repeatedly inside test sweeps; one-slot memo by id/bytes.
-    def __init__(self):
-        self._key = None
-        self._value = None
-
-    def get(self, h: np.ndarray):
-        from .blockenc import dilate_hermitian
-
-        key = h.tobytes()
-        if self._key != key:
-            self._value = dilate_hermitian(h)
-            self._key = key
-        return self._value
-
-
-_dilation_memo = _DilationMemo()
-
-
-def _dilation_cache(h: np.ndarray) -> BlockEncoding:
-    return _dilation_memo.get(np.asarray(h, dtype=complex))
-
-
 def predicted_blocks(
     h: np.ndarray, phi: PhaseFactorSet, t2_is_w2: bool | None = None
 ) -> PredictedBlocks:
@@ -175,7 +141,7 @@ def predicted_blocks(
     if t2_is_w2 is None:
         t2_is_w2 = d % 2 == 1
 
-    factors = csd_factors(_dilation_cache(h), h)
+    factors = csd_factors(dilate_hermitian(h), h)
     v, v2 = factors.v, factors.v2
     t2 = factors.w2 if t2_is_w2 else factors.v2
     sigma, s = factors.sigma, factors.s

@@ -28,7 +28,7 @@ from .feedforward import (
     run_1fqsvt,
     run_multiband,
 )
-from .linalg import StateVector, dagger, eigh, hermitian_from_spectrum, rng
+from .linalg import StateVector, dagger, eigh, haar_vector, hermitian_from_spectrum, rng
 from .qsp import PhaseFactorSet, _mirror, extract_pq, synthesize_symmetric, to_circuit
 from .qsvt import assemble_full, garbage_state, predicted_blocks
 
@@ -46,11 +46,6 @@ class CriterionResult:
 def _random_symmetric(gen, degree: int) -> PhaseFactorSet:
     free = gen.uniform(-math.pi, math.pi, (degree + 2) // 2)
     return PhaseFactorSet(_mirror(free, degree), "su2")
-
-
-def _haar_vector(gen, dim: int) -> np.ndarray:
-    z = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
-    return z / np.linalg.norm(z)
 
 
 def criterion_1() -> CriterionResult:
@@ -110,7 +105,7 @@ def criterion_3() -> CriterionResult:
         enc = dilate_hermitian(h)
         psi = _random_symmetric(gen, degree)
         phi = to_circuit(psi)
-        amp = _haar_vector(gen, n)
+        amp = haar_vector(gen, n)
         state = StateVector(int(round(math.log2(n))), amp)
 
         q = assemble_full(enc, phi)
@@ -168,7 +163,7 @@ def criterion_4() -> CriterionResult:
         pair = extract_pq(psi)
         spec_h = eigh(h)
         f2 = (spec_h.vectors * _clenshaw(pair.p.real, spec_h.values) ** 2) @ dagger(spec_h.vectors)
-        amp = _haar_vector(gen, n)
+        amp = haar_vector(gen, n)
         leaves = {b.record.bits: b for b in
                   run_1fqsvt(enc, phi, StateVector(n_qubits, amp), "enumerate")}
         s00 = leaves[(0, 0)].state.amplitudes
@@ -203,7 +198,7 @@ def criterion_5() -> CriterionResult:
     worst_proj = 0.0
     inputs = [spec_h.vectors[:, j] for j in range(4)]
     inputs.append(spec_h.vectors.sum(axis=1) / 2.0)
-    inputs.append(_haar_vector(gen, 4))
+    inputs.append(haar_vector(gen, 4))
     low = spec_h.vectors[:, :2] @ dagger(spec_h.vectors[:, :2])
     for amp in inputs:
         leaves = {b.record.bits: b for b in
@@ -363,7 +358,7 @@ def criterion_10() -> CriterionResult:
     structure = detect_bands(spectrum.values, min_gap=0.5 * model.eta * mapping.scale)
     enc = dilate_hermitian(normalized)
     gen = rng(110, 3)
-    amp = _haar_vector(gen, model.dimension)
+    amp = haar_vector(gen, model.dimension)
     projectors = exact_projectors(spectrum, structure)
     weights = np.array([float(np.vdot(amp, p @ amp).real) for p in projectors])
     trials = 1000

@@ -92,14 +92,36 @@ def test_project_sample_mode_records(tmp_path):
     assert len(weights) == 3
 
 
-def test_project_rejects_bad_spectrum_with_exit_1(tmp_path):
-    bad = np.diag([0.5, 1.4])
+def _inline(matrix) -> dict:
+    return {"type": "inline", "matrix": matrix_to_json(np.asarray(matrix))}
+
+
+GOOD_MODEL = _inline(np.diag([0.2, 0.8]))
+
+
+@pytest.mark.parametrize("model, inp, cause", [
+    ({"type": "inline", "matrix": {"rows": 2, "cols": 2, "data": [[0.5, 0.0]] * 3}}, {},
+     "claims 2x2 but carries 3 entries"),
+    (_inline(0.5 * np.eye(2, 4)), {}, "expected a square matrix"),
+    (_inline([[0.2, 0.1], [0.3, 0.8]]), {}, "not Hermitian"),
+    (_inline(np.diag([0.5, 1.4])), {}, "spectrum must lie in [0, 1]"),
+    (GOOD_MODEL, {"type": "eigenstate", "index": 2}, "eigenstate index 2 outside [0, 2)"),
+    (GOOD_MODEL, {"type": "eigenstate", "index": -1}, "eigenstate index -1 outside [0, 2)"),
+    (GOOD_MODEL, {"type": "amplitudes", "values": [[1.0, 0.0]] * 3}, "expected 2 amplitudes"),
+    (GOOD_MODEL, {"type": "amplitudes", "values": [[0.0, 0.0]] * 2}, "amplitudes are all zero"),
+    (GOOD_MODEL, {"type": "amplitudes", "values": [[1.0, 0.0], [math.inf, 0.0]]},
+     "amplitudes must be finite"),
+], ids=["entry-count", "non-square", "non-hermitian", "spectrum", "index-high", "index-negative",
+        "amplitude-count", "amplitudes-zero", "amplitudes-nonfinite"])
+def test_project_rejects_bad_inline_model_or_input_with_exit_2(tmp_path, capsys, model, inp, cause):
     cfg = write_config(tmp_path, {
-        "model": {"type": "inline", "matrix": matrix_to_json(bad)},
+        "model": model,
         "bands": {"target": 2},
         "round_eps": 1e-2,
+        "input": inp,
     })
-    assert main(["project", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert main(["project", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert cause in capsys.readouterr().err
 
 
 def test_project_rejects_gmon_non_power_of_two_with_exit_2(tmp_path, capsys):

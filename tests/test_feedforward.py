@@ -12,7 +12,6 @@ from fqsvt.feedforward import (
     channel_distance,
     extract_kraus,
     feedforward_query_count,
-    mar_monitoring,
     run_1fqsvt,
     run_multiband,
 )
@@ -32,40 +31,50 @@ def test_measurement_record_positions():
     assert record.failed
 
 
+IDENTITY = to_circuit(PhaseFactorSet([0.0, 0.0], "su2"))  # f(x) = x, degree 1
+
+
 def test_mar_deterministic_zero_branch():
-    state = StateVector(2, [0.6, 0.8, 0.0, 0.0])
-    branches = mar_monitoring(state, "enumerate")
-    assert branches[0].probability == pytest.approx(1.0)
-    assert branches[1].probability == pytest.approx(0.0)
-    assert np.allclose(branches[0].state.amplitudes, state.amplitudes)
+    # f(1) = 1: the first MAR reads 0 with certainty and leaves the input in place.
+    enc = dilate_hermitian(np.diag([1.0, 0.3]))
+    leaves = {b.record.bits: b for b in
+              run_1fqsvt(enc, IDENTITY, StateVector(1, [1, 0]), "enumerate")}
+    assert leaves[(0, 0)].probability == pytest.approx(1.0, abs=1e-12)
+    assert leaves[(1, 0)].probability + leaves[(1, 1)].probability <= 1e-24
+    assert np.allclose(leaves[(0, 0)].state.amplitudes, [1, 0, 0, 0], atol=1e-12)
 
 
 def test_mar_definition_branch_states():
-    a = np.array([1.0, 0.0])
-    b = np.array([0.0, 1.0])
-    state = StateVector(2, np.concatenate([a, b]) / np.sqrt(2))
-    branches = mar_monitoring(state, "enumerate")
-    assert branches[0].probability == pytest.approx(0.5)
-    assert branches[1].probability == pytest.approx(0.5)
-    # The 1-branch is reset: |0> tensor b, still carrying its 1/sqrt(2) weight.
-    assert np.allclose(branches[1].state.amplitudes, np.concatenate([b, [0, 0]]) / np.sqrt(2))
+    # f^2 = 1/2: the first MAR splits evenly, and the reset 1-branch keeps
+    # its weight through the second block.
+    enc = dilate_hermitian(np.diag([1.0 / math.sqrt(2.0), 0.3]))
+    leaves = {b.record.bits: b for b in
+              run_1fqsvt(enc, IDENTITY, StateVector(1, [1, 0]), "enumerate")}
+    first_one = leaves[(1, 0)].probability + leaves[(1, 1)].probability
+    assert leaves[(0, 0)].probability + leaves[(0, 1)].probability == pytest.approx(0.5)
+    assert first_one == pytest.approx(0.5)
+    assert np.allclose(leaves[(0, 0)].state.amplitudes, [0.5, 0, 0, 0])
+    assert np.allclose(leaves[(1, 0)].state.amplitudes, [-0.5, 0, 0, 0])
 
 
 def test_mar_sampled_frequencies_match_enumerate():
-    state = StateVector(2, np.array([0.8, 0.0, 0.6, 0.0]))
-    hits = 0
+    enc = dilate_hermitian(np.diag([0.6, 0.3]))
+    state = StateVector(1, [0.8, 0.6])
+    leaves = run_1fqsvt(enc, IDENTITY, state, "enumerate")
+    p1 = sum(b.probability for b in leaves if b.record.bits[0] == 1)
     draws = 10000
+    hits = 0
     for t in range(draws):
-        (branch,) = mar_monitoring(state, "sample", seed=5, stream=t)
-        hits += branch.record.bits[0]
-    p1 = 0.36
+        (leaf,) = run_1fqsvt(enc, IDENTITY, state, "sample", seed=5, stream=t)
+        hits += leaf.record.bits[0]
     sigma = math.sqrt(p1 * (1 - p1) / draws)
     assert abs(hits / draws - p1) <= 3 * sigma
 
 
 def test_mar_rejects_zero_state():
-    with pytest.raises(ValueError, match="zero-norm"):
-        mar_monitoring(StateVector(1, [0.0, 0.0]))
+    enc = dilate_hermitian(np.diag([0.6, 0.3]))
+    with pytest.raises(ValueError, match="unit norm"):
+        run_1fqsvt(enc, IDENTITY, StateVector(1, [0.0, 0.0]))
 
 
 def test_one_step_identity_polynomial_worked_example():

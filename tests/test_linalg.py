@@ -4,7 +4,7 @@ import pytest
 from fqsvt.linalg import (
     StateVector,
     eigh,
-    haar_state,
+    haar_vector,
     hermitian_from_spectrum,
     matfun,
     matrix_from_json,
@@ -50,17 +50,24 @@ def test_eigh_rejects_non_hermitian_with_entry():
 
 
 def test_eigh_reconstruction_sweep():
-    # 1000 random Hermitian matrices up to 32x32, residual <= 1e-10.
+    # 1000 random Hermitian matrices up to 32x32, residual <= 1e-10, plus the
+    # 1x1 matrix, the zero matrix and a rank-2 projector (exactly degenerate).
     gen = rng(4)
+    cases = [random_hermitian(int(gen.integers(2, 33)), gen) for _ in range(1000)]
+    basis = eigh(random_hermitian(4, gen)).vectors[:, :2]
+    special = [np.array([[0.7]]), np.zeros((5, 5)), basis @ basis.conj().T]
     worst = 0.0
-    for _ in range(1000):
-        dim = int(gen.integers(2, 33))
-        h = random_hermitian(dim, gen)
+    for h in cases + special:
         spec = eigh(h)
         scale = max(1.0, np.max(np.abs(h)))
         worst = max(worst, np.max(np.abs(spec.reconstruct() - h)) / scale)
         assert np.all(np.diff(spec.values) >= 0)
+        gram = spec.vectors.conj().T @ spec.vectors
+        assert np.max(np.abs(gram - np.eye(len(h)))) <= 1e-12
     assert worst <= 1e-10
+    assert np.array_equal(eigh(special[0]).values, [0.7])
+    assert np.array_equal(eigh(special[1]).values, np.zeros(5))
+    assert np.allclose(eigh(special[2]).values, [0.0, 0.0, 1.0, 1.0], atol=1e-12)
 
 
 def test_matfun_identity_and_scalar():
@@ -94,8 +101,9 @@ def test_matfun_rejects_nonfinite_value():
 def test_trace_norm_identity_zero_rank1():
     assert trace_norm(np.eye(7)) == pytest.approx(7.0, abs=1e-12)
     assert trace_norm(np.zeros((3, 5))) == 0.0
-    u = haar_state(2, 1).amplitudes
-    v = haar_state(2, 2).amplitudes
+    assert trace_norm(np.diag([-0.3, 0.5])) == pytest.approx(0.8, abs=1e-15)
+    u = haar_vector(rng(1), 4)
+    v = haar_vector(rng(2), 4)
     assert trace_norm(np.outer(u, v.conj())) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -107,13 +115,22 @@ def test_trace_norm_unitary_invariance():
     assert trace_norm(u @ a @ w) == pytest.approx(trace_norm(a), abs=1e-10)
 
 
+def test_haar_vector_matches_legacy_draw_order():
+    # Real parts first, then imaginary parts: the draw order that keeps haar
+    # inputs and channel-distance samples identical for a given seed.
+    for seed, stream, dim in ((0, 0, 1), (7, 2, 4), (110, 3, 16)):
+        gen = rng(seed, stream)
+        z = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
+        assert np.array_equal(haar_vector(rng(seed, stream), dim), z / np.linalg.norm(z))
+
+
 def test_haar_state_reproducible_and_distinct():
-    a = haar_state(1, seed=7)
-    b = haar_state(1, seed=7)
-    c = haar_state(1, seed=8)
-    assert np.array_equal(a.amplitudes, b.amplitudes)
-    assert not np.allclose(a.amplitudes, c.amplitudes)
-    assert a.norm == pytest.approx(1.0, abs=1e-12)
+    a = haar_vector(rng(7), 2)
+    b = haar_vector(rng(7), 2)
+    c = haar_vector(rng(8), 2)
+    assert np.array_equal(a, b)
+    assert not np.allclose(a, c)
+    assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_haar_state_component_moments():
@@ -123,7 +140,7 @@ def test_haar_state_component_moments():
     dim = 2**qubits
     mags = np.empty((draws, dim))
     for t in range(draws):
-        mags[t] = np.abs(haar_state(qubits, seed=42, stream=t).amplitudes) ** 2
+        mags[t] = np.abs(haar_vector(rng(42, t), dim)) ** 2
     mean = mags.mean()
     var_single = (dim - 1) / (dim**2 * (dim + 1))
     sigma = np.sqrt(var_single / (draws * dim))
@@ -139,7 +156,7 @@ def test_haar_state_unitary_invariance_statistic():
     probe[0] = 1.0
     raw, rotated = [], []
     for t in range(4000):
-        amp = haar_state(2, seed=13, stream=t).amplitudes
+        amp = haar_vector(rng(13, t), 4)
         raw.append(abs(np.vdot(probe, amp)) ** 2)
         rotated.append(abs(np.vdot(probe, u @ amp)) ** 2)
     # Overlap statistics with any fixed state agree within Monte Carlo error.

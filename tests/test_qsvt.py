@@ -38,15 +38,6 @@ def test_interleaved_degree_one_is_encoding(setup):
     assert np.allclose(u, enc.unitary)
 
 
-def test_interleaved_adjoint_swaps_encoding(setup):
-    gen, h, enc = setup
-    phi = PhaseFactorSet(gen.uniform(-np.pi, np.pi, 4), "circuit")
-    fwd = assemble_interleaved(enc, phi, "forward")
-    adj = assemble_interleaved(enc, phi, "adjoint")
-    # The symmetric dilation is Hermitian, so the literal swap is a no-op.
-    assert np.allclose(fwd, adj)
-
-
 def test_full_circuit_realizes_identity_polynomial(setup):
     _, h, enc = setup
     phi = to_circuit(PhaseFactorSet([0.0, 0.0], "su2"))
@@ -197,5 +188,5 @@ def test_qsvt_circuit_dataclass_validates(setup):
     circuit = QsvtCircuit(enc, phi)
     assert circuit.degree == 2
     assert circuit.matrix.shape == (16, 16)
-    with pytest.raises(ValueError, match="orientation"):
-        QsvtCircuit(enc, phi, "backwards")
+    with pytest.raises(ValueError, match="circuit convention"):
+        QsvtCircuit(enc, PhaseFactorSet(phi.values, "su2"))
