@@ -61,6 +61,6 @@ from .qsp import (
     to_circuit,
     to_su2,
 )
-from .qsvt import QsvtCircuit, assemble_full, assemble_interleaved, garbage_state, predicted_blocks
+from .qsvt import assemble_full, assemble_interleaved, garbage_state, predicted_blocks
 
 __version__ = "0.1.0"

@@ -83,6 +83,26 @@ def _check_keys(doc: dict, allowed: dict, context: str) -> dict:
     return doc
 
 
+def _number(kind, value, name: str, low=None, above=None, high=None):
+    """`value` converted by `kind` (int or float), finite and within the given bounds.
+
+    `low` and `high` are inclusive, `above` is exclusive; a ConfigError names
+    `name` and the cause.
+    """
+    try:
+        x = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}") from exc
+    if not math.isfinite(x):
+        raise ConfigError(f"{name}: expected a finite value, got {value!r}")
+    for bad, rule in ((low is not None and x < low, f">= {low}"),
+                      (above is not None and x <= above, f"> {above}"),
+                      (high is not None and x > high, f"<= {high}")):
+        if bad:
+            raise ConfigError(f"{name} must be {rule}, got {x}")
+    return x
+
+
 def _load_config(path: str) -> dict:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
@@ -94,11 +114,13 @@ def _load_config(path: str) -> dict:
 
 def cmd_phases(config: dict, out: Path, seed: int) -> int:
     _check_keys(config, {"mu": True, "delta": True, "eps": True, "tol": False}, "phases")
+    mu, delta, eps = (_number(float, config[key], f"phases.{key}")
+                      for key in ("mu", "delta", "eps"))
     try:
-        spec = FilterSpec(float(config["mu"]), float(config["delta"]), float(config["eps"]))
-    except (TypeError, ValueError) as exc:
+        spec = FilterSpec(mu, delta, eps)
+    except ValueError as exc:
         raise ConfigError(f"phases: invalid filter parameters: {exc}") from exc
-    tol = float(config.get("tol", 1e-11))
+    tol = _number(float, config.get("tol", 1e-11), "phases.tol", above=0.0)
 
     filt = heaviside_filter(spec)
     psi = synthesize_symmetric(filt, tol)
@@ -134,17 +156,20 @@ def _resolve_model(doc: dict, seed: int):
                           "perturb_seed": False}, "model")
         model = GmonModel.from_json(doc["spec"]) if "spec" in doc else default_model()
         if "perturb_seed" in doc:
-            model = model.perturbed(int(doc["perturb_seed"]))
+            model = model.perturbed(_number(int, doc["perturb_seed"], "model.perturb_seed", low=0))
         h = build_h0(model) + build_h1(model)
-        normalized, mapping = normalize_for_qsvt(h, float(doc.get("margin", 0.1)))
+        margin = _number(float, doc.get("margin", 0.1), "model.margin")
+        normalized, mapping = normalize_for_qsvt(h, margin)
         return normalized, {"source": "gmon", "scale": mapping.scale, "offset": mapping.offset}
     if kind == "synthetic":
         _check_keys(doc, {"type": True, "bands": True, "per_band": False,
                           "width": False, "basis_seed": False}, "model")
         values = synthetic_band_spectrum(
-            int(doc["bands"]), int(doc.get("per_band", 1)), float(doc.get("width", 0.0))
+            _number(int, doc["bands"], "model.bands", low=1),
+            _number(int, doc.get("per_band", 1), "model.per_band", low=1),
+            _number(float, doc.get("width", 0.0), "model.width"),
         )
-        gen = rng(int(doc.get("basis_seed", seed)), 1)
+        gen = rng(_number(int, doc.get("basis_seed", seed), "model.basis_seed", low=0), 1)
         return hermitian_from_spectrum(values, gen), {"source": "synthetic"}
     raise ConfigError(f"model: unknown type {kind!r}")
 
@@ -157,10 +182,10 @@ def _resolve_input(doc: dict, spectrum, seed: int) -> np.ndarray:
         return spectrum.vectors.sum(axis=1) / math.sqrt(n)
     if kind == "haar":
         _check_keys(doc, {"type": True, "seed": False}, "input")
-        return haar_vector(rng(int(doc.get("seed", seed)), 2), n)
+        return haar_vector(rng(_number(int, doc.get("seed", seed), "input.seed", low=0), 2), n)
     if kind == "eigenstate":
         _check_keys(doc, {"type": True, "index": True}, "input")
-        index = int(doc["index"])
+        index = _number(int, doc["index"], "input.index")
         if not 0 <= index < n:
             raise ConfigError(f"input: eigenstate index {index} outside [0, {n})")
         return spectrum.vectors[:, index].copy()
@@ -196,38 +221,40 @@ def cmd_project(config: dict, out: Path, seed: int) -> int:
     if ("min_gap" in band_doc) == ("target" in band_doc):
         raise ConfigError("bands: pass exactly one of min_gap or target")
     if "min_gap" in band_doc:
-        structure = detect_bands(spectrum.values, min_gap=float(band_doc["min_gap"]))
+        min_gap = _number(float, band_doc["min_gap"], "bands.min_gap", above=0.0)
+        structure = detect_bands(spectrum.values, min_gap=min_gap)
     else:
-        structure = detect_bands(spectrum.values, target_bands=int(band_doc["target"]))
+        target = _number(int, band_doc["target"], "bands.target", low=1, high=dim)
+        structure = detect_bands(spectrum.values, target_bands=target)
     check_band_assumption(spectrum.values, structure)
 
     mode = config.get("mode", "enumerate")
     if mode not in ("enumerate", "sample"):
         raise ConfigError(f"project: unknown mode {mode!r}")
-    if "budget" not in config and "round_eps" not in config:
-        raise ConfigError("project: pass budget or round_eps")
-    split_constant = float(config.get("split_constant", 4.0))
+    trajectories = _number(int, config.get("trajectories", 1), "project.trajectories", low=1)
+    samples = _number(int, config.get("haar_samples", 32), "project.haar_samples", low=0)
+    split_constant = _number(float, config.get("split_constant", 4.0), "project.split_constant",
+                             above=0.0)
     count = structure.band_count
-    if count > 1:
-        round_eps = (float(config["round_eps"]) if "round_eps" in config
-                     else round_budget(float(config["budget"]), count, split_constant))
-        if not EPS_FLOOR <= round_eps < 1.0:
-            raise ConfigError(
-                f"project: per-round budget {round_eps:.3g} outside "
-                f"[{EPS_FLOOR:g}, 1); raise budget or round_eps"
-            )
+    if "round_eps" in config:
+        round_eps = _number(float, config["round_eps"], "project.round_eps")
+    elif "budget" in config:
+        budget = _number(float, config["budget"], "project.budget")
+        round_eps = round_budget(budget, count, split_constant) if count > 1 else None
+    else:
+        raise ConfigError("project: pass budget or round_eps")
+    if count > 1 and not EPS_FLOOR <= round_eps < 1.0:
+        raise ConfigError(
+            f"project: per-round budget {round_eps:.3g} outside "
+            f"[{EPS_FLOOR:g}, 1); raise budget or round_eps"
+        )
 
     enc = dilate_hermitian(h)
     n = enc.encoded_dim
     amp = _resolve_input(config.get("input", {}), spectrum, seed)
     state = StateVector(int(round(math.log2(n))), amp)
-    tree = run_multiband(
-        enc, structure, float(config.get("budget", 0.0)), state,
-        mode=mode, seed=seed,
-        trajectories=int(config.get("trajectories", 1)),
-        split_constant=split_constant,
-        round_eps=float(config["round_eps"]) if "round_eps" in config else None,
-    )
+    tree = run_multiband(enc, structure, 0.0, state, mode=mode, seed=seed,
+                         trajectories=trajectories, round_eps=round_eps)
     _write_json(out / "bands.json", structure.to_json())
 
     if mode == "sample":
@@ -261,7 +288,6 @@ def cmd_project(config: dict, out: Path, seed: int) -> int:
     })
 
     projectors = exact_projectors(spectrum, structure)
-    samples = int(config.get("haar_samples", 32))
     proxy = channel_distance(kraus, projectors, samples=samples, seed=seed)
     bound = (4.0 * count * math.log2(count) * tree.round_eps) if count > 1 else 0.0
     rows = [["distance_proxy", _fmt(proxy)],
@@ -279,18 +305,18 @@ def cmd_baselines(config: dict, out: Path, seed: int) -> int:
         "Ls": True, "trials": False, "per_band": False, "filter": False,
         "adiabatic_min_gap": False, "adiabatic_eps": False,
     }, "baselines")
-    band_counts = [int(v) for v in config["Ls"]]
-    if not band_counts:
-        raise ConfigError("baselines: Ls must be nonempty")
-    trials = int(config.get("trials", 10000))
-    per_band = int(config.get("per_band", 2))
+    if not isinstance(config["Ls"], list) or not config["Ls"]:
+        raise ConfigError("baselines: Ls must be a nonempty list")
+    band_counts = [_number(int, v, "baselines.Ls", low=1) for v in config["Ls"]]
+    trials = _number(int, config.get("trials", 10000), "baselines.trials", low=1)
+    per_band = _number(int, config.get("per_band", 2), "baselines.per_band", low=1)
     filt_doc = _check_keys(config.get("filter", {}), {"delta": False, "eps": False},
                            "baselines.filter")
-    delta = float(filt_doc.get("delta", 0.2))
-    eps = float(filt_doc.get("eps", 1e-3))
+    delta = _number(float, filt_doc.get("delta", 0.2), "baselines.filter.delta")
+    eps = _number(float, filt_doc.get("eps", 1e-3), "baselines.filter.eps")
     degree = heaviside_filter(FilterSpec(0.5, delta, eps)).degree
-    min_gap = float(config.get("adiabatic_min_gap", 0.1))
-    ad_eps = float(config.get("adiabatic_eps", 1e-2))
+    min_gap = _number(float, config.get("adiabatic_min_gap", 0.1), "baselines.adiabatic_min_gap")
+    ad_eps = _number(float, config.get("adiabatic_eps", 1e-2), "baselines.adiabatic_eps")
 
     rows = []
     for count in band_counts:
@@ -328,9 +354,11 @@ def cmd_bosehubbard(config: dict, out: Path, seed: int) -> int:
                          "perturb_seed": False}, "bosehubbard")
     model = GmonModel.from_json(config["model"]) if "model" in config else default_model()
     if "perturb_seed" in config:
-        model = model.perturbed(int(config["perturb_seed"]))
-    margin = float(config.get("margin", 0.1))
-    gap_fraction = float(config.get("min_gap_fraction", 0.5))
+        model = model.perturbed(
+            _number(int, config["perturb_seed"], "bosehubbard.perturb_seed", low=0))
+    margin = _number(float, config.get("margin", 0.1), "bosehubbard.margin")
+    gap_fraction = _number(float, config.get("min_gap_fraction", 0.5),
+                           "bosehubbard.min_gap_fraction", above=0.0)
 
     h0 = build_h0(model)
     h1 = build_h1(model)

@@ -3,11 +3,13 @@
 A run alternates circuit blocks with measure-and-reset (MAR) of the
 monitoring qubit. One policy, `MultibandPolicy`, maps the bit history to
 the next block descriptor (phases and initialization rule); one driver
-either enumerates every branch with unnormalized states or samples one
-trajectory per seed. The two-block primitive realizes f^2(H) on outcome
-(0,0) and -(1 - f^2(H)) on (1,0); it is the two-band case of the policy,
-and the multi-band driver stacks rounds of it, choosing each threshold
-from the measured band bits.
+propagates a block of input columns and either enumerates every branch
+with unnormalized registers or samples one trajectory per seed. Run on the
+identity, each leaf's register is the linear map of its measurement record.
+The two-block primitive realizes f^2(H) on outcome (0,0) and
+-(1 - f^2(H)) on (1,0); it is the two-band case of the policy, and the
+multi-band driver stacks rounds of it, choosing each threshold from the
+measured band bits.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .qsvt import assemble_full
 
 __all__ = [
     "MeasurementRecord",
-    "BranchNode",
     "BlockDescriptor",
     "MultibandPolicy",
     "TreeLeaf",
@@ -73,18 +74,9 @@ class MeasurementRecord:
         return self.failure_count > 0
 
 
-@dataclass
-class BranchNode:
-    """One measurement branch: record, unnormalized register state, and its weight."""
-
-    record: MeasurementRecord
-    state: StateVector
-    probability: float
-
-
 @dataclass(frozen=True)
 class BlockDescriptor:
-    """One circuit block of a feedforward schedule.
+    """One circuit block of a feedforward schedule: the phases of split `split`.
 
     `init_from_last_bit` applies a Pauli X to the freshly reset monitoring
     qubit when the preceding outcome was 1, feeding the garbage branch back
@@ -95,6 +87,7 @@ class BlockDescriptor:
     transformation left by an odd-degree first block.
     """
 
+    split: int
     phases: PhaseFactorSet
     init_from_last_bit: bool = False
     ancilla_reflect: bool = False
@@ -153,110 +146,146 @@ class MultibandPolicy:
         return self._replay(record.band_bits)[0]
 
     def next_block(self, bits: tuple) -> BlockDescriptor | None:
-        if len(bits) % 2 == 1:
-            phi = self._current_phase(bits)
-            return BlockDescriptor(
-                phi,
-                init_from_last_bit=True,
-                ancilla_reflect=phi.degree % 2 == 1,
-            )
-        _, round_j, k = self._replay(bits[0::2])
+        # After a round's first MAR (odd length) the second block reruns the
+        # split chosen by the band bits before it.
+        second = len(bits) % 2 == 1
+        _, round_j, k = self._replay(bits[0 : len(bits) - second : 2])
         if round_j is None:
             return None
-        return BlockDescriptor(self.phase_table[k], init_from_last_bit=False)
-
-    def _current_phase(self, bits: tuple) -> PhaseFactorSet:
-        _, _, k = self._replay(bits[0:-1:2])
-        return self.phase_table[k]
-
-
-class _BlockCache:
-    """Assembled circuit matrices keyed by phase values."""
-
-    def __init__(self, enc: BlockEncoding):
-        self.enc = enc
-        self._cache: dict = {}
-
-    def matrix(self, desc: BlockDescriptor) -> np.ndarray:
-        key = desc.phases.values.tobytes()
-        if key not in self._cache:
-            self._cache[key] = assemble_full(self.enc, desc.phases)
-        return self._cache[key]
+        phi = self.phase_table[k]
+        return BlockDescriptor(
+            k,
+            phi,
+            init_from_last_bit=second,
+            ancilla_reflect=second and phi.degree % 2 == 1,
+        )
 
 
 @dataclass
 class _Branch:
     bits: tuple
-    register: np.ndarray  # ancilla (x) system, unnormalized
+    register: np.ndarray  # (ancilla (x) system, input columns), unnormalized
     queries: int
 
 
 def _run_blocks(
     enc: BlockEncoding,
     policy: MultibandPolicy,
-    system: np.ndarray,
+    columns: np.ndarray,
     mode: str,
     seed: int,
-    stream: int = 0,
-    cache: _BlockCache | None = None,
+    streams: range,
 ) -> list[_Branch]:
-    """Drive blocks and MARs until the policy stops, in enumerate or sample mode."""
-    n = enc.encoded_dim
+    """Drive blocks and MARs on a block of input columns until the policy stops.
+
+    Each split's circuit is assembled once. Enumerate mode expands every
+    MAR outcome; sample mode follows one trajectory per stream, drawing each
+    outcome from the branch weights of its single column.
+    """
+    if mode not in ("enumerate", "sample"):
+        raise ValueError(f"unknown mode {mode!r}")
+    circuits = {k: assemble_full(enc, phi) for k, phi in policy.phase_table.items()}
+    n, width = columns.shape
     reg_dim = n * enc.ancilla_dim
-    register = np.zeros(reg_dim, dtype=complex)
-    register[:n] = system
-    cache = cache or _BlockCache(enc)
-    gen = rng(seed, stream) if mode == "sample" else None
+    register = np.zeros((reg_dim, width), dtype=complex)
+    register[:n] = columns
 
     # Ancilla reflection 2|0..0><0..0| - I within each monitoring sector.
-    reflect_signs = -np.ones(2 * reg_dim)
+    reflect_signs = -np.ones((2 * reg_dim, 1))
     for mon in (0, 1):
         reflect_signs[mon * reg_dim : mon * reg_dim + n] = 1.0
 
-    frontier = [_Branch((), register, 0)]
     done: list[_Branch] = []
-    while frontier:
-        next_frontier: list[_Branch] = []
-        for branch in frontier:
-            desc = policy.next_block(branch.bits)
-            if desc is None:
-                done.append(branch)
-                continue
-            full = np.zeros(2 * reg_dim, dtype=complex)
-            if desc.init_from_last_bit and branch.bits and branch.bits[-1] == 1:
-                full[reg_dim:] = branch.register
-            else:
-                full[:reg_dim] = branch.register
-            if desc.ancilla_reflect:
-                full = reflect_signs * (cache.matrix(desc) @ (reflect_signs * full))
-            else:
-                full = cache.matrix(desc) @ full
-            halves = (full[:reg_dim], full[reg_dim:])
-            queries = branch.queries + desc.phases.degree
-            if mode == "enumerate":
-                for bit in (0, 1):
+    for gen in [None] if mode == "enumerate" else (rng(seed, s) for s in streams):
+        frontier = [_Branch((), register, 0)]
+        while frontier:
+            next_frontier: list[_Branch] = []
+            for branch in frontier:
+                desc = policy.next_block(branch.bits)
+                if desc is None:
+                    # A copy frees the circuit output the register was sliced from.
+                    done.append(_Branch(branch.bits, branch.register.copy(), branch.queries))
+                    continue
+                full = np.zeros((2 * reg_dim, width), dtype=complex)
+                if desc.init_from_last_bit and branch.bits[-1] == 1:
+                    full[reg_dim:] = branch.register
+                else:
+                    full[:reg_dim] = branch.register
+                circuit = circuits[desc.split]
+                if desc.ancilla_reflect:
+                    full = reflect_signs * (circuit @ (reflect_signs * full))
+                else:
+                    full = circuit @ full
+                halves = (full[:reg_dim], full[reg_dim:])
+                queries = branch.queries + desc.phases.degree
+                if gen is None:
+                    for bit in (0, 1):
+                        next_frontier.append(_Branch(branch.bits + (bit,), halves[bit], queries))
+                else:
+                    weights = [float(np.vdot(h, h).real) for h in halves]
+                    total = weights[0] + weights[1]
+                    if total == 0.0:
+                        raise ValueError("trajectory reached a zero-norm state")
+                    bit = 0 if gen.random() < weights[0] / total else 1
                     next_frontier.append(_Branch(branch.bits + (bit,), halves[bit], queries))
-            else:
-                weights = [float(np.vdot(h, h).real) for h in halves]
-                total = weights[0] + weights[1]
-                if total == 0.0:
-                    raise ValueError("trajectory reached a zero-norm state")
-                bit = 0 if gen.random() < weights[0] / total else 1
-                next_frontier.append(_Branch(branch.bits + (bit,), halves[bit], queries))
-        frontier = next_frontier
+            frontier = next_frontier
     return done
 
 
-def _check_ancilla_purity(register: np.ndarray, n: int, context: str):
-    total = float(np.vdot(register, register).real)
-    if total <= 1e-18:
-        return
-    head = float(np.vdot(register[:n], register[:n]).real)
-    if head < (1.0 - ANCILLA_PURITY_TOL) * total:
-        raise RuntimeError(
-            f"ancilla register left the |0...0> sector on a success branch "
-            f"({context}): purity {head / total}"
-        )
+@dataclass
+class TreeLeaf:
+    """One finished branch: its record, unnormalized register state and weight.
+
+    `operator` is the branch's linear map from the system onto the register
+    (enumerate mode of `run_multiband` only); `state` is it applied to the
+    input.
+    """
+
+    record: MeasurementRecord
+    state: StateVector
+    probability: float
+    claimed_band: int
+    failed: bool
+    queries: int
+    operator: np.ndarray | None = field(default=None, repr=False)
+
+    def to_json(self) -> dict:
+        return {
+            "record": list(self.record.bits),
+            "prob": self.probability,
+            "claimed_band": self.claimed_band,
+            "failed": self.failed,
+        }
+
+
+def _leaves(
+    enc: BlockEncoding,
+    policy: MultibandPolicy,
+    branches: list[_Branch],
+    amp: np.ndarray | None = None,
+) -> list[TreeLeaf]:
+    """Leaves of finished branches; with `amp`, each register is that leaf's operator.
+
+    Success branches must leave the encoding ancillas in |0...0>.
+    """
+    n = enc.encoded_dim
+    reg_qubits = enc.m + int(round(math.log2(n)))
+    leaves = []
+    for branch in branches:
+        record = MeasurementRecord(branch.bits)
+        state = branch.register[:, 0] if amp is None else branch.register @ amp
+        total = float(np.vdot(state, state).real)
+        head = float(np.vdot(state[:n], state[:n]).real)
+        if not record.failed and total > 1e-18 and head < (1.0 - ANCILLA_PURITY_TOL) * total:
+            raise RuntimeError(
+                f"ancilla register left the |0...0> sector on a success branch "
+                f"(record {branch.bits}): purity {head / total}"
+            )
+        operator = None if amp is None else branch.register
+        leaves.append(TreeLeaf(record, StateVector(reg_qubits, state), total,
+                               policy.claimed_band(record), record.failed, branch.queries,
+                               operator))
+    return leaves
 
 
 def run_1fqsvt(
@@ -266,7 +295,7 @@ def run_1fqsvt(
     mode: str = "enumerate",
     seed: int = 0,
     stream: int = 0,
-) -> list[BranchNode]:
+) -> list[TreeLeaf]:
     """Two-block feedforward primitive on a unit-norm system state.
 
     This is one round of the multi-band policy with a single split. Enumerate
@@ -278,52 +307,23 @@ def run_1fqsvt(
     if abs(state.norm - 1.0) > 1e-8:
         raise ValueError("input system state must be unit norm")
     policy = MultibandPolicy(2, {1: phi})
-    branches = _run_blocks(enc, policy, state.amplitudes, mode, seed, stream)
-    n = enc.encoded_dim
-    out = []
-    for branch in branches:
-        if branch.bits[-1] == 0:
-            _check_ancilla_purity(branch.register, n, f"record {branch.bits}")
-        reg_qubits = enc.m + int(round(math.log2(n)))
-        out.append(
-            BranchNode(
-                MeasurementRecord(branch.bits),
-                StateVector(reg_qubits, branch.register),
-                float(np.vdot(branch.register, branch.register).real),
-            )
-        )
-    return out
-
-
-@dataclass
-class TreeLeaf:
-    record: MeasurementRecord
-    state: StateVector
-    probability: float
-    claimed_band: int
-    failed: bool
-    queries: int
-
-    def to_json(self) -> dict:
-        return {
-            "record": list(self.record.bits),
-            "prob": self.probability,
-            "claimed_band": self.claimed_band,
-            "failed": self.failed,
-        }
+    column = state.amplitudes[:, np.newaxis]
+    branches = _run_blocks(enc, policy, column, mode, seed, range(stream, stream + 1))
+    return _leaves(enc, policy, branches)
 
 
 @dataclass
 class BranchTree:
-    """Leaves of a multi-band run plus the context needed to replay it."""
+    """Leaves of a multi-band run with its band structure, budget and filter degree.
+
+    In enumerate mode every leaf also carries its operator.
+    """
 
     leaves: list[TreeLeaf]
     structure: BandStructure
     rounds: int
     round_eps: float
     degree: int
-    encoding: BlockEncoding = field(repr=False)
-    policy: MultibandPolicy = field(repr=False)
     mode: str = "enumerate"
 
     @property
@@ -370,7 +370,7 @@ def _multiband_phase_table(
         for k in sorted(reachable)
     }
     filters = {k: heaviside_filter(spec) for k, spec in specs.items()}
-    degree = max(f.degree for f in filters.values())
+    degree = max((f.degree for f in filters.values()), default=0)
     filters = {k: heaviside_filter(spec, degree=degree) for k, spec in specs.items()}
     table = {
         k: to_circuit(synthesize_symmetric(f, synthesis_tol))
@@ -396,60 +396,33 @@ def run_multiband(
 
     The global budget is split into a per-round filter budget
     eps = budget / (split_constant * L * log2 L) unless `round_eps` is given
-    directly. Enumerate mode expands every branch; sample mode follows
-    `trajectories` independent trajectories (streams stream, stream+1, ...)
-    through circuits that are synthesized and assembled once. Filters for
-    all rounds share one degree so each executed round costs the same
-    number of encoding queries.
+    directly. Filters for all rounds share one degree so each executed round
+    costs the same number of encoding queries, and each split's circuit is
+    assembled once. Enumerate mode expands every branch in one pass on the
+    identity, so each leaf carries its operator and its state is that
+    operator applied to the input; sample mode follows `trajectories`
+    independent trajectories (streams stream, stream+1, ...) of the input.
     """
     if abs(state.norm - 1.0) > 1e-8:
         raise ValueError("input system state must be unit norm")
     count = structure.band_count
     n = enc.encoded_dim
     check_band_assumption(eigh(encoded_block(enc)).values, structure)
-    reg_qubits = enc.m + int(round(math.log2(n)))
 
-    if count == 1:
-        register = np.zeros(n * enc.ancilla_dim, dtype=complex)
-        register[:n] = state.amplitudes
-        leaf = TreeLeaf(MeasurementRecord(()), StateVector(reg_qubits, register),
-                        1.0, 0, False, 0)
-        return BranchTree([leaf], structure, 0, 0.0, 0, enc, MultibandPolicy(1, {}), mode)
-
-    ell = math.ceil(math.log2(count))
-    if round_eps is None:
+    if count < 2:
+        round_eps = 0.0
+    elif round_eps is None:
         round_eps = round_budget(budget, count, split_constant)
     table, degree = _multiband_phase_table(structure, round_eps, synthesis_tol)
     policy = MultibandPolicy(count, table)
 
-    cache = _BlockCache(enc)
     if mode == "enumerate":
-        branches = _run_blocks(enc, policy, state.amplitudes, mode, seed, cache=cache)
-    elif mode == "sample":
-        branches = []
-        for t in range(trajectories):
-            branches.extend(
-                _run_blocks(enc, policy, state.amplitudes, mode, seed, stream + t, cache)
-            )
+        columns, amp = np.eye(n, dtype=complex), state.amplitudes
     else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    leaves = []
-    for branch in branches:
-        record = MeasurementRecord(branch.bits)
-        if len(branch.bits) and branch.bits[-1] == 0 and not record.failed:
-            _check_ancilla_purity(branch.register, n, f"record {branch.bits}")
-        leaves.append(
-            TreeLeaf(
-                record,
-                StateVector(reg_qubits, branch.register),
-                float(np.vdot(branch.register, branch.register).real),
-                policy.claimed_band(record),
-                record.failed,
-                branch.queries,
-            )
-        )
-    return BranchTree(leaves, structure, ell, round_eps, degree, enc, policy, mode)
+        columns, amp = state.amplitudes[:, np.newaxis], None
+    branches = _run_blocks(enc, policy, columns, mode, seed, range(stream, stream + trajectories))
+    leaves = _leaves(enc, policy, branches, amp)
+    return BranchTree(leaves, structure, policy.ell, round_eps, degree, mode)
 
 
 @dataclass
@@ -497,30 +470,15 @@ class KrausExtraction:
 
 
 def extract_kraus(tree: BranchTree) -> KrausExtraction:
-    """Leaf operators obtained by replaying the enumerate pipeline on basis states.
+    """The leaf operators of an enumerate-mode tree, sorted by record.
 
-    The branch maps are linear, so running each computational basis state
-    through the same policy reconstructs every leaf's operator column by
-    column. Trace preservation across all leaves is asserted before
-    returning.
+    Trace preservation across all leaves is asserted before returning.
     """
     if tree.mode != "enumerate":
         raise ValueError("operator extraction requires an enumerate-mode tree")
-    enc = tree.encoding
-    n = enc.encoded_dim
-    cache = _BlockCache(enc)
-    per_basis = []
-    for i in range(n):
-        basis = np.zeros(n, dtype=complex)
-        basis[i] = 1.0
-        branches = _run_blocks(enc, tree.policy, basis, "enumerate", 0, cache=cache)
-        per_basis.append({b.bits: b.register for b in branches})
-
-    records = sorted(per_basis[0].keys())
-    operators = []
-    for bits in records:
-        op = np.column_stack([per_basis[i][bits] for i in range(n)])
-        operators.append(op)
+    leaves = sorted(tree.leaves, key=lambda leaf: leaf.record.bits)
+    operators = [leaf.operator for leaf in leaves]
+    n = operators[0].shape[1]
 
     total = sum(dagger(op) @ op for op in operators)
     residual = float(np.max(np.abs(total - np.eye(n))))
@@ -530,12 +488,11 @@ def extract_kraus(tree: BranchTree) -> KrausExtraction:
             "this indicates a pipeline bug"
         )
 
-    recs = [MeasurementRecord(bits) for bits in records]
     return KrausExtraction(
-        records=recs,
+        records=[leaf.record for leaf in leaves],
         operators=operators,
-        claimed_bands=[tree.policy.claimed_band(r) for r in recs],
-        failed=[r.failed for r in recs],
+        claimed_bands=[leaf.claimed_band for leaf in leaves],
+        failed=[leaf.failed for leaf in leaves],
         completeness_residual=residual,
         system_dim=n,
     )

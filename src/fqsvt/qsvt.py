@@ -21,7 +21,6 @@ from .linalg import StateVector, check_hermitian, dagger
 from .qsp import PhaseFactorSet, extract_pq, to_su2
 
 __all__ = [
-    "QsvtCircuit",
     "PredictedBlocks",
     "assemble_interleaved",
     "assemble_full",
@@ -74,27 +73,6 @@ def assemble_full(enc: BlockEncoding, phi: PhaseFactorSet) -> np.ndarray:
 
 
 @dataclass
-class QsvtCircuit:
-    """An assembled circuit with its encoding and phases."""
-
-    encoding: BlockEncoding
-    phases: PhaseFactorSet
-
-    def __post_init__(self):
-        if self.phases.convention != "circuit":
-            raise ValueError("circuit phases must use the circuit convention")
-        self.matrix = assemble_full(self.encoding, self.phases)
-        size = self.matrix.shape[0]
-        dev = np.max(np.abs(dagger(self.matrix) @ self.matrix - np.eye(size)))
-        if dev > 1e-10:
-            raise ValueError(f"assembled circuit is not unitary: deviation {dev:.3e}")
-
-    @property
-    def degree(self) -> int:
-        return self.phases.degree
-
-
-@dataclass
 class PredictedBlocks:
     """Closed-form sector table of the circuit unitary for an m = 1 encoding.
 
@@ -109,18 +87,6 @@ class PredictedBlocks:
 
     def sector(self, i: int, j: int) -> np.ndarray:
         return self.table[i, j]
-
-    @property
-    def f_of_h(self) -> np.ndarray:
-        return self.table[0, 0]
-
-    @property
-    def imag_p_block(self) -> np.ndarray:
-        return self.table[0, 2]
-
-    @property
-    def garbage_q_block(self) -> np.ndarray:
-        return self.table[3, 0]
 
     @property
     def q_imag_blocks(self) -> list[np.ndarray]:

@@ -157,6 +157,54 @@ def test_project_rejects_round_budget_below_floor_with_exit_2(tmp_path, capsys, 
     assert "per-round budget" in capsys.readouterr().err
 
 
+SMALL_SYNTHETIC = {"type": "synthetic", "bands": 2, "per_band": 2, "width": 0.02}
+
+
+@pytest.mark.parametrize("changes, cause", [
+    ({"bands": {"min_gap": -1}}, "bands.min_gap must be > 0.0, got -1.0"),
+    ({"model": GOOD_MODEL, "bands": {"target": 5}}, "bands.target must be <= 2, got 5"),
+    ({"bands": {"target": "x"}}, "bands.target: expected int, got 'x'"),
+    ({"model": {**SMALL_SYNTHETIC, "per_band": 0}}, "model.per_band must be >= 1, got 0"),
+    ({"round_eps": "abc"}, "project.round_eps: expected float, got 'abc'"),
+    ({"round_eps": None, "budget": "x"}, "project.budget: expected float, got 'x'"),
+    ({"round_eps": None, "budget": 0.1, "split_constant": 0},
+     "project.split_constant must be > 0.0, got 0.0"),
+    ({"mode": "sample", "trajectories": -3}, "project.trajectories must be >= 1, got -3"),
+    ({"haar_samples": -4}, "project.haar_samples must be >= 0, got -4"),
+    ({"round_eps": float("nan")}, "project.round_eps: expected a finite value"),
+], ids=["min-gap-negative", "target-too-large", "target-type", "per-band-zero",
+        "round-eps-type", "budget-type", "split-constant-zero", "trajectories-negative",
+        "haar-samples-negative", "round-eps-nan"])
+def test_project_rejects_bad_config_value_with_exit_2(tmp_path, capsys, changes, cause):
+    doc = {"model": SMALL_SYNTHETIC, "bands": {"target": 2}, "round_eps": 1e-2, **changes}
+    doc = {key: value for key, value in doc.items() if value is not None}
+    cfg = write_config(tmp_path, doc)
+    assert main(["project", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert cause in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, files", [
+    ("enumerate", ("bands.json", "tree.json", "kraus.json", "distance.csv")),
+    ("sample", ("bands.json", "records.csv", "band_weights.csv")),
+])
+def test_project_reruns_write_identical_artifacts(tmp_path, mode, files):
+    cfg = write_config(tmp_path, {
+        "model": {**SMALL_SYNTHETIC, "basis_seed": 7},
+        "bands": {"target": 2},
+        "round_eps": 2e-3,
+        "mode": mode,
+        "trajectories": 25,
+        "haar_samples": 6,
+        "input": {"type": "haar"},
+    })
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["project", "--config", cfg, "--seed", "9", "--out", str(out)]) == 0
+    assert sorted(path.name for path in outs[0].iterdir()) == sorted(files)
+    for name in files:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_baselines_csv(tmp_path):
     cfg = write_config(tmp_path, {"Ls": [2, 4], "trials": 1000,
                                   "filter": {"delta": 0.4, "eps": 1e-2}})

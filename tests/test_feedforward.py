@@ -5,10 +5,11 @@ import pytest
 
 from fqsvt.bands import detect_bands, exact_projectors, synthetic_band_spectrum
 from fqsvt.blockenc import dilate_hermitian
-from fqsvt.chebyshev import FilterSpec, heaviside_filter
+from fqsvt.chebyshev import FilterSpec, _clenshaw, heaviside_filter
 from fqsvt.feedforward import (
     KrausExtraction,
     MeasurementRecord,
+    _multiband_phase_table,
     channel_distance,
     extract_kraus,
     feedforward_query_count,
@@ -16,7 +17,14 @@ from fqsvt.feedforward import (
     run_multiband,
 )
 from fqsvt.linalg import StateVector, eigh, hermitian_from_spectrum, rng
-from fqsvt.qsp import PhaseFactorSet, _mirror, synthesize_symmetric, to_circuit
+from fqsvt.qsp import (
+    PhaseFactorSet,
+    _mirror,
+    extract_pq,
+    synthesize_symmetric,
+    to_circuit,
+    to_su2,
+)
 
 
 def random_symmetric(gen, degree):
@@ -246,21 +254,32 @@ def test_tree_height_is_log2_band_count():
 
 
 def test_extract_kraus_completeness_and_projectors():
+    # Two bands, and three bands on a four-dimensional system: the upper
+    # subtree of the three-band run finishes a round early.
     gen = rng(28)
-    h = hermitian_from_spectrum([0.1, 0.9], gen)
-    spec = eigh(h)
-    structure = detect_bands(spec.values, min_gap=0.5)
-    enc = dilate_hermitian(h)
-    amp = (spec.vectors[:, 0] + spec.vectors[:, 1]) / math.sqrt(2)
-    tree = run_multiband(enc, structure, 1e-2, StateVector(1, amp))
-    kraus = extract_kraus(tree)
-    assert kraus.completeness_residual <= 1e-9
-    projectors = exact_projectors(spec, structure)
-    for band, op in kraus.success_projectors().items():
-        assert np.linalg.norm(op - projectors[band], 2) <= tree.round_eps
+    for values, min_gap, count in (([0.1, 0.9], 0.5, 2), ([0.1, 0.5, 0.88, 0.92], 0.3, 3)):
+        h = hermitian_from_spectrum(values, gen)
+        spec = eigh(h)
+        structure = detect_bands(spec.values, min_gap=min_gap)
+        assert structure.band_count == count
+        n = len(values)
+        amp = spec.vectors.sum(axis=1) / math.sqrt(n)
+        tree = run_multiband(dilate_hermitian(h), structure, 1e-2,
+                             StateVector(int(math.log2(n)), amp))
+        kraus = extract_kraus(tree)
+        assert kraus.completeness_residual <= 1e-9
+        assert [r.bits for r in kraus.records] == sorted(l.record.bits for l in tree.leaves)
+        projectors = exact_projectors(spec, structure)
+        success = kraus.success_projectors()
+        assert sorted(success) == list(range(count))
+        for band, op in success.items():
+            assert np.linalg.norm(op - projectors[band], 2) <= tree.round_eps
 
 
 def test_extract_kraus_branch_linearity():
+    # Every operator applied to the input must match a propagation of that
+    # input alone: the two-block primitive on the same split phases, and its
+    # closed forms f^2(H) and -(1 - f^2(H)) on the success records.
     gen = rng(29)
     h = hermitian_from_spectrum([0.1, 0.9], gen)
     spec = eigh(h)
@@ -270,9 +289,33 @@ def test_extract_kraus_branch_linearity():
     tree = run_multiband(enc, structure, 1e-2, StateVector(1, amp))
     kraus = extract_kraus(tree)
     by_record = dict(zip([r.bits for r in kraus.records], kraus.operators))
-    for leaf in tree.leaves:
+    table, _ = _multiband_phase_table(structure, tree.round_eps, 1e-11)
+    single = run_1fqsvt(enc, table[1], StateVector(1, amp))
+    assert sorted(by_record) == sorted(l.record.bits for l in single)
+    for leaf in single:
         predicted = by_record[leaf.record.bits] @ amp
-        assert np.max(np.abs(predicted - leaf.state.amplitudes)) <= 1e-10
+        assert np.max(np.abs(predicted - leaf.state.amplitudes)) <= 1e-12
+    f = _clenshaw(extract_pq(to_su2(table[1])).p.real, spec.values)
+    f2 = (spec.vectors * f**2) @ spec.vectors.conj().T
+    assert np.max(np.abs(by_record[(0, 0)][:2] - f2)) <= 1e-10
+    assert np.max(np.abs(by_record[(1, 0)][:2] + (np.eye(2) - f2))) <= 1e-10
+
+    # Four bands: sampled trajectories carry unnormalized single-column
+    # registers, which must equal the enumerated operator on the input.
+    h = hermitian_from_spectrum([0.05, 0.35, 0.65, 0.95], gen)
+    spec = eigh(h)
+    structure = detect_bands(spec.values, min_gap=0.2)
+    enc = dilate_hermitian(h)
+    amp = spec.vectors @ np.array([0.4, 0.5, 0.3, math.sqrt(0.5)])
+    state = StateVector(2, amp)
+    kraus = extract_kraus(run_multiband(enc, structure, 4e-2, state))
+    by_record = dict(zip([r.bits for r in kraus.records], kraus.operators))
+    sampled = run_multiband(enc, structure, 4e-2, state, mode="sample", seed=4,
+                            trajectories=40)
+    assert len({l.record.bits for l in sampled.leaves}) == 4
+    for leaf in sampled.leaves:
+        predicted = by_record[leaf.record.bits] @ amp
+        assert np.max(np.abs(predicted - leaf.state.amplitudes)) <= 1e-12
 
 
 def test_extract_kraus_failure_weight_bounded():

@@ -7,7 +7,6 @@ from fqsvt.chebyshev import _clenshaw
 from fqsvt.linalg import StateVector, dagger, eigh, hermitian_from_spectrum, matfun, rng
 from fqsvt.qsp import PhaseFactorSet, _mirror, extract_pq, to_circuit, to_su2
 from fqsvt.qsvt import (
-    QsvtCircuit,
     assemble_full,
     assemble_interleaved,
     garbage_state,
@@ -58,6 +57,8 @@ def test_full_circuit_unitary(setup):
     phi = PhaseFactorSet(gen.uniform(-np.pi, np.pi, 8), "circuit")
     q = assemble_full(enc, phi)
     assert np.max(np.abs(dagger(q) @ q - np.eye(16))) <= 1e-10
+    with pytest.raises(ValueError, match="circuit-convention"):
+        assemble_full(enc, PhaseFactorSet(phi.values, "su2"))
 
 
 def test_predicted_blocks_match_assembled_both_parities(setup):
@@ -180,13 +181,3 @@ def test_monitoring_flag_single_ancilla_suffices(setup):
     full = q @ full
     # Outcome 0 on the monitoring qubit leaves the encoding ancilla in |0>.
     assert np.max(np.abs(full[4:8])) <= 1e-10
-
-
-def test_qsvt_circuit_dataclass_validates(setup):
-    gen, _, enc = setup
-    phi = PhaseFactorSet(gen.uniform(-np.pi, np.pi, 3), "circuit")
-    circuit = QsvtCircuit(enc, phi)
-    assert circuit.degree == 2
-    assert circuit.matrix.shape == (16, 16)
-    with pytest.raises(ValueError, match="circuit convention"):
-        QsvtCircuit(enc, PhaseFactorSet(phi.values, "su2"))
