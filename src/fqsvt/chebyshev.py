@@ -254,20 +254,36 @@ def _assemble_even(a: np.ndarray) -> np.ndarray:
     return c
 
 
-def heaviside_filter(
-    spec: FilterSpec, degree_cap: int = DEGREE_CAP, degree: int | None = None
-) -> ChebyshevSeries:
-    """Even Chebyshev filter certified against the three step-filter conditions.
+def _certification_error(f: ChebyshevSeries, report: FilterReport) -> RuntimeError:
+    worst = min(report.conditions(), key=lambda c: c.margin)
+    return RuntimeError(
+        f"filter construction failed certification at degree {f.degree}: "
+        f"condition {worst.name} has value {worst.worst:.3e} at x={worst.worst_x:.6f} "
+        f"(bound {worst.bound:.3e})"
+    )
 
-    The expansion degree escalates until the coefficient tail is resolved,
-    small coefficients are dropped, the result is rescaled to the synthesis
-    margin, and the degree is trimmed to the smallest even value that still
-    certifies. Passing `degree` pins the result to that exact even degree
-    instead of trimming (used to equalize circuit depth across thresholds).
-    Raises if no degree within the cap passes.
+
+def heaviside_filter(
+    spec: FilterSpec, degree_cap: int = DEGREE_CAP, min_degree: int = 0
+) -> ChebyshevSeries:
+    """Even Chebyshev step filter at a certifying even degree >= `min_degree`.
+
+    The expansion degree escalates until the coefficient tail is resolved
+    and small coefficients are dropped. The filter of degree 2h is the
+    first h+1 even coefficients of that expansion, rescaled to the
+    synthesis margin by their own sup-norm, so it depends only on its
+    degree, not on how the search reached it. A positive `min_degree` is
+    tried first; only if it fails does a binary search run over the
+    degrees above it, up to the kept expansion. The search treats
+    certification as monotone in the degree, which it is not always
+    (mu 0.5, delta 0.2, eps 1e-5 certifies at 166 and 172 but not at 168
+    or 170), so the result certifies but a lower degree may too. A caller
+    that needs one depth for several thresholds passes the running
+    maximum, so most builds certify on the first try. Raises if no degree
+    passes.
     """
-    if degree is not None and (degree < 0 or degree % 2 == 1):
-        raise ValueError(f"pinned degree must be even and nonnegative, got {degree}")
+    if min_degree < 0 or min_degree % 2 == 1:
+        raise ValueError(f"min_degree must be even and nonnegative, got {min_degree}")
     k, g = _step_profile(spec)
     half = max(8, int(math.ceil(1.5 * k)) + 8)
     a = None
@@ -279,19 +295,17 @@ def heaviside_filter(
         if tail < 1e-3 * thresh or half >= degree_cap // 2:
             break
         half *= 2
+    lo = min_degree // 2
+    if lo > len(a) - 1:
+        raise ValueError(
+            f"min_degree {min_degree} exceeds the resolved expansion "
+            f"degree {2 * (len(a) - 1)}"
+        )
 
     # Drop coefficients below the truncation threshold eps / (8 d).
     keep = len(a) - 1
     while keep > 0 and abs(a[keep]) < spec.eps / (8.0 * max(2 * keep, 1)):
         keep -= 1
-    if degree is not None:
-        if degree // 2 > len(a) - 1:
-            raise ValueError(
-                f"pinned degree {degree} exceeds the resolved expansion "
-                f"degree {2 * (len(a) - 1)}"
-            )
-        keep = degree // 2
-    a = a[: keep + 1]
     ceiling = 1.0 - synthesis_margin(spec.eps)
 
     def scaled_series(half_deg: int) -> ChebyshevSeries:
@@ -301,21 +315,21 @@ def heaviside_filter(
             "even",
         )
 
-    full = scaled_series(len(a) - 1)
+    if lo > 0:
+        first = scaled_series(lo)
+        report = certify_filter(first, spec)
+        if report.passed:
+            return first
+        if lo >= keep:
+            raise _certification_error(first, report)
+        lo += 1
+
+    full = scaled_series(keep)
     report = certify_filter(full, spec)
     if not report.passed:
-        worst = min(report.conditions(), key=lambda c: c.margin)
-        raise RuntimeError(
-            f"filter construction failed certification at degree {full.degree}: "
-            f"condition {worst.name} has value {worst.worst:.3e} at x={worst.worst_x:.6f} "
-            f"(bound {worst.bound:.3e})"
-        )
-    if degree is not None:
-        return full
-
-    # Trim: smallest even degree that still certifies (binary search on the
-    # prefix length; certification is monotone in practice but re-checked).
-    lo, hi = 0, len(a) - 1
+        raise _certification_error(full, report)
+    # Binary search on the prefix length for the smallest certifying degree.
+    hi = keep
     while lo < hi:
         mid = (lo + hi) // 2
         if certify_filter(scaled_series(mid), spec).passed:

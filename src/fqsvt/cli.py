@@ -83,10 +83,10 @@ def _check_keys(doc: dict, allowed: dict, context: str) -> dict:
     return doc
 
 
-def _number(kind, value, name: str, low=None, above=None, high=None):
+def _number(kind, value, name: str, low=None, above=None, high=None, below=None):
     """`value` converted by `kind` (int or float), finite and within the given bounds.
 
-    `low` and `high` are inclusive, `above` is exclusive; a ConfigError names
+    `low` and `high` are inclusive, `above` and `below` exclusive; a ConfigError names
     `name` and the cause.
     """
     try:
@@ -97,7 +97,8 @@ def _number(kind, value, name: str, low=None, above=None, high=None):
         raise ConfigError(f"{name}: expected a finite value, got {value!r}")
     for bad, rule in ((low is not None and x < low, f">= {low}"),
                       (above is not None and x <= above, f"> {above}"),
-                      (high is not None and x > high, f"<= {high}")):
+                      (high is not None and x > high, f"<= {high}"),
+                      (below is not None and x >= below, f"< {below}")):
         if bad:
             raise ConfigError(f"{name} must be {rule}, got {x}")
     return x
@@ -158,19 +159,26 @@ def _resolve_model(doc: dict, seed: int):
         if "perturb_seed" in doc:
             model = model.perturbed(_number(int, doc["perturb_seed"], "model.perturb_seed", low=0))
         h = build_h0(model) + build_h1(model)
-        margin = _number(float, doc.get("margin", 0.1), "model.margin")
+        margin = _number(float, doc.get("margin", 0.1), "model.margin", above=0.0, below=0.5)
         normalized, mapping = normalize_for_qsvt(h, margin)
         return normalized, {"source": "gmon", "scale": mapping.scale, "offset": mapping.offset}
     if kind == "synthetic":
         _check_keys(doc, {"type": True, "bands": True, "per_band": False,
                           "width": False, "basis_seed": False}, "model")
+        width = _number(float, doc.get("width", 0.0), "model.width")
         values = synthetic_band_spectrum(
             _number(int, doc["bands"], "model.bands", low=1),
             _number(int, doc.get("per_band", 1), "model.per_band", low=1),
-            _number(float, doc.get("width", 0.0), "model.width"),
+            width,
         )
         gen = rng(_number(int, doc.get("basis_seed", seed), "model.basis_seed", low=0), 1)
-        return hermitian_from_spectrum(values, gen), {"source": "synthetic"}
+        h = hermitian_from_spectrum(values, gen)
+        try:
+            # The dilation validates the [0, 1] spectrum, as for inline models.
+            dilate_hermitian(h)
+        except ValueError as exc:
+            raise ConfigError(f"model.width {width}: {exc}") from exc
+        return h, {"source": "synthetic"}
     raise ConfigError(f"model: unknown type {kind!r}")
 
 
@@ -356,7 +364,8 @@ def cmd_bosehubbard(config: dict, out: Path, seed: int) -> int:
     if "perturb_seed" in config:
         model = model.perturbed(
             _number(int, config["perturb_seed"], "bosehubbard.perturb_seed", low=0))
-    margin = _number(float, config.get("margin", 0.1), "bosehubbard.margin")
+    margin = _number(float, config.get("margin", 0.1), "bosehubbard.margin",
+                     above=0.0, below=0.5)
     gap_fraction = _number(float, config.get("min_gap_fraction", 0.5),
                            "bosehubbard.min_gap_fraction", above=0.0)
 

@@ -369,9 +369,17 @@ def _multiband_phase_table(
         k: FilterSpec(float(structure.centers[k - 1]), structure.delta, round_eps)
         for k in sorted(reachable)
     }
-    filters = {k: heaviside_filter(spec) for k, spec in specs.items()}
-    degree = max((f.degree for f in filters.values()), default=0)
-    filters = {k: heaviside_filter(spec, degree=degree) for k, spec in specs.items()}
+    # Each build starts from the running common degree; splits left below
+    # the final degree are built again at it. Certification is not monotone
+    # in the degree, so such a rebuild can fail there and land higher
+    # still; the passes repeat until every split has the common degree.
+    filters, degree = {}, 0
+    stale = list(specs)
+    while stale:
+        for k in stale:
+            filters[k] = heaviside_filter(specs[k], min_degree=degree)
+            degree = filters[k].degree
+        stale = [k for k, f in filters.items() if f.degree < degree]
     table = {
         k: to_circuit(synthesize_symmetric(f, synthesis_tol))
         for k, f in filters.items()

@@ -262,23 +262,24 @@ def _residual(free: np.ndarray, d: int, xs: np.ndarray, target: np.ndarray) -> n
     return _forward_pairs(_mirror(free, d), xs)[d, 0].real - target
 
 
-def _residual_and_jacobian(free: np.ndarray, d: int, xs: np.ndarray, target: np.ndarray):
+def _residual_and_jacobian(prefix: np.ndarray, target: np.ndarray):
     """Residuals Re P(x_j) - f(x_j) and their Jacobian in the free phases.
 
-    With the prefix pair A_k = (a_k, b_k) of factors 0..k and the full
-    product U = (a, b), the suffix of factors k+1..d is A_k^dagger U, so
+    `prefix` is the `_forward_pairs` array of the mirrored phases. With the
+    prefix pair A_k = (a_k, b_k) of factors 0..k and the full product
+    U = (a, b), the suffix of factors k+1..d is A_k^dagger U, so
     dU/dpsi_k = A_k (iZ) A_k^dagger U and, for every k at once,
     d(Re P)/d(psi_k) = -Im((|a_k|^2 - |b_k|^2) a + 2 a_k b_k conj(b)).
     The symmetry constraint ties mirrored phases to one free variable each.
     """
-    prefix = _forward_pairs(_mirror(free, d), xs)
+    d = len(prefix) - 1
     pa, pb = prefix[:, 0], prefix[:, 1]
     a, b = prefix[d]
     weight = (pa * pa.conj()).real - (pb * pb.conj()).real
     grad_full = -(weight * a + 2.0 * pa * pb * b.conj()).imag
     # Phase j >= m is the mirror of free phase d - j; the middle phase of an
     # even degree has no mirror partner.
-    m = len(free)
+    m = (d + 2) // 2
     jac_t = grad_full[:m].copy()
     jac_t[: d + 1 - m] += grad_full[m:][::-1]
     return a.real - target, jac_t.T
@@ -287,27 +288,29 @@ def _residual_and_jacobian(free: np.ndarray, d: int, xs: np.ndarray, target: np.
 def _damped_gauss_newton(free, d, xs, target, tol, history, max_iters=80):
     """Gauss-Newton with backtracking on the max residual.
 
-    Line-search trials need only the residual, so they skip the Jacobian.
+    Line-search trials need only the residual. The forward sweep of the
+    accepted trial also yields the next Jacobian, so each step runs one
+    sweep per trial and none besides.
     """
+    prefix = _forward_pairs(_mirror(free, d), xs)
     for _ in range(max_iters):
-        r, jac = _residual_and_jacobian(free, d, xs, target)
+        r, jac = _residual_and_jacobian(prefix, target)
         cur = float(np.max(np.abs(r)))
         history.append(cur)
         if cur <= tol:
             return free, cur
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         t = 1.0
-        improved = False
         for _ in range(30):
             trial = free + t * step
-            if float(np.max(np.abs(_residual(trial, d, xs, target)))) < cur:
-                free = trial
-                improved = True
+            trial_prefix = _forward_pairs(_mirror(trial, d), xs)
+            if float(np.max(np.abs(trial_prefix[d, 0].real - target))) < cur:
+                free, prefix = trial, trial_prefix
                 break
             t *= 0.5
-        if not improved:
+        else:
             return free, cur
-    return free, float(np.max(np.abs(_residual(free, d, xs, target))))
+    return free, float(np.max(np.abs(prefix[d, 0].real - target)))
 
 
 def synthesize_symmetric(f: ChebyshevSeries, tol: float) -> PhaseFactorSet:
@@ -319,9 +322,10 @@ def synthesize_symmetric(f: ChebyshevSeries, tol: float) -> PhaseFactorSet:
     least-squares objective over the positive Chebyshev nodes is minimized
     by damped Gauss-Newton from the (pi/4, 0, ..., 0, pi/4) iterate, with a
     quasi-Newton (SR1 trust-region) fallback if it stalls. Residuals and
-    the Jacobian come from one forward sweep of SU(2) pairs per call
-    (`_forward_pairs`); line-search trials and the final contract check on
-    the 2d-node grid evaluate residuals only.
+    the Jacobian come from one forward sweep of SU(2) pairs
+    (`_forward_pairs`); each Gauss-Newton step reuses the sweep of its
+    accepted line-search trial, and the final contract check on the
+    2d-node grid evaluates residuals only.
     """
     if f.parity == "none":
         raise ValueError("synthesis target must have definite parity")
@@ -370,7 +374,7 @@ def synthesize_symmetric(f: ChebyshevSeries, tol: float) -> PhaseFactorSet:
         from scipy.optimize import SR1, minimize
 
         def objective(fr):
-            r, jac = _residual_and_jacobian(fr, d, xs, target)
+            r, jac = _residual_and_jacobian(_forward_pairs(_mirror(fr, d), xs), target)
             val = float(np.mean(r * r))
             history.append(math.sqrt(val))
             return val, (2.0 / len(r)) * (jac.T @ r)

@@ -1,6 +1,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqsvt.chebyshev import (
     EPS_FLOOR,
@@ -99,14 +101,51 @@ def test_budget_below_floor_rejected():
         FilterSpec(0.5, 0.2, 0.5 * EPS_FLOOR)
 
 
-def test_heaviside_pinned_degree():
+def test_heaviside_min_degree():
     spec = FilterSpec(0.5, 0.3, 1e-3)
     base = heaviside_filter(spec)
-    padded = heaviside_filter(spec, degree=base.degree + 10)
+    assert np.array_equal(heaviside_filter(spec, min_degree=0).coeffs, base.coeffs)
+    padded = heaviside_filter(spec, min_degree=base.degree + 10)
     assert padded.degree == base.degree + 10
     assert certify_filter(padded, spec).passed
     with pytest.raises(ValueError, match="even"):
-        heaviside_filter(spec, degree=7)
+        heaviside_filter(spec, min_degree=7)
+
+
+def test_heaviside_min_degree_searches_above_it():
+    # Certification is not monotone here: 166 and 172 certify, 168 and 170
+    # do not. The search from 0 lands on 172; from 150 it must stay above
+    # 150 and finds 166.
+    spec = FilterSpec(0.5, 0.2, 1e-5)
+    assert heaviside_filter(spec).degree == 172
+    assert heaviside_filter(spec, min_degree=150).degree == 166
+    assert heaviside_filter(spec, min_degree=168).degree == 172
+
+
+# FilterSpecs across the constructor's box with delta in [0.15, 0.6] and
+# eps up to 0.3: narrower windows only raise the degree and the run time.
+@st.composite
+def filter_boxes(draw):
+    delta = draw(st.floats(0.15, 0.6))
+    mu = draw(st.floats(delta / 2 + 1e-3, 1.0 - delta / 2 - 1e-3))
+    eps = 10.0 ** draw(st.floats(np.log10(EPS_FLOOR), np.log10(0.3)))
+    return FilterSpec(mu, delta, eps), draw(st.floats(0.0, 1.05))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(filter_boxes())
+def test_heaviside_min_degree_properties(box):
+    spec, fraction = box
+    base = heaviside_filter(spec)
+    m = 2 * int(fraction * base.degree / 2)
+    filt = heaviside_filter(spec, min_degree=m)
+    assert certify_filter(filt, spec).passed
+    assert filt.degree % 2 == 0 and filt.degree >= m
+    if m == 0:
+        assert np.array_equal(filt.coeffs, base.coeffs)
+    # A filter depends only on its degree, however the search reached it.
+    pinned = heaviside_filter(spec, min_degree=filt.degree)
+    assert np.array_equal(pinned.coeffs, filt.coeffs)
 
 
 def test_certify_constant_half_fails_both_sides():

@@ -172,9 +172,12 @@ SMALL_SYNTHETIC = {"type": "synthetic", "bands": 2, "per_band": 2, "width": 0.02
     ({"mode": "sample", "trajectories": -3}, "project.trajectories must be >= 1, got -3"),
     ({"haar_samples": -4}, "project.haar_samples must be >= 0, got -4"),
     ({"round_eps": float("nan")}, "project.round_eps: expected a finite value"),
+    ({"model": {**SMALL_SYNTHETIC, "width": 0.5}}, "model.width 0.5: spectrum must lie in [0, 1]"),
+    ({"model": {"type": "gmon", "margin": 0.7}}, "model.margin must be < 0.5, got 0.7"),
 ], ids=["min-gap-negative", "target-too-large", "target-type", "per-band-zero",
         "round-eps-type", "budget-type", "split-constant-zero", "trajectories-negative",
-        "haar-samples-negative", "round-eps-nan"])
+        "haar-samples-negative", "round-eps-nan", "width-outside-unit-interval",
+        "gmon-margin-too-large"])
 def test_project_rejects_bad_config_value_with_exit_2(tmp_path, capsys, changes, cause):
     doc = {"model": SMALL_SYNTHETIC, "bands": {"target": 2}, "round_eps": 1e-2, **changes}
     doc = {key: value for key, value in doc.items() if value is not None}
@@ -241,6 +244,12 @@ def test_bosehubbard_outputs(tmp_path):
     assert len(labels) == 17
     bands = json.loads((out / "bands.json").read_text())
     assert bands["L"] == 6
+
+
+def test_bosehubbard_rejects_margin_outside_open_half_with_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"margin": 0.7})
+    assert main(["bosehubbard", "--config", cfg, "--out", str(tmp_path / "bh")]) == 2
+    assert "bosehubbard.margin must be < 0.5, got 0.7" in capsys.readouterr().err
 
 
 def test_verify_subset(capsys):

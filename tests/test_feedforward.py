@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fqsvt.bands import detect_bands, exact_projectors, synthetic_band_spectrum
+from fqsvt import feedforward
+from fqsvt.bands import BandStructure, detect_bands, exact_projectors, synthetic_band_spectrum
 from fqsvt.blockenc import dilate_hermitian
-from fqsvt.chebyshev import FilterSpec, _clenshaw, heaviside_filter
+from fqsvt.chebyshev import FilterSpec, _clenshaw, certify_filter, heaviside_filter
 from fqsvt.feedforward import (
     KrausExtraction,
     MeasurementRecord,
@@ -378,6 +379,58 @@ def test_channel_distance_roughly_linear_in_budget():
         proxies.append(channel_distance(extract_kraus(tree), projectors, samples=12, seed=2))
     exponent = math.log(proxies[0] / proxies[1]) / math.log(eps_hi / eps_lo)
     assert 0.5 <= exponent <= 1.5
+
+
+def test_phase_table_builds_each_split_once_at_the_hardest_degree(monkeypatch):
+    # Split 2 needs a higher degree than split 1, so only split 1 is built
+    # a second time; split 3 certifies at the running degree on its first try.
+    structure = BandStructure(4, [0.125, 0.225, 0.5], 0.2, [[0], [1], [2], [3]])
+    eps = 0.1
+    specs = {k: FilterSpec(float(c), structure.delta, eps)
+             for k, c in enumerate(structure.centers, start=1)}
+    own = {k: heaviside_filter(spec).degree for k, spec in specs.items()}
+    assert own[1] < own[2] and own[3] < own[2]
+    built = {}
+
+    def recording(spec, **kwargs):
+        built.setdefault(spec, []).append(heaviside_filter(spec, **kwargs))
+        return built[spec][-1]
+
+    monkeypatch.setattr(feedforward, "heaviside_filter", recording)
+    table, degree = _multiband_phase_table(structure, eps, 1e-11)
+    assert degree == max(own.values())
+    assert sum(len(builds) for builds in built.values()) == len(specs) + 1
+    for k, spec in specs.items():
+        final = built[spec][-1]
+        assert final.degree == table[k].degree == degree
+        assert certify_filter(final, spec).passed
+
+
+def test_phase_table_rebuild_that_lands_higher_raises_the_common_degree(monkeypatch):
+    # Certification is not monotone in the degree, so the rebuild of split 1
+    # at the common degree can fail there and search upward. Force that and
+    # check that every split is rebuilt at the higher degree.
+    structure = BandStructure(4, [0.125, 0.225, 0.5], 0.2, [[0], [1], [2], [3]])
+    eps = 0.1
+    first = FilterSpec(float(structure.centers[0]), structure.delta, eps)
+    common = max(heaviside_filter(FilterSpec(float(c), structure.delta, eps)).degree
+                 for c in structure.centers)
+    built = {}
+
+    def failing_at_common(spec, min_degree=0):
+        if spec == first and min_degree == common:
+            min_degree += 2
+        built.setdefault(spec, []).append(heaviside_filter(spec, min_degree=min_degree))
+        return built[spec][-1]
+
+    monkeypatch.setattr(feedforward, "heaviside_filter", failing_at_common)
+    table, degree = _multiband_phase_table(structure, eps, 1e-11)
+    assert degree > common
+    assert len(built) == 3
+    for spec, builds in built.items():
+        assert builds[-1].degree == degree
+        assert certify_filter(builds[-1], spec).passed
+    assert all(phases.degree == degree for phases in table.values())
 
 
 def test_query_count_formula():

@@ -9,6 +9,7 @@ from fqsvt.linalg import rng
 from fqsvt.qsp import (
     PhaseFactorSet,
     _batch_unitaries,
+    _forward_pairs,
     _mirror,
     _residual,
     _residual_and_jacobian,
@@ -200,7 +201,7 @@ def test_gradient_matches_finite_differences():
         xs = np.cos((2 * np.arange(1, d + 1) - 1) * np.pi / (4 * d))
         target = 0.4 * xs
         free = gen.uniform(-0.6, 0.6, (d + 2) // 2)
-        _, jac = _residual_and_jacobian(free, d, xs, target)
+        _, jac = _residual_and_jacobian(_forward_pairs(_mirror(free, d), xs), target)
         step = 1e-6
         for i in range(len(free)):
             up, down = free.copy(), free.copy()
@@ -218,7 +219,7 @@ def test_residual_matches_unitary_entry(d):
     target = 0.3 * xs
     free = gen.uniform(-np.pi, np.pi, (d + 2) // 2)
     expected = _batch_unitaries(_mirror(free, d), xs)[:, 0, 0].real - target
-    r, _ = _residual_and_jacobian(free, d, xs, target)
+    r, _ = _residual_and_jacobian(_forward_pairs(_mirror(free, d), xs), target)
     assert np.max(np.abs(_residual(free, d, xs, target) - expected)) <= 1e-13
     assert np.array_equal(r, _residual(free, d, xs, target))
 
