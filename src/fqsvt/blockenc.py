@@ -21,7 +21,6 @@ __all__ = [
     "dilate_hermitian",
     "encoded_block",
     "csd_factors",
-    "interleaved_index",
 ]
 
 UNITARITY_TOL = 1e-10
@@ -169,13 +168,3 @@ def csd_factors(enc: BlockEncoding, h: np.ndarray) -> CsdFactors:
         )
     return factors
 
-
-def interleaved_index(j: int, n: int) -> int:
-    """Index arithmetic of the qubitizing permutation for m = 1.
-
-    Sector-major index j (system fast, ancilla slow) maps to the
-    per-eigenvalue 2x2 ordering: row 2j of the permuted middle factor picks
-    original row j, row 2j+1 picks row N + j.
-    """
-    half, parity = divmod(j, 2)
-    return half + parity * n

@@ -220,16 +220,13 @@ def band_labels(model: GmonModel) -> BandLabeling:
 
 @dataclass(frozen=True)
 class AffineMap:
-    """x -> scale * x + offset, with the inverse used to translate thresholds back."""
+    """x -> scale * x + offset, the map that carries energies onto the normalized spectrum."""
 
     scale: float
     offset: float
 
     def apply(self, x: float) -> float:
         return self.scale * x + self.offset
-
-    def invert(self, y: float) -> float:
-        return (y - self.offset) / self.scale
 
 
 def normalize_for_qsvt(h: np.ndarray, margin: float) -> tuple:

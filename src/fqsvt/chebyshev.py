@@ -1,10 +1,14 @@
-"""Chebyshev-basis real polynomials and the smoothed step filter.
+"""Chebyshev-basis real polynomials and the minimax step filter.
 
-The filter construction smooths a threshold step with an error-function
-profile, expands the even extension in the Chebyshev basis, and certifies
-the result against the three filter conditions (flat near one below the
-transition window, flat near zero above it, bounded by the synthesis
-margin everywhere).
+The filter is the best uniform (minimax) approximation of a threshold step,
+found by a weighted two-plateau Remez exchange on the even half of the
+polynomial (the convex-optimisation QSP targets of Dong, Meng, Whaley and
+Lin, arXiv:2002.11649, without a generic solver). Its error cannot grow with
+the degree, so the smallest degree is found by a search on that error.
+Every filter is certified against the three filter conditions (flat near one
+below the transition window, flat near zero above it, bounded by the
+synthesis margin everywhere) at the exact extrema of each condition's
+region: its endpoints plus the real critical points inside.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, erfcinv
+from numpy.polynomial import chebyshev as C
 
 __all__ = [
     "ChebyshevSeries",
@@ -34,6 +38,11 @@ EPS_FLOOR = 8.0 * SYNTHESIS_GUARD
 
 PARITY_TOL = 1e-12
 DEGREE_CAP = 2000
+# Remez stops once the level is within this factor of the levelled error.
+REMEZ_TOL = 1e-6
+REMEZ_MAX_ITER = 40
+# Nodes of the quadratures that place the first Remez reference.
+QUADRATURE = 1000
 
 
 def _clenshaw(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -141,7 +150,7 @@ class ConditionReport:
 
 @dataclass
 class FilterReport:
-    """Worst-case margins of the three filter conditions on certification grids."""
+    """Worst-case margins of the three filter conditions at their exact extrema."""
 
     high_side: ConditionReport
     low_side: ConditionReport
@@ -155,185 +164,196 @@ class FilterReport:
         return [self.high_side, self.low_side, self.sup_norm]
 
 
-def _sup_norm(coeffs: np.ndarray) -> float:
-    """Exact supremum of |sum_k c_k T_k| on [-1, 1].
+def _extrema(coeffs: np.ndarray, *regions: tuple) -> list[np.ndarray]:
+    """Each region's endpoints plus the critical points of sum_k c_k T_k inside it.
 
-    Interior extrema are the real roots of the derivative, found through
-    the Chebyshev colleague matrix; grid maxima can undershoot the true
-    peak by O((degree/points)^2), which matters at the margin boundary.
-    For an even filter f(x) = G(2x^2 - 1), pass G's coefficients (the
-    u-basis `a` of `_even_chebyshev_coeffs`): x -> 2x^2 - 1 maps [-1, 1]
-    onto [-1, 1], so sup|f| = sup|G| exactly at half the degree.
+    One colleague-matrix root solve serves every region. The real part of
+    every root counts, since a clustered root comes out as a complex group
+    and an extra point inside a region can only raise the maximum found.
     """
-    cand = [-1.0, 1.0]
-    der = np.polynomial.chebyshev.chebder(coeffs)
-    if len(der) > 1:
-        roots = np.polynomial.chebyshev.chebroots(der)
-        for r in roots:
-            if abs(r.imag) < 1e-9 and abs(r.real) <= 1.0:
-                cand.append(float(r.real))
-    return float(np.max(np.abs(_clenshaw(coeffs, np.array(cand)))))
+    der = C.chebtrim(C.chebder(coeffs), 0.0) if len(coeffs) > 2 else []
+    crit = C.chebroots(der).real if len(der) > 1 else np.empty(0)
+    return [np.concatenate(([lo, hi], crit[(crit > lo) & (crit < hi)])) for lo, hi in regions]
 
 
-def _region_grid(lo: float, hi: float, gridsize: int) -> np.ndarray:
-    # Base grid, its half-step shift, and the region endpoints; both grids
-    # must pass so a refinement can only reveal more violations.
-    base = np.linspace(lo, hi, gridsize)
-    half = base[:-1] + 0.5 * (hi - lo) / (gridsize - 1)
-    return np.concatenate([base, half, [lo, hi]])
+def _window_in_u(spec: FilterSpec) -> tuple[float, float]:
+    """The window edges mu -/+ delta/2 in u = 2x^2 - 1."""
+    return (2.0 * (spec.mu - spec.delta / 2.0) ** 2 - 1.0,
+            2.0 * (spec.mu + spec.delta / 2.0) ** 2 - 1.0)
 
 
-def certify_filter(f: ChebyshevSeries, spec: FilterSpec, gridsize: int = 2001) -> FilterReport:
-    """Evaluate the three filter conditions on dense grids over their regions."""
-    if gridsize < 101:
-        raise ValueError("gridsize must be at least 101")
-    lo_edge = spec.mu - spec.delta / 2.0
-    hi_edge = spec.mu + spec.delta / 2.0
+def _condition(name: str, bound: float, points, values, to_x, strict: bool) -> ConditionReport:
+    i = int(np.argmax(values))
+    worst = float(values[i])
+    return ConditionReport(name, bound, worst, float(to_x(points[i])),
+                           worst < bound if strict else worst <= bound)
+
+
+def certify_filter(f: ChebyshevSeries, spec: FilterSpec) -> FilterReport:
+    """Evaluate the three filter conditions at the exact extrema of their regions.
+
+    A series with no odd coefficients is f(x) = G(2x^2 - 1) with G's
+    coefficients the even ones; x -> 2x^2 - 1 maps [0, 1] monotonically onto
+    [-1, 1] and f is even, so each region's extrema are G's on the mapped
+    region, found at half the degree. Any other series is checked in x.
+    """
+    if np.any(f.coeffs[1::2]):
+        coeffs, to_x = f.coeffs, lambda x: x
+        regions = ((spec.mu + spec.delta / 2.0, 1.0), (0.0, spec.mu - spec.delta / 2.0),
+                   (-1.0, 1.0))
+    else:
+        coeffs, to_x = f.coeffs[0::2], lambda u: math.sqrt(0.5 * (1.0 + u))
+        lo_u, hi_u = _window_in_u(spec)
+        regions = ((hi_u, 1.0), (-1.0, lo_u), (-1.0, 1.0))
+    high, low, everywhere = _extrema(coeffs, *regions)
     half_eps = spec.eps / 2.0
-    sup_bound = 1.0 - synthesis_margin(spec.eps)
-
-    xs_hi = _region_grid(hi_edge, 1.0, gridsize)
-    worst_hi = np.abs(cheb_eval(f, xs_hi))
-    i_hi = int(np.argmax(worst_hi))
-
-    xs_lo = _region_grid(0.0, lo_edge, gridsize)
-    worst_lo = np.abs(1.0 - cheb_eval(f, xs_lo))
-    i_lo = int(np.argmax(worst_lo))
-
-    xs_all = _region_grid(-1.0, 1.0, gridsize)
-    worst_all = np.abs(cheb_eval(f, xs_all))
-    i_all = int(np.argmax(worst_all))
-
     return FilterReport(
-        high_side=ConditionReport(
-            "vanishes-above-window", half_eps, float(worst_hi[i_hi]), float(xs_hi[i_hi]),
-            bool(worst_hi[i_hi] < half_eps),
-        ),
-        low_side=ConditionReport(
-            "near-one-below-window", half_eps, float(worst_lo[i_lo]), float(xs_lo[i_lo]),
-            bool(worst_lo[i_lo] < half_eps),
-        ),
-        sup_norm=ConditionReport(
-            "bounded-with-margin", sup_bound, float(worst_all[i_all]),
-            float(xs_all[i_all]), bool(worst_all[i_all] <= sup_bound),
-        ),
+        high_side=_condition("vanishes-above-window", half_eps, high,
+                             np.abs(_clenshaw(coeffs, high)), to_x, strict=True),
+        low_side=_condition("near-one-below-window", half_eps, low,
+                            np.abs(1.0 - _clenshaw(coeffs, low)), to_x, strict=True),
+        sup_norm=_condition("bounded-with-margin", 1.0 - synthesis_margin(spec.eps), everywhere,
+                            np.abs(_clenshaw(coeffs, everywhere)), to_x, strict=False),
     )
 
 
-def _step_profile(spec: FilterSpec) -> tuple:
-    # Gaussian-convolved step: g(x) = erfc(k (|x| - mu)) / 2. The smoothing
-    # rate pins the plateau error to eps/4 at the window edges, leaving the
-    # other eps/4 of each condition's budget for truncation ripple; a
-    # sharper rate wastes degree on plateau slack nobody certifies.
-    k = (2.0 / spec.delta) * float(erfcinv(spec.eps / 2.0))
+def _exchange(points: np.ndarray, errors: np.ndarray, n: int) -> np.ndarray:
+    """The next Remez reference: n points of alternating error, the largest kept.
 
-    def g(x):
-        return 0.5 * erfc(k * (np.abs(x) - spec.mu))
-
-    return k, g
-
-
-def _even_chebyshev_coeffs(g, half_degree: int) -> np.ndarray:
-    # Expand g(x) = G(u) with u = 2x^2 - 1, so only even T_k(x) appear by
-    # construction: c_{2m}(x-basis) = a_m(u-basis), T_m(u) = T_{2m}(x).
-    nq = 4 * max(half_degree, 1)
-    theta = (np.arange(nq) + 0.5) * math.pi / nq
-    u = np.cos(theta)
-    x = np.sqrt(0.5 * (1.0 + u))
-    vals = g(x)
-    m = np.arange(half_degree + 1)
-    cosines = np.cos(np.outer(m, theta))
-    a = (2.0 / nq) * cosines @ vals
-    a[0] *= 0.5
-    return a
-
-
-def _assemble_even(a: np.ndarray) -> np.ndarray:
-    c = np.zeros(2 * (len(a) - 1) + 1)
-    c[0::2] = a
-    return c
-
-
-def _certification_error(f: ChebyshevSeries, report: FilterReport) -> RuntimeError:
-    worst = min(report.conditions(), key=lambda c: c.margin)
-    return RuntimeError(
-        f"filter construction failed certification at degree {f.degree}: "
-        f"condition {worst.name} has value {worst.worst:.3e} at x={worst.worst_x:.6f} "
-        f"(bound {worst.bound:.3e})"
-    )
-
-
-def heaviside_filter(
-    spec: FilterSpec, degree_cap: int = DEGREE_CAP, min_degree: int = 0
-) -> ChebyshevSeries:
-    """Even Chebyshev step filter at a certifying even degree >= `min_degree`.
-
-    The expansion degree escalates until the coefficient tail is resolved
-    and small coefficients are dropped. The filter of degree 2h is the
-    first h+1 even coefficients of that expansion, rescaled to the
-    synthesis margin by their own sup-norm, so it depends only on its
-    degree, not on how the search reached it. A positive `min_degree` is
-    tried first; only if it fails does a binary search run over the
-    degrees above it, up to the kept expansion. The search treats
-    certification as monotone in the degree, which it is not always
-    (mu 0.5, delta 0.2, eps 1e-5 certifies at 166 and 172 but not at 168
-    or 170), so the result certifies but a lower degree may too. A caller
-    that needs one depth for several thresholds passes the running
-    maximum, so most builds certify on the first try. Raises if no degree
-    passes.
+    Same-sign neighbours merge into the larger; a dropped interior point takes
+    the smaller of its neighbours with it, so the signs keep alternating.
     """
-    if min_degree < 0 or min_degree % 2 == 1:
-        raise ValueError(f"min_degree must be even and nonnegative, got {min_degree}")
-    k, g = _step_profile(spec)
-    half = max(8, int(math.ceil(1.5 * k)) + 8)
-    a = None
-    while True:
-        half = min(half, degree_cap // 2)
-        a = _even_chebyshev_coeffs(g, half)
-        tail = np.max(np.abs(a[int(0.9 * half):]))
-        thresh = spec.eps / (8.0 * (2 * half))
-        if tail < 1e-3 * thresh or half >= degree_cap // 2:
-            break
-        half *= 2
-    lo = min_degree // 2
-    if lo > len(a) - 1:
-        raise ValueError(
-            f"min_degree {min_degree} exceeds the resolved expansion "
-            f"degree {2 * (len(a) - 1)}"
-        )
-
-    # Drop coefficients below the truncation threshold eps / (8 d).
-    keep = len(a) - 1
-    while keep > 0 and abs(a[keep]) < spec.eps / (8.0 * max(2 * keep, 1)):
-        keep -= 1
-    ceiling = 1.0 - synthesis_margin(spec.eps)
-
-    def scaled_series(half_deg: int) -> ChebyshevSeries:
-        sup = _sup_norm(a[: half_deg + 1])
-        return ChebyshevSeries(
-            _assemble_even(a[: half_deg + 1]) * (ceiling / max(1.0, sup * (1.0 + 1e-12))),
-            "even",
-        )
-
-    if lo > 0:
-        first = scaled_series(lo)
-        report = certify_filter(first, spec)
-        if report.passed:
-            return first
-        if lo >= keep:
-            raise _certification_error(first, report)
-        lo += 1
-
-    full = scaled_series(keep)
-    report = certify_filter(full, spec)
-    if not report.passed:
-        raise _certification_error(full, report)
-    # Binary search on the prefix length for the smallest certifying degree.
-    hi = keep
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if certify_filter(scaled_series(mid), spec).passed:
-            hi = mid
+    points, first = np.unique(points, return_index=True)
+    errors = errors[first]
+    keep = [0]
+    for i in range(1, len(points)):
+        if (errors[i] > 0) != (errors[keep[-1]] > 0):
+            keep.append(i)
+        elif abs(errors[i]) > abs(errors[keep[-1]]):
+            keep[-1] = i
+    while len(keep) > n:
+        mags = np.abs(errors[keep])
+        last = len(keep) - 1
+        if len(keep) == n + 1:
+            drop = [0 if mags[0] < mags[last] else last]
         else:
-            lo = mid + 1
-    return scaled_series(lo)
+            i = int(np.argmin(mags))
+            drop = [i] if i in (0, last) else [i, i - 1 if mags[i - 1] < mags[i + 1] else i + 1]
+        for j in sorted(drop, reverse=True):
+            del keep[j]
+    return points[keep]
+
+
+def _first_reference(a: float, b: float, n: int) -> np.ndarray:
+    """n points at even quantiles of the equilibrium measure of [-1, a] and [b, 1].
+
+    Its density |u - c| / (pi sqrt|(1 - u^2)(u - a)(u - b)|), c in (a, b) fixed
+    by a zero integral over the gap, is the limit distribution of a minimax
+    error's extrema, crowded at all four ends; a start without the crowding at
+    a and b lets roundoff swamp the exchange at small budgets. Substituting
+    u = mid -/+ half cos(phi) cancels an interval's pair of root singularities.
+    """
+    phi = (np.arange(QUADRATURE) + 0.5) * math.pi / QUADRATURE
+    gap = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(phi)
+    c = np.sum(gap / np.sqrt(1.0 - gap**2)) / np.sum(1.0 / np.sqrt(1.0 - gap**2))
+    phi = np.linspace(0.0, math.pi, QUADRATURE)
+    bands = []
+    for lo, hi, far in ((-1.0, a, (1.0, b)), (b, 1.0, (-1.0, a))):
+        u = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(phi)
+        density = np.abs(u - c) / np.sqrt((u - far[0]) * (u - far[1]))
+        mass = np.concatenate([[0.0], np.cumsum(density[1:] + density[:-1])])
+        bands.append((u, mass))
+    (u_low, m_low), (u_high, m_high) = bands
+    n_low = min(max(1, round(n * m_low[-1] / (m_low[-1] + m_high[-1]))), n - 1)
+    ref = np.concatenate([np.interp(np.linspace(0.0, m_low[-1], n_low), m_low, u_low),
+                          np.interp(np.linspace(0.0, m_high[-1], n - n_low), m_high, u_high)])
+    ref[0], ref[n_low - 1], ref[n_low], ref[-1] = -1.0, a, b, 1.0
+    return ref
+
+
+def _minimax_step(spec: FilterSpec, half: int) -> tuple[np.ndarray, float]:
+    """A step G(u) of degree `half` in u = 2x^2 - 1, and its weighted level.
+
+    G targets 1 - m - r on [-1, a] with ripple r = (eps/2 - m)/2, where
+    m = synthesis_margin(eps), and 0 on [b, 1] with ripple eps/2 (a, b: the
+    window edges in u). The level is the largest plateau error in units of
+    the ripple, so below 1 both plateau conditions hold and G < 1 - m there.
+    The exchange stops at the first iterate whose level at its exact extrema
+    is below 1, or at the first reference whose levelled error reaches 1
+    (by de la Vallee Poussin no G of this degree does better), so the verdict
+    is the minimax one, which cannot get worse with the degree.
+    """
+    margin = synthesis_margin(spec.eps)
+    ripple = (spec.eps / 2.0 - margin) / 2.0
+    top = 1.0 - margin - ripple
+    a, b = _window_in_u(spec)
+    n = half + 2
+    ref = _first_reference(a, b, n)
+    signs = (-1.0) ** np.arange(n)
+    for _ in range(REMEZ_MAX_ITER):
+        low = ref <= a
+        scale = np.where(low, ripple, spec.eps / 2.0)
+        system = np.column_stack([C.chebvander(ref, half), -signs * scale])
+        solution = np.linalg.solve(system, np.where(low, top, 0.0))
+        coeffs, levelled = solution[:-1], abs(solution[-1])
+        if levelled >= 1.0:
+            return coeffs, levelled
+        low_pts, high_pts = _extrema(coeffs, (-1.0, a), (b, 1.0))
+        errors = np.concatenate([(_clenshaw(coeffs, low_pts) - top) / ripple,
+                                 _clenshaw(coeffs, high_pts) / (spec.eps / 2.0)])
+        level = float(np.max(np.abs(errors)))
+        if level < 1.0 or level <= (1.0 + REMEZ_TOL) * levelled:
+            return coeffs, level
+        # The reference points keep their levelled errors, so every lobe of
+        # the error has a candidate; points below the levelled error (such as
+        # the real part of a complex root) cannot enter.
+        points = np.concatenate([ref, low_pts, high_pts])
+        errors = np.concatenate([signs * solution[-1], errors])
+        eligible = np.abs(errors) >= levelled
+        ref = _exchange(points[eligible], errors[eligible], n)
+        if len(ref) < n:
+            break
+    return coeffs, level
+
+
+def heaviside_filter(spec: FilterSpec, degree_cap: int = DEGREE_CAP) -> ChebyshevSeries:
+    """The even minimax step filter at the smallest degree whose level is below 1.
+
+    The search on the half-degree h keeps a bracket of infeasible and feasible
+    values. log(level) falls about linearly in h from about log(2/eps) at
+    h = 0, so each probe extrapolates from the last two; a step up is capped
+    at a quarter, as the exchange loses accuracy far above the answer. Raises
+    if no degree up to `degree_cap` has a level below 1 or certification fails.
+    """
+    cap = degree_cap // 2
+    bad, good, best = 0, cap + 1, None
+    last = (0, math.log(2.0 / spec.eps))
+    half = min(max(1, math.ceil(0.8 * last[1] * math.sqrt(1.0 - spec.mu**2) / spec.delta)), cap)
+    while good - bad > 1:
+        coeffs, level = _minimax_step(spec, half)
+        if level < 1.0:
+            good, best = half, coeffs
+        else:
+            bad = half
+        log_level = math.log(level)
+        slope = (log_level - last[1]) / (half - last[0])
+        last = (half, log_level)
+        guess = half - log_level / slope if slope < 0.0 else half + 1
+        probe = math.ceil(guess) if level >= 1.0 else min(math.ceil(guess), half - 1)
+        probe = min(probe, half + max(1, half // 4))
+        half = min(max(probe, bad + 1), good - 1)
+    if best is None:
+        raise RuntimeError(f"no even filter of degree <= {degree_cap} meets {spec}")
+    # T_h(2x^2 - 1) = T_2h(x): G's coefficients are the filter's even ones.
+    coeffs = np.zeros(2 * len(best) - 1)
+    coeffs[0::2] = best
+    filt = ChebyshevSeries(coeffs, "even")
+    report = certify_filter(filt, spec)
+    if not report.passed:
+        worst = min(report.conditions(), key=lambda c: c.margin)
+        raise RuntimeError(
+            f"filter construction failed certification at degree {filt.degree}: "
+            f"condition {worst.name} has value {worst.worst:.3e} at x={worst.worst_x:.6f} "
+            f"(bound {worst.bound:.3e})"
+        )
+    return filt

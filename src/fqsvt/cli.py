@@ -104,6 +104,15 @@ def _number(kind, value, name: str, low=None, above=None, high=None, below=None)
     return x
 
 
+def _gmon_model(doc, name: str) -> GmonModel:
+    try:
+        return GmonModel.from_json(doc)
+    except KeyError as exc:
+        raise ConfigError(f"{name}: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def _load_config(path: str) -> dict:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
@@ -155,7 +164,7 @@ def _resolve_model(doc: dict, seed: int):
     if kind == "gmon":
         _check_keys(doc, {"type": True, "spec": False, "margin": False,
                           "perturb_seed": False}, "model")
-        model = GmonModel.from_json(doc["spec"]) if "spec" in doc else default_model()
+        model = _gmon_model(doc["spec"], "model.spec") if "spec" in doc else default_model()
         if "perturb_seed" in doc:
             model = model.perturbed(_number(int, doc["perturb_seed"], "model.perturb_seed", low=0))
         h = build_h0(model) + build_h1(model)
@@ -199,7 +208,10 @@ def _resolve_input(doc: dict, spectrum, seed: int) -> np.ndarray:
         return spectrum.vectors[:, index].copy()
     if kind == "amplitudes":
         _check_keys(doc, {"type": True, "values": True}, "input")
-        amp = np.array([complex(re, im) for re, im in doc["values"]])
+        try:
+            amp = np.array([complex(re, im) for re, im in doc["values"]])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("input.values: expected a list of numeric [re, im] pairs") from exc
         if amp.shape != (n,):
             raise ConfigError(f"input: expected {n} amplitudes, got {len(amp)}")
         if not np.all(np.isfinite(amp)):
@@ -322,9 +334,15 @@ def cmd_baselines(config: dict, out: Path, seed: int) -> int:
                            "baselines.filter")
     delta = _number(float, filt_doc.get("delta", 0.2), "baselines.filter.delta")
     eps = _number(float, filt_doc.get("eps", 1e-3), "baselines.filter.eps")
-    degree = heaviside_filter(FilterSpec(0.5, delta, eps)).degree
-    min_gap = _number(float, config.get("adiabatic_min_gap", 0.1), "baselines.adiabatic_min_gap")
-    ad_eps = _number(float, config.get("adiabatic_eps", 1e-2), "baselines.adiabatic_eps")
+    try:
+        spec = FilterSpec(0.5, delta, eps)
+    except ValueError as exc:
+        raise ConfigError(f"baselines.filter: invalid filter parameters: {exc}") from exc
+    min_gap = _number(float, config.get("adiabatic_min_gap", 0.1), "baselines.adiabatic_min_gap",
+                      above=0.0)
+    ad_eps = _number(float, config.get("adiabatic_eps", 1e-2), "baselines.adiabatic_eps",
+                     above=0.0)
+    degree = heaviside_filter(spec).degree
 
     rows = []
     for count in band_counts:
@@ -360,7 +378,8 @@ def cmd_baselines(config: dict, out: Path, seed: int) -> int:
 def cmd_bosehubbard(config: dict, out: Path, seed: int) -> int:
     _check_keys(config, {"model": False, "margin": False, "min_gap_fraction": False,
                          "perturb_seed": False}, "bosehubbard")
-    model = GmonModel.from_json(config["model"]) if "model" in config else default_model()
+    model = (_gmon_model(config["model"], "bosehubbard.model") if "model" in config
+             else default_model())
     if "perturb_seed" in config:
         model = model.perturbed(
             _number(int, config["perturb_seed"], "bosehubbard.perturb_seed", low=0))
@@ -392,8 +411,14 @@ def cmd_bosehubbard(config: dict, out: Path, seed: int) -> int:
 
 
 def cmd_verify(numbers, out: Path | None) -> int:
-    from .verify import run_criteria
+    from .verify import CRITERIA, run_criteria
 
+    unknown = sorted(set(numbers or ()) - set(CRITERIA))
+    if unknown:
+        raise ConfigError(f"verify --criteria: unknown criteria {unknown}, "
+                          f"expected numbers in {sorted(CRITERIA)}")
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
     results = run_criteria(numbers)
     width = max(len(r.title) for r in results)
     for r in results:
@@ -423,12 +448,9 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "verify":
-            numbers = [int(tok) for tok in args.criteria.split(",") if tok.strip()]
-            out = None
-            if args.out is not None:
-                out = Path(args.out)
-                out.mkdir(parents=True, exist_ok=True)
-            return cmd_verify(numbers or None, out)
+            numbers = [_number(int, tok, "verify --criteria")
+                       for tok in args.criteria.split(",") if tok.strip()]
+            return cmd_verify(numbers or None, None if args.out is None else Path(args.out))
         config = _load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

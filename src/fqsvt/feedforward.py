@@ -21,7 +21,7 @@ import numpy as np
 
 from .bands import BandStructure, check_band_assumption
 from .blockenc import BlockEncoding, encoded_block
-from .chebyshev import FilterSpec, heaviside_filter
+from .chebyshev import ChebyshevSeries, FilterSpec, heaviside_filter
 from .linalg import StateVector, dagger, eigh, haar_vector, rng, trace_norm
 from .qsp import PhaseFactorSet, synthesize_symmetric, to_circuit, to_su2
 from .qsvt import assemble_full
@@ -346,7 +346,14 @@ def _multiband_phase_table(
     round_eps: float,
     synthesis_tol: float,
 ) -> tuple[dict, int]:
-    """Circuit phases for every reachable split index, at one common degree."""
+    """Circuit phases for every reachable split index, at one common degree.
+
+    Each split's filter is built once, at its own smallest degree. The table
+    runs at the largest of these, every filter zero-padded to it, so each
+    executed round costs the same queries and the split order does not
+    matter. A filter is never solved again at a higher degree: the exchange
+    loses accuracy far above a split's own minimum.
+    """
     count = structure.band_count
     ell = math.ceil(math.log2(count))
     reachable: set = set()
@@ -365,23 +372,14 @@ def _multiband_phase_table(
                 next_prefixes.update((i, k))
         prefixes = next_prefixes
 
-    specs = {
-        k: FilterSpec(float(structure.centers[k - 1]), structure.delta, round_eps)
+    filters = {
+        k: heaviside_filter(FilterSpec(float(structure.centers[k - 1]), structure.delta, round_eps))
         for k in sorted(reachable)
     }
-    # Each build starts from the running common degree; splits left below
-    # the final degree are built again at it. Certification is not monotone
-    # in the degree, so such a rebuild can fail there and land higher
-    # still; the passes repeat until every split has the common degree.
-    filters, degree = {}, 0
-    stale = list(specs)
-    while stale:
-        for k in stale:
-            filters[k] = heaviside_filter(specs[k], min_degree=degree)
-            degree = filters[k].degree
-        stale = [k for k, f in filters.items() if f.degree < degree]
+    degree = max((f.degree for f in filters.values()), default=0)
     table = {
-        k: to_circuit(synthesize_symmetric(f, synthesis_tol))
+        k: to_circuit(synthesize_symmetric(
+            ChebyshevSeries(np.pad(f.coeffs, (0, degree - f.degree)), "even"), synthesis_tol))
         for k, f in filters.items()
     }
     return table, degree
@@ -443,26 +441,6 @@ class KrausExtraction:
     failed: list[bool]
     completeness_residual: float
     system_dim: int
-
-    def success_projectors(self) -> dict:
-        """Claimed band -> approximate projector, from non-failed records.
-
-        On success records the register operator is supported on the
-        all-zero ancilla sector; its top block acts on the system alone.
-        Each garbage-branch round contributes a deterministic physical
-        minus sign, so the operator is rescaled by (-1)^(sum of band bits)
-        to compare directly against the spectral projectors.
-        """
-        out: dict = {}
-        n = self.system_dim
-        for record, op, band, failed in zip(
-            self.records, self.operators, self.claimed_bands, self.failed
-        ):
-            if failed:
-                continue
-            sign = (-1.0) ** sum(record.band_bits)
-            out[band] = sign * op[:n, :]
-        return out
 
     def apply_channel(self, rho: np.ndarray) -> np.ndarray:
         """System-level channel: ancillas of every branch are traced out."""

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fqsvt.bands import (
     BandStructure,
@@ -136,3 +138,23 @@ def test_synthetic_band_spectrum_shapes():
     assert np.all(np.diff(values) > 0)
     single = synthetic_band_spectrum(1, per_band=4, width=0.1)
     assert len(single) == 4
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(2, 12), st.integers(0, 2**32 - 1), st.floats(0.1, 10.0),
+       st.floats(-5.0, 5.0), st.integers(1, 12))
+def test_detect_bands_is_affine_equivariant(n, seed, scale, shift, target):
+    values = np.cumsum(np.random.default_rng(seed).uniform(0.0, 1.0, n))
+    widths = np.sort(np.diff(values))
+    # Distinct gap widths: no tie for roundoff in the map to break differently.
+    assume(np.all(np.diff(widths) > 1e-9 * widths[-1]))
+    moved_values = scale * values + shift
+    # A min_gap between the two narrowest gaps (or below the only one).
+    min_gap = 0.5 * (widths[0] + widths[1]) if n > 2 else 0.5 * widths[0]
+    for kwargs, moved_kwargs in (({"target_bands": min(target, n)},) * 2,
+                                 ({"min_gap": min_gap}, {"min_gap": scale * min_gap})):
+        base = detect_bands(values, **kwargs)
+        moved = detect_bands(moved_values, **moved_kwargs)
+        assert moved.bands == base.bands
+        assert np.allclose(moved.centers, scale * base.centers + shift, rtol=0.0, atol=1e-12)
+        assert moved.delta == pytest.approx(scale * base.delta, rel=1e-12, abs=1e-15)

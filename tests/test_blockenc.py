@@ -6,7 +6,6 @@ from fqsvt.blockenc import (
     csd_factors,
     dilate_hermitian,
     encoded_block,
-    interleaved_index,
 )
 from fqsvt.linalg import dagger, eigh, hermitian_from_spectrum, rng
 
@@ -92,7 +91,9 @@ def test_qubitized_middle_block_structure():
     h = hermitian_from_spectrum(gen.uniform(0.1, 0.9, n), gen)
     factors = csd_factors(dilate_hermitian(h), h)
     mid = factors.middle()
-    perm = [interleaved_index(j, n) for j in range(2 * n)]
+    # Sector-major index j (system fast, ancilla slow) to the per-eigenvalue
+    # 2x2 ordering: row 2j picks original row j, row 2j+1 picks row n + j.
+    perm = [j // 2 + (j % 2) * n for j in range(2 * n)]
     permuted = mid[np.ix_(perm, perm)]
     expected = np.zeros((2 * n, 2 * n), dtype=complex)
     for j in range(n):

@@ -8,7 +8,7 @@ from fqsvt.chebyshev import (
     EPS_FLOOR,
     ChebyshevSeries,
     FilterSpec,
-    _sup_norm,
+    _minimax_step,
     certify_filter,
     cheb_eval,
     heaviside_filter,
@@ -73,14 +73,43 @@ def test_heaviside_even_parity_enforced():
 
 
 def test_sup_norm_in_u_variable_brackets_dense_grid_maximum():
-    filt = heaviside_filter(FilterSpec(0.5, 0.2, 1e-3))
-    xs = np.linspace(-1.0, 1.0, 200_001)
-    grid_max = float(np.max(np.abs(filt(xs))))
-    # The even filter is G(2x^2 - 1); G's coefficients are the even ones.
-    sup = _sup_norm(filt.coeffs[0::2])
-    assert grid_max <= sup <= grid_max + 1e-9
-    assert sup == pytest.approx(_sup_norm(filt.coeffs), abs=1e-12)
+    # An even filter is certified as G(2x^2 - 1) at half the degree; its
+    # exact sup-norm can only sit above a dense grid's maximum in x.
+    spec = FilterSpec(0.5, 0.2, 1e-3)
+    filt = heaviside_filter(spec)
+    grid_max = float(np.max(np.abs(filt(np.linspace(-1.0, 1.0, 200_001)))))
+    sup = certify_filter(filt, spec).sup_norm.worst
+    assert grid_max - 1e-13 <= sup <= grid_max + 1e-9
 
+
+def _even_series(g_power: np.ndarray) -> ChebyshevSeries:
+    """The even filter f(x) = G(2x^2 - 1) of G given in the power basis of u."""
+    g = np.polynomial.chebyshev.poly2cheb(g_power)
+    coeffs = np.zeros(2 * len(g) - 1)
+    coeffs[0::2] = g
+    return ChebyshevSeries(coeffs, "even")
+
+
+def test_certify_finds_a_clustered_critical_point():
+    # G(u) = 0.9 - 0.1 (u - 0.3)^4 peaks at a triple root of G', which the
+    # colleague matrix returns as a complex cluster around 0.3.
+    g = -0.1 * np.polynomial.polynomial.polyfromroots([0.3] * 4)
+    g[0] += 0.9
+    filt = _even_series(g)
+    report = certify_filter(filt, FilterSpec(0.5, 0.2, 0.1))
+    assert report.sup_norm.worst == pytest.approx(0.9, abs=1e-15)
+    assert report.sup_norm.worst_x == pytest.approx(np.sqrt(0.65), abs=1e-4)
+
+
+def test_certify_exact_worst_at_a_peak_between_grid_points():
+    # T_201's extrema cos(j pi / 201) miss the points of a 2001-point grid
+    # away from the ends, so the grid undershoots an interior peak.
+    filt = ChebyshevSeries(np.eye(202)[201], "odd")
+    spec = FilterSpec(0.5, 0.2, 0.1)
+    report = certify_filter(filt, spec)
+    assert report.high_side.worst == pytest.approx(1.0, abs=1e-12)
+    grid = np.linspace(spec.mu + spec.delta / 2, 1.0, 2001)[1:-1]
+    assert np.max(np.abs(filt(grid))) < 1.0 - 1e-7
 
 @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-5, 4e-6, 1e-6, 1e-7])
 def test_heaviside_certifies_and_synthesizes_down_to_small_budgets(eps):
@@ -101,51 +130,51 @@ def test_budget_below_floor_rejected():
         FilterSpec(0.5, 0.2, 0.5 * EPS_FLOOR)
 
 
-def test_heaviside_min_degree():
-    spec = FilterSpec(0.5, 0.3, 1e-3)
-    base = heaviside_filter(spec)
-    assert np.array_equal(heaviside_filter(spec, min_degree=0).coeffs, base.coeffs)
-    padded = heaviside_filter(spec, min_degree=base.degree + 10)
-    assert padded.degree == base.degree + 10
-    assert certify_filter(padded, spec).passed
-    with pytest.raises(ValueError, match="even"):
-        heaviside_filter(spec, min_degree=7)
-
-
-def test_heaviside_min_degree_searches_above_it():
-    # Certification is not monotone here: 166 and 172 certify, 168 and 170
-    # do not. The search from 0 lands on 172; from 150 it must stay above
-    # 150 and finds 166.
+def test_heaviside_degree_is_the_smallest_feasible():
+    # The erfc filter certified here at 166 and 172 but not at 168 or 170.
+    # The minimax verdict is monotone: every lower half-degree is infeasible
+    # and the next few above stay feasible.
     spec = FilterSpec(0.5, 0.2, 1e-5)
-    assert heaviside_filter(spec).degree == 172
-    assert heaviside_filter(spec, min_degree=150).degree == 166
-    assert heaviside_filter(spec, min_degree=168).degree == 172
+    filt = heaviside_filter(spec)
+    half = filt.degree // 2
+    assert filt.degree == 92
+    assert all(_minimax_step(spec, h)[1] >= 1.0 for h in range(1, half))
+    assert all(_minimax_step(spec, h)[1] < 1.0 for h in range(half, half + 8))
+
+
+def test_heaviside_raises_when_the_cap_is_too_low():
+    with pytest.raises(RuntimeError, match="no even filter of degree <= 20"):
+        heaviside_filter(FilterSpec(0.5, 0.2, 1e-3), degree_cap=20)
+
+
+def _grid_worsts(filt, spec, points=200_001):
+    lo_edge, hi_edge = spec.mu - spec.delta / 2, spec.mu + spec.delta / 2
+    return (np.max(np.abs(filt(np.linspace(hi_edge, 1.0, points)))),
+            np.max(np.abs(1.0 - filt(np.linspace(0.0, lo_edge, points)))),
+            np.max(np.abs(filt(np.linspace(-1.0, 1.0, points)))))
 
 
 # FilterSpecs across the constructor's box with delta in [0.15, 0.6] and
 # eps up to 0.3: narrower windows only raise the degree and the run time.
 @st.composite
-def filter_boxes(draw):
+def filter_specs(draw):
     delta = draw(st.floats(0.15, 0.6))
     mu = draw(st.floats(delta / 2 + 1e-3, 1.0 - delta / 2 - 1e-3))
     eps = 10.0 ** draw(st.floats(np.log10(EPS_FLOOR), np.log10(0.3)))
-    return FilterSpec(mu, delta, eps), draw(st.floats(0.0, 1.05))
+    return FilterSpec(mu, delta, eps)
 
 
-@settings(max_examples=12, deadline=None, derandomize=True)
-@given(filter_boxes())
-def test_heaviside_min_degree_properties(box):
-    spec, fraction = box
-    base = heaviside_filter(spec)
-    m = 2 * int(fraction * base.degree / 2)
-    filt = heaviside_filter(spec, min_degree=m)
-    assert certify_filter(filt, spec).passed
-    assert filt.degree % 2 == 0 and filt.degree >= m
-    if m == 0:
-        assert np.array_equal(filt.coeffs, base.coeffs)
-    # A filter depends only on its degree, however the search reached it.
-    pinned = heaviside_filter(spec, min_degree=filt.degree)
-    assert np.array_equal(pinned.coeffs, filt.coeffs)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(filter_specs())
+def test_heaviside_filter_properties(spec):
+    filt = heaviside_filter(spec)
+    report = certify_filter(filt, spec)
+    assert report.passed
+    assert filt.degree % 2 == 0
+    assert _minimax_step(spec, filt.degree // 2 - 1)[1] >= 1.0
+    # Exact extrema never undershoot a dense grid, up to roundoff.
+    for cond, grid_worst in zip(report.conditions(), _grid_worsts(filt, spec)):
+        assert cond.worst >= grid_worst - 1e-13
 
 
 def test_certify_constant_half_fails_both_sides():
@@ -161,21 +190,16 @@ def test_certify_t2_fails_low_side():
     assert not report.low_side.passed
 
 
-def test_certify_rejects_small_grid():
-    with pytest.raises(ValueError, match="gridsize"):
-        certify_filter(ChebyshevSeries([0.5]), FilterSpec(0.5, 0.2, 0.1), gridsize=50)
-
-
 def test_certify_refinement_never_flips_to_pass():
+    # Exact extrema bound every grid from above, so no refinement of a grid
+    # can fail a filter that exact certification passes.
     spec = FilterSpec(0.5, 0.4, 1e-2)
-    filt = heaviside_filter(spec)
-    # Refined grids include every coarse point, so new violations can only
-    # appear, never disappear.
-    assert certify_filter(filt, spec, gridsize=2001).passed
-    assert certify_filter(filt, spec, gridsize=4001).passed
-    bad = ChebyshevSeries([0.5])
-    assert not certify_filter(bad, spec, gridsize=2001).passed
-    assert not certify_filter(bad, spec, gridsize=4001).passed
+    for filt in (heaviside_filter(spec), ChebyshevSeries([0.5])):
+        report = certify_filter(filt, spec)
+        for points in (2001, 4001):
+            grid = _grid_worsts(filt, spec, points)
+            assert all(c.worst >= g - 1e-13 for c, g in zip(report.conditions(), grid))
+    assert not certify_filter(ChebyshevSeries([0.5]), spec).passed
 
 
 def test_composition_inequalities_for_squared_filter():

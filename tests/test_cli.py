@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fqsvt
 from fqsvt.bosehubbard import default_model
 from fqsvt.cli import main
 from fqsvt.linalg import matrix_to_json
@@ -13,6 +18,15 @@ def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported lazily, only by the phase-synthesis fallback.
+    code = "import sys, fqsvt.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(fqsvt.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_phases_command_writes_artifacts(tmp_path):
@@ -111,8 +125,10 @@ GOOD_MODEL = _inline(np.diag([0.2, 0.8]))
     (GOOD_MODEL, {"type": "amplitudes", "values": [[0.0, 0.0]] * 2}, "amplitudes are all zero"),
     (GOOD_MODEL, {"type": "amplitudes", "values": [[1.0, 0.0], [math.inf, 0.0]]},
      "amplitudes must be finite"),
+    (GOOD_MODEL, {"type": "amplitudes", "values": [1, 2]},
+     "input.values: expected a list of numeric [re, im] pairs"),
 ], ids=["entry-count", "non-square", "non-hermitian", "spectrum", "index-high", "index-negative",
-        "amplitude-count", "amplitudes-zero", "amplitudes-nonfinite"])
+        "amplitude-count", "amplitudes-zero", "amplitudes-nonfinite", "amplitudes-not-pairs"])
 def test_project_rejects_bad_inline_model_or_input_with_exit_2(tmp_path, capsys, model, inp, cause):
     cfg = write_config(tmp_path, {
         "model": model,
@@ -174,10 +190,13 @@ SMALL_SYNTHETIC = {"type": "synthetic", "bands": 2, "per_band": 2, "width": 0.02
     ({"round_eps": float("nan")}, "project.round_eps: expected a finite value"),
     ({"model": {**SMALL_SYNTHETIC, "width": 0.5}}, "model.width 0.5: spectrum must lie in [0, 1]"),
     ({"model": {"type": "gmon", "margin": 0.7}}, "model.margin must be < 0.5, got 0.7"),
+    ({"model": {"type": "gmon", "spec": {"modes": 2}}}, "model.spec: missing key 'nmax'"),
+    ({"model": {"type": "gmon", "spec": {**default_model().to_json(), "delta": [0.0]}}},
+     "model.spec: delta must carry one value per mode"),
 ], ids=["min-gap-negative", "target-too-large", "target-type", "per-band-zero",
         "round-eps-type", "budget-type", "split-constant-zero", "trajectories-negative",
         "haar-samples-negative", "round-eps-nan", "width-outside-unit-interval",
-        "gmon-margin-too-large"])
+        "gmon-margin-too-large", "gmon-spec-missing-key", "gmon-spec-bad-field"])
 def test_project_rejects_bad_config_value_with_exit_2(tmp_path, capsys, changes, cause):
     doc = {"model": SMALL_SYNTHETIC, "bands": {"target": 2}, "round_eps": 1e-2, **changes}
     doc = {key: value for key, value in doc.items() if value is not None}
@@ -250,6 +269,39 @@ def test_bosehubbard_rejects_margin_outside_open_half_with_exit_2(tmp_path, caps
     cfg = write_config(tmp_path, {"margin": 0.7})
     assert main(["bosehubbard", "--config", cfg, "--out", str(tmp_path / "bh")]) == 2
     assert "bosehubbard.margin must be < 0.5, got 0.7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("changes, cause", [
+    ({"filter": {"delta": 1.5}}, "baselines.filter: invalid filter parameters: transition window"),
+    ({"filter": {"eps": 1e-9}}, "baselines.filter: invalid filter parameters: error budget 1e-09"),
+    ({"adiabatic_min_gap": 0}, "baselines.adiabatic_min_gap must be > 0.0, got 0.0"),
+    ({"adiabatic_eps": -1}, "baselines.adiabatic_eps must be > 0.0, got -1.0"),
+], ids=["filter-delta", "filter-eps", "adiabatic-min-gap", "adiabatic-eps"])
+def test_baselines_rejects_bad_config_value_with_exit_2(tmp_path, capsys, changes, cause):
+    cfg = write_config(tmp_path, {"Ls": [2], "trials": 10, **changes})
+    assert main(["baselines", "--config", cfg, "--out", str(tmp_path / "b")]) == 2
+    assert cause in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, cause", [
+    ({"modes": 2}, "bosehubbard.model: missing key 'nmax'"),
+    ({**default_model().to_json(), "nmax": 0}, "bosehubbard.model: need at least one mode"),
+], ids=["missing-key", "bad-field"])
+def test_bosehubbard_rejects_bad_model_with_exit_2(tmp_path, capsys, model, cause):
+    cfg = write_config(tmp_path, {"model": model})
+    assert main(["bosehubbard", "--config", cfg, "--out", str(tmp_path / "bh")]) == 2
+    assert cause in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("criteria, cause", [
+    ("11", "verify --criteria: unknown criteria [11]"),
+    ("1,x", "verify --criteria: expected int, got 'x'"),
+], ids=["unknown", "not-a-number"])
+def test_verify_rejects_bad_criteria_with_exit_2(tmp_path, capsys, criteria, cause):
+    out = tmp_path / "v"
+    assert main(["verify", "--criteria", criteria, "--out", str(out)]) == 2
+    assert cause in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_subset(capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqsvt import qsp
 from fqsvt.chebyshev import ChebyshevSeries
@@ -256,3 +258,17 @@ def test_phase_set_json_round_trip():
     assert doc["convention"] == "circuit"
     restored = PhaseFactorSet.from_json(doc)
     assert np.allclose(restored.values, phi.values)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 200), st.integers(0, 2**32 - 1))
+def test_to_su2_and_to_circuit_are_inverses(degree, seed):
+    values = np.random.default_rng(seed).uniform(-np.pi, np.pi, degree + 1)
+    phi = PhaseFactorSet(values, "circuit")
+    back = to_circuit(to_su2(phi))
+    assert back.convention == "circuit"
+    assert np.max(np.abs(back.values - values)) <= 1e-14
+    psi = PhaseFactorSet(values, "su2")
+    again = to_su2(to_circuit(psi))
+    assert again.convention == "su2"
+    assert np.max(np.abs(again.values - values)) <= 1e-14
