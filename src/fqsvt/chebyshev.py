@@ -321,27 +321,37 @@ def heaviside_filter(spec: FilterSpec, degree_cap: int = DEGREE_CAP) -> Chebyshe
 
     The search on the half-degree h keeps a bracket of infeasible and feasible
     values. log(level) falls about linearly in h from about log(2/eps) at
-    h = 0, so each probe extrapolates from the last two; a step up is capped
-    at a quarter, as the exchange loses accuracy far above the answer. Raises
-    if no degree up to `degree_cap` has a level below 1 or certification fails.
+    h = 0, so until both ends are probed each probe extrapolates from the last
+    two, and then it interpolates between the ends. An infeasible level may
+    be the early-exit lower bound, which extrapolates short, so no step up is
+    shorter than the one before; a step up is capped at a quarter, as the
+    exchange loses accuracy far above the answer. Raises if no degree up to
+    `degree_cap` has a level below 1 or certification fails.
     """
     cap = degree_cap // 2
-    bad, good, best = 0, cap + 1, None
+    bad, good, best, rise = 0, cap + 1, None, 0
     last = (0, math.log(2.0 / spec.eps))
     half = min(max(1, math.ceil(0.8 * last[1] * math.sqrt(1.0 - spec.mu**2) / spec.delta)), cap)
     while good - bad > 1:
         coeffs, level = _minimax_step(spec, half)
-        if level < 1.0:
-            good, best = half, coeffs
-        else:
-            bad = half
         log_level = math.log(level)
-        slope = (log_level - last[1]) / (half - last[0])
+        if level < 1.0:
+            good, good_log, best = half, log_level, coeffs
+        else:
+            bad, bad_log = half, log_level
+        if best is not None and bad > 0:
+            probe = math.ceil(bad + (good - bad) * bad_log / (bad_log - good_log))
+        else:
+            slope = (log_level - last[1]) / (half - last[0])
+            guess = half - log_level / slope if slope < 0.0 else half + 1
+            if best is None:
+                probe = max(math.ceil(guess), half + rise)
+            else:
+                probe = min(math.ceil(guess), half - 1)
         last = (half, log_level)
-        guess = half - log_level / slope if slope < 0.0 else half + 1
-        probe = math.ceil(guess) if level >= 1.0 else min(math.ceil(guess), half - 1)
         probe = min(probe, half + max(1, half // 4))
-        half = min(max(probe, bad + 1), good - 1)
+        probe = min(max(probe, bad + 1), good - 1)
+        rise, half = probe - half, probe
     if best is None:
         raise RuntimeError(f"no even filter of degree <= {degree_cap} meets {spec}")
     # T_h(2x^2 - 1) = T_2h(x): G's coefficients are the filter's even ones.

@@ -273,8 +273,8 @@ def cmd_project(config: dict, out: Path, seed: int) -> int:
     n = enc.encoded_dim
     amp = _resolve_input(config.get("input", {}), spectrum, seed)
     state = StateVector(int(round(math.log2(n))), amp)
-    tree = run_multiband(enc, structure, 0.0, state, mode=mode, seed=seed,
-                         trajectories=trajectories, round_eps=round_eps)
+    tree = run_multiband(enc, structure, round_eps, state, mode=mode, seed=seed,
+                         trajectories=trajectories)
     _write_json(out / "bands.json", structure.to_json())
 
     if mode == "sample":

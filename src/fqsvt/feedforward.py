@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 ANCILLA_PURITY_TOL = 1e-9
+# Residual of every split's phase synthesis on its 2d-node contract grid.
+SYNTHESIS_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -341,45 +343,25 @@ class BranchTree:
         }
 
 
-def _multiband_phase_table(
-    structure: BandStructure,
-    round_eps: float,
-    synthesis_tol: float,
-) -> tuple[dict, int]:
-    """Circuit phases for every reachable split index, at one common degree.
+def _multiband_phase_table(structure: BandStructure, round_eps: float) -> tuple[dict, int]:
+    """Circuit phases for every split index 1 .. L-1, at one common degree.
 
-    Each split's filter is built once, at its own smallest degree. The table
-    runs at the largest of these, every filter zero-padded to it, so each
-    executed round costs the same queries and the split order does not
-    matter. A filter is never solved again at a higher degree: the exchange
-    loses accuracy far above a split's own minimum.
+    Every split is reachable: split k runs at the round of its lowest set
+    bit, from the prefix of its higher bits. Each split's filter is built
+    once, at its own smallest degree. The table runs at the largest of
+    these, every filter zero-padded to it, so each executed round costs the
+    same queries and the split order does not matter. A filter is never
+    solved again at a higher degree: the exchange loses accuracy far above
+    a split's own minimum.
     """
-    count = structure.band_count
-    ell = math.ceil(math.log2(count))
-    reachable: set = set()
-    prefixes = {0}
-    for j in range(1, ell + 1):
-        step = 2 ** (ell - j)
-        next_prefixes = set()
-        for i in prefixes:
-            if i >= count:
-                continue
-            k = i + step
-            if k >= count:
-                next_prefixes.add(i)
-            else:
-                reachable.add(k)
-                next_prefixes.update((i, k))
-        prefixes = next_prefixes
-
     filters = {
         k: heaviside_filter(FilterSpec(float(structure.centers[k - 1]), structure.delta, round_eps))
-        for k in sorted(reachable)
+        for k in range(1, structure.band_count)
     }
     degree = max((f.degree for f in filters.values()), default=0)
     table = {
         k: to_circuit(synthesize_symmetric(
-            ChebyshevSeries(np.pad(f.coeffs, (0, degree - f.degree)), "even"), synthesis_tol))
+            ChebyshevSeries(np.pad(f.coeffs, (0, degree - f.degree)), "even"), SYNTHESIS_TOL))
         for k, f in filters.items()
     }
     return table, degree
@@ -388,26 +370,22 @@ def _multiband_phase_table(
 def run_multiband(
     enc: BlockEncoding,
     structure: BandStructure,
-    budget: float,
+    round_eps: float,
     state: StateVector,
     mode: str = "enumerate",
     seed: int = 0,
-    stream: int = 0,
     trajectories: int = 1,
-    split_constant: float = 4.0,
-    round_eps: float | None = None,
-    synthesis_tol: float = 1e-11,
 ) -> BranchTree:
     """Adaptive multi-round band projection of an input state.
 
-    The global budget is split into a per-round filter budget
-    eps = budget / (split_constant * L * log2 L) unless `round_eps` is given
-    directly. Filters for all rounds share one degree so each executed round
-    costs the same number of encoding queries, and each split's circuit is
-    assembled once. Enumerate mode expands every branch in one pass on the
-    identity, so each leaf carries its operator and its state is that
-    operator applied to the input; sample mode follows `trajectories`
-    independent trajectories (streams stream, stream+1, ...) of the input.
+    `round_eps` is the filter budget of each round (`round_budget` splits a
+    global budget); a single band runs no round and ignores it. Filters for
+    all rounds share one degree so each executed round costs the same number
+    of encoding queries, and each split's circuit is assembled once.
+    Enumerate mode expands every branch in one pass on the identity, so each
+    leaf carries its operator and its state is that operator applied to the
+    input; sample mode follows `trajectories` independent trajectories
+    (streams 0, 1, ...) of the input.
     """
     if abs(state.norm - 1.0) > 1e-8:
         raise ValueError("input system state must be unit norm")
@@ -417,16 +395,14 @@ def run_multiband(
 
     if count < 2:
         round_eps = 0.0
-    elif round_eps is None:
-        round_eps = round_budget(budget, count, split_constant)
-    table, degree = _multiband_phase_table(structure, round_eps, synthesis_tol)
+    table, degree = _multiband_phase_table(structure, round_eps)
     policy = MultibandPolicy(count, table)
 
     if mode == "enumerate":
         columns, amp = np.eye(n, dtype=complex), state.amplitudes
     else:
         columns, amp = state.amplitudes[:, np.newaxis], None
-    branches = _run_blocks(enc, policy, columns, mode, seed, range(stream, stream + trajectories))
+    branches = _run_blocks(enc, policy, columns, mode, seed, range(trajectories))
     leaves = _leaves(enc, policy, branches, amp)
     return BranchTree(leaves, structure, policy.ell, round_eps, degree, mode)
 

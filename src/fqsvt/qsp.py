@@ -8,7 +8,8 @@ whose entries are a polynomial pair (P, Q) with |P|^2 + (1-x^2)|Q|^2 = 1.
 This module extracts that pair, converts between the rotation ("su2")
 convention and the circuit convention used by the interleaved projector
 circuits, and synthesizes symmetric phase factors realizing a target
-real polynomial as Re P.
+real polynomial as Re P: damped Newton on one Chebyshev node per free
+phase, checked on 2d nodes.
 """
 
 from __future__ import annotations
@@ -285,8 +286,8 @@ def _residual_and_jacobian(prefix: np.ndarray, target: np.ndarray):
     return a.real - target, jac_t.T
 
 
-def _damped_gauss_newton(free, d, xs, target, tol, history, max_iters=80):
-    """Gauss-Newton with backtracking on the max residual.
+def _damped_newton(free, d, xs, target, tol, history, max_iters=80):
+    """Newton with backtracking on the max residual, one node per free phase.
 
     Line-search trials need only the residual. The forward sweep of the
     accepted trial also yields the next Jacobian, so each step runs one
@@ -298,8 +299,8 @@ def _damped_gauss_newton(free, d, xs, target, tol, history, max_iters=80):
         cur = float(np.max(np.abs(r)))
         history.append(cur)
         if cur <= tol:
-            return free, cur
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+            break
+        step = np.linalg.solve(jac, -r)
         t = 1.0
         for _ in range(30):
             trial = free + t * step
@@ -309,8 +310,8 @@ def _damped_gauss_newton(free, d, xs, target, tol, history, max_iters=80):
                 break
             t *= 0.5
         else:
-            return free, cur
-    return free, float(np.max(np.abs(prefix[d, 0].real - target)))
+            break
+    return free
 
 
 def synthesize_symmetric(f: ChebyshevSeries, tol: float) -> PhaseFactorSet:
@@ -318,14 +319,15 @@ def synthesize_symmetric(f: ChebyshevSeries, tol: float) -> PhaseFactorSet:
 
     The target must have definite parity and, unless it is a single
     Chebyshev component (handled in closed form), stay strictly inside the
-    synthesis margin; callers rescale, this routine never does. The
-    least-squares objective over the positive Chebyshev nodes is minimized
-    by damped Gauss-Newton from the (pi/4, 0, ..., 0, pi/4) iterate, with a
-    quasi-Newton (SR1 trust-region) fallback if it stalls. Residuals and
-    the Jacobian come from one forward sweep of SU(2) pairs
-    (`_forward_pairs`); each Gauss-Newton step reuses the sweep of its
-    accepted line-search trial, and the final contract check on the
-    2d-node grid evaluates residuals only.
+    synthesis margin; callers rescale, this routine never does. A symmetric
+    degree-d sequence has m = (d+2)//2 free phases, and Re P - f has
+    definite parity, so it is solved on the m positive Chebyshev nodes
+    cos((2j-1) pi / (4m)): a square system, solved by damped Newton from
+    the (pi/4, 0, ..., 0, pi/4) iterate (Dong, Lin, Ni and Wang,
+    arXiv:2209.10162). Residuals and the Jacobian come from one forward
+    sweep of SU(2) pairs (`_forward_pairs`); each Newton step reuses the
+    sweep of its accepted line-search trial. The result must then meet
+    `tol` on the 2d-node grid, or `SynthesisError` is raised.
     """
     if f.parity == "none":
         raise ValueError("synthesis target must have definite parity")
@@ -357,37 +359,12 @@ def synthesize_symmetric(f: ChebyshevSeries, tol: float) -> PhaseFactorSet:
             f"1 - {SYNTHESIS_GUARD:g}; rescale the target before synthesis"
         )
 
-    xs = np.cos((2.0 * np.arange(1, d + 1) - 1.0) * math.pi / (4.0 * d))
-    target = _clenshaw(f.coeffs, xs)
     m = (d + 2) // 2
+    xs = np.cos((2.0 * np.arange(1, m + 1) - 1.0) * math.pi / (4.0 * m))
     x0 = np.zeros(m)
     x0[0] = math.pi / 4.0
     history: list[float] = []
-
-    free, best = _damped_gauss_newton(x0.copy(), d, xs, target, 0.25 * tol, history)
-
-    if best > 0.25 * tol:
-        # Fallback: run the SR1 trust-region to convergence, then polish.
-        # Gauss-Newton from the standard iterate converges in almost every
-        # case; partially converged quasi-Newton iterates tend to leave the
-        # benign basin, so the fallback must run with a generous budget.
-        from scipy.optimize import SR1, minimize
-
-        def objective(fr):
-            r, jac = _residual_and_jacobian(_forward_pairs(_mirror(fr, d), xs), target)
-            val = float(np.mean(r * r))
-            history.append(math.sqrt(val))
-            return val, (2.0 / len(r)) * (jac.T @ r)
-
-        res = minimize(
-            objective,
-            x0,
-            jac=True,
-            method="trust-constr",
-            hess=SR1(),
-            options={"gtol": 1e-14, "xtol": 1e-15, "maxiter": 2000, "verbose": 0},
-        )
-        free, best = _damped_gauss_newton(res.x, d, xs, target, 0.25 * tol, history)
+    free = _damped_newton(x0, d, xs, _clenshaw(f.coeffs, xs), 0.25 * tol, history)
 
     # Contract check on the full 2d-node grid (parity mirrors the positive nodes).
     check_grid = np.cos((2.0 * np.arange(1, 2 * d + 1) - 1.0) * math.pi / (4.0 * d))

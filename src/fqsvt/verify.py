@@ -234,10 +234,8 @@ def criterion_6() -> CriterionResult:
         enc = dilate_hermitian(h)
         n = enc.encoded_dim
         amp = spectrum.vectors.sum(axis=1) / math.sqrt(n)
-        tree = run_multiband(
-            enc, structure, 0.0, StateVector(int(round(math.log2(n))), amp),
-            round_eps=round_eps,
-        )
+        tree = run_multiband(enc, structure, round_eps,
+                             StateVector(int(round(math.log2(n))), amp))
         kraus = extract_kraus(tree)
         projectors = exact_projectors(spectrum, structure)
         proxy = channel_distance(kraus, projectors, samples=24, seed=106)
@@ -362,10 +360,8 @@ def criterion_10() -> CriterionResult:
     projectors = exact_projectors(spectrum, structure)
     weights = np.array([float(np.vdot(amp, p @ amp).real) for p in projectors])
     trials = 1000
-    tree = run_multiband(
-        enc, structure, 0.0, StateVector(4, amp), mode="sample",
-        seed=110, trajectories=trials, round_eps=1e-3,
-    )
+    tree = run_multiband(enc, structure, 1e-3, StateVector(4, amp), mode="sample",
+                         seed=110, trajectories=trials)
     counts = np.zeros(structure.band_count)
     for leaf in tree.leaves:
         counts[leaf.claimed_band] += 1

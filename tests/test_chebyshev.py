@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fqsvt import chebyshev
 from fqsvt.chebyshev import (
     EPS_FLOOR,
     ChebyshevSeries,
@@ -140,6 +141,25 @@ def test_heaviside_degree_is_the_smallest_feasible():
     assert filt.degree == 92
     assert all(_minimax_step(spec, h)[1] >= 1.0 for h in range(1, half))
     assert all(_minimax_step(spec, h)[1] < 1.0 for h in range(half, half + 8))
+
+
+@pytest.mark.parametrize("spec, degree", [
+    # Creeps up: early-exit levels extrapolate short, one half-degree a probe.
+    (FilterSpec(0.457, 0.0796, 8.9e-7), 290),
+    # Creeps down: feasible levels near 1 are not monotone in the degree.
+    (FilterSpec(0.0834, 0.1128, 7.1e-7), 222),
+])
+def test_heaviside_search_does_not_creep(monkeypatch, spec, degree):
+    # Extrapolating from the last two probes alone took 12 and 18 calls.
+    calls = []
+
+    def counting(spec, half):
+        calls.append(half)
+        return _minimax_step(spec, half)
+
+    monkeypatch.setattr(chebyshev, "_minimax_step", counting)
+    assert heaviside_filter(spec).degree == degree
+    assert len(calls) <= 8, calls
 
 
 def test_heaviside_raises_when_the_cap_is_too_low():

@@ -20,9 +20,13 @@ def write_config(tmp_path, doc, name="config.json"):
     return str(path)
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is imported lazily, only by the phase-synthesis fallback.
-    code = "import sys, fqsvt.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+def test_cli_import_loads_no_scipy(tmp_path):
+    # No module of the package imports scipy, so neither the import nor a
+    # full phase synthesis may load it.
+    cfg = write_config(tmp_path, {"mu": 0.5, "delta": 0.3, "eps": 1e-3})
+    argv = ["phases", "--config", cfg, "--out", str(tmp_path / "out")]
+    code = (f"import sys, fqsvt.cli; assert fqsvt.cli.main({argv!r}) == 0; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     env = {**os.environ, "PYTHONPATH": str(Path(fqsvt.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)

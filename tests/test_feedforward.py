@@ -10,10 +10,12 @@ from fqsvt.chebyshev import FilterSpec, _clenshaw, heaviside_filter
 from fqsvt.feedforward import (
     KrausExtraction,
     MeasurementRecord,
+    MultibandPolicy,
     _multiband_phase_table,
     channel_distance,
     extract_kraus,
     feedforward_query_count,
+    round_budget,
     run_1fqsvt,
     run_multiband,
 )
@@ -161,7 +163,7 @@ def test_multiband_two_band_worked_example():
     structure = detect_bands(spec.values, min_gap=0.5)
     enc = dilate_hermitian(h)
     amp = (spec.vectors[:, 0] + spec.vectors[:, 1]) / math.sqrt(2)
-    tree = run_multiband(enc, structure, 1e-2, StateVector(1, amp))
+    tree = run_multiband(enc, structure, round_budget(1e-2, 2), StateVector(1, amp))
     leaves = {l.record.bits: l for l in tree.leaves}
     eps = tree.round_eps
     assert leaves[(0, 0)].probability == pytest.approx(0.5, abs=3 * eps)
@@ -181,7 +183,7 @@ def test_multiband_four_bands_uniform_input():
     structure = detect_bands(spec.values, min_gap=0.2)
     enc = dilate_hermitian(h)
     amp = spec.vectors.sum(axis=1) / 2.0
-    tree = run_multiband(enc, structure, 4e-2, StateVector(2, amp))
+    tree = run_multiband(enc, structure, round_budget(4e-2, 4), StateVector(2, amp))
     assert tree.rounds == 2
     assert len(tree.leaves) == 16
     success = {l.claimed_band: l for l in tree.leaves if not l.failed}
@@ -198,7 +200,7 @@ def test_multiband_probability_conserved_at_every_depth():
     structure = detect_bands(spec.values, min_gap=0.2)
     enc = dilate_hermitian(h)
     amp = spec.vectors.sum(axis=1) / 2.0
-    tree = run_multiband(enc, structure, 4e-2, StateVector(2, amp))
+    tree = run_multiband(enc, structure, round_budget(4e-2, 4), StateVector(2, amp))
     # Sibling probabilities sum to the parent's: group leaves by prefix.
     by_prefix: dict = {}
     for leaf in tree.leaves:
@@ -222,7 +224,7 @@ def test_multiband_three_bands_never_claims_missing_band():
     assert structure.band_count == 3
     enc = dilate_hermitian(h)
     amp = spec.vectors[:, :3].sum(axis=1) / math.sqrt(3)
-    tree = run_multiband(enc, structure, 2e-2, StateVector(2, amp))
+    tree = run_multiband(enc, structure, round_budget(2e-2, 3), StateVector(2, amp))
     claimed = {l.claimed_band for l in tree.leaves}
     assert claimed <= {0, 1, 2}
     # The upper subtree stops after one round.
@@ -235,7 +237,7 @@ def test_multiband_single_band_trivial_tree():
     h = hermitian_from_spectrum([0.4, 0.45, 0.5, 0.55], gen)
     structure = detect_bands(eigh(h).values, min_gap=0.3)
     assert structure.band_count == 1
-    tree = run_multiband(dilate_hermitian(h), structure, 1e-2,
+    tree = run_multiband(dilate_hermitian(h), structure, 0.0,
                          StateVector(2, eigh(h).vectors[:, 0]))
     assert len(tree.leaves) == 1
     assert tree.leaves[0].claimed_band == 0
@@ -250,7 +252,7 @@ def test_multiband_band_supported_input_claims_its_band():
     enc = dilate_hermitian(h)
     target_band = 1
     amp = spec.vectors[:, 1]
-    tree = run_multiband(enc, structure, 1e-2, StateVector(2, amp),
+    tree = run_multiband(enc, structure, round_budget(1e-2, 3), StateVector(2, amp),
                          mode="sample", seed=9, trajectories=200)
     hits = sum(1 for l in tree.leaves if l.claimed_band == target_band and not l.failed)
     assert hits / 200 >= 1.0 - 8 * tree.rounds * tree.round_eps - 0.03
@@ -262,7 +264,7 @@ def test_tree_height_is_log2_band_count():
         h = hermitian_from_spectrum(synthetic_band_spectrum(count), gen)
         spec = eigh(h)
         structure = detect_bands(spec.values, target_bands=count)
-        tree = run_multiband(dilate_hermitian(h), structure, 1e-1,
+        tree = run_multiband(dilate_hermitian(h), structure, round_budget(1e-1, count),
                              StateVector(int(math.log2(dim)), spec.vectors[:, 0]))
         assert tree.rounds == math.ceil(math.log2(count))
         assert max(len(l.record.bits) for l in tree.leaves) == 2 * tree.rounds
@@ -279,7 +281,7 @@ def test_extract_kraus_completeness_and_projectors():
         assert structure.band_count == count
         n = len(values)
         amp = spec.vectors.sum(axis=1) / math.sqrt(n)
-        tree = run_multiband(dilate_hermitian(h), structure, 1e-2,
+        tree = run_multiband(dilate_hermitian(h), structure, round_budget(1e-2, count),
                              StateVector(int(math.log2(n)), amp))
         kraus = extract_kraus(tree)
         assert kraus.completeness_residual <= 1e-9
@@ -301,10 +303,10 @@ def test_extract_kraus_branch_linearity():
     structure = detect_bands(spec.values, min_gap=0.5)
     enc = dilate_hermitian(h)
     amp = (0.6 * spec.vectors[:, 0] + 0.8 * spec.vectors[:, 1])
-    tree = run_multiband(enc, structure, 1e-2, StateVector(1, amp))
+    tree = run_multiband(enc, structure, round_budget(1e-2, 2), StateVector(1, amp))
     kraus = extract_kraus(tree)
     by_record = dict(zip([r.bits for r in kraus.records], kraus.operators))
-    table, _ = _multiband_phase_table(structure, tree.round_eps, 1e-11)
+    table, _ = _multiband_phase_table(structure, tree.round_eps)
     single = run_1fqsvt(enc, table[1], StateVector(1, amp))
     assert sorted(by_record) == sorted(l.record.bits for l in single)
     for leaf in single:
@@ -323,10 +325,10 @@ def test_extract_kraus_branch_linearity():
     enc = dilate_hermitian(h)
     amp = spec.vectors @ np.array([0.4, 0.5, 0.3, math.sqrt(0.5)])
     state = StateVector(2, amp)
-    kraus = extract_kraus(run_multiband(enc, structure, 4e-2, state))
+    kraus = extract_kraus(run_multiband(enc, structure, round_budget(4e-2, 4), state))
     by_record = dict(zip([r.bits for r in kraus.records], kraus.operators))
-    sampled = run_multiband(enc, structure, 4e-2, state, mode="sample", seed=4,
-                            trajectories=40)
+    sampled = run_multiband(enc, structure, round_budget(4e-2, 4), state, mode="sample",
+                            seed=4, trajectories=40)
     assert len({l.record.bits for l in sampled.leaves}) == 4
     for leaf in sampled.leaves:
         predicted = by_record[leaf.record.bits] @ amp
@@ -341,8 +343,7 @@ def test_extract_kraus_failure_weight_bounded():
     enc = dilate_hermitian(h)
     eps = 1e-3
     for band in range(4):
-        tree = run_multiband(enc, structure, 0.0, StateVector(2, spec.vectors[:, band]),
-                             round_eps=eps)
+        tree = run_multiband(enc, structure, eps, StateVector(2, spec.vectors[:, band]))
         failed_weight = sum(l.probability for l in tree.leaves if l.failed)
         assert failed_weight <= 2 * math.sqrt(2) * eps * tree.rounds * 1.1
 
@@ -352,7 +353,7 @@ def test_extract_kraus_requires_enumerate_tree():
     h = hermitian_from_spectrum([0.1, 0.9], gen)
     spec = eigh(h)
     structure = detect_bands(spec.values, min_gap=0.5)
-    tree = run_multiband(dilate_hermitian(h), structure, 1e-2,
+    tree = run_multiband(dilate_hermitian(h), structure, round_budget(1e-2, 2),
                          StateVector(1, spec.vectors[:, 0]), mode="sample", seed=1)
     with pytest.raises(ValueError, match="enumerate"):
         extract_kraus(tree)
@@ -389,7 +390,7 @@ def test_channel_distance_roughly_linear_in_budget():
     eps_hi, eps_lo = 4e-3, 2.5e-4
     proxies = []
     for eps in (eps_hi, eps_lo):
-        tree = run_multiband(enc, structure, 0.0, StateVector(1, amp), round_eps=eps)
+        tree = run_multiband(enc, structure, eps, StateVector(1, amp))
         proxies.append(channel_distance(extract_kraus(tree), projectors, samples=12, seed=2))
     exponent = math.log(proxies[0] / proxies[1]) / math.log(eps_hi / eps_lo)
     assert 0.5 <= exponent <= 1.5
@@ -407,7 +408,7 @@ def test_phase_table_builds_each_split_once_and_pads_to_the_hardest(monkeypatch)
         return built[spec][-1]
 
     monkeypatch.setattr(feedforward, "heaviside_filter", recording)
-    table, degree = _multiband_phase_table(structure, eps, 1e-11)
+    table, degree = _multiband_phase_table(structure, eps)
     own = {spec: builds[0].degree for spec, builds in built.items()}
     assert all(len(builds) == 1 for builds in built.values()) and len(built) == 3
     assert degree == max(own.values()) and len(set(own.values())) > 1
@@ -417,6 +418,22 @@ def test_phase_table_builds_each_split_once_and_pads_to_the_hardest(monkeypatch)
         assert table[k].degree == degree
         realized = _clenshaw(extract_pq(to_su2(table[k])).p.real, xs)
         assert np.max(np.abs(realized - filt(xs))) <= 1e-10
+
+
+@pytest.mark.parametrize("count", range(2, 18))
+def test_policy_reaches_every_split_and_no_other(count):
+    # The phase table holds splits 1 .. L-1; a walk over every bit string
+    # must look up each of them and nothing else.
+    policy = MultibandPolicy(count, {k: IDENTITY for k in range(1, count)})
+    reached = set()
+    frontier = [()]
+    while frontier:
+        bits = frontier.pop()
+        desc = policy.next_block(bits)
+        if desc is not None:
+            reached.add(desc.split)
+            frontier += [bits + (0,), bits + (1,)]
+    assert reached == set(range(1, count))
 
 
 def test_query_count_formula():
@@ -432,7 +449,7 @@ def test_tree_json_shape():
     h = hermitian_from_spectrum([0.1, 0.9], gen)
     spec = eigh(h)
     structure = detect_bands(spec.values, min_gap=0.5)
-    tree = run_multiband(dilate_hermitian(h), structure, 1e-2,
+    tree = run_multiband(dilate_hermitian(h), structure, round_budget(1e-2, 2),
                          StateVector(1, spec.vectors[:, 0]))
     doc = tree.to_json()
     assert doc["L"] == 2

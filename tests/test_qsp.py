@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqsvt import qsp
-from fqsvt.chebyshev import ChebyshevSeries
+from fqsvt.chebyshev import ChebyshevSeries, heaviside_filter
 from fqsvt.linalg import rng
 from fqsvt.qsp import (
     PhaseFactorSet,
+    SynthesisError,
     _batch_unitaries,
     _forward_pairs,
     _mirror,
@@ -22,6 +22,7 @@ from fqsvt.qsp import (
     to_circuit,
     to_su2,
 )
+from test_chebyshev import filter_specs
 
 
 def random_symmetric(gen, degree):
@@ -182,6 +183,39 @@ def test_synthesize_general_target_and_normalization():
         assert np.max(np.abs(pair.q.imag)) <= 1e-10
 
 
+@st.composite
+def synthesis_targets(draw):
+    """A minimax filter, or Re P of random symmetric phases scaled below 1."""
+    if draw(st.booleans()):
+        return heaviside_filter(draw(filter_specs()))
+    d = draw(st.integers(1, 120))
+    scale = 1.0 - 10.0 ** draw(st.floats(-6.0, -0.5))
+    source = random_symmetric(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), d)
+    coeffs = scale * extract_pq(source).p.real
+    coeffs[(d + 1) % 2::2] = 0.0
+    return ChebyshevSeries(coeffs, "even" if d % 2 == 0 else "odd")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(synthesis_targets())
+def test_synthesis_meets_the_2d_node_contract(target):
+    tol = 1e-11
+    psi = synthesize_symmetric(target, tol)
+    d = target.degree
+    xs = np.cos((2 * np.arange(1, 2 * d + 1) - 1) * np.pi / (4 * d))
+    assert psi.symmetric and psi.degree == d
+    assert np.max(np.abs(_batch_unitaries(psi.values, xs)[:, 0, 0].real - target(xs))) <= tol
+
+
+def test_synthesis_stall_raises_with_its_history():
+    gen = rng(9)
+    coeffs = 0.9 * extract_pq(random_symmetric(gen, 10)).p.real
+    coeffs[1::2] = 0.0
+    with pytest.raises(SynthesisError, match="stalled") as info:
+        synthesize_symmetric(ChebyshevSeries(coeffs, "even"), 1e-30)
+    assert info.value.history and min(info.value.history) > 2.5e-31
+
+
 def test_synthesize_rejects_margin_violation():
     coeffs = np.zeros(5)
     coeffs[0] = 0.6
@@ -224,32 +258,6 @@ def test_residual_matches_unitary_entry(d):
     r, _ = _residual_and_jacobian(_forward_pairs(_mirror(free, d), xs), target)
     assert np.max(np.abs(_residual(free, d, xs, target) - expected)) <= 1e-13
     assert np.array_equal(r, _residual(free, d, xs, target))
-
-
-def test_synthesize_reaches_tolerance_through_fallback(monkeypatch):
-    # Gauss-Newton reports a stall on its first call, so the SR1
-    # trust-region fallback must carry the synthesis to tolerance.
-    real = qsp._damped_gauss_newton
-    calls = []
-
-    def stall_once(free, d, xs, target, tol, history, max_iters=80):
-        calls.append(d)
-        if len(calls) == 1:
-            return free, math.inf
-        return real(free, d, xs, target, tol, history, max_iters)
-
-    monkeypatch.setattr(qsp, "_damped_gauss_newton", stall_once)
-    gen = rng(9)
-    d = 10
-    coeffs = 0.9 * extract_pq(random_symmetric(gen, d)).p.real
-    coeffs[1::2] = 0.0
-    target = ChebyshevSeries(coeffs, "even")
-    tol = 1e-11
-    psi = synthesize_symmetric(target, tol)
-    assert len(calls) == 2
-    xs = np.cos((2 * np.arange(1, 2 * d + 1) - 1) * np.pi / (4 * d))
-    realized = _batch_unitaries(psi.values, xs)[:, 0, 0].real
-    assert np.max(np.abs(realized - target(xs))) <= tol
 
 
 def test_phase_set_json_round_trip():
