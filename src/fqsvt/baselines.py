@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import BandStructure, exact_projectors
-from .linalg import HermitianSpectrum, StateVector, check_hermitian, dagger, eigh, haar_vector, rng
+from .linalg import HermitianSpectrum, StateVector, check_hermitian, dagger, eigh, rng
 
 __all__ = [
     "AdiabaticSchedule",
@@ -27,6 +27,11 @@ __all__ = [
     "adiabatic_leakage_scaling",
     "adiabatic_time_estimate",
 ]
+
+# Trials of the walk, and steps of the adiabatic evolution, handled per
+# vectorised block: large enough to amortise the Python loop, small enough
+# to keep the working set a few hundred kilobytes.
+_BLOCK = 256
 
 
 def prob_projection_depth(q, strategy: str) -> float:
@@ -72,45 +77,52 @@ def random_walk_success(
     guess of the outcome uniformly (the guess is only needed to choose the
     next query, so none is drawn after the last level). A trial succeeds
     when the final collapsed state is fully supported on a single band.
+
+    Band projectors are diagonal in the eigenbasis, so a trial is its
+    input's weight on each band plus the set of bands its collapses have
+    kept; trials run in blocks of `_BLOCK`. Trial t draws from its own
+    stream `rng(seed, t)`: the Haar input's real then imaginary parts, then
+    the outcome and guess uniforms in the order the levels use them.
     """
     if trials < 1000:
         raise ValueError("use at least 1000 trials for a meaningful estimate")
     count = structure.band_count
     ell = math.ceil(math.log2(count)) if count > 1 else 0
-    projectors = exact_projectors(spectrum, structure)
     n = spectrum.vectors.shape[0]
-
-    def range_projector(lo: int, hi: int) -> np.ndarray:
-        out = np.zeros((n, n), dtype=complex)
-        for j in range(lo, min(hi, count)):
-            out += projectors[j]
-        return out
+    if n != structure.dimension:
+        raise ValueError("spectrum dimension does not match the band structure")
+    membership = np.zeros((n, count))
+    for j, band in enumerate(structure.bands):
+        membership[band, j] = 1.0
+    band_index = np.arange(count)
 
     successes = 0
-    for trial in range(trials):
-        gen = rng(seed, trial)
-        state = haar_vector(gen, n)
-        lo, hi = 0, 2**ell
+    for start in range(0, trials, _BLOCK):
+        block = range(start, min(start + _BLOCK, trials))
+        normals = np.empty((len(block), 2 * n))
+        uniforms = np.empty((len(block), max(2 * ell - 1, 0)))
+        for row, trial in enumerate(block):
+            gen = rng(seed, trial)
+            normals[row] = gen.standard_normal(2 * n)
+            uniforms[row] = gen.random(uniforms.shape[1])
+        amps = normals[:, :n] + 1j * normals[:, n:]
+        weights = np.abs(amps @ spectrum.vectors.conj()) ** 2 @ membership
+        alive = np.ones((len(block), count), dtype=bool)
+        lo = np.zeros(len(block), dtype=int)
         for level in range(1, ell + 1):
             mid = lo + 2 ** (ell - level)
-            p_low = range_projector(lo, mid)
-            low_part = p_low @ state
-            w_low = float(np.vdot(low_part, low_part).real)
-            total = float(np.vdot(state, state).real)
-            outcome_low = gen.random() < w_low / total
-            state = low_part if outcome_low else state - low_part
+            low = (band_index >= lo[:, None]) & (band_index < mid[:, None])
+            w_low = np.where(alive & low, weights, 0.0).sum(axis=1)
+            total = np.where(alive, weights, 0.0).sum(axis=1)
+            outcome_low = uniforms[:, 2 * level - 2] < w_low / total
+            alive &= low == outcome_low[:, None]
             if level < ell:
                 # Memoryless guess of the outcome, used only to steer the
                 # next query; it never sees `outcome_low`.
-                guess_low = gen.random() < 0.5
-                lo, hi = (lo, mid) if guess_low else (mid, hi)
-        weight = float(np.vdot(state, state).real)
-        if weight > 0:
-            band_weights = [
-                float(np.vdot(state, projectors[j] @ state).real) for j in range(count)
-            ]
-            if max(band_weights) >= (1.0 - 1e-9) * weight:
-                successes += 1
+                guess_low = uniforms[:, 2 * level - 1] < 0.5
+                lo = np.where(guess_low, lo, mid)
+        kept = np.where(alive, weights, 0.0)
+        successes += int(np.count_nonzero(kept.max(axis=1) >= (1.0 - 1e-9) * kept.sum(axis=1)))
     rate = successes / trials
     stderr = math.sqrt(max(rate * (1.0 - rate), 1.0 / trials) / trials)
     return WalkEstimate(rate, stderr, trials, ell)
@@ -145,17 +157,17 @@ class ConvergenceError(RuntimeError):
 
 
 def _evolve_steps(h0, h1, gamma, total_time, steps, amplitudes) -> np.ndarray:
+    """Midpoint exponential steps; each block of `_BLOCK` steps is one stacked `eigh`."""
     state = amplitudes.astype(complex)
     if total_time == 0.0:
         return state
     dt = total_time / steps
-    for k in range(steps):
-        s_mid = (k + 0.5) / steps
-        g = gamma(s_mid)
-        ham = (1.0 - g) * h0 + g * h1
-        spec = eigh(ham)
-        phases = np.exp(-1j * dt * spec.values)
-        state = spec.vectors @ (phases * (dagger(spec.vectors) @ state))
+    for start in range(0, steps, _BLOCK):
+        g = np.array([gamma((k + 0.5) / steps) for k in range(start, min(start + _BLOCK, steps))])
+        spec = eigh((1.0 - g)[:, None, None] * h0 + g[:, None, None] * h1)
+        for values, vectors in zip(spec.values, spec.vectors):
+            phases = np.exp(-1j * dt * values)
+            state = vectors @ (phases * (dagger(vectors) @ state))
     return state
 
 

@@ -328,7 +328,7 @@ def cmd_baselines(config: dict, out: Path, seed: int) -> int:
     if not isinstance(config["Ls"], list) or not config["Ls"]:
         raise ConfigError("baselines: Ls must be a nonempty list")
     band_counts = [_number(int, v, "baselines.Ls", low=1) for v in config["Ls"]]
-    trials = _number(int, config.get("trials", 10000), "baselines.trials", low=1)
+    trials = _number(int, config.get("trials", 10000), "baselines.trials", low=1000)
     per_band = _number(int, config.get("per_band", 2), "baselines.per_band", low=1)
     filt_doc = _check_keys(config.get("filter", {}), {"delta": False, "eps": False},
                            "baselines.filter")

@@ -296,7 +296,6 @@ def run_1fqsvt(
     state: StateVector,
     mode: str = "enumerate",
     seed: int = 0,
-    stream: int = 0,
 ) -> list[TreeLeaf]:
     """Two-block feedforward primitive on a unit-norm system state.
 
@@ -310,7 +309,7 @@ def run_1fqsvt(
         raise ValueError("input system state must be unit norm")
     policy = MultibandPolicy(2, {1: phi})
     column = state.amplitudes[:, np.newaxis]
-    branches = _run_blocks(enc, policy, column, mode, seed, range(stream, stream + 1))
+    branches = _run_blocks(enc, policy, column, mode, seed, range(1))
     return _leaves(enc, policy, branches)
 
 

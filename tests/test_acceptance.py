@@ -13,6 +13,7 @@ def _run(number):
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] criterion {result.ident}: {result.title} -- {result.detail}")
     assert result.passed, f"criterion {result.ident} failed: {result.detail}"
+    return result
 
 
 def test_criterion_01_qsp_round_trip():
@@ -40,7 +41,12 @@ def test_criterion_06_channel_accuracy_and_scaling():
 
 
 def test_criterion_07_walk_bound_and_separation():
-    _run(7)
+    # The walk's estimates are pinned: any drift in the sampling is a change.
+    assert _run(7).detail == (
+        "L=2: success 1.0000 (bound 1.0003); L=4: success 0.5084 (bound 0.5150); "
+        "L=8: success 0.2547 (bound 0.2631); L=16: success 0.1198 (bound 0.1347); "
+        "cost growth x8.3 vs query growth x4"
+    )
 
 
 def test_criterion_08_amplified_depth():
@@ -48,7 +54,7 @@ def test_criterion_08_amplified_depth():
 
 
 def test_criterion_09_adiabatic_leakage_slope():
-    _run(9)
+    assert _run(9).detail == "log-log slope -0.992 (target -1.0 +- 0.2)"
 
 
 def test_criterion_10_transmon_bands():

@@ -3,17 +3,72 @@ import math
 import numpy as np
 import pytest
 
-from fqsvt.bands import detect_bands, synthetic_band_spectrum
+from fqsvt.bands import detect_bands, exact_projectors, synthetic_band_spectrum
 from fqsvt.baselines import (
+    _BLOCK,
     AdiabaticSchedule,
     ConvergenceError,
+    WalkEstimate,
+    _evolve_steps,
     adiabatic_evolve,
     adiabatic_leakage_scaling,
     adiabatic_time_estimate,
     prob_projection_depth,
     random_walk_success,
 )
-from fqsvt.linalg import StateVector, dagger, eigh, hermitian_from_spectrum, rng
+from fqsvt.linalg import StateVector, dagger, eigh, haar_vector, hermitian_from_spectrum, rng
+
+
+def _reference_walk(structure, spectrum, trials, seed):
+    """The walk one trial at a time, with n x n band projectors on the state."""
+    count = structure.band_count
+    ell = math.ceil(math.log2(count)) if count > 1 else 0
+    projectors = exact_projectors(spectrum, structure)
+    n = spectrum.vectors.shape[0]
+
+    def range_projector(lo, hi):
+        out = np.zeros((n, n), dtype=complex)
+        for j in range(lo, min(hi, count)):
+            out += projectors[j]
+        return out
+
+    successes = 0
+    for trial in range(trials):
+        gen = rng(seed, trial)
+        state = haar_vector(gen, n)
+        lo, hi = 0, 2**ell
+        for level in range(1, ell + 1):
+            mid = lo + 2 ** (ell - level)
+            low_part = range_projector(lo, mid) @ state
+            w_low = float(np.vdot(low_part, low_part).real)
+            total = float(np.vdot(state, state).real)
+            outcome_low = gen.random() < w_low / total
+            state = low_part if outcome_low else state - low_part
+            if level < ell:
+                guess_low = gen.random() < 0.5
+                lo, hi = (lo, mid) if guess_low else (mid, hi)
+        weight = float(np.vdot(state, state).real)
+        if weight > 0:
+            band_weights = [float(np.vdot(state, p @ state).real) for p in projectors]
+            if max(band_weights) >= (1.0 - 1e-9) * weight:
+                successes += 1
+    rate = successes / trials
+    stderr = math.sqrt(max(rate * (1.0 - rate), 1.0 / trials) / trials)
+    return WalkEstimate(rate, stderr, trials, ell)
+
+
+def _reference_evolve(h0, h1, gamma, total_time, steps, amplitudes):
+    """Midpoint exponential steps with one `eigh` call per step."""
+    state = amplitudes.astype(complex)
+    if total_time == 0.0:
+        return state
+    dt = total_time / steps
+    for k in range(steps):
+        g = gamma((k + 0.5) / steps)
+        spec = eigh((1.0 - g) * h0 + g * h1)
+        phases = np.exp(-1j * dt * spec.values)
+        state = spec.vectors @ (phases * (dagger(spec.vectors) @ state))
+    return state
 
 
 def test_prob_projection_depth_examples():
@@ -60,6 +115,17 @@ def test_random_walk_requires_enough_trials():
         random_walk_success(structure, spec, trials=10, seed=1)
 
 
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 8, 16])
+@pytest.mark.parametrize("seed, trials", [(0, 1000), (1, 1001), (2, 1300)])
+def test_random_walk_matches_per_trial_reference(count, seed, trials):
+    per_band = 1 + (count + seed) % 3
+    spectrum = eigh(hermitian_from_spectrum(
+        synthetic_band_spectrum(count, per_band, 0.02), rng(seed, count)))
+    structure = detect_bands(spectrum.values, target_bands=count)
+    assert random_walk_success(structure, spectrum, trials, seed) == \
+        _reference_walk(structure, spectrum, trials, seed)
+
+
 def test_schedule_validation():
     AdiabaticSchedule(lambda s: s, 10.0, 100)
     with pytest.raises(ValueError, match="gamma"):
@@ -95,9 +161,46 @@ def _reference_instance():
     return h0, h0 + v
 
 
-def test_adiabatic_time_reversal():
-    from fqsvt.baselines import _evolve_steps
+@pytest.mark.parametrize("steps", [1, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 37])
+@pytest.mark.parametrize("total_time", [30.0, -12.5])
+def test_evolve_steps_matches_per_step_reference(steps, total_time):
+    h0, h1 = _reference_instance()
+    init = np.array([0.6, 0.0, 0.8j, 0.0])
+    gamma = lambda s: s * s * (3.0 - 2.0 * s)  # noqa: E731
+    assert np.array_equal(_evolve_steps(h0, h1, gamma, total_time, steps, init),
+                          _reference_evolve(h0, h1, gamma, total_time, steps, init))
 
+
+def test_convergence_check_compares_the_reference_evolutions():
+    h0, h1 = _reference_instance()
+    init = StateVector(2, [1, 0, 0, 0])
+    with pytest.raises(ConvergenceError) as info:
+        adiabatic_evolve(h0, h1, AdiabaticSchedule(lambda s: s, 100.0, 300), init,
+                         check_convergence=True)
+    amps = init.amplitudes
+    assert np.array_equal(info.value.coarse,
+                          _reference_evolve(h0, h1, lambda s: s, 100.0, 300, amps))
+    assert np.array_equal(info.value.fine,
+                          _reference_evolve(h0, h1, lambda s: s, 100.0, 600, amps))
+    out = adiabatic_evolve(h0, h1, AdiabaticSchedule(lambda s: s, 5.0, 4000), init,
+                           check_convergence=True)
+    assert np.array_equal(out.amplitudes,
+                          _reference_evolve(h0, h1, lambda s: s, 5.0, 4000, amps))
+
+
+def test_evolve_steps_checks_every_interpolated_hamiltonian():
+    h0, h1 = _reference_instance()
+    skewed = h1.copy()
+    skewed[0, 3] += 1e-6
+    steps = 2 * _BLOCK
+    # Only step _BLOCK + 44 sees the non-Hermitian endpoint.
+    gamma = lambda s: 1.0 if round(s * steps - 0.5) == _BLOCK + 44 else 0.0  # noqa: E731
+    with pytest.raises(ValueError, match=r"matrix 44 of the stack is not Hermitian: "
+                                         r"entry \((0, 3|3, 0)\)"):
+        _evolve_steps(h0, skewed, gamma, 1.0, steps, np.array([1, 0, 0, 0], dtype=complex))
+
+
+def test_adiabatic_time_reversal():
     h0, h1 = _reference_instance()
     init = np.array([1, 0, 0, 0], dtype=complex)
     forward = _evolve_steps(h0, h1, lambda s: s, 30.0, 600, init)

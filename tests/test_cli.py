@@ -280,9 +280,10 @@ def test_bosehubbard_rejects_margin_outside_open_half_with_exit_2(tmp_path, caps
     ({"filter": {"eps": 1e-9}}, "baselines.filter: invalid filter parameters: error budget 1e-09"),
     ({"adiabatic_min_gap": 0}, "baselines.adiabatic_min_gap must be > 0.0, got 0.0"),
     ({"adiabatic_eps": -1}, "baselines.adiabatic_eps must be > 0.0, got -1.0"),
-], ids=["filter-delta", "filter-eps", "adiabatic-min-gap", "adiabatic-eps"])
+    ({"trials": 999}, "baselines.trials must be >= 1000, got 999"),
+], ids=["filter-delta", "filter-eps", "adiabatic-min-gap", "adiabatic-eps", "trials-below-1000"])
 def test_baselines_rejects_bad_config_value_with_exit_2(tmp_path, capsys, changes, cause):
-    cfg = write_config(tmp_path, {"Ls": [2], "trials": 10, **changes})
+    cfg = write_config(tmp_path, {"Ls": [2], "trials": 1000, **changes})
     assert main(["baselines", "--config", cfg, "--out", str(tmp_path / "b")]) == 2
     assert cause in capsys.readouterr().err
 

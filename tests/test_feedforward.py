@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqsvt import feedforward
 from fqsvt.bands import BandStructure, detect_bands, exact_projectors, synthetic_band_spectrum
@@ -19,7 +21,7 @@ from fqsvt.feedforward import (
     run_1fqsvt,
     run_multiband,
 )
-from fqsvt.linalg import StateVector, eigh, hermitian_from_spectrum, rng
+from fqsvt.linalg import StateVector, eigh, haar_vector, hermitian_from_spectrum, rng
 from fqsvt.qsp import (
     PhaseFactorSet,
     _mirror,
@@ -90,7 +92,7 @@ def test_mar_sampled_frequencies_match_enumerate():
     draws = 10000
     hits = 0
     for t in range(draws):
-        (leaf,) = run_1fqsvt(enc, IDENTITY, state, "sample", seed=5, stream=t)
+        (leaf,) = run_1fqsvt(enc, IDENTITY, state, "sample", seed=t)
         hits += leaf.record.bits[0]
     sigma = math.sqrt(p1 * (1 - p1) / draws)
     assert abs(hits / draws - p1) <= 3 * sigma
@@ -291,6 +293,30 @@ def test_extract_kraus_completeness_and_projectors():
         assert sorted(success) == list(range(count))
         for band, op in success.items():
             assert np.linalg.norm(op - projectors[band], 2) <= tree.round_eps
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.integers(2, 8), st.integers(1, 3), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-1, 1e-2]))
+def test_extract_kraus_complete_and_probability_conserved_on_random_spectra(
+        count, qubits, seed, round_eps):
+    # L bands in [0.02, 0.98] split by gaps at least 0.08 wide at jittered
+    # centers; each band holds one eigenvalue plus a random share of the rest.
+    gen = rng(seed)
+    qubits = max(qubits, math.ceil(math.log2(count)))
+    n = 2**qubits
+    cuts = 0.02 + 0.96 * (np.arange(1, count) + gen.uniform(-0.1, 0.1, count - 1)) / count
+    lows = np.concatenate([[0.02], cuts + 0.04])
+    highs = np.concatenate([cuts - 0.04, [0.98]])
+    sizes = 1 + np.bincount(gen.integers(0, count, n - count), minlength=count)
+    values = np.sort(np.concatenate(
+        [gen.uniform(lo, hi, size) for lo, hi, size in zip(lows, highs, sizes)]))
+    h = hermitian_from_spectrum(values, gen)
+    structure = detect_bands(eigh(h).values, target_bands=count)
+    tree = run_multiband(dilate_hermitian(h), structure, round_eps,
+                         StateVector(qubits, haar_vector(gen, n)))
+    assert extract_kraus(tree).completeness_residual <= 1e-9
+    assert abs(sum(leaf.probability for leaf in tree.leaves) - 1.0) <= 1e-12
 
 
 def test_extract_kraus_branch_linearity():

@@ -49,6 +49,39 @@ def test_eigh_rejects_non_hermitian_with_entry():
         eigh(bad)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 4, 16])
+def test_eigh_stack_equals_per_matrix_calls(dim):
+    gen = rng(21, dim)
+    stack = np.array([random_hermitian(dim, gen) for _ in range(6)]).reshape(2, 3, dim, dim)
+    spec = eigh(stack)
+    assert spec.values.shape == (2, 3, dim)
+    for i in range(2):
+        for j in range(3):
+            single = eigh(stack[i, j])
+            assert np.array_equal(spec.values[i, j], single.values)
+            assert np.array_equal(spec.vectors[i, j], single.vectors)
+
+
+def test_eigh_stack_names_the_non_hermitian_matrix_and_entry():
+    stack = np.array([random_hermitian(3, rng(22)) for _ in range(5)])
+    stack[3, 2, 0] += 1e-6
+    with pytest.raises(ValueError, match=r"^matrix 3 of the stack is not Hermitian: "
+                                         r"entry \((2, 0|0, 2)\) deviates .* by 1\.000e-06$"):
+        eigh(stack)
+    with pytest.raises(ValueError, match="square"):
+        eigh(np.ones((2, 2, 3)))
+
+
+def test_eigh_stack_tolerance_is_per_matrix():
+    # The same 1e-8 deviation is within tolerance at scale 1e3, not at scale 1.
+    large = np.diag([1e3, 0.0]).astype(complex)
+    small = np.eye(2, dtype=complex)
+    large[0, 1] = small[0, 1] = 1e-8
+    eigh(np.array([large, large]))
+    with pytest.raises(ValueError, match="matrix 1 of the stack"):
+        eigh(np.array([large, small]))
+
+
 def test_eigh_reconstruction_sweep():
     # 1000 random Hermitian matrices up to 32x32, residual <= 1e-10, plus the
     # 1x1 matrix, the zero matrix and a rank-2 projector (exactly degenerate).
