@@ -3,9 +3,10 @@
 A run alternates circuit blocks with measure-and-reset (MAR) of the
 monitoring qubit. One policy, `MultibandPolicy`, maps the bit history to
 the next block descriptor (phases and initialization rule); one driver
-propagates a block of input columns and either enumerates every branch
-with unnormalized registers or samples one trajectory per seed. Run on the
-identity, each leaf's register is the linear map of its measurement record.
+expands every branch of a block of input columns with unnormalized
+registers. Run on the identity, each leaf's register is the linear map of
+its measurement record; a sampled trajectory is one root-to-leaf walk down
+the tree of its input column.
 The two-block primitive realizes f^2(H) on outcome (0,0) and
 -(1 - f^2(H)) on (1,0); it is the two-band case of the policy, and the
 multi-band driver stacks rounds of it, choosing each threshold from the
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bands import BandStructure, check_band_assumption
+from .bands import BandStructure, check_band_assumption, exact_channel
 from .blockenc import BlockEncoding, encoded_block
 from .chebyshev import ChebyshevSeries, FilterSpec, heaviside_filter
 from .linalg import StateVector, dagger, eigh, haar_vector, rng, trace_norm
@@ -163,29 +164,19 @@ class MultibandPolicy:
         )
 
 
-@dataclass
-class _Branch:
-    bits: tuple
-    register: np.ndarray  # (ancilla (x) system, input columns), unnormalized
-    queries: int
-
-
 def _run_blocks(
     enc: BlockEncoding,
     policy: MultibandPolicy,
     columns: np.ndarray,
-    mode: str,
-    seed: int,
-    streams: range,
-) -> list[_Branch]:
-    """Drive blocks and MARs on a block of input columns until the policy stops.
+) -> dict[tuple, tuple[np.ndarray, int]]:
+    """Expand every MAR outcome on a block of input columns until the policy stops.
 
-    Each split's circuit is assembled once. Enumerate mode expands every
-    MAR outcome; sample mode follows one trajectory per stream, drawing each
-    outcome from the branch weights of its single column.
+    Returns every node of the branch tree keyed by its bits, in breadth-first
+    order: the root () plus both children of each executed block. A node
+    holds its unnormalized (ancilla (x) system, input columns) register and
+    the queries spent to reach it; a node without children is a leaf. Each
+    split's circuit is assembled once.
     """
-    if mode not in ("enumerate", "sample"):
-        raise ValueError(f"unknown mode {mode!r}")
     circuits = {k: assemble_full(enc, phi) for k, phi in policy.phase_table.items()}
     n, width = columns.shape
     reg_dim = n * enc.ancilla_dim
@@ -197,41 +188,28 @@ def _run_blocks(
     for mon in (0, 1):
         reflect_signs[mon * reg_dim : mon * reg_dim + n] = 1.0
 
-    done: list[_Branch] = []
-    for gen in [None] if mode == "enumerate" else (rng(seed, s) for s in streams):
-        frontier = [_Branch((), register, 0)]
-        while frontier:
-            next_frontier: list[_Branch] = []
-            for branch in frontier:
-                desc = policy.next_block(branch.bits)
-                if desc is None:
-                    # A copy frees the circuit output the register was sliced from.
-                    done.append(_Branch(branch.bits, branch.register.copy(), branch.queries))
-                    continue
-                full = np.zeros((2 * reg_dim, width), dtype=complex)
-                if desc.init_from_last_bit and branch.bits[-1] == 1:
-                    full[reg_dim:] = branch.register
-                else:
-                    full[:reg_dim] = branch.register
-                circuit = circuits[desc.split]
-                if desc.ancilla_reflect:
-                    full = reflect_signs * (circuit @ (reflect_signs * full))
-                else:
-                    full = circuit @ full
-                halves = (full[:reg_dim], full[reg_dim:])
-                queries = branch.queries + desc.phases.degree
-                if gen is None:
-                    for bit in (0, 1):
-                        next_frontier.append(_Branch(branch.bits + (bit,), halves[bit], queries))
-                else:
-                    weights = [float(np.vdot(h, h).real) for h in halves]
-                    total = weights[0] + weights[1]
-                    if total == 0.0:
-                        raise ValueError("trajectory reached a zero-norm state")
-                    bit = 0 if gen.random() < weights[0] / total else 1
-                    next_frontier.append(_Branch(branch.bits + (bit,), halves[bit], queries))
-            frontier = next_frontier
-    return done
+    nodes = {(): (register, 0)}
+    records = [()]
+    for bits in records:
+        desc = policy.next_block(bits)
+        if desc is None:
+            continue
+        register, queries = nodes[bits]
+        full = np.zeros((2 * reg_dim, width), dtype=complex)
+        if desc.init_from_last_bit and bits[-1] == 1:
+            full[reg_dim:] = register
+        else:
+            full[:reg_dim] = register
+        circuit = circuits[desc.split]
+        if desc.ancilla_reflect:
+            full = reflect_signs * (circuit @ (reflect_signs * full))
+        else:
+            full = circuit @ full
+        for bit in (0, 1):
+            nodes[bits + (bit,)] = (full[bit * reg_dim : (bit + 1) * reg_dim],
+                                    queries + desc.phases.degree)
+            records.append(bits + (bit,))
+    return nodes
 
 
 @dataclass
@@ -263,61 +241,58 @@ class TreeLeaf:
 def _leaves(
     enc: BlockEncoding,
     policy: MultibandPolicy,
-    branches: list[_Branch],
+    nodes: dict,
     amp: np.ndarray | None = None,
 ) -> list[TreeLeaf]:
-    """Leaves of finished branches; with `amp`, each register is that leaf's operator.
+    """Leaves of a branch tree in node order; with `amp`, each register is that leaf's operator.
 
     Success branches must leave the encoding ancillas in |0...0>.
     """
     n = enc.encoded_dim
     reg_qubits = enc.m + int(round(math.log2(n)))
     leaves = []
-    for branch in branches:
-        record = MeasurementRecord(branch.bits)
-        state = branch.register[:, 0] if amp is None else branch.register @ amp
+    for bits, (register, queries) in nodes.items():
+        if bits + (0,) in nodes:
+            continue
+        # A copy frees the circuit output the register was sliced from.
+        register = register.copy()
+        record = MeasurementRecord(bits)
+        state = register[:, 0] if amp is None else register @ amp
         total = float(np.vdot(state, state).real)
         head = float(np.vdot(state[:n], state[:n]).real)
         if not record.failed and total > 1e-18 and head < (1.0 - ANCILLA_PURITY_TOL) * total:
             raise RuntimeError(
                 f"ancilla register left the |0...0> sector on a success branch "
-                f"(record {branch.bits}): purity {head / total}"
+                f"(record {bits}): purity {head / total}"
             )
-        operator = None if amp is None else branch.register
+        operator = None if amp is None else register
         leaves.append(TreeLeaf(record, StateVector(reg_qubits, state), total,
-                               policy.claimed_band(record), record.failed, branch.queries,
+                               policy.claimed_band(record), record.failed, queries,
                                operator))
     return leaves
 
 
-def run_1fqsvt(
-    enc: BlockEncoding,
-    phi: PhaseFactorSet,
-    state: StateVector,
-    mode: str = "enumerate",
-    seed: int = 0,
-) -> list[TreeLeaf]:
+def run_1fqsvt(enc: BlockEncoding, phi: PhaseFactorSet, state: StateVector) -> list[TreeLeaf]:
     """Two-block feedforward primitive on a unit-norm system state.
 
-    This is one round of the multi-band policy with a single split. Enumerate
-    mode returns all four (s1, s2) branches with unnormalized ancilla (x)
-    system registers; the (0,0) branch carries f^2(H)|phi> and the (1,0)
-    branch carries -(1 - f^2(H))|phi>. Sample mode returns the single branch
-    realized under the seed.
+    This is one round of the multi-band policy with a single split. It
+    returns all four (s1, s2) branches with unnormalized ancilla (x) system
+    registers; the (0,0) branch carries f^2(H)|phi> and the (1,0) branch
+    carries -(1 - f^2(H))|phi>.
     """
     if abs(state.norm - 1.0) > 1e-8:
         raise ValueError("input system state must be unit norm")
     policy = MultibandPolicy(2, {1: phi})
-    column = state.amplitudes[:, np.newaxis]
-    branches = _run_blocks(enc, policy, column, mode, seed, range(1))
-    return _leaves(enc, policy, branches)
+    return _leaves(enc, policy, _run_blocks(enc, policy, state.amplitudes[:, np.newaxis]))
 
 
 @dataclass
 class BranchTree:
     """Leaves of a multi-band run with its band structure, budget and filter degree.
 
-    In enumerate mode every leaf also carries its operator.
+    In enumerate mode every leaf also carries its operator. In sample mode
+    `leaves` lists the leaf each trajectory reached; trajectories that reach
+    the same record share one `TreeLeaf` object.
     """
 
     leaves: list[TreeLeaf]
@@ -383,9 +358,12 @@ def run_multiband(
     of encoding queries, and each split's circuit is assembled once.
     Enumerate mode expands every branch in one pass on the identity, so each
     leaf carries its operator and its state is that operator applied to the
-    input; sample mode follows `trajectories` independent trajectories
-    (streams 0, 1, ...) of the input.
+    input. Sample mode expands the tree of the input column once, and
+    trajectory s (of `trajectories`) walks down it with one uniform from
+    `rng(seed, s)` per MAR, taking outcome 0 below the 0-child's weight share.
     """
+    if mode not in ("enumerate", "sample"):
+        raise ValueError(f"unknown mode {mode!r}")
     if abs(state.norm - 1.0) > 1e-8:
         raise ValueError("input system state must be unit norm")
     count = structure.band_count
@@ -398,11 +376,28 @@ def run_multiband(
     policy = MultibandPolicy(count, table)
 
     if mode == "enumerate":
-        columns, amp = np.eye(n, dtype=complex), state.amplitudes
-    else:
-        columns, amp = state.amplitudes[:, np.newaxis], None
-    branches = _run_blocks(enc, policy, columns, mode, seed, range(trajectories))
-    leaves = _leaves(enc, policy, branches, amp)
+        nodes = _run_blocks(enc, policy, np.eye(n, dtype=complex))
+        leaves = _leaves(enc, policy, nodes, state.amplitudes)
+        return BranchTree(leaves, structure, policy.ell, round_eps, degree, mode)
+
+    nodes = _run_blocks(enc, policy, state.amplitudes[:, np.newaxis])
+    by_record = {leaf.record.bits: leaf for leaf in _leaves(enc, policy, nodes)}
+    # Filled as trajectories reach each node, so a zero-weight subtree that
+    # no trajectory enters never raises.
+    thresholds: dict = {}
+    leaves = []
+    for s in range(trajectories):
+        gen = rng(seed, s)
+        bits = ()
+        while bits not in by_record:
+            if bits not in thresholds:
+                w0, w1 = (float(np.vdot(h, h).real)
+                          for h, _ in (nodes[bits + (0,)], nodes[bits + (1,)]))
+                if w0 + w1 == 0.0:
+                    raise ValueError("trajectory reached a zero-norm state")
+                thresholds[bits] = w0 / (w0 + w1)
+            bits += (0 if gen.random() < thresholds[bits] else 1,)
+        leaves.append(by_record[bits])
     return BranchTree(leaves, structure, policy.ell, round_eps, degree, mode)
 
 
@@ -484,11 +479,7 @@ def channel_distance(
     worst = 0.0
     for phi in inputs:
         rho = np.outer(phi, phi.conj())
-        approx = kraus.apply_channel(rho)
-        ideal = np.zeros_like(rho)
-        for p in exact:
-            ideal += p @ rho @ p
-        worst = max(worst, trace_norm(approx - ideal))
+        worst = max(worst, trace_norm(kraus.apply_channel(rho) - exact_channel(rho, exact)))
     return worst
 
 

@@ -140,7 +140,7 @@ def criterion_4() -> CriterionResult:
     enc = dilate_hermitian(h)
     phi = to_circuit(PhaseFactorSet([0.0, 0.0], "su2"))
     branches = {b.record.bits: b for b in
-                run_1fqsvt(enc, phi, StateVector(1, [1.0, 0.0]), "enumerate")}
+                run_1fqsvt(enc, phi, StateVector(1, [1.0, 0.0]))}
     example_dev = max(
         abs(branches[(0, 0)].probability - 0.1296),
         abs(branches[(1, 0)].probability - 0.4096),
@@ -165,7 +165,7 @@ def criterion_4() -> CriterionResult:
         f2 = (spec_h.vectors * _clenshaw(pair.p.real, spec_h.values) ** 2) @ dagger(spec_h.vectors)
         amp = haar_vector(gen, n)
         leaves = {b.record.bits: b for b in
-                  run_1fqsvt(enc, phi, StateVector(n_qubits, amp), "enumerate")}
+                  run_1fqsvt(enc, phi, StateVector(n_qubits, amp))}
         s00 = leaves[(0, 0)].state.amplitudes
         s10 = leaves[(1, 0)].state.amplitudes
         worst = max(
@@ -202,7 +202,7 @@ def criterion_5() -> CriterionResult:
     low = spec_h.vectors[:, :2] @ dagger(spec_h.vectors[:, :2])
     for amp in inputs:
         leaves = {b.record.bits: b for b in
-                  run_1fqsvt(enc, phi, StateVector(2, amp), "enumerate")}
+                  run_1fqsvt(enc, phi, StateVector(2, amp))}
         p_fail = leaves[(0, 1)].probability + leaves[(1, 1)].probability
         worst_fail = max(worst_fail, p_fail)
         s00 = leaves[(0, 0)].state.amplitudes[:4]

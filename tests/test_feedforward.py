@@ -30,6 +30,7 @@ from fqsvt.qsp import (
     to_circuit,
     to_su2,
 )
+from fqsvt.qsvt import assemble_full
 
 
 def success_projectors(kraus: KrausExtraction) -> dict:
@@ -65,7 +66,7 @@ def test_mar_deterministic_zero_branch():
     # f(1) = 1: the first MAR reads 0 with certainty and leaves the input in place.
     enc = dilate_hermitian(np.diag([1.0, 0.3]))
     leaves = {b.record.bits: b for b in
-              run_1fqsvt(enc, IDENTITY, StateVector(1, [1, 0]), "enumerate")}
+              run_1fqsvt(enc, IDENTITY, StateVector(1, [1, 0]))}
     assert leaves[(0, 0)].probability == pytest.approx(1.0, abs=1e-12)
     assert leaves[(1, 0)].probability + leaves[(1, 1)].probability <= 1e-24
     assert np.allclose(leaves[(0, 0)].state.amplitudes, [1, 0, 0, 0], atol=1e-12)
@@ -76,7 +77,7 @@ def test_mar_definition_branch_states():
     # its weight through the second block.
     enc = dilate_hermitian(np.diag([1.0 / math.sqrt(2.0), 0.3]))
     leaves = {b.record.bits: b for b in
-              run_1fqsvt(enc, IDENTITY, StateVector(1, [1, 0]), "enumerate")}
+              run_1fqsvt(enc, IDENTITY, StateVector(1, [1, 0]))}
     first_one = leaves[(1, 0)].probability + leaves[(1, 1)].probability
     assert leaves[(0, 0)].probability + leaves[(0, 1)].probability == pytest.approx(0.5)
     assert first_one == pytest.approx(0.5)
@@ -86,14 +87,14 @@ def test_mar_definition_branch_states():
 
 def test_mar_sampled_frequencies_match_enumerate():
     enc = dilate_hermitian(np.diag([0.6, 0.3]))
+    structure = detect_bands([0.3, 0.6], min_gap=0.2)
     state = StateVector(1, [0.8, 0.6])
-    leaves = run_1fqsvt(enc, IDENTITY, state, "enumerate")
-    p1 = sum(b.probability for b in leaves if b.record.bits[0] == 1)
+    enumerated = run_multiband(enc, structure, 1e-2, state)
+    p1 = sum(leaf.probability for leaf in enumerated.leaves if leaf.record.bits[0] == 1)
     draws = 10000
-    hits = 0
-    for t in range(draws):
-        (leaf,) = run_1fqsvt(enc, IDENTITY, state, "sample", seed=t)
-        hits += leaf.record.bits[0]
+    sampled = run_multiband(enc, structure, 1e-2, state, mode="sample", seed=5,
+                            trajectories=draws)
+    hits = sum(leaf.record.bits[0] for leaf in sampled.leaves)
     sigma = math.sqrt(p1 * (1 - p1) / draws)
     assert abs(hits / draws - p1) <= 3 * sigma
 
@@ -109,7 +110,7 @@ def test_one_step_identity_polynomial_worked_example():
     enc = dilate_hermitian(h)
     phi = to_circuit(PhaseFactorSet([0.0, 0.0], "su2"))
     leaves = {b.record.bits: b for b in
-              run_1fqsvt(enc, phi, StateVector(1, [1, 0]), "enumerate")}
+              run_1fqsvt(enc, phi, StateVector(1, [1, 0]))}
     assert leaves[(0, 0)].probability == pytest.approx(0.1296, abs=1e-12)
     assert leaves[(1, 0)].probability == pytest.approx(0.4096, abs=1e-12)
     p_fail = leaves[(0, 1)].probability + leaves[(1, 1)].probability
@@ -126,7 +127,7 @@ def test_one_step_t2_zero_crossing():
     enc = dilate_hermitian(h)
     phi = to_circuit(PhaseFactorSet([0.0, 0.0, 0.0], "su2"))
     leaves = {b.record.bits: b for b in
-              run_1fqsvt(enc, phi, StateVector(1, [1, 0]), "enumerate")}
+              run_1fqsvt(enc, phi, StateVector(1, [1, 0]))}
     assert leaves[(0, 0)].probability <= 1e-12
     assert leaves[(1, 0)].probability == pytest.approx(1.0, abs=1e-10)
     assert np.allclose(leaves[(1, 0)].state.amplitudes, [-1, 0, 0, 0], atol=1e-10)
@@ -139,7 +140,7 @@ def test_one_step_heaviside_keeps_low_eigenstate():
     h = np.diag([0.2, 0.85]).astype(complex)
     enc = dilate_hermitian(h)
     leaves = {b.record.bits: b for b in
-              run_1fqsvt(enc, phi, StateVector(1, [1, 0]), "enumerate")}
+              run_1fqsvt(enc, phi, StateVector(1, [1, 0]))}
     assert leaves[(0, 0)].probability >= (1 - eps) ** 2
     assert np.linalg.norm(leaves[(0, 0)].state.amplitudes - np.array([1, 0, 0, 0])) < eps
 
@@ -149,13 +150,6 @@ def test_one_step_rejects_asymmetric_phases():
     phi = to_circuit(PhaseFactorSet([0.4, 0.0, 0.1], "su2"))
     with pytest.raises(ValueError, match="symmetric"):
         run_1fqsvt(enc, phi, StateVector(1, [1, 0]))
-
-
-def test_one_step_sample_mode_returns_single_leaf():
-    enc = dilate_hermitian(np.diag([0.6, 0.3]))
-    phi = to_circuit(PhaseFactorSet([0.0, 0.0], "su2"))
-    (leaf,) = run_1fqsvt(enc, phi, StateVector(1, [1, 0]), "sample", seed=3)
-    assert len(leaf.record.bits) == 2
 
 
 def test_multiband_two_band_worked_example():
@@ -258,6 +252,91 @@ def test_multiband_band_supported_input_claims_its_band():
                          mode="sample", seed=9, trajectories=200)
     hits = sum(1 for l in tree.leaves if l.claimed_band == target_band and not l.failed)
     assert hits / 200 >= 1.0 - 8 * tree.rounds * tree.round_eps - 0.03
+
+
+def per_trajectory_sample(enc, policy, amp, seed, trajectories):
+    """Sampling as one propagation per trajectory: (record, state, queries) per trajectory.
+
+    Each trajectory runs the circuits on its own input column and draws each
+    MAR outcome from the weights of the two halves, one uniform from
+    `rng(seed, s)` per MAR.
+    """
+    circuits = {k: assemble_full(enc, phi) for k, phi in policy.phase_table.items()}
+    n = enc.encoded_dim
+    reg_dim = n * enc.ancilla_dim
+    reflect_signs = -np.ones((2 * reg_dim, 1))
+    for mon in (0, 1):
+        reflect_signs[mon * reg_dim : mon * reg_dim + n] = 1.0
+    out = []
+    for s in range(trajectories):
+        gen = rng(seed, s)
+        bits, queries = (), 0
+        register = np.zeros((reg_dim, 1), dtype=complex)
+        register[:n, 0] = amp
+        while (desc := policy.next_block(bits)) is not None:
+            full = np.zeros((2 * reg_dim, 1), dtype=complex)
+            if desc.init_from_last_bit and bits[-1] == 1:
+                full[reg_dim:] = register
+            else:
+                full[:reg_dim] = register
+            circuit = circuits[desc.split]
+            if desc.ancilla_reflect:
+                full = reflect_signs * (circuit @ (reflect_signs * full))
+            else:
+                full = circuit @ full
+            halves = (full[:reg_dim], full[reg_dim:])
+            weights = [float(np.vdot(h, h).real) for h in halves]
+            bit = 0 if gen.random() < weights[0] / (weights[0] + weights[1]) else 1
+            bits, register = bits + (bit,), halves[bit]
+            queries += desc.phases.degree
+        out.append((bits, register[:, 0], queries))
+    return out
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 8, 16])
+def test_sample_mode_matches_per_trajectory_propagation(count, monkeypatch):
+    # Walking the enumerated tree of the input column must reach, for every
+    # trajectory, the leaf a propagation of that trajectory alone reaches,
+    # bit for bit. Bands hold one or two eigenvalues on 2^ceil(log2 L) dims.
+    n = 2 ** max(1, math.ceil(math.log2(count)))
+    centers = synthetic_band_spectrum(count)
+    gen = rng(40, count)
+    h = hermitian_from_spectrum(np.sort(np.concatenate([centers, centers[: n - count] + 0.01])),
+                                gen)
+    structure = detect_bands(eigh(h).values, target_bands=count)
+    enc = dilate_hermitian(h)
+    state = StateVector(int(math.log2(n)), haar_vector(gen, n))
+    compiled = _multiband_phase_table(structure, 1e-1)
+    monkeypatch.setattr(feedforward, "_multiband_phase_table", lambda *_: compiled)
+    policy = MultibandPolicy(count, compiled[0])
+    for seed in (3, 11):
+        # Trajectory s depends on stream s alone, so one reference run covers both lengths.
+        reference = per_trajectory_sample(enc, policy, state.amplitudes, seed, 3000)
+        for trajectories in (1, 3000):
+            tree = run_multiband(enc, structure, 1e-1, state, mode="sample", seed=seed,
+                                 trajectories=trajectories)
+            expected = reference[:trajectories]
+            records = [MeasurementRecord(bits) for bits, _, _ in expected]
+            assert [(leaf.record, leaf.probability, leaf.claimed_band, leaf.failed, leaf.queries)
+                    for leaf in tree.leaves] == [
+                (record, float(np.vdot(amplitudes, amplitudes).real),
+                 policy.claimed_band(record), record.failed, queries)
+                for record, (_, amplitudes, queries) in zip(records, expected)]
+            assert np.array_equal([leaf.state.amplitudes for leaf in tree.leaves],
+                                  [amplitudes for _, amplitudes, _ in expected])
+            if trajectories > 1 and count > 1:
+                assert len({leaf.record.bits for leaf in tree.leaves}) > 2
+
+
+def test_run_multiband_rejects_unknown_mode_before_compiling(monkeypatch):
+    def no_filters(spec):
+        raise AssertionError("a filter was built before the mode was checked")
+
+    monkeypatch.setattr(feedforward, "heaviside_filter", no_filters)
+    enc = dilate_hermitian(np.diag([0.6, 0.3]))
+    structure = detect_bands([0.3, 0.6], min_gap=0.2)
+    with pytest.raises(ValueError, match="unknown mode 'walk'"):
+        run_multiband(enc, structure, 1e-2, StateVector(1, [1, 0]), mode="walk")
 
 
 def test_tree_height_is_log2_band_count():
