@@ -35,7 +35,6 @@ from .bosehubbard import (
 from .chebyshev import ChebyshevSeries, FilterSpec, certify_filter, cheb_eval, heaviside_filter
 from .feedforward import (
     BranchTree,
-    MeasurementRecord,
     channel_distance,
     extract_kraus,
     feedforward_query_count,
@@ -47,16 +46,13 @@ from .linalg import (
     StateVector,
     eigh,
     haar_vector,
-    matfun,
     rng,
     trace_norm,
 )
 from .qsp import (
     PhaseFactorSet,
     QspPolynomialPair,
-    conjugation_identity_check,
     extract_pq,
-    qsp_unitary,
     synthesize_symmetric,
     to_circuit,
     to_su2,

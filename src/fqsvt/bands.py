@@ -59,10 +59,6 @@ class BandStructure:
             "bands": [list(map(int, b)) for b in self.bands],
         }
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "BandStructure":
-        return cls(int(doc["L"]), np.asarray(doc["centers"], dtype=float),
-                   float(doc["delta"]), [list(map(int, b)) for b in doc["bands"]])
 
 
 def detect_bands(

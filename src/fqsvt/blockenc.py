@@ -54,28 +54,14 @@ class BlockEncoding:
     def ancilla_dim(self) -> int:
         return 2**self.m
 
-    def to_json(self) -> dict:
-        from .linalg import matrix_to_json
-
-        doc = matrix_to_json(self.unitary)
-        doc.update({"m": self.m, "alpha": self.alpha, "N": self.encoded_dim})
-        return doc
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "BlockEncoding":
-        from .linalg import matrix_from_json
-
-        return cls(matrix_from_json(doc), int(doc["m"]), float(doc["alpha"]), int(doc["N"]))
-
 
 @dataclass
 class CsdFactors:
     """Cosine-sine factors of a symmetric dilation: U = diag(V, W2) M diag(V, V2)^dag.
 
     For the positive semidefinite case the left and right system-space
-    factors coincide with the eigenvector matrix V; `canonical` is False
-    when an eigenvalue sits within 1e-6 of 1, where the completion blocks
-    are not unique.
+    factors coincide with the eigenvector matrix V. When an eigenvalue sits
+    at 1 the completion blocks are not unique.
     """
 
     v: np.ndarray
@@ -83,7 +69,6 @@ class CsdFactors:
     s: np.ndarray
     w2: np.ndarray
     v2: np.ndarray
-    canonical: bool
 
     def middle(self) -> np.ndarray:
         n = len(self.sigma)
@@ -143,7 +128,7 @@ def csd_factors(enc: BlockEncoding, h: np.ndarray) -> CsdFactors:
 
     Solving the block equations for [[H, S], [S, -H]] with H = V Sigma V^dag
     gives V2 = V and W2 = -V; the reassembly identity is asserted before
-    returning. Factors are flagged non-canonical when S is nearly singular.
+    returning.
     """
     if enc.m != 1:
         raise ValueError("cosine-sine factors are derived only for m = 1 dilations")
@@ -158,7 +143,6 @@ def csd_factors(enc: BlockEncoding, h: np.ndarray) -> CsdFactors:
         s=svals,
         w2=-v,
         v2=v.copy(),
-        canonical=bool(np.min(1.0 - sigma) >= 1e-6),
     )
     dev = float(np.max(np.abs(factors.reassemble() - enc.unitary)))
     if dev > 1e-9:

@@ -23,10 +23,10 @@ __all__ = [
     "CONTROL_LIMIT",
     "build_h0",
     "build_h1",
+    "fock_occupations",
     "band_labels",
     "normalize_for_qsvt",
     "default_model",
-    "qubit_projection_check",
 ]
 
 # Table-scale control bound: amplitudes of g, delta, f lie in [-20, 20] MHz,
@@ -196,13 +196,9 @@ def build_h1(model: GmonModel) -> np.ndarray:
 
 @dataclass
 class BandLabeling:
-    """Band index per Fock basis state; the band's bare energy is index times eta."""
+    """Band index per Fock basis state; band b's bare energy is b times the model's eta."""
 
     labels: np.ndarray
-    eta: float
-
-    def band_energy(self, band: int) -> float:
-        return band * self.eta
 
     def groups(self) -> dict:
         out: dict = {}
@@ -215,7 +211,7 @@ def band_labels(model: GmonModel) -> BandLabeling:
     """Excitation-structure label sum_j n_j (n_j - 1) / 2 for every Fock state."""
     occ = fock_occupations(model)
     labels = np.sum(occ * (occ - 1), axis=1) // 2
-    return BandLabeling(labels.astype(int), model.eta)
+    return BandLabeling(labels.astype(int))
 
 
 @dataclass(frozen=True)
@@ -224,9 +220,6 @@ class AffineMap:
 
     scale: float
     offset: float
-
-    def apply(self, x: float) -> float:
-        return self.scale * x + self.offset
 
 
 def normalize_for_qsvt(h: np.ndarray, margin: float) -> tuple:
@@ -249,49 +242,3 @@ def normalize_for_qsvt(h: np.ndarray, margin: float) -> tuple:
     mapping = AffineMap(scale, offset)
     normalized = scale * h + offset * np.eye(h.shape[0])
     return normalized, mapping
-
-
-def _pauli_basis_fit(matrix: np.ndarray, model: GmonModel) -> tuple:
-    """Least-squares fit of a 2^modes matrix onto the control Pauli patterns."""
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-    eye = np.eye(2, dtype=complex)
-
-    def on_qubit(op, mode):
-        out = np.eye(1, dtype=complex)
-        for j in range(model.modes):
-            out = np.kron(out, op if j == mode else eye)
-        return out
-
-    patterns = {"identity": np.eye(2**model.modes, dtype=complex)}
-    for j in range(model.modes):
-        patterns[f"X{j}"] = on_qubit(x, j)
-        patterns[f"Y{j}"] = on_qubit(y, j)
-        patterns[f"Z{j}"] = on_qubit(z, j)
-    for l, j, _ in model.edges:
-        patterns[f"XX+YY({l},{j})"] = on_qubit(x, l) @ on_qubit(x, j) + on_qubit(y, l) @ on_qubit(y, j)
-
-    names = list(patterns)
-    stack = np.stack([patterns[name].ravel() for name in names], axis=1)
-    coeffs, *_ = np.linalg.lstsq(stack, matrix.ravel(), rcond=None)
-    fit = (stack @ coeffs).reshape(matrix.shape)
-    residual = float(np.max(np.abs(matrix - fit)))
-    return dict(zip(names, coeffs.real)), residual
-
-
-def qubit_projection_check(model: GmonModel) -> tuple:
-    """Project the control Hamiltonian onto the qubit subspace and fit Pauli patterns.
-
-    Returns (coefficients, residual): the projected matrix must lie in the
-    span of per-edge XX+YY, per-mode Z, X, Y, and the identity. This is a
-    derivation check on the control terms, not a simulation path.
-    """
-    h1 = build_h1(model)
-    occ = fock_occupations(model)
-    qubit_rows = np.where(np.all(occ <= 1, axis=1))[0]
-    # Order qubit basis states as binary numbers, first mode most significant.
-    order = np.argsort([int("".join(map(str, occ[r]))[:], 2) for r in qubit_rows])
-    rows = qubit_rows[order]
-    projected = h1[np.ix_(rows, rows)]
-    return _pauli_basis_fit(projected, model)

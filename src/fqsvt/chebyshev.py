@@ -86,10 +86,6 @@ class ChebyshevSeries:
     def to_json(self) -> dict:
         return {"parity": self.parity, "coeffs": [float(c) for c in self.coeffs]}
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "ChebyshevSeries":
-        return cls(np.asarray(doc["coeffs"], dtype=float), doc.get("parity", "none"))
-
 
 def cheb_eval(f: ChebyshevSeries, x):
     """Clenshaw evaluation of the series at x in [-1, 1] (scalar or array)."""
@@ -316,7 +312,7 @@ def _minimax_step(spec: FilterSpec, half: int) -> tuple[np.ndarray, float]:
     return coeffs, level
 
 
-def heaviside_filter(spec: FilterSpec, degree_cap: int = DEGREE_CAP) -> ChebyshevSeries:
+def heaviside_filter(spec: FilterSpec) -> ChebyshevSeries:
     """The even minimax step filter at the smallest degree whose level is below 1.
 
     The search on the half-degree h keeps a bracket of infeasible and feasible
@@ -326,9 +322,9 @@ def heaviside_filter(spec: FilterSpec, degree_cap: int = DEGREE_CAP) -> Chebyshe
     be the early-exit lower bound, which extrapolates short, so no step up is
     shorter than the one before; a step up is capped at a quarter, as the
     exchange loses accuracy far above the answer. Raises if no degree up to
-    `degree_cap` has a level below 1 or certification fails.
+    `DEGREE_CAP` has a level below 1 or certification fails.
     """
-    cap = degree_cap // 2
+    cap = DEGREE_CAP // 2
     bad, good, best, rise = 0, cap + 1, None, 0
     last = (0, math.log(2.0 / spec.eps))
     half = min(max(1, math.ceil(0.8 * last[1] * math.sqrt(1.0 - spec.mu**2) / spec.delta)), cap)
@@ -353,7 +349,7 @@ def heaviside_filter(spec: FilterSpec, degree_cap: int = DEGREE_CAP) -> Chebyshe
         probe = min(max(probe, bad + 1), good - 1)
         rise, half = probe - half, probe
     if best is None:
-        raise RuntimeError(f"no even filter of degree <= {degree_cap} meets {spec}")
+        raise RuntimeError(f"no even filter of degree <= {DEGREE_CAP} meets {spec}")
     # T_h(2x^2 - 1) = T_2h(x): G's coefficients are the filter's even ones.
     coeffs = np.zeros(2 * len(best) - 1)
     coeffs[0::2] = best

@@ -29,7 +29,15 @@ from .baselines import (
     random_walk_success,
 )
 from .blockenc import dilate_hermitian
-from .bosehubbard import GmonModel, band_labels, build_h0, build_h1, default_model, normalize_for_qsvt
+from .bosehubbard import (
+    GmonModel,
+    band_labels,
+    build_h0,
+    build_h1,
+    default_model,
+    fock_occupations,
+    normalize_for_qsvt,
+)
 from .chebyshev import EPS_FLOOR, FilterSpec, certify_filter, heaviside_filter
 from .feedforward import (
     channel_distance,
@@ -86,13 +94,19 @@ def _check_keys(doc: dict, allowed: dict, context: str) -> dict:
 def _number(kind, value, name: str, low=None, above=None, high=None, below=None):
     """`value` converted by `kind` (int or float), finite and within the given bounds.
 
-    `low` and `high` are inclusive, `above` and `below` exclusive; a ConfigError names
-    `name` and the cause.
+    Booleans are rejected, and so is a float with a fractional part where an int
+    is expected; numeric strings convert. `low` and `high` are inclusive, `above`
+    and `below` exclusive; a ConfigError names `name` and the cause.
     """
+    wrong = ConfigError(f"{name}: expected {kind.__name__}, got {value!r}")
+    if isinstance(value, bool):
+        raise wrong
     try:
         x = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}") from exc
+        raise wrong from exc
+    if kind is int and isinstance(value, float) and x != value:
+        raise wrong
     if not math.isfinite(x):
         raise ConfigError(f"{name}: expected a finite value, got {value!r}")
     for bad, rule in ((low is not None and x < low, f">= {low}"),
@@ -102,6 +116,11 @@ def _number(kind, value, name: str, low=None, above=None, high=None, below=None)
         if bad:
             raise ConfigError(f"{name} must be {rule}, got {x}")
     return x
+
+
+def _seed(value, name: str) -> int:
+    """`value` as a seed: an int in [0, 2^64), the key range of `linalg.rng`."""
+    return _number(int, value, name, low=0, high=2**64 - 1)
 
 
 def _gmon_model(doc, name: str) -> GmonModel:
@@ -166,7 +185,7 @@ def _resolve_model(doc: dict, seed: int):
                           "perturb_seed": False}, "model")
         model = _gmon_model(doc["spec"], "model.spec") if "spec" in doc else default_model()
         if "perturb_seed" in doc:
-            model = model.perturbed(_number(int, doc["perturb_seed"], "model.perturb_seed", low=0))
+            model = model.perturbed(_seed(doc["perturb_seed"], "model.perturb_seed"))
         h = build_h0(model) + build_h1(model)
         margin = _number(float, doc.get("margin", 0.1), "model.margin", above=0.0, below=0.5)
         normalized, mapping = normalize_for_qsvt(h, margin)
@@ -180,7 +199,7 @@ def _resolve_model(doc: dict, seed: int):
             _number(int, doc.get("per_band", 1), "model.per_band", low=1),
             width,
         )
-        gen = rng(_number(int, doc.get("basis_seed", seed), "model.basis_seed", low=0), 1)
+        gen = rng(_seed(doc.get("basis_seed", seed), "model.basis_seed"), 1)
         h = hermitian_from_spectrum(values, gen)
         try:
             # The dilation validates the [0, 1] spectrum, as for inline models.
@@ -199,7 +218,7 @@ def _resolve_input(doc: dict, spectrum, seed: int) -> np.ndarray:
         return spectrum.vectors.sum(axis=1) / math.sqrt(n)
     if kind == "haar":
         _check_keys(doc, {"type": True, "seed": False}, "input")
-        return haar_vector(rng(_number(int, doc.get("seed", seed), "input.seed", low=0), 2), n)
+        return haar_vector(rng(_seed(doc.get("seed", seed), "input.seed"), 2), n)
     if kind == "eigenstate":
         _check_keys(doc, {"type": True, "index": True}, "input")
         index = _number(int, doc["index"], "input.index")
@@ -280,7 +299,7 @@ def cmd_project(config: dict, out: Path, seed: int) -> int:
     if mode == "sample":
         rows = []
         for t, leaf in enumerate(tree.leaves):
-            rows.append([t, "".join(map(str, leaf.record.bits)), leaf.claimed_band,
+            rows.append([t, "".join(map(str, leaf.record)), leaf.claimed_band,
                          leaf.failed])
         _write_csv(out / "records.csv",
                    ["trajectory", "record_bits", "claimed_band", "failed"], rows)
@@ -296,14 +315,12 @@ def cmd_project(config: dict, out: Path, seed: int) -> int:
         "completeness_residual": kraus.completeness_residual,
         "operators": [
             {
-                "record": list(rec.bits),
-                "claimed_band": band,
-                "failed": failed,
-                "matrix": matrix_to_json(op),
+                "record": list(leaf.record),
+                "claimed_band": leaf.claimed_band,
+                "failed": leaf.failed,
+                "matrix": matrix_to_json(leaf.operator),
             }
-            for rec, op, band, failed in zip(
-                kraus.records, kraus.operators, kraus.claimed_bands, kraus.failed
-            )
+            for leaf in kraus.leaves
         ],
     })
 
@@ -381,8 +398,7 @@ def cmd_bosehubbard(config: dict, out: Path, seed: int) -> int:
     model = (_gmon_model(config["model"], "bosehubbard.model") if "model" in config
              else default_model())
     if "perturb_seed" in config:
-        model = model.perturbed(
-            _number(int, config["perturb_seed"], "bosehubbard.perturb_seed", low=0))
+        model = model.perturbed(_seed(config["perturb_seed"], "bosehubbard.perturb_seed"))
     margin = _number(float, config.get("margin", 0.1), "bosehubbard.margin",
                      above=0.0, below=0.5)
     gap_fraction = _number(float, config.get("min_gap_fraction", 0.5),
@@ -398,8 +414,6 @@ def cmd_bosehubbard(config: dict, out: Path, seed: int) -> int:
     _write_json(out / "model.json", model.to_json())
     _write_json(out / "h0.json", matrix_to_json(h0))
     _write_json(out / "h1.json", matrix_to_json(h1))
-    from .bosehubbard import fock_occupations
-
     occ = fock_occupations(model)
     _write_csv(out / "labels.csv", ["index", "occupations", "band"],
                [[i, "".join(map(str, occ[i])), int(labeling.labels[i])]
@@ -451,6 +465,7 @@ def main(argv=None) -> int:
             numbers = [_number(int, tok, "verify --criteria")
                        for tok in args.criteria.split(",") if tok.strip()]
             return cmd_verify(numbers or None, None if args.out is None else Path(args.out))
+        seed = _seed(args.seed, "--seed")
         config = _load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -460,7 +475,7 @@ def main(argv=None) -> int:
             "baselines": cmd_baselines,
             "bosehubbard": cmd_bosehubbard,
         }[args.command]
-        return handler(config, out, args.seed)
+        return handler(config, out, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

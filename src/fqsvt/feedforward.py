@@ -1,12 +1,13 @@
 """Measurement-and-reset runtime with outcome-conditioned circuit selection.
 
 A run alternates circuit blocks with measure-and-reset (MAR) of the
-monitoring qubit. One policy, `MultibandPolicy`, maps the bit history to
-the next block descriptor (phases and initialization rule); one driver
-expands every branch of a block of input columns with unnormalized
-registers. Run on the identity, each leaf's register is the linear map of
-its measurement record; a sampled trajectory is one root-to-leaf walk down
-the tree of its input column.
+monitoring qubit. A measurement record is the tuple of those bits: even
+positions (0-based) carry band bits, odd positions success bits. One
+policy, `MultibandPolicy`, maps a record to the split whose block runs
+next; one driver expands every branch of a block of input columns with
+unnormalized registers. Run on the identity, each leaf's register is the
+linear map of its measurement record; a sampled trajectory is one
+root-to-leaf walk down the tree of its input column.
 The two-block primitive realizes f^2(H) on outcome (0,0) and
 -(1 - f^2(H)) on (1,0); it is the two-band case of the policy, and the
 multi-band driver stacks rounds of it, choosing each threshold from the
@@ -28,8 +29,6 @@ from .qsp import PhaseFactorSet, synthesize_symmetric, to_circuit, to_su2
 from .qsvt import assemble_full
 
 __all__ = [
-    "MeasurementRecord",
-    "BlockDescriptor",
     "MultibandPolicy",
     "TreeLeaf",
     "BranchTree",
@@ -47,63 +46,13 @@ ANCILLA_PURITY_TOL = 1e-9
 SYNTHESIS_TOL = 1e-11
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Bit string of MAR outcomes: odd positions carry band bits, even positions success bits."""
-
-    bits: tuple
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("record bits must be 0 or 1")
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    @property
-    def band_bits(self) -> tuple:
-        return self.bits[0::2]
-
-    @property
-    def success_bits(self) -> tuple:
-        return self.bits[1::2]
-
-    @property
-    def failure_count(self) -> int:
-        return sum(self.success_bits)
-
-    @property
-    def failed(self) -> bool:
-        return self.failure_count > 0
-
-
-@dataclass(frozen=True)
-class BlockDescriptor:
-    """One circuit block of a feedforward schedule: the phases of split `split`.
-
-    `init_from_last_bit` applies a Pauli X to the freshly reset monitoring
-    qubit when the preceding outcome was 1, feeding the garbage branch back
-    into the next block. `ancilla_reflect` conjugates the block by the
-    reflection 2|0..0><0..0| - I on the encoding ancillas; on the symmetric
-    Hermitian dilation (where the literal adjoint is a no-op because
-    U = U^dag) this is the operation that cancels the residual basis
-    transformation left by an odd-degree first block.
-    """
-
-    split: int
-    phases: PhaseFactorSet
-    init_from_last_bit: bool = False
-    ancilla_reflect: bool = False
-
-
 class MultibandPolicy:
     """Adaptive binary splitting over `band_count` bands.
 
     Replays the index arithmetic from the measured band bits: at round j
     with claimed prefix i, the split index is k = i + 2^(ell - j). Rounds
     whose split index reaches past the last gap are structural no-ops (the
-    corresponding digit is known to be zero), and expansion stops outright
-    if a corrupted prefix reaches past the last band.
+    corresponding digit is known to be zero).
 
     Each round is the two-block primitive: the first block runs the split's
     phases plainly; after its MAR the second block repeats them with the
@@ -111,7 +60,9 @@ class MultibandPolicy:
     in the ancilla basis it started from, so the second block repeats it
     verbatim. An odd-degree first block leaves the completion-basis factor
     behind; on the symmetric dilation that factor is the negated one, and
-    the ancilla reflection around the second block cancels it exactly.
+    the ancilla reflection 2|0..0><0..0| - I around the second block cancels
+    it exactly. The literal adjoint would not do: it is a no-op on the
+    dilation, where U = U^dag.
     """
 
     def __init__(self, band_count: int, phase_table: dict):
@@ -128,40 +79,31 @@ class MultibandPolicy:
         self.ell = math.ceil(math.log2(band_count)) if band_count > 1 else 0
 
     def _replay(self, band_bits: tuple) -> tuple:
-        """(claimed prefix, next executable round, split index) after the given bits."""
-        ell, count = self.ell, self.band_count
-        i = 0
-        consumed = 0
-        for j in range(1, ell + 1):
-            if i >= count:
-                return i, None, None
-            k = i + 2 ** (ell - j)
-            if k >= count:
+        """(claimed prefix, next split index or None) after the given band bits.
+
+        A bit moves the prefix only onto a split index, so it stays below the
+        band count.
+        """
+        i, consumed = 0, 0
+        for step in (2**j for j in reversed(range(self.ell))):
+            if i + step >= self.band_count:
                 continue
-            if consumed < len(band_bits):
-                i += band_bits[consumed] * 2 ** (ell - j)
-                consumed += 1
-            else:
-                return i, j, k
-        return i, None, None
+            if consumed == len(band_bits):
+                return i, i + step
+            i += band_bits[consumed] * step
+            consumed += 1
+        return i, None
 
-    def claimed_band(self, record: MeasurementRecord) -> int:
-        return self._replay(record.band_bits)[0]
+    def claimed_band(self, bits: tuple) -> int:
+        return self._replay(bits[0::2])[0]
 
-    def next_block(self, bits: tuple) -> BlockDescriptor | None:
-        # After a round's first MAR (odd length) the second block reruns the
-        # split chosen by the band bits before it.
-        second = len(bits) % 2 == 1
-        _, round_j, k = self._replay(bits[0 : len(bits) - second : 2])
-        if round_j is None:
-            return None
-        phi = self.phase_table[k]
-        return BlockDescriptor(
-            k,
-            phi,
-            init_from_last_bit=second,
-            ancilla_reflect=second and phi.degree % 2 == 1,
-        )
+    def next_block(self, bits: tuple) -> int | None:
+        """Split index of the block after the record `bits`, or None at a leaf.
+
+        After a round's first MAR (odd length) the second block reruns the
+        split chosen by the band bits before it.
+        """
+        return self._replay(bits[0 : len(bits) - len(bits) % 2 : 2])[1]
 
 
 def _run_blocks(
@@ -191,37 +133,39 @@ def _run_blocks(
     nodes = {(): (register, 0)}
     records = [()]
     for bits in records:
-        desc = policy.next_block(bits)
-        if desc is None:
+        k = policy.next_block(bits)
+        if k is None:
             continue
+        # A round's second block feeds the garbage branch of its first MAR
+        # back in and, at odd degree, runs between ancilla reflections.
+        second = len(bits) % 2 == 1
+        degree = policy.phase_table[k].degree
         register, queries = nodes[bits]
         full = np.zeros((2 * reg_dim, width), dtype=complex)
-        if desc.init_from_last_bit and bits[-1] == 1:
+        if second and bits[-1] == 1:
             full[reg_dim:] = register
         else:
             full[:reg_dim] = register
-        circuit = circuits[desc.split]
-        if desc.ancilla_reflect:
-            full = reflect_signs * (circuit @ (reflect_signs * full))
+        if second and degree % 2 == 1:
+            full = reflect_signs * (circuits[k] @ (reflect_signs * full))
         else:
-            full = circuit @ full
+            full = circuits[k] @ full
         for bit in (0, 1):
-            nodes[bits + (bit,)] = (full[bit * reg_dim : (bit + 1) * reg_dim],
-                                    queries + desc.phases.degree)
+            nodes[bits + (bit,)] = (full[bit * reg_dim : (bit + 1) * reg_dim], queries + degree)
             records.append(bits + (bit,))
     return nodes
 
 
 @dataclass
 class TreeLeaf:
-    """One finished branch: its record, unnormalized register state and weight.
+    """One finished branch: its record bits, unnormalized register state and weight.
 
-    `operator` is the branch's linear map from the system onto the register
-    (enumerate mode of `run_multiband` only); `state` is it applied to the
-    input.
+    The branch failed if any success bit (odd position) is 1. `operator` is
+    the branch's linear map from the system onto the register (enumerate
+    mode of `run_multiband` only); `state` is it applied to the input.
     """
 
-    record: MeasurementRecord
+    record: tuple
     state: StateVector
     probability: float
     claimed_band: int
@@ -231,7 +175,7 @@ class TreeLeaf:
 
     def to_json(self) -> dict:
         return {
-            "record": list(self.record.bits),
+            "record": list(self.record),
             "prob": self.probability,
             "claimed_band": self.claimed_band,
             "failed": self.failed,
@@ -256,19 +200,18 @@ def _leaves(
             continue
         # A copy frees the circuit output the register was sliced from.
         register = register.copy()
-        record = MeasurementRecord(bits)
+        failed = any(bits[1::2])
         state = register[:, 0] if amp is None else register @ amp
         total = float(np.vdot(state, state).real)
         head = float(np.vdot(state[:n], state[:n]).real)
-        if not record.failed and total > 1e-18 and head < (1.0 - ANCILLA_PURITY_TOL) * total:
+        if not failed and total > 1e-18 and head < (1.0 - ANCILLA_PURITY_TOL) * total:
             raise RuntimeError(
                 f"ancilla register left the |0...0> sector on a success branch "
                 f"(record {bits}): purity {head / total}"
             )
         operator = None if amp is None else register
-        leaves.append(TreeLeaf(record, StateVector(reg_qubits, state), total,
-                               policy.claimed_band(record), record.failed, queries,
-                               operator))
+        leaves.append(TreeLeaf(bits, StateVector(reg_qubits, state), total,
+                               policy.claimed_band(bits), failed, queries, operator))
     return leaves
 
 
@@ -381,7 +324,7 @@ def run_multiband(
         return BranchTree(leaves, structure, policy.ell, round_eps, degree, mode)
 
     nodes = _run_blocks(enc, policy, state.amplitudes[:, np.newaxis])
-    by_record = {leaf.record.bits: leaf for leaf in _leaves(enc, policy, nodes)}
+    by_record = {leaf.record: leaf for leaf in _leaves(enc, policy, nodes)}
     # Filled as trajectories reach each node, so a zero-weight subtree that
     # no trajectory enters never raises.
     thresholds: dict = {}
@@ -403,55 +346,43 @@ def run_multiband(
 
 @dataclass
 class KrausExtraction:
-    """Per-record linear maps from the system onto the final register."""
+    """The leaves of an enumerate-mode tree sorted by record, each with its operator."""
 
-    records: list[MeasurementRecord]
-    operators: list[np.ndarray]
-    claimed_bands: list[int]
-    failed: list[bool]
+    leaves: list[TreeLeaf]
     completeness_residual: float
-    system_dim: int
+
+    @property
+    def system_dim(self) -> int:
+        return self.leaves[0].operator.shape[1]
 
     def apply_channel(self, rho: np.ndarray) -> np.ndarray:
         """System-level channel: ancillas of every branch are traced out."""
         n = self.system_dim
         out = np.zeros((n, n), dtype=complex)
-        for op in self.operators:
-            m_dim = op.shape[0] // n
-            blocks = op.reshape(m_dim, n, op.shape[1])
-            for a in range(m_dim):
-                contrib = blocks[a] @ rho @ dagger(blocks[a])
-                out += contrib
+        for leaf in self.leaves:
+            for block in leaf.operator.reshape(-1, n, n):
+                out += block @ rho @ dagger(block)
         return out
 
 
 def extract_kraus(tree: BranchTree) -> KrausExtraction:
-    """The leaf operators of an enumerate-mode tree, sorted by record.
+    """The leaves of an enumerate-mode tree, sorted by record.
 
-    Trace preservation across all leaves is asserted before returning.
+    Trace preservation across all leaf operators is asserted before returning.
     """
     if tree.mode != "enumerate":
         raise ValueError("operator extraction requires an enumerate-mode tree")
-    leaves = sorted(tree.leaves, key=lambda leaf: leaf.record.bits)
-    operators = [leaf.operator for leaf in leaves]
-    n = operators[0].shape[1]
+    leaves = sorted(tree.leaves, key=lambda leaf: leaf.record)
+    n = leaves[0].operator.shape[1]
 
-    total = sum(dagger(op) @ op for op in operators)
+    total = sum(dagger(leaf.operator) @ leaf.operator for leaf in leaves)
     residual = float(np.max(np.abs(total - np.eye(n))))
     if residual > 1e-6:
         raise RuntimeError(
             f"leaf operators are not trace preserving (residual {residual:.3e}); "
             "this indicates a pipeline bug"
         )
-
-    return KrausExtraction(
-        records=[leaf.record for leaf in leaves],
-        operators=operators,
-        claimed_bands=[leaf.claimed_band for leaf in leaves],
-        failed=[leaf.failed for leaf in leaves],
-        completeness_residual=residual,
-        system_dim=n,
-    )
+    return KrausExtraction(leaves, residual)
 
 
 def channel_distance(

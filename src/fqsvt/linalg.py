@@ -2,8 +2,8 @@
 
 Everything downstream (block encodings, circuit assembly, band projectors,
 verification oracles) is built on the routines here: a validated LAPACK
-Hermitian eigensolver, matrix functions through diagonalization, the trace
-norm, and seeded Haar-random vector sampling.
+Hermitian eigensolver, the trace norm, and seeded Haar-random vector
+sampling.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ __all__ = [
     "HermitianSpectrum",
     "rng",
     "eigh",
-    "matfun",
     "trace_norm",
     "haar_vector",
     "random_hermitian",
@@ -65,12 +64,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "StateVector":
-        n = self.norm
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero state")
-        return StateVector(self.n_qubits, self.amplitudes / n)
-
 
 @dataclass
 class HermitianSpectrum:
@@ -78,9 +71,6 @@ class HermitianSpectrum:
 
     values: np.ndarray
     vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ dagger(self.vectors)
 
 
 def check_hermitian(h: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -130,21 +120,6 @@ def eigh(h: np.ndarray) -> HermitianSpectrum:
     """
     values, vectors = np.linalg.eigh(check_hermitian(h))
     return HermitianSpectrum(values, vectors)
-
-
-def matfun(h: np.ndarray, g, spectrum: HermitianSpectrum | None = None) -> np.ndarray:
-    """Matrix function g(H) of a Hermitian H via diagonalization.
-
-    `g` is applied to each eigenvalue; a precomputed spectrum can be passed
-    to reuse one diagonalization across many functions of the same matrix.
-    """
-    if spectrum is None:
-        spectrum = eigh(h)
-    gvals = np.array([g(x) for x in spectrum.values])
-    if not np.all(np.isfinite(gvals)):
-        bad = spectrum.values[~np.isfinite(gvals)][0]
-        raise ValueError(f"function is not finite at eigenvalue {bad}")
-    return (spectrum.vectors * gvals) @ dagger(spectrum.vectors)
 
 
 def trace_norm(a: np.ndarray) -> float:

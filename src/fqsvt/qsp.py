@@ -25,13 +25,10 @@ from .chebyshev import SYNTHESIS_GUARD, ChebyshevSeries, _clenshaw
 __all__ = [
     "PhaseFactorSet",
     "QspPolynomialPair",
-    "ConjugationReport",
     "SynthesisError",
-    "qsp_unitary",
     "extract_pq",
     "to_su2",
     "to_circuit",
-    "conjugation_identity_check",
     "synthesize_symmetric",
 ]
 
@@ -71,10 +68,6 @@ class PhaseFactorSet:
     def to_json(self) -> dict:
         return {"convention": self.convention, "values": [float(v) for v in self.values]}
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "PhaseFactorSet":
-        return cls(np.asarray(doc["values"], dtype=float), doc["convention"])
-
 
 def _require(ps: PhaseFactorSet, convention: str):
     if ps.convention != convention:
@@ -113,14 +106,6 @@ def _batch_unitaries(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
                      np.stack([-b.conj(), a.conj()], axis=-1)], axis=-2)
 
 
-def qsp_unitary(x: float, psi: PhaseFactorSet) -> np.ndarray:
-    """The 2x2 signal-processing unitary at signal value x in [-1, 1]."""
-    _require(psi, "su2")
-    if abs(x) > 1.0 + 1e-14:
-        raise ValueError(f"signal value {x} outside [-1, 1]")
-    return _batch_unitaries(psi.values, np.array([x]))[0]
-
-
 @dataclass
 class QspPolynomialPair:
     """Chebyshev coefficients of the pair (P, Q) generated by a phase set.
@@ -149,7 +134,7 @@ def _cheb_interpolate(values: np.ndarray, theta: np.ndarray, degree: int) -> np.
     return coeffs
 
 
-def extract_pq(psi: PhaseFactorSet, validate: bool = True) -> QspPolynomialPair:
+def extract_pq(psi: PhaseFactorSet) -> QspPolynomialPair:
     """Interpolate (P, Q) from unitary samples at Chebyshev nodes.
 
     P is read from the top-left entry at d+1 nodes, Q from the top-right at
@@ -173,16 +158,15 @@ def extract_pq(psi: PhaseFactorSet, validate: bool = True) -> QspPolynomialPair:
         q = _cheb_interpolate(qvals, theta_q, d - 1)
 
     pair = QspPolynomialPair(p, q, d)
-    if validate:
-        xs = np.linspace(-1.0, 1.0, 401)
-        u = _batch_unitaries(psi.values, xs)
-        res_p = np.max(np.abs(pair.eval_p(xs) - u[:, 0, 0]))
-        res_q = np.max(np.abs(1j * np.sqrt(1.0 - xs * xs) * pair.eval_q(xs) - u[:, 0, 1]))
-        if max(res_p, res_q) > 1e-9:
-            raise RuntimeError(
-                f"polynomial interpolation inconsistent on validation grid: "
-                f"P residual {res_p:.3e}, Q residual {res_q:.3e}"
-            )
+    xs = np.linspace(-1.0, 1.0, 401)
+    u = _batch_unitaries(psi.values, xs)
+    res_p = np.max(np.abs(pair.eval_p(xs) - u[:, 0, 0]))
+    res_q = np.max(np.abs(1j * np.sqrt(1.0 - xs * xs) * pair.eval_q(xs) - u[:, 0, 1]))
+    if max(res_p, res_q) > 1e-9:
+        raise RuntimeError(
+            f"polynomial interpolation inconsistent on validation grid: "
+            f"P residual {res_p:.3e}, Q residual {res_q:.3e}"
+        )
     return pair
 
 
@@ -214,32 +198,6 @@ def to_circuit(psi: PhaseFactorSet) -> PhaseFactorSet:
             phi[k] -= (-1.0) ** (d - k) * math.pi / 2.0
         phi[d] -= math.pi / 4.0
     return PhaseFactorSet(phi, "circuit")
-
-
-@dataclass
-class ConjugationReport:
-    """Result of checking U(x, iota(-Phi)) against the conjugate of U(x, iota(Phi))."""
-
-    max_deviation: float
-    tolerance: float = 1e-10
-
-    @property
-    def passed(self) -> bool:
-        return self.max_deviation <= self.tolerance
-
-
-def conjugation_identity_check(phi: PhaseFactorSet, grid) -> ConjugationReport:
-    """Negating circuit phases conjugates the signal-processing unitary entrywise.
-
-    Holds for degree >= 1. At degree 0 the first and last conversion rules
-    collapse onto one entry and the negated set picks up an extra quarter
-    turn, so the report will show an O(1) deviation there.
-    """
-    _require(phi, "circuit")
-    xs = np.asarray(grid, dtype=float)
-    pos = _batch_unitaries(to_su2(phi).values, xs)
-    neg = _batch_unitaries(to_su2(PhaseFactorSet(-phi.values, "circuit")).values, xs)
-    return ConjugationReport(float(np.max(np.abs(neg - pos.conj()))))
 
 
 class SynthesisError(RuntimeError):

@@ -88,10 +88,6 @@ class PredictedBlocks:
     def sector(self, i: int, j: int) -> np.ndarray:
         return self.table[i, j]
 
-    @property
-    def q_imag_blocks(self) -> list[np.ndarray]:
-        return [self.table[0, 1], self.table[1, 0]]
-
 
 def predicted_blocks(
     h: np.ndarray, phi: PhaseFactorSet, t2_is_w2: bool | None = None

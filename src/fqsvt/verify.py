@@ -19,7 +19,14 @@ from .baselines import (
     random_walk_success,
 )
 from .blockenc import dilate_hermitian
-from .bosehubbard import band_labels, build_h0, build_h1, default_model, normalize_for_qsvt
+from .bosehubbard import (
+    band_labels,
+    build_h0,
+    build_h1,
+    default_model,
+    fock_occupations,
+    normalize_for_qsvt,
+)
 from .chebyshev import FilterSpec, heaviside_filter, _clenshaw
 from .feedforward import (
     channel_distance,
@@ -139,8 +146,7 @@ def criterion_4() -> CriterionResult:
     h = np.diag([0.6, 0.3]).astype(complex)
     enc = dilate_hermitian(h)
     phi = to_circuit(PhaseFactorSet([0.0, 0.0], "su2"))
-    branches = {b.record.bits: b for b in
-                run_1fqsvt(enc, phi, StateVector(1, [1.0, 0.0]))}
+    branches = {b.record: b for b in run_1fqsvt(enc, phi, StateVector(1, [1.0, 0.0]))}
     example_dev = max(
         abs(branches[(0, 0)].probability - 0.1296),
         abs(branches[(1, 0)].probability - 0.4096),
@@ -164,8 +170,7 @@ def criterion_4() -> CriterionResult:
         spec_h = eigh(h)
         f2 = (spec_h.vectors * _clenshaw(pair.p.real, spec_h.values) ** 2) @ dagger(spec_h.vectors)
         amp = haar_vector(gen, n)
-        leaves = {b.record.bits: b for b in
-                  run_1fqsvt(enc, phi, StateVector(n_qubits, amp))}
+        leaves = {b.record: b for b in run_1fqsvt(enc, phi, StateVector(n_qubits, amp))}
         s00 = leaves[(0, 0)].state.amplitudes
         s10 = leaves[(1, 0)].state.amplitudes
         worst = max(
@@ -201,8 +206,7 @@ def criterion_5() -> CriterionResult:
     inputs.append(haar_vector(gen, 4))
     low = spec_h.vectors[:, :2] @ dagger(spec_h.vectors[:, :2])
     for amp in inputs:
-        leaves = {b.record.bits: b for b in
-                  run_1fqsvt(enc, phi, StateVector(2, amp))}
+        leaves = {b.record: b for b in run_1fqsvt(enc, phi, StateVector(2, amp))}
         p_fail = leaves[(0, 1)].probability + leaves[(1, 1)].probability
         worst_fail = max(worst_fail, p_fail)
         s00 = leaves[(0, 0)].state.amplitudes[:4]
@@ -324,8 +328,6 @@ def criterion_10() -> CriterionResult:
         2: ["22"],
         3: ["03", "13", "30", "31"],
     }
-    from .bosehubbard import fock_occupations
-
     occ = fock_occupations(model)
     grouping_ok = all(
         sorted("".join(map(str, occ[i])) for i in groups[band]) == names

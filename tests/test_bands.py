@@ -124,7 +124,7 @@ def test_band_structure_validation_and_json():
     s = BandStructure(2, [0.5], 0.2, [[0, 1], [2]])
     doc = s.to_json()
     assert doc["L"] == 2
-    restored = BandStructure.from_json(doc)
+    restored = BandStructure(doc["L"], doc["centers"], doc["delta"], doc["bands"])
     assert restored.bands == s.bands
     with pytest.raises(ValueError, match="partition"):
         BandStructure(2, [0.5], 0.2, [[0], [2]])

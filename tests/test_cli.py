@@ -10,7 +10,7 @@ import pytest
 
 import fqsvt
 from fqsvt.bosehubbard import default_model
-from fqsvt.cli import main
+from fqsvt.cli import ConfigError, _number, main
 from fqsvt.linalg import matrix_to_json
 
 
@@ -197,16 +197,48 @@ SMALL_SYNTHETIC = {"type": "synthetic", "bands": 2, "per_band": 2, "width": 0.02
     ({"model": {"type": "gmon", "spec": {"modes": 2}}}, "model.spec: missing key 'nmax'"),
     ({"model": {"type": "gmon", "spec": {**default_model().to_json(), "delta": [0.0]}}},
      "model.spec: delta must carry one value per mode"),
+    ({"model": {**SMALL_SYNTHETIC, "basis_seed": 2**64}},
+     "model.basis_seed must be <= 18446744073709551615, got 18446744073709551616"),
+    ({"input": {"type": "haar", "seed": 2**64}},
+     "input.seed must be <= 18446744073709551615, got 18446744073709551616"),
+    ({"model": {"type": "gmon", "perturb_seed": 2**64}},
+     "model.perturb_seed must be <= 18446744073709551615, got 18446744073709551616"),
+    ({"mode": "sample", "trajectories": 2.7}, "project.trajectories: expected int, got 2.7"),
+    ({"model": {**SMALL_SYNTHETIC, "bands": 2.9}}, "model.bands: expected int, got 2.9"),
+    ({"bands": {"target": True}}, "bands.target: expected int, got True"),
+    ({"round_eps": True}, "project.round_eps: expected float, got True"),
 ], ids=["min-gap-negative", "target-too-large", "target-type", "per-band-zero",
         "round-eps-type", "budget-type", "split-constant-zero", "trajectories-negative",
         "haar-samples-negative", "round-eps-nan", "width-outside-unit-interval",
-        "gmon-margin-too-large", "gmon-spec-missing-key", "gmon-spec-bad-field"])
+        "gmon-margin-too-large", "gmon-spec-missing-key", "gmon-spec-bad-field",
+        "basis-seed-above-64-bits", "input-seed-above-64-bits", "perturb-seed-above-64-bits",
+        "trajectories-fractional", "bands-fractional", "target-boolean", "round-eps-boolean"])
 def test_project_rejects_bad_config_value_with_exit_2(tmp_path, capsys, changes, cause):
     doc = {"model": SMALL_SYNTHETIC, "bands": {"target": 2}, "round_eps": 1e-2, **changes}
     doc = {key: value for key, value in doc.items() if value is not None}
     cfg = write_config(tmp_path, doc)
     assert main(["project", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert cause in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_project_rejects_seed_outside_64_bits_with_exit_2(tmp_path, capsys, seed):
+    # The synthetic basis seed defaults to --seed, so the error must name --seed.
+    cfg = write_config(tmp_path, {"model": SMALL_SYNTHETIC, "bands": {"target": 2},
+                                  "round_eps": 1e-2})
+    assert main(["project", "--config", cfg, "--seed", seed, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "--seed must be " in err and "basis_seed" not in err
+
+
+def test_number_keeps_integral_floats_and_numeric_strings():
+    assert _number(int, 1e4, "n") == 10000
+    assert _number(int, "12", "n") == 12
+    assert _number(float, "0.25", "x") == 0.25
+    assert _number(float, 3, "x") == 3.0
+    for kind, value in ((int, 2.5), (int, False), (float, True)):
+        with pytest.raises(ConfigError, match=f"n: expected {kind.__name__}"):
+            _number(kind, value, "n")
 
 
 @pytest.mark.parametrize("mode, files", [
@@ -275,13 +307,28 @@ def test_bosehubbard_rejects_margin_outside_open_half_with_exit_2(tmp_path, caps
     assert "bosehubbard.margin must be < 0.5, got 0.7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, doc, cause", [
+    ("bosehubbard", {"perturb_seed": 2**64},
+     "bosehubbard.perturb_seed must be <= 18446744073709551615, got 18446744073709551616"),
+    ("bosehubbard", {"perturb_seed": True}, "bosehubbard.perturb_seed: expected int, got True"),
+    ("phases", {"mu": 0.5, "delta": 0.3, "eps": 1e-3, "tol": True},
+     "phases.tol: expected float, got True"),
+], ids=["perturb-seed-above-64-bits", "perturb-seed-boolean", "tol-boolean"])
+def test_other_commands_reject_bad_numbers_with_exit_2(tmp_path, capsys, command, doc, cause):
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert cause in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("changes, cause", [
     ({"filter": {"delta": 1.5}}, "baselines.filter: invalid filter parameters: transition window"),
     ({"filter": {"eps": 1e-9}}, "baselines.filter: invalid filter parameters: error budget 1e-09"),
     ({"adiabatic_min_gap": 0}, "baselines.adiabatic_min_gap must be > 0.0, got 0.0"),
     ({"adiabatic_eps": -1}, "baselines.adiabatic_eps must be > 0.0, got -1.0"),
     ({"trials": 999}, "baselines.trials must be >= 1000, got 999"),
-], ids=["filter-delta", "filter-eps", "adiabatic-min-gap", "adiabatic-eps", "trials-below-1000"])
+    ({"trials": 1000.5}, "baselines.trials: expected int, got 1000.5"),
+], ids=["filter-delta", "filter-eps", "adiabatic-min-gap", "adiabatic-eps", "trials-below-1000",
+        "trials-fractional"])
 def test_baselines_rejects_bad_config_value_with_exit_2(tmp_path, capsys, changes, cause):
     cfg = write_config(tmp_path, {"Ls": [2], "trials": 1000, **changes})
     assert main(["baselines", "--config", cfg, "--out", str(tmp_path / "b")]) == 2

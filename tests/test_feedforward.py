@@ -11,8 +11,8 @@ from fqsvt.blockenc import dilate_hermitian
 from fqsvt.chebyshev import FilterSpec, _clenshaw, heaviside_filter
 from fqsvt.feedforward import (
     KrausExtraction,
-    MeasurementRecord,
     MultibandPolicy,
+    TreeLeaf,
     _multiband_phase_table,
     channel_distance,
     extract_kraus,
@@ -41,22 +41,12 @@ def success_projectors(kraus: KrausExtraction) -> dict:
     round adds a deterministic minus sign, undone by (-1)^(sum of band bits).
     """
     n = kraus.system_dim
-    return {band: (-1.0) ** sum(record.band_bits) * op[:n, :]
-            for record, op, band, failed in zip(kraus.records, kraus.operators,
-                                                kraus.claimed_bands, kraus.failed)
-            if not failed}
+    return {leaf.claimed_band: (-1.0) ** sum(leaf.record[0::2]) * leaf.operator[:n, :]
+            for leaf in kraus.leaves if not leaf.failed}
 
 
 def random_symmetric(gen, degree):
     return PhaseFactorSet(_mirror(gen.uniform(-np.pi, np.pi, (degree + 2) // 2), degree), "su2")
-
-
-def test_measurement_record_positions():
-    record = MeasurementRecord((1, 0, 0, 1))
-    assert record.band_bits == (1, 0)
-    assert record.success_bits == (0, 1)
-    assert record.failure_count == 1
-    assert record.failed
 
 
 IDENTITY = to_circuit(PhaseFactorSet([0.0, 0.0], "su2"))  # f(x) = x, degree 1
@@ -65,7 +55,7 @@ IDENTITY = to_circuit(PhaseFactorSet([0.0, 0.0], "su2"))  # f(x) = x, degree 1
 def test_mar_deterministic_zero_branch():
     # f(1) = 1: the first MAR reads 0 with certainty and leaves the input in place.
     enc = dilate_hermitian(np.diag([1.0, 0.3]))
-    leaves = {b.record.bits: b for b in
+    leaves = {b.record: b for b in
               run_1fqsvt(enc, IDENTITY, StateVector(1, [1, 0]))}
     assert leaves[(0, 0)].probability == pytest.approx(1.0, abs=1e-12)
     assert leaves[(1, 0)].probability + leaves[(1, 1)].probability <= 1e-24
@@ -76,7 +66,7 @@ def test_mar_definition_branch_states():
     # f^2 = 1/2: the first MAR splits evenly, and the reset 1-branch keeps
     # its weight through the second block.
     enc = dilate_hermitian(np.diag([1.0 / math.sqrt(2.0), 0.3]))
-    leaves = {b.record.bits: b for b in
+    leaves = {b.record: b for b in
               run_1fqsvt(enc, IDENTITY, StateVector(1, [1, 0]))}
     first_one = leaves[(1, 0)].probability + leaves[(1, 1)].probability
     assert leaves[(0, 0)].probability + leaves[(0, 1)].probability == pytest.approx(0.5)
@@ -90,11 +80,11 @@ def test_mar_sampled_frequencies_match_enumerate():
     structure = detect_bands([0.3, 0.6], min_gap=0.2)
     state = StateVector(1, [0.8, 0.6])
     enumerated = run_multiband(enc, structure, 1e-2, state)
-    p1 = sum(leaf.probability for leaf in enumerated.leaves if leaf.record.bits[0] == 1)
+    p1 = sum(leaf.probability for leaf in enumerated.leaves if leaf.record[0] == 1)
     draws = 10000
     sampled = run_multiband(enc, structure, 1e-2, state, mode="sample", seed=5,
                             trajectories=draws)
-    hits = sum(leaf.record.bits[0] for leaf in sampled.leaves)
+    hits = sum(leaf.record[0] for leaf in sampled.leaves)
     sigma = math.sqrt(p1 * (1 - p1) / draws)
     assert abs(hits / draws - p1) <= 3 * sigma
 
@@ -109,7 +99,7 @@ def test_one_step_identity_polynomial_worked_example():
     h = np.diag([0.6, 0.3]).astype(complex)
     enc = dilate_hermitian(h)
     phi = to_circuit(PhaseFactorSet([0.0, 0.0], "su2"))
-    leaves = {b.record.bits: b for b in
+    leaves = {b.record: b for b in
               run_1fqsvt(enc, phi, StateVector(1, [1, 0]))}
     assert leaves[(0, 0)].probability == pytest.approx(0.1296, abs=1e-12)
     assert leaves[(1, 0)].probability == pytest.approx(0.4096, abs=1e-12)
@@ -126,7 +116,7 @@ def test_one_step_t2_zero_crossing():
     h = np.diag([e, 0.2]).astype(complex)
     enc = dilate_hermitian(h)
     phi = to_circuit(PhaseFactorSet([0.0, 0.0, 0.0], "su2"))
-    leaves = {b.record.bits: b for b in
+    leaves = {b.record: b for b in
               run_1fqsvt(enc, phi, StateVector(1, [1, 0]))}
     assert leaves[(0, 0)].probability <= 1e-12
     assert leaves[(1, 0)].probability == pytest.approx(1.0, abs=1e-10)
@@ -139,7 +129,7 @@ def test_one_step_heaviside_keeps_low_eigenstate():
     phi = to_circuit(synthesize_symmetric(filt, 1e-11))
     h = np.diag([0.2, 0.85]).astype(complex)
     enc = dilate_hermitian(h)
-    leaves = {b.record.bits: b for b in
+    leaves = {b.record: b for b in
               run_1fqsvt(enc, phi, StateVector(1, [1, 0]))}
     assert leaves[(0, 0)].probability >= (1 - eps) ** 2
     assert np.linalg.norm(leaves[(0, 0)].state.amplitudes - np.array([1, 0, 0, 0])) < eps
@@ -160,7 +150,7 @@ def test_multiband_two_band_worked_example():
     enc = dilate_hermitian(h)
     amp = (spec.vectors[:, 0] + spec.vectors[:, 1]) / math.sqrt(2)
     tree = run_multiband(enc, structure, round_budget(1e-2, 2), StateVector(1, amp))
-    leaves = {l.record.bits: l for l in tree.leaves}
+    leaves = {l.record: l for l in tree.leaves}
     eps = tree.round_eps
     assert leaves[(0, 0)].probability == pytest.approx(0.5, abs=3 * eps)
     assert leaves[(1, 0)].probability == pytest.approx(0.5, abs=3 * eps)
@@ -201,8 +191,8 @@ def test_multiband_probability_conserved_at_every_depth():
     by_prefix: dict = {}
     for leaf in tree.leaves:
         for cut in (0, 2, 4):
-            by_prefix.setdefault(leaf.record.bits[:cut], 0.0)
-            by_prefix[leaf.record.bits[:cut]] += leaf.probability
+            by_prefix.setdefault(leaf.record[:cut], 0.0)
+            by_prefix[leaf.record[:cut]] += leaf.probability
     assert by_prefix[()] == pytest.approx(1.0, abs=1e-10)
     for prefix, weight in by_prefix.items():
         if len(prefix) == 2:
@@ -224,8 +214,8 @@ def test_multiband_three_bands_never_claims_missing_band():
     claimed = {l.claimed_band for l in tree.leaves}
     assert claimed <= {0, 1, 2}
     # The upper subtree stops after one round.
-    upper = [l for l in tree.leaves if l.record.bits[:1] == (1,)]
-    assert all(len(l.record.bits) == 2 for l in upper)
+    upper = [l for l in tree.leaves if l.record[:1] == (1,)]
+    assert all(len(l.record) == 2 for l in upper)
 
 
 def test_multiband_single_band_trivial_tree():
@@ -273,14 +263,16 @@ def per_trajectory_sample(enc, policy, amp, seed, trajectories):
         bits, queries = (), 0
         register = np.zeros((reg_dim, 1), dtype=complex)
         register[:n, 0] = amp
-        while (desc := policy.next_block(bits)) is not None:
+        while (k := policy.next_block(bits)) is not None:
+            second = len(bits) % 2 == 1
+            degree = policy.phase_table[k].degree
             full = np.zeros((2 * reg_dim, 1), dtype=complex)
-            if desc.init_from_last_bit and bits[-1] == 1:
+            if second and bits[-1] == 1:
                 full[reg_dim:] = register
             else:
                 full[:reg_dim] = register
-            circuit = circuits[desc.split]
-            if desc.ancilla_reflect:
+            circuit = circuits[k]
+            if second and degree % 2 == 1:
                 full = reflect_signs * (circuit @ (reflect_signs * full))
             else:
                 full = circuit @ full
@@ -288,7 +280,7 @@ def per_trajectory_sample(enc, policy, amp, seed, trajectories):
             weights = [float(np.vdot(h, h).real) for h in halves]
             bit = 0 if gen.random() < weights[0] / (weights[0] + weights[1]) else 1
             bits, register = bits + (bit,), halves[bit]
-            queries += desc.phases.degree
+            queries += degree
         out.append((bits, register[:, 0], queries))
     return out
 
@@ -316,16 +308,15 @@ def test_sample_mode_matches_per_trajectory_propagation(count, monkeypatch):
             tree = run_multiband(enc, structure, 1e-1, state, mode="sample", seed=seed,
                                  trajectories=trajectories)
             expected = reference[:trajectories]
-            records = [MeasurementRecord(bits) for bits, _, _ in expected]
             assert [(leaf.record, leaf.probability, leaf.claimed_band, leaf.failed, leaf.queries)
                     for leaf in tree.leaves] == [
-                (record, float(np.vdot(amplitudes, amplitudes).real),
-                 policy.claimed_band(record), record.failed, queries)
-                for record, (_, amplitudes, queries) in zip(records, expected)]
+                (bits, float(np.vdot(amplitudes, amplitudes).real),
+                 policy.claimed_band(bits), any(bits[1::2]), queries)
+                for bits, amplitudes, queries in expected]
             assert np.array_equal([leaf.state.amplitudes for leaf in tree.leaves],
                                   [amplitudes for _, amplitudes, _ in expected])
             if trajectories > 1 and count > 1:
-                assert len({leaf.record.bits for leaf in tree.leaves}) > 2
+                assert len({leaf.record for leaf in tree.leaves}) > 2
 
 
 def test_run_multiband_rejects_unknown_mode_before_compiling(monkeypatch):
@@ -348,7 +339,7 @@ def test_tree_height_is_log2_band_count():
         tree = run_multiband(dilate_hermitian(h), structure, round_budget(1e-1, count),
                              StateVector(int(math.log2(dim)), spec.vectors[:, 0]))
         assert tree.rounds == math.ceil(math.log2(count))
-        assert max(len(l.record.bits) for l in tree.leaves) == 2 * tree.rounds
+        assert max(len(l.record) for l in tree.leaves) == 2 * tree.rounds
 
 
 def test_extract_kraus_completeness_and_projectors():
@@ -366,7 +357,7 @@ def test_extract_kraus_completeness_and_projectors():
                              StateVector(int(math.log2(n)), amp))
         kraus = extract_kraus(tree)
         assert kraus.completeness_residual <= 1e-9
-        assert [r.bits for r in kraus.records] == sorted(l.record.bits for l in tree.leaves)
+        assert [leaf.record for leaf in kraus.leaves] == sorted(l.record for l in tree.leaves)
         projectors = exact_projectors(spec, structure)
         success = success_projectors(kraus)
         assert sorted(success) == list(range(count))
@@ -410,12 +401,12 @@ def test_extract_kraus_branch_linearity():
     amp = (0.6 * spec.vectors[:, 0] + 0.8 * spec.vectors[:, 1])
     tree = run_multiband(enc, structure, round_budget(1e-2, 2), StateVector(1, amp))
     kraus = extract_kraus(tree)
-    by_record = dict(zip([r.bits for r in kraus.records], kraus.operators))
+    by_record = {leaf.record: leaf.operator for leaf in kraus.leaves}
     table, _ = _multiband_phase_table(structure, tree.round_eps)
     single = run_1fqsvt(enc, table[1], StateVector(1, amp))
-    assert sorted(by_record) == sorted(l.record.bits for l in single)
+    assert sorted(by_record) == sorted(l.record for l in single)
     for leaf in single:
-        predicted = by_record[leaf.record.bits] @ amp
+        predicted = by_record[leaf.record] @ amp
         assert np.max(np.abs(predicted - leaf.state.amplitudes)) <= 1e-12
     f = _clenshaw(extract_pq(to_su2(table[1])).p.real, spec.values)
     f2 = (spec.vectors * f**2) @ spec.vectors.conj().T
@@ -431,12 +422,12 @@ def test_extract_kraus_branch_linearity():
     amp = spec.vectors @ np.array([0.4, 0.5, 0.3, math.sqrt(0.5)])
     state = StateVector(2, amp)
     kraus = extract_kraus(run_multiband(enc, structure, round_budget(4e-2, 4), state))
-    by_record = dict(zip([r.bits for r in kraus.records], kraus.operators))
+    by_record = {leaf.record: leaf.operator for leaf in kraus.leaves}
     sampled = run_multiband(enc, structure, round_budget(4e-2, 4), state, mode="sample",
                             seed=4, trajectories=40)
-    assert len({l.record.bits for l in sampled.leaves}) == 4
+    assert len({l.record for l in sampled.leaves}) == 4
     for leaf in sampled.leaves:
-        predicted = by_record[leaf.record.bits] @ amp
+        predicted = by_record[leaf.record] @ amp
         assert np.max(np.abs(predicted - leaf.state.amplitudes)) <= 1e-12
 
 
@@ -470,13 +461,12 @@ def test_channel_distance_zero_for_exact_projectors():
     spec = eigh(h)
     structure = detect_bands(spec.values, min_gap=0.4)
     projectors = exact_projectors(spec, structure)
+    amp = spec.vectors[:, 0]
     kraus = KrausExtraction(
-        records=[MeasurementRecord((0, 0)), MeasurementRecord((1, 0))],
-        operators=[p.copy() for p in projectors],
-        claimed_bands=[0, 1],
-        failed=[False, False],
+        [TreeLeaf((band, 0), StateVector(1, p @ amp), float(np.vdot(amp, p @ amp).real),
+                  band, False, 2, p.copy())
+         for band, p in enumerate(projectors)],
         completeness_residual=0.0,
-        system_dim=2,
     )
     assert channel_distance(kraus, projectors, samples=8, seed=1) <= 1e-12
 
@@ -529,14 +519,17 @@ def test_phase_table_builds_each_split_once_and_pads_to_the_hardest(monkeypatch)
 def test_policy_reaches_every_split_and_no_other(count):
     # The phase table holds splits 1 .. L-1; a walk over every bit string
     # must look up each of them and nothing else.
+    # Every record on the way claims a band below L, so replaying the band
+    # bits never runs past the last band.
     policy = MultibandPolicy(count, {k: IDENTITY for k in range(1, count)})
     reached = set()
     frontier = [()]
     while frontier:
         bits = frontier.pop()
-        desc = policy.next_block(bits)
-        if desc is not None:
-            reached.add(desc.split)
+        assert policy.claimed_band(bits) < count
+        k = policy.next_block(bits)
+        if k is not None:
+            reached.add(k)
             frontier += [bits + (0,), bits + (1,)]
     assert reached == set(range(1, count))
 
