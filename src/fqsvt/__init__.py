@@ -11,7 +11,6 @@ from .bands import (
     BandStructure,
     check_band_assumption,
     detect_bands,
-    exact_channel,
     exact_projectors,
     synthetic_band_spectrum,
 )

@@ -1,8 +1,8 @@
-"""Band structure detection, exact band projectors, and the dephasing channel.
+"""Band structure detection and exact band projectors.
 
-The exact projectors and channel built here are the verification oracles
-for every feedforward run: the runtime's extracted operators are compared
-against them, never the other way around.
+The exact projectors built here are the verification oracles for every
+feedforward run: the runtime's extracted operators are compared against
+them, never the other way around.
 """
 
 from __future__ import annotations
@@ -11,13 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianSpectrum, dagger, eigh
+from .linalg import HermitianSpectrum, dagger
 
 __all__ = [
     "BandStructure",
     "detect_bands",
     "exact_projectors",
-    "exact_channel",
     "check_band_assumption",
     "synthetic_band_spectrum",
 ]
@@ -139,21 +138,3 @@ def synthetic_band_spectrum(
         return centers.copy()
     offsets = np.linspace(-width / 2.0, width / 2.0, per_band)
     return np.sort(np.concatenate([c + offsets for c in centers]))
-
-
-def exact_channel(rho: np.ndarray, projectors: list[np.ndarray]) -> np.ndarray:
-    """The dephasing channel sum_j P_j rho P_j across band projectors."""
-    rho = np.asarray(rho, dtype=complex)
-    n = rho.shape[0]
-    if rho.shape != (n, n):
-        raise ValueError("density matrix must be square")
-    if np.max(np.abs(rho - dagger(rho))) > 1e-10:
-        raise ValueError("density matrix must be Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-10:
-        raise ValueError(f"density matrix must have unit trace, got {np.trace(rho)}")
-    if np.min(eigh(rho).values) < -1e-10:
-        raise ValueError("density matrix must be positive semidefinite")
-    out = np.zeros_like(rho)
-    for p in projectors:
-        out += p @ rho @ p
-    return out

@@ -225,19 +225,19 @@ def adiabatic_leakage_scaling(
     times,
     gamma,
     initial: StateVector,
-    steps_per_unit: float = 16.0,
 ) -> LeakageFit:
     """Leakage out of the target band of the final Hamiltonian, fit against T.
 
-    The projector comes from the final Hamiltonian's spectrum; leakage below
-    1e-9 at every time makes the fit degenerate (reported, not raised).
+    The evolution to time T runs max(64, ceil(16 T)) steps. The projector
+    comes from the final Hamiltonian's spectrum; leakage below 1e-9 at every
+    time makes the fit degenerate (reported, not raised).
     """
     spectrum = eigh(h1)
     projector = exact_projectors(spectrum, structure)[band]
     times = np.asarray(times, dtype=float)
     leakages = []
     for total_time in times:
-        steps = max(64, int(math.ceil(steps_per_unit * total_time)))
+        steps = max(64, int(math.ceil(16.0 * total_time)))
         schedule = AdiabaticSchedule(gamma, float(total_time), steps)
         final = adiabatic_evolve(h0, h1, schedule, initial)
         amp = final.amplitudes

@@ -33,6 +33,8 @@ __all__ = [
 # expressed here in angular frequency units (2 pi MHz).
 CONTROL_LIMIT = 2.0 * math.pi * 20.0
 CONTROL_ERROR_SCALE = 2.0 * math.pi * 1.0
+# Standard deviation of the seeded noise on the coupler phases phi, in radians.
+PHASE_ERROR_SCALE = 0.05
 
 
 @dataclass
@@ -87,7 +89,7 @@ class GmonModel:
     def dimension(self) -> int:
         return self.levels**self.modes
 
-    def perturbed(self, seed: int, phase_sigma: float = 0.05) -> "GmonModel":
+    def perturbed(self, seed: int) -> "GmonModel":
         """Model with seeded Gaussian control noise at the 1 MHz error scale."""
         gen = rng(seed)
         edges = [
@@ -97,7 +99,7 @@ class GmonModel:
         delta = [d + CONTROL_ERROR_SCALE * gen.standard_normal() for d in self.delta]
         f = [v + CONTROL_ERROR_SCALE * gen.standard_normal() for v in self.f]
         phi = [
-            min(max(p + phase_sigma * gen.standard_normal(), 0.0), 2.0 * math.pi)
+            min(max(p + PHASE_ERROR_SCALE * gen.standard_normal(), 0.0), 2.0 * math.pi)
             for p in self.phi
         ]
         return replace(self, edges=edges, delta=delta, f=f, phi=phi)

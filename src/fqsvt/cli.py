@@ -51,7 +51,6 @@ from .linalg import (
     eigh,
     haar_vector,
     hermitian_from_spectrum,
-    matrix_from_json,
     matrix_to_json,
     rng,
 )
@@ -145,13 +144,45 @@ def _gmon_model(doc, name: str) -> GmonModel:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
+def _complex_pairs(values, name: str) -> np.ndarray:
+    """A list of numeric [re, im] pairs as a (len, 2) float array."""
+    if not isinstance(values, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in values):
+        raise ConfigError(f"{name}: expected a list of numeric [re, im] pairs")
+    return np.array([[_number(float, v, name) for v in pair] for pair in values]).reshape(-1, 2)
+
+
+def _inline_matrix(doc, name: str) -> np.ndarray:
+    """A matrix document, with the keys of `linalg.matrix_to_json`, as a complex array."""
+    _check_keys(doc, {"rows": True, "cols": True, "data": True}, name)
+    rows, cols = (_number(int, doc[key], f"{name}.{key}", low=1) for key in ("rows", "cols"))
+    pairs = _complex_pairs(doc["data"], f"{name}.data")
+    if len(pairs) != rows * cols:
+        raise ConfigError(f"{name}: claims {rows}x{cols} but carries {len(pairs)} entries")
+    return pairs.view(complex).reshape(rows, cols)
+
+
 def _load_config(path: str) -> dict:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+
+
+def _out_dir(path) -> Path:
+    """The output directory `path`, created with its parents if missing."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {path}: {exc.strerror}") from exc
+    return out
 
 
 def cmd_phases(config: dict, out: Path, seed: int) -> int:
@@ -181,18 +212,20 @@ def cmd_phases(config: dict, out: Path, seed: int) -> int:
     return 0 if report.passed else 1
 
 
-def _resolve_model(doc: dict, seed: int):
-    """Config model block -> (Hamiltonian with spectrum in [0, 1], metadata)."""
+def _resolve_model(doc, seed: int) -> np.ndarray:
+    """Config model block -> Hamiltonian with spectrum in [0, 1]."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"model: expected a JSON object, got {doc!r}")
     kind = doc.get("type")
     if kind == "inline":
         _check_keys(doc, {"type": True, "matrix": True}, "model")
+        h = _inline_matrix(doc["matrix"], "model.matrix")
         try:
-            h = matrix_from_json(doc["matrix"])
             # The dilation validates shape, hermiticity and the [0, 1] spectrum.
             dilate_hermitian(h)
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"model: invalid inline matrix: {exc}") from exc
-        return h, {"source": "inline"}
+        return h
     if kind == "gmon":
         _check_keys(doc, {"type": True, "spec": False, "margin": False,
                           "perturb_seed": False}, "model")
@@ -201,8 +234,7 @@ def _resolve_model(doc: dict, seed: int):
             model = model.perturbed(_seed(doc["perturb_seed"], "model.perturb_seed"))
         h = build_h0(model) + build_h1(model)
         margin = _number(float, doc.get("margin", 0.1), "model.margin", above=0.0, below=0.5)
-        normalized, mapping = normalize_for_qsvt(h, margin)
-        return normalized, {"source": "gmon", "scale": mapping.scale, "offset": mapping.offset}
+        return normalize_for_qsvt(h, margin)[0]
     if kind == "synthetic":
         _check_keys(doc, {"type": True, "bands": True, "per_band": False,
                           "width": False, "basis_seed": False}, "model")
@@ -219,11 +251,13 @@ def _resolve_model(doc: dict, seed: int):
             dilate_hermitian(h)
         except ValueError as exc:
             raise ConfigError(f"model.width {width}: {exc}") from exc
-        return h, {"source": "synthetic"}
+        return h
     raise ConfigError(f"model: unknown type {kind!r}")
 
 
-def _resolve_input(doc: dict, spectrum, seed: int) -> np.ndarray:
+def _resolve_input(doc, spectrum, seed: int) -> np.ndarray:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"input: expected a JSON object, got {doc!r}")
     kind = doc.get("type", "uniform-eigen")
     n = spectrum.vectors.shape[0]
     if kind == "uniform-eigen":
@@ -240,14 +274,12 @@ def _resolve_input(doc: dict, spectrum, seed: int) -> np.ndarray:
         return spectrum.vectors[:, index].copy()
     if kind == "amplitudes":
         _check_keys(doc, {"type": True, "values": True}, "input")
-        try:
-            amp = np.array([complex(re, im) for re, im in doc["values"]])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("input.values: expected a list of numeric [re, im] pairs") from exc
-        if amp.shape != (n,):
-            raise ConfigError(f"input: expected {n} amplitudes, got {len(amp)}")
-        if not np.all(np.isfinite(amp)):
-            raise ConfigError("input: amplitudes must be finite")
+        pairs = _complex_pairs(doc["values"], "input.values")
+        if len(pairs) != n:
+            raise ConfigError(f"input: expected {n} amplitudes, got {len(pairs)}")
+        # A power of two brings the largest entry into [0.5, 1), so the norm
+        # cannot overflow, and scales the normalized state exactly.
+        amp = np.ldexp(pairs, -np.frexp(np.max(np.abs(pairs)))[1]).view(complex)[:, 0]
         norm = np.linalg.norm(amp)
         if norm == 0.0:
             raise ConfigError("input: amplitudes are all zero")
@@ -258,10 +290,10 @@ def _resolve_input(doc: dict, spectrum, seed: int) -> np.ndarray:
 def cmd_project(config: dict, out: Path, seed: int) -> int:
     _check_keys(config, {
         "model": True, "bands": True, "mode": False, "budget": False,
-        "round_eps": False, "split_constant": False, "trajectories": False,
+        "round_eps": False, "trajectories": False,
         "haar_samples": False, "input": False,
     }, "project")
-    h, meta = _resolve_model(config["model"], seed)
+    h = _resolve_model(config["model"], seed)
     dim = h.shape[0]
     if dim & (dim - 1):
         raise ConfigError(
@@ -285,14 +317,12 @@ def cmd_project(config: dict, out: Path, seed: int) -> int:
         raise ConfigError(f"project: unknown mode {mode!r}")
     trajectories = _number(int, config.get("trajectories", 1), "project.trajectories", low=1)
     samples = _number(int, config.get("haar_samples", 32), "project.haar_samples", low=0)
-    split_constant = _number(float, config.get("split_constant", 4.0), "project.split_constant",
-                             above=0.0)
     count = structure.band_count
     if "round_eps" in config:
         round_eps = _number(float, config["round_eps"], "project.round_eps")
     elif "budget" in config:
         budget = _number(float, config["budget"], "project.budget")
-        round_eps = round_budget(budget, count, split_constant) if count > 1 else None
+        round_eps = round_budget(budget, count) if count > 1 else None
     else:
         raise ConfigError("project: pass budget or round_eps")
     if count > 1 and not EPS_FLOOR <= round_eps < 1.0:
@@ -434,7 +464,7 @@ def cmd_bosehubbard(config: dict, out: Path, seed: int) -> int:
     return 0
 
 
-def cmd_verify(numbers, out: Path | None) -> int:
+def cmd_verify(numbers, out: str | None) -> int:
     from .verify import CRITERIA, run_criteria
 
     unknown = sorted(set(numbers or ()) - set(CRITERIA))
@@ -442,7 +472,7 @@ def cmd_verify(numbers, out: Path | None) -> int:
         raise ConfigError(f"verify --criteria: unknown criteria {unknown}, "
                           f"expected numbers in {sorted(CRITERIA)}")
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
+        out = _out_dir(out)
     results = run_criteria(numbers)
     width = max(len(r.title) for r in results)
     for r in results:
@@ -474,11 +504,10 @@ def main(argv=None) -> int:
         if args.command == "verify":
             numbers = [_number(int, tok, "verify --criteria")
                        for tok in args.criteria.split(",") if tok.strip()]
-            return cmd_verify(numbers or None, None if args.out is None else Path(args.out))
+            return cmd_verify(numbers or None, args.out)
         seed = _seed(args.seed, "--seed")
         config = _load_config(args.config)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _out_dir(args.out)
         handler = {
             "phases": cmd_phases,
             "project": cmd_project,

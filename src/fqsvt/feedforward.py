@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bands import BandStructure, check_band_assumption, exact_channel
+from .bands import BandStructure, check_band_assumption
 from .blockenc import BlockEncoding, encoded_block
 from .chebyshev import ChebyshevSeries, FilterSpec, heaviside_filter
-from .linalg import SAMPLE_UNIFORMS, StateVector, dagger, eigh, haar_vector, rng, trace_norm
+from .linalg import (DISTANCE_PROBES, SAMPLE_UNIFORMS, StateVector, dagger, eigh, haar_vector,
+                     rng, trace_norm)
 from .qsp import PhaseFactorSet, synthesize_symmetric, to_circuit, to_su2
 from .qsvt import assemble_full
 
@@ -355,15 +356,6 @@ class KrausExtraction:
     def system_dim(self) -> int:
         return self.leaves[0].operator.shape[1]
 
-    def apply_channel(self, rho: np.ndarray) -> np.ndarray:
-        """System-level channel: ancillas of every branch are traced out."""
-        n = self.system_dim
-        out = np.zeros((n, n), dtype=complex)
-        for leaf in self.leaves:
-            for block in leaf.operator.reshape(-1, n, n):
-                out += block @ rho @ dagger(block)
-        return out
-
 
 def extract_kraus(tree: BranchTree) -> KrausExtraction:
     """The leaves of an enumerate-mode tree, sorted by record.
@@ -391,27 +383,29 @@ def channel_distance(
     samples: int = 32,
     seed: int = 0,
 ) -> float:
-    """Sampled lower-bound proxy for the channel distance in trace norm.
+    """Sampled lower-bound proxy for the trace-norm distance from band dephasing.
 
-    The maximum runs over every eigenbasis pure state of the exact
-    projectors plus `samples` random pure states; the true induced norm can
-    only be larger, so the value reported here is a documented lower bound.
+    Every n x n block of every leaf operator, and every exact projector,
+    acts as a Kraus operator on one matrix whose columns are the probes:
+    the eigenbasis pure states of the projectors plus `samples` Haar states
+    from the `DISTANCE_PROBES` stream. The maximum over probes is a
+    documented lower bound; the true induced norm can only be larger.
     """
     n = kraus.system_dim
-    inputs = []
-    for p in exact:
-        spec = eigh(p)
-        for col in range(n):
-            if spec.values[col] > 0.5:
-                inputs.append(spec.vectors[:, col])
-    gen = rng(seed, 0)
-    inputs.extend(haar_vector(gen, n) for _ in range(samples))
+    gen = rng(seed, DISTANCE_PROBES)
+    probes = np.column_stack(
+        [spec.vectors[:, spec.values > 0.5] for spec in map(eigh, exact)]
+        + [haar_vector(gen, n) for _ in range(samples)])
 
-    worst = 0.0
-    for phi in inputs:
-        rho = np.outer(phi, phi.conj())
-        worst = max(worst, trace_norm(kraus.apply_channel(rho) - exact_channel(rho, exact)))
-    return worst
+    def outputs(ops: np.ndarray) -> np.ndarray:
+        """sum_K K |s><s| K^dag for every probe s, over the n x n blocks K of `ops`."""
+        images = (ops @ probes).reshape(-1, n, probes.shape[1]).transpose(2, 1, 0)
+        return images @ images.conj().transpose(0, 2, 1)
+
+    diff = -sum(outputs(p) for p in exact)
+    for leaf in kraus.leaves:
+        diff += outputs(leaf.operator)
+    return max(trace_norm(d) for d in diff)
 
 
 def feedforward_query_count(band_count: int, degree: int) -> int:
@@ -421,6 +415,6 @@ def feedforward_query_count(band_count: int, degree: int) -> int:
     return 2 * math.ceil(math.log2(band_count)) * degree
 
 
-def round_budget(budget: float, band_count: int, split_constant: float = 4.0) -> float:
-    """Per-round filter budget eps = budget / (split_constant L log2 L), for L >= 2."""
-    return budget / (split_constant * band_count * math.log2(band_count))
+def round_budget(budget: float, band_count: int) -> float:
+    """Per-round filter budget eps = budget / (4 L log2 L), for L >= 2."""
+    return budget / (4.0 * band_count * math.log2(band_count))

@@ -24,7 +24,6 @@ __all__ = [
     "dagger",
     "check_hermitian",
     "matrix_to_json",
-    "matrix_from_json",
 ]
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -35,6 +34,7 @@ def dagger(a: np.ndarray) -> np.ndarray:
 # `rng(seed, PURPOSE)` in blocks whose row t belongs to trial t. The ids sit
 # at 2^32 and up, beyond every other stream index (0-3 or a band count).
 WALK_NORMALS, WALK_UNIFORMS, SAMPLE_UNIFORMS = 2**32, 2**32 + 1, 2**32 + 2
+DISTANCE_PROBES = 2**32 + 3
 
 
 def rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -148,10 +148,10 @@ def haar_vector(gen: np.random.Generator, dim: int) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def random_hermitian(dim: int, gen: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(dim: int, gen: np.random.Generator) -> np.ndarray:
     """Random Hermitian matrix with Gaussian entries (GUE up to scale)."""
     z = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
-    return scale * 0.5 * (z + dagger(z))
+    return 0.5 * (z + dagger(z))
 
 
 def hermitian_from_spectrum(values, gen: np.random.Generator) -> np.ndarray:
@@ -170,12 +170,3 @@ def matrix_to_json(a: np.ndarray) -> dict:
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     data = [[float(z.real), float(z.imag)] for z in a.ravel(order="C")]
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
-
-
-def matrix_from_json(doc: dict) -> np.ndarray:
-    rows, cols = int(doc["rows"]), int(doc["cols"])
-    data = doc["data"]
-    if len(data) != rows * cols:
-        raise ValueError(f"matrix JSON claims {rows}x{cols} but carries {len(data)} entries")
-    flat = np.array([complex(re, im) for re, im in data])
-    return flat.reshape(rows, cols)

@@ -170,34 +170,23 @@ def extract_pq(psi: PhaseFactorSet) -> QspPolynomialPair:
     return pair
 
 
+def _circuit_offsets(d: int) -> np.ndarray:
+    """Rotation minus circuit phases: (-1)^(d-k) pi/2 at phase k, halved at both ends."""
+    offsets = (-1.0) ** (d - np.arange(d + 1)) * (math.pi / 2.0)
+    offsets[[0, d]] *= 0.5
+    return offsets
+
+
 def to_su2(phi: PhaseFactorSet) -> PhaseFactorSet:
     """Map circuit-convention phases to rotation-convention phases."""
     _require(phi, "circuit")
-    d = phi.degree
-    psi = phi.values.copy()
-    if d == 0:
-        psi[0] += math.pi / 4.0
-    else:
-        psi[0] += (-1.0) ** d * math.pi / 4.0
-        for k in range(1, d):
-            psi[k] += (-1.0) ** (d - k) * math.pi / 2.0
-        psi[d] += math.pi / 4.0
-    return PhaseFactorSet(psi, "su2")
+    return PhaseFactorSet(phi.values + _circuit_offsets(phi.degree), "su2")
 
 
 def to_circuit(psi: PhaseFactorSet) -> PhaseFactorSet:
     """Exact inverse of `to_su2`."""
     _require(psi, "su2")
-    d = psi.degree
-    phi = psi.values.copy()
-    if d == 0:
-        phi[0] -= math.pi / 4.0
-    else:
-        phi[0] -= (-1.0) ** d * math.pi / 4.0
-        for k in range(1, d):
-            phi[k] -= (-1.0) ** (d - k) * math.pi / 2.0
-        phi[d] -= math.pi / 4.0
-    return PhaseFactorSet(phi, "circuit")
+    return PhaseFactorSet(psi.values - _circuit_offsets(psi.degree), "circuit")
 
 
 class SynthesisError(RuntimeError):

@@ -306,10 +306,8 @@ def criterion_9() -> CriterionResult:
     v = 0.5 * (v + dagger(v))
     h1 = h0 + v
     structure = detect_bands(eigh(h1).values, target_bands=2)
-    fit = adiabatic_leakage_scaling(
-        h0, h1, structure, 0, [50.0, 100.0, 200.0, 400.0],
-        lambda s: s, StateVector(2, [1, 0, 0, 0]), steps_per_unit=16,
-    )
+    fit = adiabatic_leakage_scaling(h0, h1, structure, 0, [50.0, 100.0, 200.0, 400.0],
+                                    lambda s: s, StateVector(2, [1, 0, 0, 0]))
     passed = (not fit.degenerate) and abs(fit.slope + 1.0) <= 0.2
     return CriterionResult(
         9, "adiabatic leakage 1/T scaling",

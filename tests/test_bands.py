@@ -7,7 +7,6 @@ from fqsvt.bands import (
     BandStructure,
     check_band_assumption,
     detect_bands,
-    exact_channel,
     exact_projectors,
     synthetic_band_spectrum,
 )
@@ -77,38 +76,6 @@ def test_exact_projectors_idempotent_and_complete():
         assert np.max(np.abs(p - dagger(p))) <= 1e-12
         total += p
     assert np.max(np.abs(total - np.eye(6))) <= 1e-10
-
-
-def test_exact_channel_fixed_point_and_dephasing():
-    gen = rng(2)
-    h = hermitian_from_spectrum([0.1, 0.15, 0.8, 0.85], gen)
-    spec = eigh(h)
-    s = detect_bands(spec.values, min_gap=0.5)
-    projectors = exact_projectors(spec, s)
-
-    # Uniform superposition of one eigenvector per band dephases to an
-    # equal mixture of those eigenvectors.
-    v0, v2 = spec.vectors[:, 0], spec.vectors[:, 2]
-    pure = (v0 + v2) / np.sqrt(2)
-    rho = np.outer(pure, pure.conj())
-    out = exact_channel(rho, projectors)
-    expected = 0.5 * (np.outer(v0, v0.conj()) + np.outer(v2, v2.conj()))
-    assert np.max(np.abs(out - expected)) <= 1e-12
-    # Already block-diagonal input is a fixed point; the channel is idempotent.
-    again = exact_channel(out, projectors)
-    assert np.max(np.abs(again - out)) <= 1e-12
-    assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
-    assert np.min(eigh(out).values) >= -1e-10
-
-
-def test_exact_channel_rejects_non_density():
-    projectors = [np.eye(2)]
-    with pytest.raises(ValueError, match="trace"):
-        exact_channel(np.eye(2), projectors)
-    with pytest.raises(ValueError, match="Hermitian"):
-        exact_channel(np.array([[0.5, 0.5], [0.0, 0.5]]), projectors)
-    with pytest.raises(ValueError, match="positive"):
-        exact_channel(np.diag([1.5, -0.5]), projectors)
 
 
 def test_band_assumption_checker():

@@ -261,8 +261,7 @@ def test_adiabatic_leakage_decreases_with_time():
     h0, h1 = _reference_instance()
     structure = detect_bands(eigh(h1).values, target_bands=2)
     fit = adiabatic_leakage_scaling(h0, h1, structure, 0, [50.0, 100.0, 200.0],
-                                    lambda s: s, StateVector(2, [1, 0, 0, 0]),
-                                    steps_per_unit=16)
+                                    lambda s: s, StateVector(2, [1, 0, 0, 0]))
     assert not fit.degenerate
     assert np.all(np.diff(fit.leakages) < 0)
     assert fit.slope < -0.5
@@ -273,7 +272,7 @@ def test_adiabatic_leakage_degenerate_for_trivial_instance():
     structure = detect_bands(eigh(h1).values, target_bands=2)
     init = StateVector(2, eigh(h1).vectors[:, 0])
     fit = adiabatic_leakage_scaling(h1, h1, structure, 0, [5.0, 10.0],
-                                    lambda s: s, init, steps_per_unit=16)
+                                    lambda s: s, init)
     assert fit.degenerate
     assert np.all(fit.leakages < 1e-9)
 
@@ -284,10 +283,10 @@ def test_adiabatic_leakage_grows_when_gap_shrinks():
     shrunk1 = shrunk0 + (h1 - h0)
     init = StateVector(2, [1, 0, 0, 0])
     wide = adiabatic_leakage_scaling(h0, h1, detect_bands(eigh(h1).values, target_bands=2),
-                                     0, [50.0, 100.0], lambda s: s, init, steps_per_unit=16)
+                                     0, [50.0, 100.0], lambda s: s, init)
     narrow = adiabatic_leakage_scaling(shrunk0, shrunk1,
                                        detect_bands(eigh(shrunk1).values, target_bands=2),
-                                       0, [50.0, 100.0], lambda s: s, init, steps_per_unit=16)
+                                       0, [50.0, 100.0], lambda s: s, init)
     assert np.all(narrow.leakages > wide.leakages)
 
 

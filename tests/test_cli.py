@@ -11,7 +11,13 @@ import pytest
 import fqsvt
 from fqsvt.bosehubbard import default_model
 from fqsvt.cli import ConfigError, _number, main
-from fqsvt.linalg import SAMPLE_UNIFORMS, WALK_NORMALS, WALK_UNIFORMS, matrix_to_json
+from fqsvt.linalg import (
+    DISTANCE_PROBES,
+    SAMPLE_UNIFORMS,
+    WALK_NORMALS,
+    WALK_UNIFORMS,
+    matrix_to_json,
+)
 from fqsvt.verify import CRITERIA
 
 
@@ -129,11 +135,22 @@ GOOD_MODEL = _inline(np.diag([0.2, 0.8]))
     (GOOD_MODEL, {"type": "amplitudes", "values": [[1.0, 0.0]] * 3}, "expected 2 amplitudes"),
     (GOOD_MODEL, {"type": "amplitudes", "values": [[0.0, 0.0]] * 2}, "amplitudes are all zero"),
     (GOOD_MODEL, {"type": "amplitudes", "values": [[1.0, 0.0], [math.inf, 0.0]]},
-     "amplitudes must be finite"),
+     "input.values: expected a finite value, got inf"),
     (GOOD_MODEL, {"type": "amplitudes", "values": [1, 2]},
      "input.values: expected a list of numeric [re, im] pairs"),
+    (GOOD_MODEL, {"type": "amplitudes", "values": [[True, False], [False, True]]},
+     "input.values: expected float, got True"),
+    ([1], {}, "model: expected a JSON object, got [1]"),
+    (GOOD_MODEL, "haar", "input: expected a JSON object, got 'haar'"),
+    ({"type": "inline", "matrix": {**GOOD_MODEL["matrix"], "rows": 2.9}}, {},
+     "model.matrix.rows: expected int, got 2.9"),
+    ({"type": "inline", "matrix": {**GOOD_MODEL["matrix"],
+                                   "data": [[0.2, 0.0], [0.0, 0.0], [0.0, 0.0], [True, 0.0]]}},
+     {}, "model.matrix.data: expected float, got True"),
 ], ids=["entry-count", "non-square", "non-hermitian", "spectrum", "index-high", "index-negative",
-        "amplitude-count", "amplitudes-zero", "amplitudes-nonfinite", "amplitudes-not-pairs"])
+        "amplitude-count", "amplitudes-zero", "amplitudes-nonfinite", "amplitudes-not-pairs",
+        "amplitudes-boolean", "model-not-an-object", "input-not-an-object", "rows-fractional",
+        "matrix-entry-boolean"])
 def test_project_rejects_bad_inline_model_or_input_with_exit_2(tmp_path, capsys, model, inp, cause):
     cfg = write_config(tmp_path, {
         "model": model,
@@ -143,6 +160,23 @@ def test_project_rejects_bad_inline_model_or_input_with_exit_2(tmp_path, capsys,
     })
     assert main(["project", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert cause in capsys.readouterr().err
+
+
+def test_project_amplitudes_near_the_float_limit_scale_exactly(tmp_path):
+    # The amplitudes are scaled by a power of two before normalising, so
+    # entries near 1e308, whose squares overflow, give the same state, bit for
+    # bit, as the same entries at unit scale.
+    outs = []
+    for scale in (1.0, 2.0**1023):
+        cfg = write_config(tmp_path, {
+            "model": GOOD_MODEL, "bands": {"target": 2}, "round_eps": 1e-2, "mode": "sample",
+            "trajectories": 20, "input": {"type": "amplitudes",
+                                          "values": [[0.6 * scale, 0.0], [0.0, 0.8 * scale]]},
+        })
+        outs.append(tmp_path / f"o{scale:g}")
+        assert main(["project", "--config", cfg, "--out", str(outs[-1])]) == 0
+    for name in ("band_weights.csv", "records.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_project_rejects_gmon_non_power_of_two_with_exit_2(tmp_path, capsys):
@@ -189,7 +223,7 @@ SMALL_SYNTHETIC = {"type": "synthetic", "bands": 2, "per_band": 2, "width": 0.02
     ({"round_eps": "abc"}, "project.round_eps: expected float, got 'abc'"),
     ({"round_eps": None, "budget": "x"}, "project.budget: expected float, got 'x'"),
     ({"round_eps": None, "budget": 0.1, "split_constant": 0},
-     "project.split_constant must be > 0.0, got 0.0"),
+     "project: unknown keys ['split_constant']"),
     ({"mode": "sample", "trajectories": -3}, "project.trajectories must be >= 1, got -3"),
     ({"haar_samples": -4}, "project.haar_samples must be >= 0, got -4"),
     ({"round_eps": float("nan")}, "project.round_eps: expected a finite value"),
@@ -287,12 +321,19 @@ def test_no_random_stream_key_serves_two_purposes(tmp_path, monkeypatch):
     project = write_config(tmp_path, {
         "model": {**SMALL_SYNTHETIC, "bands": 4}, "bands": {"target": 4}, "round_eps": 1e-2,
         "mode": "sample", "trajectories": 50, "input": {"type": "haar"}}, "project.json")
+    # The gmon noise draws from key (perturb_seed, 0), here equal to --seed.
+    enumerate_project = write_config(tmp_path, {
+        "model": {"type": "gmon", "perturb_seed": 4}, "bands": {"target": 2},
+        "round_eps": 1e-2}, "enumerate.json")
     baselines = write_config(tmp_path, {"Ls": [1, 2, 4], "trials": 1000}, "baselines.json")
     runs = {
         "project": lambda: main(["project", "--config", project, "--seed", "3",
                                  "--out", str(tmp_path / "p")]) == 0,
+        "enumerate project": lambda: main(["project", "--config", enumerate_project,
+                                           "--seed", "4", "--out", str(tmp_path / "e")]) == 0,
         "baselines": lambda: main(["baselines", "--config", baselines, "--seed", "3",
                                    "--out", str(tmp_path / "b")]) == 0,
+        "criterion 6": lambda: CRITERIA[6]().passed,
         "criterion 7": lambda: CRITERIA[7]().passed,
         "criterion 10": lambda: CRITERIA[10]().passed,
     }
@@ -305,7 +346,8 @@ def test_no_random_stream_key_serves_two_purposes(tmp_path, monkeypatch):
         for (_, stream), sites in keys.items():
             if stream >= 2**32:
                 purpose_sites.setdefault(stream, set()).update(sites)
-    assert sorted(purpose_sites) == [WALK_NORMALS, WALK_UNIFORMS, SAMPLE_UNIFORMS]
+    assert sorted(purpose_sites) == [WALK_NORMALS, WALK_UNIFORMS, SAMPLE_UNIFORMS,
+                                     DISTANCE_PROBES]
     assert all(len(sites) == 1 for sites in purpose_sites.values()), purpose_sites
 
 
@@ -363,6 +405,23 @@ def test_bosehubbard_rejects_margin_outside_open_half_with_exit_2(tmp_path, caps
 def test_other_commands_reject_bad_numbers_with_exit_2(tmp_path, capsys, command, doc, cause):
     cfg = write_config(tmp_path, doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert cause in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["config-not-utf8", "config-directory", "out-is-a-file"])
+def test_unreadable_config_or_output_path_exits_2(tmp_path, capsys, case):
+    cfg = write_config(tmp_path, {"mu": 0.5, "delta": 0.3, "eps": 1e-3})
+    out = tmp_path / "o"
+    if case == "config-not-utf8":
+        Path(cfg).write_bytes(b'{"mu": 0.5, "delta": 0.3, "eps": 1e-3, "tol": "\xff"}')
+        cause = f"config file {cfg} is not UTF-8"
+    elif case == "config-directory":
+        cfg = str(tmp_path)
+        cause = f"config file {cfg}: Is a directory"
+    else:
+        out.write_text("")
+        cause = f"--out {out}: "
+    assert main(["phases", "--config", cfg, "--out", str(out)]) == 2
     assert cause in capsys.readouterr().err
 
 

@@ -22,12 +22,14 @@ from fqsvt.feedforward import (
     run_multiband,
 )
 from fqsvt.linalg import (
+    DISTANCE_PROBES,
     SAMPLE_UNIFORMS,
     StateVector,
     eigh,
     haar_vector,
     hermitian_from_spectrum,
     rng,
+    trace_norm,
 )
 from fqsvt.qsp import (
     PhaseFactorSet,
@@ -492,6 +494,53 @@ def test_channel_distance_zero_for_exact_projectors():
         completeness_residual=0.0,
     )
     assert channel_distance(kraus, projectors, samples=8, seed=1) <= 1e-12
+
+
+def per_probe_channel_distance(kraus: KrausExtraction, exact, samples: int, seed: int) -> float:
+    """`channel_distance` one probe state at a time: each probe's density
+    matrix goes through every n x n block of every leaf operator, and through
+    sum_j P_j rho P_j, and the trace norm of the difference is maximized."""
+    n = kraus.system_dim
+    inputs = []
+    for p in exact:
+        spec = eigh(p)
+        inputs.extend(spec.vectors[:, col] for col in range(n) if spec.values[col] > 0.5)
+    gen = rng(seed, DISTANCE_PROBES)
+    inputs.extend(haar_vector(gen, n) for _ in range(samples))
+    worst = 0.0
+    for phi in inputs:
+        rho = np.outer(phi, phi.conj())
+        out = np.zeros((n, n), dtype=complex)
+        for leaf in kraus.leaves:
+            for block in leaf.operator.reshape(-1, n, n):
+                out += block @ rho @ block.conj().T
+        for p in exact:
+            out -= p @ rho @ p
+        worst = max(worst, trace_norm(out))
+    return worst
+
+
+@pytest.mark.parametrize("count, n", [(2, 4), (2, 16), (3, 4), (4, 8), (5, 8), (6, 8), (7, 8),
+                                      (8, 16)])
+def test_channel_distance_matches_per_probe_reference(count, n):
+    # Eigenvalue i lies in band i mod L, spread over 60% of the band's slot,
+    # so bands carry several eigenvalues each and eigenbasis probes of the
+    # projectors see the filter error. (With one eigenvalue per band they
+    # are fixed points and the distance is roundoff.)
+    gen = rng(40 + count)
+    values = np.sort((np.arange(n) % count + 0.5 + 0.3 * gen.uniform(-1.0, 1.0, n)) / count)
+    h = hermitian_from_spectrum(values, gen)
+    spec = eigh(h)
+    structure = detect_bands(spec.values, target_bands=count)
+    tree = run_multiband(dilate_hermitian(h), structure, 0.1,
+                         StateVector(int(math.log2(n)), spec.vectors[:, 0]))
+    kraus = extract_kraus(tree)
+    projectors = exact_projectors(spec, structure)
+    for samples in (0, 8, 32):
+        for seed in (0, 1, 2):
+            reference = per_probe_channel_distance(kraus, projectors, samples, seed)
+            stacked = channel_distance(kraus, projectors, samples, seed)
+            assert abs(stacked - reference) <= 1e-12 * reference, (samples, seed)
 
 
 def test_channel_distance_roughly_linear_in_budget():

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from fqsvt.cli import _inline_matrix
 from fqsvt.linalg import (
     WALK_NORMALS,
     StateVector,
     eigh,
     haar_vector,
     hermitian_from_spectrum,
-    matrix_from_json,
     matrix_to_json,
     random_hermitian,
     rng,
@@ -196,7 +196,7 @@ def test_matrix_json_round_trip():
     a = gen.standard_normal((3, 2)) + 1j * gen.standard_normal((3, 2))
     doc = matrix_to_json(a)
     assert doc["rows"] == 3 and doc["cols"] == 2
-    assert np.array_equal(matrix_from_json(doc), a)
+    assert np.array_equal(_inline_matrix(doc, "matrix"), a)
 
 
 def test_hermitian_from_spectrum_matches_values():
