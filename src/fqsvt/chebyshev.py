@@ -160,15 +160,43 @@ class FilterReport:
         return [self.high_side, self.low_side, self.sup_norm]
 
 
-def _extrema(coeffs: np.ndarray, *regions: tuple) -> list[np.ndarray]:
-    """Each region's endpoints plus the critical points of sum_k c_k T_k inside it.
+def _critical_points(coeffs: np.ndarray) -> np.ndarray:
+    """The critical points of sum_k c_k T_k, from one colleague-matrix root solve.
 
-    One colleague-matrix root solve serves every region. The real part of
-    every root counts, since a clustered root comes out as a complex group
-    and an extra point inside a region can only raise the maximum found.
+    The real part of every root counts, since a clustered root comes out as
+    a complex group and an extra point inside a region can only raise the
+    maximum found there.
     """
     der = C.chebtrim(C.chebder(coeffs), 0.0) if len(coeffs) > 2 else []
-    crit = C.chebroots(der).real if len(der) > 1 else np.empty(0)
+    return C.chebroots(der).real if len(der) > 1 else np.empty(0)
+
+
+def _grid_critical_points(coeffs: np.ndarray) -> np.ndarray:
+    """The critical points of sum_k c_k T_k in (-1, 1) that a grid brackets.
+
+    With u = cos(theta), dG/dtheta = -sum_k k c_k sin(k theta). Its sign
+    changes on 8h + 64 equispaced angles in [0, pi], evaluated by one FFT,
+    bracket the critical points; each is refined by 4 Newton steps from the
+    secant point, kept inside its bracket. A grid cell holding two roots
+    shows no sign change, so a verdict needs `_critical_points`.
+    """
+    h = len(coeffs) - 1
+    k = np.arange(h + 1)
+    kc = k * coeffs
+    intervals = 8 * h + 63
+    theta = np.arange(1, intervals) * (math.pi / intervals)
+    slope = -np.fft.rfft(kc, 2 * intervals).imag[1:intervals]
+    i = np.flatnonzero((slope[:-1] > 0.0) != (slope[1:] > 0.0))
+    lo, hi = theta[i], theta[i + 1]
+    t = lo + (hi - lo) * slope[i] / (slope[i] - slope[i + 1])
+    for _ in range(4):
+        angles = np.outer(t, k)
+        t = np.clip(t - (np.sin(angles) @ kc) / (np.cos(angles) @ (k * kc)), lo, hi)
+    return np.cos(t)
+
+
+def _extrema(crit: np.ndarray, *regions: tuple) -> list[np.ndarray]:
+    """Each region's endpoints plus the critical points `crit` inside it."""
     return [np.concatenate(([lo, hi], crit[(crit > lo) & (crit < hi)])) for lo, hi in regions]
 
 
@@ -201,7 +229,7 @@ def certify_filter(f: ChebyshevSeries, spec: FilterSpec) -> FilterReport:
         coeffs, to_x = f.coeffs[0::2], lambda u: math.sqrt(0.5 * (1.0 + u))
         lo_u, hi_u = _window_in_u(spec)
         regions = ((hi_u, 1.0), (-1.0, lo_u), (-1.0, 1.0))
-    high, low, everywhere = _extrema(coeffs, *regions)
+    high, low, everywhere = _extrema(_critical_points(coeffs), *regions)
     half_eps = spec.eps / 2.0
     return FilterReport(
         high_side=_condition("vanishes-above-window", half_eps, high,
@@ -274,15 +302,25 @@ def _minimax_step(spec: FilterSpec, half: int) -> tuple[np.ndarray, float]:
     m = synthesis_margin(eps), and 0 on [b, 1] with ripple eps/2 (a, b: the
     window edges in u). The level is the largest plateau error in units of
     the ripple, so below 1 both plateau conditions hold and G < 1 - m there.
-    The exchange stops at the first iterate whose level at its exact extrema
-    is below 1, or at the first reference whose levelled error reaches 1
-    (by de la Vallee Poussin no G of this degree does better), so the verdict
-    is the minimax one, which cannot get worse with the degree.
+    Each exchange step takes its extrema from an angle grid; de la Vallee
+    Poussin's bound holds for any alternating reference, so they need not be
+    exact. The exchange stops at the first iterate whose level at its exact
+    extrema is below 1, or at the first reference whose levelled error
+    reaches 1 (no G of this degree does better), so the verdict is the
+    minimax one, which cannot get worse with the degree.
     """
     margin = synthesis_margin(spec.eps)
     ripple = (spec.eps / 2.0 - margin) / 2.0
     top = 1.0 - margin - ripple
     a, b = _window_in_u(spec)
+
+    def plateau_errors(coeffs, crit):
+        low_pts, high_pts = _extrema(crit, (-1.0, a), (b, 1.0))
+        points = np.concatenate([low_pts, high_pts])
+        values = _clenshaw(coeffs, points)
+        return points, np.where(np.arange(len(points)) < len(low_pts),
+                                (values - top) / ripple, values / (spec.eps / 2.0))
+
     n = half + 2
     ref = _first_reference(a, b, n)
     signs = (-1.0) ** np.arange(n)
@@ -294,16 +332,19 @@ def _minimax_step(spec: FilterSpec, half: int) -> tuple[np.ndarray, float]:
         coeffs, levelled = solution[:-1], abs(solution[-1])
         if levelled >= 1.0:
             return coeffs, levelled
-        low_pts, high_pts = _extrema(coeffs, (-1.0, a), (b, 1.0))
-        errors = np.concatenate([(_clenshaw(coeffs, low_pts) - top) / ripple,
-                                 _clenshaw(coeffs, high_pts) / (spec.eps / 2.0)])
+        points, errors = plateau_errors(coeffs, _grid_critical_points(coeffs))
         level = float(np.max(np.abs(errors)))
+        if level < 1.0:
+            # The grid can miss an extremum, which only lowers the level:
+            # a feasible verdict is taken at the exact extrema.
+            points, errors = plateau_errors(coeffs, _critical_points(coeffs))
+            level = float(np.max(np.abs(errors)))
         if level < 1.0 or level <= (1.0 + REMEZ_TOL) * levelled:
             return coeffs, level
         # The reference points keep their levelled errors, so every lobe of
         # the error has a candidate; points below the levelled error (such as
         # the real part of a complex root) cannot enter.
-        points = np.concatenate([ref, low_pts, high_pts])
+        points = np.concatenate([ref, points])
         errors = np.concatenate([signs * solution[-1], errors])
         eligible = np.abs(errors) >= levelled
         ref = _exchange(points[eligible], errors[eligible], n)

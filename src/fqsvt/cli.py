@@ -73,7 +73,8 @@ def _write_csv(path: Path, header: list, rows: list):
 
 
 def _write_json(path: Path, doc):
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    # Compact output keeps `json` on its C encoder; an indent would not.
+    path.write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _check_keys(doc: dict, allowed: dict, context: str) -> dict:

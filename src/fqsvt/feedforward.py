@@ -26,7 +26,7 @@ from .blockenc import BlockEncoding, encoded_block
 from .chebyshev import ChebyshevSeries, FilterSpec, heaviside_filter
 from .linalg import (DISTANCE_PROBES, SAMPLE_UNIFORMS, StateVector, dagger, eigh, haar_vector,
                      rng, trace_norm)
-from .qsp import PhaseFactorSet, synthesize_symmetric, to_circuit, to_su2
+from .qsp import PhaseFactorSet, SynthesisError, synthesize_symmetric, to_circuit, to_su2
 from .qsvt import assemble_full
 
 __all__ = [
@@ -270,19 +270,21 @@ def _multiband_phase_table(structure: BandStructure, round_eps: float) -> tuple[
     these, every filter zero-padded to it, so each executed round costs the
     same queries and the split order does not matter. A filter is never
     solved again at a higher degree: the exchange loses accuracy far above
-    a split's own minimum.
+    a split's own minimum. The padded filters share one degree, so one
+    batched Newton pass synthesizes all of them.
     """
     filters = {
         k: heaviside_filter(FilterSpec(float(structure.centers[k - 1]), structure.delta, round_eps))
         for k in range(1, structure.band_count)
     }
     degree = max((f.degree for f in filters.values()), default=0)
-    table = {
-        k: to_circuit(synthesize_symmetric(
-            ChebyshevSeries(np.pad(f.coeffs, (0, degree - f.degree)), "even"), SYNTHESIS_TOL))
-        for k, f in filters.items()
-    }
-    return table, degree
+    padded = [ChebyshevSeries(np.pad(f.coeffs, (0, degree - f.degree)), "even")
+              for f in filters.values()]
+    try:
+        phases = synthesize_symmetric(padded, SYNTHESIS_TOL)
+    except SynthesisError as err:
+        raise SynthesisError(f"split {err.index + 1}: {err}", err.history, err.index) from err
+    return {k: to_circuit(psi) for k, psi in zip(filters, phases)}, degree
 
 
 def run_multiband(

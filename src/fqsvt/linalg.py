@@ -168,5 +168,5 @@ def hermitian_from_spectrum(values, gen: np.random.Generator) -> np.ndarray:
 def matrix_to_json(a: np.ndarray) -> dict:
     """Encode a complex matrix as {"rows", "cols", "data"} with (re, im) pairs, row-major."""
     a = np.atleast_2d(np.asarray(a, dtype=complex))
-    data = [[float(z.real), float(z.imag)] for z in a.ravel(order="C")]
+    data = np.stack([a.real, a.imag], axis=-1).reshape(-1, 2).tolist()
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}

@@ -78,32 +78,25 @@ def _forward_pairs(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Every partial product of the QSP sequence as SU(2) pairs.
 
     An SU(2) matrix [[a, b], [-conj(b), conj(a)]] is stored as the pair
-    (a, b). Entry [k, :, j] of the returned (d+1, 2, len(xs)) array holds
-    the pair of e^{i psi_0 Z} prod_{l=1..k} W(x_j) e^{i psi_l Z}, where W(x)
-    is the pair (x, i sqrt(1-x^2)) and e^{i psi Z} the pair (e^{i psi}, 0).
-    Right-multiplying (a, b) by W e^{i psi Z} gives
+    (a, b). Entry [k, ..., :, j] of the returned (d+1, ..., 2, len(xs))
+    array holds the pair of e^{i psi_0 Z} prod_{l=1..k} W(x_j) e^{i psi_l Z},
+    where W(x) is the pair (x, i sqrt(1-x^2)) and e^{i psi Z} the pair
+    (e^{i psi}, 0). Right-multiplying (a, b) by W e^{i psi Z} gives
     ((x a + i s b) e^{i psi}, (i s a + x b) e^{-i psi}), so each step is
-    four elementwise operations on a (2, n) array.
+    four elementwise operations. `values` is one phase sequence of shape
+    (d+1,) or a stack of shape (..., d+1), swept together.
     """
     xs = np.clip(xs, -1.0, 1.0)
     isx = 1j * np.sqrt(1.0 - xs * xs)
-    phases = np.exp(1j * values)
-    scale = np.stack([phases, phases.conj()], axis=1)[:, :, None]
-    d = len(values) - 1
-    pairs = np.empty((d + 1, 2, len(xs)), dtype=complex)
-    pairs[0, 0] = phases[0]
-    pairs[0, 1] = 0.0
-    for k in range(1, d + 1):
+    phases = np.moveaxis(np.exp(1j * values), -1, 0)
+    scale = np.stack([phases, phases.conj()], axis=-1)[..., None]
+    pairs = np.empty(phases.shape + (2, len(xs)), dtype=complex)
+    pairs[0, ..., 0, :] = phases[0][..., None]
+    pairs[0, ..., 1, :] = 0.0
+    for k in range(1, len(phases)):
         ab = pairs[k - 1]
-        np.multiply(xs * ab + isx * ab[::-1], scale[k], out=pairs[k])
+        np.multiply(xs * ab + isx * ab[..., ::-1, :], scale[k], out=pairs[k])
     return pairs
-
-
-def _batch_unitaries(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """U(x) for every x, as an array of shape (len(xs), 2, 2)."""
-    a, b = _forward_pairs(values, xs)[-1]
-    return np.stack([np.stack([a, b], axis=-1),
-                     np.stack([-b.conj(), a.conj()], axis=-1)], axis=-2)
 
 
 @dataclass
@@ -140,28 +133,25 @@ def extract_pq(psi: PhaseFactorSet) -> QspPolynomialPair:
     P is read from the top-left entry at d+1 nodes, Q from the top-right at
     d interior nodes (where the sqrt(1-x^2) prefactor is nonzero). An
     independent uniform grid re-checks the interpolation before returning.
+    One forward sweep covers all three node sets.
     """
     _require(psi, "su2")
     d = psi.degree
-
     theta_p = (2.0 * np.arange(d + 1) + 1.0) * math.pi / (2.0 * (d + 1))
-    up = _batch_unitaries(psi.values, np.cos(theta_p))
-    p = _cheb_interpolate(up[:, 0, 0], theta_p, d)
+    theta_q = (2.0 * np.arange(d) + 1.0) * math.pi / (2.0 * d)
+    xq = np.cos(theta_q)
+    xs = np.linspace(-1.0, 1.0, 401)
+    a, b = _forward_pairs(psi.values, np.concatenate([np.cos(theta_p), xq, xs]))[-1]
 
+    p = _cheb_interpolate(a[: d + 1], theta_p, d)
     if d == 0:
         q = np.zeros(0, dtype=complex)
     else:
-        theta_q = (2.0 * np.arange(d) + 1.0) * math.pi / (2.0 * d)
-        xq = np.cos(theta_q)
-        uq = _batch_unitaries(psi.values, xq)
-        qvals = uq[:, 0, 1] / (1j * np.sqrt(1.0 - xq * xq))
-        q = _cheb_interpolate(qvals, theta_q, d - 1)
+        q = _cheb_interpolate(b[d + 1 : 2 * d + 1] / (1j * np.sqrt(1.0 - xq * xq)), theta_q, d - 1)
 
     pair = QspPolynomialPair(p, q, d)
-    xs = np.linspace(-1.0, 1.0, 401)
-    u = _batch_unitaries(psi.values, xs)
-    res_p = np.max(np.abs(pair.eval_p(xs) - u[:, 0, 0]))
-    res_q = np.max(np.abs(1j * np.sqrt(1.0 - xs * xs) * pair.eval_q(xs) - u[:, 0, 1]))
+    res_p = np.max(np.abs(pair.eval_p(xs) - a[2 * d + 1 :]))
+    res_q = np.max(np.abs(1j * np.sqrt(1.0 - xs * xs) * pair.eval_q(xs) - b[2 * d + 1 :]))
     if max(res_p, res_q) > 1e-9:
         raise RuntimeError(
             f"polynomial interpolation inconsistent on validation grid: "
@@ -190,24 +180,31 @@ def to_circuit(psi: PhaseFactorSet) -> PhaseFactorSet:
 
 
 class SynthesisError(RuntimeError):
-    """Raised when phase-factor optimization stalls above the requested tolerance."""
+    """Raised when phase-factor optimization stalls above the requested tolerance.
 
-    def __init__(self, message: str, history: list[float]):
+    `index` is the failed target's position in the list given to
+    `synthesize_symmetric` (0 for a single target) and `history` its max
+    residual at each Newton iterate.
+    """
+
+    def __init__(self, message: str, history: list[float], index: int = 0):
         super().__init__(message)
         self.history = history
+        self.index = index
 
 
 def _mirror(free: np.ndarray, d: int) -> np.ndarray:
-    full = np.empty(d + 1)
-    m = len(free)
-    full[:m] = free
-    full[m:] = free[: d + 1 - m][::-1]
+    """Palindromic phases from the free ones; a stack mirrors each row."""
+    full = np.empty(free.shape[:-1] + (d + 1,))
+    m = free.shape[-1]
+    full[..., :m] = free
+    full[..., m:] = free[..., : d + 1 - m][..., ::-1]
     return full
 
 
 def _residual(free: np.ndarray, d: int, xs: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Residuals Re P(x_j) - f(x_j) from the forward sweep alone."""
-    return _forward_pairs(_mirror(free, d), xs)[d, 0].real - target
+    return _forward_pairs(_mirror(free, d), xs)[d, ..., 0, :].real - target
 
 
 def _residual_and_jacobian(prefix: np.ndarray, target: np.ndarray):
@@ -219,10 +216,11 @@ def _residual_and_jacobian(prefix: np.ndarray, target: np.ndarray):
     dU/dpsi_k = A_k (iZ) A_k^dagger U and, for every k at once,
     d(Re P)/d(psi_k) = -Im((|a_k|^2 - |b_k|^2) a + 2 a_k b_k conj(b)).
     The symmetry constraint ties mirrored phases to one free variable each.
+    A stacked prefix gives stacked residuals (..., n) and Jacobians (..., n, m).
     """
     d = len(prefix) - 1
-    pa, pb = prefix[:, 0], prefix[:, 1]
-    a, b = prefix[d]
+    pa, pb = prefix[..., 0, :], prefix[..., 1, :]
+    a, b = pa[d], pb[d]
     weight = (pa * pa.conj()).real - (pb * pb.conj()).real
     grad_full = -(weight * a + 2.0 * pa * pb * b.conj()).imag
     # Phase j >= m is the mirror of free phase d - j; the middle phase of an
@@ -230,52 +228,57 @@ def _residual_and_jacobian(prefix: np.ndarray, target: np.ndarray):
     m = (d + 2) // 2
     jac_t = grad_full[:m].copy()
     jac_t[: d + 1 - m] += grad_full[m:][::-1]
-    return a.real - target, jac_t.T
+    return a.real - target, np.moveaxis(jac_t, 0, -1)
 
 
-def _damped_newton(free, d, xs, target, tol, history, max_iters=80):
+def _damped_newton(free, d, xs, target, tol, histories, max_iters=80):
     """Newton with backtracking on the max residual, one node per free phase.
 
-    Line-search trials need only the residual. The forward sweep of the
-    accepted trial also yields the next Jacobian, so each step runs one
-    sweep per trial and none besides.
+    Row s of `free` and `target` is one target; each accepts its own step
+    length and keeps its own converged or stalled flag, and `histories[s]`
+    gets its max residual at each iterate. Every forward sweep covers the
+    rows still running or searching, and one solve takes their stacked
+    Jacobians.
+    Line-search trials need only the residual; the sweep of an accepted
+    trial also yields its next Jacobian, so no sweep runs besides the trials.
     """
-    prefix = _forward_pairs(_mirror(free, d), xs)
+    free = free.copy()
+    running = np.arange(len(free))
+    r, jac = _residual_and_jacobian(_forward_pairs(_mirror(free, d), xs), target)
     for _ in range(max_iters):
-        r, jac = _residual_and_jacobian(prefix, target)
-        cur = float(np.max(np.abs(r)))
-        history.append(cur)
-        if cur <= tol:
+        cur = np.max(np.abs(r), axis=-1)
+        for s, c in zip(running, cur):
+            histories[s].append(float(c))
+        live = ~(cur <= tol)
+        running, r, jac, cur = running[live], r[live], jac[live], cur[live]
+        if len(running) == 0:
             break
-        step = np.linalg.solve(jac, -r)
+        step = np.linalg.solve(jac, -r[..., None])[..., 0]
+        # Every row still searching has been halved as often, so one t serves all.
         t = 1.0
+        searching = np.arange(len(running))
+        moved = np.zeros(len(running), dtype=bool)
         for _ in range(30):
-            trial = free + t * step
-            trial_prefix = _forward_pairs(_mirror(trial, d), xs)
-            if float(np.max(np.abs(trial_prefix[d, 0].real - target))) < cur:
-                free, prefix = trial, trial_prefix
+            rows = running[searching]
+            trial = free[rows] + t * step[searching]
+            prefix = _forward_pairs(_mirror(trial, d), xs)
+            better = np.max(np.abs(prefix[d, :, 0].real - target[rows]), axis=-1) < cur[searching]
+            accepted = searching[better]
+            free[rows[better]] = trial[better]
+            if not better.all():
+                prefix = prefix[:, better]
+            r[accepted], jac[accepted] = _residual_and_jacobian(prefix, target[rows[better]])
+            moved[accepted] = True
+            searching = searching[~better]
+            if len(searching) == 0:
                 break
             t *= 0.5
-        else:
-            break
+        running, r, jac = running[moved], r[moved], jac[moved]
     return free
 
 
-def synthesize_symmetric(f: ChebyshevSeries, tol: float) -> PhaseFactorSet:
-    """Symmetric rotation-convention phases whose Re P matches the target.
-
-    The target must have definite parity and, unless it is a single
-    Chebyshev component (handled in closed form), stay strictly inside the
-    synthesis margin; callers rescale, this routine never does. A symmetric
-    degree-d sequence has m = (d+2)//2 free phases, and Re P - f has
-    definite parity, so it is solved on the m positive Chebyshev nodes
-    cos((2j-1) pi / (4m)): a square system, solved by damped Newton from
-    the (pi/4, 0, ..., 0, pi/4) iterate (Dong, Lin, Ni and Wang,
-    arXiv:2209.10162). Residuals and the Jacobian come from one forward
-    sweep of SU(2) pairs (`_forward_pairs`); each Newton step reuses the
-    sweep of its accepted line-search trial. The result must then meet
-    `tol` on the 2d-node grid, or `SynthesisError` is raised.
-    """
+def _closed_form(f: ChebyshevSeries) -> np.ndarray | None:
+    """Validate one target; return its phases if a closed form gives them."""
     if f.parity == "none":
         raise ValueError("synthesis target must have definite parity")
     d = f.degree
@@ -286,7 +289,7 @@ def synthesize_symmetric(f: ChebyshevSeries, tol: float) -> PhaseFactorSet:
         c0 = float(f.coeffs[0])
         if abs(c0) > 1.0:
             raise ValueError(f"constant target {c0} exceeds magnitude 1")
-        return PhaseFactorSet(np.array([math.acos(c0)]), "su2")
+        return np.array([math.acos(c0)])
 
     top = float(f.coeffs[d])
     if np.all(np.abs(f.coeffs[:d]) <= 1e-15 * max(1.0, abs(top))):
@@ -296,31 +299,70 @@ def synthesize_symmetric(f: ChebyshevSeries, tol: float) -> PhaseFactorSet:
             raise ValueError(f"target coefficient {top} exceeds magnitude 1")
         values = np.zeros(d + 1)
         values[0] = values[d] = 0.5 * math.acos(top)
-        return PhaseFactorSet(values, "su2")
+        return values
+    return None
 
-    margin_grid = np.linspace(-1.0, 1.0, max(2001, 20 * (d + 1)))
-    sup = float(np.max(np.abs(_clenshaw(f.coeffs, margin_grid))))
-    if sup > 1.0 - SYNTHESIS_GUARD:
-        raise ValueError(
-            f"target sup-norm {sup:.12f} violates the synthesis margin "
-            f"1 - {SYNTHESIS_GUARD:g}; rescale the target before synthesis"
-        )
 
-    m = (d + 2) // 2
-    xs = np.cos((2.0 * np.arange(1, m + 1) - 1.0) * math.pi / (4.0 * m))
-    x0 = np.zeros(m)
-    x0[0] = math.pi / 4.0
-    history: list[float] = []
-    free = _damped_newton(x0, d, xs, _clenshaw(f.coeffs, xs), 0.25 * tol, history)
+def synthesize_symmetric(
+    f: ChebyshevSeries | list[ChebyshevSeries], tol: float
+) -> PhaseFactorSet | list[PhaseFactorSet]:
+    """Symmetric rotation-convention phases whose Re P matches the target.
 
-    # Contract check on the full 2d-node grid (parity mirrors the positive nodes).
-    check_grid = np.cos((2.0 * np.arange(1, 2 * d + 1) - 1.0) * math.pi / (4.0 * d))
-    check_target = _clenshaw(f.coeffs, check_grid)
-    final = float(np.max(np.abs(_residual(free, d, check_grid, check_target))))
-    if final > tol:
-        raise SynthesisError(
-            f"phase synthesis stalled at residual {final:.3e} (target {tol:.3e}, "
-            f"degree {d})",
-            history,
-        )
-    return PhaseFactorSet(_mirror(free, d), "su2")
+    `f` is one `ChebyshevSeries`, giving one `PhaseFactorSet`, or a list of
+    targets of one degree, giving a list in the same order. Each target must
+    have definite parity and, unless it is a single Chebyshev component
+    (handled in closed form), stay strictly inside the synthesis margin;
+    callers rescale, this routine never does. A symmetric degree-d sequence
+    has m = (d+2)//2 free phases, and Re P - f has definite parity, so it is
+    solved on the m positive Chebyshev nodes cos((2j-1) pi / (4m)): a square
+    system, solved by damped Newton from the (pi/4, 0, ..., 0, pi/4) iterate
+    (Dong, Lin, Ni and Wang, arXiv:2209.10162). Residuals and the Jacobian
+    come from one forward sweep of SU(2) pairs (`_forward_pairs`); each
+    Newton step reuses the sweep of its accepted line-search trial. All
+    targets of a list run in one Newton pass over their stack, each with its
+    own steps, so each gets the phases it would get alone. Every result must
+    then meet `tol` on the 2d-node grid, or `SynthesisError` names the first
+    that does not.
+    """
+    single = isinstance(f, ChebyshevSeries)
+    targets = [f] if single else list(f)
+    degrees = {g.degree for g in targets}
+    if len(degrees) > 1:
+        raise ValueError(f"stacked synthesis targets must share one degree, got {sorted(degrees)}")
+    values = [_closed_form(g) for g in targets]
+    solve = [i for i, v in enumerate(values) if v is None]
+    if solve:
+        d = degrees.pop()
+        # Shape (d+1, rows, 1): `_clenshaw` runs down the first axis, one row per target.
+        coeffs = np.array([targets[i].coeffs for i in solve]).T[..., None]
+        margin_grid = np.linspace(-1.0, 1.0, max(2001, 20 * (d + 1)))
+        sup = np.max(np.abs(_clenshaw(coeffs, margin_grid)), axis=-1)
+        if np.any(sup > 1.0 - SYNTHESIS_GUARD):
+            j = int(np.argmax(sup > 1.0 - SYNTHESIS_GUARD))
+            raise ValueError(
+                f"target sup-norm {sup[j]:.12f} violates the synthesis margin "
+                f"1 - {SYNTHESIS_GUARD:g}; rescale the target before synthesis"
+                + ("" if single else f" (item {solve[j]} of {len(targets)})")
+            )
+
+        m = (d + 2) // 2
+        xs = np.cos((2.0 * np.arange(1, m + 1) - 1.0) * math.pi / (4.0 * m))
+        x0 = np.zeros((len(solve), m))
+        x0[:, 0] = math.pi / 4.0
+        histories: list[list[float]] = [[] for _ in solve]
+        free = _damped_newton(x0, d, xs, _clenshaw(coeffs, xs), 0.25 * tol, histories)
+
+        # Contract check on the full 2d-node grid (parity mirrors the positive nodes).
+        check_grid = np.cos((2.0 * np.arange(1, 2 * d + 1) - 1.0) * math.pi / (4.0 * d))
+        final = np.max(np.abs(_residual(free, d, check_grid, _clenshaw(coeffs, check_grid))),
+                       axis=-1)
+        for j, i in enumerate(solve):
+            if final[j] > tol:
+                raise SynthesisError(
+                    f"phase synthesis stalled at residual {final[j]:.3e} (target {tol:.3e}, "
+                    f"degree {d}" + (")" if single else f", item {i} of {len(targets)})"),
+                    histories[j], i,
+                )
+            values[i] = _mirror(free[j], d)
+    phases = [PhaseFactorSet(v, "su2") for v in values]
+    return phases[0] if single else phases

@@ -29,11 +29,28 @@ __all__ = [
 ]
 
 
-def _ctrl_rotation(phi: float, n: int, m_dim: int) -> np.ndarray:
-    """diag(e^{i phi} I_N, e^{-i phi} I_{N (M-1)})."""
-    diag = np.full(n * m_dim, np.exp(-1j * phi), dtype=complex)
-    diag[:n] = np.exp(1j * phi)
-    return diag
+def _interleaved(enc: BlockEncoding, phi: PhaseFactorSet, signs: list) -> np.ndarray:
+    """The interleaved product for sign * phi, one (NM, NM) matrix per sign.
+
+    Rotation k is diag(e^{i phi_k} I_N, e^{-i phi_k} I_{N (M-1)}); one `exp`
+    gives every rotation diagonal of every sign, and each factor of the
+    encoding is one matmul on the stack.
+    """
+    if phi.convention != "circuit":
+        raise ValueError("interleaved assembly takes circuit-convention phases")
+    base = enc.unitary
+    base_inv = dagger(base)
+    n = enc.encoded_dim
+    d = phi.degree
+    size = base.shape[0]
+    phases = np.multiply.outer(signs, phi.values)
+    diags = np.exp(np.multiply.outer(phases, [1j, -1j]))[..., (np.arange(size) >= n).astype(int)]
+    u = np.zeros((len(signs), size, size), dtype=complex)
+    u[:, np.arange(size), np.arange(size)] = diags[:, 0]
+    for k in range(1, d + 1):
+        u = u @ (base if (d - k) % 2 == 0 else base_inv)
+        u *= diags[:, k, np.newaxis, :]
+    return u
 
 
 def assemble_interleaved(enc: BlockEncoding, phi: PhaseFactorSet) -> np.ndarray:
@@ -43,24 +60,12 @@ def assemble_interleaved(enc: BlockEncoding, phi: PhaseFactorSet) -> np.ndarray:
     feedforward runtime runs odd-degree second blocks through this same
     matrix, conjugated by a reflection on the encoding ancillas.
     """
-    if phi.convention != "circuit":
-        raise ValueError("interleaved assembly takes circuit-convention phases")
-    base = enc.unitary
-    base_inv = dagger(base)
-    n, m_dim = enc.encoded_dim, enc.ancilla_dim
-    d = phi.degree
-    u = np.diag(_ctrl_rotation(phi.values[0], n, m_dim))
-    for k in range(1, d + 1):
-        step = base if (d - k) % 2 == 0 else base_inv
-        u = u @ step
-        u = u * _ctrl_rotation(phi.values[k], n, m_dim)[np.newaxis, :]
-    return u
+    return _interleaved(enc, phi, [1.0])[0]
 
 
 def assemble_full(enc: BlockEncoding, phi: PhaseFactorSet) -> np.ndarray:
     """Full circuit unitary of size 2NM: Hadamard butterfly over +Phi / -Phi sectors."""
-    u_pos = assemble_interleaved(enc, phi)
-    u_neg = assemble_interleaved(enc, PhaseFactorSet(-phi.values, "circuit"))
+    u_pos, u_neg = _interleaved(enc, phi, [1.0, -1.0])
     a = 0.5 * (u_pos + u_neg)
     b = 0.5 * (u_pos - u_neg)
     size = u_pos.shape[0]

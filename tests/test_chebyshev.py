@@ -1,3 +1,4 @@
+import functools
 
 import numpy as np
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqsvt import chebyshev
+from fqsvt.bands import detect_bands
 from fqsvt.chebyshev import (
     EPS_FLOOR,
     ChebyshevSeries,
@@ -160,6 +162,59 @@ def test_heaviside_search_does_not_creep(monkeypatch, spec, degree):
     monkeypatch.setattr(chebyshev, "_minimax_step", counting)
     assert heaviside_filter(spec).degree == degree
     assert len(calls) <= 8, calls
+
+
+def layout_structure(count: int):
+    """`count` bands of 2 eigenvalues 0.02 apart, centred evenly on [0.05, 0.95].
+
+    The layout of the multi-band benchmark inputs.
+    """
+    centers = np.linspace(0.05, 0.95, count)
+    return detect_bands(np.sort(np.concatenate([centers - 0.01, centers + 0.01])),
+                        target_bands=count)
+
+
+@functools.cache
+def layout_filters(count: int) -> tuple:
+    """The split filters of `layout_structure(count)` at round_eps 1e-3."""
+    structure = layout_structure(count)
+    return tuple(heaviside_filter(FilterSpec(float(c), structure.delta, 1e-3))
+                 for c in structure.centers)
+
+
+# Degrees returned when every exchange step took its extrema from exact
+# root solves; the grid-located exchange must return the same ones.
+LAYOUT_DEGREES = {
+    8: [116, 108, 106, 98, 88, 74, 52],
+    16: [310, 300, 300, 298, 290, 284, 276, 264, 254, 240, 224, 206, 184, 158, 122],
+}
+PINNED_DEGREES = [
+    (0.578, 0.0663, 1.42e-6, 306), (0.202, 0.0532, 8.96e-8, 558),
+    (0.8, 0.134, 1.6e-7, 128), (0.687, 0.262, 4.17e-3, 26), (0.724, 0.236, 1.11e-6, 74),
+    (0.428, 0.259, 8.35e-5, 60), (0.773, 0.0971, 1.36e-7, 192), (0.541, 0.196, 8.78e-4, 56),
+    (0.837, 0.125, 6.73e-4, 58), (0.135, 0.12, 1.68e-3, 96), (0.733, 0.157, 0.0893, 20),
+    (0.74, 0.0462, 2.23e-4, 220), (0.298, 0.267, 4.2e-3, 36), (0.689, 0.0324, 0.0596, 108),
+    (0.207, 0.0885, 6.03e-4, 148), (0.537, 0.244, 6.08e-7, 90), (0.236, 0.274, 4.84e-6, 76),
+    (0.353, 0.0451, 0.0216, 138), (0.769, 0.146, 5.5e-7, 118), (0.68, 0.241, 1.68e-7, 88),
+    (0.292, 0.0938, 6.8e-3, 88), (0.694, 0.0779, 3e-5, 176), (0.16, 0.246, 3.88e-7, 102),
+]
+
+
+@pytest.mark.parametrize("count", sorted(LAYOUT_DEGREES))
+def test_layout_filter_degrees_are_pinned(count):
+    structure = layout_structure(count)
+    filters = layout_filters(count)
+    assert [f.degree for f in filters] == LAYOUT_DEGREES[count]
+    for c, filt in zip(structure.centers, filters):
+        assert certify_filter(filt, FilterSpec(float(c), structure.delta, 1e-3)).passed
+
+
+@pytest.mark.parametrize("mu, delta, eps, degree", PINNED_DEGREES)
+def test_filter_degree_is_pinned(mu, delta, eps, degree):
+    spec = FilterSpec(mu, delta, eps)
+    filt = heaviside_filter(spec)
+    assert filt.degree == degree
+    assert certify_filter(filt, spec).passed
 
 
 def test_heaviside_raises_when_the_cap_is_too_low(monkeypatch):

@@ -27,6 +27,15 @@ def write_config(tmp_path, doc, name="config.json"):
     return str(path)
 
 
+def assert_json_is_compact_and_sorted(out: Path):
+    """Every JSON artifact is the compact, key-sorted dump of its own content."""
+    paths = sorted(out.glob("*.json"))
+    assert paths
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", path.name
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
     # No module of the package imports scipy, so neither the import nor a
     # full phase synthesis may load it.
@@ -51,6 +60,7 @@ def test_phases_command_writes_artifacts(tmp_path):
     assert len(cert) == 4
     phases = json.loads((out / "phases_circuit.json").read_text())
     assert phases["convention"] == "circuit"
+    assert_json_is_compact_and_sorted(out)
 
 
 def test_phases_command_deterministic(tmp_path):
@@ -97,6 +107,7 @@ def test_project_enumerate_synthetic(tmp_path):
     assert rows["queries"] == rows["query_formula"]
     kraus = json.loads((out / "kraus.json").read_text())
     assert kraus["completeness_residual"] <= 1e-9
+    assert_json_is_compact_and_sorted(out)
 
 
 def test_project_sample_mode_records(tmp_path):
@@ -387,6 +398,7 @@ def test_bosehubbard_outputs(tmp_path):
     assert len(labels) == 17
     bands = json.loads((out / "bands.json").read_text())
     assert bands["L"] == 6
+    assert_json_is_compact_and_sorted(out)
 
 
 def test_bosehubbard_rejects_margin_outside_open_half_with_exit_2(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fqsvt import feedforward
 from fqsvt.bands import BandStructure, detect_bands, exact_projectors, synthetic_band_spectrum
 from fqsvt.blockenc import dilate_hermitian
-from fqsvt.chebyshev import FilterSpec, _clenshaw, heaviside_filter
+from fqsvt.chebyshev import ChebyshevSeries, FilterSpec, _clenshaw, heaviside_filter
 from fqsvt.feedforward import (
     KrausExtraction,
     MultibandPolicy,
@@ -33,6 +33,7 @@ from fqsvt.linalg import (
 )
 from fqsvt.qsp import (
     PhaseFactorSet,
+    SynthesisError,
     _mirror,
     extract_pq,
     synthesize_symmetric,
@@ -585,6 +586,23 @@ def test_phase_table_builds_each_split_once_and_pads_to_the_hardest(monkeypatch)
         assert table[k].degree == degree
         realized = _clenshaw(extract_pq(to_su2(table[k])).p.real, xs)
         assert np.max(np.abs(realized - filt(xs))) <= 1e-10
+
+
+def test_phase_table_names_the_split_whose_synthesis_stalls(monkeypatch):
+    # A pure 0.5 T_10 filter has closed-form phases, so at an unreachable
+    # tolerance only split 2, given 0.3 + 0.5 T_10, can stall.
+    structure = BandStructure(4, [0.125, 0.225, 0.5], 0.2, [[0], [1], [2], [3]])
+
+    def fake_filter(spec):
+        coeffs = np.zeros(11)
+        coeffs[[0, 10]] = (0.3 if spec.mu == 0.225 else 0.0), 0.5
+        return ChebyshevSeries(coeffs, "even")
+
+    monkeypatch.setattr(feedforward, "heaviside_filter", fake_filter)
+    monkeypatch.setattr(feedforward, "SYNTHESIS_TOL", 1e-30)
+    with pytest.raises(SynthesisError, match=r"^split 2: phase synthesis stalled") as info:
+        _multiband_phase_table(structure, 0.1)
+    assert info.value.index == 1 and info.value.history
 
 
 @pytest.mark.parametrize("count", range(2, 18))

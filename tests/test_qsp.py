@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqsvt.chebyshev import ChebyshevSeries, heaviside_filter
+from fqsvt import qsp
+from fqsvt.chebyshev import ChebyshevSeries, _clenshaw, heaviside_filter
+from fqsvt.feedforward import SYNTHESIS_TOL
 from fqsvt.linalg import rng
 from fqsvt.qsp import (
     PhaseFactorSet,
     SynthesisError,
-    _batch_unitaries,
+    _cheb_interpolate,
+    _damped_newton,
     _forward_pairs,
     _mirror,
     _residual,
@@ -20,7 +23,14 @@ from fqsvt.qsp import (
     to_circuit,
     to_su2,
 )
-from test_chebyshev import filter_specs
+from test_chebyshev import filter_specs, layout_filters
+
+
+def batch_unitaries(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """U(x) for every x, as an array of shape (len(xs), 2, 2)."""
+    a, b = _forward_pairs(values, xs)[-1]
+    return np.stack([np.stack([a, b], axis=-1),
+                     np.stack([-b.conj(), a.conj()], axis=-1)], axis=-2)
 
 
 def random_symmetric(gen, degree):
@@ -29,7 +39,7 @@ def random_symmetric(gen, degree):
 
 def qsp_unitary(x: float, values) -> np.ndarray:
     """The signal-processing unitary U(x) of rotation-convention phases."""
-    return _batch_unitaries(np.asarray(values, dtype=float), np.array([x]))[0]
+    return batch_unitaries(np.asarray(values, dtype=float), np.array([x]))[0]
 
 
 def test_qsp_unitary_zero_phases_is_x_rotation():
@@ -64,7 +74,7 @@ def test_batch_unitaries_match_explicit_matrix_product():
     xs = np.linspace(-1, 1, 17)
     for d in (0, 1, 4, 25):
         values = gen.uniform(-np.pi, np.pi, d + 1)
-        got = _batch_unitaries(values, xs)
+        got = batch_unitaries(values, xs)
         for x, u in zip(xs, got):
             s = math.sqrt(1 - x * x)
             w = np.array([[x, 1j * s], [1j * s, x]])
@@ -94,6 +104,33 @@ def test_extract_pq_symmetric_q_real():
     gen = rng(2)
     pair = extract_pq(random_symmetric(gen, 9))
     assert np.max(np.abs(pair.q.imag)) <= 1e-10
+
+
+def reference_extract_pq(psi: PhaseFactorSet):
+    """(p, q) of `extract_pq` from separate sweeps over the P nodes and the Q nodes."""
+    d = psi.degree
+    theta_p = (2.0 * np.arange(d + 1) + 1.0) * math.pi / (2.0 * (d + 1))
+    p = _cheb_interpolate(batch_unitaries(psi.values, np.cos(theta_p))[:, 0, 0], theta_p, d)
+    if d == 0:
+        return p, np.zeros(0, dtype=complex)
+    theta_q = (2.0 * np.arange(d) + 1.0) * math.pi / (2.0 * d)
+    xq = np.cos(theta_q)
+    qvals = batch_unitaries(psi.values, xq)[:, 0, 1] / (1j * np.sqrt(1.0 - xq * xq))
+    return p, _cheb_interpolate(qvals, theta_q, d - 1)
+
+
+def test_extract_pq_one_sweep_matches_separate_sweeps_bitwise():
+    # Criterion 1 draws symmetric phases of degree 1-30; criterion 2 reads
+    # the pair of random circuit phases of degree 1-12 through `to_su2`.
+    gen = rng(101)
+    cases = [PhaseFactorSet([0.3], "su2")]
+    cases += [random_symmetric(gen, int(gen.integers(1, 31))) for _ in range(60)]
+    cases += [to_su2(PhaseFactorSet(gen.uniform(-np.pi, np.pi, int(gen.integers(1, 13)) + 1),
+                                    "circuit")) for _ in range(60)]
+    for psi in cases:
+        pair = extract_pq(psi)
+        p, q = reference_extract_pq(psi)
+        assert np.array_equal(pair.p, p) and np.array_equal(pair.q, q), psi.values
 
 
 def test_conversion_examples():
@@ -129,8 +166,8 @@ def test_conjugation_identity():
     grid = np.linspace(-1, 1, 33)
 
     def deviation(values):
-        pos = _batch_unitaries(to_su2(PhaseFactorSet(values, "circuit")).values, grid)
-        neg = _batch_unitaries(to_su2(PhaseFactorSet(-values, "circuit")).values, grid)
+        pos = batch_unitaries(to_su2(PhaseFactorSet(values, "circuit")).values, grid)
+        neg = batch_unitaries(to_su2(PhaseFactorSet(-values, "circuit")).values, grid)
         return float(np.max(np.abs(neg - pos.conj())))
 
     assert deviation(np.array([0.0, 0.0])) <= 1e-10
@@ -207,16 +244,136 @@ def test_synthesis_meets_the_2d_node_contract(target):
     d = target.degree
     xs = np.cos((2 * np.arange(1, 2 * d + 1) - 1) * np.pi / (4 * d))
     assert psi.symmetric and psi.degree == d
-    assert np.max(np.abs(_batch_unitaries(psi.values, xs)[:, 0, 0].real - target(xs))) <= tol
+    assert np.max(np.abs(batch_unitaries(psi.values, xs)[:, 0, 0].real - target(xs))) <= tol
 
 
 def test_synthesis_stall_raises_with_its_history():
     gen = rng(9)
     coeffs = 0.9 * extract_pq(random_symmetric(gen, 10)).p.real
     coeffs[1::2] = 0.0
+    target = ChebyshevSeries(coeffs, "even")
     with pytest.raises(SynthesisError, match="stalled") as info:
-        synthesize_symmetric(ChebyshevSeries(coeffs, "even"), 1e-30)
-    assert info.value.history and min(info.value.history) > 2.5e-31
+        synthesize_symmetric(target, 1e-30)
+    alone = info.value.history
+    assert alone and min(alone) > 2.5e-31 and info.value.index == 0
+    # In a stack, a pure 0.5 T_10 target has closed-form phases and cannot
+    # stall, so the error names the second item and carries its own history.
+    pure = ChebyshevSeries(np.eye(11)[10] * 0.5, "even")
+    with pytest.raises(SynthesisError, match="item 1 of 2") as info:
+        synthesize_symmetric([pure, target], 1e-30)
+    assert info.value.index == 1 and info.value.history == alone
+
+
+def reference_newton(free, d, xs, target, tol, history, max_iters=80):
+    """Damped Newton on one target, the reference for the stacked solver.
+
+    A scalar step length halved up to 30 times, a stop at `tol`, and a stall
+    when no halving lowers the max residual.
+    """
+    prefix = _forward_pairs(_mirror(free, d), xs)
+    for _ in range(max_iters):
+        r, jac = _residual_and_jacobian(prefix, target)
+        cur = float(np.max(np.abs(r)))
+        history.append(cur)
+        if cur <= tol:
+            break
+        step = np.linalg.solve(jac, -r)
+        t = 1.0
+        for _ in range(30):
+            trial = free + t * step
+            trial_prefix = _forward_pairs(_mirror(trial, d), xs)
+            if float(np.max(np.abs(trial_prefix[d, 0].real - target))) < cur:
+                free, prefix = trial, trial_prefix
+                break
+            t *= 0.5
+        else:
+            break
+    return free
+
+
+def newton_start(targets):
+    """`_damped_newton`'s inputs for a list of targets of one degree d."""
+    d = targets[0].degree
+    m = (d + 2) // 2
+    xs = np.cos((2.0 * np.arange(1, m + 1) - 1.0) * math.pi / (4.0 * m))
+    x0 = np.zeros((len(targets), m))
+    x0[:, 0] = math.pi / 4.0
+    return x0, d, xs, np.array([_clenshaw(f.coeffs, xs) for f in targets])
+
+
+def padded_to_one_degree(filters) -> list:
+    degree = max(f.degree for f in filters)
+    return [ChebyshevSeries(np.pad(f.coeffs, (0, degree - f.degree)), "even") for f in filters]
+
+
+@pytest.mark.parametrize("count", [2, 4, 8, 16])
+def test_batched_synthesis_matches_the_per_split_loop_bitwise(count):
+    targets = padded_to_one_degree(layout_filters(count))
+    phases = synthesize_symmetric(targets, SYNTHESIS_TOL)
+    x0, d, xs, values = newton_start(targets)
+    assert len(phases) == len(targets)
+    for psi, start, target in zip(phases, x0, values):
+        free = reference_newton(start, d, xs, target, 0.25 * SYNTHESIS_TOL, [])
+        assert np.array_equal(psi.values, _mirror(free, d))
+
+
+@st.composite
+def shared_degree_targets(draw):
+    """2-6 even targets of one degree, scaled below 1.
+
+    Re P of random symmetric phases converges from the standard start in a
+    few full steps; random Chebyshev coefficients often need the line
+    search and may stall, each at its own iteration.
+    """
+    d = 2 * draw(st.integers(1, 30))
+    grid = np.linspace(-1.0, 1.0, 4001)
+    targets = []
+    for _ in range(draw(st.integers(2, 6))):
+        gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if draw(st.booleans()):
+            coeffs = extract_pq(random_symmetric(gen, d)).p.real
+        else:
+            coeffs = gen.standard_normal(d + 1)
+        coeffs[1::2] = 0.0
+        scale = (1.0 - 10.0 ** draw(st.floats(-6.0, -0.5))) / np.max(np.abs(_clenshaw(coeffs, grid)))
+        targets.append(ChebyshevSeries(scale * coeffs, "even"))
+    return targets
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(shared_degree_targets())
+def test_batched_newton_matches_the_per_target_loop_on_random_stacks(targets):
+    x0, d, xs, values = newton_start(targets)
+    histories = [[] for _ in targets]
+    free = _damped_newton(x0, d, xs, values, 2.5e-12, histories)
+    for row, start, target, history in zip(free, x0, values, histories):
+        alone = []
+        assert np.array_equal(row, reference_newton(start, d, xs, target, 2.5e-12, alone))
+        assert history == alone
+
+
+def test_a_stack_of_copies_takes_the_sweeps_of_one_target(monkeypatch):
+    target = padded_to_one_degree(layout_filters(4))[0]
+    sweeps = []
+
+    def counting(values, xs):
+        sweeps.append(values.shape)
+        return _forward_pairs(values, xs)
+
+    monkeypatch.setattr(qsp, "_forward_pairs", counting)
+    alone = synthesize_symmetric(target, SYNTHESIS_TOL)
+    single = len(sweeps)
+    sweeps.clear()
+    stacked = synthesize_symmetric([target] * 7, SYNTHESIS_TOL)
+    assert len(sweeps) == single > 2
+    assert all(shape[0] == 7 for shape in sweeps)
+    assert all(np.array_equal(psi.values, alone.values) for psi in stacked)
+
+
+def test_synthesize_rejects_targets_of_different_degrees():
+    with pytest.raises(ValueError, match="one degree"):
+        synthesize_symmetric([ChebyshevSeries([0.1, 0.0, 0.2], "even"),
+                              ChebyshevSeries([0.1, 0.0, 0.2, 0.0, 0.1], "even")], 1e-10)
 
 
 def test_synthesize_rejects_margin_violation():
@@ -257,7 +414,7 @@ def test_residual_matches_unitary_entry(d):
     xs = np.cos((2 * np.arange(1, d + 1) - 1) * np.pi / (4 * d))
     target = 0.3 * xs
     free = gen.uniform(-np.pi, np.pi, (d + 2) // 2)
-    expected = _batch_unitaries(_mirror(free, d), xs)[:, 0, 0].real - target
+    expected = batch_unitaries(_mirror(free, d), xs)[:, 0, 0].real - target
     r, _ = _residual_and_jacobian(_forward_pairs(_mirror(free, d), xs), target)
     assert np.max(np.abs(_residual(free, d, xs, target) - expected)) <= 1e-13
     assert np.array_equal(r, _residual(free, d, xs, target))

@@ -61,6 +61,46 @@ def test_full_circuit_unitary(setup):
         assemble_full(enc, PhaseFactorSet(phi.values, "su2"))
 
 
+def reference_interleaved(enc, values: np.ndarray) -> np.ndarray:
+    """The interleaved product with one rotation diagonal built per factor."""
+
+    def rotation(angle):
+        diag = np.full(enc.unitary.shape[0], np.exp(-1j * angle), dtype=complex)
+        diag[: enc.encoded_dim] = np.exp(1j * angle)
+        return diag
+
+    d = len(values) - 1
+    u = np.diag(rotation(values[0]))
+    for k in range(1, d + 1):
+        u = u @ (enc.unitary if (d - k) % 2 == 0 else dagger(enc.unitary))
+        u = u * rotation(values[k])[np.newaxis, :]
+    return u
+
+
+def reference_assemble_full(enc, phi: PhaseFactorSet) -> np.ndarray:
+    """`assemble_full` from two separate interleaved products."""
+    u_pos, u_neg = reference_interleaved(enc, phi.values), reference_interleaved(enc, -phi.values)
+    a, b = 0.5 * (u_pos + u_neg), 0.5 * (u_pos - u_neg)
+    return np.block([[a, b], [b, a]])
+
+
+def test_stacked_assembly_matches_separate_products_bitwise():
+    # Criterion 2 draws random circuit phases of degree 1-12 on n = 2, 4, 8;
+    # criterion 3 the circuit form of symmetric phases of degree 1-15.
+    gen = rng(102)
+    for trial in range(40):
+        n = int(2 ** gen.integers(1, 4))
+        h = hermitian_from_spectrum(gen.uniform(0.02, 0.98, n), gen)
+        enc = dilate_hermitian(h)
+        if trial % 2:
+            phi = to_circuit(random_symmetric(gen, int(gen.integers(1, 16))))
+        else:
+            phi = PhaseFactorSet(gen.uniform(-np.pi, np.pi, int(gen.integers(1, 13)) + 1),
+                                 "circuit")
+        assert np.array_equal(assemble_full(enc, phi), reference_assemble_full(enc, phi))
+        assert np.array_equal(assemble_interleaved(enc, phi), reference_interleaved(enc, phi.values))
+
+
 def test_predicted_blocks_match_assembled_both_parities(setup):
     gen, h, enc = setup
     for degree in (2, 5):
