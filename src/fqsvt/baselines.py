@@ -15,7 +15,7 @@ import numpy as np
 
 from .bands import BandStructure, exact_projectors
 from .linalg import (WALK_NORMALS, WALK_UNIFORMS, HermitianSpectrum, StateVector,
-                     check_hermitian, dagger, eigh, rng)
+                     check_hermitian, eigh, rng)
 
 __all__ = [
     "AdiabaticSchedule",
@@ -156,7 +156,11 @@ class ConvergenceError(RuntimeError):
 
 
 def _evolve_steps(h0, h1, gamma, total_time, steps, amplitudes) -> np.ndarray:
-    """Midpoint exponential steps; each block of `_BLOCK` steps is one stacked `eigh`."""
+    """Midpoint exponential steps; each block of `_BLOCK` steps is one stacked `eigh`.
+
+    The phases and adjoint eigenvectors of a block are formed once; each
+    step then applies V (phases * (V^dagger state)) in that order.
+    """
     state = amplitudes.astype(complex)
     if total_time == 0.0:
         return state
@@ -164,9 +168,10 @@ def _evolve_steps(h0, h1, gamma, total_time, steps, amplitudes) -> np.ndarray:
     for start in range(0, steps, _BLOCK):
         g = np.array([gamma((k + 0.5) / steps) for k in range(start, min(start + _BLOCK, steps))])
         spec = eigh((1.0 - g)[:, None, None] * h0 + g[:, None, None] * h1)
-        for values, vectors in zip(spec.values, spec.vectors):
-            phases = np.exp(-1j * dt * values)
-            state = vectors @ (phases * (dagger(vectors) @ state))
+        phases = np.exp(-1j * dt * spec.values)
+        adjoints = spec.vectors.conj().swapaxes(-1, -2)
+        for vectors, ph, adjoint in zip(spec.vectors, phases, adjoints):
+            state = vectors @ (ph * (adjoint @ state))
     return state
 
 

@@ -46,14 +46,31 @@ QUADRATURE = 1000
 
 
 def _clenshaw(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Sum of coeffs[k] T_k(x), run down the first axis of `coeffs`.
+
+    A stack of shape (d+1, ...) broadcasts its trailing axes against x, and
+    each row equals the sum for that row alone, bit for bit.
+    """
     x = np.asarray(x)
     if len(coeffs) == 0:
         return np.zeros_like(x, dtype=complex if np.iscomplexobj(coeffs) else float)
-    b1 = np.zeros_like(x, dtype=coeffs.dtype)
+    x2 = 2.0 * x
+    b1 = np.zeros(np.broadcast_shapes(x.shape, coeffs.shape[1:]), dtype=np.result_type(x, coeffs))
     b2 = np.zeros_like(b1)
     for c in coeffs[:0:-1]:
-        b1, b2 = 2.0 * x * b1 - b2 + c, b1
+        t = x2 * b1
+        t -= b2
+        t += c
+        b1, b2 = t, b1
     return x * b1 - b2 + coeffs[0]
+
+
+def _unit_interval(x) -> np.ndarray:
+    """x as a float array, rejected outside [-1, 1] beyond roundoff, then clipped."""
+    arr = np.asarray(x, dtype=float)
+    if np.any(np.abs(arr) > 1.0 + 1e-14):
+        raise ValueError("evaluation point outside [-1, 1]")
+    return np.clip(arr, -1.0, 1.0)
 
 
 @dataclass(eq=False)
@@ -89,11 +106,7 @@ class ChebyshevSeries:
 
 def cheb_eval(f: ChebyshevSeries, x):
     """Clenshaw evaluation of the series at x in [-1, 1] (scalar or array)."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > 1.0 + 1e-14):
-        raise ValueError("evaluation point outside [-1, 1]")
-    arr = np.clip(arr, -1.0, 1.0)
-    out = _clenshaw(f.coeffs, arr)
+    out = _clenshaw(f.coeffs, _unit_interval(x))
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 

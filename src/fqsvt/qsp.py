@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chebyshev import SYNTHESIS_GUARD, ChebyshevSeries, _clenshaw
+from .chebyshev import SYNTHESIS_GUARD, ChebyshevSeries, _clenshaw, _unit_interval
 
 __all__ = [
     "PhaseFactorSet",
@@ -74,29 +74,55 @@ def _require(ps: PhaseFactorSet, convention: str):
         raise ValueError(f"expected {convention} phase factors, got {ps.convention}")
 
 
-def _forward_pairs(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Every partial product of the QSP sequence as SU(2) pairs.
+def _sweep_start(values: np.ndarray, xs: np.ndarray):
+    """The first partial product of the QSP sequence and the factors of every step.
 
     An SU(2) matrix [[a, b], [-conj(b), conj(a)]] is stored as the pair
-    (a, b). Entry [k, ..., :, j] of the returned (d+1, ..., 2, len(xs))
-    array holds the pair of e^{i psi_0 Z} prod_{l=1..k} W(x_j) e^{i psi_l Z},
-    where W(x) is the pair (x, i sqrt(1-x^2)) and e^{i psi Z} the pair
-    (e^{i psi}, 0). Right-multiplying (a, b) by W e^{i psi Z} gives
-    ((x a + i s b) e^{i psi}, (i s a + x b) e^{-i psi}), so each step is
-    four elementwise operations. `values` is one phase sequence of shape
-    (d+1,) or a stack of shape (..., d+1), swept together.
+    (a, b), and the pairs at all points xs as one array of shape
+    (..., 2, len(xs)). The k-th partial product at x_j is
+    e^{i psi_0 Z} prod_{l=1..k} W(x_j) e^{i psi_l Z}, where W(x) is the pair
+    (x, i sqrt(1-x^2)) and e^{i psi Z} the pair (e^{i psi}, 0). `values` is
+    one phase sequence of shape (d+1,) or a stack of shape (..., d+1),
+    swept together; each row gets the pairs it would get alone, bit for bit.
+    Returns the pair of factor 0, the clipped points, i sqrt(1-x^2), and the
+    (e^{i psi_k}, e^{-i psi_k}) scales that `_step` takes.
     """
     xs = np.clip(xs, -1.0, 1.0)
     isx = 1j * np.sqrt(1.0 - xs * xs)
     phases = np.moveaxis(np.exp(1j * values), -1, 0)
     scale = np.stack([phases, phases.conj()], axis=-1)[..., None]
-    pairs = np.empty(phases.shape + (2, len(xs)), dtype=complex)
-    pairs[0, ..., 0, :] = phases[0][..., None]
-    pairs[0, ..., 1, :] = 0.0
-    for k in range(1, len(phases)):
-        ab = pairs[k - 1]
-        np.multiply(xs * ab + isx * ab[..., ::-1, :], scale[k], out=pairs[k])
+    first = np.zeros(phases.shape[1:] + (2, len(xs)), dtype=complex)
+    first[..., 0, :] = phases[0][..., None]
+    return first, xs, isx, scale
+
+
+def _step(ab, xs, isx, scale, out) -> None:
+    """Right-multiply the pairs (a, b) by W e^{i psi Z} into `out`, which may be `ab`.
+
+    That gives ((x a + i s b) e^{i psi}, (i s a + x b) e^{-i psi}): four
+    elementwise operations.
+    """
+    t = xs * ab
+    t += isx * ab[..., ::-1, :]
+    np.multiply(t, scale, out=out)
+
+
+def _forward_pairs(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Every partial product, in an array of shape (d+1, ..., 2, len(xs))."""
+    first, xs, isx, scale = _sweep_start(values, xs)
+    pairs = np.empty((len(scale),) + first.shape, dtype=complex)
+    pairs[0] = first
+    for k in range(1, len(scale)):
+        _step(pairs[k - 1], xs, isx, scale[k], out=pairs[k])
     return pairs
+
+
+def _product(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The full product alone, keeping only the running partial product."""
+    ab, xs, isx, scale = _sweep_start(values, xs)
+    for k in range(1, len(scale)):
+        _step(ab, xs, isx, scale[k], out=ab)
+    return ab
 
 
 @dataclass
@@ -112,52 +138,78 @@ class QspPolynomialPair:
     degree: int
 
     def eval_p(self, x) -> np.ndarray:
-        return _clenshaw(self.p, np.clip(np.asarray(x, dtype=float), -1.0, 1.0))
+        return _clenshaw(self.p, _unit_interval(x))
 
     def eval_q(self, x) -> np.ndarray:
-        return _clenshaw(self.q, np.clip(np.asarray(x, dtype=float), -1.0, 1.0))
+        return _clenshaw(self.q, _unit_interval(x))
 
 
 def _cheb_interpolate(values: np.ndarray, theta: np.ndarray, degree: int) -> np.ndarray:
-    """Chebyshev coefficients from samples at first-kind nodes cos(theta)."""
+    """Chebyshev coefficients from samples at first-kind nodes cos(theta).
+
+    `values` has one row of samples per item; each row is a separate
+    matrix-vector product, because a stacked matrix product may round
+    differently.
+    """
     n = len(theta)
-    k = np.arange(degree + 1)
-    coeffs = (2.0 / n) * (np.cos(np.outer(k, theta)) @ values)
-    coeffs[0] *= 0.5
+    # Cast once: a real matrix times a complex row is cast to complex per product anyway.
+    basis = np.cos(np.outer(np.arange(degree + 1), theta)).astype(complex)
+    coeffs = np.array([(2.0 / n) * (basis @ row) for row in values])
+    coeffs[:, 0] *= 0.5
     return coeffs
 
 
-def extract_pq(psi: PhaseFactorSet) -> QspPolynomialPair:
+def extract_pq(
+    psi: PhaseFactorSet | list[PhaseFactorSet],
+) -> QspPolynomialPair | list[QspPolynomialPair]:
     """Interpolate (P, Q) from unitary samples at Chebyshev nodes.
 
-    P is read from the top-left entry at d+1 nodes, Q from the top-right at
-    d interior nodes (where the sqrt(1-x^2) prefactor is nonzero). An
-    independent uniform grid re-checks the interpolation before returning.
-    One forward sweep covers all three node sets.
+    `psi` is one rotation-convention `PhaseFactorSet`, giving one pair, or a
+    list of them of one degree, giving a list in the same order. P is read
+    from the top-left entry at d+1 nodes, Q from the top-right at d interior
+    nodes (where the sqrt(1-x^2) prefactor is nonzero). An independent
+    uniform grid re-checks every item's interpolation before returning; a
+    failure names the first inconsistent item. One forward sweep covers all
+    three node sets and every item, and each item is interpolated on its
+    own, so it gets the pair it would get alone.
     """
-    _require(psi, "su2")
-    d = psi.degree
+    single = isinstance(psi, PhaseFactorSet)
+    items = [psi] if single else list(psi)
+    for ps in items:
+        _require(ps, "su2")
+    degrees = {ps.degree for ps in items}
+    if len(degrees) > 1:
+        raise ValueError(f"stacked phase factors must share one degree, got {sorted(degrees)}")
+    if not items:
+        return []
+    d = degrees.pop()
     theta_p = (2.0 * np.arange(d + 1) + 1.0) * math.pi / (2.0 * (d + 1))
     theta_q = (2.0 * np.arange(d) + 1.0) * math.pi / (2.0 * d)
     xq = np.cos(theta_q)
     xs = np.linspace(-1.0, 1.0, 401)
-    a, b = _forward_pairs(psi.values, np.concatenate([np.cos(theta_p), xq, xs]))[-1]
+    values = np.array([ps.values for ps in items])
+    a, b = np.moveaxis(_product(values, np.concatenate([np.cos(theta_p), xq, xs])), -2, 0)
 
-    p = _cheb_interpolate(a[: d + 1], theta_p, d)
+    p = _cheb_interpolate(a[:, : d + 1], theta_p, d)
     if d == 0:
-        q = np.zeros(0, dtype=complex)
+        q = np.zeros((len(items), 0), dtype=complex)
     else:
-        q = _cheb_interpolate(b[d + 1 : 2 * d + 1] / (1j * np.sqrt(1.0 - xq * xq)), theta_q, d - 1)
+        q = _cheb_interpolate(b[:, d + 1 : 2 * d + 1] / (1j * np.sqrt(1.0 - xq * xq)),
+                              theta_q, d - 1)
 
-    pair = QspPolynomialPair(p, q, d)
-    res_p = np.max(np.abs(pair.eval_p(xs) - a[2 * d + 1 :]))
-    res_q = np.max(np.abs(1j * np.sqrt(1.0 - xs * xs) * pair.eval_q(xs) - b[2 * d + 1 :]))
-    if max(res_p, res_q) > 1e-9:
+    res_p = np.max(np.abs(_clenshaw(p.T[..., None], xs) - a[:, 2 * d + 1 :]), axis=-1)
+    res_q = np.max(np.abs(1j * np.sqrt(1.0 - xs * xs) * _clenshaw(q.T[..., None], xs)
+                          - b[:, 2 * d + 1 :]), axis=-1)
+    bad = np.maximum(res_p, res_q) > 1e-9
+    if np.any(bad):
+        i = int(np.argmax(bad))
         raise RuntimeError(
             f"polynomial interpolation inconsistent on validation grid: "
-            f"P residual {res_p:.3e}, Q residual {res_q:.3e}"
+            f"P residual {res_p[i]:.3e}, Q residual {res_q[i]:.3e}"
+            + ("" if single else f" (item {i} of {len(items)})")
         )
-    return pair
+    pairs = [QspPolynomialPair(pi, qi, d) for pi, qi in zip(p, q)]
+    return pairs[0] if single else pairs
 
 
 def _circuit_offsets(d: int) -> np.ndarray:
@@ -204,7 +256,7 @@ def _mirror(free: np.ndarray, d: int) -> np.ndarray:
 
 def _residual(free: np.ndarray, d: int, xs: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Residuals Re P(x_j) - f(x_j) from the forward sweep alone."""
-    return _forward_pairs(_mirror(free, d), xs)[d, ..., 0, :].real - target
+    return _product(_mirror(free, d), xs)[..., 0, :].real - target
 
 
 def _residual_and_jacobian(prefix: np.ndarray, target: np.ndarray):

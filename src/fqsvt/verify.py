@@ -55,22 +55,30 @@ def _random_symmetric(gen, degree: int) -> PhaseFactorSet:
     return PhaseFactorSet(_mirror(free, degree), "su2")
 
 
+def _extract_by_degree(psis: list[PhaseFactorSet]) -> list[tuple[list[int], list]]:
+    """(positions, pairs) for each degree among `psis`, one `extract_pq` call per degree."""
+    groups: dict[int, list[int]] = {}
+    for i, psi in enumerate(psis):
+        groups.setdefault(psi.degree, []).append(i)
+    return [(idx, extract_pq([psis[i] for i in idx])) for idx in groups.values()]
+
+
 def criterion_1() -> CriterionResult:
     """Polynomial pair round-trip: normalization to 1e-10 and real Q for symmetric phases."""
     gen = rng(101)
     xs = np.linspace(-1.0, 1.0, 401)
+    psis = [_random_symmetric(gen, int(gen.integers(1, 31))) for _ in range(200)]
     worst_norm = 0.0
     worst_imag = 0.0
-    for trial in range(200):
-        degree = int(gen.integers(1, 31))
-        psi = _random_symmetric(gen, degree)
-        pair = extract_pq(psi)
-        p = pair.eval_p(xs)
-        q = pair.eval_q(xs)
+    for _, pairs in _extract_by_degree(psis):
+        # Shape (d+1, items, 1): `_clenshaw` gives one row of values per item.
+        p_coeffs = np.array([pair.p for pair in pairs]).T[..., None]
+        q_coeffs = np.array([pair.q for pair in pairs]).T[..., None]
+        p = _clenshaw(p_coeffs, xs)
+        q = _clenshaw(q_coeffs, xs)
         norm_dev = float(np.max(np.abs(np.abs(p) ** 2 + (1 - xs**2) * np.abs(q) ** 2 - 1.0)))
-        imag_dev = float(np.max(np.abs(pair.q.imag))) if len(pair.q) else 0.0
         worst_norm = max(worst_norm, norm_dev)
-        worst_imag = max(worst_imag, imag_dev)
+        worst_imag = max(worst_imag, float(np.max(np.abs(q_coeffs.imag))))
     passed = worst_norm <= 1e-10 and worst_imag <= 1e-10
     return CriterionResult(
         1, "signal-processing pair round-trip",
@@ -103,36 +111,39 @@ def criterion_2() -> CriterionResult:
 def criterion_3() -> CriterionResult:
     """Garbage-state prediction and the three-term norm identity for symmetric phases."""
     gen = rng(103)
-    worst_state = 0.0
-    worst_norm = 0.0
+    instances = []
     for trial in range(50):
         n = int(2 ** gen.integers(1, 4))
         degree = int(gen.integers(1, 16))
         h = hermitian_from_spectrum(gen.uniform(0.02, 0.98, n), gen)
-        enc = dilate_hermitian(h)
         psi = _random_symmetric(gen, degree)
-        phi = to_circuit(psi)
-        amp = haar_vector(gen, n)
-        state = StateVector(int(round(math.log2(n))), amp)
+        instances.append((h, psi, haar_vector(gen, n)))
 
-        q = assemble_full(enc, phi)
-        full = np.zeros(4 * n, dtype=complex)
-        full[:n] = amp
-        full = q @ full
-        actual_garbage = full.copy()
-        actual_garbage[:n] = 0.0
-        predicted = garbage_state(h, phi, state)
-        worst_state = max(worst_state, float(np.max(np.abs(predicted.amplitudes - actual_garbage))))
+    worst_state = 0.0
+    worst_norm = 0.0
+    for idx, pairs in _extract_by_degree([psi for _, psi, _ in instances]):
+        for i, pair in zip(idx, pairs):
+            h, psi, amp = instances[i]
+            n = len(amp)
+            phi = to_circuit(psi)
+            q = assemble_full(dilate_hermitian(h), phi)
+            full = np.zeros(4 * n, dtype=complex)
+            full[:n] = amp
+            full = q @ full
+            actual_garbage = full.copy()
+            actual_garbage[:n] = 0.0
+            predicted = garbage_state(h, phi, StateVector(int(round(math.log2(n))), amp))
+            worst_state = max(worst_state,
+                              float(np.max(np.abs(predicted.amplitudes - actual_garbage))))
 
-        pair = extract_pq(psi)
-        spec_h = eigh(h)
-        evals = spec_h.values
-        weights = np.abs(dagger(spec_h.vectors) @ amp) ** 2
-        f_vals = _clenshaw(pair.p.real, evals)
-        p_im = _clenshaw(pair.p.imag, evals)
-        q_re = _clenshaw(pair.q.real, evals) if len(pair.q) else np.zeros_like(evals)
-        total = float(np.sum(weights * (f_vals**2 + p_im**2 + (1 - evals**2) * q_re**2)))
-        worst_norm = max(worst_norm, abs(total - 1.0))
+            spec_h = eigh(h)
+            evals = spec_h.values
+            weights = np.abs(dagger(spec_h.vectors) @ amp) ** 2
+            f_vals = _clenshaw(pair.p.real, evals)
+            p_im = _clenshaw(pair.p.imag, evals)
+            q_re = _clenshaw(pair.q.real, evals)
+            total = float(np.sum(weights * (f_vals**2 + p_im**2 + (1 - evals**2) * q_re**2)))
+            worst_norm = max(worst_norm, abs(total - 1.0))
     passed = worst_state <= 1e-9 and worst_norm <= 1e-10
     return CriterionResult(
         3, "garbage-state structure and norm identity",
@@ -157,30 +168,33 @@ def criterion_4() -> CriterionResult:
                             - np.array([-0.64, 0, 0, 0])))),
     )
 
-    worst = 0.0
+    instances = []
     for trial in range(200):
         n_qubits = int(gen.integers(1, 5))
-        n = 2**n_qubits
-        h = hermitian_from_spectrum(gen.uniform(0.02, 0.98, n), gen)
-        enc = dilate_hermitian(h)
-        degree = int(gen.integers(1, 31))
-        psi = _random_symmetric(gen, degree)
-        phi = to_circuit(psi)
-        pair = extract_pq(psi)
-        spec_h = eigh(h)
-        f2 = (spec_h.vectors * _clenshaw(pair.p.real, spec_h.values) ** 2) @ dagger(spec_h.vectors)
-        amp = haar_vector(gen, n)
-        leaves = {b.record: b for b in run_1fqsvt(enc, phi, StateVector(n_qubits, amp))}
-        s00 = leaves[(0, 0)].state.amplitudes
-        s10 = leaves[(1, 0)].state.amplitudes
-        worst = max(
-            worst,
-            float(np.max(np.abs(s00[:n] - f2 @ amp))),
-            float(np.max(np.abs(s00[n:]))),
-            float(np.max(np.abs(s10[:n] + (np.eye(n) - f2) @ amp))),
-            float(np.max(np.abs(s10[n:]))),
-            abs(sum(b.probability for b in leaves.values()) - 1.0),
-        )
+        h = hermitian_from_spectrum(gen.uniform(0.02, 0.98, 2**n_qubits), gen)
+        psi = _random_symmetric(gen, int(gen.integers(1, 31)))
+        instances.append((h, psi, haar_vector(gen, 2**n_qubits)))
+
+    worst = 0.0
+    for idx, pairs in _extract_by_degree([psi for _, psi, _ in instances]):
+        for i, pair in zip(idx, pairs):
+            h, psi, amp = instances[i]
+            n = len(amp)
+            spec_h = eigh(h)
+            f2 = ((spec_h.vectors * _clenshaw(pair.p.real, spec_h.values) ** 2)
+                  @ dagger(spec_h.vectors))
+            state = StateVector(int(round(math.log2(n))), amp)
+            leaves = {b.record: b for b in run_1fqsvt(dilate_hermitian(h), to_circuit(psi), state)}
+            s00 = leaves[(0, 0)].state.amplitudes
+            s10 = leaves[(1, 0)].state.amplitudes
+            worst = max(
+                worst,
+                float(np.max(np.abs(s00[:n] - f2 @ amp))),
+                float(np.max(np.abs(s00[n:]))),
+                float(np.max(np.abs(s10[:n] + (np.eye(n) - f2) @ amp))),
+                float(np.max(np.abs(s10[n:]))),
+                abs(sum(b.probability for b in leaves.values()) - 1.0),
+            )
     passed = worst <= 1e-9 and example_dev <= 1e-9
     return CriterionResult(
         4, "two-block primitive exactness",

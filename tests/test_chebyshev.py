@@ -11,6 +11,7 @@ from fqsvt.chebyshev import (
     EPS_FLOOR,
     ChebyshevSeries,
     FilterSpec,
+    _clenshaw,
     _minimax_step,
     certify_filter,
     cheb_eval,
@@ -33,6 +34,35 @@ def test_cheb_eval_matches_direct_summation():
     xs = gen.uniform(-1, 1, 100)
     direct = sum(c * np.cos(k * np.arccos(xs)) for k, c in enumerate(coeffs))
     assert np.max(np.abs(series(xs) - direct)) <= 1e-12
+
+
+def reference_clenshaw(coeffs: np.ndarray, x) -> np.ndarray:
+    """The Clenshaw recurrence with a fresh array per step, as `_clenshaw` ran it before."""
+    x = np.asarray(x)
+    if len(coeffs) == 0:
+        return np.zeros_like(x, dtype=complex if np.iscomplexobj(coeffs) else float)
+    b1 = np.zeros_like(x, dtype=coeffs.dtype)
+    b2 = np.zeros_like(b1)
+    for c in coeffs[:0:-1]:
+        b1, b2 = 2.0 * x * b1 - b2 + c, b1
+    return x * b1 - b2 + coeffs[0]
+
+
+def test_clenshaw_matches_the_reference_recurrence_bitwise():
+    gen = rng(3)
+    grids = [np.linspace(-1.0, 1.0, 401), gen.uniform(-1.0, 1.0, 16), np.float64(-0.3)]
+    for d in range(60):
+        real = gen.standard_normal(d + 1)
+        cplx = real + 1j * gen.standard_normal(d + 1)
+        stack = gen.standard_normal((d + 1, 3)) + 1j * gen.standard_normal((d + 1, 3))
+        for x in grids:
+            for coeffs in (real, cplx):
+                got, want = _clenshaw(coeffs, x), reference_clenshaw(coeffs, x)
+                assert got.shape == want.shape and np.array_equal(got, want), (d, coeffs.dtype)
+            # A (d+1, 3, 1) stack gives one row of values per coefficient column.
+            rows = _clenshaw(stack.reshape(stack.shape + (1,) * np.ndim(x)), x)
+            for j in range(3):
+                assert np.array_equal(rows[j], reference_clenshaw(stack[:, j], x)), d
 
 
 def test_cheb_eval_rejects_outside_domain():

@@ -12,10 +12,10 @@ from fqsvt.linalg import rng
 from fqsvt.qsp import (
     PhaseFactorSet,
     SynthesisError,
-    _cheb_interpolate,
     _damped_newton,
     _forward_pairs,
     _mirror,
+    _product,
     _residual,
     _residual_and_jacobian,
     extract_pq,
@@ -23,7 +23,7 @@ from fqsvt.qsp import (
     to_circuit,
     to_su2,
 )
-from test_chebyshev import filter_specs, layout_filters
+from test_chebyshev import filter_specs, layout_filters, reference_clenshaw
 
 
 def batch_unitaries(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -106,17 +106,24 @@ def test_extract_pq_symmetric_q_real():
     assert np.max(np.abs(pair.q.imag)) <= 1e-10
 
 
+def reference_interpolate(values: np.ndarray, theta: np.ndarray, degree: int) -> np.ndarray:
+    """Chebyshev coefficients of one row of samples at the nodes cos(theta)."""
+    coeffs = (2.0 / len(theta)) * (np.cos(np.outer(np.arange(degree + 1), theta)) @ values)
+    coeffs[0] *= 0.5
+    return coeffs
+
+
 def reference_extract_pq(psi: PhaseFactorSet):
     """(p, q) of `extract_pq` from separate sweeps over the P nodes and the Q nodes."""
     d = psi.degree
     theta_p = (2.0 * np.arange(d + 1) + 1.0) * math.pi / (2.0 * (d + 1))
-    p = _cheb_interpolate(batch_unitaries(psi.values, np.cos(theta_p))[:, 0, 0], theta_p, d)
+    p = reference_interpolate(batch_unitaries(psi.values, np.cos(theta_p))[:, 0, 0], theta_p, d)
     if d == 0:
         return p, np.zeros(0, dtype=complex)
     theta_q = (2.0 * np.arange(d) + 1.0) * math.pi / (2.0 * d)
     xq = np.cos(theta_q)
     qvals = batch_unitaries(psi.values, xq)[:, 0, 1] / (1j * np.sqrt(1.0 - xq * xq))
-    return p, _cheb_interpolate(qvals, theta_q, d - 1)
+    return p, reference_interpolate(qvals, theta_q, d - 1)
 
 
 def test_extract_pq_one_sweep_matches_separate_sweeps_bitwise():
@@ -131,6 +138,120 @@ def test_extract_pq_one_sweep_matches_separate_sweeps_bitwise():
         pair = extract_pq(psi)
         p, q = reference_extract_pq(psi)
         assert np.array_equal(pair.p, p) and np.array_equal(pair.q, q), psi.values
+
+
+def reference_forward_pairs(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Every partial product in one preallocated array, as `_forward_pairs` built it before."""
+    xs = np.clip(xs, -1.0, 1.0)
+    isx = 1j * np.sqrt(1.0 - xs * xs)
+    phases = np.moveaxis(np.exp(1j * values), -1, 0)
+    scale = np.stack([phases, phases.conj()], axis=-1)[..., None]
+    pairs = np.empty(phases.shape + (2, len(xs)), dtype=complex)
+    pairs[0, ..., 0, :] = phases[0][..., None]
+    pairs[0, ..., 1, :] = 0.0
+    for k in range(1, len(phases)):
+        ab = pairs[k - 1]
+        np.multiply(xs * ab + isx * ab[..., ::-1, :], scale[k], out=pairs[k])
+    return pairs
+
+
+def reference_single_extract_pq(psi: PhaseFactorSet) -> qsp.QspPolynomialPair:
+    """`extract_pq` of one phase set as it ran before it took stacks, validation included."""
+    assert psi.convention == "su2"
+    d = psi.degree
+    theta_p = (2.0 * np.arange(d + 1) + 1.0) * math.pi / (2.0 * (d + 1))
+    theta_q = (2.0 * np.arange(d) + 1.0) * math.pi / (2.0 * d)
+    xq = np.cos(theta_q)
+    xs = np.linspace(-1.0, 1.0, 401)
+    a, b = reference_forward_pairs(psi.values, np.concatenate([np.cos(theta_p), xq, xs]))[-1]
+    p = reference_interpolate(a[: d + 1], theta_p, d)
+    if d == 0:
+        q = np.zeros(0, dtype=complex)
+    else:
+        q = reference_interpolate(b[d + 1 : 2 * d + 1] / (1j * np.sqrt(1.0 - xq * xq)),
+                                  theta_q, d - 1)
+    res_p = np.max(np.abs(reference_clenshaw(p, xs) - a[2 * d + 1 :]))
+    res_q = np.max(np.abs(1j * np.sqrt(1.0 - xs * xs) * reference_clenshaw(q, xs) - b[2 * d + 1 :]))
+    assert max(res_p, res_q) <= 1e-9
+    return qsp.QspPolynomialPair(p, q, d)
+
+
+def test_sweeps_match_the_preallocated_loop_bitwise():
+    gen = rng(12)
+    for d in (0, 1, 7, 30, 116):
+        xs = gen.uniform(-1.0, 1.0, 23)
+        for shape in ((d + 1,), (5, d + 1), (2, 3, d + 1)):
+            values = gen.uniform(-np.pi, np.pi, shape)
+            want = reference_forward_pairs(values, xs)
+            assert np.array_equal(_forward_pairs(values, xs), want)
+            assert np.array_equal(_product(values, xs), want[-1])
+
+
+@st.composite
+def phase_stacks(draw):
+    """1-8 rotation-convention phase sets of one degree in 0-30, symmetric or general."""
+    d = draw(st.integers(0, 30))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [random_symmetric(gen, d) if draw(st.booleans())
+            else PhaseFactorSet(gen.uniform(-np.pi, np.pi, d + 1), "su2")
+            for _ in range(draw(st.integers(1, 8)))]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(phase_stacks())
+def test_stacked_extract_pq_matches_the_single_call_bitwise(stack):
+    pairs = extract_pq(stack)
+    assert len(pairs) == len(stack)
+    for psi, pair in zip(stack, pairs):
+        want = reference_single_extract_pq(psi)
+        assert pair.degree == psi.degree
+        assert np.array_equal(pair.p, want.p) and np.array_equal(pair.q, want.q), psi.values
+        alone = extract_pq(psi)
+        assert np.array_equal(alone.p, want.p) and np.array_equal(alone.q, want.q)
+
+
+def test_stacked_extract_pq_checks_its_items():
+    with pytest.raises(ValueError, match=r"one degree, got \[2, 3\]"):
+        extract_pq([PhaseFactorSet([0.1, 0.2, 0.1], "su2"), PhaseFactorSet(np.zeros(4), "su2")])
+    with pytest.raises(ValueError, match="expected su2"):
+        extract_pq([PhaseFactorSet([0.1, 0.2], "su2"), PhaseFactorSet([0.1, 0.2], "circuit")])
+    with pytest.raises(ValueError, match="expected su2"):
+        extract_pq(PhaseFactorSet([0.1, 0.2], "circuit"))
+    assert extract_pq([]) == []
+
+
+def test_extract_pq_names_the_item_that_fails_validation(monkeypatch):
+    interpolate = qsp._cheb_interpolate
+    bad = {"row": 2}
+
+    def corrupt_one_row(values, theta, degree):
+        coeffs = interpolate(values, theta, degree)
+        coeffs[bad["row"], 0] += 1e-6
+        return coeffs
+
+    monkeypatch.setattr(qsp, "_cheb_interpolate", corrupt_one_row)
+    gen = rng(13)
+    stack = [random_symmetric(gen, 6) for _ in range(4)]
+    with pytest.raises(RuntimeError, match=r"P residual 1\.000e-06, .* \(item 2 of 4\)"):
+        extract_pq(stack)
+    bad["row"] = 3
+    with pytest.raises(RuntimeError, match=r"\(item 3 of 4\)"):
+        extract_pq(stack)
+    bad["row"] = 0
+    with pytest.raises(RuntimeError, match=r"P residual 1\.000e-06, Q residual [^(]*$"):
+        extract_pq(stack[1])
+
+
+def test_pair_evaluation_rejects_points_outside_the_interval():
+    pair = extract_pq(PhaseFactorSet([0.3, 0.1, 0.3], "su2"))
+    with pytest.raises(ValueError, match="outside"):
+        pair.eval_p(1.5)
+    with pytest.raises(ValueError, match="outside"):
+        pair.eval_q(-7.0)
+    with pytest.raises(ValueError, match="outside"):
+        pair.eval_p(np.array([0.2, 1.0 + 1e-12]))
+    assert pair.eval_p(1.0 + 1e-15) == pair.eval_p(1.0)
+    assert pair.eval_q(-1.0 - 1e-15) == pair.eval_q(-1.0)
 
 
 def test_conversion_examples():
