@@ -22,7 +22,7 @@ from .baselines import (
     prob_projection_depth,
     random_walk_success,
 )
-from .blockenc import BlockEncoding, CsdFactors, csd_factors, dilate_hermitian, encoded_block
+from .blockenc import BlockEncoding, dilate_hermitian, encoded_block
 from .bosehubbard import (
     GmonModel,
     band_labels,

@@ -317,7 +317,7 @@ def cmd_project(config: dict, out: Path, seed: int) -> int:
     if mode not in ("enumerate", "sample"):
         raise ConfigError(f"project: unknown mode {mode!r}")
     trajectories = _number(int, config.get("trajectories", 1), "project.trajectories", low=1)
-    samples = _number(int, config.get("haar_samples", 32), "project.haar_samples", low=0)
+    samples = _number(int, config.get("haar_samples", 32), "project.haar_samples", low=1)
     count = structure.band_count
     if "round_eps" in config:
         round_eps = _number(float, config["round_eps"], "project.round_eps")

@@ -107,6 +107,16 @@ class MultibandPolicy:
         return self._replay(bits[0 : len(bits) - len(bits) % 2 : 2])[1]
 
 
+def _check_input(enc: BlockEncoding, state: StateVector) -> None:
+    if abs(state.norm - 1.0) > 1e-8:
+        raise ValueError("input system state must be unit norm")
+    dim = len(state.amplitudes)
+    if dim != enc.encoded_dim:
+        raise ValueError(
+            f"input state has dimension {dim}, the encoding acts on dimension {enc.encoded_dim}"
+        )
+
+
 def _run_blocks(
     enc: BlockEncoding,
     policy: MultibandPolicy,
@@ -121,8 +131,9 @@ def _run_blocks(
     split's circuit is assembled once.
     """
     circuits = {k: assemble_full(enc, phi) for k, phi in policy.phase_table.items()}
-    n, width = columns.shape
-    reg_dim = n * enc.ancilla_dim
+    n = enc.encoded_dim
+    width = columns.shape[1]
+    reg_dim = 2 * n
     register = np.zeros((reg_dim, width), dtype=complex)
     register[:n] = columns
 
@@ -194,7 +205,7 @@ def _leaves(
     Success branches must leave the encoding ancillas in |0...0>.
     """
     n = enc.encoded_dim
-    reg_qubits = enc.m + int(round(math.log2(n)))
+    reg_qubits = 1 + int(round(math.log2(n)))
     leaves = []
     for bits, (register, queries) in nodes.items():
         if bits + (0,) in nodes:
@@ -224,8 +235,7 @@ def run_1fqsvt(enc: BlockEncoding, phi: PhaseFactorSet, state: StateVector) -> l
     registers; the (0,0) branch carries f^2(H)|phi> and the (1,0) branch
     carries -(1 - f^2(H))|phi>.
     """
-    if abs(state.norm - 1.0) > 1e-8:
-        raise ValueError("input system state must be unit norm")
+    _check_input(enc, state)
     policy = MultibandPolicy(2, {1: phi})
     return _leaves(enc, policy, _run_blocks(enc, policy, state.amplitudes[:, np.newaxis]))
 
@@ -311,8 +321,7 @@ def run_multiband(
     """
     if mode not in ("enumerate", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
-    if abs(state.norm - 1.0) > 1e-8:
-        raise ValueError("input system state must be unit norm")
+    _check_input(enc, state)
     count = structure.band_count
     n = enc.encoded_dim
     check_band_assumption(eigh(encoded_block(enc)).values, structure)

@@ -4,24 +4,21 @@ The circuit acts on monitoring qubit (x) encoding ancilla (x) system. Its
 matrix is the Hadamard butterfly over the monitoring sectors of the
 interleaved product of controlled rotations and the block encoding. Every
 sector of the assembled matrix is predicted in closed form from the
-polynomial pair of the phase factors and the cosine-sine factors of the
-encoding; the garbage component of the action on |0...0>|phi> is predicted
-likewise.
+polynomial pair of the phase factors and the eigenbasis of H, which fixes
+the cosine-sine factors of the symmetric dilation; the garbage component
+of the action on |0...0>|phi> is predicted likewise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .blockenc import BlockEncoding, csd_factors, dilate_hermitian
+from .blockenc import BlockEncoding, _psd_contraction_spectrum
 from .chebyshev import _clenshaw
 from .linalg import StateVector, check_hermitian, dagger
 from .qsp import PhaseFactorSet, extract_pq, to_su2
 
 __all__ = [
-    "PredictedBlocks",
     "assemble_interleaved",
     "assemble_full",
     "predicted_blocks",
@@ -77,41 +74,21 @@ def assemble_full(enc: BlockEncoding, phi: PhaseFactorSet) -> np.ndarray:
     return q
 
 
-@dataclass
-class PredictedBlocks:
-    """Closed-form sector table of the circuit unitary for an m = 1 encoding.
+def predicted_blocks(h: np.ndarray, phi: PhaseFactorSet) -> np.ndarray:
+    """Sector-by-sector prediction of the assembled circuit from (P, Q) and H's eigenbasis.
 
-    Sectors are indexed by (monitoring, ancilla) pairs flattened to 0..3 in
-    register order; `sector(i, j)` returns the predicted N x N block at
-    sector row i, column j.
-    """
-
-    table: np.ndarray
-    degree: int
-    t2_is_w2: bool
-
-    def sector(self, i: int, j: int) -> np.ndarray:
-        return self.table[i, j]
-
-
-def predicted_blocks(
-    h: np.ndarray, phi: PhaseFactorSet, t2_is_w2: bool | None = None
-) -> PredictedBlocks:
-    """Sector-by-sector prediction of the assembled circuit from (P, Q) and CSD factors.
-
-    The final basis transformation uses W2 for odd degree and V2 for even
-    degree; pass `t2_is_w2` to override when probing which choice matches.
+    Returns the (4, 4, N, N) table whose entry [i, j] is the block at sector
+    row i, column j, sectors being (monitoring, ancilla) pairs flattened to
+    0..3 in register order. With H = V Sigma V^dag the dilation's
+    cosine-sine factors are V2 = V and W2 = -V, so the final basis
+    transformation is T2 = (-1)^d V.
     """
     h = check_hermitian(h)
     pair = extract_pq(to_su2(phi))
-    d = phi.degree
-    if t2_is_w2 is None:
-        t2_is_w2 = d % 2 == 1
-
-    factors = csd_factors(dilate_hermitian(h), h)
-    v, v2 = factors.v, factors.v2
-    t2 = factors.w2 if t2_is_w2 else factors.v2
-    sigma, s = factors.sigma, factors.s
+    spectrum = _psd_contraction_spectrum(h)
+    v, sigma = spectrum.vectors, spectrum.values
+    s = np.sqrt(np.clip(1.0 - sigma**2, 0.0, None))
+    t2 = -v if phi.degree % 2 else v
 
     p_re = _clenshaw(pair.p.real, sigma)
     p_im = _clenshaw(pair.p.imag, sigma)
@@ -123,27 +100,12 @@ def predicted_blocks(
         q_im = np.zeros_like(sigma)
 
     vh = dagger(v)
-    v2h = dagger(v2)
-    a00 = (v * p_re) @ vh
-    a01 = -(v * (s * q_im)) @ v2h
-    a10 = (t2 * (s * q_im)) @ vh
-    a11 = (t2 * p_re) @ v2h
-    b00 = 1j * (v * p_im) @ vh
-    b01 = 1j * (v * (s * q_re)) @ v2h
-    b10 = 1j * (t2 * (s * q_re)) @ vh
-    b11 = -1j * (t2 * p_im) @ v2h
-
-    n = h.shape[0]
-    table = np.empty((4, 4, n, n), dtype=complex)
-    a_row = [[a00, a01], [a10, a11]]
-    b_row = [[b00, b01], [b10, b11]]
-    for i in range(2):
-        for j in range(2):
-            table[i, j] = a_row[i][j]
-            table[i, j + 2] = b_row[i][j]
-            table[i + 2, j] = b_row[i][j]
-            table[i + 2, j + 2] = a_row[i][j]
-    return PredictedBlocks(table, d, t2_is_w2)
+    a = [[(v * p_re) @ vh, -(v * (s * q_im)) @ vh],
+         [(t2 * (s * q_im)) @ vh, (t2 * p_re) @ vh]]
+    b = [[1j * (v * p_im) @ vh, 1j * (v * (s * q_re)) @ vh],
+         [1j * (t2 * (s * q_re)) @ vh, -1j * (t2 * p_im) @ vh]]
+    # The monitoring butterfly: A on the diagonal sector pairs, B off it.
+    return np.array([[*a[0], *b[0]], [*a[1], *b[1]], [*b[0], *a[0]], [*b[1], *a[1]]])
 
 
 def garbage_state(h: np.ndarray, phi: PhaseFactorSet, state: StateVector) -> StateVector:
@@ -154,20 +116,19 @@ def garbage_state(h: np.ndarray, phi: PhaseFactorSet, state: StateVector) -> Sta
     components i P_Im(H)|phi> and i T2 V^dag sqrt(I-H^2) Q_Re(H)|phi>.
     """
     h = check_hermitian(h)
-    psi = to_su2(phi)
-    if not psi.symmetric:
+    n = h.shape[0]
+    amp = np.asarray(state.amplitudes, dtype=complex)
+    if amp.shape != (n,):
+        raise ValueError(f"input state must have dimension {n}, got {amp.shape[0]}")
+    if not to_su2(phi).symmetric:
         raise ValueError(
             "garbage-state prediction requires symmetric phase factors "
             "(palindromic rotation-convention values); use predicted_blocks "
             "for the general case"
         )
-    blocks = predicted_blocks(h, phi)
-    n = h.shape[0]
-    amp = np.asarray(state.amplitudes, dtype=complex)
-    if amp.shape != (n,):
-        raise ValueError(f"input state must have dimension {n}")
+    table = predicted_blocks(h, phi)
     out = np.zeros(4 * n, dtype=complex)
-    out[2 * n : 3 * n] = blocks.sector(2, 0) @ amp
-    out[3 * n :] = blocks.sector(3, 0) @ amp
+    out[2 * n : 3 * n] = table[2, 0] @ amp
+    out[3 * n :] = table[3, 0] @ amp
     qubits = int(np.round(np.log2(4 * n)))
     return StateVector(qubits, out)

@@ -101,7 +101,7 @@ def criterion_2() -> CriterionResult:
         for i in range(4):
             for j in range(4):
                 block = q[i * n : (i + 1) * n, j * n : (j + 1) * n]
-                worst = max(worst, float(np.max(np.abs(block - pred.sector(i, j)))))
+                worst = max(worst, float(np.max(np.abs(block - pred[i, j]))))
     return CriterionResult(
         2, "comprehensive circuit block prediction",
         worst <= 1e-9, f"worst block deviation {worst:.2e} over 50 instances",

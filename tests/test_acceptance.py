@@ -4,7 +4,9 @@ Each test prints one pass/fail line (visible with `pytest -s` or through
 the `fqsvt verify` command, which runs the same battery). Criteria 1, 3
 and 4 draw every instance first and extract the pairs of one degree in one
 call; their results must equal those of the instance-by-instance loops
-below, which extract and evaluate each pair alone.
+below, which extract and evaluate each pair alone. Criterion 3's loop
+predicts the garbage state through the dilation's explicit cosine-sine
+factors (`test_qsvt.reference_garbage_state`).
 """
 
 import math
@@ -14,11 +16,12 @@ import numpy as np
 from fqsvt.blockenc import dilate_hermitian
 from fqsvt.feedforward import run_1fqsvt
 from fqsvt.linalg import StateVector, dagger, eigh, haar_vector, hermitian_from_spectrum, rng
-from fqsvt.qsvt import assemble_full, garbage_state
+from fqsvt.qsvt import assemble_full
 from fqsvt.qsp import PhaseFactorSet, to_circuit
 from fqsvt.verify import CRITERIA, CriterionResult, _random_symmetric
 from test_chebyshev import reference_clenshaw
 from test_qsp import reference_single_extract_pq
+from test_qsvt import reference_garbage_state
 
 
 def reference_criterion_1() -> CriterionResult:
@@ -63,7 +66,7 @@ def reference_criterion_3() -> CriterionResult:
         full = q @ full
         actual_garbage = full.copy()
         actual_garbage[:n] = 0.0
-        predicted = garbage_state(h, phi, state)
+        predicted = reference_garbage_state(h, phi, state)
         worst_state = max(worst_state, float(np.max(np.abs(predicted.amplitudes - actual_garbage))))
 
         pair = reference_single_extract_pq(psi)

@@ -1,19 +1,80 @@
+"""Block encodings, and the cosine-sine factors of the symmetric dilation.
+
+The library uses the dilation's factors only in closed form (V2 = V and
+W2 = -V, inside `qsvt.predicted_blocks`). `CsdFactors` and `csd_factors`
+below solve the block equations explicitly and assert the reassembly
+identity; `test_qsvt` builds its reference sector table from them.
+"""
+
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from fqsvt.blockenc import (
-    BlockEncoding,
-    csd_factors,
-    dilate_hermitian,
-    encoded_block,
-)
-from fqsvt.linalg import dagger, eigh, hermitian_from_spectrum, rng
+from fqsvt.blockenc import BlockEncoding, dilate_hermitian, encoded_block
+from fqsvt.linalg import check_hermitian, dagger, eigh, hermitian_from_spectrum, rng
+
+
+@dataclass
+class CsdFactors:
+    """Cosine-sine factors of a symmetric dilation: U = diag(V, W2) M diag(V, V2)^dag.
+
+    For the positive semidefinite case the left and right system-space
+    factors coincide with the eigenvector matrix V. When an eigenvalue sits
+    at 1 the completion blocks are not unique.
+    """
+
+    v: np.ndarray
+    sigma: np.ndarray
+    s: np.ndarray
+    w2: np.ndarray
+    v2: np.ndarray
+
+    def middle(self) -> np.ndarray:
+        n = len(self.sigma)
+        mid = np.zeros((2 * n, 2 * n), dtype=complex)
+        mid[:n, :n] = np.diag(self.sigma)
+        mid[:n, n:] = np.diag(self.s)
+        mid[n:, :n] = -np.diag(self.s)
+        mid[n:, n:] = np.diag(self.sigma)
+        return mid
+
+    def reassemble(self) -> np.ndarray:
+        n = len(self.sigma)
+        left = np.zeros((2 * n, 2 * n), dtype=complex)
+        left[:n, :n] = self.v
+        left[n:, n:] = self.w2
+        right = np.zeros((2 * n, 2 * n), dtype=complex)
+        right[:n, :n] = self.v
+        right[n:, n:] = self.v2
+        return left @ self.middle() @ dagger(right)
+
+
+def csd_factors(enc: BlockEncoding, h: np.ndarray) -> CsdFactors:
+    """Cosine-sine factors of the symmetric dilation of H, checked by reassembly.
+
+    Solving the block equations for [[H, S], [S, -H]] with H = V Sigma V^dag
+    gives V2 = V and W2 = -V; the reassembly identity is asserted before
+    returning.
+    """
+    spectrum = eigh(check_hermitian(h))
+    sigma = spectrum.values.copy()
+    svals = np.sqrt(np.clip(1.0 - sigma**2, 0.0, None))
+    v = spectrum.vectors
+    factors = CsdFactors(v=v, sigma=sigma, s=svals, w2=-v, v2=v.copy())
+    dev = float(np.max(np.abs(factors.reassemble() - enc.unitary)))
+    if dev > 1e-9:
+        raise ValueError(
+            f"cosine-sine reassembly deviates from the encoding by {dev:.3e}; "
+            "the encoding does not match the symmetric dilation of H"
+        )
+    return factors
 
 
 def test_scalar_dilation():
     enc = dilate_hermitian(np.array([[0.6]]))
     assert np.allclose(enc.unitary, [[0.6, 0.8], [0.8, -0.6]])
-    assert enc.m == 1 and enc.alpha == 1.0
+    assert enc.encoded_dim == 1 and enc.unitary.shape == (2, 2)
 
 
 def test_identity_dilation_has_zero_sine_block():
@@ -43,20 +104,33 @@ def test_encoded_block_inverts_dilation():
 
 
 def test_encoded_block_identity_unitary():
-    enc = BlockEncoding(np.eye(2, dtype=complex), m=1, alpha=1.0, encoded_dim=1)
+    enc = BlockEncoding(np.eye(2, dtype=complex))
     assert np.allclose(encoded_block(enc), [[1.0]])
 
 
 def test_encoded_block_norm_bound_for_random_unitary():
     gen = rng(2)
     u = eigh(hermitian_from_spectrum(gen.uniform(0, 1, 4), gen)).vectors
-    enc = BlockEncoding(u, m=1, alpha=1.0, encoded_dim=2)
+    enc = BlockEncoding(u)
     assert np.linalg.norm(encoded_block(enc), 2) <= 1.0 + 1e-12
 
 
 def test_block_encoding_rejects_non_unitary():
     with pytest.raises(ValueError, match="not unitary"):
-        BlockEncoding(np.diag([1.0, 0.5]), m=1, alpha=1.0, encoded_dim=1)
+        BlockEncoding(np.diag([1.0, 0.5]))
+
+
+@pytest.mark.parametrize("u", [np.eye(3), np.eye(4)[:, :2], np.eye(2)[0], np.zeros((0, 0))],
+                         ids=["odd", "not-square", "vector", "empty"])
+def test_block_encoding_rejects_shapes_other_than_even_square(u):
+    with pytest.raises(ValueError, match="square unitary of even size"):
+        BlockEncoding(u)
+
+
+def test_encoded_block_is_a_copy():
+    enc = dilate_hermitian(np.diag([0.2, 0.7]))
+    encoded_block(enc)[0, 0] = 5.0
+    assert enc.unitary[0, 0] == 0.2
 
 
 def test_csd_diagonal_case():

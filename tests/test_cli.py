@@ -236,7 +236,8 @@ SMALL_SYNTHETIC = {"type": "synthetic", "bands": 2, "per_band": 2, "width": 0.02
     ({"round_eps": None, "budget": 0.1, "split_constant": 0},
      "project: unknown keys ['split_constant']"),
     ({"mode": "sample", "trajectories": -3}, "project.trajectories must be >= 1, got -3"),
-    ({"haar_samples": -4}, "project.haar_samples must be >= 0, got -4"),
+    ({"haar_samples": -4}, "project.haar_samples must be >= 1, got -4"),
+    ({"haar_samples": 0}, "project.haar_samples must be >= 1, got 0"),
     ({"round_eps": float("nan")}, "project.round_eps: expected a finite value"),
     ({"model": {**SMALL_SYNTHETIC, "width": 0.5}}, "model.width 0.5: spectrum must lie in [0, 1]"),
     ({"model": {"type": "gmon", "margin": 0.7}}, "model.margin must be < 0.5, got 0.7"),
@@ -259,7 +260,7 @@ SMALL_SYNTHETIC = {"type": "synthetic", "bands": 2, "per_band": 2, "width": 0.02
      "model.spec.check_ranges: expected true or false, got 'no'"),
 ], ids=["min-gap-negative", "target-too-large", "target-type", "per-band-zero",
         "round-eps-type", "budget-type", "split-constant-zero", "trajectories-negative",
-        "haar-samples-negative", "round-eps-nan", "width-outside-unit-interval",
+        "haar-samples-negative", "haar-samples-zero", "round-eps-nan", "width-outside-unit-interval",
         "gmon-margin-too-large", "gmon-spec-missing-key", "gmon-spec-bad-field",
         "basis-seed-above-64-bits", "input-seed-above-64-bits", "perturb-seed-above-64-bits",
         "trajectories-fractional", "bands-fractional", "target-boolean", "round-eps-boolean",

@@ -264,7 +264,7 @@ def per_trajectory_sample(enc, policy, amp, seed, trajectories):
     """
     circuits = {k: assemble_full(enc, phi) for k, phi in policy.phase_table.items()}
     n = enc.encoded_dim
-    reg_dim = n * enc.ancilla_dim
+    reg_dim = 2 * n
     reflect_signs = -np.ones((2 * reg_dim, 1))
     for mon in (0, 1):
         reflect_signs[mon * reg_dim : mon * reg_dim + n] = 1.0
@@ -354,6 +354,22 @@ def test_run_multiband_rejects_unknown_mode_before_compiling(monkeypatch):
     structure = detect_bands([0.3, 0.6], min_gap=0.2)
     with pytest.raises(ValueError, match="unknown mode 'walk'"):
         run_multiband(enc, structure, 1e-2, StateVector(1, [1, 0]), mode="walk")
+
+
+@pytest.mark.parametrize("mode", ["1fqsvt", "enumerate", "sample"])
+def test_input_state_must_match_the_encoded_dimension(monkeypatch, mode):
+    def no_filters(spec):
+        raise AssertionError("a filter was built before the state was checked")
+
+    monkeypatch.setattr(feedforward, "heaviside_filter", no_filters)
+    enc = dilate_hermitian(np.diag([0.2, 0.3, 0.6, 0.7]))
+    state = StateVector(1, [1.0, 0.0])
+    with pytest.raises(ValueError, match="dimension 2, the encoding acts on dimension 4"):
+        if mode == "1fqsvt":
+            run_1fqsvt(enc, IDENTITY, state)
+        else:
+            structure = detect_bands([0.2, 0.3, 0.6, 0.7], min_gap=0.2)
+            run_multiband(enc, structure, 1e-2, state, mode=mode)
 
 
 def test_tree_height_is_log2_band_count():

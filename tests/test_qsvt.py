@@ -4,7 +4,8 @@ import pytest
 
 from fqsvt.blockenc import dilate_hermitian
 from fqsvt.chebyshev import _clenshaw
-from fqsvt.linalg import StateVector, dagger, eigh, hermitian_from_spectrum, rng
+from fqsvt.linalg import (StateVector, check_hermitian, dagger, eigh, haar_vector,
+                          hermitian_from_spectrum, rng)
 from fqsvt.qsp import PhaseFactorSet, _mirror, extract_pq, to_circuit, to_su2
 from fqsvt.qsvt import (
     assemble_full,
@@ -12,10 +13,74 @@ from fqsvt.qsvt import (
     garbage_state,
     predicted_blocks,
 )
+from test_blockenc import csd_factors
+from test_chebyshev import reference_clenshaw
+from test_qsp import reference_single_extract_pq
 
 
 def random_symmetric(gen, degree):
     return PhaseFactorSet(_mirror(gen.uniform(-np.pi, np.pi, (degree + 2) // 2), degree), "su2")
+
+
+def reference_predicted_blocks(h, phi: PhaseFactorSet, t2_is_w2: bool | None = None) -> np.ndarray:
+    """The sector table through the dilation and its explicit cosine-sine factors.
+
+    The final basis transformation is W2 at odd degree and V2 at even
+    degree; `t2_is_w2` overrides the choice.
+    """
+    h = check_hermitian(h)
+    pair = reference_single_extract_pq(to_su2(phi))
+    if t2_is_w2 is None:
+        t2_is_w2 = phi.degree % 2 == 1
+
+    factors = csd_factors(dilate_hermitian(h), h)
+    v, v2 = factors.v, factors.v2
+    t2 = factors.w2 if t2_is_w2 else factors.v2
+    sigma, s = factors.sigma, factors.s
+
+    p_re = reference_clenshaw(pair.p.real, sigma)
+    p_im = reference_clenshaw(pair.p.imag, sigma)
+    if len(pair.q):
+        q_re = reference_clenshaw(pair.q.real, sigma)
+        q_im = reference_clenshaw(pair.q.imag, sigma)
+    else:
+        q_re = np.zeros_like(sigma)
+        q_im = np.zeros_like(sigma)
+
+    vh = dagger(v)
+    v2h = dagger(v2)
+    a00 = (v * p_re) @ vh
+    a01 = -(v * (s * q_im)) @ v2h
+    a10 = (t2 * (s * q_im)) @ vh
+    a11 = (t2 * p_re) @ v2h
+    b00 = 1j * (v * p_im) @ vh
+    b01 = 1j * (v * (s * q_re)) @ v2h
+    b10 = 1j * (t2 * (s * q_re)) @ vh
+    b11 = -1j * (t2 * p_im) @ v2h
+
+    n = h.shape[0]
+    table = np.empty((4, 4, n, n), dtype=complex)
+    a_row = [[a00, a01], [a10, a11]]
+    b_row = [[b00, b01], [b10, b11]]
+    for i in range(2):
+        for j in range(2):
+            table[i, j] = a_row[i][j]
+            table[i, j + 2] = b_row[i][j]
+            table[i + 2, j] = b_row[i][j]
+            table[i + 2, j + 2] = a_row[i][j]
+    return table
+
+
+def reference_garbage_state(h, phi: PhaseFactorSet, state: StateVector) -> StateVector:
+    """The garbage component read from sectors (2, 0) and (3, 0) of the reference table."""
+    assert to_su2(phi).symmetric
+    table = reference_predicted_blocks(h, phi)
+    n = h.shape[0]
+    amp = np.asarray(state.amplitudes, dtype=complex)
+    out = np.zeros(4 * n, dtype=complex)
+    out[2 * n : 3 * n] = table[2, 0] @ amp
+    out[3 * n :] = table[3, 0] @ amp
+    return StateVector(int(np.round(np.log2(4 * n))), out)
 
 
 @pytest.fixture
@@ -107,22 +172,25 @@ def test_predicted_blocks_match_assembled_both_parities(setup):
         phi = PhaseFactorSet(gen.uniform(-np.pi, np.pi, degree + 1), "circuit")
         q = assemble_full(enc, phi)
         pred = predicted_blocks(h, phi)
+        assert pred.shape == (4, 4, 4, 4)
         for i in range(4):
             for j in range(4):
                 block = q[i * 4 : (i + 1) * 4, j * 4 : (j + 1) * 4]
-                assert np.max(np.abs(block - pred.sector(i, j))) <= 1e-9
+                assert np.max(np.abs(block - pred[i, j])) <= 1e-9
 
 
 def test_predicted_blocks_wrong_parity_choice_fails(setup):
+    # W2 and V2 differ only in sign, so a table with the other choice of T2
+    # (built by the reference) must miss the assembled circuit.
     gen, h, enc = setup
     phi = PhaseFactorSet(gen.uniform(-np.pi, np.pi, 4), "circuit")
     q = assemble_full(enc, phi)
     right = predicted_blocks(h, phi)
-    wrong = predicted_blocks(h, phi, t2_is_w2=phi.degree % 2 == 0)
+    wrong = reference_predicted_blocks(h, phi, t2_is_w2=phi.degree % 2 == 0)
 
     def deviation(pred):
         return max(
-            float(np.max(np.abs(q[i * 4 : (i + 1) * 4, j * 4 : (j + 1) * 4] - pred.sector(i, j))))
+            float(np.max(np.abs(q[i * 4 : (i + 1) * 4, j * 4 : (j + 1) * 4] - pred[i, j])))
             for i in range(4)
             for j in range(4)
         )
@@ -136,8 +204,47 @@ def test_predicted_blocks_symmetric_kills_q_imag(setup):
     phi = to_circuit(random_symmetric(gen, 7))
     pred = predicted_blocks(h, phi)
     # The Q_Im sectors of the A (monitoring-even) half.
-    for block in (pred.sector(0, 1), pred.sector(1, 0)):
+    for block in (pred[0, 1], pred[1, 0]):
         assert np.max(np.abs(block)) <= 1e-10
+
+
+def test_closed_form_matches_the_cosine_sine_route_bitwise():
+    # n = 1, 2, 4, 8; degree 0-15; random and symmetric circuit phases;
+    # spectra that contain 0 and 1 exactly, and random interior ones.
+    gen = rng(15)
+    checked = 0
+    for trial in range(240):
+        n = 2 ** (trial % 4)
+        degree = (trial // 4) % 16
+        values = gen.uniform(0.0, 1.0, n)
+        if trial % 3 == 1:
+            values[0] = 0.0
+        elif trial % 3 == 2:
+            values[-1] = 1.0
+            values[0] = 0.0 if n > 1 else 1.0
+        h = hermitian_from_spectrum(values, gen)
+        symmetric = (trial // 64) % 2 == 1
+        if symmetric:
+            phi = to_circuit(random_symmetric(gen, degree))
+        else:
+            phi = PhaseFactorSet(gen.uniform(-np.pi, np.pi, degree + 1), "circuit")
+        table = predicted_blocks(h, phi)
+        assert table.shape == (4, 4, n, n)
+        assert np.array_equal(table, reference_predicted_blocks(h, phi))
+        if symmetric:
+            state = StateVector(int(np.round(np.log2(n))), haar_vector(gen, n))
+            assert np.array_equal(garbage_state(h, phi, state).amplitudes,
+                                  reference_garbage_state(h, phi, state).amplitudes)
+            checked += 1
+    assert checked >= 100
+
+
+def test_garbage_state_checks_the_state_dimension_first(setup):
+    _, h, _ = setup
+    # The asymmetric phases are not looked at: the dimension check comes first.
+    phi = to_circuit(PhaseFactorSet([0.3, 0.1, -0.2], "su2"))
+    with pytest.raises(ValueError, match="dimension 4, got 2"):
+        garbage_state(h, phi, StateVector(1, [1.0, 0.0]))
 
 
 def test_garbage_state_prediction(setup):
