@@ -190,21 +190,27 @@ def _grid_critical_points(coeffs: np.ndarray) -> np.ndarray:
     With u = cos(theta), dG/dtheta = -sum_k k c_k sin(k theta). Its sign
     changes on 8h + 64 equispaced angles in [0, pi], evaluated by one FFT,
     bracket the critical points; each is refined by 4 Newton steps from the
-    secant point, kept inside its bracket. A grid cell holding two roots
-    shows no sign change, so a verdict needs `_critical_points`.
+    secant point, kept inside its bracket. A step takes the powers e^{ikt}
+    as one running product along k, not sin and cos of every k t. A grid
+    cell holding two roots shows no sign change, so a verdict needs
+    `_critical_points`.
     """
     h = len(coeffs) - 1
     k = np.arange(h + 1)
     kc = k * coeffs
+    # Column 0 weighs the sine sum of dG/dtheta, column 1 the cosine sum of its derivative.
+    weights = np.column_stack([kc, k * kc])
     intervals = 8 * h + 63
     theta = np.arange(1, intervals) * (math.pi / intervals)
     slope = -np.fft.rfft(kc, 2 * intervals).imag[1:intervals]
     i = np.flatnonzero((slope[:-1] > 0.0) != (slope[1:] > 0.0))
     lo, hi = theta[i], theta[i + 1]
     t = lo + (hi - lo) * slope[i] / (slope[i] - slope[i + 1])
+    powers = np.ones((len(t), h + 1), dtype=complex)
     for _ in range(4):
-        angles = np.outer(t, k)
-        t = np.clip(t - (np.sin(angles) @ kc) / (np.cos(angles) @ (k * kc)), lo, hi)
+        powers[:, 1:] = np.exp(1j * t)[:, None]
+        sums = np.cumprod(powers, axis=1) @ weights
+        t = np.clip(t - sums[:, 0].imag / sums[:, 1].real, lo, hi)
     return np.cos(t)
 
 
@@ -217,6 +223,11 @@ def _window_in_u(spec: FilterSpec) -> tuple[float, float]:
     """The window edges mu -/+ delta/2 in u = 2x^2 - 1."""
     return (2.0 * (spec.mu - spec.delta / 2.0) ** 2 - 1.0,
             2.0 * (spec.mu + spec.delta / 2.0) ** 2 - 1.0)
+
+
+def _u_to_x(u: float) -> float:
+    """The x in [0, 1] with 2x^2 - 1 = u."""
+    return math.sqrt(0.5 * (1.0 + u))
 
 
 def _condition(name: str, bound: float, points, values, to_x, strict: bool) -> ConditionReport:
@@ -234,15 +245,24 @@ def certify_filter(f: ChebyshevSeries, spec: FilterSpec) -> FilterReport:
     [-1, 1] and f is even, so each region's extrema are G's on the mapped
     region, found at half the degree. Any other series is checked in x.
     """
-    if np.any(f.coeffs[1::2]):
-        coeffs, to_x = f.coeffs, lambda x: x
+    even = not np.any(f.coeffs[1::2])
+    coeffs = f.coeffs[0::2] if even else f.coeffs
+    return _certify(coeffs, _critical_points(coeffs), even, spec)
+
+
+def _certify(coeffs: np.ndarray, crit: np.ndarray, even: bool, spec: FilterSpec) -> FilterReport:
+    """The report of `certify_filter` from the series' critical points `crit`.
+
+    `coeffs` are G's when `even`, and the series' own otherwise.
+    """
+    if even:
+        lo_u, hi_u = _window_in_u(spec)
+        regions, to_x = ((hi_u, 1.0), (-1.0, lo_u), (-1.0, 1.0)), _u_to_x
+    else:
         regions = ((spec.mu + spec.delta / 2.0, 1.0), (0.0, spec.mu - spec.delta / 2.0),
                    (-1.0, 1.0))
-    else:
-        coeffs, to_x = f.coeffs[0::2], lambda u: math.sqrt(0.5 * (1.0 + u))
-        lo_u, hi_u = _window_in_u(spec)
-        regions = ((hi_u, 1.0), (-1.0, lo_u), (-1.0, 1.0))
-    high, low, everywhere = _extrema(_critical_points(coeffs), *regions)
+        to_x = float
+    high, low, everywhere = _extrema(crit, *regions)
     half_eps = spec.eps / 2.0
     return FilterReport(
         high_side=_condition("vanishes-above-window", half_eps, high,
@@ -257,17 +277,17 @@ def certify_filter(f: ChebyshevSeries, spec: FilterSpec) -> FilterReport:
 def _exchange(points: np.ndarray, errors: np.ndarray, n: int) -> np.ndarray:
     """The next Remez reference: n points of alternating error, the largest kept.
 
-    Same-sign neighbours merge into the larger; a dropped interior point takes
-    the smaller of its neighbours with it, so the signs keep alternating.
+    Same-sign neighbours merge into the larger, the first of a tie; a dropped
+    interior point takes the smaller of its neighbours with it, so the signs
+    keep alternating.
     """
     points, first = np.unique(points, return_index=True)
     errors = errors[first]
-    keep = [0]
-    for i in range(1, len(points)):
-        if (errors[i] > 0) != (errors[keep[-1]] > 0):
-            keep.append(i)
-        elif abs(errors[i]) > abs(errors[keep[-1]]):
-            keep[-1] = i
+    positive = errors > 0
+    run = np.concatenate([[0], np.cumsum(positive[1:] != positive[:-1])])
+    # Stable: within a run the largest magnitude comes first, ties in point order.
+    order = np.lexsort((-np.abs(errors), run))
+    keep = order[np.concatenate([[True], run[order][1:] != run[order][:-1]])].tolist()
     while len(keep) > n:
         mags = np.abs(errors[keep])
         last = len(keep) - 1
@@ -308,7 +328,7 @@ def _first_reference(a: float, b: float, n: int) -> np.ndarray:
     return ref
 
 
-def _minimax_step(spec: FilterSpec, half: int) -> tuple[np.ndarray, float]:
+def _minimax_step(spec: FilterSpec, half: int) -> tuple[np.ndarray, float, np.ndarray | None]:
     """A step G(u) of degree `half` in u = 2x^2 - 1, and its weighted level.
 
     G targets 1 - m - r on [-1, a] with ripple r = (eps/2 - m)/2, where
@@ -320,7 +340,9 @@ def _minimax_step(spec: FilterSpec, half: int) -> tuple[np.ndarray, float]:
     exact. The exchange stops at the first iterate whose level at its exact
     extrema is below 1, or at the first reference whose levelled error
     reaches 1 (no G of this degree does better), so the verdict is the
-    minimax one, which cannot get worse with the degree.
+    minimax one, which cannot get worse with the degree. A level below 1
+    comes with G's exact critical points, which certification reuses; any
+    other level with None.
     """
     margin = synthesis_margin(spec.eps)
     ripple = (spec.eps / 2.0 - margin) / 2.0
@@ -344,16 +366,19 @@ def _minimax_step(spec: FilterSpec, half: int) -> tuple[np.ndarray, float]:
         solution = np.linalg.solve(system, np.where(low, top, 0.0))
         coeffs, levelled = solution[:-1], abs(solution[-1])
         if levelled >= 1.0:
-            return coeffs, levelled
+            return coeffs, levelled, None
         points, errors = plateau_errors(coeffs, _grid_critical_points(coeffs))
         level = float(np.max(np.abs(errors)))
         if level < 1.0:
             # The grid can miss an extremum, which only lowers the level:
             # a feasible verdict is taken at the exact extrema.
-            points, errors = plateau_errors(coeffs, _critical_points(coeffs))
+            crit = _critical_points(coeffs)
+            points, errors = plateau_errors(coeffs, crit)
             level = float(np.max(np.abs(errors)))
-        if level < 1.0 or level <= (1.0 + REMEZ_TOL) * levelled:
-            return coeffs, level
+            if level < 1.0:
+                return coeffs, level, crit
+        if level <= (1.0 + REMEZ_TOL) * levelled:
+            return coeffs, level, None
         # The reference points keep their levelled errors, so every lobe of
         # the error has a candidate; points below the levelled error (such as
         # the real part of a complex root) cannot enter.
@@ -363,7 +388,7 @@ def _minimax_step(spec: FilterSpec, half: int) -> tuple[np.ndarray, float]:
         ref = _exchange(points[eligible], errors[eligible], n)
         if len(ref) < n:
             break
-    return coeffs, level
+    return coeffs, level, None
 
 
 def heaviside_filter(spec: FilterSpec) -> ChebyshevSeries:
@@ -376,17 +401,18 @@ def heaviside_filter(spec: FilterSpec) -> ChebyshevSeries:
     be the early-exit lower bound, which extrapolates short, so no step up is
     shorter than the one before; a step up is capped at a quarter, as the
     exchange loses accuracy far above the answer. Raises if no degree up to
-    `DEGREE_CAP` has a level below 1 or certification fails.
+    `DEGREE_CAP` has a level below 1 or certification fails. Certification
+    takes the exact critical points of the feasible verdict's G.
     """
     cap = DEGREE_CAP // 2
     bad, good, best, rise = 0, cap + 1, None, 0
     last = (0, math.log(2.0 / spec.eps))
     half = min(max(1, math.ceil(0.8 * last[1] * math.sqrt(1.0 - spec.mu**2) / spec.delta)), cap)
     while good - bad > 1:
-        coeffs, level = _minimax_step(spec, half)
+        coeffs, level, crit = _minimax_step(spec, half)
         log_level = math.log(level)
         if level < 1.0:
-            good, good_log, best = half, log_level, coeffs
+            good, good_log, best, best_crit = half, log_level, coeffs, crit
         else:
             bad, bad_log = half, log_level
         if best is not None and bad > 0:
@@ -408,7 +434,7 @@ def heaviside_filter(spec: FilterSpec) -> ChebyshevSeries:
     coeffs = np.zeros(2 * len(best) - 1)
     coeffs[0::2] = best
     filt = ChebyshevSeries(coeffs, "even")
-    report = certify_filter(filt, spec)
+    report = _certify(best, best_crit, True, spec)
     if not report.passed:
         worst = min(report.conditions(), key=lambda c: c.margin)
         raise RuntimeError(

@@ -9,7 +9,8 @@ This module extracts that pair, converts between the rotation ("su2")
 convention and the circuit convention used by the interleaved projector
 circuits, and synthesizes symmetric phase factors realizing a target
 real polynomial as Re P: damped Newton on one Chebyshev node per free
-phase, checked on 2d nodes.
+phase, sweeping only the first half of the palindromic sequence, checked
+on 2d nodes.
 """
 
 from __future__ import annotations
@@ -107,18 +108,11 @@ def _step(ab, xs, isx, scale, out) -> None:
     np.multiply(t, scale, out=out)
 
 
-def _forward_pairs(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Every partial product, in an array of shape (d+1, ..., 2, len(xs))."""
-    first, xs, isx, scale = _sweep_start(values, xs)
-    pairs = np.empty((len(scale),) + first.shape, dtype=complex)
-    pairs[0] = first
-    for k in range(1, len(scale)):
-        _step(pairs[k - 1], xs, isx, scale[k], out=pairs[k])
-    return pairs
-
-
 def _product(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """The full product alone, keeping only the running partial product."""
+    """The product of every factor, keeping only the running partial product.
+
+    Phases need not be palindromic; `extract_pq` reads any sequence this way.
+    """
     ab, xs, isx, scale = _sweep_start(values, xs)
     for k in range(1, len(scale)):
         _step(ab, xs, isx, scale[k], out=ab)
@@ -254,32 +248,82 @@ def _mirror(free: np.ndarray, d: int) -> np.ndarray:
     return full
 
 
-def _residual(free: np.ndarray, d: int, xs: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Residuals Re P(x_j) - f(x_j) from the forward sweep alone."""
-    return _product(_mirror(free, d), xs)[..., 0, :].real - target
+def _half_start(free: np.ndarray, d: int, xs: np.ndarray):
+    """`_sweep_start` of the first half L of a palindromic sequence.
+
+    The 2d + 1 factors e^{i psi_0 Z}, W, e^{i psi_1 Z}, ..., W, e^{i psi_d Z}
+    read the same backwards and each is a symmetric matrix, so U = L L^T.
+    L ends on the free phase m - 1 = d/2 at half angle for an even degree,
+    and on W^(1/2) (`_root_w`) after the last free phase for an odd one.
+    """
+    if d % 2 == 0:
+        free = free.copy()
+        free[..., -1] *= 0.5
+    return _sweep_start(free, xs)
 
 
-def _residual_and_jacobian(prefix: np.ndarray, target: np.ndarray):
+def _root_w(xs: np.ndarray):
+    """W^(1/2) at x = cos(theta) as `_step` takes it: (cos(theta/2), i sin(theta/2))."""
+    return np.sqrt(0.5 * (1.0 + xs)), 1j * np.sqrt(0.5 * (1.0 - xs))
+
+
+def _half_prefixes(free: np.ndarray, d: int, xs: np.ndarray) -> np.ndarray:
+    """Every partial product of L, in an array of shape (m + d % 2, ..., 2, len(xs)).
+
+    Entry k < m ends on free phase k; for an odd degree one more entry ends
+    on W^(1/2). The last entry is L. A stack of free phases (..., m) is
+    swept together, each row as it would be alone.
+    """
+    first, xs, isx, scale = _half_start(free, d, xs)
+    m = len(scale)
+    pairs = np.empty((m + d % 2,) + first.shape, dtype=complex)
+    pairs[0] = first
+    for k in range(1, m):
+        _step(pairs[k - 1], xs, isx, scale[k], out=pairs[k])
+    if d % 2:
+        _step(pairs[m - 1], *_root_w(xs), 1.0, out=pairs[m])
+    return pairs
+
+
+def _half_product(free: np.ndarray, d: int, xs: np.ndarray) -> np.ndarray:
+    """L alone, keeping only the running partial product."""
+    ab, xs, isx, scale = _half_start(free, d, xs)
+    for k in range(1, len(scale)):
+        _step(ab, xs, isx, scale[k], out=ab)
+    if d % 2:
+        _step(ab, *_root_w(xs), 1.0, out=ab)
+    return ab
+
+
+def _fold(half: np.ndarray):
+    """The pair (a, b) of U = L L^T from L's pair (alpha, beta), stacked as `half`.
+
+    a = alpha^2 + beta^2 and b = beta conj(alpha) - alpha conj(beta).
+    """
+    alpha, beta = half[..., 0, :], half[..., 1, :]
+    return alpha * alpha + beta * beta, beta * alpha.conj() - alpha * beta.conj()
+
+
+def _newton_system(prefix: np.ndarray, d: int, target: np.ndarray):
     """Residuals Re P(x_j) - f(x_j) and their Jacobian in the free phases.
 
-    `prefix` is the `_forward_pairs` array of the mirrored phases. With the
-    prefix pair A_k = (a_k, b_k) of factors 0..k and the full product
-    U = (a, b), the suffix of factors k+1..d is A_k^dagger U, so
-    dU/dpsi_k = A_k (iZ) A_k^dagger U and, for every k at once,
+    `prefix` is the `_half_prefixes` array. With the prefix pair
+    A_k = (a_k, b_k) of factors 0..k and U = (a, b), a phase at position k
+    moves U by A_k (iZ) A_k^dagger U, so
     d(Re P)/d(psi_k) = -Im((|a_k|^2 - |b_k|^2) a + 2 a_k b_k conj(b)).
-    The symmetry constraint ties mirrored phases to one free variable each.
-    A stacked prefix gives stacked residuals (..., n) and Jacobians (..., n, m).
+    U is symmetric, so the mirrored occurrence of a free phase adds the same
+    term again; the middle phase of an even degree has no mirror partner.
+    The term is blind to the last phase of A_k, so the half-angle middle
+    prefix serves. A stacked prefix gives stacked residuals (..., n) and
+    Jacobians (..., n, m).
     """
-    d = len(prefix) - 1
-    pa, pb = prefix[..., 0, :], prefix[..., 1, :]
-    a, b = pa[d], pb[d]
-    weight = (pa * pa.conj()).real - (pb * pb.conj()).real
-    grad_full = -(weight * a + 2.0 * pa * pb * b.conj()).imag
-    # Phase j >= m is the mirror of free phase d - j; the middle phase of an
-    # even degree has no mirror partner.
     m = (d + 2) // 2
-    jac_t = grad_full[:m].copy()
-    jac_t[: d + 1 - m] += grad_full[m:][::-1]
+    a, b = _fold(prefix[-1])
+    pa, pb = prefix[:m, ..., 0, :], prefix[:m, ..., 1, :]
+    weight = (pa * pa.conj()).real - (pb * pb.conj()).real
+    jac_t = -2.0 * (weight * a + 2.0 * pa * pb * b.conj()).imag
+    if d % 2 == 0:
+        jac_t[-1] *= 0.5
     return a.real - target, np.moveaxis(jac_t, 0, -1)
 
 
@@ -288,7 +332,7 @@ def _damped_newton(free, d, xs, target, tol, histories, max_iters=80):
 
     Row s of `free` and `target` is one target; each accepts its own step
     length and keeps its own converged or stalled flag, and `histories[s]`
-    gets its max residual at each iterate. Every forward sweep covers the
+    gets its max residual at each iterate. Every half sweep covers the
     rows still running or searching, and one solve takes their stacked
     Jacobians.
     Line-search trials need only the residual; the sweep of an accepted
@@ -296,7 +340,7 @@ def _damped_newton(free, d, xs, target, tol, histories, max_iters=80):
     """
     free = free.copy()
     running = np.arange(len(free))
-    r, jac = _residual_and_jacobian(_forward_pairs(_mirror(free, d), xs), target)
+    r, jac = _newton_system(_half_prefixes(free, d, xs), d, target)
     for _ in range(max_iters):
         cur = np.max(np.abs(r), axis=-1)
         for s, c in zip(running, cur):
@@ -313,13 +357,14 @@ def _damped_newton(free, d, xs, target, tol, histories, max_iters=80):
         for _ in range(30):
             rows = running[searching]
             trial = free[rows] + t * step[searching]
-            prefix = _forward_pairs(_mirror(trial, d), xs)
-            better = np.max(np.abs(prefix[d, :, 0].real - target[rows]), axis=-1) < cur[searching]
+            prefix = _half_prefixes(trial, d, xs)
+            a, _ = _fold(prefix[-1])
+            better = np.max(np.abs(a.real - target[rows]), axis=-1) < cur[searching]
             accepted = searching[better]
             free[rows[better]] = trial[better]
             if not better.all():
                 prefix = prefix[:, better]
-            r[accepted], jac[accepted] = _residual_and_jacobian(prefix, target[rows[better]])
+            r[accepted], jac[accepted] = _newton_system(prefix, d, target[rows[better]])
             moved[accepted] = True
             searching = searching[~better]
             if len(searching) == 0:
@@ -369,13 +414,16 @@ def synthesize_symmetric(
     solved on the m positive Chebyshev nodes cos((2j-1) pi / (4m)): a square
     system, solved by damped Newton from the (pi/4, 0, ..., 0, pi/4) iterate
     (Dong, Lin, Ni and Wang, arXiv:2209.10162). Residuals and the Jacobian
-    come from one forward sweep of SU(2) pairs (`_forward_pairs`); each
-    Newton step reuses the sweep of its accepted line-search trial. All
+    come from one sweep of SU(2) pairs over the first half L of the
+    palindrome, U = L L^T (`_half_prefixes`); each Newton step reuses the
+    sweep of its accepted line-search trial. All
     targets of a list run in one Newton pass over their stack, each with its
     own steps, so each gets the phases it would get alone. Every result must
-    then meet `tol` on the 2d-node grid, or `SynthesisError` names the first
-    that does not.
+    then meet `tol`, a finite positive number, on the 2d-node grid, or
+    `SynthesisError` names the first that does not.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"synthesis tolerance must be a finite positive number, got {tol!r}")
     single = isinstance(f, ChebyshevSeries)
     targets = [f] if single else list(f)
     degrees = {g.degree for g in targets}
@@ -406,8 +454,8 @@ def synthesize_symmetric(
 
         # Contract check on the full 2d-node grid (parity mirrors the positive nodes).
         check_grid = np.cos((2.0 * np.arange(1, 2 * d + 1) - 1.0) * math.pi / (4.0 * d))
-        final = np.max(np.abs(_residual(free, d, check_grid, _clenshaw(coeffs, check_grid))),
-                       axis=-1)
+        a, _ = _fold(_half_product(free, d, check_grid))
+        final = np.max(np.abs(a.real - _clenshaw(coeffs, check_grid)), axis=-1)
         for j, i in enumerate(solve):
             if final[j] > tol:
                 raise SynthesisError(

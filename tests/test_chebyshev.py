@@ -12,6 +12,9 @@ from fqsvt.chebyshev import (
     ChebyshevSeries,
     FilterSpec,
     _clenshaw,
+    _critical_points,
+    _exchange,
+    _grid_critical_points,
     _minimax_step,
     certify_filter,
     cheb_eval,
@@ -318,6 +321,102 @@ def test_composition_inequalities_for_squared_filter():
     high = np.linspace(spec.mu + spec.delta / 2, 1.0, 1001)
     vals_high = np.asarray(filt(high))
     assert np.max(vals_high**2) < spec.eps**2 / 4
+
+
+def reference_exchange(points: np.ndarray, errors: np.ndarray, n: int) -> np.ndarray:
+    """`_exchange` with its same-sign merge as a loop over the points."""
+    points, first = np.unique(points, return_index=True)
+    errors = errors[first]
+    keep = [0]
+    for i in range(1, len(points)):
+        if (errors[i] > 0) != (errors[keep[-1]] > 0):
+            keep.append(i)
+        elif abs(errors[i]) > abs(errors[keep[-1]]):
+            keep[-1] = i
+    while len(keep) > n:
+        mags = np.abs(errors[keep])
+        last = len(keep) - 1
+        if len(keep) == n + 1:
+            drop = [0 if mags[0] < mags[last] else last]
+        else:
+            i = int(np.argmin(mags))
+            drop = [i] if i in (0, last) else [i, i - 1 if mags[i - 1] < mags[i + 1] else i + 1]
+        for j in sorted(drop, reverse=True):
+            del keep[j]
+    return points[keep]
+
+
+@st.composite
+def exchange_sets(draw):
+    """Points drawn from a few values, so they repeat, with errors of a few magnitudes."""
+    size = draw(st.integers(2, 40))
+    pool = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=size))
+    mags = draw(st.lists(st.sampled_from([0.5, 1.0, 1.0, 2.0, 3.0]), min_size=size, max_size=size))
+    points = np.array([draw(st.sampled_from(pool)) for _ in range(size)])
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=size, max_size=size)))
+    return points, signs * np.array(mags), draw(st.integers(2, size))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(exchange_sets())
+def test_exchange_matches_the_loop(case):
+    points, errors, n = case
+    assert np.array_equal(_exchange(points, errors, n), reference_exchange(points, errors, n))
+
+
+def reference_grid_critical_points(coeffs: np.ndarray) -> np.ndarray:
+    """`_grid_critical_points` with sin and cos of every angle k t in its Newton steps."""
+    h = len(coeffs) - 1
+    k = np.arange(h + 1)
+    kc = k * coeffs
+    intervals = 8 * h + 63
+    theta = np.arange(1, intervals) * (np.pi / intervals)
+    slope = -np.fft.rfft(kc, 2 * intervals).imag[1:intervals]
+    i = np.flatnonzero((slope[:-1] > 0.0) != (slope[1:] > 0.0))
+    lo, hi = theta[i], theta[i + 1]
+    t = lo + (hi - lo) * slope[i] / (slope[i] - slope[i + 1])
+    for _ in range(4):
+        angles = np.outer(t, k)
+        t = np.clip(t - (np.sin(angles) @ kc) / (np.cos(angles) @ (k * kc)), lo, hi)
+    return np.cos(t)
+
+
+@pytest.mark.parametrize("count", [8, 16])
+def test_grid_critical_points_match_the_trig_newton(count):
+    # The layout filters' G at half their degree, up to h = 155.
+    for filt in layout_filters(count):
+        g = filt.coeffs[0::2]
+        got, want = _grid_critical_points(g), reference_grid_critical_points(g)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13
+        exact = _critical_points(g)
+        assert np.max(np.min(np.abs(got[:, None] - exact[None, :]), axis=1)) <= 1e-9
+
+
+def test_heaviside_filter_certifies_without_a_root_solve_of_its_own(monkeypatch):
+    # Certification reuses the critical points of the feasible verdict, so
+    # every colleague-matrix solve happens inside a Remez step.
+    solves = {"inside": 0, "outside": 0}
+    where = ["outside"]
+
+    def counting_roots(coeffs):
+        solves[where[-1]] += 1
+        return _critical_points(coeffs)
+
+    def step(spec, half):
+        where.append("inside")
+        try:
+            return _minimax_step(spec, half)
+        finally:
+            where.pop()
+
+    monkeypatch.setattr(chebyshev, "_critical_points", counting_roots)
+    monkeypatch.setattr(chebyshev, "_minimax_step", step)
+    spec = FilterSpec(0.5, 0.2, 1e-5)
+    filt = heaviside_filter(spec)
+    assert solves["inside"] > 0 and solves["outside"] == 0
+    monkeypatch.undo()
+    assert certify_filter(filt, spec).passed
 
 
 def test_series_json_round_trip():

@@ -13,11 +13,12 @@ from fqsvt.qsp import (
     PhaseFactorSet,
     SynthesisError,
     _damped_newton,
-    _forward_pairs,
+    _fold,
+    _half_prefixes,
+    _half_product,
     _mirror,
+    _newton_system,
     _product,
-    _residual,
-    _residual_and_jacobian,
     extract_pq,
     synthesize_symmetric,
     to_circuit,
@@ -28,7 +29,7 @@ from test_chebyshev import filter_specs, layout_filters, reference_clenshaw
 
 def batch_unitaries(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """U(x) for every x, as an array of shape (len(xs), 2, 2)."""
-    a, b = _forward_pairs(values, xs)[-1]
+    a, b = _product(values, xs)
     return np.stack([np.stack([a, b], axis=-1),
                      np.stack([-b.conj(), a.conj()], axis=-1)], axis=-2)
 
@@ -141,7 +142,7 @@ def test_extract_pq_one_sweep_matches_separate_sweeps_bitwise():
 
 
 def reference_forward_pairs(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Every partial product in one preallocated array, as `_forward_pairs` built it before."""
+    """Every partial product of the full sequence in one preallocated array."""
     xs = np.clip(xs, -1.0, 1.0)
     isx = 1j * np.sqrt(1.0 - xs * xs)
     phases = np.moveaxis(np.exp(1j * values), -1, 0)
@@ -177,14 +178,37 @@ def reference_single_extract_pq(psi: PhaseFactorSet) -> qsp.QspPolynomialPair:
 
 
 def test_sweeps_match_the_preallocated_loop_bitwise():
+    # The half sweep's prefixes are the full loop's over the free phases,
+    # the middle phase of an even degree at half angle.
     gen = rng(12)
-    for d in (0, 1, 7, 30, 116):
+    for d in (0, 1, 2, 7, 30, 116):
         xs = gen.uniform(-1.0, 1.0, 23)
+        m = (d + 2) // 2
         for shape in ((d + 1,), (5, d + 1), (2, 3, d + 1)):
             values = gen.uniform(-np.pi, np.pi, shape)
-            want = reference_forward_pairs(values, xs)
-            assert np.array_equal(_forward_pairs(values, xs), want)
-            assert np.array_equal(_product(values, xs), want[-1])
+            assert np.array_equal(_product(values, xs), reference_forward_pairs(values, xs)[-1])
+            free = values[..., :m]
+            half = free.copy()
+            if d % 2 == 0:
+                half[..., -1] *= 0.5
+            prefixes = _half_prefixes(free, d, xs)
+            assert np.array_equal(prefixes[:m], reference_forward_pairs(half, xs))
+            assert len(prefixes) == m + d % 2
+            assert np.array_equal(_half_product(free, d, xs), prefixes[-1])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 200), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_half_sweep_folds_to_the_full_product(d, rows, seed):
+    # U = L L^T: the half sweep of a palindromic stack, W^(1/2) ending the
+    # odd degrees, gives the full sweep's (a, b) up to roundoff.
+    gen = np.random.default_rng(seed)
+    free = gen.uniform(-np.pi, np.pi, (rows, (d + 2) // 2))
+    xs = np.concatenate([[-1.0, 0.0, 1.0], gen.uniform(-1.0, 1.0, 20)])
+    a, b = _fold(_half_product(free, d, xs))
+    full = _product(_mirror(free, d), xs)
+    assert np.max(np.abs(a - full[..., 0, :])) <= 1e-13
+    assert np.max(np.abs(b - full[..., 1, :])) <= 1e-13
 
 
 @st.composite
@@ -385,15 +409,24 @@ def test_synthesis_stall_raises_with_its_history():
     assert info.value.index == 1 and info.value.history == alone
 
 
-def reference_newton(free, d, xs, target, tol, history, max_iters=80):
+def half_residual(free, d, xs, target):
+    """Residuals Re P(x_j) - f(x_j) from the half product alone."""
+    a, _ = _fold(_half_product(free, d, xs))
+    return a.real - target
+
+
+def reference_newton(free, d, xs, target, tol, history, max_iters=80, sweep=None):
     """Damped Newton on one target, the reference for the stacked solver.
 
     A scalar step length halved up to 30 times, a stop at `tol`, and a stall
-    when no halving lowers the max residual.
+    when no halving lowers the max residual. `sweep` maps free phases to
+    their residuals and Jacobian, by default from the half sweep.
     """
-    prefix = _forward_pairs(_mirror(free, d), xs)
+    if sweep is None:
+        def sweep(free):
+            return _newton_system(_half_prefixes(free, d, xs), d, target)
+    r, jac = sweep(free)
     for _ in range(max_iters):
-        r, jac = _residual_and_jacobian(prefix, target)
         cur = float(np.max(np.abs(r)))
         history.append(cur)
         if cur <= tol:
@@ -402,14 +435,33 @@ def reference_newton(free, d, xs, target, tol, history, max_iters=80):
         t = 1.0
         for _ in range(30):
             trial = free + t * step
-            trial_prefix = _forward_pairs(_mirror(trial, d), xs)
-            if float(np.max(np.abs(trial_prefix[d, 0].real - target))) < cur:
-                free, prefix = trial, trial_prefix
+            trial_r, trial_jac = sweep(trial)
+            if float(np.max(np.abs(trial_r))) < cur:
+                free, r, jac = trial, trial_r, trial_jac
                 break
             t *= 0.5
         else:
             break
     return free
+
+
+def full_sweep_system(free, d, xs, target):
+    """Residuals and Jacobian from every partial product of the mirrored phases.
+
+    With the prefix pair A_k = (a_k, b_k) of factors 0..k and the full
+    product U = (a, b), d(Re P)/d(psi_k) = -Im((|a_k|^2 - |b_k|^2) a
+    + 2 a_k b_k conj(b)) at every position k, and mirrored positions add
+    into their free phase.
+    """
+    prefix = reference_forward_pairs(_mirror(free, d), xs)
+    pa, pb = prefix[..., 0, :], prefix[..., 1, :]
+    a, b = pa[d], pb[d]
+    weight = (pa * pa.conj()).real - (pb * pb.conj()).real
+    grad_full = -(weight * a + 2.0 * pa * pb * b.conj()).imag
+    m = (d + 2) // 2
+    jac_t = grad_full[:m].copy()
+    jac_t[: d + 1 - m] += grad_full[m:][::-1]
+    return a.real - target, np.moveaxis(jac_t, 0, -1)
 
 
 def newton_start(targets):
@@ -477,11 +529,11 @@ def test_a_stack_of_copies_takes_the_sweeps_of_one_target(monkeypatch):
     target = padded_to_one_degree(layout_filters(4))[0]
     sweeps = []
 
-    def counting(values, xs):
-        sweeps.append(values.shape)
-        return _forward_pairs(values, xs)
+    def counting(free, d, xs):
+        sweeps.append(free.shape)
+        return _half_prefixes(free, d, xs)
 
-    monkeypatch.setattr(qsp, "_forward_pairs", counting)
+    monkeypatch.setattr(qsp, "_half_prefixes", counting)
     alone = synthesize_symmetric(target, SYNTHESIS_TOL)
     single = len(sweeps)
     sweeps.clear()
@@ -512,33 +564,107 @@ def test_synthesize_rejects_mixed_parity():
 
 
 def test_gradient_matches_finite_differences():
-    # Even degrees exercise the unmirrored middle phase.
+    # Even degrees exercise the halved middle phase, odd ones the W^(1/2) end.
     gen = rng(6)
-    for d in (9, 10, 184):
+    for d in (1, 2, 9, 10, 184):
         xs = np.cos((2 * np.arange(1, d + 1) - 1) * np.pi / (4 * d))
         target = 0.4 * xs
         free = gen.uniform(-0.6, 0.6, (d + 2) // 2)
-        _, jac = _residual_and_jacobian(_forward_pairs(_mirror(free, d), xs), target)
+        _, jac = _newton_system(_half_prefixes(free, d, xs), d, target)
         step = 1e-6
         for i in range(len(free)):
             up, down = free.copy(), free.copy()
             up[i] += step
             down[i] -= step
-            numeric = (_residual(up, d, xs, target) - _residual(down, d, xs, target)) / (2 * step)
+            numeric = (half_residual(up, d, xs, target)
+                       - half_residual(down, d, xs, target)) / (2 * step)
             scale = max(1.0, np.max(np.abs(numeric)))
             assert np.max(np.abs(jac[:, i] - numeric)) <= 1e-6 * scale, (d, i)
 
 
-@pytest.mark.parametrize("d", [1, 10, 184])
+@pytest.mark.parametrize("d", [1, 2, 10, 184])
 def test_residual_matches_unitary_entry(d):
     gen = rng(8)
     xs = np.cos((2 * np.arange(1, d + 1) - 1) * np.pi / (4 * d))
     target = 0.3 * xs
     free = gen.uniform(-np.pi, np.pi, (d + 2) // 2)
     expected = batch_unitaries(_mirror(free, d), xs)[:, 0, 0].real - target
-    r, _ = _residual_and_jacobian(_forward_pairs(_mirror(free, d), xs), target)
-    assert np.max(np.abs(_residual(free, d, xs, target) - expected)) <= 1e-13
-    assert np.array_equal(r, _residual(free, d, xs, target))
+    r, _ = _newton_system(_half_prefixes(free, d, xs), d, target)
+    assert np.max(np.abs(half_residual(free, d, xs, target) - expected)) <= 1e-13
+    assert np.array_equal(r, half_residual(free, d, xs, target))
+
+
+@pytest.mark.parametrize("d", [1, 2, 9, 10, 116, 184])
+def test_half_sweep_system_matches_the_full_sweep(d):
+    # The Jacobian's terms of the two occurrences of a free phase are equal,
+    # so the half sweep counts one of them twice.
+    gen = rng(10)
+    xs = np.cos((2 * np.arange(1, d + 1) - 1) * np.pi / (4 * d))
+    target = 0.3 * xs
+    free = gen.uniform(-np.pi, np.pi, (3, (d + 2) // 2))
+    r, jac = _newton_system(_half_prefixes(free, d, xs), d, target)
+    want_r, want_jac = full_sweep_system(free, d, xs, target)
+    assert np.max(np.abs(r - want_r)) <= 1e-13
+    assert np.max(np.abs(jac - want_jac)) <= 1e-13 * max(1.0, np.max(np.abs(want_jac)))
+
+
+def test_half_sweep_newton_matches_the_full_sweep_newton():
+    # The full sweep's Newton, the solver before the half sweep, lands on
+    # the same layout phases up to roundoff.
+    targets = padded_to_one_degree(layout_filters(8))
+    x0, d, xs, values = newton_start(targets)
+    for start, target in zip(x0, values):
+        half = reference_newton(start, d, xs, target, 0.25 * SYNTHESIS_TOL, [])
+        full = reference_newton(start, d, xs, target, 0.25 * SYNTHESIS_TOL, [],
+                                sweep=lambda free: full_sweep_system(free, d, xs, target))
+        assert np.max(np.abs(half - full)) <= 1e-11
+
+
+@pytest.mark.parametrize("count", [2, 4, 8, 16])
+def test_layout_phases_realize_their_filters_through_extract_pq(count):
+    # `extract_pq` reads the phases with the full sweep, an oracle that
+    # shares no kernel with the half sweep that synthesized them.
+    targets = padded_to_one_degree(layout_filters(count))
+    phases = synthesize_symmetric(targets, SYNTHESIS_TOL)
+    d = targets[0].degree
+    xs = np.cos((2 * np.arange(1, 2 * d + 1) - 1) * np.pi / (4 * d))
+    for target, pair in zip(targets, extract_pq(phases)):
+        assert np.max(np.abs(pair.eval_p(xs).real - target(xs))) <= SYNTHESIS_TOL
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0, -1e-11])
+def test_synthesize_rejects_a_tolerance_that_is_not_finite_and_positive(monkeypatch, tol):
+    def no_sweep(*args):
+        raise AssertionError("swept before checking the tolerance")
+
+    monkeypatch.setattr(qsp, "_half_prefixes", no_sweep)
+    monkeypatch.setattr(qsp, "_half_product", no_sweep)
+    target = ChebyshevSeries([0.1, 0, 0.5, 0, 0.2], "even")
+    with pytest.raises(ValueError, match=f"finite positive number, got {tol!r}"):
+        synthesize_symmetric(target, tol)
+    with pytest.raises(ValueError, match="finite positive"):
+        synthesize_symmetric([target, ChebyshevSeries(np.eye(5)[4] * 0.5, "even")], tol)
+
+
+def random_even_target(seed: int, sup: float) -> ChebyshevSeries:
+    """An even degree-40 series of standard normal coefficients, scaled to sup-norm `sup`."""
+    coeffs = np.random.default_rng(seed).standard_normal(41)
+    coeffs[1::2] = 0.0
+    coeffs *= sup / np.max(np.abs(_clenshaw(coeffs, np.linspace(-1.0, 1.0, 4001))))
+    return ChebyshevSeries(coeffs, "even")
+
+
+# Seeds 0-19 whose target at sup-norm 0.9999 synthesizes; 13 and 14 stall
+# from the standard start.
+CONVERGING_SEEDS = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 16, 17, 18, 19]
+
+
+def test_random_targets_near_sup_norm_one_synthesize():
+    for seed in CONVERGING_SEEDS:
+        target = random_even_target(seed, 0.9999)
+        psi = synthesize_symmetric(target, 1e-11)
+        xs = np.cos((2 * np.arange(1, 81) - 1) * np.pi / 160)
+        assert np.max(np.abs(extract_pq(psi).eval_p(xs).real - target(xs))) <= 1e-11, seed
 
 
 def test_phase_set_json_round_trip():
