@@ -394,15 +394,23 @@ def _minimax_step(spec: FilterSpec, half: int) -> tuple[np.ndarray, float, np.nd
 def heaviside_filter(spec: FilterSpec) -> ChebyshevSeries:
     """The even minimax step filter at the smallest degree whose level is below 1.
 
+    Raises if no degree up to `DEGREE_CAP` has a level below 1 or
+    certification fails.
+    """
+    return _build_filter(spec)[0]
+
+
+def _build_filter(spec: FilterSpec) -> tuple[ChebyshevSeries, FilterReport]:
+    """`heaviside_filter(spec)` and its passing `certify_filter` report.
+
     The search on the half-degree h keeps a bracket of infeasible and feasible
     values. log(level) falls about linearly in h from about log(2/eps) at
     h = 0, so until both ends are probed each probe extrapolates from the last
     two, and then it interpolates between the ends. An infeasible level may
     be the early-exit lower bound, which extrapolates short, so no step up is
     shorter than the one before; a step up is capped at a quarter, as the
-    exchange loses accuracy far above the answer. Raises if no degree up to
-    `DEGREE_CAP` has a level below 1 or certification fails. Certification
-    takes the exact critical points of the feasible verdict's G.
+    exchange loses accuracy far above the answer. Certification takes the
+    exact critical points of the feasible verdict's G.
     """
     cap = DEGREE_CAP // 2
     bad, good, best, rise = 0, cap + 1, None, 0
@@ -442,4 +450,4 @@ def heaviside_filter(spec: FilterSpec) -> ChebyshevSeries:
             f"condition {worst.name} has value {worst.worst:.3e} at x={worst.worst_x:.6f} "
             f"(bound {worst.bound:.3e})"
         )
-    return filt
+    return filt, report

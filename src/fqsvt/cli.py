@@ -10,8 +10,11 @@ assertion failure, 2 config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -38,8 +41,9 @@ from .bosehubbard import (
     fock_occupations,
     normalize_for_qsvt,
 )
-from .chebyshev import EPS_FLOOR, FilterSpec, certify_filter, heaviside_filter
+from .chebyshev import EPS_FLOOR, FilterSpec, _build_filter, heaviside_filter
 from .feedforward import (
+    KrausExtraction,
     channel_distance,
     extract_kraus,
     feedforward_query_count,
@@ -67,14 +71,56 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_csv(path: Path, header: list, rows: list):
-    lines = (",".join(map(str, row)) + "\n" for row in [header, *rows])
-    path.write_text("".join(lines), encoding="utf-8")
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """A text file, written at a sibling name and moved onto `path` once whole.
+
+    If the body raises, the partial file is removed and `path` is untouched.
+    """
+    part = path.with_name(path.name + ".part")
+    try:
+        with part.open("w", encoding="utf-8") as f:
+            yield f
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
+def _write_csv(path: Path, header: list, rows):
+    """`header` and then each row of the iterable `rows`, comma-joined, a line each."""
+    with _replacing(path) as f:
+        for row in itertools.chain([header], rows):
+            f.write(",".join(map(str, row)) + "\n")
 
 
 def _write_json(path: Path, doc):
     # Compact output keeps `json` on its C encoder; an indent would not.
     path.write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _write_kraus(path: Path, kraus: KrausExtraction):
+    """The Kraus document, encoded and written one operator at a time.
+
+    The bytes are those of `_write_json` on {"completeness_residual",
+    "operators": [{"claimed_band", "failed", "matrix", "record"}, ...]}; the
+    head is that dump with no operators, cut before its closing "]}".
+    """
+    head = json.dumps({"completeness_residual": kraus.completeness_residual, "operators": []},
+                      sort_keys=True)
+    with _replacing(path) as f:
+        f.write(head[:-2])
+        sep = ""
+        for leaf in kraus.leaves:
+            f.write(sep)
+            f.write(json.dumps({
+                "record": list(leaf.record),
+                "claimed_band": leaf.claimed_band,
+                "failed": leaf.failed,
+                "matrix": matrix_to_json(leaf.operator),
+            }, sort_keys=True))
+            sep = ", "
+        f.write("]}\n")
 
 
 def _check_keys(doc: dict, allowed: dict, context: str) -> dict:
@@ -196,10 +242,9 @@ def cmd_phases(config: dict, out: Path, seed: int) -> int:
         raise ConfigError(f"phases: invalid filter parameters: {exc}") from exc
     tol = _number(float, config.get("tol", 1e-11), "phases.tol", above=0.0)
 
-    filt = heaviside_filter(spec)
+    filt, report = _build_filter(spec)
     psi = synthesize_symmetric(filt, tol)
     phi = to_circuit(psi)
-    report = certify_filter(filt, spec)
 
     _write_json(out / "filter.json", filt.to_json())
     _write_json(out / "phases_su2.json", psi.to_json())
@@ -341,8 +386,8 @@ def cmd_project(config: dict, out: Path, seed: int) -> int:
     _write_json(out / "bands.json", structure.to_json())
 
     if mode == "sample":
-        rows = [[t, "".join(map(str, leaf.record)), leaf.claimed_band, leaf.failed]
-                for t, leaf in enumerate(tree.leaves)]
+        rows = ((t, "".join(map(str, leaf.record)), leaf.claimed_band, leaf.failed)
+                for t, leaf in enumerate(tree.leaves))
         _write_csv(out / "records.csv",
                    ["trajectory", "record_bits", "claimed_band", "failed"], rows)
         projectors = exact_projectors(spectrum, structure)
@@ -353,18 +398,7 @@ def cmd_project(config: dict, out: Path, seed: int) -> int:
 
     _write_json(out / "tree.json", tree.to_json())
     kraus = extract_kraus(tree)
-    _write_json(out / "kraus.json", {
-        "completeness_residual": kraus.completeness_residual,
-        "operators": [
-            {
-                "record": list(leaf.record),
-                "claimed_band": leaf.claimed_band,
-                "failed": leaf.failed,
-                "matrix": matrix_to_json(leaf.operator),
-            }
-            for leaf in kraus.leaves
-        ],
-    })
+    _write_kraus(out / "kraus.json", kraus)
 
     projectors = exact_projectors(spectrum, structure)
     proxy = channel_distance(kraus, projectors, samples=samples, seed=seed)

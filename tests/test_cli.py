@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fqsvt
+from fqsvt import chebyshev
 from fqsvt.bosehubbard import default_model
 from fqsvt.cli import ConfigError, _number, main
 from fqsvt.linalg import (
@@ -70,6 +71,31 @@ def test_phases_command_deterministic(tmp_path):
     main(["phases", "--config", cfg, "--out", str(out2)])
     for name in ("filter.json", "phases_su2.json", "certification.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_phases_certifies_without_a_root_solve_after_the_build(tmp_path, monkeypatch):
+    # The filter build certifies on the critical points its last feasible
+    # verdict solved, and `phases` writes that report: every colleague-matrix
+    # root solve of the command happens inside the build.
+    spec = {"mu": 0.5, "delta": 0.3, "eps": 1e-3}
+    solves = []
+    critical_points = chebyshev._critical_points
+
+    def recording(coeffs):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        solves.append("_build_filter" in names)
+        return critical_points(coeffs)
+
+    monkeypatch.setattr(chebyshev, "_critical_points", recording)
+    chebyshev.heaviside_filter(chebyshev.FilterSpec(**spec))
+    build_solves, solves[:] = len(solves), []
+    assert main(["phases", "--config", write_config(tmp_path, spec),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert build_solves > 0
+    assert solves == [True] * build_solves
 
 
 def test_phases_rejects_invalid_window(tmp_path):

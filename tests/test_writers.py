@@ -1,0 +1,209 @@
+"""The streamed artifact writers of `fqsvt.cli` against the one-shot encoders they replaced.
+
+The references below are the earlier writers, kept verbatim: the whole
+document as nested lists, encoded to one string and written at once.
+"""
+
+import json
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fqsvt import cli
+from fqsvt.cli import _write_csv, _write_kraus, main
+from fqsvt.feedforward import KrausExtraction, TreeLeaf
+from fqsvt.linalg import hermitian_from_spectrum, matrix_to_json, rng
+
+SPECIAL_FLOATS = [-0.0, 5e-324, 1e-5, 1e16, math.nan, math.inf, -math.inf]
+
+
+def reference_write_csv(path, header, rows):
+    lines = (",".join(map(str, row)) + "\n" for row in [header, *rows])
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def reference_write_json(path, doc):
+    path.write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def reference_kraus_doc(kraus):
+    return {
+        "completeness_residual": kraus.completeness_residual,
+        "operators": [
+            {
+                "record": list(leaf.record),
+                "claimed_band": leaf.claimed_band,
+                "failed": leaf.failed,
+                "matrix": matrix_to_json(leaf.operator),
+            }
+            for leaf in kraus.leaves
+        ],
+    }
+
+
+def reference_write_kraus(path, kraus):
+    reference_write_json(path, reference_kraus_doc(kraus))
+
+
+def leaf(record, claimed_band, failed, operator) -> TreeLeaf:
+    return TreeLeaf(tuple(record), None, 0.0, claimed_band, failed, 0, operator)
+
+
+def random_kraus(gen, count, shape) -> KrausExtraction:
+    ops = gen.standard_normal((count, *shape, 2)).view(complex)[..., 0]
+    return KrausExtraction([leaf(gen.integers(0, 2, 6).tolist(), k % 8, bool(k % 3 == 0), op)
+                            for k, op in enumerate(ops)], float(gen.random() * 1e-15))
+
+
+def assert_same_bytes(path, reference):
+    assert path.read_bytes() == reference.read_bytes()
+    assert sorted(p.name for p in path.parent.iterdir()) == sorted([path.name, reference.name])
+
+
+any_float = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+
+
+@st.composite
+def kraus_sets(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    count = draw(st.integers(0, 12))
+    leaves = []
+    for _ in range(count):
+        entries = draw(st.lists(any_float, min_size=2 * rows * cols, max_size=2 * rows * cols))
+        operator = np.array(entries).view(complex).reshape(rows, cols)
+        leaves.append(leaf(draw(st.lists(st.integers(0, 1), max_size=8)),
+                           draw(st.integers(0, 64)), draw(st.booleans()), operator))
+    return KrausExtraction(leaves, draw(any_float))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kraus=kraus_sets())
+@example(kraus=KrausExtraction([], 0.0))
+@example(kraus=KrausExtraction([leaf((0, 1), 1, False, np.eye(2))], 1e-16))
+def test_kraus_writer_matches_the_one_shot_encoder(tmp_path_factory, kraus):
+    out = tmp_path_factory.mktemp("kraus")
+    _write_kraus(out / "kraus.json", kraus)
+    reference_write_kraus(out / "reference.json", kraus)
+    assert_same_bytes(out / "kraus.json", out / "reference.json")
+
+
+@pytest.mark.parametrize("value", SPECIAL_FLOATS, ids=repr)
+def test_kraus_writer_matches_on_special_floats(tmp_path, value):
+    operator = np.array([[value, 1.0], [complex(0.5, value), complex(value, value)]])
+    kraus = KrausExtraction([leaf((1, 0), 0, True, operator), leaf((), 3, False, operator.T)],
+                            value)
+    _write_kraus(tmp_path / "kraus.json", kraus)
+    reference_write_kraus(tmp_path / "reference.json", kraus)
+    assert_same_bytes(tmp_path / "kraus.json", tmp_path / "reference.json")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rows=st.lists(st.lists(st.one_of(any_float, st.integers(), st.booleans(),
+                                        st.text(alphabet="01ab", max_size=6)), max_size=5),
+                     max_size=30))
+@example(rows=[])
+@example(rows=[[0, "0110", 2, False]])
+def test_csv_writer_matches_the_one_shot_writer_on_a_generator(tmp_path_factory, rows):
+    out = tmp_path_factory.mktemp("csv")
+    header = ["a", "b", "c"]
+    _write_csv(out / "rows.csv", header, (row for row in rows))
+    reference_write_csv(out / "reference.csv", header, rows)
+    assert_same_bytes(out / "rows.csv", out / "reference.csv")
+
+
+def test_kraus_writer_holds_a_fraction_of_the_file(tmp_path):
+    # 64 operators of 32 x 16, the enumerate-L8 artifact's shape: the streamed
+    # writer holds about one encoded operator at a time, the one-shot writer
+    # the whole document several times over.
+    kraus = random_kraus(np.random.default_rng(0), 64, (32, 16))
+
+    def traced_peak(writer, path):
+        tracemalloc.start()
+        try:
+            writer(path, kraus)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    streamed = traced_peak(_write_kraus, tmp_path / "kraus.json")
+    one_shot = traced_peak(reference_write_kraus, tmp_path / "reference.json")
+    size = (tmp_path / "kraus.json").stat().st_size
+    assert size == (tmp_path / "reference.json").stat().st_size > 1_000_000
+    assert streamed < 0.25 * size, (streamed, size)
+    assert one_shot >= 0.25 * size, (one_shot, size)
+
+
+def failing_on_the_fourth(items):
+    yield from items[:3]
+    raise RuntimeError("item 3 cannot be encoded")
+
+
+@pytest.mark.parametrize("name, write", [
+    ("kraus.json", lambda path, kraus: _write_kraus(
+        path, KrausExtraction(failing_on_the_fourth(kraus.leaves), 0.0))),
+    ("records.csv", lambda path, kraus: _write_csv(
+        path, ["record"], failing_on_the_fourth([[k] for k in range(8)]))),
+], ids=["kraus", "csv"])
+@pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over-an-earlier-run"])
+def test_a_failed_write_leaves_no_partial_artifact(tmp_path, name, write, earlier):
+    kraus = random_kraus(np.random.default_rng(1), 6, (4, 2))
+    path = tmp_path / name
+    if earlier:
+        path.write_text("earlier run\n", encoding="utf-8")
+    with pytest.raises(RuntimeError, match="item 3"):
+        write(path, kraus)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([name] if earlier else [])
+    if earlier:
+        assert path.read_text(encoding="utf-8") == "earlier run\n"
+
+
+def three_band_model() -> dict:
+    h = hermitian_from_spectrum(np.array([0.1, 0.12, 0.5, 0.9]), rng(0, 1))
+    return {"type": "inline", "matrix": matrix_to_json(h)}
+
+
+@pytest.mark.parametrize("model, bands, mode, leaves", [
+    ({"type": "synthetic", "bands": 1, "per_band": 4}, 1, "enumerate", 1),
+    ({"type": "synthetic", "bands": 2, "per_band": 4, "width": 0.02}, 2, "enumerate", 4),
+    (three_band_model(), 3, "enumerate", 10),
+    ({"type": "synthetic", "bands": 8, "per_band": 2, "width": 0.02}, 8, "enumerate", 64),
+    ({"type": "synthetic", "bands": 4, "per_band": 2, "width": 0.02}, 4, "sample", 300),
+], ids=["L1", "L2", "L3", "L8", "sample-L4"])
+def test_project_artifacts_match_the_one_shot_encoders(tmp_path, monkeypatch, model, bands,
+                                                       mode, leaves):
+    # `leaves` counts the Kraus operators, or in sample mode the trajectories.
+    captured = {}
+
+    def capture(key, fn):
+        def wrapped(*args, **kwargs):
+            captured[key] = fn(*args, **kwargs)
+            return captured[key]
+        return wrapped
+
+    monkeypatch.setattr(cli, "run_multiband", capture("tree", cli.run_multiband))
+    monkeypatch.setattr(cli, "extract_kraus", capture("kraus", cli.extract_kraus))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"model": model, "bands": {"target": bands}, "round_eps": 1e-3,
+                               "mode": mode, "trajectories": 300, "input": {"type": "haar"}}))
+    out, reference = tmp_path / "out", tmp_path / "reference"
+    reference.mkdir()
+    assert main(["project", "--config", str(cfg), "--seed", "5", "--out", str(out)]) == 0
+
+    if mode == "enumerate":
+        assert len(captured["kraus"].leaves) == leaves
+        reference_write_kraus(reference / "kraus.json", captured["kraus"])
+        files = ["bands.json", "distance.csv", "kraus.json", "tree.json"]
+    else:
+        assert len(captured["tree"].leaves) == leaves
+        reference_write_csv(reference / "records.csv",
+                            ["trajectory", "record_bits", "claimed_band", "failed"],
+                            [[t, "".join(map(str, leaf.record)), leaf.claimed_band, leaf.failed]
+                             for t, leaf in enumerate(captured["tree"].leaves)])
+        files = ["band_weights.csv", "bands.json", "records.csv"]
+    assert sorted(p.name for p in out.iterdir()) == files
+    for path in reference.iterdir():
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
