@@ -22,7 +22,7 @@ from .baselines import (
     prob_projection_depth,
     random_walk_success,
 )
-from .blockenc import BlockEncoding, dilate_hermitian, encoded_block
+from .blockenc import dilate_hermitian
 from .bosehubbard import (
     GmonModel,
     band_labels,
@@ -42,7 +42,6 @@ from .feedforward import (
 )
 from .linalg import (
     HermitianSpectrum,
-    StateVector,
     eigh,
     haar_vector,
     rng,
@@ -56,6 +55,6 @@ from .qsp import (
     to_circuit,
     to_su2,
 )
-from .qsvt import assemble_full, assemble_interleaved, garbage_state, predicted_blocks
+from .qsvt import assemble_full, garbage_state, predicted_blocks
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import BandStructure, exact_projectors
-from .linalg import (WALK_NORMALS, WALK_UNIFORMS, HermitianSpectrum, StateVector,
+from .linalg import (WALK_NORMALS, WALK_UNIFORMS, HermitianSpectrum, _check_state,
                      check_hermitian, eigh, rng)
 
 __all__ = [
@@ -179,9 +179,9 @@ def adiabatic_evolve(
     h0: np.ndarray,
     h1: np.ndarray,
     schedule: AdiabaticSchedule,
-    initial: StateVector,
+    initial: np.ndarray,
     check_convergence: bool = False,
-) -> StateVector:
+) -> np.ndarray:
     """Propagate through the interpolating Hamiltonian with midpoint exponentials.
 
     Each step applies the exact exponential of the Hamiltonian evaluated at
@@ -193,13 +193,14 @@ def adiabatic_evolve(
     h1 = check_hermitian(h1)
     if h0.shape != h1.shape:
         raise ValueError("endpoint Hamiltonians must share a dimension")
-    if h0.shape[0] != len(initial.amplitudes):
+    initial = _check_state(initial)
+    if h0.shape[0] != len(initial):
         raise ValueError("initial state dimension does not match the Hamiltonians")
     out = _evolve_steps(h0, h1, schedule.gamma, schedule.total_time,
-                        schedule.steps, initial.amplitudes)
+                        schedule.steps, initial)
     if check_convergence:
         fine = _evolve_steps(h0, h1, schedule.gamma, schedule.total_time,
-                             2 * schedule.steps, initial.amplitudes)
+                             2 * schedule.steps, initial)
         dev = float(np.max(np.abs(out - fine)))
         if dev >= 1e-8:
             raise ConvergenceError(
@@ -207,7 +208,7 @@ def adiabatic_evolve(
                 f"(steps {schedule.steps} vs {2 * schedule.steps})",
                 out, fine,
             )
-    return StateVector(initial.n_qubits, out)
+    return out
 
 
 @dataclass
@@ -229,7 +230,7 @@ def adiabatic_leakage_scaling(
     band: int,
     times,
     gamma,
-    initial: StateVector,
+    initial: np.ndarray,
 ) -> LeakageFit:
     """Leakage out of the target band of the final Hamiltonian, fit against T.
 
@@ -245,8 +246,7 @@ def adiabatic_leakage_scaling(
         steps = max(64, int(math.ceil(16.0 * total_time)))
         schedule = AdiabaticSchedule(gamma, float(total_time), steps)
         final = adiabatic_evolve(h0, h1, schedule, initial)
-        amp = final.amplitudes
-        leakages.append(float(np.linalg.norm(projector @ amp - amp)))
+        leakages.append(float(np.linalg.norm(projector @ final - final)))
     leakages = np.array(leakages)
     if np.all(leakages < 1e-9):
         return LeakageFit(times, leakages, 0.0, 0.0, 0.0, True)

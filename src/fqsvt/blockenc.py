@@ -1,48 +1,39 @@
 """Unitary block encodings of Hermitian matrices.
 
-Only the single-ancilla symmetric dilation [[H, S], [S, -H]] with
-S = sqrt(I - H^2) is constructed natively; arbitrary user-supplied
-encodings are accepted through verification. For the symmetric dilation
-the cosine-sine factors are fixed by the block equations: with
+An encoding is a plain complex array: a unitary of size 2N whose top-left
+N x N block is the encoded matrix (one ancilla qubit). Only the
+single-ancilla symmetric dilation [[H, S], [S, -H]] with S = sqrt(I - H^2)
+is constructed natively. Any other unitary may be passed in: `_check_encoding`
+verifies it where it enters, in `feedforward.run_1fqsvt`,
+`feedforward.run_multiband` and `qsvt.assemble_full`. For the symmetric
+dilation the cosine-sine factors are fixed by the block equations: with
 H = V Sigma V^dag they are V2 = V and W2 = -V, which `qsvt.predicted_blocks`
 uses in closed form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import HermitianSpectrum, check_hermitian, dagger, eigh
 
 __all__ = [
-    "BlockEncoding",
     "dilate_hermitian",
-    "encoded_block",
 ]
 
 UNITARITY_TOL = 1e-10
 
 
-@dataclass
-class BlockEncoding:
-    """Unitary of size 2N whose top-left N x N block is the encoded matrix (one ancilla qubit)."""
-
-    unitary: np.ndarray
-
-    def __post_init__(self):
-        self.unitary = np.asarray(self.unitary, dtype=complex)
-        shape = self.unitary.shape
-        if len(shape) != 2 or shape[0] != shape[1] or shape[0] % 2 or not shape[0]:
-            raise ValueError(f"encoding must be a square unitary of even size, got shape {shape}")
-        dev = np.max(np.abs(dagger(self.unitary) @ self.unitary - np.eye(shape[0])))
-        if dev > UNITARITY_TOL:
-            raise ValueError(f"matrix is not unitary: ||U^dag U - I||_max = {dev:.3e}")
-
-    @property
-    def encoded_dim(self) -> int:
-        return self.unitary.shape[0] // 2
+def _check_encoding(u) -> np.ndarray:
+    """`u` as a complex array, checked to be a unitary of even, non-zero size."""
+    u = np.asarray(u, dtype=complex)
+    shape = u.shape
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] % 2 or not shape[0]:
+        raise ValueError(f"encoding must be a square unitary of even size, got shape {shape}")
+    dev = np.max(np.abs(dagger(u) @ u - np.eye(shape[0])))
+    if dev > UNITARITY_TOL:
+        raise ValueError(f"matrix is not unitary: ||U^dag U - I||_max = {dev:.3e}")
+    return u
 
 
 def _psd_contraction_spectrum(h: np.ndarray) -> HermitianSpectrum:
@@ -57,8 +48,8 @@ def _psd_contraction_spectrum(h: np.ndarray) -> HermitianSpectrum:
     return spectrum
 
 
-def dilate_hermitian(h: np.ndarray) -> BlockEncoding:
-    """Single-ancilla symmetric dilation [[H, S], [S, -H]] of a PSD contraction."""
+def dilate_hermitian(h: np.ndarray) -> np.ndarray:
+    """The 2N x 2N single-ancilla symmetric dilation [[H, S], [S, -H]] of a PSD contraction."""
     h = check_hermitian(h)
     spectrum = _psd_contraction_spectrum(h)
     svals = np.sqrt(np.clip(1.0 - spectrum.values**2, 0.0, None))
@@ -69,10 +60,4 @@ def dilate_hermitian(h: np.ndarray) -> BlockEncoding:
     u[:n, n:] = s
     u[n:, :n] = s
     u[n:, n:] = -h
-    return BlockEncoding(u)
-
-
-def encoded_block(enc: BlockEncoding) -> np.ndarray:
-    """The matrix carried by the encoding: a copy of its top-left block."""
-    n = enc.encoded_dim
-    return enc.unitary[:n, :n].copy()
+    return _check_encoding(u)

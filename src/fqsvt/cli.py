@@ -51,7 +51,6 @@ from .feedforward import (
     run_multiband,
 )
 from .linalg import (
-    StateVector,
     eigh,
     haar_vector,
     hermitian_from_spectrum,
@@ -377,11 +376,8 @@ def cmd_project(config: dict, out: Path, seed: int) -> int:
             f"[{EPS_FLOOR:g}, 1); raise budget or round_eps"
         )
 
-    enc = dilate_hermitian(h)
-    n = enc.encoded_dim
     amp = _resolve_input(config.get("input", {}), spectrum, seed)
-    state = StateVector(int(round(math.log2(n))), amp)
-    tree = run_multiband(enc, structure, round_eps, state, mode=mode, seed=seed,
+    tree = run_multiband(dilate_hermitian(h), structure, round_eps, amp, mode=mode, seed=seed,
                          trajectories=trajectories)
     _write_json(out / "bands.json", structure.to_json())
 

@@ -12,6 +12,10 @@ The two-block primitive realizes f^2(H) on outcome (0,0) and
 -(1 - f^2(H)) on (1,0); it is the two-band case of the policy, and the
 multi-band driver stacks rounds of it, choosing each threshold from the
 measured band bits.
+
+The encoding and the state are plain arrays. `run_1fqsvt` and
+`run_multiband` check both before any filter is built: a unitary of even
+size (`blockenc._check_encoding`), and a unit vector on its top block.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bands import BandStructure, check_band_assumption
-from .blockenc import BlockEncoding, encoded_block
+from .blockenc import _check_encoding
 from .chebyshev import ChebyshevSeries, FilterSpec, heaviside_filter
-from .linalg import (DISTANCE_PROBES, SAMPLE_UNIFORMS, StateVector, dagger, eigh, haar_vector,
+from .linalg import (DISTANCE_PROBES, SAMPLE_UNIFORMS, _check_state, dagger, eigh, haar_vector,
                      rng, trace_norm)
 from .qsp import PhaseFactorSet, SynthesisError, synthesize_symmetric, to_circuit, to_su2
 from .qsvt import assemble_full
@@ -107,18 +111,22 @@ class MultibandPolicy:
         return self._replay(bits[0 : len(bits) - len(bits) % 2 : 2])[1]
 
 
-def _check_input(enc: BlockEncoding, state: StateVector) -> None:
-    if abs(state.norm - 1.0) > 1e-8:
+def _check_input(enc, state) -> tuple[np.ndarray, np.ndarray]:
+    """(encoding, state) as complex arrays, checked to be a unitary and a unit vector for it."""
+    enc = _check_encoding(enc)
+    state = _check_state(state)
+    if abs(np.linalg.norm(state) - 1.0) > 1e-8:
         raise ValueError("input system state must be unit norm")
-    dim = len(state.amplitudes)
-    if dim != enc.encoded_dim:
+    if len(state) != len(enc) // 2:
         raise ValueError(
-            f"input state has dimension {dim}, the encoding acts on dimension {enc.encoded_dim}"
+            f"input state has dimension {len(state)}, "
+            f"the encoding acts on dimension {len(enc) // 2}"
         )
+    return enc, state
 
 
 def _run_blocks(
-    enc: BlockEncoding,
+    enc: np.ndarray,
     policy: MultibandPolicy,
     columns: np.ndarray,
 ) -> dict[tuple, tuple[np.ndarray, int]]:
@@ -131,7 +139,7 @@ def _run_blocks(
     split's circuit is assembled once.
     """
     circuits = {k: assemble_full(enc, phi) for k, phi in policy.phase_table.items()}
-    n = enc.encoded_dim
+    n = len(enc) // 2
     width = columns.shape[1]
     reg_dim = 2 * n
     register = np.zeros((reg_dim, width), dtype=complex)
@@ -178,7 +186,7 @@ class TreeLeaf:
     """
 
     record: tuple
-    state: StateVector
+    state: np.ndarray
     probability: float
     claimed_band: int
     failed: bool
@@ -195,7 +203,7 @@ class TreeLeaf:
 
 
 def _leaves(
-    enc: BlockEncoding,
+    n: int,
     policy: MultibandPolicy,
     nodes: dict,
     amp: np.ndarray | None = None,
@@ -204,8 +212,6 @@ def _leaves(
 
     Success branches must leave the encoding ancillas in |0...0>.
     """
-    n = enc.encoded_dim
-    reg_qubits = 1 + int(round(math.log2(n)))
     leaves = []
     for bits, (register, queries) in nodes.items():
         if bits + (0,) in nodes:
@@ -222,12 +228,12 @@ def _leaves(
                 f"(record {bits}): purity {head / total}"
             )
         operator = None if amp is None else register
-        leaves.append(TreeLeaf(bits, StateVector(reg_qubits, state), total,
-                               policy.claimed_band(bits), failed, queries, operator))
+        leaves.append(TreeLeaf(bits, state, total, policy.claimed_band(bits), failed, queries,
+                               operator))
     return leaves
 
 
-def run_1fqsvt(enc: BlockEncoding, phi: PhaseFactorSet, state: StateVector) -> list[TreeLeaf]:
+def run_1fqsvt(enc: np.ndarray, phi: PhaseFactorSet, state: np.ndarray) -> list[TreeLeaf]:
     """Two-block feedforward primitive on a unit-norm system state.
 
     This is one round of the multi-band policy with a single split. It
@@ -235,9 +241,9 @@ def run_1fqsvt(enc: BlockEncoding, phi: PhaseFactorSet, state: StateVector) -> l
     registers; the (0,0) branch carries f^2(H)|phi> and the (1,0) branch
     carries -(1 - f^2(H))|phi>.
     """
-    _check_input(enc, state)
+    enc, state = _check_input(enc, state)
     policy = MultibandPolicy(2, {1: phi})
-    return _leaves(enc, policy, _run_blocks(enc, policy, state.amplitudes[:, np.newaxis]))
+    return _leaves(len(state), policy, _run_blocks(enc, policy, state[:, np.newaxis]))
 
 
 @dataclass
@@ -298,10 +304,10 @@ def _multiband_phase_table(structure: BandStructure, round_eps: float) -> tuple[
 
 
 def run_multiband(
-    enc: BlockEncoding,
+    enc: np.ndarray,
     structure: BandStructure,
     round_eps: float,
-    state: StateVector,
+    state: np.ndarray,
     mode: str = "enumerate",
     seed: int = 0,
     trajectories: int = 1,
@@ -321,10 +327,10 @@ def run_multiband(
     """
     if mode not in ("enumerate", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
-    _check_input(enc, state)
+    enc, state = _check_input(enc, state)
     count = structure.band_count
-    n = enc.encoded_dim
-    check_band_assumption(eigh(encoded_block(enc)).values, structure)
+    n = len(state)
+    check_band_assumption(eigh(enc[:n, :n]).values, structure)
 
     if count < 2:
         round_eps = 0.0
@@ -333,11 +339,11 @@ def run_multiband(
 
     if mode == "enumerate":
         nodes = _run_blocks(enc, policy, np.eye(n, dtype=complex))
-        leaves = _leaves(enc, policy, nodes, state.amplitudes)
+        leaves = _leaves(n, policy, nodes, state)
         return BranchTree(leaves, structure, policy.ell, round_eps, degree, mode)
 
-    nodes = _run_blocks(enc, policy, state.amplitudes[:, np.newaxis])
-    by_record = {leaf.record: leaf for leaf in _leaves(enc, policy, nodes)}
+    nodes = _run_blocks(enc, policy, state[:, np.newaxis])
+    by_record = {leaf.record: leaf for leaf in _leaves(n, policy, nodes)}
     # Filled as trajectories reach each node, so a zero-weight subtree that
     # no trajectory enters never raises.
     thresholds: dict = {}

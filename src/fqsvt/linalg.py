@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "StateVector",
     "HermitianSpectrum",
     "rng",
     "eigh",
@@ -49,26 +48,14 @@ def rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
-@dataclass
-class StateVector:
-    """Amplitudes of an n-qubit register; intentionally allowed to be unnormalized."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (2**self.n_qubits,):
-            raise ValueError(
-                f"expected {2**self.n_qubits} amplitudes for {self.n_qubits} qubits, "
-                f"got shape {self.amplitudes.shape}"
-            )
-        if not np.all(np.isfinite(self.amplitudes)):
-            raise ValueError("amplitudes must be finite")
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+def _check_state(state) -> np.ndarray:
+    """`state` as a complex vector: 1-d, finite, of a power-of-two length, any norm."""
+    amp = np.asarray(state, dtype=complex)
+    if amp.ndim != 1 or not len(amp) or len(amp) & (len(amp) - 1):
+        raise ValueError(f"expected the amplitudes of a qubit register, got shape {amp.shape}")
+    if not np.all(np.isfinite(amp)):
+        raise ValueError("amplitudes must be finite")
+    return amp
 
 
 @dataclass

@@ -13,33 +13,34 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blockenc import BlockEncoding, _psd_contraction_spectrum
+from .blockenc import _check_encoding, _psd_contraction_spectrum
 from .chebyshev import _clenshaw
-from .linalg import StateVector, check_hermitian, dagger
+from .linalg import _check_state, check_hermitian, dagger
 from .qsp import PhaseFactorSet, extract_pq, to_su2
 
 __all__ = [
-    "assemble_interleaved",
     "assemble_full",
     "predicted_blocks",
     "garbage_state",
 ]
 
 
-def _interleaved(enc: BlockEncoding, phi: PhaseFactorSet, signs: list) -> np.ndarray:
+def _interleaved(enc: np.ndarray, phi: PhaseFactorSet, signs: list) -> np.ndarray:
     """The interleaved product for sign * phi, one (NM, NM) matrix per sign.
 
-    Rotation k is diag(e^{i phi_k} I_N, e^{-i phi_k} I_{N (M-1)}); one `exp`
-    gives every rotation diagonal of every sign, and each factor of the
-    encoding is one matmul on the stack.
+    The product is R(phi_0) prod_k U^{(-1)^{d-k}} R(phi_k): the encoding
+    and its inverse alternate, ending on U itself. Rotation k is
+    diag(e^{i phi_k} I_N, e^{-i phi_k} I_{N (M-1)}); one `exp` gives every
+    rotation diagonal of every sign, and each factor of the encoding is one
+    matmul on the stack.
     """
     if phi.convention != "circuit":
         raise ValueError("interleaved assembly takes circuit-convention phases")
-    base = enc.unitary
+    base = _check_encoding(enc)
     base_inv = dagger(base)
-    n = enc.encoded_dim
-    d = phi.degree
     size = base.shape[0]
+    n = size // 2
+    d = phi.degree
     phases = np.multiply.outer(signs, phi.values)
     diags = np.exp(np.multiply.outer(phases, [1j, -1j]))[..., (np.arange(size) >= n).astype(int)]
     u = np.zeros((len(signs), size, size), dtype=complex)
@@ -50,17 +51,7 @@ def _interleaved(enc: BlockEncoding, phi: PhaseFactorSet, signs: list) -> np.nda
     return u
 
 
-def assemble_interleaved(enc: BlockEncoding, phi: PhaseFactorSet) -> np.ndarray:
-    """Product R(phi_0) prod_k U^{(-1)^{d-k}} R(phi_k) on the NM-dim register.
-
-    The encoding and its inverse alternate, ending on U itself. The
-    feedforward runtime runs odd-degree second blocks through this same
-    matrix, conjugated by a reflection on the encoding ancillas.
-    """
-    return _interleaved(enc, phi, [1.0])[0]
-
-
-def assemble_full(enc: BlockEncoding, phi: PhaseFactorSet) -> np.ndarray:
+def assemble_full(enc: np.ndarray, phi: PhaseFactorSet) -> np.ndarray:
     """Full circuit unitary of size 2NM: Hadamard butterfly over +Phi / -Phi sectors."""
     u_pos, u_neg = _interleaved(enc, phi, [1.0, -1.0])
     a = 0.5 * (u_pos + u_neg)
@@ -108,7 +99,7 @@ def predicted_blocks(h: np.ndarray, phi: PhaseFactorSet) -> np.ndarray:
     return np.array([[*a[0], *b[0]], [*a[1], *b[1]], [*b[0], *a[0]], [*b[1], *a[1]]])
 
 
-def garbage_state(h: np.ndarray, phi: PhaseFactorSet, state: StateVector) -> StateVector:
+def garbage_state(h: np.ndarray, phi: PhaseFactorSet, state: np.ndarray) -> np.ndarray:
     """Predicted garbage component of the circuit action on |0...0>|phi>.
 
     For phases whose rotation-convention values are palindromic the garbage
@@ -117,9 +108,9 @@ def garbage_state(h: np.ndarray, phi: PhaseFactorSet, state: StateVector) -> Sta
     """
     h = check_hermitian(h)
     n = h.shape[0]
-    amp = np.asarray(state.amplitudes, dtype=complex)
-    if amp.shape != (n,):
-        raise ValueError(f"input state must have dimension {n}, got {amp.shape[0]}")
+    amp = _check_state(state)
+    if len(amp) != n:
+        raise ValueError(f"input state must have dimension {n}, got {len(amp)}")
     if not to_su2(phi).symmetric:
         raise ValueError(
             "garbage-state prediction requires symmetric phase factors "
@@ -130,5 +121,4 @@ def garbage_state(h: np.ndarray, phi: PhaseFactorSet, state: StateVector) -> Sta
     out = np.zeros(4 * n, dtype=complex)
     out[2 * n : 3 * n] = table[2, 0] @ amp
     out[3 * n :] = table[3, 0] @ amp
-    qubits = int(np.round(np.log2(4 * n)))
-    return StateVector(qubits, out)
+    return out

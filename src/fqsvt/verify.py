@@ -35,7 +35,7 @@ from .feedforward import (
     run_1fqsvt,
     run_multiband,
 )
-from .linalg import StateVector, dagger, eigh, haar_vector, hermitian_from_spectrum, rng
+from .linalg import dagger, eigh, haar_vector, hermitian_from_spectrum, rng
 from .qsp import PhaseFactorSet, _mirror, extract_pq, synthesize_symmetric, to_circuit
 from .qsvt import assemble_full, garbage_state, predicted_blocks
 
@@ -132,9 +132,8 @@ def criterion_3() -> CriterionResult:
             full = q @ full
             actual_garbage = full.copy()
             actual_garbage[:n] = 0.0
-            predicted = garbage_state(h, phi, StateVector(int(round(math.log2(n))), amp))
-            worst_state = max(worst_state,
-                              float(np.max(np.abs(predicted.amplitudes - actual_garbage))))
+            predicted = garbage_state(h, phi, amp)
+            worst_state = max(worst_state, float(np.max(np.abs(predicted - actual_garbage))))
 
             spec_h = eigh(h)
             evals = spec_h.values
@@ -157,15 +156,13 @@ def criterion_4() -> CriterionResult:
     h = np.diag([0.6, 0.3]).astype(complex)
     enc = dilate_hermitian(h)
     phi = to_circuit(PhaseFactorSet([0.0, 0.0], "su2"))
-    branches = {b.record: b for b in run_1fqsvt(enc, phi, StateVector(1, [1.0, 0.0]))}
+    branches = {b.record: b for b in run_1fqsvt(enc, phi, [1.0, 0.0])}
     example_dev = max(
         abs(branches[(0, 0)].probability - 0.1296),
         abs(branches[(1, 0)].probability - 0.4096),
         abs(branches[(0, 1)].probability + branches[(1, 1)].probability - 0.4608),
-        float(np.max(np.abs(branches[(0, 0)].state.amplitudes
-                            - np.array([0.36, 0, 0, 0])))),
-        float(np.max(np.abs(branches[(1, 0)].state.amplitudes
-                            - np.array([-0.64, 0, 0, 0])))),
+        float(np.max(np.abs(branches[(0, 0)].state - np.array([0.36, 0, 0, 0])))),
+        float(np.max(np.abs(branches[(1, 0)].state - np.array([-0.64, 0, 0, 0])))),
     )
 
     instances = []
@@ -183,10 +180,9 @@ def criterion_4() -> CriterionResult:
             spec_h = eigh(h)
             f2 = ((spec_h.vectors * _clenshaw(pair.p.real, spec_h.values) ** 2)
                   @ dagger(spec_h.vectors))
-            state = StateVector(int(round(math.log2(n))), amp)
-            leaves = {b.record: b for b in run_1fqsvt(dilate_hermitian(h), to_circuit(psi), state)}
-            s00 = leaves[(0, 0)].state.amplitudes
-            s10 = leaves[(1, 0)].state.amplitudes
+            leaves = {b.record: b for b in run_1fqsvt(dilate_hermitian(h), to_circuit(psi), amp)}
+            s00 = leaves[(0, 0)].state
+            s10 = leaves[(1, 0)].state
             worst = max(
                 worst,
                 float(np.max(np.abs(s00[:n] - f2 @ amp))),
@@ -220,11 +216,11 @@ def criterion_5() -> CriterionResult:
     inputs.append(haar_vector(gen, 4))
     low = spec_h.vectors[:, :2] @ dagger(spec_h.vectors[:, :2])
     for amp in inputs:
-        leaves = {b.record: b for b in run_1fqsvt(enc, phi, StateVector(2, amp))}
+        leaves = {b.record: b for b in run_1fqsvt(enc, phi, amp)}
         p_fail = leaves[(0, 1)].probability + leaves[(1, 1)].probability
         worst_fail = max(worst_fail, p_fail)
-        s00 = leaves[(0, 0)].state.amplitudes[:4]
-        s10 = leaves[(1, 0)].state.amplitudes[:4]
+        s00 = leaves[(0, 0)].state[:4]
+        s10 = leaves[(1, 0)].state[:4]
         worst_proj = max(
             worst_proj,
             float(np.linalg.norm(low @ amp - s00)),
@@ -249,11 +245,8 @@ def criterion_6() -> CriterionResult:
         h = hermitian_from_spectrum(values, gen)
         spectrum = eigh(h)
         structure = detect_bands(spectrum.values, target_bands=count)
-        enc = dilate_hermitian(h)
-        n = enc.encoded_dim
-        amp = spectrum.vectors.sum(axis=1) / math.sqrt(n)
-        tree = run_multiband(enc, structure, round_eps,
-                             StateVector(int(round(math.log2(n))), amp))
+        amp = spectrum.vectors.sum(axis=1) / math.sqrt(len(h))
+        tree = run_multiband(dilate_hermitian(h), structure, round_eps, amp)
         kraus = extract_kraus(tree)
         projectors = exact_projectors(spectrum, structure)
         proxy = channel_distance(kraus, projectors, samples=24, seed=106)
@@ -321,7 +314,7 @@ def criterion_9() -> CriterionResult:
     h1 = h0 + v
     structure = detect_bands(eigh(h1).values, target_bands=2)
     fit = adiabatic_leakage_scaling(h0, h1, structure, 0, [50.0, 100.0, 200.0, 400.0],
-                                    lambda s: s, StateVector(2, [1, 0, 0, 0]))
+                                    lambda s: s, [1, 0, 0, 0])
     passed = (not fit.degenerate) and abs(fit.slope + 1.0) <= 0.2
     return CriterionResult(
         9, "adiabatic leakage 1/T scaling",
@@ -368,12 +361,11 @@ def criterion_10() -> CriterionResult:
     normalized, mapping = normalize_for_qsvt(h, 0.1)
     spectrum = eigh(normalized)
     structure = detect_bands(spectrum.values, min_gap=0.5 * model.eta * mapping.scale)
-    enc = dilate_hermitian(normalized)
     amp = haar_vector(rng(110, 3), model.dimension)
     projectors = exact_projectors(spectrum, structure)
     weights = np.array([float(np.vdot(amp, p @ amp).real) for p in projectors])
     trials = 1000
-    tree = run_multiband(enc, structure, 1e-3, StateVector(4, amp), mode="sample",
+    tree = run_multiband(dilate_hermitian(normalized), structure, 1e-3, amp, mode="sample",
                          seed=110, trajectories=trials)
     freqs = np.bincount([leaf.claimed_band for leaf in tree.leaves],
                         minlength=structure.band_count) / trials

@@ -15,7 +15,7 @@ import numpy as np
 
 from fqsvt.blockenc import dilate_hermitian
 from fqsvt.feedforward import run_1fqsvt
-from fqsvt.linalg import StateVector, dagger, eigh, haar_vector, hermitian_from_spectrum, rng
+from fqsvt.linalg import dagger, eigh, haar_vector, hermitian_from_spectrum, rng
 from fqsvt.qsvt import assemble_full
 from fqsvt.qsp import PhaseFactorSet, to_circuit
 from fqsvt.verify import CRITERIA, CriterionResult, _random_symmetric
@@ -58,7 +58,6 @@ def reference_criterion_3() -> CriterionResult:
         psi = _random_symmetric(gen, degree)
         phi = to_circuit(psi)
         amp = haar_vector(gen, n)
-        state = StateVector(int(round(math.log2(n))), amp)
 
         q = assemble_full(enc, phi)
         full = np.zeros(4 * n, dtype=complex)
@@ -66,8 +65,8 @@ def reference_criterion_3() -> CriterionResult:
         full = q @ full
         actual_garbage = full.copy()
         actual_garbage[:n] = 0.0
-        predicted = reference_garbage_state(h, phi, state)
-        worst_state = max(worst_state, float(np.max(np.abs(predicted.amplitudes - actual_garbage))))
+        predicted = reference_garbage_state(h, phi, amp)
+        worst_state = max(worst_state, float(np.max(np.abs(predicted - actual_garbage))))
 
         pair = reference_single_extract_pq(psi)
         spec_h = eigh(h)
@@ -90,14 +89,14 @@ def reference_criterion_4() -> CriterionResult:
     h = np.diag([0.6, 0.3]).astype(complex)
     enc = dilate_hermitian(h)
     phi = to_circuit(PhaseFactorSet([0.0, 0.0], "su2"))
-    branches = {b.record: b for b in run_1fqsvt(enc, phi, StateVector(1, [1.0, 0.0]))}
+    branches = {b.record: b for b in run_1fqsvt(enc, phi, [1.0, 0.0])}
     example_dev = max(
         abs(branches[(0, 0)].probability - 0.1296),
         abs(branches[(1, 0)].probability - 0.4096),
         abs(branches[(0, 1)].probability + branches[(1, 1)].probability - 0.4608),
-        float(np.max(np.abs(branches[(0, 0)].state.amplitudes
+        float(np.max(np.abs(branches[(0, 0)].state
                             - np.array([0.36, 0, 0, 0])))),
-        float(np.max(np.abs(branches[(1, 0)].state.amplitudes
+        float(np.max(np.abs(branches[(1, 0)].state
                             - np.array([-0.64, 0, 0, 0])))),
     )
 
@@ -115,9 +114,9 @@ def reference_criterion_4() -> CriterionResult:
         f2 = ((spec_h.vectors * reference_clenshaw(pair.p.real, spec_h.values) ** 2)
               @ dagger(spec_h.vectors))
         amp = haar_vector(gen, n)
-        leaves = {b.record: b for b in run_1fqsvt(enc, phi, StateVector(n_qubits, amp))}
-        s00 = leaves[(0, 0)].state.amplitudes
-        s10 = leaves[(1, 0)].state.amplitudes
+        leaves = {b.record: b for b in run_1fqsvt(enc, phi, amp)}
+        s00 = leaves[(0, 0)].state
+        s10 = leaves[(1, 0)].state
         worst = max(
             worst,
             float(np.max(np.abs(s00[:n] - f2 @ amp))),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fqsvt import feedforward
 from fqsvt.bands import BandStructure, detect_bands, exact_projectors, synthetic_band_spectrum
+from fqsvt.baselines import AdiabaticSchedule, adiabatic_evolve
 from fqsvt.blockenc import dilate_hermitian
 from fqsvt.chebyshev import ChebyshevSeries, FilterSpec, _clenshaw, heaviside_filter
 from fqsvt.feedforward import (
@@ -24,7 +25,6 @@ from fqsvt.feedforward import (
 from fqsvt.linalg import (
     DISTANCE_PROBES,
     SAMPLE_UNIFORMS,
-    StateVector,
     eigh,
     haar_vector,
     hermitian_from_spectrum,
@@ -40,7 +40,7 @@ from fqsvt.qsp import (
     to_circuit,
     to_su2,
 )
-from fqsvt.qsvt import assemble_full
+from fqsvt.qsvt import assemble_full, garbage_state
 
 
 def success_projectors(kraus: KrausExtraction) -> dict:
@@ -66,10 +66,10 @@ def test_mar_deterministic_zero_branch():
     # f(1) = 1: the first MAR reads 0 with certainty and leaves the input in place.
     enc = dilate_hermitian(np.diag([1.0, 0.3]))
     leaves = {b.record: b for b in
-              run_1fqsvt(enc, IDENTITY, StateVector(1, [1, 0]))}
+              run_1fqsvt(enc, IDENTITY, [1, 0])}
     assert leaves[(0, 0)].probability == pytest.approx(1.0, abs=1e-12)
     assert leaves[(1, 0)].probability + leaves[(1, 1)].probability <= 1e-24
-    assert np.allclose(leaves[(0, 0)].state.amplitudes, [1, 0, 0, 0], atol=1e-12)
+    assert np.allclose(leaves[(0, 0)].state, [1, 0, 0, 0], atol=1e-12)
 
 
 def test_mar_definition_branch_states():
@@ -77,18 +77,18 @@ def test_mar_definition_branch_states():
     # its weight through the second block.
     enc = dilate_hermitian(np.diag([1.0 / math.sqrt(2.0), 0.3]))
     leaves = {b.record: b for b in
-              run_1fqsvt(enc, IDENTITY, StateVector(1, [1, 0]))}
+              run_1fqsvt(enc, IDENTITY, [1, 0])}
     first_one = leaves[(1, 0)].probability + leaves[(1, 1)].probability
     assert leaves[(0, 0)].probability + leaves[(0, 1)].probability == pytest.approx(0.5)
     assert first_one == pytest.approx(0.5)
-    assert np.allclose(leaves[(0, 0)].state.amplitudes, [0.5, 0, 0, 0])
-    assert np.allclose(leaves[(1, 0)].state.amplitudes, [-0.5, 0, 0, 0])
+    assert np.allclose(leaves[(0, 0)].state, [0.5, 0, 0, 0])
+    assert np.allclose(leaves[(1, 0)].state, [-0.5, 0, 0, 0])
 
 
 def test_mar_sampled_frequencies_match_enumerate():
     enc = dilate_hermitian(np.diag([0.6, 0.3]))
     structure = detect_bands([0.3, 0.6], min_gap=0.2)
-    state = StateVector(1, [0.8, 0.6])
+    state = [0.8, 0.6]
     enumerated = run_multiband(enc, structure, 1e-2, state)
     p1 = sum(leaf.probability for leaf in enumerated.leaves if leaf.record[0] == 1)
     draws = 10000
@@ -102,7 +102,7 @@ def test_mar_sampled_frequencies_match_enumerate():
 def test_mar_rejects_zero_state():
     enc = dilate_hermitian(np.diag([0.6, 0.3]))
     with pytest.raises(ValueError, match="unit norm"):
-        run_1fqsvt(enc, IDENTITY, StateVector(1, [0.0, 0.0]))
+        run_1fqsvt(enc, IDENTITY, [0.0, 0.0])
 
 
 def test_one_step_identity_polynomial_worked_example():
@@ -110,13 +110,13 @@ def test_one_step_identity_polynomial_worked_example():
     enc = dilate_hermitian(h)
     phi = to_circuit(PhaseFactorSet([0.0, 0.0], "su2"))
     leaves = {b.record: b for b in
-              run_1fqsvt(enc, phi, StateVector(1, [1, 0]))}
+              run_1fqsvt(enc, phi, [1, 0])}
     assert leaves[(0, 0)].probability == pytest.approx(0.1296, abs=1e-12)
     assert leaves[(1, 0)].probability == pytest.approx(0.4096, abs=1e-12)
     p_fail = leaves[(0, 1)].probability + leaves[(1, 1)].probability
     assert p_fail == pytest.approx(0.4608, abs=1e-12)
-    assert np.allclose(leaves[(0, 0)].state.amplitudes, [0.36, 0, 0, 0], atol=1e-12)
-    assert np.allclose(leaves[(1, 0)].state.amplitudes, [-0.64, 0, 0, 0], atol=1e-12)
+    assert np.allclose(leaves[(0, 0)].state, [0.36, 0, 0, 0], atol=1e-12)
+    assert np.allclose(leaves[(1, 0)].state, [-0.64, 0, 0, 0], atol=1e-12)
 
 
 def test_one_step_t2_zero_crossing():
@@ -127,10 +127,10 @@ def test_one_step_t2_zero_crossing():
     enc = dilate_hermitian(h)
     phi = to_circuit(PhaseFactorSet([0.0, 0.0, 0.0], "su2"))
     leaves = {b.record: b for b in
-              run_1fqsvt(enc, phi, StateVector(1, [1, 0]))}
+              run_1fqsvt(enc, phi, [1, 0])}
     assert leaves[(0, 0)].probability <= 1e-12
     assert leaves[(1, 0)].probability == pytest.approx(1.0, abs=1e-10)
-    assert np.allclose(leaves[(1, 0)].state.amplitudes, [-1, 0, 0, 0], atol=1e-10)
+    assert np.allclose(leaves[(1, 0)].state, [-1, 0, 0, 0], atol=1e-10)
 
 
 def test_one_step_heaviside_keeps_low_eigenstate():
@@ -140,16 +140,16 @@ def test_one_step_heaviside_keeps_low_eigenstate():
     h = np.diag([0.2, 0.85]).astype(complex)
     enc = dilate_hermitian(h)
     leaves = {b.record: b for b in
-              run_1fqsvt(enc, phi, StateVector(1, [1, 0]))}
+              run_1fqsvt(enc, phi, [1, 0])}
     assert leaves[(0, 0)].probability >= (1 - eps) ** 2
-    assert np.linalg.norm(leaves[(0, 0)].state.amplitudes - np.array([1, 0, 0, 0])) < eps
+    assert np.linalg.norm(leaves[(0, 0)].state - np.array([1, 0, 0, 0])) < eps
 
 
 def test_one_step_rejects_asymmetric_phases():
     enc = dilate_hermitian(np.diag([0.3, 0.6]))
     phi = to_circuit(PhaseFactorSet([0.4, 0.0, 0.1], "su2"))
     with pytest.raises(ValueError, match="symmetric"):
-        run_1fqsvt(enc, phi, StateVector(1, [1, 0]))
+        run_1fqsvt(enc, phi, [1, 0])
 
 
 def test_multiband_two_band_worked_example():
@@ -159,13 +159,13 @@ def test_multiband_two_band_worked_example():
     structure = detect_bands(spec.values, min_gap=0.5)
     enc = dilate_hermitian(h)
     amp = (spec.vectors[:, 0] + spec.vectors[:, 1]) / math.sqrt(2)
-    tree = run_multiband(enc, structure, round_budget(1e-2, 2), StateVector(1, amp))
+    tree = run_multiband(enc, structure, round_budget(1e-2, 2), amp)
     leaves = {l.record: l for l in tree.leaves}
     eps = tree.round_eps
     assert leaves[(0, 0)].probability == pytest.approx(0.5, abs=3 * eps)
     assert leaves[(1, 0)].probability == pytest.approx(0.5, abs=3 * eps)
-    s00 = leaves[(0, 0)].state.amplitudes[:2]
-    s10 = leaves[(1, 0)].state.amplitudes[:2]
+    s00 = leaves[(0, 0)].state[:2]
+    s10 = leaves[(1, 0)].state[:2]
     assert np.linalg.norm(s00 - spec.vectors[:, 0] / math.sqrt(2)) < eps
     assert np.linalg.norm(s10 + spec.vectors[:, 1] / math.sqrt(2)) < eps
     assert leaves[(0, 0)].claimed_band == 0
@@ -179,7 +179,7 @@ def test_multiband_four_bands_uniform_input():
     structure = detect_bands(spec.values, min_gap=0.2)
     enc = dilate_hermitian(h)
     amp = spec.vectors.sum(axis=1) / 2.0
-    tree = run_multiband(enc, structure, round_budget(4e-2, 4), StateVector(2, amp))
+    tree = run_multiband(enc, structure, round_budget(4e-2, 4), amp)
     assert tree.rounds == 2
     assert len(tree.leaves) == 16
     success = {l.claimed_band: l for l in tree.leaves if not l.failed}
@@ -196,7 +196,7 @@ def test_multiband_probability_conserved_at_every_depth():
     structure = detect_bands(spec.values, min_gap=0.2)
     enc = dilate_hermitian(h)
     amp = spec.vectors.sum(axis=1) / 2.0
-    tree = run_multiband(enc, structure, round_budget(4e-2, 4), StateVector(2, amp))
+    tree = run_multiband(enc, structure, round_budget(4e-2, 4), amp)
     # Sibling probabilities sum to the parent's: group leaves by prefix.
     by_prefix: dict = {}
     for leaf in tree.leaves:
@@ -220,7 +220,7 @@ def test_multiband_three_bands_never_claims_missing_band():
     assert structure.band_count == 3
     enc = dilate_hermitian(h)
     amp = spec.vectors[:, :3].sum(axis=1) / math.sqrt(3)
-    tree = run_multiband(enc, structure, round_budget(2e-2, 3), StateVector(2, amp))
+    tree = run_multiband(enc, structure, round_budget(2e-2, 3), amp)
     claimed = {l.claimed_band for l in tree.leaves}
     assert claimed <= {0, 1, 2}
     # The upper subtree stops after one round.
@@ -233,8 +233,7 @@ def test_multiband_single_band_trivial_tree():
     h = hermitian_from_spectrum([0.4, 0.45, 0.5, 0.55], gen)
     structure = detect_bands(eigh(h).values, min_gap=0.3)
     assert structure.band_count == 1
-    tree = run_multiband(dilate_hermitian(h), structure, 0.0,
-                         StateVector(2, eigh(h).vectors[:, 0]))
+    tree = run_multiband(dilate_hermitian(h), structure, 0.0, eigh(h).vectors[:, 0])
     assert len(tree.leaves) == 1
     assert tree.leaves[0].claimed_band == 0
     assert tree.query_count == 0
@@ -248,7 +247,7 @@ def test_multiband_band_supported_input_claims_its_band():
     enc = dilate_hermitian(h)
     target_band = 1
     amp = spec.vectors[:, 1]
-    tree = run_multiband(enc, structure, round_budget(1e-2, 3), StateVector(2, amp),
+    tree = run_multiband(enc, structure, round_budget(1e-2, 3), amp,
                          mode="sample", seed=9, trajectories=200)
     hits = sum(1 for l in tree.leaves if l.claimed_band == target_band and not l.failed)
     assert hits / 200 >= 1.0 - 8 * tree.rounds * tree.round_eps - 0.03
@@ -263,7 +262,7 @@ def per_trajectory_sample(enc, policy, amp, seed, trajectories):
     `SAMPLE_UNIFORMS` block, drawn whole in one call.
     """
     circuits = {k: assemble_full(enc, phi) for k, phi in policy.phase_table.items()}
-    n = enc.encoded_dim
+    n = len(enc) // 2
     reg_dim = 2 * n
     reflect_signs = -np.ones((2 * reg_dim, 1))
     for mon in (0, 1):
@@ -308,13 +307,13 @@ def test_sample_mode_matches_per_trajectory_propagation(count, monkeypatch):
                                 gen)
     structure = detect_bands(eigh(h).values, target_bands=count)
     enc = dilate_hermitian(h)
-    state = StateVector(int(math.log2(n)), haar_vector(gen, n))
+    state = haar_vector(gen, n)
     compiled = _multiband_phase_table(structure, 1e-1)
     monkeypatch.setattr(feedforward, "_multiband_phase_table", lambda *_: compiled)
     policy = MultibandPolicy(count, compiled[0])
     for seed in (3, 11):
         # Trajectory s reads row s alone, so one reference run covers both lengths.
-        reference = per_trajectory_sample(enc, policy, state.amplitudes, seed, 3000)
+        reference = per_trajectory_sample(enc, policy, state, seed, 3000)
         for trajectories in (1, 3000):
             tree = run_multiband(enc, structure, 1e-1, state, mode="sample", seed=seed,
                                  trajectories=trajectories)
@@ -324,7 +323,7 @@ def test_sample_mode_matches_per_trajectory_propagation(count, monkeypatch):
                 (bits, float(np.vdot(amplitudes, amplitudes).real),
                  policy.claimed_band(bits), any(bits[1::2]), queries)
                 for bits, amplitudes, queries in expected]
-            assert np.array_equal([leaf.state.amplitudes for leaf in tree.leaves],
+            assert np.array_equal([leaf.state for leaf in tree.leaves],
                                   [amplitudes for _, amplitudes, _ in expected])
             if trajectories > 1 and count > 1:
                 assert len({leaf.record for leaf in tree.leaves}) > 2
@@ -334,7 +333,7 @@ def test_sample_mode_builds_one_generator_whatever_the_trajectory_count(monkeypa
     h = hermitian_from_spectrum(synthetic_band_spectrum(4, 1), rng(41))
     structure = detect_bands(eigh(h).values, target_bands=4)
     enc = dilate_hermitian(h)
-    state = StateVector(2, haar_vector(rng(42), 4))
+    state = haar_vector(rng(42), 4)
     built = []
     philox = np.random.Philox
     monkeypatch.setattr(np.random, "Philox", lambda **kw: built.append(kw) or philox(**kw))
@@ -353,7 +352,7 @@ def test_run_multiband_rejects_unknown_mode_before_compiling(monkeypatch):
     enc = dilate_hermitian(np.diag([0.6, 0.3]))
     structure = detect_bands([0.3, 0.6], min_gap=0.2)
     with pytest.raises(ValueError, match="unknown mode 'walk'"):
-        run_multiband(enc, structure, 1e-2, StateVector(1, [1, 0]), mode="walk")
+        run_multiband(enc, structure, 1e-2, [1, 0], mode="walk")
 
 
 @pytest.mark.parametrize("mode", ["1fqsvt", "enumerate", "sample"])
@@ -362,24 +361,81 @@ def test_input_state_must_match_the_encoded_dimension(monkeypatch, mode):
         raise AssertionError("a filter was built before the state was checked")
 
     monkeypatch.setattr(feedforward, "heaviside_filter", no_filters)
-    enc = dilate_hermitian(np.diag([0.2, 0.3, 0.6, 0.7]))
-    state = StateVector(1, [1.0, 0.0])
-    with pytest.raises(ValueError, match="dimension 2, the encoding acts on dimension 4"):
+    structure = detect_bands([0.2, 0.3, 0.6, 0.7], min_gap=0.2)
+
+    def run(enc, state):
         if mode == "1fqsvt":
             run_1fqsvt(enc, IDENTITY, state)
         else:
-            structure = detect_bands([0.2, 0.3, 0.6, 0.7], min_gap=0.2)
             run_multiband(enc, structure, 1e-2, state, mode=mode)
+
+    with pytest.raises(ValueError, match="dimension 2, the encoding acts on dimension 4"):
+        run(dilate_hermitian(np.diag([0.2, 0.3, 0.6, 0.7])), [1.0, 0.0])
+    with pytest.raises(ValueError, match="not unitary"):
+        run(np.diag([1.0, 0.5, 1.0, 1.0]), [1.0, 0.0])
+
+
+H4 = np.diag([0.2, 0.3, 0.6, 0.7])
+# Each entry takes (H, encoding, state); H is diagonal, so its diagonal is its spectrum.
+ENTRIES = {
+    "run_1fqsvt": lambda h, enc, state: run_1fqsvt(enc, IDENTITY, state),
+    "enumerate": lambda h, enc, state: run_multiband(
+        enc, detect_bands(np.diag(h), min_gap=0.2), 1e-2, state),
+    "sample": lambda h, enc, state: run_multiband(
+        enc, detect_bands(np.diag(h), min_gap=0.2), 1e-2, state, mode="sample"),
+    "garbage_state": lambda h, enc, state: garbage_state(h, IDENTITY, state),
+    "adiabatic_evolve": lambda h, enc, state: adiabatic_evolve(
+        h, h, AdiabaticSchedule(lambda s: s, 1.0, 4), state),
+    "assemble_full": lambda h, enc, state: assemble_full(enc, IDENTITY),
+}
+# case -> (H, state, expected message); the encoding is H's dilation.
+BAD_STATES = {
+    "nan": (H4, [np.nan, 0.0, 0.0, 0.0], "amplitudes must be finite"),
+    "0-d": (H4, np.array(1.0), r"qubit register, got shape \(\)"),
+    "column": (H4, np.eye(4)[:, :1], r"qubit register, got shape \(4, 1\)"),
+    "wrong-length": (H4, [1.0, 0.0], "dimension"),
+    # The length matches H, so only the power-of-two check can reject it.
+    "not-a-power-of-two": (np.diag([0.2, 0.3, 0.7]), [1.0, 0.0, 0.0],
+                           r"qubit register, got shape \(3,\)"),
+}
+# case -> (encoding, expected message); H is H4 and the state [1, 0].
+BAD_ENCODINGS = {
+    "odd": (np.eye(3), "square unitary of even size"),
+    "not-square": (np.eye(4)[:, :2], "square unitary of even size"),
+    "not-unitary": (np.diag([1.0, 0.5, 1.0, 1.0]), "not unitary"),
+}
+
+
+@pytest.mark.parametrize("entry, case", [
+    *((entry, case) for entry in ("run_1fqsvt", "enumerate", "sample", "garbage_state",
+                                  "adiabatic_evolve") for case in BAD_STATES),
+    *((entry, case) for entry in ("run_1fqsvt", "enumerate", "sample", "assemble_full")
+      for case in BAD_ENCODINGS),
+])
+def test_entries_reject_bad_states_and_encodings_by_name(monkeypatch, entry, case):
+    # A state or encoding from the caller is checked where it enters, before
+    # any filter is built, and always with a ValueError (never an IndexError).
+    def no_filters(spec):
+        raise AssertionError("a filter was built before the input was checked")
+
+    monkeypatch.setattr(feedforward, "heaviside_filter", no_filters)
+    if case in BAD_STATES:
+        h, state, message = BAD_STATES[case]
+        enc = dilate_hermitian(h)
+    else:
+        (enc, message), h, state = BAD_ENCODINGS[case], H4, [1.0, 0.0]
+    with pytest.raises(ValueError, match=message):
+        ENTRIES[entry](h, enc, state)
 
 
 def test_tree_height_is_log2_band_count():
     gen = rng(27)
-    for count, dim in ((2, 2), (4, 4), (8, 8)):
+    for count in (2, 4, 8):
         h = hermitian_from_spectrum(synthetic_band_spectrum(count), gen)
         spec = eigh(h)
         structure = detect_bands(spec.values, target_bands=count)
         tree = run_multiband(dilate_hermitian(h), structure, round_budget(1e-1, count),
-                             StateVector(int(math.log2(dim)), spec.vectors[:, 0]))
+                             spec.vectors[:, 0])
         assert tree.rounds == math.ceil(math.log2(count))
         assert max(len(l.record) for l in tree.leaves) == 2 * tree.rounds
 
@@ -395,8 +451,7 @@ def test_extract_kraus_completeness_and_projectors():
         assert structure.band_count == count
         n = len(values)
         amp = spec.vectors.sum(axis=1) / math.sqrt(n)
-        tree = run_multiband(dilate_hermitian(h), structure, round_budget(1e-2, count),
-                             StateVector(int(math.log2(n)), amp))
+        tree = run_multiband(dilate_hermitian(h), structure, round_budget(1e-2, count), amp)
         kraus = extract_kraus(tree)
         assert kraus.completeness_residual <= 1e-9
         assert [leaf.record for leaf in kraus.leaves] == sorted(l.record for l in tree.leaves)
@@ -425,8 +480,7 @@ def test_extract_kraus_complete_and_probability_conserved_on_random_spectra(
         [gen.uniform(lo, hi, size) for lo, hi, size in zip(lows, highs, sizes)]))
     h = hermitian_from_spectrum(values, gen)
     structure = detect_bands(eigh(h).values, target_bands=count)
-    tree = run_multiband(dilate_hermitian(h), structure, round_eps,
-                         StateVector(qubits, haar_vector(gen, n)))
+    tree = run_multiband(dilate_hermitian(h), structure, round_eps, haar_vector(gen, n))
     assert extract_kraus(tree).completeness_residual <= 1e-9
     assert abs(sum(leaf.probability for leaf in tree.leaves) - 1.0) <= 1e-12
 
@@ -441,15 +495,15 @@ def test_extract_kraus_branch_linearity():
     structure = detect_bands(spec.values, min_gap=0.5)
     enc = dilate_hermitian(h)
     amp = (0.6 * spec.vectors[:, 0] + 0.8 * spec.vectors[:, 1])
-    tree = run_multiband(enc, structure, round_budget(1e-2, 2), StateVector(1, amp))
+    tree = run_multiband(enc, structure, round_budget(1e-2, 2), amp)
     kraus = extract_kraus(tree)
     by_record = {leaf.record: leaf.operator for leaf in kraus.leaves}
     table, _ = _multiband_phase_table(structure, tree.round_eps)
-    single = run_1fqsvt(enc, table[1], StateVector(1, amp))
+    single = run_1fqsvt(enc, table[1], amp)
     assert sorted(by_record) == sorted(l.record for l in single)
     for leaf in single:
         predicted = by_record[leaf.record] @ amp
-        assert np.max(np.abs(predicted - leaf.state.amplitudes)) <= 1e-12
+        assert np.max(np.abs(predicted - leaf.state)) <= 1e-12
     f = _clenshaw(extract_pq(to_su2(table[1])).p.real, spec.values)
     f2 = (spec.vectors * f**2) @ spec.vectors.conj().T
     assert np.max(np.abs(by_record[(0, 0)][:2] - f2)) <= 1e-10
@@ -462,15 +516,14 @@ def test_extract_kraus_branch_linearity():
     structure = detect_bands(spec.values, min_gap=0.2)
     enc = dilate_hermitian(h)
     amp = spec.vectors @ np.array([0.4, 0.5, 0.3, math.sqrt(0.5)])
-    state = StateVector(2, amp)
-    kraus = extract_kraus(run_multiband(enc, structure, round_budget(4e-2, 4), state))
+    kraus = extract_kraus(run_multiband(enc, structure, round_budget(4e-2, 4), amp))
     by_record = {leaf.record: leaf.operator for leaf in kraus.leaves}
-    sampled = run_multiband(enc, structure, round_budget(4e-2, 4), state, mode="sample",
+    sampled = run_multiband(enc, structure, round_budget(4e-2, 4), amp, mode="sample",
                             seed=4, trajectories=40)
     assert len({l.record for l in sampled.leaves}) == 4
     for leaf in sampled.leaves:
         predicted = by_record[leaf.record] @ amp
-        assert np.max(np.abs(predicted - leaf.state.amplitudes)) <= 1e-12
+        assert np.max(np.abs(predicted - leaf.state)) <= 1e-12
 
 
 def test_extract_kraus_failure_weight_bounded():
@@ -481,7 +534,7 @@ def test_extract_kraus_failure_weight_bounded():
     enc = dilate_hermitian(h)
     eps = 1e-3
     for band in range(4):
-        tree = run_multiband(enc, structure, eps, StateVector(2, spec.vectors[:, band]))
+        tree = run_multiband(enc, structure, eps, spec.vectors[:, band])
         failed_weight = sum(l.probability for l in tree.leaves if l.failed)
         assert failed_weight <= 2 * math.sqrt(2) * eps * tree.rounds * 1.1
 
@@ -492,7 +545,7 @@ def test_extract_kraus_requires_enumerate_tree():
     spec = eigh(h)
     structure = detect_bands(spec.values, min_gap=0.5)
     tree = run_multiband(dilate_hermitian(h), structure, round_budget(1e-2, 2),
-                         StateVector(1, spec.vectors[:, 0]), mode="sample", seed=1)
+                         spec.vectors[:, 0], mode="sample", seed=1)
     with pytest.raises(ValueError, match="enumerate"):
         extract_kraus(tree)
 
@@ -505,7 +558,7 @@ def test_channel_distance_zero_for_exact_projectors():
     projectors = exact_projectors(spec, structure)
     amp = spec.vectors[:, 0]
     kraus = KrausExtraction(
-        [TreeLeaf((band, 0), StateVector(1, p @ amp), float(np.vdot(amp, p @ amp).real),
+        [TreeLeaf((band, 0), p @ amp, float(np.vdot(amp, p @ amp).real),
                   band, False, 2, p.copy())
          for band, p in enumerate(projectors)],
         completeness_residual=0.0,
@@ -549,8 +602,7 @@ def test_channel_distance_matches_per_probe_reference(count, n):
     h = hermitian_from_spectrum(values, gen)
     spec = eigh(h)
     structure = detect_bands(spec.values, target_bands=count)
-    tree = run_multiband(dilate_hermitian(h), structure, 0.1,
-                         StateVector(int(math.log2(n)), spec.vectors[:, 0]))
+    tree = run_multiband(dilate_hermitian(h), structure, 0.1, spec.vectors[:, 0])
     kraus = extract_kraus(tree)
     projectors = exact_projectors(spec, structure)
     for samples in (0, 8, 32):
@@ -574,7 +626,7 @@ def test_channel_distance_roughly_linear_in_budget():
     eps_hi, eps_lo = 4e-3, 2.5e-4
     proxies = []
     for eps in (eps_hi, eps_lo):
-        tree = run_multiband(enc, structure, eps, StateVector(1, amp))
+        tree = run_multiband(enc, structure, eps, amp)
         proxies.append(channel_distance(extract_kraus(tree), projectors, samples=12, seed=2))
     exponent = math.log(proxies[0] / proxies[1]) / math.log(eps_hi / eps_lo)
     assert 0.5 <= exponent <= 1.5
@@ -653,8 +705,7 @@ def test_tree_json_shape():
     h = hermitian_from_spectrum([0.1, 0.9], gen)
     spec = eigh(h)
     structure = detect_bands(spec.values, min_gap=0.5)
-    tree = run_multiband(dilate_hermitian(h), structure, round_budget(1e-2, 2),
-                         StateVector(1, spec.vectors[:, 0]))
+    tree = run_multiband(dilate_hermitian(h), structure, round_budget(1e-2, 2), spec.vectors[:, 0])
     doc = tree.to_json()
     assert doc["L"] == 2
     assert all(set(leaf) == {"record", "prob", "claimed_band", "failed"}

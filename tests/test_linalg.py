@@ -4,7 +4,6 @@ import pytest
 from fqsvt.cli import _inline_matrix
 from fqsvt.linalg import (
     WALK_NORMALS,
-    StateVector,
     eigh,
     haar_vector,
     hermitian_from_spectrum,
@@ -182,13 +181,6 @@ def test_haar_state_unitary_invariance_statistic():
     # Overlap statistics with any fixed state agree within Monte Carlo error.
     se = np.std(raw) / np.sqrt(len(raw))
     assert abs(np.mean(raw) - np.mean(rotated)) <= 4 * se
-
-
-def test_state_vector_validation():
-    with pytest.raises(ValueError, match="amplitudes"):
-        StateVector(2, [1.0, 0.0])
-    sv = StateVector(1, [3.0, 4.0])
-    assert sv.norm == pytest.approx(5.0)
 
 
 def test_matrix_json_round_trip():

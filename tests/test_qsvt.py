@@ -4,15 +4,10 @@ import pytest
 
 from fqsvt.blockenc import dilate_hermitian
 from fqsvt.chebyshev import _clenshaw
-from fqsvt.linalg import (StateVector, check_hermitian, dagger, eigh, haar_vector,
+from fqsvt.linalg import (check_hermitian, dagger, eigh, haar_vector,
                           hermitian_from_spectrum, rng)
 from fqsvt.qsp import PhaseFactorSet, _mirror, extract_pq, to_circuit, to_su2
-from fqsvt.qsvt import (
-    assemble_full,
-    assemble_interleaved,
-    garbage_state,
-    predicted_blocks,
-)
+from fqsvt.qsvt import _interleaved, assemble_full, garbage_state, predicted_blocks
 from test_blockenc import csd_factors
 from test_chebyshev import reference_clenshaw
 from test_qsp import reference_single_extract_pq
@@ -71,16 +66,16 @@ def reference_predicted_blocks(h, phi: PhaseFactorSet, t2_is_w2: bool | None = N
     return table
 
 
-def reference_garbage_state(h, phi: PhaseFactorSet, state: StateVector) -> StateVector:
+def reference_garbage_state(h, phi: PhaseFactorSet, state: np.ndarray) -> np.ndarray:
     """The garbage component read from sectors (2, 0) and (3, 0) of the reference table."""
     assert to_su2(phi).symmetric
     table = reference_predicted_blocks(h, phi)
     n = h.shape[0]
-    amp = np.asarray(state.amplitudes, dtype=complex)
+    amp = np.asarray(state, dtype=complex)
     out = np.zeros(4 * n, dtype=complex)
     out[2 * n : 3 * n] = table[2, 0] @ amp
     out[3 * n :] = table[3, 0] @ amp
-    return StateVector(int(np.round(np.log2(4 * n))), out)
+    return out
 
 
 @pytest.fixture
@@ -92,14 +87,14 @@ def setup():
 
 def test_interleaved_degree_zero_identity(setup):
     _, _, enc = setup
-    u = assemble_interleaved(enc, PhaseFactorSet([0.0], "circuit"))
+    u = _interleaved(enc, PhaseFactorSet([0.0], "circuit"), [1.0])[0]
     assert np.allclose(u, np.eye(8))
 
 
 def test_interleaved_degree_one_is_encoding(setup):
     _, _, enc = setup
-    u = assemble_interleaved(enc, PhaseFactorSet([0.0, 0.0], "circuit"))
-    assert np.allclose(u, enc.unitary)
+    u = _interleaved(enc, PhaseFactorSet([0.0, 0.0], "circuit"), [1.0])[0]
+    assert np.allclose(u, enc)
 
 
 def test_full_circuit_realizes_identity_polynomial(setup):
@@ -130,14 +125,14 @@ def reference_interleaved(enc, values: np.ndarray) -> np.ndarray:
     """The interleaved product with one rotation diagonal built per factor."""
 
     def rotation(angle):
-        diag = np.full(enc.unitary.shape[0], np.exp(-1j * angle), dtype=complex)
-        diag[: enc.encoded_dim] = np.exp(1j * angle)
+        diag = np.full(len(enc), np.exp(-1j * angle), dtype=complex)
+        diag[: len(enc) // 2] = np.exp(1j * angle)
         return diag
 
     d = len(values) - 1
     u = np.diag(rotation(values[0]))
     for k in range(1, d + 1):
-        u = u @ (enc.unitary if (d - k) % 2 == 0 else dagger(enc.unitary))
+        u = u @ (enc if (d - k) % 2 == 0 else dagger(enc))
         u = u * rotation(values[k])[np.newaxis, :]
     return u
 
@@ -163,7 +158,8 @@ def test_stacked_assembly_matches_separate_products_bitwise():
             phi = PhaseFactorSet(gen.uniform(-np.pi, np.pi, int(gen.integers(1, 13)) + 1),
                                  "circuit")
         assert np.array_equal(assemble_full(enc, phi), reference_assemble_full(enc, phi))
-        assert np.array_equal(assemble_interleaved(enc, phi), reference_interleaved(enc, phi.values))
+        assert np.array_equal(_interleaved(enc, phi, [1.0])[0],
+                              reference_interleaved(enc, phi.values))
 
 
 def test_predicted_blocks_match_assembled_both_parities(setup):
@@ -232,9 +228,9 @@ def test_closed_form_matches_the_cosine_sine_route_bitwise():
         assert table.shape == (4, 4, n, n)
         assert np.array_equal(table, reference_predicted_blocks(h, phi))
         if symmetric:
-            state = StateVector(int(np.round(np.log2(n))), haar_vector(gen, n))
-            assert np.array_equal(garbage_state(h, phi, state).amplitudes,
-                                  reference_garbage_state(h, phi, state).amplitudes)
+            state = haar_vector(gen, n)
+            assert np.array_equal(garbage_state(h, phi, state),
+                                  reference_garbage_state(h, phi, state))
             checked += 1
     assert checked >= 100
 
@@ -244,7 +240,7 @@ def test_garbage_state_checks_the_state_dimension_first(setup):
     # The asymmetric phases are not looked at: the dimension check comes first.
     phi = to_circuit(PhaseFactorSet([0.3, 0.1, -0.2], "su2"))
     with pytest.raises(ValueError, match="dimension 4, got 2"):
-        garbage_state(h, phi, StateVector(1, [1.0, 0.0]))
+        garbage_state(h, phi, [1.0, 0.0])
 
 
 def test_garbage_state_prediction(setup):
@@ -252,17 +248,16 @@ def test_garbage_state_prediction(setup):
     phi = to_circuit(random_symmetric(gen, 6))
     amp = gen.standard_normal(4) + 1j * gen.standard_normal(4)
     amp /= np.linalg.norm(amp)
-    state = StateVector(2, amp)
     q = assemble_full(enc, phi)
     full = np.zeros(16, dtype=complex)
     full[:4] = amp
     full = q @ full
     actual = full.copy()
     actual[:4] = 0.0
-    predicted = garbage_state(h, phi, state)
-    assert np.max(np.abs(predicted.amplitudes - actual)) <= 1e-9
+    predicted = garbage_state(h, phi, amp)
+    assert np.max(np.abs(predicted - actual)) <= 1e-9
     # All garbage weight sits in the monitoring |1> sector.
-    assert np.max(np.abs(predicted.amplitudes[4:8])) <= 1e-12
+    assert np.max(np.abs(predicted[4:8])) <= 1e-12
 
 
 def test_garbage_norm_identity_on_eigenstates(setup):
@@ -271,10 +266,9 @@ def test_garbage_norm_identity_on_eigenstates(setup):
     phi = to_circuit(random_symmetric(gen, 9))
     pair = extract_pq(to_su2(phi))
     for idx in range(4):
-        state = StateVector(2, spec.vectors[:, idx])
-        garbage = garbage_state(h, phi, state)
+        garbage = garbage_state(h, phi, spec.vectors[:, idx])
         f_val = float(_clenshaw(pair.p.real, np.array([spec.values[idx]]))[0])
-        assert garbage.norm**2 == pytest.approx(1.0 - f_val**2, abs=1e-10)
+        assert np.linalg.norm(garbage)**2 == pytest.approx(1.0 - f_val**2, abs=1e-10)
 
 
 def test_garbage_vanishes_where_filter_is_exactly_one():
@@ -282,15 +276,15 @@ def test_garbage_vanishes_where_filter_is_exactly_one():
     # exactly, so the normalization condition forces zero garbage.
     h = np.diag([0.0, 0.5])
     phi = to_circuit(PhaseFactorSet([0.0, 0.0, 0.0], "su2"))
-    garbage = garbage_state(h, phi, StateVector(1, [1.0, 0.0]))
-    assert garbage.norm <= 1e-12
+    garbage = garbage_state(h, phi, [1.0, 0.0])
+    assert np.linalg.norm(garbage) <= 1e-12
 
 
 def test_garbage_state_rejects_asymmetric_phases(setup):
     _, h, _ = setup
     phi = to_circuit(PhaseFactorSet([0.3, 0.1, -0.2], "su2"))
     with pytest.raises(ValueError, match="symmetric"):
-        garbage_state(h, phi, StateVector(2, [1, 0, 0, 0]))
+        garbage_state(h, phi, [1, 0, 0, 0])
 
 
 def test_three_term_norm_completeness(setup):
