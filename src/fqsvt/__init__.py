@@ -31,7 +31,7 @@ from .bosehubbard import (
     default_model,
     normalize_for_qsvt,
 )
-from .chebyshev import ChebyshevSeries, FilterSpec, certify_filter, cheb_eval, heaviside_filter
+from .chebyshev import ChebyshevSeries, FilterSpec, certify_filter, heaviside_filter
 from .feedforward import (
     BranchTree,
     channel_distance,

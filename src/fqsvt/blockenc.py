@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import HermitianSpectrum, check_hermitian, dagger, eigh
+from .linalg import HermitianSpectrum, dagger, eigh
 
 __all__ = [
     "dilate_hermitian",
@@ -36,7 +36,8 @@ def _check_encoding(u) -> np.ndarray:
     return u
 
 
-def _psd_contraction_spectrum(h: np.ndarray) -> HermitianSpectrum:
+def _psd_contraction_spectrum(h: np.ndarray) -> tuple[HermitianSpectrum, np.ndarray]:
+    """The spectrum of H, checked to lie in [0, 1], and the sines sqrt(1 - sigma^2)."""
     spectrum = eigh(h)
     lo, hi = spectrum.values[0], spectrum.values[-1]
     if lo < -1e-12 or hi > 1.0 + 1e-12:
@@ -45,19 +46,17 @@ def _psd_contraction_spectrum(h: np.ndarray) -> HermitianSpectrum:
             f"spectrum must lie in [0, 1] for the symmetric dilation; "
             f"offending eigenvalue {bad}"
         )
-    return spectrum
+    return spectrum, np.sqrt(np.clip(1.0 - spectrum.values**2, 0.0, None))
 
 
 def dilate_hermitian(h: np.ndarray) -> np.ndarray:
     """The 2N x 2N single-ancilla symmetric dilation [[H, S], [S, -H]] of a PSD contraction."""
-    h = check_hermitian(h)
-    spectrum = _psd_contraction_spectrum(h)
-    svals = np.sqrt(np.clip(1.0 - spectrum.values**2, 0.0, None))
+    spectrum, svals = _psd_contraction_spectrum(h)
     s = (spectrum.vectors * svals) @ dagger(spectrum.vectors)
-    n = h.shape[0]
+    n = len(spectrum.values)
     u = np.zeros((2 * n, 2 * n), dtype=complex)
     u[:n, :n] = h
     u[:n, n:] = s
     u[n:, :n] = s
-    u[n:, n:] = -h
+    u[n:, n:] = -u[:n, :n]
     return _check_encoding(u)

@@ -219,7 +219,7 @@ def normalize_for_qsvt(h: np.ndarray, margin: float) -> tuple:
     """
     if not (0.0 < margin < 0.5):
         raise ValueError("margin must lie in (0, 1/2)")
-    h = check_hermitian(h)
+    h = np.asarray(h, dtype=complex)
     values = eigh(h).values
     lo, hi = float(values[0]), float(values[-1])
     span = hi - lo

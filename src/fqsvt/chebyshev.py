@@ -23,7 +23,6 @@ __all__ = [
     "ChebyshevSeries",
     "FilterSpec",
     "FilterReport",
-    "cheb_eval",
     "heaviside_filter",
     "certify_filter",
 ]
@@ -97,17 +96,13 @@ class ChebyshevSeries:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, x) -> np.ndarray:
-        return cheb_eval(self, x)
+    def __call__(self, x):
+        """Clenshaw evaluation of the series at x in [-1, 1] (scalar or array)."""
+        out = _clenshaw(self.coeffs, _unit_interval(x))
+        return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
     def to_json(self) -> dict:
         return {"parity": self.parity, "coeffs": [float(c) for c in self.coeffs]}
-
-
-def cheb_eval(f: ChebyshevSeries, x):
-    """Clenshaw evaluation of the series at x in [-1, 1] (scalar or array)."""
-    out = _clenshaw(f.coeffs, _unit_interval(x))
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bands import (
-    check_band_assumption,
-    detect_bands,
-    exact_projectors,
-    synthetic_band_spectrum,
-)
+from .bands import detect_bands, exact_projectors, synthetic_band_spectrum
 from .baselines import (
     adiabatic_time_estimate,
     prob_projection_depth,
@@ -44,6 +39,7 @@ from .bosehubbard import (
 from .chebyshev import EPS_FLOOR, FilterSpec, _build_filter, heaviside_filter
 from .feedforward import (
     KrausExtraction,
+    channel_bound,
     channel_distance,
     extract_kraus,
     feedforward_query_count,
@@ -95,7 +91,8 @@ def _write_csv(path: Path, header: list, rows):
 
 def _write_json(path: Path, doc):
     # Compact output keeps `json` on its C encoder; an indent would not.
-    path.write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+    with _replacing(path) as f:
+        f.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def _write_kraus(path: Path, kraus: KrausExtraction):
@@ -258,7 +255,7 @@ def cmd_phases(config: dict, out: Path, seed: int) -> int:
 
 
 def _resolve_model(doc, seed: int) -> np.ndarray:
-    """Config model block -> Hamiltonian with spectrum in [0, 1]."""
+    """Config model block -> symmetric dilation of a Hermitian matrix with spectrum in [0, 1]."""
     if not isinstance(doc, dict):
         raise ConfigError(f"model: expected a JSON object, got {doc!r}")
     kind = doc.get("type")
@@ -266,11 +263,9 @@ def _resolve_model(doc, seed: int) -> np.ndarray:
         _check_keys(doc, {"type": True, "matrix": True}, "model")
         h = _inline_matrix(doc["matrix"], "model.matrix")
         try:
-            # The dilation validates shape, hermiticity and the [0, 1] spectrum.
-            dilate_hermitian(h)
+            return dilate_hermitian(h)
         except ValueError as exc:
             raise ConfigError(f"model: invalid inline matrix: {exc}") from exc
-        return h
     if kind == "gmon":
         _check_keys(doc, {"type": True, "spec": False, "margin": False,
                           "perturb_seed": False}, "model")
@@ -279,7 +274,7 @@ def _resolve_model(doc, seed: int) -> np.ndarray:
             model = model.perturbed(_seed(doc["perturb_seed"], "model.perturb_seed"))
         h = build_h0(model) + build_h1(model)
         margin = _number(float, doc.get("margin", 0.1), "model.margin", above=0.0, below=0.5)
-        return normalize_for_qsvt(h, margin)[0]
+        return dilate_hermitian(normalize_for_qsvt(h, margin)[0])
     if kind == "synthetic":
         _check_keys(doc, {"type": True, "bands": True, "per_band": False,
                           "width": False, "basis_seed": False}, "model")
@@ -292,11 +287,9 @@ def _resolve_model(doc, seed: int) -> np.ndarray:
         gen = rng(_seed(doc.get("basis_seed", seed), "model.basis_seed"), 1)
         h = hermitian_from_spectrum(values, gen)
         try:
-            # The dilation validates the [0, 1] spectrum, as for inline models.
-            dilate_hermitian(h)
+            return dilate_hermitian(h)
         except ValueError as exc:
             raise ConfigError(f"model.width {width}: {exc}") from exc
-        return h
     raise ConfigError(f"model: unknown type {kind!r}")
 
 
@@ -338,13 +331,13 @@ def cmd_project(config: dict, out: Path, seed: int) -> int:
         "round_eps": False, "trajectories": False,
         "haar_samples": False, "input": False,
     }, "project")
-    h = _resolve_model(config["model"], seed)
-    dim = h.shape[0]
+    enc = _resolve_model(config["model"], seed)
+    dim = len(enc) // 2
     if dim & (dim - 1):
         raise ConfigError(
             f"model: the system register needs a power-of-two dimension, got {dim}"
         )
-    spectrum = eigh(h)
+    spectrum = eigh(enc[:dim, :dim])
 
     band_doc = _check_keys(config["bands"], {"min_gap": False, "target": False}, "bands")
     if ("min_gap" in band_doc) == ("target" in band_doc):
@@ -355,7 +348,6 @@ def cmd_project(config: dict, out: Path, seed: int) -> int:
     else:
         target = _number(int, band_doc["target"], "bands.target", low=1, high=dim)
         structure = detect_bands(spectrum.values, target_bands=target)
-    check_band_assumption(spectrum.values, structure)
 
     mode = config.get("mode", "enumerate")
     if mode not in ("enumerate", "sample"):
@@ -377,16 +369,16 @@ def cmd_project(config: dict, out: Path, seed: int) -> int:
         )
 
     amp = _resolve_input(config.get("input", {}), spectrum, seed)
-    tree = run_multiband(dilate_hermitian(h), structure, round_eps, amp, mode=mode, seed=seed,
+    tree = run_multiband(enc, structure, round_eps, amp, mode=mode, seed=seed,
                          trajectories=trajectories)
     _write_json(out / "bands.json", structure.to_json())
+    projectors = exact_projectors(spectrum, structure)
 
     if mode == "sample":
         rows = ((t, "".join(map(str, leaf.record)), leaf.claimed_band, leaf.failed)
                 for t, leaf in enumerate(tree.leaves))
         _write_csv(out / "records.csv",
                    ["trajectory", "record_bits", "claimed_band", "failed"], rows)
-        projectors = exact_projectors(spectrum, structure)
         weights = [float(np.vdot(amp, p @ amp).real) for p in projectors]
         _write_csv(out / "band_weights.csv", ["band", "exact_weight"],
                    [[j, _fmt(w)] for j, w in enumerate(weights)])
@@ -396,9 +388,8 @@ def cmd_project(config: dict, out: Path, seed: int) -> int:
     kraus = extract_kraus(tree)
     _write_kraus(out / "kraus.json", kraus)
 
-    projectors = exact_projectors(spectrum, structure)
     proxy = channel_distance(kraus, projectors, samples=samples, seed=seed)
-    bound = (4.0 * count * math.log2(count) * tree.round_eps) if count > 1 else 0.0
+    bound = channel_bound(count, tree.round_eps)
     rows = [["distance_proxy", _fmt(proxy)],
             ["bound_4_L_log2L_eps", _fmt(bound)],
             ["round_eps", _fmt(tree.round_eps)],

@@ -74,21 +74,15 @@ def predicted_blocks(h: np.ndarray, phi: PhaseFactorSet) -> np.ndarray:
     cosine-sine factors are V2 = V and W2 = -V, so the final basis
     transformation is T2 = (-1)^d V.
     """
-    h = check_hermitian(h)
+    spectrum, s = _psd_contraction_spectrum(h)
     pair = extract_pq(to_su2(phi))
-    spectrum = _psd_contraction_spectrum(h)
     v, sigma = spectrum.vectors, spectrum.values
-    s = np.sqrt(np.clip(1.0 - sigma**2, 0.0, None))
     t2 = -v if phi.degree % 2 else v
 
     p_re = _clenshaw(pair.p.real, sigma)
     p_im = _clenshaw(pair.p.imag, sigma)
-    if len(pair.q):
-        q_re = _clenshaw(pair.q.real, sigma)
-        q_im = _clenshaw(pair.q.imag, sigma)
-    else:
-        q_re = np.zeros_like(sigma)
-        q_im = np.zeros_like(sigma)
+    q_re = _clenshaw(pair.q.real, sigma)
+    q_im = _clenshaw(pair.q.imag, sigma)
 
     vh = dagger(v)
     a = [[(v * p_re) @ vh, -(v * (s * q_im)) @ vh],

@@ -29,6 +29,7 @@ from .bosehubbard import (
 )
 from .chebyshev import FilterSpec, heaviside_filter, _clenshaw
 from .feedforward import (
+    channel_bound,
     channel_distance,
     extract_kraus,
     feedforward_query_count,
@@ -250,7 +251,7 @@ def criterion_6() -> CriterionResult:
         kraus = extract_kraus(tree)
         projectors = exact_projectors(spectrum, structure)
         proxy = channel_distance(kraus, projectors, samples=24, seed=106)
-        bound = 4.0 * count * math.log2(count) * round_eps
+        bound = channel_bound(count, round_eps)
         queries_ok = tree.query_count == feedforward_query_count(count, tree.degree)
         passed = passed and proxy <= bound and queries_ok
         detail.append(f"L={count}: proxy {proxy:.1e}<= {bound:.1e} queries {tree.query_count}")
@@ -346,6 +347,8 @@ def criterion_10() -> CriterionResult:
         normalized, mapping = normalize_for_qsvt(h, 0.1)
         spectrum = eigh(normalized)
         structure = detect_bands(spectrum.values, min_gap=0.5 * m.eta * mapping.scale)
+        if perturb_seed is None:
+            default = normalized, spectrum, structure
         if [len(b) for b in structure.bands] != [4, 4, 1, 4, 2, 1]:
             detection_ok = False
             continue
@@ -357,10 +360,7 @@ def criterion_10() -> CriterionResult:
                 if int(np.argmax(weights)) != sorted(set(labeling.labels))[j]:
                     detection_ok = False
 
-    h = build_h0(model) + build_h1(model)
-    normalized, mapping = normalize_for_qsvt(h, 0.1)
-    spectrum = eigh(normalized)
-    structure = detect_bands(spectrum.values, min_gap=0.5 * model.eta * mapping.scale)
+    normalized, spectrum, structure = default
     amp = haar_vector(rng(110, 3), model.dimension)
     projectors = exact_projectors(spectrum, structure)
     weights = np.array([float(np.vdot(amp, p @ amp).real) for p in projectors])

@@ -95,6 +95,11 @@ def test_dilation_rejects_out_of_range_spectrum():
         dilate_hermitian(np.diag([-0.1, 0.5]))
 
 
+def test_dilation_takes_a_nested_list():
+    h = [[0.2, 0.1 - 0.05j], [0.1 + 0.05j, 0.8]]
+    assert np.array_equal(dilate_hermitian(h), dilate_hermitian(np.array(h)))
+
+
 def test_encoded_block_inverts_dilation():
     gen = rng(1)
     h = hermitian_from_spectrum([0.2, 0.5, 0.7, 0.9], gen)

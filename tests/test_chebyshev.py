@@ -17,7 +17,6 @@ from fqsvt.chebyshev import (
     _grid_critical_points,
     _minimax_step,
     certify_filter,
-    cheb_eval,
     heaviside_filter,
     synthesis_margin,
 )
@@ -25,12 +24,12 @@ from fqsvt.linalg import rng
 from fqsvt.qsp import synthesize_symmetric
 
 
-def test_cheb_eval_t1_t2():
-    assert cheb_eval(ChebyshevSeries([0.0, 1.0], "odd"), 0.7) == pytest.approx(0.7)
-    assert cheb_eval(ChebyshevSeries([0.0, 0.0, 1.0], "even"), 0.3) == pytest.approx(-0.82)
+def test_series_evaluates_t1_t2():
+    assert ChebyshevSeries([0.0, 1.0], "odd")(0.7) == pytest.approx(0.7)
+    assert ChebyshevSeries([0.0, 0.0, 1.0], "even")(0.3) == pytest.approx(-0.82)
 
 
-def test_cheb_eval_matches_direct_summation():
+def test_series_matches_direct_summation():
     gen = rng(1)
     coeffs = gen.uniform(-1, 1, 21)
     series = ChebyshevSeries(coeffs, "none")
@@ -68,9 +67,9 @@ def test_clenshaw_matches_the_reference_recurrence_bitwise():
                 assert np.array_equal(rows[j], reference_clenshaw(stack[:, j], x)), d
 
 
-def test_cheb_eval_rejects_outside_domain():
+def test_series_rejects_outside_domain():
     with pytest.raises(ValueError, match="outside"):
-        cheb_eval(ChebyshevSeries([1.0]), 1.1)
+        ChebyshevSeries([1.0])(1.1)
 
 
 def test_parity_validation():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fqsvt
-from fqsvt import chebyshev
+from fqsvt import chebyshev, cli, feedforward
 from fqsvt.bosehubbard import default_model
 from fqsvt.cli import ConfigError, _number, main
 from fqsvt.linalg import (
@@ -197,6 +197,39 @@ def test_project_rejects_bad_inline_model_or_input_with_exit_2(tmp_path, capsys,
     })
     assert main(["project", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert cause in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, bands", [
+    ({"type": "inline", "matrix": matrix_to_json(np.array([[0.2, 0.1 - 0.05j],
+                                                           [0.1 + 0.05j, 0.8]]))},
+     {"target": 2}),
+    ({"type": "synthetic", "bands": 2, "per_band": 2, "width": 0.02}, {"target": 2}),
+    ({"type": "gmon"}, {"min_gap": 0.05}),
+], ids=["inline", "synthetic", "gmon"])
+def test_project_dilates_and_checks_the_bands_once(tmp_path, monkeypatch, model, bands):
+    calls = {"dilations": [], "runs": [], "band_checks": 0}
+
+    def dilate(h):
+        calls["dilations"].append(fqsvt.blockenc.dilate_hermitian(h))
+        return calls["dilations"][-1]
+
+    def run(enc, *args, **kwargs):
+        calls["runs"].append(enc)
+        return feedforward.run_multiband(enc, *args, **kwargs)
+
+    def check_bands(*args):
+        calls["band_checks"] += 1
+        return fqsvt.bands.check_band_assumption(*args)
+
+    monkeypatch.setattr(cli, "dilate_hermitian", dilate)
+    monkeypatch.setattr(cli, "run_multiband", run)
+    monkeypatch.setattr(cli, "check_band_assumption", check_bands, raising=False)
+    monkeypatch.setattr(feedforward, "check_band_assumption", check_bands)
+    cfg = write_config(tmp_path, {"model": model, "bands": bands, "round_eps": 1e-2})
+    assert main(["project", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls["dilations"]) == 1 and len(calls["runs"]) == 1
+    assert calls["runs"][0] is calls["dilations"][0]
+    assert calls["band_checks"] == 1
 
 
 def test_project_amplitudes_near_the_float_limit_scale_exactly(tmp_path):

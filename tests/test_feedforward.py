@@ -15,6 +15,7 @@ from fqsvt.feedforward import (
     MultibandPolicy,
     TreeLeaf,
     _multiband_phase_table,
+    channel_bound,
     channel_distance,
     extract_kraus,
     feedforward_query_count,
@@ -698,6 +699,15 @@ def test_query_count_formula():
     assert feedforward_query_count(5, 50) == 300
     with pytest.raises(ValueError):
         feedforward_query_count(0, 10)
+
+
+def test_channel_bound_is_the_papers_bound_and_inverts_round_budget():
+    assert channel_bound(1, 0.0) == 0.0
+    assert channel_bound(1, 1e-3) == 0.0
+    for count in (2, 3, 8, 16):
+        assert channel_bound(count, 1e-3) == 4.0 * count * math.log2(count) * 1e-3
+        assert round_budget(channel_bound(count, 1.0), count) == 1.0
+        assert channel_bound(count, round_budget(0.1, count)) == pytest.approx(0.1, rel=1e-15)
 
 
 def test_tree_json_shape():

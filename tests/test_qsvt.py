@@ -1,4 +1,6 @@
 
+import re
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,38 @@ def test_closed_form_matches_the_cosine_sine_route_bitwise():
                                   reference_garbage_state(h, phi, state))
             checked += 1
     assert checked >= 100
+
+
+BAD_HAMILTONIANS = {
+    "not-square": (np.zeros((2, 3)), "expected a square matrix, got shape (2, 3)"),
+    "vector": (np.ones(2), "expected a square matrix, got shape (2,)"),
+    "non-finite": (np.array([[0.5, np.nan], [np.nan, 0.5]]), "matrix entries must be finite"),
+    "non-hermitian": (np.array([[0.5, 0.1], [0.0, 0.5]]), "matrix is not Hermitian: entry (0, 1) "
+                      "deviates from its conjugate transpose by 1.000e-01"),
+    "above-one": (np.diag([0.5, 1.25]), "spectrum must lie in [0, 1] for the symmetric "
+                                        "dilation; offending eigenvalue 1.25"),
+    "below-zero": (np.diag([-0.25, 0.5]), "spectrum must lie in [0, 1] for the symmetric "
+                                          "dilation; offending eigenvalue -0.25"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_HAMILTONIANS)
+@pytest.mark.parametrize("entry", [
+    dilate_hermitian,
+    lambda h: predicted_blocks(h, PhaseFactorSet([0.3, 0.1, 0.3], "circuit")),
+], ids=["dilate_hermitian", "predicted_blocks"])
+def test_entries_reject_bad_hamiltonians_with_the_full_message(entry, case):
+    h, message = BAD_HAMILTONIANS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        entry(h)
+
+
+@pytest.mark.parametrize("case", ["non-hermitian", "above-one"])
+def test_predicted_blocks_reports_a_bad_hamiltonian_before_bad_phases(case):
+    # Rotation-convention phases are rejected too, but H is looked at first.
+    h, message = BAD_HAMILTONIANS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        predicted_blocks(h, PhaseFactorSet([0.3, 0.1, 0.3], "su2"))
 
 
 def test_garbage_state_checks_the_state_dimension_first(setup):

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fqsvt import cli
-from fqsvt.cli import _write_csv, _write_kraus, main
+from fqsvt.cli import _write_csv, _write_json, _write_kraus, main
 from fqsvt.feedforward import KrausExtraction, TreeLeaf
 from fqsvt.linalg import hermitian_from_spectrum, matrix_to_json, rng
 
@@ -142,19 +142,30 @@ def failing_on_the_fourth(items):
     raise RuntimeError("item 3 cannot be encoded")
 
 
-@pytest.mark.parametrize("name, write", [
+def write_json_failing_to_replace(path, kraus):
+    """`_write_json` of a small document whose final move onto `path` fails."""
+    def replace(src, dst):
+        raise OSError("item 3 cannot be moved into place")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli.os, "replace", replace)
+        _write_json(path, {"leaves": len(kraus.leaves)})
+
+
+@pytest.mark.parametrize("name, write, error", [
     ("kraus.json", lambda path, kraus: _write_kraus(
-        path, KrausExtraction(failing_on_the_fourth(kraus.leaves), 0.0))),
+        path, KrausExtraction(failing_on_the_fourth(kraus.leaves), 0.0)), RuntimeError),
     ("records.csv", lambda path, kraus: _write_csv(
-        path, ["record"], failing_on_the_fourth([[k] for k in range(8)]))),
-], ids=["kraus", "csv"])
+        path, ["record"], failing_on_the_fourth([[k] for k in range(8)])), RuntimeError),
+    ("bands.json", write_json_failing_to_replace, OSError),
+], ids=["kraus", "csv", "json"])
 @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over-an-earlier-run"])
-def test_a_failed_write_leaves_no_partial_artifact(tmp_path, name, write, earlier):
+def test_a_failed_write_leaves_no_partial_artifact(tmp_path, name, write, error, earlier):
     kraus = random_kraus(np.random.default_rng(1), 6, (4, 2))
     path = tmp_path / name
     if earlier:
         path.write_text("earlier run\n", encoding="utf-8")
-    with pytest.raises(RuntimeError, match="item 3"):
+    with pytest.raises(error, match="item 3"):
         write(path, kraus)
     assert sorted(p.name for p in tmp_path.iterdir()) == ([name] if earlier else [])
     if earlier:
