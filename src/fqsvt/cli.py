@@ -353,7 +353,7 @@ def cmd_project(config: dict, out: Path, seed: int) -> int:
     if mode not in ("enumerate", "sample"):
         raise ConfigError(f"project: unknown mode {mode!r}")
     trajectories = _number(int, config.get("trajectories", 1), "project.trajectories", low=1)
-    samples = _number(int, config.get("haar_samples", 32), "project.haar_samples", low=1)
+    _number(int, config.get("haar_samples", 32), "project.haar_samples", low=1)  # has no effect
     count = structure.band_count
     if "round_eps" in config:
         round_eps = _number(float, config["round_eps"], "project.round_eps")
@@ -372,14 +372,14 @@ def cmd_project(config: dict, out: Path, seed: int) -> int:
     tree = run_multiband(enc, structure, round_eps, amp, mode=mode, seed=seed,
                          trajectories=trajectories)
     _write_json(out / "bands.json", structure.to_json())
-    projectors = exact_projectors(spectrum, structure)
 
     if mode == "sample":
         rows = ((t, "".join(map(str, leaf.record)), leaf.claimed_band, leaf.failed)
                 for t, leaf in enumerate(tree.leaves))
         _write_csv(out / "records.csv",
                    ["trajectory", "record_bits", "claimed_band", "failed"], rows)
-        weights = [float(np.vdot(amp, p @ amp).real) for p in projectors]
+        weights = [float(np.vdot(amp, p @ amp).real)
+                   for p in exact_projectors(spectrum, structure)]
         _write_csv(out / "band_weights.csv", ["band", "exact_weight"],
                    [[j, _fmt(w)] for j, w in enumerate(weights)])
         return 0
@@ -388,16 +388,18 @@ def cmd_project(config: dict, out: Path, seed: int) -> int:
     kraus = extract_kraus(tree)
     _write_kraus(out / "kraus.json", kraus)
 
-    proxy = channel_distance(kraus, projectors, samples=samples, seed=seed)
+    lower, upper, residual = channel_distance(kraus, spectrum, structure)
     bound = channel_bound(count, tree.round_eps)
-    rows = [["distance_proxy", _fmt(proxy)],
+    rows = [["distance_lower", _fmt(lower)],
+            ["distance_upper", _fmt(upper)],
+            ["distance_residual", _fmt(residual)],
             ["bound_4_L_log2L_eps", _fmt(bound)],
             ["round_eps", _fmt(tree.round_eps)],
             ["degree", tree.degree],
             ["queries", tree.query_count],
             ["query_formula", feedforward_query_count(count, tree.degree)]]
     _write_csv(out / "distance.csv", ["quantity", "value"], rows)
-    return 0 if (count == 1 or proxy <= bound) else 1
+    return 0 if (count == 1 or upper <= bound) else 1
 
 
 def cmd_baselines(config: dict, out: Path, seed: int) -> int:
@@ -459,6 +461,8 @@ def cmd_bosehubbard(config: dict, out: Path, seed: int) -> int:
                          "perturb_seed": False}, "bosehubbard")
     model = (_gmon_model(config["model"], "bosehubbard.model") if "model" in config
              else default_model())
+    # The detected band gap is min_gap_fraction * eta in normalized units.
+    _number(float, model.eta, "bosehubbard.model.eta", above=0.0)
     if "perturb_seed" in config:
         model = model.perturbed(_seed(config["perturb_seed"], "bosehubbard.perturb_seed"))
     margin = _number(float, config.get("margin", 0.1), "bosehubbard.margin",

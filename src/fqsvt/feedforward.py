@@ -12,6 +12,8 @@ The two-block primitive realizes f^2(H) on outcome (0,0) and
 -(1 - f^2(H)) on (1,0); it is the two-band case of the policy, and the
 multi-band driver stacks rounds of it, choosing each threshold from the
 measured band bits.
+In H's eigenbasis both an enumerate run's channel and band dephasing are
+Schur multipliers, so one `eigh` brackets their distance with no sampling.
 
 The encoding and the state are plain arrays. `run_1fqsvt` and
 `run_multiband` check both before any filter is built: a unitary of even
@@ -28,8 +30,7 @@ import numpy as np
 from .bands import BandStructure, check_band_assumption
 from .blockenc import _check_encoding
 from .chebyshev import ChebyshevSeries, FilterSpec, heaviside_filter
-from .linalg import (DISTANCE_PROBES, SAMPLE_UNIFORMS, _check_state, dagger, eigh, haar_vector,
-                     rng, trace_norm)
+from .linalg import SAMPLE_UNIFORMS, HermitianSpectrum, _check_state, dagger, eigh, rng
 from .qsp import PhaseFactorSet, SynthesisError, synthesize_symmetric, to_circuit, to_su2
 from .qsvt import assemble_full
 
@@ -370,10 +371,6 @@ class KrausExtraction:
     leaves: list[TreeLeaf]
     completeness_residual: float
 
-    @property
-    def system_dim(self) -> int:
-        return self.leaves[0].operator.shape[1]
-
 
 def extract_kraus(tree: BranchTree) -> KrausExtraction:
     """The leaves of an enumerate-mode tree, sorted by record.
@@ -397,36 +394,37 @@ def extract_kraus(tree: BranchTree) -> KrausExtraction:
 
 def channel_distance(
     kraus: KrausExtraction,
-    exact: list[np.ndarray],
-    samples: int = 32,
-    seed: int = 0,
-) -> float:
-    """Sampled lower-bound proxy for the trace-norm distance from band dephasing.
+    spectrum: HermitianSpectrum,
+    structure: BandStructure,
+) -> tuple[float, float, float]:
+    """(lower, upper, residual): a bracket on the diamond distance from band dephasing.
 
-    Every n x n block of every leaf operator, and every exact projector,
-    acts as a Kraus operator on one matrix whose columns are the probes:
-    the eigenbasis pure states of the projectors plus `samples` Haar states
-    from the `DISTANCE_PROBES` stream. Within a band that basis is LAPACK's
-    pick for the projector; H's own eigenvectors would be weaker probes
-    (14-18% smaller maxima on 8-band and transmon runs). The maximum over
-    probes is a documented lower bound; the true induced norm can only be
-    larger.
+    With V^dag K V = diag(d_K) + E_K for every leaf block K (a polynomial in
+    H, so E_K is roundoff), both channels act on the diagonal parts as the
+    Schur multiplier M = sum_K d_K d_K^dag - [band(i) = band(j)]. One `eigh`
+    of M gives the trace norm at the maximally entangled input,
+    sum |lambda(M)| / n, and Watrous' bound max_i |M|_ii (arXiv:1207.5726;
+    Haagerup's bound for Schur multipliers, arXiv:0711.3636). Both move by
+    residual = sum_K (2 ||E_K||_F max|d_K| + ||E_K||_F^2) to cover the E_K.
     """
-    n = kraus.system_dim
-    gen = rng(seed, DISTANCE_PROBES)
-    probes = np.column_stack(
-        [spec.vectors[:, spec.values > 0.5] for spec in map(eigh, exact)]
-        + [haar_vector(gen, n) for _ in range(samples)])
+    vectors = spectrum.vectors
+    n = len(vectors)
+    if structure.dimension != n:
+        raise ValueError("spectrum dimension does not match the band structure")
+    blocks = np.concatenate([leaf.operator.reshape(-1, n, n) for leaf in kraus.leaves])
+    rotated = dagger(vectors) @ blocks @ vectors
+    diag = np.diagonal(rotated, axis1=1, axis2=2)
+    off = np.linalg.norm(rotated - diag[:, :, np.newaxis] * np.eye(n), axis=(1, 2))
+    residual = float(np.sum(2.0 * off * np.max(np.abs(diag), axis=1) + off**2))
 
-    def outputs(ops: np.ndarray) -> np.ndarray:
-        """sum_K K |s><s| K^dag for every probe s, over the n x n blocks K of `ops`."""
-        images = (ops @ probes).reshape(-1, n, probes.shape[1]).transpose(2, 1, 0)
-        return images @ images.conj().transpose(0, 2, 1)
-
-    diff = -sum(outputs(p) for p in exact)
-    for leaf in kraus.leaves:
-        diff += outputs(leaf.operator)
-    return max(trace_norm(d) for d in diff)
+    labels = np.empty(n, dtype=int)
+    for j, band in enumerate(structure.bands):
+        labels[band] = j
+    spec = eigh(diag.T @ diag.conj() - (labels[:, np.newaxis] == labels))
+    weights = np.abs(spec.values)
+    lower = float(weights.sum()) / n - residual
+    upper = float(np.max(np.abs(spec.vectors) ** 2 @ weights)) + residual
+    return lower, upper, residual
 
 
 def feedforward_query_count(band_count: int, degree: int) -> int:

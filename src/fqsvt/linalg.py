@@ -33,7 +33,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
 # `rng(seed, PURPOSE)` in blocks whose row t belongs to trial t. The ids sit
 # at 2^32 and up, beyond every other stream index (0-3 or a band count).
 WALK_NORMALS, WALK_UNIFORMS, SAMPLE_UNIFORMS = 2**32, 2**32 + 1, 2**32 + 2
-DISTANCE_PROBES = 2**32 + 3
 
 
 def rng(seed: int, stream: int = 0) -> np.random.Generator:

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chebyshev import SYNTHESIS_GUARD, ChebyshevSeries, _clenshaw, _unit_interval
+from .chebyshev import SYNTHESIS_GUARD, ChebyshevSeries, _clenshaw
 
 __all__ = [
     "PhaseFactorSet",
@@ -130,12 +130,6 @@ class QspPolynomialPair:
     p: np.ndarray
     q: np.ndarray
     degree: int
-
-    def eval_p(self, x) -> np.ndarray:
-        return _clenshaw(self.p, _unit_interval(x))
-
-    def eval_q(self, x) -> np.ndarray:
-        return _clenshaw(self.q, _unit_interval(x))
 
 
 def _cheb_interpolate(values: np.ndarray, theta: np.ndarray, degree: int) -> np.ndarray:

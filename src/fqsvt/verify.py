@@ -236,7 +236,7 @@ def criterion_5() -> CriterionResult:
 
 
 def criterion_6() -> CriterionResult:
-    """Channel-distance proxy, exact query count, and filter-degree scaling laws."""
+    """Channel-distance bracket, exact query count, and filter-degree scaling laws."""
     gen = rng(106)
     round_eps = 1e-3
     detail = []
@@ -248,13 +248,12 @@ def criterion_6() -> CriterionResult:
         structure = detect_bands(spectrum.values, target_bands=count)
         amp = spectrum.vectors.sum(axis=1) / math.sqrt(len(h))
         tree = run_multiband(dilate_hermitian(h), structure, round_eps, amp)
-        kraus = extract_kraus(tree)
-        projectors = exact_projectors(spectrum, structure)
-        proxy = channel_distance(kraus, projectors, samples=24, seed=106)
+        lower, upper, _ = channel_distance(extract_kraus(tree), spectrum, structure)
         bound = channel_bound(count, round_eps)
         queries_ok = tree.query_count == feedforward_query_count(count, tree.degree)
-        passed = passed and proxy <= bound and queries_ok
-        detail.append(f"L={count}: proxy {proxy:.1e}<= {bound:.1e} queries {tree.query_count}")
+        passed = passed and upper <= bound and queries_ok
+        detail.append(f"L={count}: distance {lower:.1e} to {upper:.1e} <= {bound:.1e} "
+                      f"queries {tree.query_count}")
 
     deltas = np.array([0.4, 0.2, 0.1, 0.05])
     degrees = [heaviside_filter(FilterSpec(0.5, d, 1e-3)).degree for d in deltas]

@@ -13,7 +13,6 @@ from fqsvt import chebyshev, cli, feedforward
 from fqsvt.bosehubbard import default_model
 from fqsvt.cli import ConfigError, _number, main
 from fqsvt.linalg import (
-    DISTANCE_PROBES,
     SAMPLE_UNIFORMS,
     WALK_NORMALS,
     WALK_UNIFORMS,
@@ -129,7 +128,10 @@ def test_project_enumerate_synthetic(tmp_path):
         line.split(",") for line in
         (out / "distance.csv").read_text().splitlines()[1:]
     )
-    assert float(rows["distance_proxy"]) <= float(rows["bound_4_L_log2L_eps"])
+    lower, upper, residual = (float(rows[f"distance_{end}"])
+                              for end in ("lower", "upper", "residual"))
+    assert 0.0 <= residual <= 1e-10
+    assert lower <= upper <= float(rows["bound_4_L_log2L_eps"])
     assert rows["queries"] == rows["query_formula"]
     kraus = json.loads((out / "kraus.json").read_text())
     assert kraus["completeness_residual"] <= 1e-9
@@ -417,8 +419,7 @@ def test_no_random_stream_key_serves_two_purposes(tmp_path, monkeypatch):
         for (_, stream), sites in keys.items():
             if stream >= 2**32:
                 purpose_sites.setdefault(stream, set()).update(sites)
-    assert sorted(purpose_sites) == [WALK_NORMALS, WALK_UNIFORMS, SAMPLE_UNIFORMS,
-                                     DISTANCE_PROBES]
+    assert sorted(purpose_sites) == [WALK_NORMALS, WALK_UNIFORMS, SAMPLE_UNIFORMS]
     assert all(len(sites) == 1 for sites in purpose_sites.values()), purpose_sites
 
 
@@ -524,12 +525,24 @@ def test_baselines_rejects_bad_config_value_with_exit_2(tmp_path, capsys, change
     ({**default_model().to_json(), "phi": 1.0},
      "bosehubbard.model.phi: expected a list of numbers, got 1.0"),
     ({**default_model().to_json(), "coupler": 1}, "bosehubbard.model: unknown keys ['coupler']"),
+    ({**default_model().to_json(), "eta": 0}, "bosehubbard.model.eta must be > 0.0, got 0.0"),
+    ({**default_model().to_json(), "eta": -1256.6},
+     "bosehubbard.model.eta must be > 0.0, got -1256.6"),
 ], ids=["missing-key", "bad-field", "fractional-nmax", "string-check-ranges", "edge-not-a-triple",
-        "eta-not-a-number", "phi-not-a-list", "unknown-key"])
+        "eta-not-a-number", "phi-not-a-list", "unknown-key", "eta-zero", "eta-negative"])
 def test_bosehubbard_rejects_bad_model_with_exit_2(tmp_path, capsys, model, cause):
     cfg = write_config(tmp_path, {"model": model})
     assert main(["bosehubbard", "--config", cfg, "--out", str(tmp_path / "bh")]) == 2
     assert cause in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eta", [0.0, -1256.6])
+def test_project_runs_a_gmon_spec_of_any_eta(tmp_path, eta):
+    # Only bosehubbard derives its band gap from eta; project detects bands itself.
+    cfg = write_config(tmp_path, {"model": {"type": "gmon",
+                                            "spec": {**default_model().to_json(), "eta": eta}},
+                                  "bands": {"min_gap": 0.05}, "round_eps": 1e-3})
+    assert main(["project", "--config", cfg, "--seed", "5", "--out", str(tmp_path / "p")]) == 0
 
 
 @pytest.mark.parametrize("criteria, cause", [

@@ -24,13 +24,12 @@ from fqsvt.feedforward import (
     run_multiband,
 )
 from fqsvt.linalg import (
-    DISTANCE_PROBES,
     SAMPLE_UNIFORMS,
     eigh,
     haar_vector,
     hermitian_from_spectrum,
+    random_hermitian,
     rng,
-    trace_norm,
 )
 from fqsvt.qsp import (
     PhaseFactorSet,
@@ -51,7 +50,7 @@ def success_projectors(kraus: KrausExtraction) -> dict:
     sector, so its top block acts on the system alone. Each garbage-branch
     round adds a deterministic minus sign, undone by (-1)^(sum of band bits).
     """
-    n = kraus.system_dim
+    n = kraus.leaves[0].operator.shape[1]
     return {leaf.claimed_band: (-1.0) ** sum(leaf.record[0::2]) * leaf.operator[:n, :]
             for leaf in kraus.leaves if not leaf.failed}
 
@@ -564,40 +563,29 @@ def test_channel_distance_zero_for_exact_projectors():
          for band, p in enumerate(projectors)],
         completeness_residual=0.0,
     )
-    assert channel_distance(kraus, projectors, samples=8, seed=1) <= 1e-12
+    assert all(abs(x) <= 1e-12 for x in channel_distance(kraus, spec, structure))
 
 
-def per_probe_channel_distance(kraus: KrausExtraction, exact, samples: int, seed: int) -> float:
-    """`channel_distance` one probe state at a time: each probe's density
-    matrix goes through every n x n block of every leaf operator, and through
-    sum_j P_j rho P_j, and the trace norm of the difference is maximized."""
-    n = kraus.system_dim
-    inputs = []
-    for p in exact:
-        spec = eigh(p)
-        inputs.extend(spec.vectors[:, col] for col in range(n) if spec.values[col] > 0.5)
-    gen = rng(seed, DISTANCE_PROBES)
-    inputs.extend(haar_vector(gen, n) for _ in range(samples))
-    worst = 0.0
-    for phi in inputs:
-        rho = np.outer(phi, phi.conj())
-        out = np.zeros((n, n), dtype=complex)
-        for leaf in kraus.leaves:
-            for block in leaf.operator.reshape(-1, n, n):
-                out += block @ rho @ block.conj().T
-        for p in exact:
-            out -= p @ rho @ p
-        worst = max(worst, trace_norm(out))
-    return worst
+def choi_oracle(kraus: KrausExtraction, projectors) -> tuple[float, float]:
+    """(||J||_1 / n, ||Tr_out |J| ||_inf) for the n^2 x n^2 Choi matrix J of the
+    leaf channel minus band dephasing, with no use of H's eigenbasis: the
+    trace distance at one probe, the maximally entangled input, and Watrous'
+    upper bound."""
+    n = len(projectors[0])
+    blocks = [block for leaf in kraus.leaves for block in leaf.operator.reshape(-1, n, n)]
+    vec_ff = np.array([k.T.reshape(-1) for k in blocks]).T
+    vec_deph = np.array([p.T.reshape(-1) for p in projectors]).T
+    values, vectors = np.linalg.eigh(vec_ff @ vec_ff.conj().T - vec_deph @ vec_deph.conj().T)
+    absolute = (vectors * np.abs(values)) @ vectors.conj().T
+    partial = np.einsum("iaja->ij", absolute.reshape(n, n, n, n))
+    return float(np.abs(values).sum()) / n, float(np.linalg.eigvalsh(partial)[-1])
 
 
 @pytest.mark.parametrize("count, n", [(2, 4), (2, 16), (3, 4), (4, 8), (5, 8), (6, 8), (7, 8),
                                       (8, 16)])
 def test_channel_distance_matches_per_probe_reference(count, n):
     # Eigenvalue i lies in band i mod L, spread over 60% of the band's slot,
-    # so bands carry several eigenvalues each and eigenbasis probes of the
-    # projectors see the filter error. (With one eigenvalue per band they
-    # are fixed points and the distance is roundoff.)
+    # so bands carry several eigenvalues each and the filter error shows.
     gen = rng(40 + count)
     values = np.sort((np.arange(n) % count + 0.5 + 0.3 * gen.uniform(-1.0, 1.0, n)) / count)
     h = hermitian_from_spectrum(values, gen)
@@ -605,17 +593,86 @@ def test_channel_distance_matches_per_probe_reference(count, n):
     structure = detect_bands(spec.values, target_bands=count)
     tree = run_multiband(dilate_hermitian(h), structure, 0.1, spec.vectors[:, 0])
     kraus = extract_kraus(tree)
-    projectors = exact_projectors(spec, structure)
-    for samples in (0, 8, 32):
-        for seed in (0, 1, 2):
-            reference = per_probe_channel_distance(kraus, projectors, samples, seed)
-            stacked = channel_distance(kraus, projectors, samples, seed)
-            assert abs(stacked - reference) <= 1e-12 * reference, (samples, seed)
+    lower, upper, residual = channel_distance(kraus, spec, structure)
+    trace, watrous = choi_oracle(kraus, exact_projectors(spec, structure))
+    assert 0.0 <= residual <= 1e-10 * trace
+    assert abs(lower + residual - trace) <= 1e-10 * trace
+    assert abs(upper - residual - watrous) <= 1e-10 * watrous
+    assert lower <= upper
+
+
+def test_channel_distance_qubit_identity_against_full_dephasing():
+    # M = [[0, 1], [1, 0]]: the identity channel is at distance exactly 1.
+    spec = eigh(np.diag([0.2, 0.8]))
+    structure = BandStructure(2, [0.5], 0.6, [[0], [1]])
+    kraus = KrausExtraction([TreeLeaf((), np.eye(2)[:, 0], 1.0, 0, False, 0, np.eye(2))], 0.0)
+    lower, upper, residual = channel_distance(kraus, spec, structure)
+    assert residual == 0.0
+    assert abs(lower - 1.0) <= 1e-12 and abs(upper - 1.0) <= 1e-12
+
+
+def test_channel_distance_takes_band_labels_not_positions():
+    # Bands {0, 2} and {1}, on diagonal Kraus blocks that differ per
+    # eigenvector, so the labelling matters.
+    spec = eigh(np.diag([0.1, 0.5, 0.9]))
+    theta = np.array([0.1, 0.7, 1.3])
+    operator = np.vstack([np.diag(np.cos(theta)), np.diag(np.sin(theta))])
+    kraus = KrausExtraction([TreeLeaf((), operator[:, 0], 1.0, 0, False, 0, operator)], 0.0)
+    split = BandStructure(2, [0.3], 0.4, [[0, 2], [1]])
+    lower, upper, residual = channel_distance(kraus, spec, split)
+    trace, watrous = choi_oracle(kraus, exact_projectors(spec, split))
+    assert residual == 0.0
+    assert abs(lower - trace) <= 1e-12 and abs(upper - watrous) <= 1e-12
+    contiguous = BandStructure(2, [0.3], 0.4, [[0, 1], [2]])
+    assert abs(channel_distance(kraus, spec, contiguous)[0] - lower) > 1e-2
+    with pytest.raises(ValueError, match="dimension"):
+        channel_distance(kraus, spec, BandStructure(2, [0.5], 0.4, [[0], [1]]))
+
+
+def test_channel_distance_residual_covers_a_block_off_the_eigenbasis():
+    # A unitary W on one leaf's top block keeps the set trace preserving but
+    # moves that block off H's eigenbasis; the residual must carry the upper
+    # end past the rotated channel's Choi trace distance.
+    gen = rng(34)
+    h = hermitian_from_spectrum([0.1, 0.3, 0.7, 0.9], gen)
+    spec = eigh(h)
+    structure = detect_bands(spec.values, target_bands=2)
+    kraus = extract_kraus(run_multiband(dilate_hermitian(h), structure, 1e-2, spec.vectors[:, 0]))
+    angles = eigh(random_hermitian(4, gen))
+    rotation = (angles.vectors * np.exp(0.05j * angles.values)) @ angles.vectors.conj().T
+    leaf = kraus.leaves[0]
+    leaf.operator = np.vstack([rotation @ leaf.operator[:4], leaf.operator[4:]])
+    lower, upper, residual = channel_distance(kraus, spec, structure)
+    trace, watrous = choi_oracle(kraus, exact_projectors(spec, structure))
+    assert residual > 1e-3
+    assert lower <= trace <= upper
+    assert watrous <= upper
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(2, 16), st.integers(0, 2), st.integers(0, 2**32 - 1),
+       st.floats(1e-3, 1e-1))
+def test_channel_distance_bracket_within_the_papers_bound(count, extra, seed, round_eps):
+    # L clusters, each in the middle fifth of its slot of [0.02, 0.98], on a
+    # power-of-two dimension n in [L, 16]; each cluster holds one eigenvalue
+    # plus a random share of the rest.
+    gen = rng(seed)
+    n = min(16, 2 ** (math.ceil(math.log2(count)) + extra))
+    slot = 0.96 / count
+    sizes = 1 + np.bincount(gen.integers(0, count, n - count), minlength=count)
+    values = np.sort(np.concatenate(
+        [0.02 + slot * (j + 0.5 + gen.uniform(-0.1, 0.1, size)) for j, size in enumerate(sizes)]))
+    h = hermitian_from_spectrum(values, gen)
+    spec = eigh(h)
+    structure = detect_bands(spec.values, target_bands=count)
+    tree = run_multiband(dilate_hermitian(h), structure, round_eps, spec.vectors[:, 0])
+    lower, upper, _ = channel_distance(extract_kraus(tree), spec, structure)
+    assert lower <= upper <= channel_bound(count, round_eps)
 
 
 def test_channel_distance_roughly_linear_in_budget():
     # Eigenvalues pinned at the window edges keep the filter error at its
-    # eps/4 design point; the proxy then tracks the budget with scaling
+    # eps/4 design point; the upper end then tracks the budget with scaling
     # exponent near 1 (trimmed degrees quantize, so single halvings jitter).
     gen = rng(33)
     h = hermitian_from_spectrum([0.25, 0.75], gen)
@@ -623,13 +680,12 @@ def test_channel_distance_roughly_linear_in_budget():
     structure = detect_bands(spec.values, min_gap=0.4)
     enc = dilate_hermitian(h)
     amp = spec.vectors[:, 0]
-    projectors = exact_projectors(spec, structure)
     eps_hi, eps_lo = 4e-3, 2.5e-4
-    proxies = []
+    uppers = []
     for eps in (eps_hi, eps_lo):
         tree = run_multiband(enc, structure, eps, amp)
-        proxies.append(channel_distance(extract_kraus(tree), projectors, samples=12, seed=2))
-    exponent = math.log(proxies[0] / proxies[1]) / math.log(eps_hi / eps_lo)
+        uppers.append(channel_distance(extract_kraus(tree), spec, structure)[1])
+    exponent = math.log(uppers[0] / uppers[1]) / math.log(eps_hi / eps_lo)
     assert 0.5 <= exponent <= 1.5
 
 
