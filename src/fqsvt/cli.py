@@ -2,9 +2,10 @@
 
 Each subcommand reads one JSON config document (validated against a fixed
 schema, unknown keys rejected), runs deterministically given (config,
-seed), and writes CSV/JSON artifacts with 17-significant-digit floats so
-reruns diff byte-identically. Exit codes: 0 success, 1 numerical or
-assertion failure, 2 config error.
+seed), and writes CSV and JSON artifacts so reruns diff byte-identically:
+CSV floats carry 17 significant digits, JSON floats their shortest
+round-trip form. Exit codes: 0 success, 1 numerical or assertion failure,
+2 config error.
 """
 
 from __future__ import annotations
@@ -89,10 +90,23 @@ def _write_csv(path: Path, header: list, rows):
             f.write(",".join(map(str, row)) + "\n")
 
 
+def _encode_json(doc, name: str) -> str:
+    """`doc` as compact, key-sorted JSON with shortest round-trip floats.
+
+    orjson writes NaN and +-inf as null, which no artifact holds otherwise, so
+    a null raises a ValueError naming the artifact `name`.
+    """
+    import orjson  # here, so that `fqsvt verify`, which writes no JSON, never loads it
+
+    text = orjson.dumps(doc, option=orjson.OPT_SORT_KEYS)
+    if b"null" in text:
+        raise ValueError(f"{name}: a non-finite value cannot be written as JSON")
+    return text.decode("ascii")
+
+
 def _write_json(path: Path, doc):
-    # Compact output keeps `json` on its C encoder; an indent would not.
     with _replacing(path) as f:
-        f.write(json.dumps(doc, sort_keys=True) + "\n")
+        f.write(_encode_json(doc, path.name) + "\n")
 
 
 def _write_kraus(path: Path, kraus: KrausExtraction):
@@ -102,20 +116,20 @@ def _write_kraus(path: Path, kraus: KrausExtraction):
     "operators": [{"claimed_band", "failed", "matrix", "record"}, ...]}; the
     head is that dump with no operators, cut before its closing "]}".
     """
-    head = json.dumps({"completeness_residual": kraus.completeness_residual, "operators": []},
-                      sort_keys=True)
+    head = _encode_json({"completeness_residual": kraus.completeness_residual,
+                         "operators": []}, path.name)
     with _replacing(path) as f:
         f.write(head[:-2])
         sep = ""
         for leaf in kraus.leaves:
             f.write(sep)
-            f.write(json.dumps({
+            f.write(_encode_json({
                 "record": list(leaf.record),
                 "claimed_band": leaf.claimed_band,
                 "failed": leaf.failed,
                 "matrix": matrix_to_json(leaf.operator),
-            }, sort_keys=True))
-            sep = ", "
+            }, path.name))
+            sep = ","
         f.write("]}\n")
 
 

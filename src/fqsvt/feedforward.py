@@ -384,7 +384,7 @@ def extract_kraus(tree: BranchTree) -> KrausExtraction:
 
     total = sum(dagger(leaf.operator) @ leaf.operator for leaf in leaves)
     residual = float(np.max(np.abs(total - np.eye(n))))
-    if residual > 1e-6:
+    if not residual <= 1e-6:  # a NaN entry fails too
         raise RuntimeError(
             f"leaf operators are not trace preserving (residual {residual:.3e}); "
             "this indicates a pipeline bug"

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 import fqsvt
@@ -27,26 +28,36 @@ def write_config(tmp_path, doc, name="config.json"):
     return str(path)
 
 
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 def assert_json_is_compact_and_sorted(out: Path):
-    """Every JSON artifact is the compact, key-sorted dump of its own content."""
+    """Every JSON artifact is orjson's compact, key-sorted dump of its own content,
+    and standard JSON: stdlib `json` parses it, with no NaN or Infinity."""
     paths = sorted(out.glob("*.json"))
     assert paths
     for path in paths:
-        text = path.read_text(encoding="utf-8")
-        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", path.name
+        data = path.read_bytes()
+        assert data == orjson.dumps(orjson.loads(data), option=orjson.OPT_SORT_KEYS) + b"\n", \
+            path.name
+        json.loads(data.decode("ascii"), parse_constant=reject_constant)
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
     # No module of the package imports scipy, so neither the import nor a
-    # full phase synthesis may load it.
+    # full phase synthesis may load it. `verify` writes no JSON, so it does
+    # not load orjson either.
     cfg = write_config(tmp_path, {"mu": 0.5, "delta": 0.3, "eps": 1e-3})
-    argv = ["phases", "--config", cfg, "--out", str(tmp_path / "out")]
-    code = (f"import sys, fqsvt.cli; assert fqsvt.cli.main({argv!r}) == 0; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     env = {**os.environ, "PYTHONPATH": str(Path(fqsvt.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert done.stdout.strip() == "[]"
+    for argv, unloaded in ((["phases", "--config", cfg, "--out", str(tmp_path / "out")],
+                            ("scipy",)),
+                           (["verify", "--criteria", "8"], ("scipy", "orjson"))):
+        code = (f"import sys, fqsvt.cli; assert fqsvt.cli.main({argv!r}) == 0; "
+                f"print(sorted(m for m in sys.modules if m.startswith({unloaded!r})))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        assert done.stdout.splitlines()[-1] == "[]", argv
 
 
 def test_phases_command_writes_artifacts(tmp_path):

@@ -539,6 +539,20 @@ def test_extract_kraus_failure_weight_bounded():
         assert failed_weight <= 2 * math.sqrt(2) * eps * tree.rounds * 1.1
 
 
+def test_extract_kraus_rejects_a_nan_leaf_operator():
+    # NaN > tol is false, so the trace-preservation check must not be written that way.
+    gen = rng(31)
+    h = hermitian_from_spectrum([0.1, 0.9], gen)
+    spec = eigh(h)
+    structure = detect_bands(spec.values, min_gap=0.5)
+    tree = run_multiband(dilate_hermitian(h), structure, round_budget(1e-2, 2),
+                         spec.vectors[:, 0])
+    assert extract_kraus(tree).completeness_residual <= 1e-9
+    tree.leaves[-1].operator[0, 0] = math.nan
+    with pytest.raises(RuntimeError, match="not trace preserving"):
+        extract_kraus(tree)
+
+
 def test_extract_kraus_requires_enumerate_tree():
     gen = rng(31)
     h = hermitian_from_spectrum([0.1, 0.9], gen)

@@ -1,7 +1,8 @@
-"""The streamed artifact writers of `fqsvt.cli` against the one-shot encoders they replaced.
+"""The streamed artifact writers of `fqsvt.cli` against one-shot encoders.
 
-The references below are the earlier writers, kept verbatim: the whole
-document as nested lists, encoded to one string and written at once.
+The references below encode the whole document as nested lists and write it
+at once: the CSV reference is the earlier writer, kept verbatim, and the
+JSON reference one orjson dump with sorted keys.
 """
 
 import json
@@ -9,6 +10,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -27,7 +29,7 @@ def reference_write_csv(path, header, rows):
 
 
 def reference_write_json(path, doc):
-    path.write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_bytes(orjson.dumps(doc, option=orjson.OPT_SORT_KEYS) + b"\n")
 
 
 def reference_kraus_doc(kraus):
@@ -59,25 +61,45 @@ def random_kraus(gen, count, shape) -> KrausExtraction:
                             for k, op in enumerate(ops)], float(gen.random() * 1e-15))
 
 
+def is_finite(kraus) -> bool:
+    return math.isfinite(kraus.completeness_residual) and all(
+        np.all(np.isfinite(leaf.operator)) for leaf in kraus.leaves)
+
+
+def assert_kraus_matches_or_refuses(out, kraus):
+    """A finite `kraus` byte-matches the one-shot dump; any NaN or inf raises
+    a ValueError naming the artifact and leaves no file behind."""
+    if not is_finite(kraus):
+        with pytest.raises(ValueError, match="kraus.json: a non-finite value"):
+            _write_kraus(out / "kraus.json", kraus)
+        assert list(out.iterdir()) == []
+        return
+    _write_kraus(out / "kraus.json", kraus)
+    reference_write_kraus(out / "reference.json", kraus)
+    assert_same_bytes(out / "kraus.json", out / "reference.json")
+
+
 def assert_same_bytes(path, reference):
     assert path.read_bytes() == reference.read_bytes()
     assert sorted(p.name for p in path.parent.iterdir()) == sorted([path.name, reference.name])
 
 
 any_float = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+finite_float = st.one_of(st.sampled_from([x for x in SPECIAL_FLOATS if math.isfinite(x)]),
+                         st.floats(allow_nan=False, allow_infinity=False))
 
 
 @st.composite
-def kraus_sets(draw):
+def kraus_sets(draw, floats=finite_float):
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     count = draw(st.integers(0, 12))
     leaves = []
     for _ in range(count):
-        entries = draw(st.lists(any_float, min_size=2 * rows * cols, max_size=2 * rows * cols))
+        entries = draw(st.lists(floats, min_size=2 * rows * cols, max_size=2 * rows * cols))
         operator = np.array(entries).view(complex).reshape(rows, cols)
         leaves.append(leaf(draw(st.lists(st.integers(0, 1), max_size=8)),
                            draw(st.integers(0, 64)), draw(st.booleans()), operator))
-    return KrausExtraction(leaves, draw(any_float))
+    return KrausExtraction(leaves, draw(floats))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -85,10 +107,14 @@ def kraus_sets(draw):
 @example(kraus=KrausExtraction([], 0.0))
 @example(kraus=KrausExtraction([leaf((0, 1), 1, False, np.eye(2))], 1e-16))
 def test_kraus_writer_matches_the_one_shot_encoder(tmp_path_factory, kraus):
-    out = tmp_path_factory.mktemp("kraus")
-    _write_kraus(out / "kraus.json", kraus)
-    reference_write_kraus(out / "reference.json", kraus)
-    assert_same_bytes(out / "kraus.json", out / "reference.json")
+    assert is_finite(kraus)
+    assert_kraus_matches_or_refuses(tmp_path_factory.mktemp("kraus"), kraus)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(kraus=kraus_sets(any_float))
+def test_kraus_writer_refuses_non_finite_draws(tmp_path_factory, kraus):
+    assert_kraus_matches_or_refuses(tmp_path_factory.mktemp("kraus"), kraus)
 
 
 @pytest.mark.parametrize("value", SPECIAL_FLOATS, ids=repr)
@@ -96,9 +122,7 @@ def test_kraus_writer_matches_on_special_floats(tmp_path, value):
     operator = np.array([[value, 1.0], [complex(0.5, value), complex(value, value)]])
     kraus = KrausExtraction([leaf((1, 0), 0, True, operator), leaf((), 3, False, operator.T)],
                             value)
-    _write_kraus(tmp_path / "kraus.json", kraus)
-    reference_write_kraus(tmp_path / "reference.json", kraus)
-    assert_same_bytes(tmp_path / "kraus.json", tmp_path / "reference.json")
+    assert_kraus_matches_or_refuses(tmp_path, kraus)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -142,6 +166,16 @@ def failing_on_the_fourth(items):
     raise RuntimeError("item 3 cannot be encoded")
 
 
+def write_kraus_with_a_nan_fourth(path, kraus):
+    leaves = [leaf(l.record, l.claimed_band, l.failed, l.operator.copy()) for l in kraus.leaves]
+    leaves[3].operator[1, 0] = math.nan
+    _write_kraus(path, KrausExtraction(leaves, 0.0))
+
+
+def write_json_holding_an_inf(path, kraus):
+    _write_json(path, {"leaves": len(kraus.leaves), "centers": [0.5, math.inf]})
+
+
 def write_json_failing_to_replace(path, kraus):
     """`_write_json` of a small document whose final move onto `path` fails."""
     def replace(src, dst):
@@ -152,20 +186,23 @@ def write_json_failing_to_replace(path, kraus):
         _write_json(path, {"leaves": len(kraus.leaves)})
 
 
-@pytest.mark.parametrize("name, write, error", [
+@pytest.mark.parametrize("name, write, error, match", [
     ("kraus.json", lambda path, kraus: _write_kraus(
-        path, KrausExtraction(failing_on_the_fourth(kraus.leaves), 0.0)), RuntimeError),
+        path, KrausExtraction(failing_on_the_fourth(kraus.leaves), 0.0)), RuntimeError, "item 3"),
+    ("kraus.json", write_kraus_with_a_nan_fourth, ValueError, "kraus.json: a non-finite"),
     ("records.csv", lambda path, kraus: _write_csv(
-        path, ["record"], failing_on_the_fourth([[k] for k in range(8)])), RuntimeError),
-    ("bands.json", write_json_failing_to_replace, OSError),
-], ids=["kraus", "csv", "json"])
+        path, ["record"], failing_on_the_fourth([[k] for k in range(8)])), RuntimeError,
+     "item 3"),
+    ("bands.json", write_json_holding_an_inf, ValueError, "bands.json: a non-finite"),
+    ("bands.json", write_json_failing_to_replace, OSError, "item 3"),
+], ids=["kraus", "kraus-nan", "csv", "json-inf", "json"])
 @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over-an-earlier-run"])
-def test_a_failed_write_leaves_no_partial_artifact(tmp_path, name, write, error, earlier):
+def test_a_failed_write_leaves_no_partial_artifact(tmp_path, name, write, error, match, earlier):
     kraus = random_kraus(np.random.default_rng(1), 6, (4, 2))
     path = tmp_path / name
     if earlier:
         path.write_text("earlier run\n", encoding="utf-8")
-    with pytest.raises(error, match="item 3"):
+    with pytest.raises(error, match=match):
         write(path, kraus)
     assert sorted(p.name for p in tmp_path.iterdir()) == ([name] if earlier else [])
     if earlier:
@@ -218,3 +255,23 @@ def test_project_artifacts_match_the_one_shot_encoders(tmp_path, monkeypatch, mo
     assert sorted(p.name for p in out.iterdir()) == files
     for path in reference.iterdir():
         assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_project_exits_1_on_a_non_finite_artifact_value(tmp_path, monkeypatch, capsys):
+    # A NaN leaf probability reaches tree.json: the run exits 1 and leaves
+    # no partial tree.json.
+    run_multiband = cli.run_multiband
+
+    def nan_probability(*args, **kwargs):
+        tree = run_multiband(*args, **kwargs)
+        tree.leaves[0].probability = math.nan
+        return tree
+
+    monkeypatch.setattr(cli, "run_multiband", nan_probability)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"model": {"type": "synthetic", "bands": 2, "per_band": 2},
+                               "bands": {"target": 2}, "round_eps": 1e-2}))
+    out = tmp_path / "out"
+    assert main(["project", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "error: tree.json: a non-finite value" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["bands.json"]
