@@ -8,11 +8,14 @@ the degree, so the smallest degree is found by a search on that error.
 Every filter is certified against the three filter conditions (flat near one
 below the transition window, flat near zero above it, bounded by the
 synthesis margin everywhere) at the exact extrema of each condition's
-region: its endpoints plus the real critical points inside.
+region: its endpoints plus the real critical points inside. The searches of
+several specs advance in lockstep, one exchange iteration of each per round,
+sharing the degree-long recurrences of every iteration.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +45,8 @@ REMEZ_TOL = 1e-6
 REMEZ_MAX_ITER = 40
 # Nodes of the quadratures that place the first Remez reference.
 QUADRATURE = 1000
+# The verdicts of a Remez probe that are proofs; see `_Verdict`.
+PROVED = ("feasible", "infeasible")
 
 
 def _clenshaw(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -179,34 +184,44 @@ def _critical_points(coeffs: np.ndarray) -> np.ndarray:
     return C.chebroots(der).real if len(der) > 1 else np.empty(0)
 
 
-def _grid_critical_points(coeffs: np.ndarray) -> np.ndarray:
-    """The critical points of sum_k c_k T_k in (-1, 1) that a grid brackets.
+def _grid_critical_points(coeffs: list[np.ndarray]) -> list[np.ndarray]:
+    """The critical points in (-1, 1) that a grid brackets, of each series sum_k c_k T_k.
 
     With u = cos(theta), dG/dtheta = -sum_k k c_k sin(k theta). Its sign
-    changes on 8h + 64 equispaced angles in [0, pi], evaluated by one FFT,
-    bracket the critical points; each is refined by 4 Newton steps from the
-    secant point, kept inside its bracket. A step takes the powers e^{ikt}
-    as one running product along k, not sin and cos of every k t. A grid
-    cell holding two roots shows no sign change, so a verdict needs
+    changes on 8h + 64 equispaced angles in [0, pi], evaluated by one FFT
+    per series, bracket the critical points; each is refined by 4 Newton
+    steps from the secant point, kept inside its bracket. A step takes the
+    powers e^{ikt} as one running product along k, not sin and cos of every
+    k t. The steps of every series run on one stack of their brackets, its
+    rows as long as the longest series; each series' sums are taken on its
+    own columns, so its points are those it would get alone. A grid cell
+    holding two roots shows no sign change, so a verdict needs
     `_critical_points`.
     """
-    h = len(coeffs) - 1
-    k = np.arange(h + 1)
-    kc = k * coeffs
-    # Column 0 weighs the sine sum of dG/dtheta, column 1 the cosine sum of its derivative.
-    weights = np.column_stack([kc, k * kc])
-    intervals = 8 * h + 63
-    theta = np.arange(1, intervals) * (math.pi / intervals)
-    slope = -np.fft.rfft(kc, 2 * intervals).imag[1:intervals]
-    i = np.flatnonzero((slope[:-1] > 0.0) != (slope[1:] > 0.0))
-    lo, hi = theta[i], theta[i + 1]
-    t = lo + (hi - lo) * slope[i] / (slope[i] - slope[i + 1])
-    powers = np.ones((len(t), h + 1), dtype=complex)
+    weights, brackets = [], []
+    for c in coeffs:
+        h = len(c) - 1
+        k = np.arange(h + 1)
+        kc = k * c
+        # Column 0 weighs the sine sum of dG/dtheta, column 1 the cosine sum of its derivative.
+        weights.append(np.column_stack([kc, k * kc]))
+        intervals = 8 * h + 63
+        theta = np.arange(1, intervals) * (math.pi / intervals)
+        slope = -np.fft.rfft(kc, 2 * intervals).imag[1:intervals]
+        i = np.flatnonzero((slope[:-1] > 0.0) != (slope[1:] > 0.0))
+        lo, hi = theta[i], theta[i + 1]
+        brackets.append((lo, hi, lo + (hi - lo) * slope[i] / (slope[i] - slope[i + 1])))
+    lo, hi, t = (np.concatenate(parts) for parts in zip(*brackets))
+    sizes = [len(b[0]) for b in brackets]
+    rows = [slice(end - size, end) for size, end in zip(sizes, itertools.accumulate(sizes))]
+    powers = np.ones((len(t), max(map(len, coeffs))), dtype=complex)
     for _ in range(4):
         powers[:, 1:] = np.exp(1j * t)[:, None]
-        sums = np.cumprod(powers, axis=1) @ weights
+        np.cumprod(powers, axis=1, out=powers)
+        sums = np.concatenate([powers[r, :len(w)] @ w for r, w in zip(rows, weights)])
         t = np.clip(t - sums[:, 0].imag / sums[:, 1].real, lo, hi)
-    return np.cos(t)
+    points = np.cos(t)
+    return [points[r] for r in rows]
 
 
 def _extrema(crit: np.ndarray, *regions: tuple) -> list[np.ndarray]:
@@ -248,7 +263,8 @@ def certify_filter(f: ChebyshevSeries, spec: FilterSpec) -> FilterReport:
 def _certify(coeffs: np.ndarray, crit: np.ndarray, even: bool, spec: FilterSpec) -> FilterReport:
     """The report of `certify_filter` from the series' critical points `crit`.
 
-    `coeffs` are G's when `even`, and the series' own otherwise.
+    `coeffs` are G's when `even`, and the series' own otherwise. One
+    Clenshaw recurrence evaluates the extrema of all three regions.
     """
     if even:
         lo_u, hi_u = _window_in_u(spec)
@@ -258,14 +274,16 @@ def _certify(coeffs: np.ndarray, crit: np.ndarray, even: bool, spec: FilterSpec)
                    (-1.0, 1.0))
         to_x = float
     high, low, everywhere = _extrema(crit, *regions)
+    on_high, on_low, on_all = np.split(_clenshaw(coeffs, np.concatenate([high, low, everywhere])),
+                                       [len(high), len(high) + len(low)])
     half_eps = spec.eps / 2.0
     return FilterReport(
-        high_side=_condition("vanishes-above-window", half_eps, high,
-                             np.abs(_clenshaw(coeffs, high)), to_x, strict=True),
-        low_side=_condition("near-one-below-window", half_eps, low,
-                            np.abs(1.0 - _clenshaw(coeffs, low)), to_x, strict=True),
+        high_side=_condition("vanishes-above-window", half_eps, high, np.abs(on_high), to_x,
+                             strict=True),
+        low_side=_condition("near-one-below-window", half_eps, low, np.abs(1.0 - on_low), to_x,
+                            strict=True),
         sup_norm=_condition("bounded-with-margin", 1.0 - synthesis_margin(spec.eps), everywhere,
-                            np.abs(_clenshaw(coeffs, everywhere)), to_x, strict=False),
+                            np.abs(on_all), to_x, strict=False),
     )
 
 
@@ -296,8 +314,8 @@ def _exchange(points: np.ndarray, errors: np.ndarray, n: int) -> np.ndarray:
     return points[keep]
 
 
-def _first_reference(a: float, b: float, n: int) -> np.ndarray:
-    """n points at even quantiles of the equilibrium measure of [-1, a] and [b, 1].
+def _equilibrium(a: float, b: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The equilibrium measure of [-1, a] and [b, 1]: each interval's nodes and cumulative mass.
 
     Its density |u - c| / (pi sqrt|(1 - u^2)(u - a)(u - b)|), c in (a, b) fixed
     by a zero integral over the gap, is the limit distribution of a minimax
@@ -315,88 +333,165 @@ def _first_reference(a: float, b: float, n: int) -> np.ndarray:
         density = np.abs(u - c) / np.sqrt((u - far[0]) * (u - far[1]))
         mass = np.concatenate([[0.0], np.cumsum(density[1:] + density[:-1])])
         bands.append((u, mass))
-    (u_low, m_low), (u_high, m_high) = bands
-    n_low = min(max(1, round(n * m_low[-1] / (m_low[-1] + m_high[-1]))), n - 1)
-    ref = np.concatenate([np.interp(np.linspace(0.0, m_low[-1], n_low), m_low, u_low),
-                          np.interp(np.linspace(0.0, m_high[-1], n - n_low), m_high, u_high)])
-    ref[0], ref[n_low - 1], ref[n_low], ref[-1] = -1.0, a, b, 1.0
-    return ref
+    return bands
 
 
-def _minimax_step(spec: FilterSpec, half: int) -> tuple[np.ndarray, float, np.ndarray | None]:
-    """A step G(u) of degree `half` in u = 2x^2 - 1, and its weighted level.
+class _Plateaus:
+    """The weighted two-plateau target of one spec, shared by every probe of its search.
 
-    G targets 1 - m - r on [-1, a] with ripple r = (eps/2 - m)/2, where
-    m = synthesis_margin(eps), and 0 on [b, 1] with ripple eps/2 (a, b: the
-    window edges in u). The level is the largest plateau error in units of
-    the ripple, so below 1 both plateau conditions hold and G < 1 - m there.
-    Each exchange step takes its extrema from an angle grid; de la Vallee
-    Poussin's bound holds for any alternating reference, so they need not be
-    exact. The exchange stops at the first iterate whose level at its exact
-    extrema is below 1, or at the first reference whose levelled error
-    reaches 1 (no G of this degree does better), so the verdict is the
-    minimax one, which cannot get worse with the degree. A level below 1
-    comes with G's exact critical points, which certification reuses; any
-    other level with None.
+    G(u), u = 2x^2 - 1, targets `top` = 1 - m - r on [-1, a] with ripple
+    r = (eps/2 - m)/2, where m = synthesis_margin(eps), and 0 on [b, 1] with
+    ripple eps/2 (a, b: the window edges in u). The level is the largest
+    plateau error in units of the ripple, so below 1 both plateau conditions
+    hold and G < 1 - m there. The equilibrium measure that places a probe's
+    first reference depends on a and b alone, so it is integrated once.
     """
-    margin = synthesis_margin(spec.eps)
-    ripple = (spec.eps / 2.0 - margin) / 2.0
-    top = 1.0 - margin - ripple
-    a, b = _window_in_u(spec)
 
-    def plateau_errors(coeffs, crit):
-        low_pts, high_pts = _extrema(crit, (-1.0, a), (b, 1.0))
-        points = np.concatenate([low_pts, high_pts])
-        values = _clenshaw(coeffs, points)
-        return points, np.where(np.arange(len(points)) < len(low_pts),
-                                (values - top) / ripple, values / (spec.eps / 2.0))
+    def __init__(self, spec: FilterSpec):
+        margin = synthesis_margin(spec.eps)
+        self.ripple = (spec.eps / 2.0 - margin) / 2.0
+        self.high_ripple = spec.eps / 2.0
+        self.top = 1.0 - margin - self.ripple
+        self.a, self.b = _window_in_u(spec)
+        self.measure = _equilibrium(self.a, self.b)
 
-    n = half + 2
-    ref = _first_reference(a, b, n)
-    signs = (-1.0) ** np.arange(n)
-    for _ in range(REMEZ_MAX_ITER):
-        low = ref <= a
-        scale = np.where(low, ripple, spec.eps / 2.0)
-        system = np.column_stack([C.chebvander(ref, half), -signs * scale])
-        solution = np.linalg.solve(system, np.where(low, top, 0.0))
-        coeffs, levelled = solution[:-1], abs(solution[-1])
-        if levelled >= 1.0:
-            return coeffs, levelled, None
-        points, errors = plateau_errors(coeffs, _grid_critical_points(coeffs))
-        level = float(np.max(np.abs(errors)))
-        if level < 1.0:
-            # The grid can miss an extremum, which only lowers the level:
-            # a feasible verdict is taken at the exact extrema.
-            crit = _critical_points(coeffs)
-            points, errors = plateau_errors(coeffs, crit)
-            level = float(np.max(np.abs(errors)))
-            if level < 1.0:
-                return coeffs, level, crit
-        if level <= (1.0 + REMEZ_TOL) * levelled:
-            return coeffs, level, None
+    def first_reference(self, n: int) -> np.ndarray:
+        """n points at even quantiles of the equilibrium measure of [-1, a] and [b, 1]."""
+        (u_low, m_low), (u_high, m_high) = self.measure
+        n_low = min(max(1, round(n * m_low[-1] / (m_low[-1] + m_high[-1]))), n - 1)
+        ref = np.concatenate([np.interp(np.linspace(0.0, m_low[-1], n_low), m_low, u_low),
+                              np.interp(np.linspace(0.0, m_high[-1], n - n_low), m_high, u_high)])
+        ref[0], ref[n_low - 1], ref[n_low], ref[-1] = -1.0, self.a, self.b, 1.0
+        return ref
+
+
+class _Probe:
+    """The Remez exchange for a G of degree `half`: its reference and iterations so far."""
+
+    def __init__(self, plateaus: _Plateaus, half: int):
+        self.plateaus, self.half, self.n = plateaus, half, half + 2
+        self.ref = plateaus.first_reference(self.n)
+        self.signs = (-1.0) ** np.arange(self.n)
+        self.iterations = 0
+
+
+class _Verdict:
+    """How a probe ended: G's coefficients, its level, and the reason it stopped.
+
+    "feasible": the level at G's exact extrema, `crit`, is below 1.
+    "infeasible": a reference's levelled error reached 1, so no G of this
+    degree does better. The other reasons stop unproven: "stall" (the level
+    within `REMEZ_TOL` of the levelled error), "short exchange" (fewer than
+    half + 2 alternating points) and "iteration cap" (`REMEZ_MAX_ITER`).
+    """
+
+    def __init__(self, coeffs: np.ndarray, level: float, reason: str,
+                 crit: np.ndarray | None = None):
+        self.coeffs, self.level, self.reason, self.crit = coeffs, level, reason, crit
+
+
+def _plateau_errors(probes: list[_Probe], coeffs: list, crits: list) -> list[tuple]:
+    """Each probe's plateau extrema (endpoints plus `crits` inside) and its G's weighted errors.
+
+    One Clenshaw recurrence evaluates every G, over a stack zero-padded to
+    the longest; zero leading coefficients leave a row's bits unchanged.
+    Each coefficient is repeated across its row's points, since a
+    broadcast add costs more than the recurrence's own adds; a single G is
+    evaluated as it is.
+    """
+    extrema = [_extrema(crit, (-1.0, p.plateaus.a), (p.plateaus.b, 1.0))
+               for p, crit in zip(probes, crits)]
+    points = [np.concatenate(e) for e in extrema]
+    if len(probes) == 1:
+        values = [_clenshaw(coeffs[0], points[0])]
+    else:
+        x = np.zeros((len(points), max(map(len, points))))
+        stack = np.zeros((max(map(len, coeffs)), *x.shape))
+        for r, (c, pts) in enumerate(zip(coeffs, points)):
+            stack[:len(c), r] = c[:, np.newaxis]
+            x[r, :len(pts)] = pts
+        values = _clenshaw(stack, x)
+    out = []
+    for p, (low, _), pts, v in zip(probes, extrema, points, values):
+        plateaus, v = p.plateaus, v[:len(pts)]
+        out.append((pts, np.where(np.arange(len(pts)) < len(low),
+                                  (v - plateaus.top) / plateaus.ripple, v / plateaus.high_ripple)))
+    return out
+
+
+def _remez_step(probes: list[_Probe]) -> list[_Verdict | None]:
+    """One exchange iteration of every probe, in lockstep: each its verdict, or None to go on.
+
+    The Chebyshev-Vandermonde recurrence, the grid Newton steps and the
+    plateau Clenshaw run once over zero-padded stacks of every probe; the
+    solve, the FFT brackets, the exchange and the root solves run per probe
+    on its own arrays. So each probe does the float operations it does alone.
+    Each step takes its extrema from an angle grid; de la Vallee Poussin's
+    bound holds for any alternating reference, so they need not be exact.
+    A probe stops at the first iterate whose level at its exact extrema is
+    below 1, or at the first reference whose levelled error reaches 1, so
+    its verdict is the minimax one, which cannot get worse with the degree.
+    """
+    verdicts: list[_Verdict | None] = [None] * len(probes)
+    widest = max(p.half for p in probes)
+    refs = np.zeros((len(probes), widest + 2))
+    for r, p in enumerate(probes):
+        refs[r, :p.n] = p.ref
+    vander = C.chebvander(refs, widest)
+    running, solutions = [], []
+    for r, p in enumerate(probes):
+        plateaus = p.plateaus
+        low = p.ref <= plateaus.a
+        scale = np.where(low, plateaus.ripple, plateaus.high_ripple)
+        system = np.column_stack([vander[r, :p.n, :p.half + 1], -p.signs * scale])
+        solution = np.linalg.solve(system, np.where(low, plateaus.top, 0.0))
+        p.iterations += 1
+        if abs(solution[-1]) >= 1.0:
+            verdicts[r] = _Verdict(solution[:-1], abs(solution[-1]), "infeasible")
+        else:
+            running.append(r)
+            solutions.append(solution)
+    # Freed before the larger arrays below are allocated, so they reuse its memory.
+    del vander
+    if not running:
+        return verdicts
+    probes_left = [probes[r] for r in running]
+    coeffs = [s[:-1] for s in solutions]
+    found = _plateau_errors(probes_left, coeffs, _grid_critical_points(coeffs))
+    levels = [float(np.max(np.abs(errors))) for _, errors in found]
+    # The grid can miss an extremum, which only lowers the level: a feasible
+    # verdict is taken at the exact extrema.
+    near = [j for j, level in enumerate(levels) if level < 1.0]
+    if near:
+        crits = [_critical_points(coeffs[j]) for j in near]
+        exact = _plateau_errors([probes_left[j] for j in near], [coeffs[j] for j in near], crits)
+        for j, crit, (points, errors) in zip(near, crits, exact):
+            found[j], levels[j] = (points, errors), float(np.max(np.abs(errors)))
+            if levels[j] < 1.0:
+                verdicts[running[j]] = _Verdict(coeffs[j], levels[j], "feasible", crit)
+    for j, (r, p, solution) in enumerate(zip(running, probes_left, solutions)):
+        if verdicts[r] is not None:
+            continue
+        levelled = abs(solution[-1])
+        if levels[j] <= (1.0 + REMEZ_TOL) * levelled:
+            verdicts[r] = _Verdict(coeffs[j], levels[j], "stall")
+            continue
         # The reference points keep their levelled errors, so every lobe of
         # the error has a candidate; points below the levelled error (such as
         # the real part of a complex root) cannot enter.
-        points = np.concatenate([ref, points])
-        errors = np.concatenate([signs * solution[-1], errors])
+        points = np.concatenate([p.ref, found[j][0]])
+        errors = np.concatenate([p.signs * solution[-1], found[j][1]])
         eligible = np.abs(errors) >= levelled
-        ref = _exchange(points[eligible], errors[eligible], n)
-        if len(ref) < n:
-            break
-    return coeffs, level, None
+        p.ref = _exchange(points[eligible], errors[eligible], p.n)
+        if len(p.ref) < p.n:
+            verdicts[r] = _Verdict(coeffs[j], levels[j], "short exchange")
+        elif p.iterations == REMEZ_MAX_ITER:
+            verdicts[r] = _Verdict(coeffs[j], levels[j], "iteration cap")
+    return verdicts
 
 
-def heaviside_filter(spec: FilterSpec) -> ChebyshevSeries:
-    """The even minimax step filter at the smallest degree whose level is below 1.
-
-    Raises if no degree up to `DEGREE_CAP` has a level below 1 or
-    certification fails.
-    """
-    return _build_filter(spec)[0]
-
-
-def _build_filter(spec: FilterSpec) -> tuple[ChebyshevSeries, FilterReport]:
-    """`heaviside_filter(spec)` and its passing `certify_filter` report.
+class _Search:
+    """The degree search of one spec, the probe it runs, and every verdict so far.
 
     The search on the half-degree h keeps a bracket of infeasible and feasible
     values. log(level) falls about linearly in h from about log(2/eps) at
@@ -404,45 +499,100 @@ def _build_filter(spec: FilterSpec) -> tuple[ChebyshevSeries, FilterReport]:
     two, and then it interpolates between the ends. An infeasible level may
     be the early-exit lower bound, which extrapolates short, so no step up is
     shorter than the one before; a step up is capped at a quarter, as the
-    exchange loses accuracy far above the answer. Certification takes the
-    exact critical points of the feasible verdict's G.
+    exchange loses accuracy far above the answer. A verdict that stopped
+    unproven counts as infeasible. `probes` lists each probe's (h, reason).
     """
-    cap = DEGREE_CAP // 2
-    bad, good, best, rise = 0, cap + 1, None, 0
-    last = (0, math.log(2.0 / spec.eps))
-    half = min(max(1, math.ceil(0.8 * last[1] * math.sqrt(1.0 - spec.mu**2) / spec.delta)), cap)
-    while good - bad > 1:
-        coeffs, level, crit = _minimax_step(spec, half)
-        log_level = math.log(level)
-        if level < 1.0:
-            good, good_log, best, best_crit = half, log_level, coeffs, crit
+
+    def __init__(self, spec: FilterSpec):
+        self.spec, self.plateaus = spec, _Plateaus(spec)
+        cap = DEGREE_CAP // 2
+        self.bad, self.good, self.best, self.rise = 0, cap + 1, None, 0
+        self.last = (0, math.log(2.0 / spec.eps))
+        self.probes: list[tuple[int, str]] = []
+        half = min(max(1, math.ceil(0.8 * self.last[1] * math.sqrt(1.0 - spec.mu**2)
+                                    / spec.delta)), cap)
+        self.probe = _Probe(self.plateaus, half) if self.searching else None
+
+    @property
+    def searching(self) -> bool:
+        return self.good - self.bad > 1
+
+    def record(self, verdict: _Verdict) -> None:
+        """Take the running probe's verdict, then start the next probe while the bracket is open."""
+        half = self.probe.half
+        self.probes.append((half, verdict.reason))
+        log_level = math.log(verdict.level)
+        if verdict.level < 1.0:
+            self.good, self.good_log, self.best = half, log_level, verdict
         else:
-            bad, bad_log = half, log_level
-        if best is not None and bad > 0:
-            probe = math.ceil(bad + (good - bad) * bad_log / (bad_log - good_log))
+            self.bad, self.bad_log = half, log_level
+        if self.best is not None and self.bad > 0:
+            probe = math.ceil(self.bad + (self.good - self.bad) * self.bad_log
+                              / (self.bad_log - self.good_log))
         else:
-            slope = (log_level - last[1]) / (half - last[0])
+            slope = (log_level - self.last[1]) / (half - self.last[0])
             guess = half - log_level / slope if slope < 0.0 else half + 1
-            if best is None:
-                probe = max(math.ceil(guess), half + rise)
+            if self.best is None:
+                probe = max(math.ceil(guess), half + self.rise)
             else:
                 probe = min(math.ceil(guess), half - 1)
-        last = (half, log_level)
+        self.last = (half, log_level)
         probe = min(probe, half + max(1, half // 4))
-        probe = min(max(probe, bad + 1), good - 1)
-        rise, half = probe - half, probe
-    if best is None:
-        raise RuntimeError(f"no even filter of degree <= {DEGREE_CAP} meets {spec}")
-    # T_h(2x^2 - 1) = T_2h(x): G's coefficients are the filter's even ones.
-    coeffs = np.zeros(2 * len(best) - 1)
-    coeffs[0::2] = best
-    filt = ChebyshevSeries(coeffs, "even")
-    report = _certify(best, best_crit, True, spec)
-    if not report.passed:
-        worst = min(report.conditions(), key=lambda c: c.margin)
-        raise RuntimeError(
-            f"filter construction failed certification at degree {filt.degree}: "
-            f"condition {worst.name} has value {worst.worst:.3e} at x={worst.worst_x:.6f} "
-            f"(bound {worst.bound:.3e})"
-        )
-    return filt, report
+        probe = min(max(probe, self.bad + 1), self.good - 1)
+        self.rise = probe - half
+        self.probe = _Probe(self.plateaus, probe) if self.searching else None
+
+
+def heaviside_filter(
+    spec: FilterSpec | list[FilterSpec],
+) -> ChebyshevSeries | list[ChebyshevSeries]:
+    """The even minimax step filter at the smallest degree whose level is below 1.
+
+    `spec` is one `FilterSpec`, giving one filter, or a list of them, giving
+    a list in the same order: their degree searches advance in lockstep, and
+    each filter equals the single call's bit for bit. Raises if no degree up
+    to `DEGREE_CAP` has a level below 1 or certification fails.
+    """
+    single = isinstance(spec, FilterSpec)
+    filters = [search.filter for search in _build_filters([spec] if single else list(spec))]
+    return filters[0] if single else filters
+
+
+def _build_filters(specs: list[FilterSpec]) -> list[_Search]:
+    """The finished search of every spec, with its `filter` and passing `certify_filter` `report`.
+
+    Each round runs one exchange iteration (`_remez_step`) of every search
+    still open; a search whose probe ends starts its next probe the round
+    after. Certification takes the exact critical points of the feasible
+    verdict's G. A failure names its spec, by list position when there are
+    several.
+    """
+    searches = [_Search(spec) for spec in specs]
+    running = [s for s in searches if s.searching]
+    while running:
+        for search, verdict in zip(running, _remez_step([s.probe for s in running])):
+            if verdict is not None:
+                search.record(verdict)
+        running = [s for s in running if s.searching]
+    for i, search in enumerate(searches):
+        item = f" (item {i} of {len(specs)})" if len(specs) > 1 else ""
+        best = search.best
+        if best is None:
+            unproven = sum(reason not in PROVED for _, reason in search.probes)
+            raise RuntimeError(
+                f"no even filter of degree <= {DEGREE_CAP} meets {search.spec}{item}; "
+                f"{unproven} of its {len(search.probes)} probes stopped unproven"
+            )
+        # T_h(2x^2 - 1) = T_2h(x): G's coefficients are the filter's even ones.
+        coeffs = np.zeros(2 * len(best.coeffs) - 1)
+        coeffs[0::2] = best.coeffs
+        search.filter = ChebyshevSeries(coeffs, "even")
+        search.report = _certify(best.coeffs, best.crit, True, search.spec)
+        if not search.report.passed:
+            worst = min(search.report.conditions(), key=lambda c: c.margin)
+            raise RuntimeError(
+                f"filter construction failed certification at degree {search.filter.degree}"
+                f"{item}: condition {worst.name} has value {worst.worst:.3e} at "
+                f"x={worst.worst_x:.6f} (bound {worst.bound:.3e})"
+            )
+    return searches

@@ -37,7 +37,7 @@ from .bosehubbard import (
     fock_occupations,
     normalize_for_qsvt,
 )
-from .chebyshev import EPS_FLOOR, FilterSpec, _build_filter, heaviside_filter
+from .chebyshev import EPS_FLOOR, FilterSpec, _build_filters, heaviside_filter
 from .feedforward import (
     KrausExtraction,
     channel_bound,
@@ -252,7 +252,8 @@ def cmd_phases(config: dict, out: Path, seed: int) -> int:
         raise ConfigError(f"phases: invalid filter parameters: {exc}") from exc
     tol = _number(float, config.get("tol", 1e-11), "phases.tol", above=0.0)
 
-    filt, report = _build_filter(spec)
+    build = _build_filters([spec])[0]
+    filt, report = build.filter, build.report
     psi = synthesize_symmetric(filt, tol)
     phi = to_circuit(psi)
 
@@ -560,6 +561,10 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's message names the allocation, e.g. a sample run's uniform block.
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
 
 

@@ -138,9 +138,10 @@ def _run_blocks(
     order: the root () plus both children of each executed block. A node
     holds its unnormalized (ancilla (x) system, input columns) register and
     the queries spent to reach it; a node without children is a leaf. Each
-    split's circuit is assembled once.
+    split's circuit is assembled once, all in one stacked product.
     """
-    circuits = {k: assemble_full(enc, phi) for k, phi in policy.phase_table.items()}
+    table = policy.phase_table
+    circuits = dict(zip(table, assemble_full(enc, list(table.values()))))
     n = len(enc) // 2
     width = columns.shape[1]
     reg_dim = 2 * n
@@ -284,25 +285,23 @@ def _multiband_phase_table(structure: BandStructure, round_eps: float) -> tuple[
 
     Every split is reachable: split k runs at the round of its lowest set
     bit, from the prefix of its higher bits. Each split's filter is built
-    once, at its own smallest degree. The table runs at the largest of
-    these, every filter zero-padded to it, so each executed round costs the
-    same queries and the split order does not matter. A filter is never
-    solved again at a higher degree: the exchange loses accuracy far above
-    a split's own minimum. The padded filters share one degree, so one
-    batched Newton pass synthesizes all of them.
+    once, at its own smallest degree, by one lockstep degree search over
+    every split. The table runs at the largest of these, every filter
+    zero-padded to it, so each executed round costs the same queries and
+    the split order does not matter. A filter is never solved again at a
+    higher degree: the exchange loses accuracy far above a split's own
+    minimum. The padded filters share one degree, so one batched Newton
+    pass synthesizes all of them.
     """
-    filters = {
-        k: heaviside_filter(FilterSpec(float(structure.centers[k - 1]), structure.delta, round_eps))
-        for k in range(1, structure.band_count)
-    }
-    degree = max((f.degree for f in filters.values()), default=0)
-    padded = [ChebyshevSeries(np.pad(f.coeffs, (0, degree - f.degree)), "even")
-              for f in filters.values()]
+    filters = heaviside_filter([FilterSpec(float(c), structure.delta, round_eps)
+                                for c in structure.centers])
+    degree = max((f.degree for f in filters), default=0)
+    padded = [ChebyshevSeries(np.pad(f.coeffs, (0, degree - f.degree)), "even") for f in filters]
     try:
         phases = synthesize_symmetric(padded, SYNTHESIS_TOL)
     except SynthesisError as err:
         raise SynthesisError(f"split {err.index + 1}: {err}", err.history, err.index) from err
-    return {k: to_circuit(psi) for k, psi in zip(filters, phases)}, degree
+    return {k: to_circuit(psi) for k, psi in enumerate(phases, start=1)}, degree
 
 
 def run_multiband(

@@ -25,25 +25,25 @@ __all__ = [
 ]
 
 
-def _interleaved(enc: np.ndarray, phi: PhaseFactorSet, signs: list) -> np.ndarray:
-    """The interleaved product for sign * phi, one (NM, NM) matrix per sign.
+def _interleaved(enc: np.ndarray, phis: list[PhaseFactorSet], signs: list) -> np.ndarray:
+    """The interleaved product for sign * phi, one (NM, NM) matrix per sign and phase set.
 
-    The product is R(phi_0) prod_k U^{(-1)^{d-k}} R(phi_k): the encoding
-    and its inverse alternate, ending on U itself. Rotation k is
+    Returns the (len(signs) * len(phis), NM, NM) stack, sign-major. The
+    product is R(phi_0) prod_k U^{(-1)^{d-k}} R(phi_k): the encoding and its
+    inverse alternate, ending on U itself. Rotation k is
     diag(e^{i phi_k} I_N, e^{-i phi_k} I_{N (M-1)}); one `exp` gives every
-    rotation diagonal of every sign, and each factor of the encoding is one
-    matmul on the stack.
+    rotation diagonal of every sign and phase set, and each factor of the
+    encoding is one matmul on the stack, whose every matrix is its own
+    product.
     """
-    if phi.convention != "circuit":
-        raise ValueError("interleaved assembly takes circuit-convention phases")
     base = _check_encoding(enc)
     base_inv = dagger(base)
     size = base.shape[0]
     n = size // 2
-    d = phi.degree
-    phases = np.multiply.outer(signs, phi.values)
+    d = phis[0].degree
+    phases = np.multiply.outer(signs, [phi.values for phi in phis]).reshape(-1, d + 1)
     diags = np.exp(np.multiply.outer(phases, [1j, -1j]))[..., (np.arange(size) >= n).astype(int)]
-    u = np.zeros((len(signs), size, size), dtype=complex)
+    u = np.zeros((len(phases), size, size), dtype=complex)
     u[:, np.arange(size), np.arange(size)] = diags[:, 0]
     for k in range(1, d + 1):
         u = u @ (base if (d - k) % 2 == 0 else base_inv)
@@ -51,18 +51,36 @@ def _interleaved(enc: np.ndarray, phi: PhaseFactorSet, signs: list) -> np.ndarra
     return u
 
 
-def assemble_full(enc: np.ndarray, phi: PhaseFactorSet) -> np.ndarray:
-    """Full circuit unitary of size 2NM: Hadamard butterfly over +Phi / -Phi sectors."""
-    u_pos, u_neg = _interleaved(enc, phi, [1.0, -1.0])
+def assemble_full(
+    enc: np.ndarray, phi: PhaseFactorSet | list[PhaseFactorSet],
+) -> np.ndarray | list[np.ndarray]:
+    """Full circuit unitary of size 2NM: Hadamard butterfly over +Phi / -Phi sectors.
+
+    `phi` is one circuit-convention `PhaseFactorSet`, giving one unitary, or
+    a list of them of one degree, giving a list in the same order from one
+    stacked interleaved product; each equals the single call's bit for bit.
+    """
+    single = isinstance(phi, PhaseFactorSet)
+    phis = [phi] if single else list(phi)
+    for ps in phis:
+        if ps.convention != "circuit":
+            raise ValueError("interleaved assembly takes circuit-convention phases")
+    degrees = {ps.degree for ps in phis}
+    if len(degrees) > 1:
+        raise ValueError(f"stacked phase factors must share one degree, got {sorted(degrees)}")
+    if not phis:
+        return []
+    u = _interleaved(enc, phis, [1.0, -1.0])
+    u_pos, u_neg = u[: len(phis)], u[len(phis) :]
     a = 0.5 * (u_pos + u_neg)
     b = 0.5 * (u_pos - u_neg)
-    size = u_pos.shape[0]
-    q = np.empty((2 * size, 2 * size), dtype=complex)
-    q[:size, :size] = a
-    q[:size, size:] = b
-    q[size:, :size] = b
-    q[size:, size:] = a
-    return q
+    size = u.shape[-1]
+    q = np.empty((len(phis), 2 * size, 2 * size), dtype=complex)
+    q[:, :size, :size] = a
+    q[:, :size, size:] = b
+    q[:, size:, :size] = b
+    q[:, size:, size:] = a
+    return q[0] if single else list(q)
 
 
 def predicted_blocks(h: np.ndarray, phi: PhaseFactorSet) -> np.ndarray:

@@ -6,21 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqsvt import chebyshev
-from fqsvt.bands import detect_bands
+from fqsvt.bands import detect_bands, synthetic_band_spectrum
 from fqsvt.chebyshev import (
     EPS_FLOOR,
+    PROVED,
     ChebyshevSeries,
     FilterSpec,
+    _build_filters,
     _clenshaw,
     _critical_points,
     _exchange,
     _grid_critical_points,
-    _minimax_step,
+    _Plateaus,
+    _Probe,
+    _remez_step,
     certify_filter,
     heaviside_filter,
     synthesis_margin,
 )
-from fqsvt.linalg import rng
+from fqsvt.linalg import eigh, hermitian_from_spectrum, rng
 from fqsvt.qsp import synthesize_symmetric
 
 
@@ -165,6 +169,14 @@ def test_budget_below_floor_rejected():
         FilterSpec(0.5, 0.2, 0.5 * EPS_FLOOR)
 
 
+def minimax_verdict(spec: FilterSpec, half: int):
+    """The verdict of one Remez probe of `spec` at half-degree `half`, run alone."""
+    probe = _Probe(_Plateaus(spec), half)
+    while (verdict := _remez_step([probe])[0]) is None:
+        pass
+    return verdict
+
+
 def test_heaviside_degree_is_the_smallest_feasible():
     # The erfc filter certified here at 166 and 172 but not at 168 or 170.
     # The minimax verdict is monotone: every lower half-degree is infeasible
@@ -173,8 +185,8 @@ def test_heaviside_degree_is_the_smallest_feasible():
     filt = heaviside_filter(spec)
     half = filt.degree // 2
     assert filt.degree == 92
-    assert all(_minimax_step(spec, h)[1] >= 1.0 for h in range(1, half))
-    assert all(_minimax_step(spec, h)[1] < 1.0 for h in range(half, half + 8))
+    assert all(minimax_verdict(spec, h).level >= 1.0 for h in range(1, half))
+    assert all(minimax_verdict(spec, h).level < 1.0 for h in range(half, half + 8))
 
 
 @pytest.mark.parametrize("spec, degree", [
@@ -187,11 +199,12 @@ def test_heaviside_search_does_not_creep(monkeypatch, spec, degree):
     # Extrapolating from the last two probes alone took 12 and 18 calls.
     calls = []
 
-    def counting(spec, half):
-        calls.append(half)
-        return _minimax_step(spec, half)
+    def counting(probes):
+        verdicts = _remez_step(probes)
+        calls.extend(p.half for p, v in zip(probes, verdicts) if v is not None)
+        return verdicts
 
-    monkeypatch.setattr(chebyshev, "_minimax_step", counting)
+    monkeypatch.setattr(chebyshev, "_remez_step", counting)
     assert heaviside_filter(spec).degree == degree
     assert len(calls) <= 8, calls
 
@@ -255,6 +268,56 @@ def test_heaviside_raises_when_the_cap_is_too_low(monkeypatch):
         heaviside_filter(FilterSpec(0.5, 0.2, 1e-3))
 
 
+def test_the_cap_error_names_the_item_and_its_unproven_probes(monkeypatch):
+    # Item 0 needs degree 8; item 1 needs 60 and, with one exchange iteration
+    # a probe, stops unproven at each of its probes below the cap.
+    specs = [FilterSpec(0.5, 0.6, 0.1), FilterSpec(0.5, 0.2, 1e-3)]
+    monkeypatch.setattr(chebyshev, "DEGREE_CAP", 20)
+    with pytest.raises(RuntimeError, match=r"delta=0\.2, eps=0\.001\) \(item 1 of 2\); "
+                                           r"0 of its 1 probes stopped unproven$"):
+        heaviside_filter(specs)
+    monkeypatch.setattr(chebyshev, "DEGREE_CAP", 58)
+    monkeypatch.setattr(chebyshev, "REMEZ_MAX_ITER", 1)
+    with pytest.raises(RuntimeError, match=r"\(item 1 of 2\); 3 of its 3 probes stopped unproven$"):
+        heaviside_filter(specs)
+    with pytest.raises(RuntimeError, match=r"eps=0\.001\); 3 of its 3 probes"):
+        heaviside_filter(specs[1])
+
+
+def benchmark_hamiltonian(seed: int) -> np.ndarray:
+    """H of the enumerate-L8 benchmark inputs at `seed`: 8 bands of 2, 0.02 wide, on a Haar basis.
+
+    The basis is the QR factor of a complex Gaussian matrix with the phases
+    of R's diagonal folded in, drawn from numpy's default generator seeded
+    with [seed, 20240807].
+    """
+    gen = np.random.default_rng([seed, 20240807])
+    z = (gen.standard_normal((16, 16)) + 1j * gen.standard_normal((16, 16))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    basis = q * (np.diag(r) / np.abs(np.diag(r)))
+    h = (basis * synthetic_band_spectrum(8, 2, 0.02)) @ basis.conj().T
+    return 0.5 * (h + h.conj().T)
+
+
+def test_every_infeasible_probe_on_the_run_layouts_is_proved():
+    # The enumerate-L8 benchmark inputs at seeds 0-2, and the synthetic 2-,
+    # 4-, 8- and 16-band models of the CI's project runs (basis seed 5):
+    # no probe stops at a stall, a short exchange or the iteration cap.
+    layouts = [(benchmark_hamiltonian(seed), 8, 1e-3) for seed in range(3)]
+    for bands, per_band, width, eps in [(2, 8, 0.02, 1e-2), (4, 2, 0.02, 1e-3),
+                                        (8, 2, 0.02, 1e-3), (16, 1, 0.0, 1e-3)]:
+        values = synthetic_band_spectrum(bands, per_band, width)
+        layouts.append((hermitian_from_spectrum(values, rng(5, 1)), bands, eps))
+    reasons = []
+    for h, bands, eps in layouts:
+        structure = detect_bands(eigh(h).values, target_bands=bands)
+        searches = _build_filters([FilterSpec(float(c), structure.delta, eps)
+                                   for c in structure.centers])
+        reasons += [reason for search in searches for _, reason in search.probes]
+    assert "infeasible" in reasons
+    assert set(reasons) <= set(PROVED)
+
+
 def _grid_worsts(filt, spec, points=200_001):
     lo_edge, hi_edge = spec.mu - spec.delta / 2, spec.mu + spec.delta / 2
     return (np.max(np.abs(filt(np.linspace(hi_edge, 1.0, points)))),
@@ -279,10 +342,31 @@ def test_heaviside_filter_properties(spec):
     report = certify_filter(filt, spec)
     assert report.passed
     assert filt.degree % 2 == 0
-    assert _minimax_step(spec, filt.degree // 2 - 1)[1] >= 1.0
+    assert minimax_verdict(spec, filt.degree // 2 - 1).level >= 1.0
     # Exact extrema never undershoot a dense grid, up to roundoff.
     for cond, grid_worst in zip(report.conditions(), _grid_worsts(filt, spec)):
         assert cond.worst >= grid_worst - 1e-13
+
+
+# Lists of 1-8 specs drawn from a pool of up to 4, so duplicates are common.
+spec_lists = st.lists(filter_specs(), min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(spec_lists)
+def test_a_list_of_specs_builds_what_each_builds_alone(specs):
+    # The searches advance in lockstep, yet each probes the same half-degrees
+    # in the same order and ends on the same filter and report, bit for bit.
+    together = _build_filters(specs)
+    listed = heaviside_filter(specs)
+    assert len(together) == len(listed) == len(specs)
+    for spec, search, filt in zip(specs, together, listed):
+        alone = _build_filters([spec])[0]
+        assert search.probes == alone.probes
+        assert np.array_equal(search.filter.coeffs, alone.filter.coeffs)
+        assert np.array_equal(filt.coeffs, alone.filter.coeffs)
+        assert search.report == alone.report
 
 
 def test_certify_constant_half_fails_both_sides():
@@ -385,7 +469,7 @@ def test_grid_critical_points_match_the_trig_newton(count):
     # The layout filters' G at half their degree, up to h = 155.
     for filt in layout_filters(count):
         g = filt.coeffs[0::2]
-        got, want = _grid_critical_points(g), reference_grid_critical_points(g)
+        got, want = _grid_critical_points([g])[0], reference_grid_critical_points(g)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13
         exact = _critical_points(g)
@@ -402,15 +486,15 @@ def test_heaviside_filter_certifies_without_a_root_solve_of_its_own(monkeypatch)
         solves[where[-1]] += 1
         return _critical_points(coeffs)
 
-    def step(spec, half):
+    def step(probes):
         where.append("inside")
         try:
-            return _minimax_step(spec, half)
+            return _remez_step(probes)
         finally:
             where.pop()
 
     monkeypatch.setattr(chebyshev, "_critical_points", counting_roots)
-    monkeypatch.setattr(chebyshev, "_minimax_step", step)
+    monkeypatch.setattr(chebyshev, "_remez_step", step)
     spec = FilterSpec(0.5, 0.2, 1e-5)
     filt = heaviside_filter(spec)
     assert solves["inside"] > 0 and solves["outside"] == 0

@@ -96,7 +96,7 @@ def test_phases_certifies_without_a_root_solve_after_the_build(tmp_path, monkeyp
         while frame is not None:
             names.add(frame.f_code.co_name)
             frame = frame.f_back
-        solves.append("_build_filter" in names)
+        solves.append("_build_filters" in names)
         return critical_points(coeffs)
 
     monkeypatch.setattr(chebyshev, "_critical_points", recording)
@@ -260,6 +260,30 @@ def test_project_amplitudes_near_the_float_limit_scale_exactly(tmp_path):
         assert main(["project", "--config", cfg, "--out", str(outs[-1])]) == 0
     for name in ("band_weights.csv", "records.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("message, cause", [
+    ("Unable to allocate 14.9 GiB for an array with shape (1000000000, 2) and data type float64",
+     "Unable to allocate 14.9 GiB for an array with shape (1000000000, 2)"),
+    ("", "an allocation failed"),
+], ids=["numpy-message", "no-message"])
+def test_project_out_of_memory_exits_1_naming_the_cause(tmp_path, capsys, monkeypatch,
+                                                        message, cause):
+    # A trajectory count inside the documented range can need more memory
+    # than the machine has; the run stands in for the allocation that fails.
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_multiband", exhausted)
+    cfg = write_config(tmp_path, {
+        "model": {"type": "synthetic", "bands": 2, "per_band": 2, "width": 0.02},
+        "bands": {"target": 2}, "round_eps": 1e-2, "mode": "sample",
+        "trajectories": 1_000_000_000,
+    })
+    assert main(["project", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and cause in err
+    assert "Traceback" not in err
 
 
 def test_project_rejects_gmon_non_power_of_two_with_exit_2(tmp_path, capsys):

@@ -710,9 +710,11 @@ def test_phase_table_builds_each_split_once_and_pads_to_the_hardest(monkeypatch)
     eps = 0.1
     built = {}
 
-    def recording(spec):
-        built.setdefault(spec, []).append(heaviside_filter(spec))
-        return built[spec][-1]
+    def recording(specs):
+        filters = heaviside_filter(specs)
+        for spec, filt in zip(specs, filters):
+            built.setdefault(spec, []).append(filt)
+        return filters
 
     monkeypatch.setattr(feedforward, "heaviside_filter", recording)
     table, degree = _multiband_phase_table(structure, eps)
@@ -737,7 +739,8 @@ def test_phase_table_names_the_split_whose_synthesis_stalls(monkeypatch):
         coeffs[[0, 10]] = (0.3 if spec.mu == 0.225 else 0.0), 0.5
         return ChebyshevSeries(coeffs, "even")
 
-    monkeypatch.setattr(feedforward, "heaviside_filter", fake_filter)
+    monkeypatch.setattr(feedforward, "heaviside_filter",
+                        lambda specs: [fake_filter(spec) for spec in specs])
     monkeypatch.setattr(feedforward, "SYNTHESIS_TOL", 1e-30)
     with pytest.raises(SynthesisError, match=r"^split 2: phase synthesis stalled") as info:
         _multiband_phase_table(structure, 0.1)

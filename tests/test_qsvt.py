@@ -89,13 +89,13 @@ def setup():
 
 def test_interleaved_degree_zero_identity(setup):
     _, _, enc = setup
-    u = _interleaved(enc, PhaseFactorSet([0.0], "circuit"), [1.0])[0]
+    u = _interleaved(enc, [PhaseFactorSet([0.0], "circuit")], [1.0])[0]
     assert np.allclose(u, np.eye(8))
 
 
 def test_interleaved_degree_one_is_encoding(setup):
     _, _, enc = setup
-    u = _interleaved(enc, PhaseFactorSet([0.0, 0.0], "circuit"), [1.0])[0]
+    u = _interleaved(enc, [PhaseFactorSet([0.0, 0.0], "circuit")], [1.0])[0]
     assert np.allclose(u, enc)
 
 
@@ -160,8 +160,35 @@ def test_stacked_assembly_matches_separate_products_bitwise():
             phi = PhaseFactorSet(gen.uniform(-np.pi, np.pi, int(gen.integers(1, 13)) + 1),
                                  "circuit")
         assert np.array_equal(assemble_full(enc, phi), reference_assemble_full(enc, phi))
-        assert np.array_equal(_interleaved(enc, phi, [1.0])[0],
+        assert np.array_equal(_interleaved(enc, [phi], [1.0])[0],
                               reference_interleaved(enc, phi.values))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_assembly_of_a_list_matches_single_calls_bitwise(n):
+    # 1-7 phase sets of one degree, random and symmetric, in one stacked
+    # product: each matrix of a matmul stack is its own product.
+    gen = rng(200 + n)
+    enc = dilate_hermitian(hermitian_from_spectrum(gen.uniform(0.02, 0.98, n), gen))
+    for count in range(1, 8):
+        degree = int(gen.integers(1, 13))
+        phis = [to_circuit(random_symmetric(gen, degree)) if j % 2 else
+                PhaseFactorSet(gen.uniform(-np.pi, np.pi, degree + 1), "circuit")
+                for j in range(count)]
+        stacked = assemble_full(enc, phis)
+        assert isinstance(stacked, list) and len(stacked) == count
+        for phi, q in zip(phis, stacked):
+            assert np.array_equal(q, assemble_full(enc, phi))
+
+
+def test_assembly_of_a_list_rejects_mixed_degrees_and_rotation_phases(setup):
+    _, _, enc = setup
+    short, long = PhaseFactorSet([0.1, 0.2], "circuit"), PhaseFactorSet([0.1, 0.2, 0.3], "circuit")
+    with pytest.raises(ValueError, match=r"share one degree, got \[1, 2\]"):
+        assemble_full(enc, [short, long])
+    with pytest.raises(ValueError, match="circuit-convention"):
+        assemble_full(enc, [short, PhaseFactorSet(short.values, "su2")])
+    assert assemble_full(enc, []) == []
 
 
 def test_predicted_blocks_match_assembled_both_parities(setup):
