@@ -259,7 +259,21 @@ def adiabatic_leakage_scaling(
 
 
 def adiabatic_time_estimate(eigenpaths: int, min_gap: float, eps: float) -> float:
-    """Order estimate of the adiabatic evolution time: M^(3/2) / (eps gap^3)."""
+    """Order estimate of the adiabatic evolution time: M^(3/2) / (eps gap^3).
+
+    Raises a ValueError naming M, gap and eps when the estimate overflows a float.
+    """
     if eigenpaths <= 0 or min_gap <= 0 or eps <= 0:
         raise ValueError("eigenpath count, gap, and error target must be positive")
-    return eigenpaths**1.5 / (eps * min_gap**3)
+    try:  # a float power raises on overflow where a product gives inf
+        cube = min_gap**3
+    except OverflowError:
+        cube = math.inf
+    try:
+        estimate = eigenpaths**1.5 / (eps * cube)
+    except (OverflowError, ZeroDivisionError):
+        estimate = math.inf
+    if not math.isfinite(estimate):
+        raise ValueError(f"adiabatic time estimate M^(3/2) / (eps gap^3) overflows at "
+                         f"M={eigenpaths}, gap={min_gap!r}, eps={eps!r}")
+    return estimate

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -133,18 +134,6 @@ def _write_kraus(path: Path, kraus: KrausExtraction):
         f.write("]}\n")
 
 
-def _check_keys(doc: dict, allowed: dict, context: str) -> dict:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{context}: expected a JSON object")
-    unknown = set(doc) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
-    for key, required in allowed.items():
-        if required and key not in doc:
-            raise ConfigError(f"{context}: missing key {key!r}")
-    return doc
-
-
 def _number(kind, value, name: str, low=None, above=None, high=None, below=None):
     """`value` converted by `kind` (int or float), finite and within the given bounds.
 
@@ -172,51 +161,129 @@ def _number(kind, value, name: str, low=None, above=None, high=None, below=None)
     return x
 
 
-def _seed(value, name: str) -> int:
-    """`value` as a seed: an int in [0, 2^64), the key range of `linalg.rng`."""
-    return _number(int, value, name, low=0, high=2**64 - 1)
+# Config schema: each command reads its JSON config through one `Table`, and
+# README's key tables and the config fuzzer read the same objects. A table's
+# `fields` map key -> (kind, default); a default is read through the kind like
+# a given value, or is REQUIRED, or OPTIONAL (an absent key stays absent).
+REQUIRED, OPTIONAL = object(), object()
+# `_number`'s rules with inclusive `low`/`high` and exclusive `above`/`below` bounds.
+Num = namedtuple("Num", "type low above high below", defaults=(None,) * 4)
+# One of `options`, equal in value and type (so 1 is not true); `what` describes them.
+Choice = namedtuple("Choice", "options what")
+# A list of `what`, each entry read by `item`, or, if `item` is a plain tuple of
+# kinds, a list of that length read entry by entry; `options` lists allowed entries.
+ListOf = namedtuple("ListOf", "item what nonempty options", defaults=(False, None))
+# A JSON object, read into a dict or, if `build` is set, into `build(**dict)`.
+Table = namedtuple("Table", "fields build", defaults=(None,))
+# A JSON object whose "type" (`default` if absent) picks the table in `tables`
+# that reads its other keys; the dict read carries the type too.
+Variant = namedtuple("Variant", "tables default", defaults=(None,))
 
 
-def _gmon_model(doc, name: str) -> GmonModel:
-    """A gmon spec document, with the keys of `GmonModel.to_json`, as a model."""
-    _check_keys(doc, {"modes": True, "nmax": True, "eta": True, "edges": True, "delta": True,
-                      "f": True, "phi": True, "check_ranges": False}, name)
-    for key, entries in (("edges", "[l, j, g] triples"), ("delta", "numbers"),
-                         ("f", "numbers"), ("phi", "numbers")):
-        if not isinstance(doc[key], list) or (key == "edges" and not all(
-                isinstance(edge, list) and len(edge) == 3 for edge in doc[key])):
-            raise ConfigError(f"{name}.{key}: expected a list of {entries}, got {doc[key]!r}")
-    check_ranges = doc.get("check_ranges", True)
-    if not isinstance(check_ranges, bool):
-        raise ConfigError(f"{name}.check_ranges: expected true or false, got {check_ranges!r}")
-    fields = {key: _number(kind, doc[key], f"{name}.{key}")
-              for key, kind in (("modes", int), ("nmax", int), ("eta", float))}
-    fields.update({key: [_number(float, v, f"{name}.{key}") for v in doc[key]]
-                   for key in ("delta", "f", "phi")})
-    edges = [tuple(_number(kind, v, f"{name}.edges") for kind, v in zip((int, int, float), edge))
-             for edge in doc["edges"]]
+def _read(kind, value, name: str):
+    """`value` read by `kind`, or a ConfigError that names the dotted key `name`."""
+    if isinstance(kind, Num):
+        return _number(kind.type, value, name, kind.low, kind.above, kind.high, kind.below)
+    if isinstance(kind, Choice):
+        if not any(type(value) is type(option) and value == option for option in kind.options):
+            raise ConfigError(f"{name}: expected {kind.what}, got {value!r}")
+        return value
+    if isinstance(kind, ListOf):
+        rows = type(kind.item) is tuple
+        if not isinstance(value, list) or (kind.nonempty and not value) or rows and not all(
+                isinstance(v, list) and len(v) == len(kind.item) for v in value):
+            raise ConfigError(f"{name}: expected a {'nonempty ' * kind.nonempty}list of "
+                              f"{kind.what}, got {value!r}")
+        items = [tuple(_read(k, x, name) for k, x in zip(kind.item, v)) if rows
+                 else _read(kind.item, v, name) for v in value]
+        unknown = sorted(set(items) - set(kind.options)) if kind.options else []
+        if unknown:
+            raise ConfigError(f"{name}: unknown {kind.what} {unknown}, "
+                              f"expected numbers in {list(kind.options)}")
+        return items
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name}: expected a JSON object, got {value!r}")
+    if isinstance(kind, Variant):
+        choice = value.get("type", kind.default)
+        if not isinstance(choice, str) or choice not in kind.tables:
+            raise ConfigError(f"{name}: unknown type {choice!r}")
+        rest = {key: v for key, v in value.items() if key != "type"}
+        return {"type": choice, **_read(kind.tables[choice], rest, name)}
+    unknown = sorted(set(value) - set(kind.fields))
+    if unknown:
+        raise ConfigError(f"{name}: unknown keys {unknown}")
+    for key, (_, default) in kind.fields.items():
+        if default is REQUIRED and key not in value:
+            raise ConfigError(f"{name}: missing key {key!r}")
+    values = {key: _read(k, value.get(key, default), f"{name}.{key}")
+              for key, (k, default) in kind.fields.items()
+              if key in value or default is not OPTIONAL}
     try:
-        return GmonModel(**fields, edges=edges, check_ranges=check_ranges)
+        return values if kind.build is None else kind.build(**values)
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _complex_pairs(values, name: str) -> np.ndarray:
-    """A list of numeric [re, im] pairs as a (len, 2) float array."""
-    if not isinstance(values, list) or not all(
-            isinstance(pair, list) and len(pair) == 2 for pair in values):
-        raise ConfigError(f"{name}: expected a list of numeric [re, im] pairs")
-    return np.array([[_number(float, v, name) for v in pair] for pair in values]).reshape(-1, 2)
-
-
-def _inline_matrix(doc, name: str) -> np.ndarray:
+def _matrix(rows: int, cols: int, data: list) -> np.ndarray:
     """A matrix document, with the keys of `linalg.matrix_to_json`, as a complex array."""
-    _check_keys(doc, {"rows": True, "cols": True, "data": True}, name)
-    rows, cols = (_number(int, doc[key], f"{name}.{key}", low=1) for key in ("rows", "cols"))
-    pairs = _complex_pairs(doc["data"], f"{name}.data")
-    if len(pairs) != rows * cols:
-        raise ConfigError(f"{name}: claims {rows}x{cols} but carries {len(pairs)} entries")
-    return pairs.view(complex).reshape(rows, cols)
+    if len(data) != rows * cols:
+        raise ValueError(f"claims {rows}x{cols} but carries {len(data)} entries")
+    return np.array(data, dtype=float).reshape(-1, 2).view(complex).reshape(rows, cols)
+
+
+NUMBER, POSITIVE, COUNT = Num(float), Num(float, above=0.0), Num(int, low=1)
+MARGIN = Num(float, above=0.0, below=0.5)
+SEED = Num(int, low=0, high=2**64 - 1)  # the key range of `linalg.rng`
+NUMBERS = ListOf(NUMBER, "numbers")
+PAIRS = ListOf((NUMBER, NUMBER), "numeric [re, im] pairs")
+CRITERIA_LIST = ListOf(Num(int), "criteria", options=tuple(range(1, 11)))  # verify.CRITERIA
+MATRIX = Table({"rows": (COUNT, REQUIRED), "cols": (COUNT, REQUIRED),
+                "data": (PAIRS, REQUIRED)}, build=_matrix)
+GMON_FIELDS = {"modes": (Num(int), REQUIRED), "nmax": (Num(int), REQUIRED),
+               "eta": (NUMBER, REQUIRED),
+               "edges": (ListOf((Num(int), Num(int), NUMBER), "[l, j, g] triples"), REQUIRED),
+               "delta": (NUMBERS, REQUIRED), "f": (NUMBERS, REQUIRED), "phi": (NUMBERS, REQUIRED),
+               "check_ranges": (Choice((True, False), "true or false"), True)}
+GMON_SPEC = Table(GMON_FIELDS, build=GmonModel)
+
+PHASES = Table({"mu": (NUMBER, REQUIRED), "delta": (NUMBER, REQUIRED), "eps": (NUMBER, REQUIRED),
+                "tol": (POSITIVE, 1e-11)})
+PROJECT = Table({
+    "model": (Variant({
+        "inline": Table({"matrix": (MATRIX, REQUIRED)}),
+        "gmon": Table({"spec": (GMON_SPEC, OPTIONAL),
+                       "margin": (MARGIN, 0.1), "perturb_seed": (SEED, OPTIONAL)}),
+        "synthetic": Table({"bands": (COUNT, REQUIRED), "per_band": (COUNT, 1),
+                            "width": (NUMBER, 0.0), "basis_seed": (SEED, OPTIONAL)}),
+    }), REQUIRED),
+    "bands": (Table({"min_gap": (POSITIVE, OPTIONAL), "target": (COUNT, OPTIONAL)}), REQUIRED),
+    "mode": (Choice(("enumerate", "sample"), "enumerate or sample"), "enumerate"),
+    "budget": (NUMBER, OPTIONAL),
+    "round_eps": (NUMBER, OPTIONAL),
+    "trajectories": (COUNT, 1),
+    "haar_samples": (COUNT, 32),  # accepted, with no effect
+    "input": (Variant({
+        "uniform-eigen": Table({}),
+        "haar": Table({"seed": (SEED, OPTIONAL)}),
+        "eigenstate": Table({"index": (Num(int), REQUIRED)}),
+        "amplitudes": Table({"values": (PAIRS, REQUIRED)}),
+    }, default="uniform-eigen"), {}),
+})
+BASELINES = Table({
+    "Ls": (ListOf(COUNT, "band counts", nonempty=True), REQUIRED),
+    "trials": (Num(int, low=1000), 10000),
+    "per_band": (COUNT, 2),
+    "filter": (Table({"delta": (NUMBER, 0.2), "eps": (NUMBER, 1e-3)}), {}),
+    "adiabatic_min_gap": (POSITIVE, 0.1),
+    "adiabatic_eps": (POSITIVE, 1e-2),
+})
+# bosehubbard derives its band gap from eta, so eta must be positive there.
+BOSEHUBBARD = Table({
+    "model": (Table({**GMON_FIELDS, "eta": (POSITIVE, REQUIRED)}, build=GmonModel), OPTIONAL),
+    "margin": (MARGIN, 0.1),
+    "min_gap_fraction": (POSITIVE, 0.5),
+    "perturb_seed": (SEED, OPTIONAL),
+})
 
 
 def _load_config(path: str) -> dict:
@@ -242,19 +309,15 @@ def _out_dir(path) -> Path:
     return out
 
 
-def cmd_phases(config: dict, out: Path, seed: int) -> int:
-    _check_keys(config, {"mu": True, "delta": True, "eps": True, "tol": False}, "phases")
-    mu, delta, eps = (_number(float, config[key], f"phases.{key}")
-                      for key in ("mu", "delta", "eps"))
+def cmd_phases(cfg: dict, out: Path, seed: int) -> int:
     try:
-        spec = FilterSpec(mu, delta, eps)
+        spec = FilterSpec(cfg["mu"], cfg["delta"], cfg["eps"])
     except ValueError as exc:
         raise ConfigError(f"phases: invalid filter parameters: {exc}") from exc
-    tol = _number(float, config.get("tol", 1e-11), "phases.tol", above=0.0)
 
     build = _build_filters([spec])[0]
     filt, report = build.filter, build.report
-    psi = synthesize_symmetric(filt, tol)
+    psi = synthesize_symmetric(filt, cfg["tol"])
     phi = to_circuit(psi)
 
     _write_json(out / "filter.json", filt.to_json())
@@ -269,123 +332,81 @@ def cmd_phases(config: dict, out: Path, seed: int) -> int:
     return 0 if report.passed else 1
 
 
-def _resolve_model(doc, seed: int) -> np.ndarray:
-    """Config model block -> symmetric dilation of a Hermitian matrix with spectrum in [0, 1]."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"model: expected a JSON object, got {doc!r}")
-    kind = doc.get("type")
-    if kind == "inline":
-        _check_keys(doc, {"type": True, "matrix": True}, "model")
-        h = _inline_matrix(doc["matrix"], "model.matrix")
-        try:
-            return dilate_hermitian(h)
-        except ValueError as exc:
-            raise ConfigError(f"model: invalid inline matrix: {exc}") from exc
-    if kind == "gmon":
-        _check_keys(doc, {"type": True, "spec": False, "margin": False,
-                          "perturb_seed": False}, "model")
-        model = _gmon_model(doc["spec"], "model.spec") if "spec" in doc else default_model()
-        if "perturb_seed" in doc:
-            model = model.perturbed(_seed(doc["perturb_seed"], "model.perturb_seed"))
-        h = build_h0(model) + build_h1(model)
-        margin = _number(float, doc.get("margin", 0.1), "model.margin", above=0.0, below=0.5)
-        return dilate_hermitian(normalize_for_qsvt(h, margin)[0])
-    if kind == "synthetic":
-        _check_keys(doc, {"type": True, "bands": True, "per_band": False,
-                          "width": False, "basis_seed": False}, "model")
-        width = _number(float, doc.get("width", 0.0), "model.width")
-        values = synthetic_band_spectrum(
-            _number(int, doc["bands"], "model.bands", low=1),
-            _number(int, doc.get("per_band", 1), "model.per_band", low=1),
-            width,
-        )
-        gen = rng(_seed(doc.get("basis_seed", seed), "model.basis_seed"), 1)
-        h = hermitian_from_spectrum(values, gen)
-        try:
-            return dilate_hermitian(h)
-        except ValueError as exc:
-            raise ConfigError(f"model.width {width}: {exc}") from exc
-    raise ConfigError(f"model: unknown type {kind!r}")
+def _resolve_model(model: dict, seed: int) -> np.ndarray:
+    """A read `model` -> symmetric dilation of a Hermitian matrix with spectrum in [0, 1]."""
+    if model["type"] == "gmon":
+        gmon = model["spec"] if "spec" in model else default_model()
+        if "perturb_seed" in model:
+            gmon = gmon.perturbed(model["perturb_seed"])
+        h = build_h0(gmon) + build_h1(gmon)
+        return dilate_hermitian(normalize_for_qsvt(h, model["margin"])[0])
+    if model["type"] == "inline":
+        h, where = model["matrix"], "project.model: invalid inline matrix"
+    else:
+        values = synthetic_band_spectrum(model["bands"], model["per_band"], model["width"])
+        h = hermitian_from_spectrum(values, rng(model.get("basis_seed", seed), 1))
+        where = f"project.model.width {model['width']}"
+    try:
+        return dilate_hermitian(h)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _resolve_input(doc, spectrum, seed: int) -> np.ndarray:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"input: expected a JSON object, got {doc!r}")
-    kind = doc.get("type", "uniform-eigen")
+def _resolve_input(inp: dict, spectrum, seed: int) -> np.ndarray:
     n = spectrum.vectors.shape[0]
-    if kind == "uniform-eigen":
-        _check_keys(doc, {"type": False}, "input")
+    if inp["type"] == "uniform-eigen":
         return spectrum.vectors.sum(axis=1) / math.sqrt(n)
-    if kind == "haar":
-        _check_keys(doc, {"type": True, "seed": False}, "input")
-        return haar_vector(rng(_seed(doc.get("seed", seed), "input.seed"), 2), n)
-    if kind == "eigenstate":
-        _check_keys(doc, {"type": True, "index": True}, "input")
-        index = _number(int, doc["index"], "input.index")
-        if not 0 <= index < n:
-            raise ConfigError(f"input: eigenstate index {index} outside [0, {n})")
-        return spectrum.vectors[:, index].copy()
-    if kind == "amplitudes":
-        _check_keys(doc, {"type": True, "values": True}, "input")
-        pairs = _complex_pairs(doc["values"], "input.values")
-        if len(pairs) != n:
-            raise ConfigError(f"input: expected {n} amplitudes, got {len(pairs)}")
-        # A power of two brings the largest entry into [0.5, 1), so the norm
-        # cannot overflow, and scales the normalized state exactly.
-        amp = np.ldexp(pairs, -np.frexp(np.max(np.abs(pairs)))[1]).view(complex)[:, 0]
-        norm = np.linalg.norm(amp)
-        if norm == 0.0:
-            raise ConfigError("input: amplitudes are all zero")
-        return amp / norm
-    raise ConfigError(f"input: unknown type {kind!r}")
+    if inp["type"] == "haar":
+        return haar_vector(rng(inp.get("seed", seed), 2), n)
+    if inp["type"] == "eigenstate":
+        if not 0 <= inp["index"] < n:
+            raise ConfigError(f"project.input: eigenstate index {inp['index']} outside [0, {n})")
+        return spectrum.vectors[:, inp["index"]].copy()
+    pairs = np.array(inp["values"], dtype=float).reshape(-1, 2)
+    if len(pairs) != n:
+        raise ConfigError(f"project.input: expected {n} amplitudes, got {len(pairs)}")
+    # A power of two brings the largest entry into [0.5, 1), so the norm
+    # cannot overflow, and scales the normalized state exactly.
+    amp = np.ldexp(pairs, -np.frexp(np.max(np.abs(pairs)))[1]).view(complex)[:, 0]
+    norm = np.linalg.norm(amp)
+    if norm == 0.0:
+        raise ConfigError("project.input: amplitudes are all zero")
+    return amp / norm
 
 
-def cmd_project(config: dict, out: Path, seed: int) -> int:
-    _check_keys(config, {
-        "model": True, "bands": True, "mode": False, "budget": False,
-        "round_eps": False, "trajectories": False,
-        "haar_samples": False, "input": False,
-    }, "project")
-    enc = _resolve_model(config["model"], seed)
+def cmd_project(cfg: dict, out: Path, seed: int) -> int:
+    if ("min_gap" in cfg["bands"]) == ("target" in cfg["bands"]):
+        raise ConfigError("project.bands: pass exactly one of min_gap or target")
+    if ("budget" in cfg) == ("round_eps" in cfg):
+        raise ConfigError("project: pass exactly one of budget or round_eps")
+    enc = _resolve_model(cfg["model"], seed)
     dim = len(enc) // 2
     if dim & (dim - 1):
         raise ConfigError(
-            f"model: the system register needs a power-of-two dimension, got {dim}"
+            f"project.model: the system register needs a power-of-two dimension, got {dim}"
         )
     spectrum = eigh(enc[:dim, :dim])
-
-    band_doc = _check_keys(config["bands"], {"min_gap": False, "target": False}, "bands")
-    if ("min_gap" in band_doc) == ("target" in band_doc):
-        raise ConfigError("bands: pass exactly one of min_gap or target")
-    if "min_gap" in band_doc:
-        min_gap = _number(float, band_doc["min_gap"], "bands.min_gap", above=0.0)
-        structure = detect_bands(spectrum.values, min_gap=min_gap)
+    if "min_gap" in cfg["bands"]:
+        structure = detect_bands(spectrum.values, min_gap=cfg["bands"]["min_gap"])
     else:
-        target = _number(int, band_doc["target"], "bands.target", low=1, high=dim)
+        target = _number(int, cfg["bands"]["target"], "project.bands.target", high=dim)
         structure = detect_bands(spectrum.values, target_bands=target)
 
-    mode = config.get("mode", "enumerate")
-    if mode not in ("enumerate", "sample"):
-        raise ConfigError(f"project: unknown mode {mode!r}")
-    trajectories = _number(int, config.get("trajectories", 1), "project.trajectories", low=1)
-    _number(int, config.get("haar_samples", 32), "project.haar_samples", low=1)  # has no effect
     count = structure.band_count
-    if "round_eps" in config:
-        round_eps = _number(float, config["round_eps"], "project.round_eps")
-    elif "budget" in config:
-        budget = _number(float, config["budget"], "project.budget")
-        round_eps = round_budget(budget, count) if count > 1 else None
+    if "round_eps" in cfg:
+        round_eps = cfg["round_eps"]
     else:
-        raise ConfigError("project: pass budget or round_eps")
+        round_eps = round_budget(cfg["budget"], count) if count > 1 else None
     if count > 1 and not EPS_FLOOR <= round_eps < 1.0:
         raise ConfigError(
             f"project: per-round budget {round_eps:.3g} outside "
             f"[{EPS_FLOOR:g}, 1); raise budget or round_eps"
         )
 
-    amp = _resolve_input(config.get("input", {}), spectrum, seed)
+    amp = _resolve_input(cfg["input"], spectrum, seed)
+    mode = cfg["mode"]
     tree = run_multiband(enc, structure, round_eps, amp, mode=mode, seed=seed,
-                         trajectories=trajectories)
+                         trajectories=cfg["trajectories"])
     _write_json(out / "bands.json", structure.to_json())
 
     if mode == "sample":
@@ -417,32 +438,17 @@ def cmd_project(config: dict, out: Path, seed: int) -> int:
     return 0 if (count == 1 or upper <= bound) else 1
 
 
-def cmd_baselines(config: dict, out: Path, seed: int) -> int:
-    _check_keys(config, {
-        "Ls": True, "trials": False, "per_band": False, "filter": False,
-        "adiabatic_min_gap": False, "adiabatic_eps": False,
-    }, "baselines")
-    if not isinstance(config["Ls"], list) or not config["Ls"]:
-        raise ConfigError("baselines: Ls must be a nonempty list")
-    band_counts = [_number(int, v, "baselines.Ls", low=1) for v in config["Ls"]]
-    trials = _number(int, config.get("trials", 10000), "baselines.trials", low=1000)
-    per_band = _number(int, config.get("per_band", 2), "baselines.per_band", low=1)
-    filt_doc = _check_keys(config.get("filter", {}), {"delta": False, "eps": False},
-                           "baselines.filter")
-    delta = _number(float, filt_doc.get("delta", 0.2), "baselines.filter.delta")
-    eps = _number(float, filt_doc.get("eps", 1e-3), "baselines.filter.eps")
+def cmd_baselines(cfg: dict, out: Path, seed: int) -> int:
     try:
-        spec = FilterSpec(0.5, delta, eps)
+        spec = FilterSpec(0.5, cfg["filter"]["delta"], cfg["filter"]["eps"])
     except ValueError as exc:
         raise ConfigError(f"baselines.filter: invalid filter parameters: {exc}") from exc
-    min_gap = _number(float, config.get("adiabatic_min_gap", 0.1), "baselines.adiabatic_min_gap",
-                      above=0.0)
-    ad_eps = _number(float, config.get("adiabatic_eps", 1e-2), "baselines.adiabatic_eps",
-                     above=0.0)
+    per_band = cfg["per_band"]
+    estimate = adiabatic_time_estimate(per_band, cfg["adiabatic_min_gap"], cfg["adiabatic_eps"])
     degree = heaviside_filter(spec).degree
 
     rows = []
-    for count in band_counts:
+    for count in cfg["Ls"]:
         dim = count * per_band
         if dim & (dim - 1):
             raise ConfigError(
@@ -453,14 +459,14 @@ def cmd_baselines(config: dict, out: Path, seed: int) -> int:
         h = hermitian_from_spectrum(values, rng(seed, count))
         spectrum = eigh(h)
         structure = detect_bands(spectrum.values, target_bands=count)
-        walk = random_walk_success(structure, spectrum, trials, seed)
+        walk = random_walk_success(structure, spectrum, cfg["trials"], seed)
         rows.append([
             count,
             feedforward_query_count(count, degree),
             _fmt(walk.success_rate),
             _fmt(walk.stderr),
             _fmt(prob_projection_depth(np.full(count, 1.0 / count), "amplify")),
-            _fmt(adiabatic_time_estimate(per_band, min_gap, ad_eps)),
+            _fmt(estimate),
         ])
     _write_csv(
         out / "baselines.csv",
@@ -471,26 +477,19 @@ def cmd_baselines(config: dict, out: Path, seed: int) -> int:
     return 0
 
 
-def cmd_bosehubbard(config: dict, out: Path, seed: int) -> int:
-    _check_keys(config, {"model": False, "margin": False, "min_gap_fraction": False,
-                         "perturb_seed": False}, "bosehubbard")
-    model = (_gmon_model(config["model"], "bosehubbard.model") if "model" in config
-             else default_model())
-    # The detected band gap is min_gap_fraction * eta in normalized units.
-    _number(float, model.eta, "bosehubbard.model.eta", above=0.0)
-    if "perturb_seed" in config:
-        model = model.perturbed(_seed(config["perturb_seed"], "bosehubbard.perturb_seed"))
-    margin = _number(float, config.get("margin", 0.1), "bosehubbard.margin",
-                     above=0.0, below=0.5)
-    gap_fraction = _number(float, config.get("min_gap_fraction", 0.5),
-                           "bosehubbard.min_gap_fraction", above=0.0)
+def cmd_bosehubbard(cfg: dict, out: Path, seed: int) -> int:
+    model = cfg["model"] if "model" in cfg else default_model()
+    if "perturb_seed" in cfg:
+        model = model.perturbed(cfg["perturb_seed"])
 
     h0 = build_h0(model)
     h1 = build_h1(model)
     labeling = band_labels(model)
-    normalized, mapping = normalize_for_qsvt(h0 + h1, margin)
+    normalized, mapping = normalize_for_qsvt(h0 + h1, cfg["margin"])
     spectrum = eigh(normalized)
-    structure = detect_bands(spectrum.values, min_gap=gap_fraction * model.eta * mapping.scale)
+    # The detected band gap is min_gap_fraction * eta in normalized units.
+    structure = detect_bands(spectrum.values,
+                             min_gap=cfg["min_gap_fraction"] * model.eta * mapping.scale)
 
     _write_json(out / "model.json", model.to_json())
     _write_json(out / "h0.json", matrix_to_json(h0))
@@ -506,12 +505,8 @@ def cmd_bosehubbard(config: dict, out: Path, seed: int) -> int:
 
 
 def cmd_verify(numbers, out: str | None) -> int:
-    from .verify import CRITERIA, run_criteria
+    from .verify import run_criteria
 
-    unknown = sorted(set(numbers or ()) - set(CRITERIA))
-    if unknown:
-        raise ConfigError(f"verify --criteria: unknown criteria {unknown}, "
-                          f"expected numbers in {sorted(CRITERIA)}")
     if out is not None:
         out = _out_dir(out)
     results = run_criteria(numbers)
@@ -543,19 +538,19 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "verify":
-            numbers = [_number(int, tok, "verify --criteria")
-                       for tok in args.criteria.split(",") if tok.strip()]
+            tokens = [tok for tok in args.criteria.split(",") if tok.strip()]
+            numbers = _read(CRITERIA_LIST, tokens, "verify --criteria")
             return cmd_verify(numbers or None, args.out)
-        seed = _seed(args.seed, "--seed")
+        seed = _read(SEED, args.seed, "--seed")
         config = _load_config(args.config)
         out = _out_dir(args.out)
-        handler = {
-            "phases": cmd_phases,
-            "project": cmd_project,
-            "baselines": cmd_baselines,
-            "bosehubbard": cmd_bosehubbard,
+        handler, table = {
+            "phases": (cmd_phases, PHASES),
+            "project": (cmd_project, PROJECT),
+            "baselines": (cmd_baselines, BASELINES),
+            "bosehubbard": (cmd_bosehubbard, BOSEHUBBARD),
         }[args.command]
-        return handler(config, out, seed)
+        return handler(_read(table, config, args.command), out, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -324,7 +324,8 @@ def run_multiband(
     input. Sample mode expands the tree of the input column once; trajectory
     s walks down it reading row s of a (trajectories, 2 rounds) uniform block
     from the `SAMPLE_UNIFORMS` stream, entry `len(bits)` at each MAR, taking
-    outcome 0 below the 0-child's weight share.
+    outcome 0 below the 0-child's weight share. A block that numpy cannot
+    hold, or whose shape is past its array limit, raises a MemoryError.
     """
     if mode not in ("enumerate", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -349,7 +350,12 @@ def run_multiband(
     # no trajectory enters never raises.
     thresholds: dict = {}
     leaves = []
-    for row in rng(seed, SAMPLE_UNIFORMS).random((trajectories, 2 * policy.ell)):
+    shape = (trajectories, 2 * policy.ell)
+    try:
+        uniforms = rng(seed, SAMPLE_UNIFORMS).random(shape)
+    except ValueError as exc:  # numpy refuses a shape past its array limit
+        raise MemoryError(f"the {shape} uniform block of the sample draw: {exc}") from exc
+    for row in uniforms:
         bits = ()
         while bits not in by_record:
             if bits not in thresholds:

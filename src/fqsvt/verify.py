@@ -256,10 +256,13 @@ def criterion_6() -> CriterionResult:
                       f"queries {tree.query_count}")
 
     deltas = np.array([0.4, 0.2, 0.1, 0.05])
-    degrees = [heaviside_filter(FilterSpec(0.5, d, 1e-3)).degree for d in deltas]
-    slope_delta = float(np.polyfit(np.log(1.0 / deltas), np.log(degrees), 1)[0])
     epses = np.array([1e-2, 1e-3, 1e-4])
-    degrees_eps = [heaviside_filter(FilterSpec(0.5, 0.2, e)).degree for e in epses]
+    # One lockstep build of all seven filters; each equals its single build.
+    filters = heaviside_filter([FilterSpec(0.5, d, 1e-3) for d in deltas]
+                               + [FilterSpec(0.5, 0.2, e) for e in epses])
+    degrees = [f.degree for f in filters[:len(deltas)]]
+    slope_delta = float(np.polyfit(np.log(1.0 / deltas), np.log(degrees), 1)[0])
+    degrees_eps = [f.degree for f in filters[len(deltas):]]
     slope_eps = float(np.polyfit(np.log(np.log(1.0 / epses)), np.log(degrees_eps), 1)[0])
     passed = passed and abs(slope_delta - 1.0) <= 0.15 and slope_eps <= 1.2
     detail.append(f"degree slopes: vs gap {slope_delta:.3f}, vs log(1/eps) {slope_eps:.3f}")

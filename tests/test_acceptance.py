@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from fqsvt import chebyshev, feedforward, verify
 from fqsvt.blockenc import dilate_hermitian
 from fqsvt.feedforward import run_1fqsvt
 from fqsvt.linalg import dagger, eigh, haar_vector, hermitian_from_spectrum, rng
@@ -162,6 +163,27 @@ def test_criterion_05_projection_error_budget():
 
 def test_criterion_06_channel_accuracy_and_scaling():
     _run(6)
+
+
+def test_criterion_06_builds_its_scaling_filters_in_one_call(monkeypatch):
+    # One filter build per multi-band run (L = 2, 4, 8), then one list call
+    # for the seven degree-scaling filters; the detail is pinned.
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return chebyshev.heaviside_filter(spec)
+
+    monkeypatch.setattr(verify, "heaviside_filter", counting)
+    monkeypatch.setattr(feedforward, "heaviside_filter", counting)
+    assert CRITERIA[6]().detail == (
+        "L=2: distance 6.5e-04 to 9.5e-04 <= 8.0e-03 queries 16; "
+        "L=4: distance 1.7e-03 to 2.5e-03 <= 3.2e-02 queries 168; "
+        "L=8: distance 1.2e-03 to 1.9e-03 <= 9.6e-02 queries 576; "
+        "degree slopes: vs gap 1.008, vs log(1/eps) 1.000"
+    )
+    assert len(calls) == 4
+    assert [len(specs) for specs in calls[3:]] == [7]
 
 
 def test_criterion_07_walk_bound_and_separation():

@@ -293,3 +293,19 @@ def test_adiabatic_time_estimate_examples():
     assert adiabatic_time_estimate(4, 0.1, 0.01) == pytest.approx(8.0e5)
     with pytest.raises(ValueError):
         adiabatic_time_estimate(0, 0.1, 0.1)
+
+
+@pytest.mark.parametrize("eigenpaths, gap, eps", [
+    (2, 1e-200, 1e-2),  # gap^3 underflows to 0
+    (2, 1e-104, 1e-2),  # the quotient overflows to inf
+    (2, 0.1, 1e-320),
+    (10**300, 0.1, 0.1),  # M^(3/2) overflows
+], ids=["gap-cube-underflows", "quotient-overflows", "eps-subnormal", "power-overflows"])
+def test_adiabatic_time_estimate_names_an_overflow(eigenpaths, gap, eps):
+    with pytest.raises(ValueError, match=rf"M={eigenpaths}, gap={gap!r}, eps={eps!r}"):
+        adiabatic_time_estimate(eigenpaths, gap, eps)
+
+
+def test_adiabatic_time_estimate_of_a_huge_gap_underflows_to_zero():
+    # gap^3 overflows, so the estimate is 0, as IEEE division by inf gives.
+    assert adiabatic_time_estimate(2, 1e200, 1e-2) == 0.0

@@ -14,7 +14,7 @@ from fqsvt.bosehubbard import (
     fock_occupations,
     normalize_for_qsvt,
 )
-from fqsvt.cli import _gmon_model
+from fqsvt.cli import GMON_SPEC, _read
 from fqsvt.linalg import eigh
 
 TWO_PI = 2 * math.pi
@@ -204,7 +204,7 @@ def test_qubit_projection_pattern():
 
 def test_model_json_round_trip():
     model = default_model()
-    restored = _gmon_model(json.loads(json.dumps(model.to_json())), "model")
+    restored = _read(GMON_SPEC, json.loads(json.dumps(model.to_json())), "model")
     assert restored.modes == model.modes
     assert restored.edges == model.edges
     assert np.allclose(restored.delta, model.delta)

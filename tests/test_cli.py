@@ -548,6 +548,38 @@ def test_baselines_rejects_bad_config_value_with_exit_2(tmp_path, capsys, change
     assert cause in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("changes, cause", [
+    ({"adiabatic_min_gap": 1e-200}, "M=2, gap=1e-200, eps=0.01"),
+    ({"adiabatic_min_gap": 1e-104}, "M=2, gap=1e-104, eps=0.01"),
+    ({"adiabatic_eps": 1e-320}, "M=2, gap=0.1, eps=1e-320"),
+], ids=["gap-cube-underflows", "estimate-overflows", "eps-subnormal"])
+def test_baselines_adiabatic_overflow_exits_1_and_writes_no_csv(tmp_path, capsys, changes, cause):
+    # Inside the documented range (positive), but the estimate overflows a float.
+    cfg = write_config(tmp_path, {"Ls": [2], **changes})
+    assert main(["baselines", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: adiabatic time estimate") and cause in err
+    assert not (tmp_path / "b" / "baselines.csv").exists()
+
+
+@pytest.mark.parametrize("budget", [{"budget": 0.1, "round_eps": 1e-2}, {}],
+                         ids=["both", "neither"])
+def test_project_takes_exactly_one_of_budget_and_round_eps(tmp_path, capsys, budget):
+    cfg = write_config(tmp_path, {"model": SMALL_SYNTHETIC, "bands": {"target": 2}, **budget})
+    assert main(["project", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "project: pass exactly one of budget or round_eps" in capsys.readouterr().err
+
+
+def test_project_trajectories_past_the_array_limit_exit_1_out_of_memory(tmp_path, capsys):
+    # numpy refuses a (10**20, 2) shape before it allocates anything.
+    cfg = write_config(tmp_path, {"model": SMALL_SYNTHETIC, "bands": {"target": 2},
+                                  "round_eps": 1e-2, "mode": "sample", "trajectories": 10**20})
+    assert main(["project", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: the (100000000000000000000, 2) uniform block")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("model, cause", [
     ({"modes": 2}, "bosehubbard.model: missing key 'nmax'"),
     ({**default_model().to_json(), "nmax": 0}, "bosehubbard.model: need at least one mode"),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fqsvt.cli import _inline_matrix
+from fqsvt.cli import MATRIX, _read
 from fqsvt.linalg import (
     WALK_NORMALS,
     eigh,
@@ -188,7 +188,7 @@ def test_matrix_json_round_trip():
     a = gen.standard_normal((3, 2)) + 1j * gen.standard_normal((3, 2))
     doc = matrix_to_json(a)
     assert doc["rows"] == 3 and doc["cols"] == 2
-    assert np.array_equal(_inline_matrix(doc, "matrix"), a)
+    assert np.array_equal(_read(MATRIX, doc, "matrix"), a)
 
 
 def test_hermitian_from_spectrum_matches_values():
