@@ -15,8 +15,6 @@ from .bands import (
     synthetic_band_spectrum,
 )
 from .baselines import (
-    AdiabaticSchedule,
-    adiabatic_evolve,
     adiabatic_leakage_scaling,
     adiabatic_time_estimate,
     prob_projection_depth,

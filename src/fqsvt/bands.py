@@ -126,14 +126,11 @@ def exact_projectors(spectrum: HermitianSpectrum, structure: BandStructure) -> l
     return projectors
 
 
-def synthetic_band_spectrum(
-    bands: int, per_band: int = 1, width: float = 0.0,
-    lo: float = 0.05, hi: float = 0.95,
-) -> np.ndarray:
-    """Evenly spaced band clusters in [lo, hi] for driver and test instances."""
+def synthetic_band_spectrum(bands: int, per_band: int = 1, width: float = 0.0) -> np.ndarray:
+    """Evenly spaced band clusters centred in [0.05, 0.95] for driver and test instances."""
     if bands < 1 or per_band < 1:
         raise ValueError("need at least one band with one eigenvalue")
-    centers = np.linspace(lo, hi, bands) if bands > 1 else np.array([(lo + hi) / 2.0])
+    centers = np.linspace(0.05, 0.95, bands) if bands > 1 else np.array([0.5])
     if per_band == 1:
         return centers.copy()
     offsets = np.linspace(-width / 2.0, width / 2.0, per_band)

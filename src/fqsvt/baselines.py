@@ -18,13 +18,10 @@ from .linalg import (WALK_NORMALS, WALK_UNIFORMS, HermitianSpectrum, _check_stat
                      check_hermitian, eigh, rng)
 
 __all__ = [
-    "AdiabaticSchedule",
     "WalkEstimate",
     "LeakageFit",
-    "ConvergenceError",
     "prob_projection_depth",
     "random_walk_success",
-    "adiabatic_evolve",
     "adiabatic_leakage_scaling",
     "adiabatic_time_estimate",
 ]
@@ -35,24 +32,18 @@ __all__ = [
 _BLOCK = 256
 
 
-def prob_projection_depth(q, strategy: str) -> float:
-    """Expected query depth of projection onto a band drawn from q.
+def prob_projection_depth(q) -> float:
+    """Expected query depth of amplified projection onto a band drawn from q.
 
-    Classical repetition pays 1/q(j) per draw and averages to the number of
-    populated bands; amplitude amplification pays 1/sqrt(q(j)) and averages
-    to sum_j sqrt(q(j)).
+    Amplitude amplification pays 1/sqrt(q(j)) per draw and averages to
+    sum_j sqrt(q(j)).
     """
     q = np.asarray(q, dtype=float)
     if np.any(q < 0):
         raise ValueError("probabilities must be nonnegative")
     if abs(float(np.sum(q)) - 1.0) > 1e-9:
         raise ValueError(f"probabilities must sum to 1, got {np.sum(q)}")
-    nonzero = q[q > 0]
-    if strategy == "repeat":
-        return float(len(nonzero))
-    if strategy == "amplify":
-        return float(np.sum(np.sqrt(nonzero)))
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return float(np.sum(np.sqrt(q[q > 0])))
 
 
 @dataclass
@@ -127,88 +118,27 @@ def random_walk_success(
     return WalkEstimate(rate, stderr, trials, ell)
 
 
-@dataclass
-class AdiabaticSchedule:
-    """Interpolation schedule gamma on [0, 1] with total time and step count."""
+def _evolve_steps(h0, h1, total_time, steps, amplitudes) -> np.ndarray:
+    """Midpoint exponential steps along H(s) = (1 - s) H0 + s H1.
 
-    gamma: callable
-    total_time: float
-    steps: int
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("step count must be positive")
-        if self.total_time < 0:
-            raise ValueError("total time must be nonnegative")
-        grid = np.linspace(0.0, 1.0, 513)
-        vals = np.array([self.gamma(s) for s in grid])
-        if abs(vals[0]) > 1e-12 or abs(vals[-1] - 1.0) > 1e-12:
-            raise ValueError("schedule must satisfy gamma(0) = 0 and gamma(1) = 1")
-        if np.any(np.diff(vals) < -1e-12):
-            raise ValueError("schedule must be nondecreasing")
-
-
-class ConvergenceError(RuntimeError):
-    def __init__(self, message: str, coarse: np.ndarray, fine: np.ndarray):
-        super().__init__(message)
-        self.coarse = coarse
-        self.fine = fine
-
-
-def _evolve_steps(h0, h1, gamma, total_time, steps, amplitudes) -> np.ndarray:
-    """Midpoint exponential steps; each block of `_BLOCK` steps is one stacked `eigh`.
-
-    The phases and adjoint eigenvectors of a block are formed once; each
-    step then applies V (phases * (V^dagger state)) in that order.
+    Step k applies the exact exponential of H at s = (k + 0.5) / steps, so
+    the only error is the time discretization. Each block of `_BLOCK` steps
+    is one stacked `eigh`; its phases and adjoint eigenvectors are formed
+    once, and each step then applies V (phases * (V^dagger state)) in that
+    order.
     """
     state = amplitudes.astype(complex)
     if total_time == 0.0:
         return state
     dt = total_time / steps
     for start in range(0, steps, _BLOCK):
-        g = np.array([gamma((k + 0.5) / steps) for k in range(start, min(start + _BLOCK, steps))])
+        g = (np.arange(start, min(start + _BLOCK, steps)) + 0.5) / steps
         spec = eigh((1.0 - g)[:, None, None] * h0 + g[:, None, None] * h1)
         phases = np.exp(-1j * dt * spec.values)
         adjoints = spec.vectors.conj().swapaxes(-1, -2)
         for vectors, ph, adjoint in zip(spec.vectors, phases, adjoints):
             state = vectors @ (ph * (adjoint @ state))
     return state
-
-
-def adiabatic_evolve(
-    h0: np.ndarray,
-    h1: np.ndarray,
-    schedule: AdiabaticSchedule,
-    initial: np.ndarray,
-    check_convergence: bool = False,
-) -> np.ndarray:
-    """Propagate through the interpolating Hamiltonian with midpoint exponentials.
-
-    Each step applies the exact exponential of the Hamiltonian evaluated at
-    the step midpoint, so the only error is the time-discretization of the
-    schedule. With `check_convergence`, the evolution is repeated at twice
-    the resolution and must agree to 1e-8.
-    """
-    h0 = check_hermitian(h0)
-    h1 = check_hermitian(h1)
-    if h0.shape != h1.shape:
-        raise ValueError("endpoint Hamiltonians must share a dimension")
-    initial = _check_state(initial)
-    if h0.shape[0] != len(initial):
-        raise ValueError("initial state dimension does not match the Hamiltonians")
-    out = _evolve_steps(h0, h1, schedule.gamma, schedule.total_time,
-                        schedule.steps, initial)
-    if check_convergence:
-        fine = _evolve_steps(h0, h1, schedule.gamma, schedule.total_time,
-                             2 * schedule.steps, initial)
-        dev = float(np.max(np.abs(out - fine)))
-        if dev >= 1e-8:
-            raise ConvergenceError(
-                f"halving the step changes the output by {dev:.3e} "
-                f"(steps {schedule.steps} vs {2 * schedule.steps})",
-                out, fine,
-            )
-    return out
 
 
 @dataclass
@@ -229,23 +159,31 @@ def adiabatic_leakage_scaling(
     structure: BandStructure,
     band: int,
     times,
-    gamma,
     initial: np.ndarray,
 ) -> LeakageFit:
-    """Leakage out of the target band of the final Hamiltonian, fit against T.
+    """Leakage out of the target band of H1 after the linear path from H0, fit against T.
 
-    The evolution to time T runs max(64, ceil(16 T)) steps. The projector
-    comes from the final Hamiltonian's spectrum; leakage below 1e-9 at every
-    time makes the fit degenerate (reported, not raised).
+    The endpoints, the state and the times are checked once. The evolution
+    to time T runs max(64, ceil(16 T)) steps of `_evolve_steps`. The projector
+    comes from H1's spectrum; leakage below 1e-9 at every time makes the fit
+    degenerate (reported, not raised).
     """
+    h0 = check_hermitian(h0)
+    h1 = check_hermitian(h1)
+    if h0.shape != h1.shape:
+        raise ValueError("endpoint Hamiltonians must share a dimension")
+    initial = _check_state(initial)
+    if h0.shape[0] != len(initial):
+        raise ValueError("initial state dimension does not match the Hamiltonians")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not len(times) or not np.all(np.isfinite(times) & (times > 0)):
+        raise ValueError(f"times must be a nonempty list of positive finite values, got {times}")
     spectrum = eigh(h1)
     projector = exact_projectors(spectrum, structure)[band]
-    times = np.asarray(times, dtype=float)
     leakages = []
     for total_time in times:
         steps = max(64, int(math.ceil(16.0 * total_time)))
-        schedule = AdiabaticSchedule(gamma, float(total_time), steps)
-        final = adiabatic_evolve(h0, h1, schedule, initial)
+        final = _evolve_steps(h0, h1, float(total_time), steps, initial)
         leakages.append(float(np.linalg.norm(projector @ final - final)))
     leakages = np.array(leakages)
     if np.all(leakages < 1e-9):

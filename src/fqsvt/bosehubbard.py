@@ -18,8 +18,6 @@ from .linalg import check_hermitian, dagger, eigh, rng
 
 __all__ = [
     "GmonModel",
-    "BandLabeling",
-    "AffineMap",
     "CONTROL_LIMIT",
     "build_h0",
     "build_h1",
@@ -80,6 +78,21 @@ class GmonModel:
             for val in self.phi:
                 if not (0.0 <= val <= 2.0 * math.pi):
                     raise ValueError(f"drive phase {val} outside [0, 2 pi]")
+        # A Gershgorin bound R on H0 + H1, summed field by field: each term is
+        # the field's largest contribution to the absolute sum of a row. While
+        # 4 R is finite, so are every entry, every eigenvalue and the padded
+        # span (at most 4 R) that `normalize_for_qsvt` divides by.
+        bound = 0.0
+        for name, part in (
+            ("eta", 0.5 * abs(self.eta) * self.modes * self.nmax * (self.nmax - 1)),
+            ("edges", 2 * self.nmax * sum(abs(g) for _, _, g in self.edges)),
+            ("delta", self.nmax * sum(abs(v) for v in self.delta)),
+            ("f", 2 * math.sqrt(self.nmax) * sum(abs(v) for v in self.f)),
+        ):
+            bound += part
+            if not math.isfinite(4.0 * bound):
+                raise ValueError(f"{name} makes the Hamiltonian's spectrum overflow a float "
+                                 f"(4 times its Gershgorin bound is {4.0 * bound})")
 
     @property
     def levels(self) -> int:
@@ -183,39 +196,20 @@ def build_h1(model: GmonModel) -> np.ndarray:
     return check_hermitian(h, tol=1e-12)
 
 
-@dataclass
-class BandLabeling:
-    """Band index per Fock basis state; band b's bare energy is b times the model's eta."""
+def band_labels(model: GmonModel) -> np.ndarray:
+    """Excitation-structure label sum_j n_j (n_j - 1) / 2 for every Fock state.
 
-    labels: np.ndarray
-
-    def groups(self) -> dict:
-        out: dict = {}
-        for idx, band in enumerate(self.labels):
-            out.setdefault(int(band), []).append(idx)
-        return out
-
-
-def band_labels(model: GmonModel) -> BandLabeling:
-    """Excitation-structure label sum_j n_j (n_j - 1) / 2 for every Fock state."""
+    Band b's bare energy is b times the model's eta.
+    """
     occ = fock_occupations(model)
-    labels = np.sum(occ * (occ - 1), axis=1) // 2
-    return BandLabeling(labels.astype(int))
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """x -> scale * x + offset, the map that carries energies onto the normalized spectrum."""
-
-    scale: float
-    offset: float
+    return (np.sum(occ * (occ - 1), axis=1) // 2).astype(int)
 
 
 def normalize_for_qsvt(h: np.ndarray, margin: float) -> tuple:
-    """Affinely map the spectrum into [margin', 1 - margin'] for block encoding.
+    """(matrix, scale): the spectrum mapped affinely into [margin', 1 - margin'].
 
-    The margin fraction is taken relative to the spectral span; the map is
-    returned so gap centers and thresholds translate exactly.
+    The margin fraction is taken relative to the spectral span; energy
+    differences such as gap widths scale by `scale`.
     """
     if not (0.0 < margin < 0.5):
         raise ValueError("margin must lie in (0, 1/2)")
@@ -228,6 +222,4 @@ def normalize_for_qsvt(h: np.ndarray, margin: float) -> tuple:
     pad = margin * span
     scale = 1.0 / (span + 2.0 * pad)
     offset = -(lo - pad) * scale
-    mapping = AffineMap(scale, offset)
-    normalized = scale * h + offset * np.eye(h.shape[0])
-    return normalized, mapping
+    return scale * h + offset * np.eye(h.shape[0]), scale

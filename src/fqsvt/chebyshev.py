@@ -128,11 +128,16 @@ class FilterSpec:
             )
         if self.delta <= 0.0:
             raise ValueError("transition width must be positive")
-        if not (self.mu - self.delta / 2.0 > 0.0 and self.mu + self.delta / 2.0 < 1.0):
-            raise ValueError(
-                f"transition window [{self.mu - self.delta / 2}, {self.mu + self.delta / 2}] "
-                "must sit strictly inside (0, 1)"
-            )
+        _check_window(self.mu, self.delta)
+
+
+def _check_window(mu: float, delta: float):
+    """The transition window [mu - delta/2, mu + delta/2] must sit strictly inside (0, 1)."""
+    if not (mu - delta / 2.0 > 0.0 and mu + delta / 2.0 < 1.0):
+        raise ValueError(
+            f"transition window [{mu - delta / 2}, {mu + delta / 2}] "
+            "must sit strictly inside (0, 1)"
+        )
 
 
 def synthesis_margin(eps: float) -> float:

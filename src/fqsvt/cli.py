@@ -38,7 +38,7 @@ from .bosehubbard import (
     fock_occupations,
     normalize_for_qsvt,
 )
-from .chebyshev import EPS_FLOOR, FilterSpec, _build_filters, heaviside_filter
+from .chebyshev import EPS_FLOOR, FilterSpec, _build_filters, _check_window, heaviside_filter
 from .feedforward import (
     KrausExtraction,
     channel_bound,
@@ -48,13 +48,7 @@ from .feedforward import (
     round_budget,
     run_multiband,
 )
-from .linalg import (
-    eigh,
-    haar_vector,
-    hermitian_from_spectrum,
-    matrix_to_json,
-    rng,
-)
+from .linalg import eigh, haar_vector, hermitian_from_spectrum, rng
 from .qsp import synthesize_symmetric, to_circuit
 
 __all__ = ["main", "ConfigError"]
@@ -224,8 +218,15 @@ def _read(kind, value, name: str):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
+def matrix_to_json(a: np.ndarray) -> dict:
+    """Encode a complex matrix as {"rows", "cols", "data"} with (re, im) pairs, row-major."""
+    a = np.atleast_2d(np.asarray(a, dtype=complex))
+    data = np.stack([a.real, a.imag], axis=-1).reshape(-1, 2).tolist()
+    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
+
+
 def _matrix(rows: int, cols: int, data: list) -> np.ndarray:
-    """A matrix document, with the keys of `linalg.matrix_to_json`, as a complex array."""
+    """A matrix document, with the keys of `matrix_to_json`, as a complex array."""
     if len(data) != rows * cols:
         raise ValueError(f"claims {rows}x{cols} but carries {len(data)} entries")
     return np.array(data, dtype=float).reshape(-1, 2).view(complex).reshape(rows, cols)
@@ -402,6 +403,18 @@ def cmd_project(cfg: dict, out: Path, seed: int) -> int:
             f"project: per-round budget {round_eps:.3g} outside "
             f"[{EPS_FLOOR:g}, 1); raise budget or round_eps"
         )
+    # Each split's filter needs its transition window strictly inside (0, 1),
+    # so an eigenvalue at 0 or 1 next to the narrowest selected gap rejects
+    # the model before any filter is built.
+    for j, center in enumerate(structure.centers):
+        try:
+            _check_window(float(center), structure.delta)
+        except ValueError as exc:
+            below = spectrum.values[structure.bands[j][-1]]
+            above = spectrum.values[structure.bands[j + 1][0]]
+            edge = below if center - structure.delta / 2.0 <= 0.0 else above
+            raise ConfigError(f"project.model: eigenvalue {edge} is a band edge at 0 or 1 "
+                              f"next to the selected gap ({below}, {above}): {exc}") from exc
 
     amp = _resolve_input(cfg["input"], spectrum, seed)
     mode = cfg["mode"]
@@ -465,7 +478,7 @@ def cmd_baselines(cfg: dict, out: Path, seed: int) -> int:
             feedforward_query_count(count, degree),
             _fmt(walk.success_rate),
             _fmt(walk.stderr),
-            _fmt(prob_projection_depth(np.full(count, 1.0 / count), "amplify")),
+            _fmt(prob_projection_depth(np.full(count, 1.0 / count))),
             _fmt(estimate),
         ])
     _write_csv(
@@ -484,19 +497,19 @@ def cmd_bosehubbard(cfg: dict, out: Path, seed: int) -> int:
 
     h0 = build_h0(model)
     h1 = build_h1(model)
-    labeling = band_labels(model)
-    normalized, mapping = normalize_for_qsvt(h0 + h1, cfg["margin"])
+    labels = band_labels(model)
+    normalized, scale = normalize_for_qsvt(h0 + h1, cfg["margin"])
     spectrum = eigh(normalized)
     # The detected band gap is min_gap_fraction * eta in normalized units.
     structure = detect_bands(spectrum.values,
-                             min_gap=cfg["min_gap_fraction"] * model.eta * mapping.scale)
+                             min_gap=cfg["min_gap_fraction"] * model.eta * scale)
 
     _write_json(out / "model.json", model.to_json())
     _write_json(out / "h0.json", matrix_to_json(h0))
     _write_json(out / "h1.json", matrix_to_json(h1))
     occ = fock_occupations(model)
     _write_csv(out / "labels.csv", ["index", "occupations", "band"],
-               [[i, "".join(map(str, occ[i])), int(labeling.labels[i])]
+               [[i, "".join(map(str, occ[i])), int(labels[i])]
                 for i in range(model.dimension)])
     _write_csv(out / "spectrum.csv", ["index", "normalized_energy"],
                [[i, _fmt(v)] for i, v in enumerate(spectrum.values)])

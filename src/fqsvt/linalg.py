@@ -22,7 +22,6 @@ __all__ = [
     "hermitian_from_spectrum",
     "dagger",
     "check_hermitian",
-    "matrix_to_json",
 ]
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -150,9 +149,3 @@ def hermitian_from_spectrum(values, gen: np.random.Generator) -> np.ndarray:
     basis = eigh(random_hermitian(len(values), gen)).vectors
     return (basis * values) @ dagger(basis)
 
-
-def matrix_to_json(a: np.ndarray) -> dict:
-    """Encode a complex matrix as {"rows", "cols", "data"} with (re, im) pairs, row-major."""
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    data = np.stack([a.real, a.imag], axis=-1).reshape(-1, 2).tolist()
-    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}

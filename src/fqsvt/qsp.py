@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -61,7 +60,7 @@ class PhaseFactorSet:
     def degree(self) -> int:
         return len(self.values) - 1
 
-    @cached_property
+    @property
     def symmetric(self) -> bool:
         """Palindrome test on the stored values."""
         return bool(np.max(np.abs(self.values - self.values[::-1])) <= SYMMETRY_TOL)

@@ -7,11 +7,8 @@ from fqsvt import baselines
 from fqsvt.bands import detect_bands, exact_projectors, synthetic_band_spectrum
 from fqsvt.baselines import (
     _BLOCK,
-    AdiabaticSchedule,
-    ConvergenceError,
     WalkEstimate,
     _evolve_steps,
-    adiabatic_evolve,
     adiabatic_leakage_scaling,
     adiabatic_time_estimate,
     prob_projection_depth,
@@ -71,14 +68,12 @@ def _reference_walk(structure, spectrum, trials, seed):
     return WalkEstimate(rate, stderr, trials, ell)
 
 
-def _reference_evolve(h0, h1, gamma, total_time, steps, amplitudes):
-    """Midpoint exponential steps with one `eigh` call per step."""
+def _reference_evolve(h0, h1, total_time, steps, amplitudes):
+    """Midpoint exponential steps along the linear path, one `eigh` call per step."""
     state = amplitudes.astype(complex)
-    if total_time == 0.0:
-        return state
     dt = total_time / steps
     for k in range(steps):
-        g = gamma((k + 0.5) / steps)
+        g = (k + 0.5) / steps
         spec = eigh((1.0 - g) * h0 + g * h1)
         phases = np.exp(-1j * dt * spec.values)
         state = spec.vectors @ (phases * (dagger(spec.vectors) @ state))
@@ -86,18 +81,18 @@ def _reference_evolve(h0, h1, gamma, total_time, steps, amplitudes):
 
 
 def test_prob_projection_depth_examples():
-    assert prob_projection_depth(np.full(16, 1 / 16), "amplify") == 4.0
-    assert prob_projection_depth([1.0], "amplify") == 1.0
-    assert prob_projection_depth([1.0], "repeat") == 1.0
-    assert prob_projection_depth([0.25, 0.75], "amplify") == pytest.approx(0.5 + math.sqrt(0.75))
-    assert prob_projection_depth([0.5, 0.5, 0.0], "repeat") == 2.0
+    assert prob_projection_depth(np.full(16, 1 / 16)) == 4.0
+    assert prob_projection_depth([1.0]) == 1.0
+    assert prob_projection_depth([0.25, 0.75]) == pytest.approx(0.5 + math.sqrt(0.75))
+    # An empty band costs nothing.
+    assert prob_projection_depth([0.5, 0.5, 0.0]) == pytest.approx(math.sqrt(2.0))
 
 
 def test_prob_projection_depth_validation():
     with pytest.raises(ValueError, match="sum"):
-        prob_projection_depth([0.5, 0.4], "amplify")
-    with pytest.raises(ValueError, match="strategy"):
-        prob_projection_depth([1.0], "both")
+        prob_projection_depth([0.5, 0.4])
+    with pytest.raises(ValueError, match="nonnegative"):
+        prob_projection_depth([1.5, -0.5])
 
 
 def test_random_walk_two_bands_always_classifies():
@@ -164,33 +159,6 @@ def test_random_walk_builds_two_generators_whatever_the_trial_count(monkeypatch)
         assert len(built) == 2
 
 
-def test_schedule_validation():
-    AdiabaticSchedule(lambda s: s, 10.0, 100)
-    with pytest.raises(ValueError, match="gamma"):
-        AdiabaticSchedule(lambda s: 0.5 * s, 10.0, 100)
-    with pytest.raises(ValueError, match="nondecreasing"):
-        AdiabaticSchedule(lambda s: math.sin(4 * math.pi * s) * 0.5 + s, 1.0, 10)
-
-
-def test_adiabatic_constant_hamiltonian():
-    gen = rng(4)
-    h = hermitian_from_spectrum([0.1, 0.4, 0.7, 0.9], gen)
-    spec = eigh(h)
-    init = spec.vectors[:, 1]
-    out = adiabatic_evolve(h, h, AdiabaticSchedule(lambda s: s, 5.0, 100), init)
-    expected = math.e ** (-1j * 5.0 * spec.values[1]) * spec.vectors[:, 1]
-    assert np.max(np.abs(out - expected)) <= 1e-10
-    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_adiabatic_zero_time_returns_initial():
-    gen = rng(5)
-    h = hermitian_from_spectrum([0.2, 0.8], gen)
-    init = [1.0, 0.0]
-    out = adiabatic_evolve(h, h, AdiabaticSchedule(lambda s: s, 0.0, 5), init)
-    assert np.array_equal(out, init)
-
-
 def _reference_instance():
     gen = rng(1)
     h0 = np.diag([0.0, 0.15, 1.0, 1.15]).astype(complex)
@@ -199,66 +167,110 @@ def _reference_instance():
     return h0, h0 + v
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"h0": np.triu(np.ones((4, 4)))}, "not Hermitian"),
+    ({"h1": np.eye(2)}, "share a dimension"),
+    ({"initial": [1, 0]}, "initial state dimension"),
+    ({"initial": [np.nan, 0, 0, 0]}, "finite"),
+    ({"times": [50.0, 0.0]}, "positive finite"),
+    ({"times": [-1.0]}, "positive finite"),
+    ({"times": [math.inf]}, "positive finite"),
+    ({"times": []}, "nonempty"),
+], ids=["h0-not-hermitian", "shapes-differ", "state-length", "state-nan", "zero-time",
+        "negative-time", "infinite-time", "no-times"])
+def test_leakage_scaling_validates_its_inputs(change, message):
+    h0, h1 = _reference_instance()
+    args = {"h0": h0, "h1": h1, "structure": detect_bands(eigh(h1).values, target_bands=2),
+            "band": 0, "times": [50.0], "initial": [1, 0, 0, 0], **change}
+    with pytest.raises(ValueError, match=message):
+        adiabatic_leakage_scaling(**args)
+
+
+def test_adiabatic_constant_hamiltonian():
+    gen = rng(4)
+    h = hermitian_from_spectrum([0.1, 0.4, 0.7, 0.9], gen)
+    spec = eigh(h)
+    init = spec.vectors[:, 1]
+    out = _evolve_steps(h, h, 5.0, 100, init)
+    expected = math.e ** (-1j * 5.0 * spec.values[1]) * spec.vectors[:, 1]
+    assert np.max(np.abs(out - expected)) <= 1e-10
+    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_adiabatic_zero_time_returns_initial():
+    gen = rng(5)
+    h = hermitian_from_spectrum([0.2, 0.8], gen)
+    init = np.array([1.0, 0.0])
+    out = _evolve_steps(h, h, 0.0, 5, init)
+    assert np.array_equal(out, init)
+
+
 @pytest.mark.parametrize("steps", [1, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 37])
 @pytest.mark.parametrize("total_time", [30.0, -12.5])
 def test_evolve_steps_matches_per_step_reference(steps, total_time):
     h0, h1 = _reference_instance()
     init = np.array([0.6, 0.0, 0.8j, 0.0])
-    gamma = lambda s: s * s * (3.0 - 2.0 * s)  # noqa: E731
-    assert np.array_equal(_evolve_steps(h0, h1, gamma, total_time, steps, init),
-                          _reference_evolve(h0, h1, gamma, total_time, steps, init))
-
-
-def test_convergence_check_compares_the_reference_evolutions():
-    h0, h1 = _reference_instance()
-    init = np.array([1, 0, 0, 0], dtype=complex)
-    with pytest.raises(ConvergenceError) as info:
-        adiabatic_evolve(h0, h1, AdiabaticSchedule(lambda s: s, 100.0, 300), init,
-                         check_convergence=True)
-    assert np.array_equal(info.value.coarse,
-                          _reference_evolve(h0, h1, lambda s: s, 100.0, 300, init))
-    assert np.array_equal(info.value.fine,
-                          _reference_evolve(h0, h1, lambda s: s, 100.0, 600, init))
-    out = adiabatic_evolve(h0, h1, AdiabaticSchedule(lambda s: s, 5.0, 4000), init,
-                           check_convergence=True)
-    assert np.array_equal(out, _reference_evolve(h0, h1, lambda s: s, 5.0, 4000, init))
+    assert np.array_equal(_evolve_steps(h0, h1, total_time, steps, init),
+                          _reference_evolve(h0, h1, total_time, steps, init))
 
 
 def test_evolve_steps_checks_every_interpolated_hamiltonian():
-    h0, h1 = _reference_instance()
+    # Entries below 1 put every stacked matrix's Hermitian tolerance at 1e-10.
+    h0, h1 = (0.5 * h for h in _reference_instance())
+    assert max(np.max(np.abs(h0)), np.max(np.abs(h1))) < 1.0
     skewed = h1.copy()
-    skewed[0, 3] += 1e-6
     steps = 2 * _BLOCK
-    # Only step _BLOCK + 44 sees the non-Hermitian endpoint.
-    gamma = lambda s: 1.0 if round(s * steps - 0.5) == _BLOCK + 44 else 0.0  # noqa: E731
+    # The skew of step k is s_k times the endpoint's, so steps from 300 on,
+    # matrix 44 of the second block first, pass the tolerance.
+    skewed[0, 3] += 1e-10 * steps / 300
     with pytest.raises(ValueError, match=r"matrix 44 of the stack is not Hermitian: "
                                          r"entry \((0, 3|3, 0)\)"):
-        _evolve_steps(h0, skewed, gamma, 1.0, steps, np.array([1, 0, 0, 0], dtype=complex))
+        _evolve_steps(h0, skewed, 1.0, steps, np.array([1, 0, 0, 0], dtype=complex))
 
 
 def test_adiabatic_time_reversal():
     h0, h1 = _reference_instance()
     init = np.array([1, 0, 0, 0], dtype=complex)
-    forward = _evolve_steps(h0, h1, lambda s: s, 30.0, 600, init)
-    returned = _evolve_steps(h0, h1, lambda s: 1.0 - s, -30.0, 600, forward)
+    forward = _evolve_steps(h0, h1, 30.0, 600, init)
+    returned = _evolve_steps(h1, h0, -30.0, 600, forward)
     assert np.max(np.abs(returned - init)) <= 1e-8
 
 
+def _halving_deviation(h0, h1, total_time, steps, initial):
+    """Largest change of the evolved state when the step is halved."""
+    coarse = _evolve_steps(h0, h1, total_time, steps, initial)
+    return float(np.max(np.abs(coarse - _evolve_steps(h0, h1, total_time, 2 * steps, initial))))
+
+
 def test_adiabatic_convergence_check_raises_on_coarse_steps():
+    # A test-local step-halving check at a 1e-8 gate flags T = 100 at 40
+    # steps and passes T = 5 at 4000.
     h0, h1 = _reference_instance()
-    init = [1, 0, 0, 0]
-    with pytest.raises(ConvergenceError):
-        adiabatic_evolve(h0, h1, AdiabaticSchedule(lambda s: s, 100.0, 40), init,
-                         check_convergence=True)
-    adiabatic_evolve(h0, h1, AdiabaticSchedule(lambda s: s, 5.0, 4000), init,
-                     check_convergence=True)
+    init = np.array([1, 0, 0, 0], dtype=complex)
+    assert _halving_deviation(h0, h1, 100.0, 40, init) >= 1e-8
+    assert _halving_deviation(h0, h1, 5.0, 4000, init) < 1e-8
+
+
+def test_criterion_9_leakage_is_converged_at_its_step_rule():
+    # Doubling criterion 9's steps, max(64, ceil(16 T)), moves each leakage it
+    # fits by less than 1e-3 relative (2.4e-4 to 2.9e-4 here).
+    h0, h1 = _reference_instance()
+    structure = detect_bands(eigh(h1).values, target_bands=2)
+    projector = exact_projectors(eigh(h1), structure)[0]
+    init = np.array([1, 0, 0, 0], dtype=complex)
+    times = [50.0, 100.0, 200.0, 400.0]
+    fit = adiabatic_leakage_scaling(h0, h1, structure, 0, times, init)
+    for total_time, leakage in zip(times, fit.leakages):
+        final = _evolve_steps(h0, h1, total_time, 2 * max(64, math.ceil(16 * total_time)), init)
+        fine = float(np.linalg.norm(projector @ final - final))
+        assert abs(leakage - fine) < 1e-3 * fine
 
 
 def test_adiabatic_leakage_decreases_with_time():
     h0, h1 = _reference_instance()
     structure = detect_bands(eigh(h1).values, target_bands=2)
     fit = adiabatic_leakage_scaling(h0, h1, structure, 0, [50.0, 100.0, 200.0],
-                                    lambda s: s, [1, 0, 0, 0])
+                                    [1, 0, 0, 0])
     assert not fit.degenerate
     assert np.all(np.diff(fit.leakages) < 0)
     assert fit.slope < -0.5
@@ -268,8 +280,7 @@ def test_adiabatic_leakage_degenerate_for_trivial_instance():
     _, h1 = _reference_instance()
     structure = detect_bands(eigh(h1).values, target_bands=2)
     init = eigh(h1).vectors[:, 0]
-    fit = adiabatic_leakage_scaling(h1, h1, structure, 0, [5.0, 10.0],
-                                    lambda s: s, init)
+    fit = adiabatic_leakage_scaling(h1, h1, structure, 0, [5.0, 10.0], init)
     assert fit.degenerate
     assert np.all(fit.leakages < 1e-9)
 
@@ -280,10 +291,10 @@ def test_adiabatic_leakage_grows_when_gap_shrinks():
     shrunk1 = shrunk0 + (h1 - h0)
     init = [1, 0, 0, 0]
     wide = adiabatic_leakage_scaling(h0, h1, detect_bands(eigh(h1).values, target_bands=2),
-                                     0, [50.0, 100.0], lambda s: s, init)
+                                     0, [50.0, 100.0], init)
     narrow = adiabatic_leakage_scaling(shrunk0, shrunk1,
                                        detect_bands(eigh(shrunk1).values, target_bands=2),
-                                       0, [50.0, 100.0], lambda s: s, init)
+                                       0, [50.0, 100.0], init)
     assert np.all(narrow.leakages > wide.leakages)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,23 +115,43 @@ def test_control_range_enforcement():
               check_ranges=False)
 
 
+@pytest.mark.parametrize("field, rejected, accepted", [
+    # 4 (eta/2) m nmax (nmax - 1) is 2e308 for eta = 2.5e307 and m = nmax = 2.
+    ("eta", 2.5e307, 1e307),
+    ("edges", [(0, 1, 1e308)], [(0, 1, 1e306)]),
+    ("delta", [1e308, 1e308], [1e306, 1e306]),
+    ("f", [0.0, 1e308], [0.0, 1e306]),
+])
+def test_model_rejects_a_hamiltonian_that_could_overflow(field, rejected, accepted):
+    fields = dict(modes=2, nmax=2, eta=1.0, edges=[(0, 1, 1.0)], delta=[1.0, 1.0],
+                  f=[1.0, 1.0], phi=[0.1, 0.2], check_ranges=False)
+    with pytest.raises(ValueError, match=rf"^{field} makes the Hamiltonian's spectrum overflow"):
+        GmonModel(**{**fields, field: rejected})
+    # Within the bound, the field builds a finite Hamiltonian and spectrum.
+    model = GmonModel(**{**fields, field: accepted})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = eigh(build_h0(model) + build_h1(model)).values
+    assert np.all(np.isfinite(values))
+
+
 def test_band_labels_examples():
     model = default_model()
-    labeling = band_labels(model)
-    assert labeling.labels[fock_index(model, (1, 1))] == 0
-    assert labeling.labels[fock_index(model, (2, 1))] == 1
-    assert labeling.labels[fock_index(model, (3, 0))] == 3
+    labels = band_labels(model)
+    assert labels[fock_index(model, (1, 1))] == 0
+    assert labels[fock_index(model, (2, 1))] == 1
+    assert labels[fock_index(model, (3, 0))] == 3
     # Band b's bare energy is b times eta.
-    assert np.array_equal(np.diag(build_h0(model)).real, labeling.labels * model.eta)
+    assert np.array_equal(np.diag(build_h0(model)).real, labels * model.eta)
 
 
 def test_band_labels_four_listed_groups():
     model = default_model()
     occ = fock_occupations(model)
-    groups = band_labels(model).groups()
+    labels = band_labels(model)
 
     def names(band):
-        return sorted("".join(map(str, occ[i])) for i in groups[band])
+        return sorted("".join(map(str, occ[i])) for i in np.flatnonzero(labels == band))
 
     assert names(0) == ["00", "01", "10", "11"]
     assert names(1) == ["02", "12", "20", "21"]
@@ -140,17 +161,17 @@ def test_band_labels_four_listed_groups():
 
 def test_perturbative_band_integrity():
     model = default_model().perturbed(seed=42)
-    labeling = band_labels(model)
+    labels = band_labels(model)
     h = build_h0(model) + build_h1(model)
     spectrum = eigh(h)
     structure = detect_bands(spectrum.values, min_gap=model.eta / 2)
     assert [len(b) for b in structure.bands] == [4, 4, 1, 4, 2, 1]
-    label_order = sorted(set(int(l) for l in labeling.labels))
+    label_order = sorted(set(int(l) for l in labels))
     for j, band in enumerate(structure.bands):
         for col in band:
             weights = np.zeros(7)
             for k in range(model.dimension):
-                weights[labeling.labels[k]] += abs(spectrum.vectors[k, col]) ** 2
+                weights[labels[k]] += abs(spectrum.vectors[k, col]) ** 2
             assert weights[label_order[j]] >= 0.9
 
 
@@ -170,10 +191,11 @@ def test_truncation_stability_of_qubit_band():
 
 def test_normalize_round_trip_and_validation():
     h = np.diag([0.1, 0.9])
-    normalized, mapping = normalize_for_qsvt(h, 0.1)
+    normalized, scale = normalize_for_qsvt(h, 0.1)
     values = eigh(normalized).values
-    assert values[0] > 0 and values[-1] < 1
-    assert np.allclose(values, mapping.scale * np.array([0.1, 0.9]) + mapping.offset,
+    # The span 0.8 and its two margins of 0.08 map onto [0, 1].
+    assert scale == pytest.approx(1.0 / 0.96, rel=1e-15)
+    assert np.allclose(values, scale * (np.array([0.1, 0.9]) - 0.1 + 0.08),
                        rtol=0.0, atol=1e-14)
     with pytest.raises(ValueError, match="margin"):
         normalize_for_qsvt(h, 0.0)
@@ -184,10 +206,10 @@ def test_normalize_round_trip_and_validation():
 def test_normalized_gmon_gap_scales_with_eta():
     model = default_model()
     h = build_h0(model) + build_h1(model)
-    normalized, mapping = normalize_for_qsvt(h, 0.1)
-    structure = detect_bands(eigh(normalized).values, min_gap=0.5 * model.eta * mapping.scale)
+    normalized, scale = normalize_for_qsvt(h, 0.1)
+    structure = detect_bands(eigh(normalized).values, min_gap=0.5 * model.eta * scale)
     assert structure.band_count == 6
-    assert structure.delta >= 0.5 * model.eta * mapping.scale
+    assert structure.delta >= 0.5 * model.eta * scale
 
 
 def test_qubit_projection_pattern():

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,13 +13,8 @@ import pytest
 import fqsvt
 from fqsvt import chebyshev, cli, feedforward
 from fqsvt.bosehubbard import default_model
-from fqsvt.cli import ConfigError, _number, main
-from fqsvt.linalg import (
-    SAMPLE_UNIFORMS,
-    WALK_NORMALS,
-    WALK_UNIFORMS,
-    matrix_to_json,
-)
+from fqsvt.cli import ConfigError, _number, main, matrix_to_json
+from fqsvt.linalg import SAMPLE_UNIFORMS, WALK_NORMALS, WALK_UNIFORMS
 from fqsvt.verify import CRITERIA
 
 
@@ -197,11 +193,27 @@ GOOD_MODEL = _inline(np.diag([0.2, 0.8]))
     ({"type": "inline", "matrix": {**GOOD_MODEL["matrix"],
                                    "data": [[0.2, 0.0], [0.0, 0.0], [0.0, 0.0], [True, 0.0]]}},
      {}, "model.matrix.data: expected float, got True"),
+    # A split's transition window, its center +- half the narrowest gap, must
+    # sit strictly inside (0, 1).
+    (_inline(np.diag([0.0, 0.9])), {},
+     "project.model: eigenvalue 0.0 is a band edge at 0 or 1 next to the selected gap "
+     "(0.0, 0.9): transition window [0.0, 0.9] must sit strictly inside (0, 1)"),
+    (_inline(np.diag([0.0, 1.0])), {},
+     "project.model: eigenvalue 0.0 is a band edge at 0 or 1 next to the selected gap "
+     "(0.0, 1.0): transition window [0.0, 1.0] must sit strictly inside (0, 1)"),
+    (_inline(np.diag([0.5, 1.0])), {},
+     "project.model: eigenvalue 1.0 is a band edge at 0 or 1 next to the selected gap "
+     "(0.5, 1.0): transition window [0.5, 1.0] must sit strictly inside (0, 1)"),
 ], ids=["entry-count", "non-square", "non-hermitian", "spectrum", "index-high", "index-negative",
         "amplitude-count", "amplitudes-zero", "amplitudes-nonfinite", "amplitudes-not-pairs",
         "amplitudes-boolean", "model-not-an-object", "input-not-an-object", "rows-fractional",
-        "matrix-entry-boolean"])
-def test_project_rejects_bad_inline_model_or_input_with_exit_2(tmp_path, capsys, model, inp, cause):
+        "matrix-entry-boolean", "band-edge-at-0", "projector", "band-edge-at-1"])
+def test_project_rejects_bad_inline_model_or_input_with_exit_2(tmp_path, capsys, monkeypatch,
+                                                             model, inp, cause):
+    def no_filters(specs):
+        raise AssertionError("a filter was built before the config was checked")
+
+    monkeypatch.setattr(feedforward, "heaviside_filter", no_filters)
     cfg = write_config(tmp_path, {
         "model": model,
         "bands": {"target": 2},
@@ -317,6 +329,30 @@ def test_project_rejects_round_budget_below_floor_with_exit_2(tmp_path, capsys, 
     })
     assert main(["project", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "per-round budget" in capsys.readouterr().err
+
+
+GMON_SPEC_DOC = default_model().to_json()
+
+
+@pytest.mark.parametrize("command, spec, cause", [
+    ("bosehubbard", {"eta": 1e308}, "bosehubbard.model: eta makes"),
+    ("bosehubbard", {"delta": [1e308, -1e308], "check_ranges": False},
+     "bosehubbard.model: delta makes"),
+    ("project", {"eta": 1e308}, "project.model.spec: eta makes"),
+    ("project", {"f": [1e308, 0.0], "check_ranges": False}, "project.model.spec: f makes"),
+], ids=["bosehubbard-eta", "bosehubbard-delta", "project-eta", "project-f"])
+def test_gmon_spec_that_overflows_exits_2_naming_the_field(tmp_path, capsys, command, spec,
+                                                           cause):
+    spec = {**GMON_SPEC_DOC, **spec}
+    doc = ({"model": spec} if command == "bosehubbard" else
+           {"model": {"type": "gmon", "spec": spec}, "bands": {"min_gap": 0.05},
+            "round_eps": 1e-3})
+    cfg = write_config(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow RuntimeWarning fails the test
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cause} the Hamiltonian's spectrum overflow"), err
 
 
 SMALL_SYNTHETIC = {"type": "synthetic", "bands": 2, "per_band": 2, "width": 0.02}

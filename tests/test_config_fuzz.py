@@ -61,16 +61,19 @@ def optional(draw, doc, name, strategy):
 @st.composite
 def gmon_specs(draw, table, dimensions):
     """A gmon spec with (nmax + 1)^modes in `dimensions`, its controls in range
-    unless `check_ranges` is false."""
+    unless `check_ranges` is false.
+
+    eta and unchecked controls stay within 1e300 in magnitude, so the model's
+    Hamiltonian stays far from overflow, which `GmonModel` rejects."""
     modes, nmax = draw(st.sampled_from([(m, k) for m in (1, 2, 3) for k in (1, 2, 3, 7)
                                         if (k + 1) ** m in dimensions]))
     check_ranges = draw(st.booleans())
-    number = within(cli.NUMBER)
+    number = within(cli.NUMBER, -1e300, 1e300)
     control = st.floats(-CONTROL_LIMIT, CONTROL_LIMIT) if check_ranges else number
     phase = st.floats(0.0, 2 * math.pi) if check_ranges else number
     pairs = [(l, j) for l in range(modes) for j in range(modes) if l != j]
     edges = draw(st.lists(st.sampled_from(pairs), max_size=2)) if pairs else []
-    spec = {"modes": modes, "nmax": nmax, "eta": draw(within(key(table, "eta"))),
+    spec = {"modes": modes, "nmax": nmax, "eta": draw(within(key(table, "eta"), -1e300, 1e300)),
             "edges": [[l, j, draw(control)] for l, j in edges],
             "delta": draw(st.lists(control, min_size=modes, max_size=modes)),
             "f": draw(st.lists(control, min_size=modes, max_size=modes)),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fqsvt import feedforward
 from fqsvt.bands import BandStructure, detect_bands, exact_projectors, synthetic_band_spectrum
-from fqsvt.baselines import AdiabaticSchedule, adiabatic_evolve
+from fqsvt.baselines import adiabatic_leakage_scaling
 from fqsvt.blockenc import dilate_hermitian
 from fqsvt.chebyshev import ChebyshevSeries, FilterSpec, _clenshaw, heaviside_filter
 from fqsvt.feedforward import (
@@ -384,8 +384,8 @@ ENTRIES = {
     "sample": lambda h, enc, state: run_multiband(
         enc, detect_bands(np.diag(h), min_gap=0.2), 1e-2, state, mode="sample"),
     "garbage_state": lambda h, enc, state: garbage_state(h, IDENTITY, state),
-    "adiabatic_evolve": lambda h, enc, state: adiabatic_evolve(
-        h, h, AdiabaticSchedule(lambda s: s, 1.0, 4), state),
+    "adiabatic": lambda h, enc, state: adiabatic_leakage_scaling(
+        h, h, detect_bands(np.diag(h), min_gap=0.2), 0, [1.0], state),
     "assemble_full": lambda h, enc, state: assemble_full(enc, IDENTITY),
 }
 # case -> (H, state, expected message); the encoding is H's dilation.
@@ -408,7 +408,7 @@ BAD_ENCODINGS = {
 
 @pytest.mark.parametrize("entry, case", [
     *((entry, case) for entry in ("run_1fqsvt", "enumerate", "sample", "garbage_state",
-                                  "adiabatic_evolve") for case in BAD_STATES),
+                                  "adiabatic") for case in BAD_STATES),
     *((entry, case) for entry in ("run_1fqsvt", "enumerate", "sample", "assemble_full")
       for case in BAD_ENCODINGS),
 ])

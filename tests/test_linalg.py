@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from fqsvt.cli import MATRIX, _read
+from fqsvt.cli import MATRIX, _read, matrix_to_json
 from fqsvt.linalg import (
     WALK_NORMALS,
     eigh,
     haar_vector,
     hermitian_from_spectrum,
-    matrix_to_json,
     random_hermitian,
     rng,
     trace_norm,

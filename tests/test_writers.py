@@ -16,9 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fqsvt import cli
-from fqsvt.cli import _write_csv, _write_json, _write_kraus, main
+from fqsvt.cli import _write_csv, _write_json, _write_kraus, main, matrix_to_json
 from fqsvt.feedforward import KrausExtraction, TreeLeaf
-from fqsvt.linalg import hermitian_from_spectrum, matrix_to_json, rng
+from fqsvt.linalg import hermitian_from_spectrum, rng
 
 SPECIAL_FLOATS = [-0.0, 5e-324, 1e-5, 1e16, math.nan, math.inf, -math.inf]
 
