@@ -50,15 +50,6 @@ class BandStructure:
     def dimension(self) -> int:
         return sum(len(b) for b in self.bands)
 
-    def to_json(self) -> dict:
-        return {
-            "L": self.band_count,
-            "centers": [float(c) for c in self.centers],
-            "delta": float(self.delta),
-            "bands": [list(map(int, b)) for b in self.bands],
-        }
-
-
 
 def detect_bands(
     values,

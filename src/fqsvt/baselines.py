@@ -128,8 +128,6 @@ def _evolve_steps(h0, h1, total_time, steps, amplitudes) -> np.ndarray:
     order.
     """
     state = amplitudes.astype(complex)
-    if total_time == 0.0:
-        return state
     dt = total_time / steps
     for start in range(0, steps, _BLOCK):
         g = (np.arange(start, min(start + _BLOCK, steps)) + 0.5) / steps
@@ -143,13 +141,10 @@ def _evolve_steps(h0, h1, total_time, steps, amplitudes) -> np.ndarray:
 
 @dataclass
 class LeakageFit:
-    """Log-log fit of diabatic leakage against total evolution time."""
+    """Diabatic leakage at each total evolution time, and the slope of its log-log fit."""
 
-    times: np.ndarray
     leakages: np.ndarray
     slope: float
-    intercept: float
-    residual: float
     degenerate: bool
 
 
@@ -187,13 +182,9 @@ def adiabatic_leakage_scaling(
         leakages.append(float(np.linalg.norm(projector @ final - final)))
     leakages = np.array(leakages)
     if np.all(leakages < 1e-9):
-        return LeakageFit(times, leakages, 0.0, 0.0, 0.0, True)
-    logs = np.log(leakages)
-    logt = np.log(times)
-    slope, intercept = np.polyfit(logt, logs, 1)
-    fitted = slope * logt + intercept
-    residual = float(np.sqrt(np.mean((logs - fitted) ** 2)))
-    return LeakageFit(times, leakages, float(slope), float(intercept), residual, False)
+        return LeakageFit(leakages, 0.0, True)
+    slope = np.polyfit(np.log(times), np.log(leakages), 1)[0]
+    return LeakageFit(leakages, float(slope), False)
 
 
 def adiabatic_time_estimate(eigenpaths: int, min_gap: float, eps: float) -> float:

@@ -117,18 +117,6 @@ class GmonModel:
         ]
         return replace(self, edges=edges, delta=delta, f=f, phi=phi)
 
-    def to_json(self) -> dict:
-        return {
-            "modes": self.modes,
-            "nmax": self.nmax,
-            "eta": self.eta,
-            "edges": [[int(l), int(j), float(g)] for l, j, g in self.edges],
-            "delta": [float(v) for v in self.delta],
-            "f": [float(v) for v in self.f],
-            "phi": [float(v) for v in self.phi],
-            "check_ranges": self.check_ranges,
-        }
-
 
 def default_model() -> GmonModel:
     """Desk-scale instance: 2 modes, 4 Fock levels, eta = 2 pi 200, controls at 2 pi 10."""

@@ -69,14 +69,6 @@ def _clenshaw(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x * b1 - b2 + coeffs[0]
 
 
-def _unit_interval(x) -> np.ndarray:
-    """x as a float array, rejected outside [-1, 1] beyond roundoff, then clipped."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > 1.0 + 1e-14):
-        raise ValueError("evaluation point outside [-1, 1]")
-    return np.clip(arr, -1.0, 1.0)
-
-
 @dataclass(eq=False)
 class ChebyshevSeries:
     """Real polynomial sum_k c_k T_k(x) with a parity tag."""
@@ -100,14 +92,6 @@ class ChebyshevSeries:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        """Clenshaw evaluation of the series at x in [-1, 1] (scalar or array)."""
-        out = _clenshaw(self.coeffs, _unit_interval(x))
-        return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
-
-    def to_json(self) -> dict:
-        return {"parity": self.parity, "coeffs": [float(c) for c in self.coeffs]}
 
 
 @dataclass(frozen=True)

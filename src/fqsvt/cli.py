@@ -59,7 +59,7 @@ class ConfigError(Exception):
 
 
 def _fmt(x) -> str:
-    return f"{float(x):.17g}"
+    return f"{x:.17g}"
 
 
 @contextlib.contextmanager
@@ -85,15 +85,25 @@ def _write_csv(path: Path, header: list, rows):
             f.write(",".join(map(str, row)) + "\n")
 
 
+def _contiguous(value):
+    """orjson's fallback for a value it cannot write: a C-contiguous copy of an array."""
+    if isinstance(value, np.ndarray) and not value.flags.c_contiguous:
+        return np.ascontiguousarray(value)
+    raise TypeError(f"{type(value).__name__} cannot be written as JSON")
+
+
 def _encode_json(doc, name: str) -> str:
     """`doc` as compact, key-sorted JSON with shortest round-trip floats.
 
-    orjson writes NaN and +-inf as null, which no artifact holds otherwise, so
-    a null raises a ValueError naming the artifact `name`.
+    numpy arrays and scalars are written as they are, with the digits of the
+    equal Python numbers. orjson writes NaN and +-inf as null, which no
+    artifact holds otherwise, so a null raises a ValueError naming the
+    artifact `name`.
     """
     import orjson  # here, so that `fqsvt verify`, which writes no JSON, never loads it
 
-    text = orjson.dumps(doc, option=orjson.OPT_SORT_KEYS)
+    text = orjson.dumps(doc, default=_contiguous,
+                        option=orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY)
     if b"null" in text:
         raise ValueError(f"{name}: a non-finite value cannot be written as JSON")
     return text.decode("ascii")
@@ -119,7 +129,7 @@ def _write_kraus(path: Path, kraus: KrausExtraction):
         for leaf in kraus.leaves:
             f.write(sep)
             f.write(_encode_json({
-                "record": list(leaf.record),
+                "record": leaf.record,
                 "claimed_band": leaf.claimed_band,
                 "failed": leaf.failed,
                 "matrix": matrix_to_json(leaf.operator),
@@ -144,7 +154,7 @@ def _number(kind, value, name: str, low=None, above=None, high=None, below=None)
         raise wrong from exc
     if kind is int and isinstance(value, float) and x != value:
         raise wrong
-    if not math.isfinite(x):
+    if not abs(x) <= sys.float_info.max:  # NaN, +-inf, or an int past the float range
         raise ConfigError(f"{name}: expected a finite value, got {value!r}")
     for bad, rule in ((low is not None and x < low, f">= {low}"),
                       (above is not None and x <= above, f"> {above}"),
@@ -219,10 +229,12 @@ def _read(kind, value, name: str):
 
 
 def matrix_to_json(a: np.ndarray) -> dict:
-    """Encode a complex matrix as {"rows", "cols", "data"} with (re, im) pairs, row-major."""
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    data = np.stack([a.real, a.imag], axis=-1).reshape(-1, 2).tolist()
-    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
+    """Encode a complex matrix as {"rows", "cols", "data"} with (re, im) pairs, row-major.
+
+    `data` is a float view of the matrix, written as nested lists by `_encode_json`.
+    """
+    a = np.ascontiguousarray(np.atleast_2d(a), dtype=complex)
+    return {"rows": a.shape[0], "cols": a.shape[1], "data": a.view(float).reshape(-1, 2)}
 
 
 def _matrix(rows: int, cols: int, data: list) -> np.ndarray:
@@ -321,9 +333,9 @@ def cmd_phases(cfg: dict, out: Path, seed: int) -> int:
     psi = synthesize_symmetric(filt, cfg["tol"])
     phi = to_circuit(psi)
 
-    _write_json(out / "filter.json", filt.to_json())
-    _write_json(out / "phases_su2.json", psi.to_json())
-    _write_json(out / "phases_circuit.json", phi.to_json())
+    _write_json(out / "filter.json", {"parity": filt.parity, "coeffs": filt.coeffs})
+    _write_json(out / "phases_su2.json", {"convention": psi.convention, "values": psi.values})
+    _write_json(out / "phases_circuit.json", {"convention": phi.convention, "values": phi.values})
     rows = [
         [cond.name, _fmt(cond.bound), _fmt(cond.worst), _fmt(cond.margin), cond.passed]
         for cond in report.conditions()
@@ -331,6 +343,12 @@ def cmd_phases(cfg: dict, out: Path, seed: int) -> int:
     _write_csv(out / "certification.csv",
                ["condition", "bound", "worst_value", "margin", "passed"], rows)
     return 0 if report.passed else 1
+
+
+def _write_bands(path: Path, structure):
+    """The band structure as written by `project` and `bosehubbard`."""
+    _write_json(path, {"L": structure.band_count, "centers": structure.centers,
+                       "delta": structure.delta, "bands": structure.bands})
 
 
 def _resolve_model(model: dict, seed: int) -> np.ndarray:
@@ -420,20 +438,24 @@ def cmd_project(cfg: dict, out: Path, seed: int) -> int:
     mode = cfg["mode"]
     tree = run_multiband(enc, structure, round_eps, amp, mode=mode, seed=seed,
                          trajectories=cfg["trajectories"])
-    _write_json(out / "bands.json", structure.to_json())
+    _write_bands(out / "bands.json", structure)
 
     if mode == "sample":
         rows = ((t, "".join(map(str, leaf.record)), leaf.claimed_band, leaf.failed)
                 for t, leaf in enumerate(tree.leaves))
         _write_csv(out / "records.csv",
                    ["trajectory", "record_bits", "claimed_band", "failed"], rows)
-        weights = [float(np.vdot(amp, p @ amp).real)
-                   for p in exact_projectors(spectrum, structure)]
+        weights = [np.vdot(amp, p @ amp).real for p in exact_projectors(spectrum, structure)]
         _write_csv(out / "band_weights.csv", ["band", "exact_weight"],
                    [[j, _fmt(w)] for j, w in enumerate(weights)])
         return 0
 
-    _write_json(out / "tree.json", tree.to_json())
+    _write_json(out / "tree.json", {
+        "L": count, "rounds": tree.rounds, "round_eps": tree.round_eps, "degree": tree.degree,
+        "leaves": [{"record": leaf.record, "prob": leaf.probability,
+                    "claimed_band": leaf.claimed_band, "failed": leaf.failed}
+                   for leaf in tree.leaves],
+    })
     kraus = extract_kraus(tree)
     _write_kraus(out / "kraus.json", kraus)
 
@@ -504,16 +526,16 @@ def cmd_bosehubbard(cfg: dict, out: Path, seed: int) -> int:
     structure = detect_bands(spectrum.values,
                              min_gap=cfg["min_gap_fraction"] * model.eta * scale)
 
-    _write_json(out / "model.json", model.to_json())
+    _write_json(out / "model.json", {key: getattr(model, key) for key in GMON_FIELDS})
     _write_json(out / "h0.json", matrix_to_json(h0))
     _write_json(out / "h1.json", matrix_to_json(h1))
     occ = fock_occupations(model)
     _write_csv(out / "labels.csv", ["index", "occupations", "band"],
-               [[i, "".join(map(str, occ[i])), int(labels[i])]
+               [[i, "".join(map(str, occ[i])), labels[i]]
                 for i in range(model.dimension)])
     _write_csv(out / "spectrum.csv", ["index", "normalized_energy"],
                [[i, _fmt(v)] for i, v in enumerate(spectrum.values)])
-    _write_json(out / "bands.json", structure.to_json())
+    _write_bands(out / "bands.json", structure)
     return 0
 
 

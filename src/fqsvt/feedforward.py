@@ -196,14 +196,6 @@ class TreeLeaf:
     queries: int
     operator: np.ndarray | None = field(default=None, repr=False)
 
-    def to_json(self) -> dict:
-        return {
-            "record": list(self.record),
-            "prob": self.probability,
-            "claimed_band": self.claimed_band,
-            "failed": self.failed,
-        }
-
 
 def _leaves(
     n: int,
@@ -269,15 +261,6 @@ class BranchTree:
     def query_count(self) -> int:
         """Block-encoding queries along the deepest trajectory."""
         return max((leaf.queries for leaf in self.leaves), default=0)
-
-    def to_json(self) -> dict:
-        return {
-            "L": self.structure.band_count,
-            "rounds": self.rounds,
-            "round_eps": self.round_eps,
-            "degree": self.degree,
-            "leaves": [leaf.to_json() for leaf in self.leaves],
-        }
 
 
 def _multiband_phase_table(structure: BandStructure, round_eps: float) -> tuple[dict, int]:

@@ -18,7 +18,6 @@ __all__ = [
     "eigh",
     "trace_norm",
     "haar_vector",
-    "random_hermitian",
     "hermitian_from_spectrum",
     "dagger",
     "check_hermitian",

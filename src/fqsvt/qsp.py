@@ -65,9 +65,6 @@ class PhaseFactorSet:
         """Palindrome test on the stored values."""
         return bool(np.max(np.abs(self.values - self.values[::-1])) <= SYMMETRY_TOL)
 
-    def to_json(self) -> dict:
-        return {"convention": self.convention, "values": [float(v) for v in self.values]}
-
 
 def _require(ps: PhaseFactorSet, convention: str):
     if ps.convention != convention:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +12,7 @@ from fqsvt.bands import (
     exact_projectors,
     synthetic_band_spectrum,
 )
+from fqsvt.cli import _write_bands
 from fqsvt.linalg import dagger, eigh, hermitian_from_spectrum, rng
 
 
@@ -87,9 +90,10 @@ def test_band_assumption_checker():
         check_band_assumption(values, bad)
 
 
-def test_band_structure_validation_and_json():
+def test_band_structure_validation_and_json(tmp_path):
     s = BandStructure(2, [0.5], 0.2, [[0, 1], [2]])
-    doc = s.to_json()
+    _write_bands(tmp_path / "bands.json", s)
+    doc = json.loads((tmp_path / "bands.json").read_text(encoding="utf-8"))
     assert doc["L"] == 2
     restored = BandStructure(doc["L"], doc["centers"], doc["delta"], doc["bands"])
     assert restored.bands == s.bands

@@ -197,14 +197,6 @@ def test_adiabatic_constant_hamiltonian():
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_adiabatic_zero_time_returns_initial():
-    gen = rng(5)
-    h = hermitian_from_spectrum([0.2, 0.8], gen)
-    init = np.array([1.0, 0.0])
-    out = _evolve_steps(h, h, 0.0, 5, init)
-    assert np.array_equal(out, init)
-
-
 @pytest.mark.parametrize("steps", [1, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 37])
 @pytest.mark.parametrize("total_time", [30.0, -12.5])
 def test_evolve_steps_matches_per_step_reference(steps, total_time):

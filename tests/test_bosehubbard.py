@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from fqsvt.bosehubbard import (
     fock_occupations,
     normalize_for_qsvt,
 )
-from fqsvt.cli import GMON_SPEC, _read
+from fqsvt.cli import GMON_SPEC, _read, cmd_bosehubbard, main
 from fqsvt.linalg import eigh
 
 TWO_PI = 2 * math.pi
@@ -224,12 +225,34 @@ def test_qubit_projection_pattern():
         assert amp == pytest.approx(model.f[j], rel=1e-9)
 
 
-def test_model_json_round_trip():
+def written_model(tmp_path, config: dict) -> dict:
+    """model.json as `fqsvt bosehubbard` writes it for `config`."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["bosehubbard", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    return json.loads((tmp_path / "out" / "model.json").read_text(encoding="utf-8"))
+
+
+def test_model_json_round_trip(tmp_path):
     model = default_model()
-    restored = _read(GMON_SPEC, json.loads(json.dumps(model.to_json())), "model")
+    restored = _read(GMON_SPEC, written_model(tmp_path, {}), "model")
     assert restored.modes == model.modes
     assert restored.edges == model.edges
     assert np.allclose(restored.delta, model.delta)
+
+
+def test_perturbed_model_json_reads_back_equal(tmp_path):
+    model = default_model().perturbed(3)
+    doc = written_model(tmp_path, {"perturb_seed": 3})
+    assert _read(GMON_SPEC, doc, "model") == model
+    # The same controls as numpy float64 scalars write the same bytes.
+    floats = {name: list(np.array(getattr(model, name))) for name in ("delta", "f", "phi")}
+    scalars = replace(model, eta=np.float64(model.eta),
+                      edges=[(l, j, np.float64(g)) for l, j, g in model.edges], **floats)
+    assert type(scalars.delta[0]) is np.float64
+    cmd_bosehubbard({"model": scalars, "margin": 0.1, "min_gap_fraction": 0.5}, tmp_path, 0)
+    assert (tmp_path / "model.json").read_bytes() == (tmp_path / "out" / "model.json").read_bytes()
+    assert _read(GMON_SPEC, json.loads((tmp_path / "model.json").read_text()), "model") == model
 
 
 def test_perturbed_respects_seed():

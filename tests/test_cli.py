@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -12,16 +13,27 @@ import pytest
 
 import fqsvt
 from fqsvt import chebyshev, cli, feedforward
-from fqsvt.bosehubbard import default_model
 from fqsvt.cli import ConfigError, _number, main, matrix_to_json
 from fqsvt.linalg import SAMPLE_UNIFORMS, WALK_NORMALS, WALK_UNIFORMS
 from fqsvt.verify import CRITERIA
 
 
 def write_config(tmp_path, doc, name="config.json"):
+    """`doc` as a config file; the arrays of `matrix_to_json` documents become lists."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc, default=np.ndarray.tolist))
     return str(path)
+
+
+def default_model_doc() -> dict:
+    """The default gmon model as `fqsvt bosehubbard` writes it to model.json."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_config(Path(tmp), {})
+        assert main(["bosehubbard", "--config", config, "--out", tmp]) == 0
+        return json.loads((Path(tmp) / "model.json").read_text(encoding="utf-8"))
+
+
+GMON_SPEC_DOC = default_model_doc()
 
 
 def reject_constant(token):
@@ -299,8 +311,7 @@ def test_project_out_of_memory_exits_1_naming_the_cause(tmp_path, capsys, monkey
 
 
 def test_project_rejects_gmon_non_power_of_two_with_exit_2(tmp_path, capsys):
-    spec = default_model().to_json()
-    spec["nmax"] = 2  # two modes with three levels: dimension 9
+    spec = {**GMON_SPEC_DOC, "nmax": 2}  # two modes with three levels: dimension 9
     cfg = write_config(tmp_path, {
         "model": {"type": "gmon", "spec": spec},
         "bands": {"target": 2},
@@ -329,9 +340,6 @@ def test_project_rejects_round_budget_below_floor_with_exit_2(tmp_path, capsys, 
     })
     assert main(["project", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "per-round budget" in capsys.readouterr().err
-
-
-GMON_SPEC_DOC = default_model().to_json()
 
 
 @pytest.mark.parametrize("command, spec, cause", [
@@ -374,7 +382,7 @@ SMALL_SYNTHETIC = {"type": "synthetic", "bands": 2, "per_band": 2, "width": 0.02
     ({"model": {**SMALL_SYNTHETIC, "width": 0.5}}, "model.width 0.5: spectrum must lie in [0, 1]"),
     ({"model": {"type": "gmon", "margin": 0.7}}, "model.margin must be < 0.5, got 0.7"),
     ({"model": {"type": "gmon", "spec": {"modes": 2}}}, "model.spec: missing key 'nmax'"),
-    ({"model": {"type": "gmon", "spec": {**default_model().to_json(), "delta": [0.0]}}},
+    ({"model": {"type": "gmon", "spec": {**GMON_SPEC_DOC, "delta": [0.0]}}},
      "model.spec: delta must carry one value per mode"),
     ({"model": {**SMALL_SYNTHETIC, "basis_seed": 2**64}},
      "model.basis_seed must be <= 18446744073709551615, got 18446744073709551616"),
@@ -386,9 +394,9 @@ SMALL_SYNTHETIC = {"type": "synthetic", "bands": 2, "per_band": 2, "width": 0.02
     ({"model": {**SMALL_SYNTHETIC, "bands": 2.9}}, "model.bands: expected int, got 2.9"),
     ({"bands": {"target": True}}, "bands.target: expected int, got True"),
     ({"round_eps": True}, "project.round_eps: expected float, got True"),
-    ({"model": {"type": "gmon", "spec": {**default_model().to_json(), "nmax": 3.9}}},
+    ({"model": {"type": "gmon", "spec": {**GMON_SPEC_DOC, "nmax": 3.9}}},
      "model.spec.nmax: expected int, got 3.9"),
-    ({"model": {"type": "gmon", "spec": {**default_model().to_json(), "check_ranges": "no"}}},
+    ({"model": {"type": "gmon", "spec": {**GMON_SPEC_DOC, "check_ranges": "no"}}},
      "model.spec.check_ranges: expected true or false, got 'no'"),
 ], ids=["min-gap-negative", "target-too-large", "target-type", "per-band-zero",
         "round-eps-type", "budget-type", "split-constant-zero", "trajectories-negative",
@@ -545,7 +553,12 @@ def test_bosehubbard_rejects_margin_outside_open_half_with_exit_2(tmp_path, caps
     ("bosehubbard", {"perturb_seed": True}, "bosehubbard.perturb_seed: expected int, got True"),
     ("phases", {"mu": 0.5, "delta": 0.3, "eps": 1e-3, "tol": True},
      "phases.tol: expected float, got True"),
-], ids=["perturb-seed-above-64-bits", "perturb-seed-boolean", "tol-boolean"])
+    # An int past the float range is not finite, and never reaches math.isfinite.
+    ("baselines", {"Ls": [2], "trials": 10**399}, "baselines.trials: expected a finite value"),
+    ("bosehubbard", {"model": {**GMON_SPEC_DOC, "nmax": 10**399}},
+     "bosehubbard.model.nmax: expected a finite value"),
+], ids=["perturb-seed-above-64-bits", "perturb-seed-boolean", "tol-boolean",
+        "trials-past-the-float-range", "nmax-past-the-float-range"])
 def test_other_commands_reject_bad_numbers_with_exit_2(tmp_path, capsys, command, doc, cause):
     cfg = write_config(tmp_path, doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -618,18 +631,18 @@ def test_project_trajectories_past_the_array_limit_exit_1_out_of_memory(tmp_path
 
 @pytest.mark.parametrize("model, cause", [
     ({"modes": 2}, "bosehubbard.model: missing key 'nmax'"),
-    ({**default_model().to_json(), "nmax": 0}, "bosehubbard.model: need at least one mode"),
-    ({**default_model().to_json(), "nmax": 3.9}, "bosehubbard.model.nmax: expected int, got 3.9"),
-    ({**default_model().to_json(), "check_ranges": "no"},
+    ({**GMON_SPEC_DOC, "nmax": 0}, "bosehubbard.model: need at least one mode"),
+    ({**GMON_SPEC_DOC, "nmax": 3.9}, "bosehubbard.model.nmax: expected int, got 3.9"),
+    ({**GMON_SPEC_DOC, "check_ranges": "no"},
      "bosehubbard.model.check_ranges: expected true or false, got 'no'"),
-    ({**default_model().to_json(), "edges": [[0, 1]]},
+    ({**GMON_SPEC_DOC, "edges": [[0, 1]]},
      "bosehubbard.model.edges: expected a list of [l, j, g] triples, got [[0, 1]]"),
-    ({**default_model().to_json(), "eta": "x"}, "bosehubbard.model.eta: expected float, got 'x'"),
-    ({**default_model().to_json(), "phi": 1.0},
+    ({**GMON_SPEC_DOC, "eta": "x"}, "bosehubbard.model.eta: expected float, got 'x'"),
+    ({**GMON_SPEC_DOC, "phi": 1.0},
      "bosehubbard.model.phi: expected a list of numbers, got 1.0"),
-    ({**default_model().to_json(), "coupler": 1}, "bosehubbard.model: unknown keys ['coupler']"),
-    ({**default_model().to_json(), "eta": 0}, "bosehubbard.model.eta must be > 0.0, got 0.0"),
-    ({**default_model().to_json(), "eta": -1256.6},
+    ({**GMON_SPEC_DOC, "coupler": 1}, "bosehubbard.model: unknown keys ['coupler']"),
+    ({**GMON_SPEC_DOC, "eta": 0}, "bosehubbard.model.eta must be > 0.0, got 0.0"),
+    ({**GMON_SPEC_DOC, "eta": -1256.6},
      "bosehubbard.model.eta must be > 0.0, got -1256.6"),
 ], ids=["missing-key", "bad-field", "fractional-nmax", "string-check-ranges", "edge-not-a-triple",
         "eta-not-a-number", "phi-not-a-list", "unknown-key", "eta-zero", "eta-negative"])
@@ -643,7 +656,7 @@ def test_bosehubbard_rejects_bad_model_with_exit_2(tmp_path, capsys, model, caus
 def test_project_runs_a_gmon_spec_of_any_eta(tmp_path, eta):
     # Only bosehubbard derives its band gap from eta; project detects bands itself.
     cfg = write_config(tmp_path, {"model": {"type": "gmon",
-                                            "spec": {**default_model().to_json(), "eta": eta}},
+                                            "spec": {**GMON_SPEC_DOC, "eta": eta}},
                                   "bands": {"min_gap": 0.05}, "round_eps": 1e-3})
     assert main(["project", "--config", cfg, "--seed", "5", "--out", str(tmp_path / "p")]) == 0
 

@@ -192,7 +192,7 @@ def bad_values(kind) -> list:
     """Values of the wrong type or out of range for `kind`."""
     if isinstance(kind, cli.Num):
         bad = ["x", True, [1], {}, math.nan, math.inf, -math.inf]
-        bad += [0.5] if kind.type is int else []
+        bad += [0.5, 10**400] if kind.type is int else []
         bad += [x for x in (kind.above, kind.below) if x is not None]
         bad += [kind.low - 1] if kind.low is not None else []
         bad += [kind.high + 1] if kind.high is not None else []

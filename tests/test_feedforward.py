@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from fqsvt.bands import BandStructure, detect_bands, exact_projectors, synthetic
 from fqsvt.baselines import adiabatic_leakage_scaling
 from fqsvt.blockenc import dilate_hermitian
 from fqsvt.chebyshev import ChebyshevSeries, FilterSpec, _clenshaw, heaviside_filter
+from fqsvt.cli import main, matrix_to_json
 from fqsvt.feedforward import (
     KrausExtraction,
     MultibandPolicy,
@@ -726,7 +728,7 @@ def test_phase_table_builds_each_split_once_and_pads_to_the_hardest(monkeypatch)
         filt = built[FilterSpec(float(c), structure.delta, eps)][0]
         assert table[k].degree == degree
         realized = _clenshaw(extract_pq(to_su2(table[k])).p.real, xs)
-        assert np.max(np.abs(realized - filt(xs))) <= 1e-10
+        assert np.max(np.abs(realized - _clenshaw(filt.coeffs, xs))) <= 1e-10
 
 
 def test_phase_table_names_the_split_whose_synthesis_stalls(monkeypatch):
@@ -783,13 +785,16 @@ def test_channel_bound_is_the_papers_bound_and_inverts_round_budget():
         assert channel_bound(count, round_budget(0.1, count)) == pytest.approx(0.1, rel=1e-15)
 
 
-def test_tree_json_shape():
+def test_tree_json_shape(tmp_path):
     gen = rng(34)
     h = hermitian_from_spectrum([0.1, 0.9], gen)
-    spec = eigh(h)
-    structure = detect_bands(spec.values, min_gap=0.5)
-    tree = run_multiband(dilate_hermitian(h), structure, round_budget(1e-2, 2), spec.vectors[:, 0])
-    doc = tree.to_json()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"type": "inline", "matrix": matrix_to_json(h)},
+                                  "bands": {"min_gap": 0.5}, "budget": 1e-2,
+                                  "input": {"type": "eigenstate", "index": 0}},
+                                 default=np.ndarray.tolist))
+    assert main(["project", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    doc = json.loads((tmp_path / "out" / "tree.json").read_text(encoding="utf-8"))
     assert doc["L"] == 2
     assert all(set(leaf) == {"record", "prob", "claimed_band", "failed"}
                for leaf in doc["leaves"])

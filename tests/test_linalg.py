@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from fqsvt.cli import MATRIX, _read, matrix_to_json
+from fqsvt.cli import MATRIX, _encode_json, _read, matrix_to_json
 from fqsvt.linalg import (
     WALK_NORMALS,
     eigh,
@@ -187,7 +189,7 @@ def test_matrix_json_round_trip():
     a = gen.standard_normal((3, 2)) + 1j * gen.standard_normal((3, 2))
     doc = matrix_to_json(a)
     assert doc["rows"] == 3 and doc["cols"] == 2
-    assert np.array_equal(_read(MATRIX, doc, "matrix"), a)
+    assert np.array_equal(_read(MATRIX, json.loads(_encode_json(doc, "m.json")), "matrix"), a)
 
 
 def test_hermitian_from_spectrum_matches_values():

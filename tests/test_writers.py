@@ -32,6 +32,13 @@ def reference_write_json(path, doc):
     path.write_bytes(orjson.dumps(doc, option=orjson.OPT_SORT_KEYS) + b"\n")
 
 
+def reference_matrix_doc(a):
+    """The matrix document with its (re, im) pairs as nested lists of Python floats."""
+    a = np.atleast_2d(np.asarray(a, dtype=complex))
+    return {"rows": a.shape[0], "cols": a.shape[1],
+            "data": np.stack([a.real, a.imag], axis=-1).reshape(-1, 2).tolist()}
+
+
 def reference_kraus_doc(kraus):
     return {
         "completeness_residual": kraus.completeness_residual,
@@ -40,7 +47,7 @@ def reference_kraus_doc(kraus):
                 "record": list(leaf.record),
                 "claimed_band": leaf.claimed_band,
                 "failed": leaf.failed,
-                "matrix": matrix_to_json(leaf.operator),
+                "matrix": reference_matrix_doc(leaf.operator),
             }
             for leaf in kraus.leaves
         ],
@@ -125,6 +132,19 @@ def test_kraus_writer_matches_on_special_floats(tmp_path, value):
     assert_kraus_matches_or_refuses(tmp_path, kraus)
 
 
+def test_json_writer_copies_arrays_that_are_not_contiguous(tmp_path):
+    # orjson refuses an array that is not C-contiguous; the writer copies it.
+    grid = np.arange(12.0).reshape(3, 4) - 5.5
+    matrix = (grid + 1j * grid[::-1])[:, 1:3].T
+    assert not any(a.flags.c_contiguous for a in (grid[:, ::2], grid.T, matrix))
+    _write_json(tmp_path / "doc.json", {"strided": grid[:, ::2], "transposed": grid.T,
+                                        "empty": grid[:0, ::2], "matrix": matrix_to_json(matrix)})
+    reference_write_json(tmp_path / "reference.json", {
+        "strided": grid[:, ::2].tolist(), "transposed": grid.T.tolist(), "empty": [],
+        "matrix": reference_matrix_doc(matrix)})
+    assert_same_bytes(tmp_path / "doc.json", tmp_path / "reference.json")
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(rows=st.lists(st.lists(st.one_of(any_float, st.integers(), st.booleans(),
                                         st.text(alphabet="01ab", max_size=6)), max_size=5),
@@ -176,6 +196,10 @@ def write_json_holding_an_inf(path, kraus):
     _write_json(path, {"leaves": len(kraus.leaves), "centers": [0.5, math.inf]})
 
 
+def write_json_holding_a_nan_array(path, kraus):
+    _write_json(path, {"leaves": len(kraus.leaves), "centers": np.array([0.5, math.nan])})
+
+
 def write_json_failing_to_replace(path, kraus):
     """`_write_json` of a small document whose final move onto `path` fails."""
     def replace(src, dst):
@@ -195,7 +219,8 @@ def write_json_failing_to_replace(path, kraus):
      "item 3"),
     ("bands.json", write_json_holding_an_inf, ValueError, "bands.json: a non-finite"),
     ("bands.json", write_json_failing_to_replace, OSError, "item 3"),
-], ids=["kraus", "kraus-nan", "csv", "json-inf", "json"])
+    ("bands.json", write_json_holding_a_nan_array, ValueError, "bands.json: a non-finite"),
+], ids=["kraus", "kraus-nan", "csv", "json-inf", "json", "json-nan-array"])
 @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over-an-earlier-run"])
 def test_a_failed_write_leaves_no_partial_artifact(tmp_path, name, write, error, match, earlier):
     kraus = random_kraus(np.random.default_rng(1), 6, (4, 2))
@@ -211,7 +236,7 @@ def test_a_failed_write_leaves_no_partial_artifact(tmp_path, name, write, error,
 
 def three_band_model() -> dict:
     h = hermitian_from_spectrum(np.array([0.1, 0.12, 0.5, 0.9]), rng(0, 1))
-    return {"type": "inline", "matrix": matrix_to_json(h)}
+    return {"type": "inline", "matrix": reference_matrix_doc(h)}
 
 
 @pytest.mark.parametrize("model, bands, mode, leaves", [
@@ -275,3 +300,36 @@ def test_project_exits_1_on_a_non_finite_artifact_value(tmp_path, monkeypatch, c
     assert main(["project", "--config", str(cfg), "--out", str(out)]) == 1
     assert "error: tree.json: a non-finite value" in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == ["bands.json"]
+
+
+@pytest.mark.parametrize("artifact, corrupt, written", [
+    ("bands.json", "centers", []),
+    ("kraus.json", "operator", ["bands.json", "tree.json"]),
+], ids=["centers", "kraus-operator"])
+def test_project_exits_1_on_a_nan_in_an_artifact_array(tmp_path, monkeypatch, capsys, artifact,
+                                                       corrupt, written):
+    # A NaN in a numpy array of a document, the gap centers or a Kraus
+    # operator, fails the run naming that artifact and leaves no part of it.
+    run_multiband, extract_kraus = cli.run_multiband, cli.extract_kraus
+
+    def nan_center(enc, structure, *args, **kwargs):
+        tree = run_multiband(enc, structure, *args, **kwargs)
+        structure.centers[0] = math.nan
+        return tree
+
+    def nan_operator(tree):
+        kraus = extract_kraus(tree)
+        kraus.leaves[-1].operator[1, 0] = math.nan
+        return kraus
+
+    if corrupt == "centers":
+        monkeypatch.setattr(cli, "run_multiband", nan_center)
+    else:
+        monkeypatch.setattr(cli, "extract_kraus", nan_operator)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"model": {"type": "synthetic", "bands": 2, "per_band": 2},
+                               "bands": {"target": 2}, "round_eps": 1e-2}))
+    out = tmp_path / "out"
+    assert main(["project", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"error: {artifact}: a non-finite value" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == written
