@@ -52,7 +52,6 @@ class WalkEstimate:
 
     success_rate: float
     stderr: float
-    trials: int
     queries_per_trial: int
 
 
@@ -115,7 +114,7 @@ def random_walk_success(
         successes += int(np.count_nonzero(kept.max(axis=1) >= (1.0 - 1e-9) * kept.sum(axis=1)))
     rate = successes / trials
     stderr = math.sqrt(max(rate * (1.0 - rate), 1.0 / trials) / trials)
-    return WalkEstimate(rate, stderr, trials, ell)
+    return WalkEstimate(rate, stderr, ell)
 
 
 def _evolve_steps(h0, h1, total_time, steps, amplitudes) -> np.ndarray:

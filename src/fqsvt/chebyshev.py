@@ -385,21 +385,17 @@ def _plateau_errors(probes: list[_Probe], coeffs: list, crits: list) -> list[tup
     One Clenshaw recurrence evaluates every G, over a stack zero-padded to
     the longest; zero leading coefficients leave a row's bits unchanged.
     Each coefficient is repeated across its row's points, since a
-    broadcast add costs more than the recurrence's own adds; a single G is
-    evaluated as it is.
+    broadcast add costs more than the recurrence's own adds.
     """
     extrema = [_extrema(crit, (-1.0, p.plateaus.a), (p.plateaus.b, 1.0))
                for p, crit in zip(probes, crits)]
     points = [np.concatenate(e) for e in extrema]
-    if len(probes) == 1:
-        values = [_clenshaw(coeffs[0], points[0])]
-    else:
-        x = np.zeros((len(points), max(map(len, points))))
-        stack = np.zeros((max(map(len, coeffs)), *x.shape))
-        for r, (c, pts) in enumerate(zip(coeffs, points)):
-            stack[:len(c), r] = c[:, np.newaxis]
-            x[r, :len(pts)] = pts
-        values = _clenshaw(stack, x)
+    x = np.zeros((len(points), max(map(len, points))))
+    stack = np.zeros((max(map(len, coeffs)), *x.shape))
+    for r, (c, pts) in enumerate(zip(coeffs, points)):
+        stack[:len(c), r] = c[:, np.newaxis]
+        x[r, :len(pts)] = pts
+    values = _clenshaw(stack, x)
     out = []
     for p, (low, _), pts, v in zip(probes, extrema, points, values):
         plateaus, v = p.plateaus, v[:len(pts)]
@@ -532,19 +528,15 @@ class _Search:
         self.probe = _Probe(self.plateaus, probe) if self.searching else None
 
 
-def heaviside_filter(
-    spec: FilterSpec | list[FilterSpec],
-) -> ChebyshevSeries | list[ChebyshevSeries]:
-    """The even minimax step filter at the smallest degree whose level is below 1.
+def heaviside_filter(specs: list[FilterSpec]) -> list[ChebyshevSeries]:
+    """The even minimax step filter of each spec, at the smallest degree whose level is below 1.
 
-    `spec` is one `FilterSpec`, giving one filter, or a list of them, giving
-    a list in the same order: their degree searches advance in lockstep, and
-    each filter equals the single call's bit for bit. Raises if no degree up
-    to `DEGREE_CAP` has a level below 1 or certification fails.
+    The filters come back in the order of `specs`. Their degree searches
+    advance in lockstep, and each filter equals a one-item call's bit for
+    bit. Raises if no degree up to `DEGREE_CAP` has a level below 1 or
+    certification fails.
     """
-    single = isinstance(spec, FilterSpec)
-    filters = [search.filter for search in _build_filters([spec] if single else list(spec))]
-    return filters[0] if single else filters
+    return [search.filter for search in _build_filters(specs)]
 
 
 def _build_filters(specs: list[FilterSpec]) -> list[_Search]:

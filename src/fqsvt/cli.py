@@ -330,7 +330,7 @@ def cmd_phases(cfg: dict, out: Path, seed: int) -> int:
 
     build = _build_filters([spec])[0]
     filt, report = build.filter, build.report
-    psi = synthesize_symmetric(filt, cfg["tol"])
+    psi = synthesize_symmetric([filt], cfg["tol"])[0]
     phi = to_circuit(psi)
 
     _write_json(out / "filter.json", {"parity": filt.parity, "coeffs": filt.coeffs})
@@ -470,7 +470,7 @@ def cmd_project(cfg: dict, out: Path, seed: int) -> int:
             ["queries", tree.query_count],
             ["query_formula", feedforward_query_count(count, tree.degree)]]
     _write_csv(out / "distance.csv", ["quantity", "value"], rows)
-    return 0 if (count == 1 or upper <= bound) else 1
+    return 0 if upper <= bound else 1
 
 
 def cmd_baselines(cfg: dict, out: Path, seed: int) -> int:
@@ -480,7 +480,7 @@ def cmd_baselines(cfg: dict, out: Path, seed: int) -> int:
         raise ConfigError(f"baselines.filter: invalid filter parameters: {exc}") from exc
     per_band = cfg["per_band"]
     estimate = adiabatic_time_estimate(per_band, cfg["adiabatic_min_gap"], cfg["adiabatic_eps"])
-    degree = heaviside_filter(spec).degree
+    degree = heaviside_filter([spec])[0].degree
 
     rows = []
     for count in cfg["Ls"]:

@@ -243,7 +243,7 @@ def run_1fqsvt(enc: np.ndarray, phi: PhaseFactorSet, state: np.ndarray) -> list[
 
 @dataclass
 class BranchTree:
-    """Leaves of a multi-band run with its band structure, budget and filter degree.
+    """Leaves of a multi-band run with its rounds, budget and filter degree.
 
     In enumerate mode every leaf also carries its operator. In sample mode
     `leaves` lists the leaf each trajectory reached; trajectories that reach
@@ -251,7 +251,6 @@ class BranchTree:
     """
 
     leaves: list[TreeLeaf]
-    structure: BandStructure
     rounds: int
     round_eps: float
     degree: int
@@ -325,7 +324,7 @@ def run_multiband(
     if mode == "enumerate":
         nodes = _run_blocks(enc, policy, np.eye(n, dtype=complex))
         leaves = _leaves(n, policy, nodes, state)
-        return BranchTree(leaves, structure, policy.ell, round_eps, degree, mode)
+        return BranchTree(leaves, policy.ell, round_eps, degree, mode)
 
     nodes = _run_blocks(enc, policy, state[:, np.newaxis])
     by_record = {leaf.record: leaf for leaf in _leaves(n, policy, nodes)}
@@ -349,7 +348,7 @@ def run_multiband(
                 thresholds[bits] = w0 / (w0 + w1)
             bits += (0 if row[len(bits)] < thresholds[bits] else 1,)
         leaves.append(by_record[bits])
-    return BranchTree(leaves, structure, policy.ell, round_eps, degree, mode)
+    return BranchTree(leaves, policy.ell, round_eps, degree, mode)
 
 
 @dataclass
@@ -394,12 +393,18 @@ def channel_distance(
     sum |lambda(M)| / n, and Watrous' bound max_i |M|_ii (arXiv:1207.5726;
     Haagerup's bound for Schur multipliers, arXiv:0711.3636). Both move by
     residual = sum_K (2 ||E_K||_F max|d_K| + ||E_K||_F^2) to cover the E_K.
+    A single band runs no block, so its sole operator is exactly [I; 0] and
+    the channel is the identity, which is one-band dephasing: (0, 0, 0).
     """
     vectors = spectrum.vectors
     n = len(vectors)
     if structure.dimension != n:
         raise ValueError("spectrum dimension does not match the band structure")
-    blocks = np.concatenate([leaf.operator.reshape(-1, n, n) for leaf in kraus.leaves])
+    operators = [leaf.operator for leaf in kraus.leaves]
+    if structure.band_count == 1 and len(operators) == 1 and np.array_equal(
+            operators[0], np.eye(2 * n, n)):
+        return 0.0, 0.0, 0.0
+    blocks = np.concatenate([operator.reshape(-1, n, n) for operator in operators])
     rotated = dagger(vectors) @ blocks @ vectors
     diag = np.diagonal(rotated, axis1=1, axis2=2)
     off = np.linalg.norm(rotated - diag[:, :, np.newaxis] * np.eye(n), axis=(1, 2))

@@ -143,22 +143,18 @@ def _cheb_interpolate(values: np.ndarray, theta: np.ndarray, degree: int) -> np.
     return coeffs
 
 
-def extract_pq(
-    psi: PhaseFactorSet | list[PhaseFactorSet],
-) -> QspPolynomialPair | list[QspPolynomialPair]:
+def extract_pq(items: list[PhaseFactorSet]) -> list[QspPolynomialPair]:
     """Interpolate (P, Q) from unitary samples at Chebyshev nodes.
 
-    `psi` is one rotation-convention `PhaseFactorSet`, giving one pair, or a
-    list of them of one degree, giving a list in the same order. P is read
-    from the top-left entry at d+1 nodes, Q from the top-right at d interior
-    nodes (where the sqrt(1-x^2) prefactor is nonzero). An independent
+    `items` are rotation-convention `PhaseFactorSet`s of one degree, and
+    their pairs come back in the same order. P is read from the top-left
+    entry at d+1 nodes, Q from the top-right at d interior nodes (where the
+    sqrt(1-x^2) prefactor is nonzero). An independent
     uniform grid re-checks every item's interpolation before returning; a
     failure names the first inconsistent item. One forward sweep covers all
     three node sets and every item, and each item is interpolated on its
     own, so it gets the pair it would get alone.
     """
-    single = isinstance(psi, PhaseFactorSet)
-    items = [psi] if single else list(psi)
     for ps in items:
         _require(ps, "su2")
     degrees = {ps.degree for ps in items}
@@ -190,10 +186,9 @@ def extract_pq(
         raise RuntimeError(
             f"polynomial interpolation inconsistent on validation grid: "
             f"P residual {res_p[i]:.3e}, Q residual {res_q[i]:.3e}"
-            + ("" if single else f" (item {i} of {len(items)})")
+            + (f" (item {i} of {len(items)})" if len(items) > 1 else "")
         )
-    pairs = [QspPolynomialPair(pi, qi, d) for pi, qi in zip(p, q)]
-    return pairs[0] if single else pairs
+    return [QspPolynomialPair(pi, qi, d) for pi, qi in zip(p, q)]
 
 
 def _circuit_offsets(d: int) -> np.ndarray:
@@ -219,8 +214,8 @@ class SynthesisError(RuntimeError):
     """Raised when phase-factor optimization stalls above the requested tolerance.
 
     `index` is the failed target's position in the list given to
-    `synthesize_symmetric` (0 for a single target) and `history` its max
-    residual at each Newton iterate.
+    `synthesize_symmetric` and `history` its max residual at each Newton
+    iterate.
     """
 
     def __init__(self, message: str, history: list[float], index: int = 0):
@@ -390,32 +385,27 @@ def _closed_form(f: ChebyshevSeries) -> np.ndarray | None:
     return None
 
 
-def synthesize_symmetric(
-    f: ChebyshevSeries | list[ChebyshevSeries], tol: float
-) -> PhaseFactorSet | list[PhaseFactorSet]:
-    """Symmetric rotation-convention phases whose Re P matches the target.
+def synthesize_symmetric(targets: list[ChebyshevSeries], tol: float) -> list[PhaseFactorSet]:
+    """Symmetric rotation-convention phases whose Re P matches each target.
 
-    `f` is one `ChebyshevSeries`, giving one `PhaseFactorSet`, or a list of
-    targets of one degree, giving a list in the same order. Each target must
-    have definite parity and, unless it is a single Chebyshev component
-    (handled in closed form), stay strictly inside the synthesis margin;
-    callers rescale, this routine never does. A symmetric degree-d sequence
-    has m = (d+2)//2 free phases, and Re P - f has definite parity, so it is
-    solved on the m positive Chebyshev nodes cos((2j-1) pi / (4m)): a square
-    system, solved by damped Newton from the (pi/4, 0, ..., 0, pi/4) iterate
-    (Dong, Lin, Ni and Wang, arXiv:2209.10162). Residuals and the Jacobian
-    come from one sweep of SU(2) pairs over the first half L of the
-    palindrome, U = L L^T (`_half_prefixes`); each Newton step reuses the
-    sweep of its accepted line-search trial. All
-    targets of a list run in one Newton pass over their stack, each with its
-    own steps, so each gets the phases it would get alone. Every result must
-    then meet `tol`, a finite positive number, on the 2d-node grid, or
-    `SynthesisError` names the first that does not.
+    `targets` share one degree, and their phases come back in the same
+    order. Each target must have definite parity and, unless it is a single
+    Chebyshev component (handled in closed form), stay strictly inside the
+    synthesis margin; callers rescale, this routine never does. A symmetric
+    degree-d sequence has m = (d+2)//2 free phases, and Re P - f has definite
+    parity, so it is solved on the m positive Chebyshev nodes
+    cos((2j-1) pi / (4m)): a square system, solved by damped Newton from the
+    (pi/4, 0, ..., 0, pi/4) iterate (Dong, Lin, Ni and Wang,
+    arXiv:2209.10162). Residuals and the Jacobian come from one sweep of
+    SU(2) pairs over the first half L of the palindrome, U = L L^T
+    (`_half_prefixes`); each Newton step reuses the sweep of its accepted
+    line-search trial. All targets run in one Newton pass over their stack,
+    each with its own steps, so each gets the phases it would get alone.
+    Every result must then meet `tol`, a finite positive number, on the
+    2d-node grid, or `SynthesisError` names the first that does not.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"synthesis tolerance must be a finite positive number, got {tol!r}")
-    single = isinstance(f, ChebyshevSeries)
-    targets = [f] if single else list(f)
     degrees = {g.degree for g in targets}
     if len(degrees) > 1:
         raise ValueError(f"stacked synthesis targets must share one degree, got {sorted(degrees)}")
@@ -432,7 +422,7 @@ def synthesize_symmetric(
             raise ValueError(
                 f"target sup-norm {sup[j]:.12f} violates the synthesis margin "
                 f"1 - {SYNTHESIS_GUARD:g}; rescale the target before synthesis"
-                + ("" if single else f" (item {solve[j]} of {len(targets)})")
+                + (f" (item {solve[j]} of {len(targets)})" if len(targets) > 1 else "")
             )
 
         m = (d + 2) // 2
@@ -450,9 +440,9 @@ def synthesize_symmetric(
             if final[j] > tol:
                 raise SynthesisError(
                     f"phase synthesis stalled at residual {final[j]:.3e} (target {tol:.3e}, "
-                    f"degree {d}" + (")" if single else f", item {i} of {len(targets)})"),
+                    f"degree {d}"
+                    + (f", item {i} of {len(targets)})" if len(targets) > 1 else ")"),
                     histories[j], i,
                 )
             values[i] = _mirror(free[j], d)
-    phases = [PhaseFactorSet(v, "su2") for v in values]
-    return phases[0] if single else phases
+    return [PhaseFactorSet(v, "su2") for v in values]

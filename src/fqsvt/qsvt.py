@@ -51,17 +51,13 @@ def _interleaved(enc: np.ndarray, phis: list[PhaseFactorSet], signs: list) -> np
     return u
 
 
-def assemble_full(
-    enc: np.ndarray, phi: PhaseFactorSet | list[PhaseFactorSet],
-) -> np.ndarray | list[np.ndarray]:
-    """Full circuit unitary of size 2NM: Hadamard butterfly over +Phi / -Phi sectors.
+def assemble_full(enc: np.ndarray, phis: list[PhaseFactorSet]) -> list[np.ndarray]:
+    """Full circuit unitaries of size 2NM: Hadamard butterfly over +Phi / -Phi sectors.
 
-    `phi` is one circuit-convention `PhaseFactorSet`, giving one unitary, or
-    a list of them of one degree, giving a list in the same order from one
-    stacked interleaved product; each equals the single call's bit for bit.
+    `phis` are circuit-convention `PhaseFactorSet`s of one degree, and their
+    unitaries come back in the same order from one stacked interleaved
+    product; each equals a one-item call's bit for bit.
     """
-    single = isinstance(phi, PhaseFactorSet)
-    phis = [phi] if single else list(phi)
     for ps in phis:
         if ps.convention != "circuit":
             raise ValueError("interleaved assembly takes circuit-convention phases")
@@ -80,7 +76,7 @@ def assemble_full(
     q[:, :size, size:] = b
     q[:, size:, :size] = b
     q[:, size:, size:] = a
-    return q[0] if single else list(q)
+    return list(q)
 
 
 def predicted_blocks(h: np.ndarray, phi: PhaseFactorSet) -> np.ndarray:
@@ -93,7 +89,7 @@ def predicted_blocks(h: np.ndarray, phi: PhaseFactorSet) -> np.ndarray:
     transformation is T2 = (-1)^d V.
     """
     spectrum, s = _psd_contraction_spectrum(h)
-    pair = extract_pq(to_su2(phi))
+    pair = extract_pq([to_su2(phi)])[0]
     v, sigma = spectrum.vectors, spectrum.values
     t2 = -v if phi.degree % 2 else v
 

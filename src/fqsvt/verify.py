@@ -97,7 +97,7 @@ def criterion_2() -> CriterionResult:
         h = hermitian_from_spectrum(gen.uniform(0.02, 0.98, n), gen)
         enc = dilate_hermitian(h)
         phi = PhaseFactorSet(gen.uniform(-math.pi, math.pi, degree + 1), "circuit")
-        q = assemble_full(enc, phi)
+        q = assemble_full(enc, [phi])[0]
         pred = predicted_blocks(h, phi)
         for i in range(4):
             for j in range(4):
@@ -127,7 +127,7 @@ def criterion_3() -> CriterionResult:
             h, psi, amp = instances[i]
             n = len(amp)
             phi = to_circuit(psi)
-            q = assemble_full(dilate_hermitian(h), phi)
+            q = assemble_full(dilate_hermitian(h), [phi])[0]
             full = np.zeros(4 * n, dtype=complex)
             full[:n] = amp
             full = q @ full
@@ -205,8 +205,8 @@ def criterion_5() -> CriterionResult:
     gen = rng(105)
     h = hermitian_from_spectrum([0.08, 0.15, 0.82, 0.93], gen)
     spec_h = eigh(h)
-    filt = heaviside_filter(FilterSpec(0.5, 0.5, eps))
-    phi = to_circuit(synthesize_symmetric(filt, 1e-11))
+    filt = heaviside_filter([FilterSpec(0.5, 0.5, eps)])
+    phi = to_circuit(synthesize_symmetric(filt, 1e-11)[0])
     enc = dilate_hermitian(h)
     bound = 2.0 * math.sqrt(2.0) * eps
 
@@ -257,7 +257,7 @@ def criterion_6() -> CriterionResult:
 
     deltas = np.array([0.4, 0.2, 0.1, 0.05])
     epses = np.array([1e-2, 1e-3, 1e-4])
-    # One lockstep build of all seven filters; each equals its single build.
+    # One lockstep build of all seven filters; each equals its one-item build.
     filters = heaviside_filter([FilterSpec(0.5, d, 1e-3) for d in deltas]
                                + [FilterSpec(0.5, 0.2, e) for e in epses])
     degrees = [f.degree for f in filters[:len(deltas)]]
@@ -273,7 +273,7 @@ def criterion_6() -> CriterionResult:
 def criterion_7() -> CriterionResult:
     """Memoryless walk success stays below 2/L; query separation against feedforward."""
     gen = rng(107)
-    degree = heaviside_filter(FilterSpec(0.5, 0.2, 1e-3)).degree
+    degree = heaviside_filter([FilterSpec(0.5, 0.2, 1e-3)])[0].degree
     passed = True
     detail = []
     rates = {}

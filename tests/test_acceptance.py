@@ -60,7 +60,7 @@ def reference_criterion_3() -> CriterionResult:
         phi = to_circuit(psi)
         amp = haar_vector(gen, n)
 
-        q = assemble_full(enc, phi)
+        q = assemble_full(enc, [phi])[0]
         full = np.zeros(4 * n, dtype=complex)
         full[:n] = amp
         full = q @ full
@@ -170,9 +170,9 @@ def test_criterion_06_builds_its_scaling_filters_in_one_call(monkeypatch):
     # for the seven degree-scaling filters; the detail is pinned.
     calls = []
 
-    def counting(spec):
-        calls.append(spec)
-        return chebyshev.heaviside_filter(spec)
+    def counting(specs):
+        calls.append(specs)
+        return chebyshev.heaviside_filter(specs)
 
     monkeypatch.setattr(verify, "heaviside_filter", counting)
     monkeypatch.setattr(feedforward, "heaviside_filter", counting)

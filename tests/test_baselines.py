@@ -65,7 +65,7 @@ def _reference_walk(structure, spectrum, trials, seed):
                 successes += 1
     rate = successes / trials
     stderr = math.sqrt(max(rate * (1.0 - rate), 1.0 / trials) / trials)
-    return WalkEstimate(rate, stderr, trials, ell)
+    return WalkEstimate(rate, stderr, ell)
 
 
 def _reference_evolve(h0, h1, total_time, steps, amplitudes):

@@ -91,7 +91,7 @@ def test_filter_spec_invariants():
 
 def test_heaviside_low_degree_example():
     spec = FilterSpec(0.5, 0.6, 0.1)
-    filt = heaviside_filter(spec)
+    filt = heaviside_filter([spec])[0]
     assert filt.degree <= 12
     assert filt.parity == "even"
     assert certify_filter(filt, spec).passed
@@ -99,12 +99,12 @@ def test_heaviside_low_degree_example():
 
 def test_heaviside_value_near_one_at_zero():
     for spec in (FilterSpec(0.5, 0.6, 0.1), FilterSpec(0.4, 0.2, 1e-3)):
-        filt = heaviside_filter(spec)
+        filt = heaviside_filter([spec])[0]
         assert abs(1.0 - _clenshaw(filt.coeffs, 0.0)) < spec.eps / 2
 
 
 def test_heaviside_even_parity_enforced():
-    filt = heaviside_filter(FilterSpec(0.5, 0.2, 1e-3))
+    filt = heaviside_filter([FilterSpec(0.5, 0.2, 1e-3)])[0]
     assert np.max(np.abs(filt.coeffs[1::2])) <= 1e-12
 
 
@@ -112,7 +112,7 @@ def test_sup_norm_in_u_variable_brackets_dense_grid_maximum():
     # An even filter is certified as G(2x^2 - 1) at half the degree; its
     # exact sup-norm can only sit above a dense grid's maximum in x.
     spec = FilterSpec(0.5, 0.2, 1e-3)
-    filt = heaviside_filter(spec)
+    filt = heaviside_filter([spec])[0]
     grid_max = float(np.max(np.abs(_clenshaw(filt.coeffs, np.linspace(-1.0, 1.0, 200_001)))))
     sup = certify_filter(filt, spec).sup_norm.worst
     assert grid_max - 1e-13 <= sup <= grid_max + 1e-9
@@ -152,11 +152,11 @@ def test_heaviside_certifies_and_synthesizes_down_to_small_budgets(eps):
     # A fixed 1e-6 synthesis margin used to eat the low-side budget for
     # every eps <= 4e-6.
     spec = FilterSpec(0.5, 0.2, eps)
-    filt = heaviside_filter(spec)
+    filt = heaviside_filter([spec])[0]
     report = certify_filter(filt, spec)
     assert report.passed
     assert report.sup_norm.bound == 1.0 - synthesis_margin(eps)
-    psi = synthesize_symmetric(filt, 1e-11)
+    psi = synthesize_symmetric([filt], 1e-11)[0]
     assert psi.symmetric and psi.degree == filt.degree
 
 
@@ -179,7 +179,7 @@ def test_heaviside_degree_is_the_smallest_feasible():
     # The minimax verdict is monotone: every lower half-degree is infeasible
     # and the next few above stay feasible.
     spec = FilterSpec(0.5, 0.2, 1e-5)
-    filt = heaviside_filter(spec)
+    filt = heaviside_filter([spec])[0]
     half = filt.degree // 2
     assert filt.degree == 92
     assert all(minimax_verdict(spec, h).level >= 1.0 for h in range(1, half))
@@ -202,7 +202,7 @@ def test_heaviside_search_does_not_creep(monkeypatch, spec, degree):
         return verdicts
 
     monkeypatch.setattr(chebyshev, "_remez_step", counting)
-    assert heaviside_filter(spec).degree == degree
+    assert heaviside_filter([spec])[0].degree == degree
     assert len(calls) <= 8, calls
 
 
@@ -220,7 +220,7 @@ def layout_structure(count: int):
 def layout_filters(count: int) -> tuple:
     """The split filters of `layout_structure(count)` at round_eps 1e-3."""
     structure = layout_structure(count)
-    return tuple(heaviside_filter(FilterSpec(float(c), structure.delta, 1e-3))
+    return tuple(heaviside_filter([FilterSpec(float(c), structure.delta, 1e-3)])[0]
                  for c in structure.centers)
 
 
@@ -254,7 +254,7 @@ def test_layout_filter_degrees_are_pinned(count):
 @pytest.mark.parametrize("mu, delta, eps, degree", PINNED_DEGREES)
 def test_filter_degree_is_pinned(mu, delta, eps, degree):
     spec = FilterSpec(mu, delta, eps)
-    filt = heaviside_filter(spec)
+    filt = heaviside_filter([spec])[0]
     assert filt.degree == degree
     assert certify_filter(filt, spec).passed
 
@@ -262,7 +262,7 @@ def test_filter_degree_is_pinned(mu, delta, eps, degree):
 def test_heaviside_raises_when_the_cap_is_too_low(monkeypatch):
     monkeypatch.setattr(chebyshev, "DEGREE_CAP", 20)
     with pytest.raises(RuntimeError, match="no even filter of degree <= 20"):
-        heaviside_filter(FilterSpec(0.5, 0.2, 1e-3))
+        heaviside_filter([FilterSpec(0.5, 0.2, 1e-3)])
 
 
 def test_the_cap_error_names_the_item_and_its_unproven_probes(monkeypatch):
@@ -278,7 +278,7 @@ def test_the_cap_error_names_the_item_and_its_unproven_probes(monkeypatch):
     with pytest.raises(RuntimeError, match=r"\(item 1 of 2\); 3 of its 3 probes stopped unproven$"):
         heaviside_filter(specs)
     with pytest.raises(RuntimeError, match=r"eps=0\.001\); 3 of its 3 probes"):
-        heaviside_filter(specs[1])
+        heaviside_filter([specs[1]])
 
 
 def benchmark_hamiltonian(seed: int) -> np.ndarray:
@@ -335,7 +335,7 @@ def filter_specs(draw):
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(filter_specs())
 def test_heaviside_filter_properties(spec):
-    filt = heaviside_filter(spec)
+    filt = heaviside_filter([spec])[0]
     report = certify_filter(filt, spec)
     assert report.passed
     assert filt.degree % 2 == 0
@@ -383,7 +383,7 @@ def test_certify_refinement_never_flips_to_pass():
     # Exact extrema bound every grid from above, so no refinement of a grid
     # can fail a filter that exact certification passes.
     spec = FilterSpec(0.5, 0.4, 1e-2)
-    for filt in (heaviside_filter(spec), ChebyshevSeries([0.5])):
+    for filt in (heaviside_filter([spec])[0], ChebyshevSeries([0.5])):
         report = certify_filter(filt, spec)
         for points in (2001, 4001):
             grid = _grid_worsts(filt, spec, points)
@@ -393,7 +393,7 @@ def test_certify_refinement_never_flips_to_pass():
 
 def test_composition_inequalities_for_squared_filter():
     spec = FilterSpec(0.5, 0.3, 1e-2)
-    filt = heaviside_filter(spec)
+    filt = heaviside_filter([spec])[0]
     low = np.linspace(0.0, spec.mu - spec.delta / 2, 1001)
     vals_low = np.asarray(_clenshaw(filt.coeffs, low))
     assert np.max(np.abs(1 - vals_low**2)) <= np.max(2 * np.abs(1 - vals_low))
@@ -493,7 +493,7 @@ def test_heaviside_filter_certifies_without_a_root_solve_of_its_own(monkeypatch)
     monkeypatch.setattr(chebyshev, "_critical_points", counting_roots)
     monkeypatch.setattr(chebyshev, "_remez_step", step)
     spec = FilterSpec(0.5, 0.2, 1e-5)
-    filt = heaviside_filter(spec)
+    filt = heaviside_filter([spec])[0]
     assert solves["inside"] > 0 and solves["outside"] == 0
     monkeypatch.undo()
     assert certify_filter(filt, spec).passed
@@ -509,7 +509,7 @@ def phases_artifacts(tmp_path, spec: FilterSpec) -> dict:
 
 
 def test_series_json_round_trip(tmp_path):
-    filt = heaviside_filter(FilterSpec(0.5, 0.6, 0.1))
+    filt = heaviside_filter([FilterSpec(0.5, 0.6, 0.1)])[0]
     doc = phases_artifacts(tmp_path, FilterSpec(0.5, 0.6, 0.1))["filter.json"]
     assert doc["parity"] == "even"
     restored = ChebyshevSeries(doc["coeffs"], doc["parity"])

@@ -108,7 +108,7 @@ def test_phases_certifies_without_a_root_solve_after_the_build(tmp_path, monkeyp
         return critical_points(coeffs)
 
     monkeypatch.setattr(chebyshev, "_critical_points", recording)
-    chebyshev.heaviside_filter(chebyshev.FilterSpec(**spec))
+    chebyshev.heaviside_filter([chebyshev.FilterSpec(**spec)])
     build_solves, solves[:] = len(solves), []
     assert main(["phases", "--config", write_config(tmp_path, spec),
                  "--out", str(tmp_path / "out")]) == 0
@@ -131,6 +131,11 @@ def test_missing_config_file(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+def distance_rows(out) -> dict:
+    """quantity -> value, as text, from a run's distance.csv."""
+    return dict(line.split(",") for line in (out / "distance.csv").read_text().splitlines()[1:])
+
+
 def test_project_enumerate_synthetic(tmp_path):
     cfg = write_config(tmp_path, {
         "model": {"type": "synthetic", "bands": 2, "per_band": 2, "width": 0.02,
@@ -143,10 +148,7 @@ def test_project_enumerate_synthetic(tmp_path):
     assert main(["project", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
     tree = json.loads((out / "tree.json").read_text())
     assert tree["L"] == 2
-    rows = dict(
-        line.split(",") for line in
-        (out / "distance.csv").read_text().splitlines()[1:]
-    )
+    rows = distance_rows(out)
     lower, upper, residual = (float(rows[f"distance_{end}"])
                               for end in ("lower", "upper", "residual"))
     assert 0.0 <= residual <= 1e-10
@@ -155,6 +157,21 @@ def test_project_enumerate_synthetic(tmp_path):
     kraus = json.loads((out / "kraus.json").read_text())
     assert kraus["completeness_residual"] <= 1e-9
     assert_json_is_compact_and_sorted(out)
+
+
+def test_single_band_distance_csv_is_bracketed_by_its_bound(tmp_path):
+    # One band runs no block, so the channel is exactly one-band dephasing,
+    # the identity; a 0 exit certifies lower <= upper <= 4 L log2(L) eps = 0.
+    cfg = write_config(tmp_path, {
+        "model": {"type": "synthetic", "bands": 1, "per_band": 4, "width": 0.02},
+        "bands": {"target": 1},
+        "round_eps": 1e-3,
+    })
+    out = tmp_path / "single"
+    assert main(["project", "--config", cfg, "--seed", "5", "--out", str(out)]) == 0
+    rows = {key: float(value) for key, value in distance_rows(out).items()}
+    assert rows["distance_lower"] <= rows["distance_upper"] <= rows["bound_4_L_log2L_eps"]
+    assert rows["distance_upper"] == rows["distance_residual"] == 0.0
 
 
 def test_project_sample_mode_records(tmp_path):

@@ -137,8 +137,8 @@ def test_one_step_t2_zero_crossing():
 
 def test_one_step_heaviside_keeps_low_eigenstate():
     eps = 1e-3
-    filt = heaviside_filter(FilterSpec(0.5, 0.4, eps))
-    phi = to_circuit(synthesize_symmetric(filt, 1e-11))
+    filt = heaviside_filter([FilterSpec(0.5, 0.4, eps)])[0]
+    phi = to_circuit(synthesize_symmetric([filt], 1e-11)[0])
     h = np.diag([0.2, 0.85]).astype(complex)
     enc = dilate_hermitian(h)
     leaves = {b.record: b for b in
@@ -241,6 +241,25 @@ def test_multiband_single_band_trivial_tree():
     assert tree.query_count == 0
 
 
+def test_single_band_distance_is_zero_only_for_the_exact_identity():
+    # One band runs no block: the sole operator is [I; 0] and the channel
+    # is one-band dephasing. An operator that is not exactly [I; 0] takes
+    # the general bracket: sqrt(0.9) [I; 0] is 0.9 times the identity
+    # channel, at distance 0.1.
+    gen = rng(25)
+    h = hermitian_from_spectrum([0.4, 0.45, 0.5, 0.55], gen)
+    spectrum = eigh(h)
+    structure = detect_bands(spectrum.values, min_gap=0.3)
+    kraus = extract_kraus(run_multiband(dilate_hermitian(h), structure, 0.0,
+                                        spectrum.vectors[:, 0]))
+    assert np.array_equal(kraus.leaves[0].operator, np.eye(8, 4))
+    assert channel_distance(kraus, spectrum, structure) == (0.0, 0.0, 0.0)
+    kraus.leaves[0].operator = math.sqrt(0.9) * kraus.leaves[0].operator
+    lower, upper, residual = channel_distance(kraus, spectrum, structure)
+    assert residual <= 1e-14
+    assert lower == pytest.approx(0.1, abs=1e-12) and upper == pytest.approx(0.1, abs=1e-12)
+
+
 def test_multiband_band_supported_input_claims_its_band():
     gen = rng(26)
     h = hermitian_from_spectrum([0.1, 0.5, 0.9, 0.95], gen)
@@ -263,7 +282,7 @@ def per_trajectory_sample(enc, policy, amp, seed, trajectories):
     after `len(bits)` bits reads entry `len(bits)` of row s of the
     `SAMPLE_UNIFORMS` block, drawn whole in one call.
     """
-    circuits = {k: assemble_full(enc, phi) for k, phi in policy.phase_table.items()}
+    circuits = {k: assemble_full(enc, [phi])[0] for k, phi in policy.phase_table.items()}
     n = len(enc) // 2
     reg_dim = 2 * n
     reflect_signs = -np.ones((2 * reg_dim, 1))
@@ -347,7 +366,7 @@ def test_sample_mode_builds_one_generator_whatever_the_trajectory_count(monkeypa
 
 
 def test_run_multiband_rejects_unknown_mode_before_compiling(monkeypatch):
-    def no_filters(spec):
+    def no_filters(specs):
         raise AssertionError("a filter was built before the mode was checked")
 
     monkeypatch.setattr(feedforward, "heaviside_filter", no_filters)
@@ -359,7 +378,7 @@ def test_run_multiband_rejects_unknown_mode_before_compiling(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["1fqsvt", "enumerate", "sample"])
 def test_input_state_must_match_the_encoded_dimension(monkeypatch, mode):
-    def no_filters(spec):
+    def no_filters(specs):
         raise AssertionError("a filter was built before the state was checked")
 
     monkeypatch.setattr(feedforward, "heaviside_filter", no_filters)
@@ -388,7 +407,7 @@ ENTRIES = {
     "garbage_state": lambda h, enc, state: garbage_state(h, IDENTITY, state),
     "adiabatic": lambda h, enc, state: adiabatic_leakage_scaling(
         h, h, detect_bands(np.diag(h), min_gap=0.2), 0, [1.0], state),
-    "assemble_full": lambda h, enc, state: assemble_full(enc, IDENTITY),
+    "assemble_full": lambda h, enc, state: assemble_full(enc, [IDENTITY])[0],
 }
 # case -> (H, state, expected message); the encoding is H's dilation.
 BAD_STATES = {
@@ -417,7 +436,7 @@ BAD_ENCODINGS = {
 def test_entries_reject_bad_states_and_encodings_by_name(monkeypatch, entry, case):
     # A state or encoding from the caller is checked where it enters, before
     # any filter is built, and always with a ValueError (never an IndexError).
-    def no_filters(spec):
+    def no_filters(specs):
         raise AssertionError("a filter was built before the input was checked")
 
     monkeypatch.setattr(feedforward, "heaviside_filter", no_filters)
@@ -506,7 +525,7 @@ def test_extract_kraus_branch_linearity():
     for leaf in single:
         predicted = by_record[leaf.record] @ amp
         assert np.max(np.abs(predicted - leaf.state)) <= 1e-12
-    f = _clenshaw(extract_pq(to_su2(table[1])).p.real, spec.values)
+    f = _clenshaw(extract_pq([to_su2(table[1])])[0].p.real, spec.values)
     f2 = (spec.vectors * f**2) @ spec.vectors.conj().T
     assert np.max(np.abs(by_record[(0, 0)][:2] - f2)) <= 1e-10
     assert np.max(np.abs(by_record[(1, 0)][:2] + (np.eye(2) - f2))) <= 1e-10
@@ -727,7 +746,7 @@ def test_phase_table_builds_each_split_once_and_pads_to_the_hardest(monkeypatch)
     for k, c in enumerate(structure.centers, start=1):
         filt = built[FilterSpec(float(c), structure.delta, eps)][0]
         assert table[k].degree == degree
-        realized = _clenshaw(extract_pq(to_su2(table[k])).p.real, xs)
+        realized = _clenshaw(extract_pq([to_su2(table[k])])[0].p.real, xs)
         assert np.max(np.abs(realized - _clenshaw(filt.coeffs, xs))) <= 1e-10
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqsvt import qsp
+from fqsvt import chebyshev, qsp
 from fqsvt.chebyshev import ChebyshevSeries, FilterSpec, _clenshaw, heaviside_filter
 from fqsvt.feedforward import SYNTHESIS_TOL
 from fqsvt.linalg import rng
@@ -87,7 +87,7 @@ def test_batch_unitaries_match_explicit_matrix_product():
 
 def test_extract_pq_chebyshev_case():
     d = 5
-    pair = extract_pq(PhaseFactorSet(np.zeros(d + 1), "su2"))
+    pair = extract_pq([PhaseFactorSet(np.zeros(d + 1), "su2")])[0]
     t5 = np.zeros(d + 1)
     t5[d] = 1.0
     assert np.allclose(pair.p, t5, atol=1e-12)
@@ -96,14 +96,14 @@ def test_extract_pq_chebyshev_case():
 
 
 def test_extract_pq_degree_zero():
-    pair = extract_pq(PhaseFactorSet([math.pi / 2], "su2"))
+    pair = extract_pq([PhaseFactorSet([math.pi / 2], "su2")])[0]
     assert np.allclose(pair.p, [1j])
     assert len(pair.q) == 0
 
 
 def test_extract_pq_symmetric_q_real():
     gen = rng(2)
-    pair = extract_pq(random_symmetric(gen, 9))
+    pair = extract_pq([random_symmetric(gen, 9)])[0]
     assert np.max(np.abs(pair.q.imag)) <= 1e-10
 
 
@@ -136,7 +136,7 @@ def test_extract_pq_one_sweep_matches_separate_sweeps_bitwise():
     cases += [to_su2(PhaseFactorSet(gen.uniform(-np.pi, np.pi, int(gen.integers(1, 13)) + 1),
                                     "circuit")) for _ in range(60)]
     for psi in cases:
-        pair = extract_pq(psi)
+        pair = extract_pq([psi])[0]
         p, q = reference_extract_pq(psi)
         assert np.array_equal(pair.p, p) and np.array_equal(pair.q, q), psi.values
 
@@ -230,7 +230,7 @@ def test_stacked_extract_pq_matches_the_single_call_bitwise(stack):
         want = reference_single_extract_pq(psi)
         assert pair.degree == psi.degree
         assert np.array_equal(pair.p, want.p) and np.array_equal(pair.q, want.q), psi.values
-        alone = extract_pq(psi)
+        alone = extract_pq([psi])[0]
         assert np.array_equal(alone.p, want.p) and np.array_equal(alone.q, want.q)
 
 
@@ -240,7 +240,7 @@ def test_stacked_extract_pq_checks_its_items():
     with pytest.raises(ValueError, match="expected su2"):
         extract_pq([PhaseFactorSet([0.1, 0.2], "su2"), PhaseFactorSet([0.1, 0.2], "circuit")])
     with pytest.raises(ValueError, match="expected su2"):
-        extract_pq(PhaseFactorSet([0.1, 0.2], "circuit"))
+        extract_pq([PhaseFactorSet([0.1, 0.2], "circuit")])
     assert extract_pq([]) == []
 
 
@@ -263,7 +263,46 @@ def test_extract_pq_names_the_item_that_fails_validation(monkeypatch):
         extract_pq(stack)
     bad["row"] = 0
     with pytest.raises(RuntimeError, match=r"P residual 1\.000e-06, Q residual [^(]*$"):
-        extract_pq(stack[1])
+        extract_pq([stack[1]])
+
+
+def failing_filter_build(monkeypatch, count):
+    monkeypatch.setattr(chebyshev, "DEGREE_CAP", 20)
+    heaviside_filter([FilterSpec(0.5, 0.6, 0.1), FilterSpec(0.5, 0.2, 1e-3)][-count:])
+
+
+def failing_extraction(monkeypatch, count):
+    interpolate = qsp._cheb_interpolate
+
+    def corrupt_the_last_row(values, theta, degree):
+        coeffs = interpolate(values, theta, degree)
+        coeffs[-1, 0] += 1e-6
+        return coeffs
+
+    monkeypatch.setattr(qsp, "_cheb_interpolate", corrupt_the_last_row)
+    gen = rng(13)
+    extract_pq([random_symmetric(gen, 6) for _ in range(count)])
+
+
+def failing_synthesis(monkeypatch, count):
+    # The pure 0.5 T_10 target has closed-form phases; the other stalls.
+    coeffs = 0.9 * extract_pq([random_symmetric(rng(9), 10)])[0].p.real
+    coeffs[1::2] = 0.0
+    pure = ChebyshevSeries(np.eye(11)[10] * 0.5, "even")
+    synthesize_symmetric([pure, ChebyshevSeries(coeffs, "even")][-count:], 1e-30)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("stage", [failing_filter_build, failing_extraction, failing_synthesis],
+                         ids=["heaviside_filter", "extract_pq", "synthesize_symmetric"])
+def test_a_failure_names_its_item_only_in_a_list_of_several(monkeypatch, stage, count):
+    # The last item fails: a list of two names it, a one-item list does not.
+    with pytest.raises(RuntimeError) as info:
+        stage(monkeypatch, count)
+    if count == 1:
+        assert "item" not in str(info.value)
+    else:
+        assert "item 1 of 2" in str(info.value)
 
 
 def test_conversion_examples():
@@ -318,20 +357,20 @@ def test_symmetric_flag():
 
 
 def test_synthesize_identity_target():
-    psi = synthesize_symmetric(ChebyshevSeries([0.0, 1.0], "odd"), 1e-12)
+    psi = synthesize_symmetric([ChebyshevSeries([0.0, 1.0], "odd")], 1e-12)[0]
     assert np.allclose(psi.values, [0.0, 0.0])
 
 
 def test_synthesize_chebyshev_target():
-    psi = synthesize_symmetric(ChebyshevSeries([0, 0, 0, 0, 0, 1.0], "odd"), 1e-12)
+    psi = synthesize_symmetric([ChebyshevSeries([0, 0, 0, 0, 0, 1.0], "odd")], 1e-12)[0]
     assert np.allclose(psi.values, np.zeros(6))
 
 
 def test_synthesize_scaled_chebyshev():
     target = ChebyshevSeries([0, 0, 0, 0, 0.9], "even")
-    psi = synthesize_symmetric(target, 1e-12)
+    psi = synthesize_symmetric([target], 1e-12)[0]
     assert psi.symmetric
-    pair = extract_pq(psi)
+    pair = extract_pq([psi])[0]
     xs = np.linspace(-1, 1, 401)
     realized = _clenshaw(pair.p, xs).real
     assert np.max(np.abs(realized - 0.9 * np.cos(4 * np.arccos(xs)))) <= 1e-12
@@ -342,11 +381,11 @@ def test_synthesize_general_target_and_normalization():
     xs = np.linspace(-1, 1, 401)
     for d in (6, 11):
         source = random_symmetric(gen, d)
-        coeffs = 0.95 * extract_pq(source).p.real
+        coeffs = 0.95 * extract_pq([source])[0].p.real
         coeffs[(1 if d % 2 == 0 else 0)::2] = 0.0
         target = ChebyshevSeries(coeffs, "even" if d % 2 == 0 else "odd")
-        psi = synthesize_symmetric(target, 1e-11)
-        pair = extract_pq(psi)
+        psi = synthesize_symmetric([target], 1e-11)[0]
+        pair = extract_pq([psi])[0]
         assert np.max(np.abs(_clenshaw(pair.p, xs).real - _clenshaw(target.coeffs, xs))) <= 1e-11
         norm = np.abs(_clenshaw(pair.p, xs)) ** 2 + (1 - xs**2) * np.abs(_clenshaw(pair.q, xs)) ** 2
         assert np.max(np.abs(norm - 1)) <= 1e-10
@@ -360,11 +399,11 @@ def test_synthesize_general_target_and_normalization():
 def synthesis_targets(draw):
     """A minimax filter, or Re P of random symmetric phases scaled below 1."""
     if draw(st.booleans()):
-        return heaviside_filter(draw(filter_specs()))
+        return heaviside_filter([draw(filter_specs())])[0]
     d = draw(st.integers(1, 120))
     scale = 1.0 - 10.0 ** draw(st.floats(-6.0, -0.5))
     source = random_symmetric(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), d)
-    coeffs = scale * extract_pq(source).p.real
+    coeffs = scale * extract_pq([source])[0].p.real
     coeffs[(d + 1) % 2::2] = 0.0
     return ChebyshevSeries(coeffs, "even" if d % 2 == 0 else "odd")
 
@@ -373,7 +412,7 @@ def synthesis_targets(draw):
 @given(synthesis_targets())
 def test_synthesis_meets_the_2d_node_contract(target):
     tol = 1e-11
-    psi = synthesize_symmetric(target, tol)
+    psi = synthesize_symmetric([target], tol)[0]
     d = target.degree
     xs = np.cos((2 * np.arange(1, 2 * d + 1) - 1) * np.pi / (4 * d))
     assert psi.symmetric and psi.degree == d
@@ -383,11 +422,11 @@ def test_synthesis_meets_the_2d_node_contract(target):
 
 def test_synthesis_stall_raises_with_its_history():
     gen = rng(9)
-    coeffs = 0.9 * extract_pq(random_symmetric(gen, 10)).p.real
+    coeffs = 0.9 * extract_pq([random_symmetric(gen, 10)])[0].p.real
     coeffs[1::2] = 0.0
     target = ChebyshevSeries(coeffs, "even")
     with pytest.raises(SynthesisError, match="stalled") as info:
-        synthesize_symmetric(target, 1e-30)
+        synthesize_symmetric([target], 1e-30)
     alone = info.value.history
     assert alone and min(alone) > 2.5e-31 and info.value.index == 0
     # In a stack, a pure 0.5 T_10 target has closed-form phases and cannot
@@ -474,9 +513,10 @@ def test_batched_synthesis_matches_the_per_split_loop_bitwise(count):
     phases = synthesize_symmetric(targets, SYNTHESIS_TOL)
     x0, d, xs, values = newton_start(targets)
     assert len(phases) == len(targets)
-    for psi, start, target in zip(phases, x0, values):
+    for psi, start, target, series in zip(phases, x0, values, targets):
         free = reference_newton(start, d, xs, target, 0.25 * SYNTHESIS_TOL, [])
         assert np.array_equal(psi.values, _mirror(free, d))
+        assert np.array_equal(psi.values, synthesize_symmetric([series], SYNTHESIS_TOL)[0].values)
 
 
 @st.composite
@@ -493,7 +533,7 @@ def shared_degree_targets(draw):
     for _ in range(draw(st.integers(2, 6))):
         gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         if draw(st.booleans()):
-            coeffs = extract_pq(random_symmetric(gen, d)).p.real
+            coeffs = extract_pq([random_symmetric(gen, d)])[0].p.real
         else:
             coeffs = gen.standard_normal(d + 1)
         coeffs[1::2] = 0.0
@@ -523,7 +563,7 @@ def test_a_stack_of_copies_takes_the_sweeps_of_one_target(monkeypatch):
         return _half_prefixes(free, d, xs)
 
     monkeypatch.setattr(qsp, "_half_prefixes", counting)
-    alone = synthesize_symmetric(target, SYNTHESIS_TOL)
+    alone = synthesize_symmetric([target], SYNTHESIS_TOL)[0]
     single = len(sweeps)
     sweeps.clear()
     stacked = synthesize_symmetric([target] * 7, SYNTHESIS_TOL)
@@ -544,12 +584,12 @@ def test_synthesize_rejects_margin_violation():
     coeffs[2] = 0.3
     coeffs[4] = 0.2  # sup-norm above 1 - 1e-8 at x = 1
     with pytest.raises(ValueError, match="margin"):
-        synthesize_symmetric(ChebyshevSeries(coeffs, "even"), 1e-10)
+        synthesize_symmetric([ChebyshevSeries(coeffs, "even")], 1e-10)
 
 
 def test_synthesize_rejects_mixed_parity():
     with pytest.raises(ValueError, match="parity"):
-        synthesize_symmetric(ChebyshevSeries([0.1, 0.2], "none"), 1e-10)
+        synthesize_symmetric([ChebyshevSeries([0.1, 0.2], "none")], 1e-10)
 
 
 def test_gradient_matches_finite_differences():
@@ -631,7 +671,7 @@ def test_synthesize_rejects_a_tolerance_that_is_not_finite_and_positive(monkeypa
     monkeypatch.setattr(qsp, "_half_product", no_sweep)
     target = ChebyshevSeries([0.1, 0, 0.5, 0, 0.2], "even")
     with pytest.raises(ValueError, match=f"finite positive number, got {tol!r}"):
-        synthesize_symmetric(target, tol)
+        synthesize_symmetric([target], tol)
     with pytest.raises(ValueError, match="finite positive"):
         synthesize_symmetric([target, ChebyshevSeries(np.eye(5)[4] * 0.5, "even")], tol)
 
@@ -652,15 +692,15 @@ CONVERGING_SEEDS = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 16, 17, 18, 19
 def test_random_targets_near_sup_norm_one_synthesize():
     for seed in CONVERGING_SEEDS:
         target = random_even_target(seed, 0.9999)
-        psi = synthesize_symmetric(target, 1e-11)
+        psi = synthesize_symmetric([target], 1e-11)[0]
         xs = np.cos((2 * np.arange(1, 81) - 1) * np.pi / 160)
-        realized = _clenshaw(extract_pq(psi).p, xs).real
+        realized = _clenshaw(extract_pq([psi])[0].p, xs).real
         assert np.max(np.abs(realized - _clenshaw(target.coeffs, xs))) <= 1e-11, seed
 
 
 def test_phase_set_json_round_trip(tmp_path):
     spec = FilterSpec(0.5, 0.6, 0.1)
-    phi = to_circuit(synthesize_symmetric(heaviside_filter(spec), 1e-11))
+    phi = to_circuit(synthesize_symmetric(heaviside_filter([spec]), 1e-11)[0])
     doc = phases_artifacts(tmp_path, spec)["phases_circuit.json"]
     assert doc["convention"] == "circuit"
     restored = PhaseFactorSet(doc["values"], doc["convention"])

@@ -102,14 +102,14 @@ def test_interleaved_degree_one_is_encoding(setup):
 def test_full_circuit_realizes_identity_polynomial(setup):
     _, h, enc = setup
     phi = to_circuit(PhaseFactorSet([0.0, 0.0], "su2"))
-    q = assemble_full(enc, phi)
+    q = assemble_full(enc, [phi])[0]
     assert np.max(np.abs(q[:4, :4] - h)) <= 1e-12
 
 
 def test_full_circuit_realizes_t2(setup):
     _, h, enc = setup
     phi = to_circuit(PhaseFactorSet([0.0, 0.0, 0.0], "su2"))
-    q = assemble_full(enc, phi)
+    q = assemble_full(enc, [phi])[0]
     expected = 2 * h @ h - np.eye(4)
     assert np.max(np.abs(q[:4, :4] - expected)) <= 1e-10
 
@@ -117,10 +117,10 @@ def test_full_circuit_realizes_t2(setup):
 def test_full_circuit_unitary(setup):
     gen, _, enc = setup
     phi = PhaseFactorSet(gen.uniform(-np.pi, np.pi, 8), "circuit")
-    q = assemble_full(enc, phi)
+    q = assemble_full(enc, [phi])[0]
     assert np.max(np.abs(dagger(q) @ q - np.eye(16))) <= 1e-10
     with pytest.raises(ValueError, match="circuit-convention"):
-        assemble_full(enc, PhaseFactorSet(phi.values, "su2"))
+        assemble_full(enc, [PhaseFactorSet(phi.values, "su2")])
 
 
 def reference_interleaved(enc, values: np.ndarray) -> np.ndarray:
@@ -159,7 +159,7 @@ def test_stacked_assembly_matches_separate_products_bitwise():
         else:
             phi = PhaseFactorSet(gen.uniform(-np.pi, np.pi, int(gen.integers(1, 13)) + 1),
                                  "circuit")
-        assert np.array_equal(assemble_full(enc, phi), reference_assemble_full(enc, phi))
+        assert np.array_equal(assemble_full(enc, [phi])[0], reference_assemble_full(enc, phi))
         assert np.array_equal(_interleaved(enc, [phi], [1.0])[0],
                               reference_interleaved(enc, phi.values))
 
@@ -178,7 +178,7 @@ def test_assembly_of_a_list_matches_single_calls_bitwise(n):
         stacked = assemble_full(enc, phis)
         assert isinstance(stacked, list) and len(stacked) == count
         for phi, q in zip(phis, stacked):
-            assert np.array_equal(q, assemble_full(enc, phi))
+            assert np.array_equal(q, assemble_full(enc, [phi])[0])
 
 
 def test_assembly_of_a_list_rejects_mixed_degrees_and_rotation_phases(setup):
@@ -195,7 +195,7 @@ def test_predicted_blocks_match_assembled_both_parities(setup):
     gen, h, enc = setup
     for degree in (2, 5):
         phi = PhaseFactorSet(gen.uniform(-np.pi, np.pi, degree + 1), "circuit")
-        q = assemble_full(enc, phi)
+        q = assemble_full(enc, [phi])[0]
         pred = predicted_blocks(h, phi)
         assert pred.shape == (4, 4, 4, 4)
         for i in range(4):
@@ -209,7 +209,7 @@ def test_predicted_blocks_wrong_parity_choice_fails(setup):
     # (built by the reference) must miss the assembled circuit.
     gen, h, enc = setup
     phi = PhaseFactorSet(gen.uniform(-np.pi, np.pi, 4), "circuit")
-    q = assemble_full(enc, phi)
+    q = assemble_full(enc, [phi])[0]
     right = predicted_blocks(h, phi)
     wrong = reference_predicted_blocks(h, phi, t2_is_w2=phi.degree % 2 == 0)
 
@@ -309,7 +309,7 @@ def test_garbage_state_prediction(setup):
     phi = to_circuit(random_symmetric(gen, 6))
     amp = gen.standard_normal(4) + 1j * gen.standard_normal(4)
     amp /= np.linalg.norm(amp)
-    q = assemble_full(enc, phi)
+    q = assemble_full(enc, [phi])[0]
     full = np.zeros(16, dtype=complex)
     full[:4] = amp
     full = q @ full
@@ -325,7 +325,7 @@ def test_garbage_norm_identity_on_eigenstates(setup):
     gen, h, _ = setup
     spec = eigh(h)
     phi = to_circuit(random_symmetric(gen, 9))
-    pair = extract_pq(to_su2(phi))
+    pair = extract_pq([to_su2(phi)])[0]
     for idx in range(4):
         garbage = garbage_state(h, phi, spec.vectors[:, idx])
         f_val = float(_clenshaw(pair.p.real, np.array([spec.values[idx]]))[0])
@@ -352,7 +352,7 @@ def test_three_term_norm_completeness(setup):
     gen, h, _ = setup
     spec = eigh(h)
     phi = to_circuit(random_symmetric(gen, 8))
-    pair = extract_pq(to_su2(phi))
+    pair = extract_pq([to_su2(phi)])[0]
     amp = gen.standard_normal(4) + 1j * gen.standard_normal(4)
     amp /= np.linalg.norm(amp)
     weights = np.abs(dagger(spec.vectors) @ amp) ** 2
@@ -367,8 +367,8 @@ def test_three_term_norm_completeness(setup):
 def test_negated_phase_substitution_identity(setup):
     gen, _, _ = setup
     phi = PhaseFactorSet(gen.uniform(-np.pi, np.pi, 7), "circuit")
-    pair = extract_pq(to_su2(phi))
-    neg = extract_pq(to_su2(PhaseFactorSet(-phi.values, "circuit")))
+    pair = extract_pq([to_su2(phi)])[0]
+    neg = extract_pq([to_su2(PhaseFactorSet(-phi.values, "circuit"))])[0]
     assert np.max(np.abs(neg.p - pair.p.conj())) <= 1e-10
     assert np.max(np.abs(neg.q + pair.q.conj())) <= 1e-10
 
@@ -376,7 +376,7 @@ def test_negated_phase_substitution_identity(setup):
 def test_monitoring_flag_single_ancilla_suffices(setup):
     gen, h, enc = setup
     phi = to_circuit(random_symmetric(gen, 5))
-    q = assemble_full(enc, phi)
+    q = assemble_full(enc, [phi])[0]
     amp = gen.standard_normal(4) + 1j * gen.standard_normal(4)
     amp /= np.linalg.norm(amp)
     full = np.zeros(16, dtype=complex)
