@@ -50,8 +50,6 @@ from .qsp import (
     QspPolynomialPair,
     extract_pq,
     synthesize_symmetric,
-    to_circuit,
-    to_su2,
 )
 from .qsvt import assemble_full, garbage_state, predicted_blocks
 

@@ -414,8 +414,12 @@ def _remez_step(probes: list[_Probe]) -> list[_Verdict | None]:
     Each step takes its extrema from an angle grid; de la Vallee Poussin's
     bound holds for any alternating reference, so they need not be exact.
     A probe stops at the first iterate whose level at its exact extrema is
-    below 1, or at the first reference whose levelled error reaches 1, so
-    its verdict is the minimax one, which cannot get worse with the degree.
+    below 1, or at the first reference whose levelled error reaches 1. So
+    the feasible/infeasible call is the minimax one, which cannot get worse
+    with the degree. A feasible verdict's level is that of its first iterate
+    below 1, not the minimax error, so it need not fall with the degree: on
+    FilterSpec(0.578, 0.0663, 1.42e-6), halves 157, 158 and 159 give 0.812,
+    0.898 and 0.696.
     """
     verdicts: list[_Verdict | None] = [None] * len(probes)
     widest = max(p.half for p in probes)

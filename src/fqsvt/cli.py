@@ -49,7 +49,7 @@ from .feedforward import (
     run_multiband,
 )
 from .linalg import eigh, haar_vector, hermitian_from_spectrum, rng
-from .qsp import synthesize_symmetric, to_circuit
+from .qsp import _circuit_offsets, synthesize_symmetric
 
 __all__ = ["main", "ConfigError"]
 
@@ -331,11 +331,11 @@ def cmd_phases(cfg: dict, out: Path, seed: int) -> int:
     build = _build_filters([spec])[0]
     filt, report = build.filter, build.report
     psi = synthesize_symmetric([filt], cfg["tol"])[0]
-    phi = to_circuit(psi)
 
     _write_json(out / "filter.json", {"parity": filt.parity, "coeffs": filt.coeffs})
-    _write_json(out / "phases_su2.json", {"convention": psi.convention, "values": psi.values})
-    _write_json(out / "phases_circuit.json", {"convention": phi.convention, "values": phi.values})
+    _write_json(out / "phases_su2.json", {"convention": "su2", "values": psi.values})
+    _write_json(out / "phases_circuit.json",
+                {"convention": "circuit", "values": psi.values - _circuit_offsets(psi.degree)})
     rows = [
         [cond.name, _fmt(cond.bound), _fmt(cond.worst), _fmt(cond.margin), cond.passed]
         for cond in report.conditions()

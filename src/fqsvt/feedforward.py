@@ -31,7 +31,7 @@ from .bands import BandStructure, check_band_assumption
 from .blockenc import _check_encoding
 from .chebyshev import ChebyshevSeries, FilterSpec, heaviside_filter
 from .linalg import SAMPLE_UNIFORMS, HermitianSpectrum, _check_state, dagger, eigh, rng
-from .qsp import PhaseFactorSet, SynthesisError, synthesize_symmetric, to_circuit, to_su2
+from .qsp import PhaseFactorSet, SynthesisError, synthesize_symmetric
 from .qsvt import assemble_full
 
 __all__ = [
@@ -70,16 +70,16 @@ class MultibandPolicy:
     the ancilla reflection 2|0..0><0..0| - I around the second block cancels
     it exactly. The literal adjoint would not do: it is a no-op on the
     dilation, where U = U^dag.
+
+    `phase_table` maps each split index to its symmetric `PhaseFactorSet`;
+    `assemble_full` applies the circuit offsets when it builds the blocks.
     """
 
     def __init__(self, band_count: int, phase_table: dict):
-        for phi in phase_table.values():
-            if phi.convention != "circuit":
-                raise ValueError("policy blocks use circuit-convention phases")
-            if not to_su2(phi).symmetric:
+        for psi in phase_table.values():
+            if not psi.symmetric:
                 raise ValueError(
-                    "the two-block primitive requires symmetric phase factors "
-                    "(palindromic rotation-convention values)"
+                    "the two-block primitive requires symmetric (palindromic) phase factors"
                 )
         self.band_count = band_count
         self.phase_table = phase_table
@@ -263,7 +263,7 @@ class BranchTree:
 
 
 def _multiband_phase_table(structure: BandStructure, round_eps: float) -> tuple[dict, int]:
-    """Circuit phases for every split index 1 .. L-1, at one common degree.
+    """Phases for every split index 1 .. L-1, at one common degree.
 
     Every split is reachable: split k runs at the round of its lowest set
     bit, from the prefix of its higher bits. Each split's filter is built
@@ -283,7 +283,7 @@ def _multiband_phase_table(structure: BandStructure, round_eps: float) -> tuple[
         phases = synthesize_symmetric(padded, SYNTHESIS_TOL)
     except SynthesisError as err:
         raise SynthesisError(f"split {err.index + 1}: {err}", err.history, err.index) from err
-    return {k: to_circuit(psi) for k, psi in enumerate(phases, start=1)}, degree
+    return dict(enumerate(phases, start=1)), degree
 
 
 def run_multiband(
@@ -429,9 +429,16 @@ def feedforward_query_count(band_count: int, degree: int) -> int:
 
 def channel_bound(band_count: int, eps: float) -> float:
     """The paper's bound 4 L log2(L) eps on the channel distance of an L-band run."""
+    if band_count < 1:
+        raise ValueError(f"band count must be at least 1, got {band_count}")
     return 4.0 * band_count * math.log2(band_count) * eps
 
 
 def round_budget(budget: float, band_count: int) -> float:
-    """Per-round filter budget eps = budget / (4 L log2 L), for L >= 2."""
+    """Per-round filter budget eps = budget / (4 L log2 L), for L >= 2.
+
+    A single band runs no round, so it has no per-round budget.
+    """
+    if band_count < 2:
+        raise ValueError(f"band count must be at least 2 for a round budget, got {band_count}")
     return budget / channel_bound(band_count, 1.0)

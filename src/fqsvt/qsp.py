@@ -5,12 +5,12 @@ A phase-factor sequence (psi_0 ... psi_d) generates the product
     U(x) = e^{i psi_0 Z} prod_{j=1..d} e^{i arccos(x) X} e^{i psi_j Z},
 
 whose entries are a polynomial pair (P, Q) with |P|^2 + (1-x^2)|Q|^2 = 1.
-This module extracts that pair, converts between the rotation ("su2")
-convention and the circuit convention used by the interleaved projector
-circuits, and synthesizes symmetric phase factors realizing a target
-real polynomial as Re P: damped Newton on one Chebyshev node per free
-phase, sweeping only the first half of the palindromic sequence, checked
-on 2d nodes.
+Every phase set here is in this rotation convention. This module extracts
+the pair, states the fixed offsets by which the interleaved circuit's
+phases differ (`_circuit_offsets`), and synthesizes symmetric phase
+factors realizing a target real polynomial as Re P: damped Newton on one
+Chebyshev node per free phase, sweeping only the first half of the
+palindromic sequence, checked on 2d nodes.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ __all__ = [
     "QspPolynomialPair",
     "SynthesisError",
     "extract_pq",
-    "to_su2",
-    "to_circuit",
     "synthesize_symmetric",
 ]
 
@@ -37,15 +35,14 @@ SYMMETRY_TOL = 1e-12
 
 @dataclass(eq=False)
 class PhaseFactorSet:
-    """A length-(d+1) sequence of real angles with a convention tag.
+    """A length-(d+1) sequence of real rotation-convention angles.
 
-    "su2" phases parameterize the rotation product above; "circuit" phases
-    are the ones entering the interleaved controlled rotations. The two are
-    related by the fixed affine map `to_su2` / `to_circuit`.
+    They parameterize the rotation product above. Only circuit assembly
+    and the `phases_circuit.json` writer see circuit phases, and both form
+    them as `values - _circuit_offsets(degree)`.
     """
 
     values: np.ndarray
-    convention: str
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -53,8 +50,6 @@ class PhaseFactorSet:
             raise ValueError("phase factors must be a nonempty 1-d array")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("phase factors must be finite")
-        if self.convention not in ("su2", "circuit"):
-            raise ValueError(f"unknown convention {self.convention!r}")
 
     @property
     def degree(self) -> int:
@@ -64,11 +59,6 @@ class PhaseFactorSet:
     def symmetric(self) -> bool:
         """Palindrome test on the stored values."""
         return bool(np.max(np.abs(self.values - self.values[::-1])) <= SYMMETRY_TOL)
-
-
-def _require(ps: PhaseFactorSet, convention: str):
-    if ps.convention != convention:
-        raise ValueError(f"expected {convention} phase factors, got {ps.convention}")
 
 
 def _sweep_start(values: np.ndarray, xs: np.ndarray):
@@ -146,17 +136,15 @@ def _cheb_interpolate(values: np.ndarray, theta: np.ndarray, degree: int) -> np.
 def extract_pq(items: list[PhaseFactorSet]) -> list[QspPolynomialPair]:
     """Interpolate (P, Q) from unitary samples at Chebyshev nodes.
 
-    `items` are rotation-convention `PhaseFactorSet`s of one degree, and
-    their pairs come back in the same order. P is read from the top-left
-    entry at d+1 nodes, Q from the top-right at d interior nodes (where the
-    sqrt(1-x^2) prefactor is nonzero). An independent
-    uniform grid re-checks every item's interpolation before returning; a
-    failure names the first inconsistent item. One forward sweep covers all
-    three node sets and every item, and each item is interpolated on its
-    own, so it gets the pair it would get alone.
+    `items` are `PhaseFactorSet`s of one degree, and their pairs come back
+    in the same order. P is read from the top-left entry at d+1 nodes, Q
+    from the top-right at d interior nodes (where the sqrt(1-x^2) prefactor
+    is nonzero). An independent uniform grid re-checks every item's
+    interpolation before returning; a failure names the first inconsistent
+    item. One forward sweep covers all three node sets and every item, and
+    each item is interpolated on its own, so it gets the pair it would get
+    alone.
     """
-    for ps in items:
-        _require(ps, "su2")
     degrees = {ps.degree for ps in items}
     if len(degrees) > 1:
         raise ValueError(f"stacked phase factors must share one degree, got {sorted(degrees)}")
@@ -196,18 +184,6 @@ def _circuit_offsets(d: int) -> np.ndarray:
     offsets = (-1.0) ** (d - np.arange(d + 1)) * (math.pi / 2.0)
     offsets[[0, d]] *= 0.5
     return offsets
-
-
-def to_su2(phi: PhaseFactorSet) -> PhaseFactorSet:
-    """Map circuit-convention phases to rotation-convention phases."""
-    _require(phi, "circuit")
-    return PhaseFactorSet(phi.values + _circuit_offsets(phi.degree), "su2")
-
-
-def to_circuit(psi: PhaseFactorSet) -> PhaseFactorSet:
-    """Exact inverse of `to_su2`."""
-    _require(psi, "su2")
-    return PhaseFactorSet(psi.values - _circuit_offsets(psi.degree), "circuit")
 
 
 class SynthesisError(RuntimeError):
@@ -386,7 +362,7 @@ def _closed_form(f: ChebyshevSeries) -> np.ndarray | None:
 
 
 def synthesize_symmetric(targets: list[ChebyshevSeries], tol: float) -> list[PhaseFactorSet]:
-    """Symmetric rotation-convention phases whose Re P matches each target.
+    """Symmetric phases whose Re P matches each target.
 
     `targets` share one degree, and their phases come back in the same
     order. Each target must have definite parity and, unless it is a single
@@ -445,4 +421,4 @@ def synthesize_symmetric(targets: list[ChebyshevSeries], tol: float) -> list[Pha
                     histories[j], i,
                 )
             values[i] = _mirror(free[j], d)
-    return [PhaseFactorSet(v, "su2") for v in values]
+    return [PhaseFactorSet(v) for v in values]

@@ -16,7 +16,7 @@ import numpy as np
 from .blockenc import _check_encoding, _psd_contraction_spectrum
 from .chebyshev import _clenshaw
 from .linalg import _check_state, check_hermitian, dagger
-from .qsp import PhaseFactorSet, extract_pq, to_su2
+from .qsp import PhaseFactorSet, _circuit_offsets, extract_pq
 
 __all__ = [
     "assemble_full",
@@ -25,12 +25,13 @@ __all__ = [
 ]
 
 
-def _interleaved(enc: np.ndarray, phis: list[PhaseFactorSet], signs: list) -> np.ndarray:
-    """The interleaved product for sign * phi, one (NM, NM) matrix per sign and phase set.
+def _interleaved(enc: np.ndarray, phis: list[PhaseFactorSet]) -> np.ndarray:
+    """The interleaved product for +phi and -phi, one (NM, NM) matrix per sign and phase set.
 
-    Returns the (len(signs) * len(phis), NM, NM) stack, sign-major. The
-    product is R(phi_0) prod_k U^{(-1)^{d-k}} R(phi_k): the encoding and its
-    inverse alternate, ending on U itself. Rotation k is
+    Returns the (2 * len(phis), NM, NM) stack, sign-major: the +phi products
+    first. phi_k are the circuit phases, psi_k - `_circuit_offsets(d)`[k].
+    The product is R(phi_0) prod_k U^{(-1)^{d-k}} R(phi_k): the encoding
+    and its inverse alternate, ending on U itself. Rotation k is
     diag(e^{i phi_k} I_N, e^{-i phi_k} I_{N (M-1)}); one `exp` gives every
     rotation diagonal of every sign and phase set, and each factor of the
     encoding is one matmul on the stack, whose every matrix is its own
@@ -41,7 +42,8 @@ def _interleaved(enc: np.ndarray, phis: list[PhaseFactorSet], signs: list) -> np
     size = base.shape[0]
     n = size // 2
     d = phis[0].degree
-    phases = np.multiply.outer(signs, [phi.values for phi in phis]).reshape(-1, d + 1)
+    circuit = [psi.values - _circuit_offsets(d) for psi in phis]
+    phases = np.multiply.outer([1.0, -1.0], circuit).reshape(-1, d + 1)
     diags = np.exp(np.multiply.outer(phases, [1j, -1j]))[..., (np.arange(size) >= n).astype(int)]
     u = np.zeros((len(phases), size, size), dtype=complex)
     u[:, np.arange(size), np.arange(size)] = diags[:, 0]
@@ -54,19 +56,16 @@ def _interleaved(enc: np.ndarray, phis: list[PhaseFactorSet], signs: list) -> np
 def assemble_full(enc: np.ndarray, phis: list[PhaseFactorSet]) -> list[np.ndarray]:
     """Full circuit unitaries of size 2NM: Hadamard butterfly over +Phi / -Phi sectors.
 
-    `phis` are circuit-convention `PhaseFactorSet`s of one degree, and their
-    unitaries come back in the same order from one stacked interleaved
-    product; each equals a one-item call's bit for bit.
+    `phis` are `PhaseFactorSet`s of one degree, and their unitaries come
+    back in the same order from one stacked interleaved product, which
+    applies the circuit offsets; each equals a one-item call's bit for bit.
     """
-    for ps in phis:
-        if ps.convention != "circuit":
-            raise ValueError("interleaved assembly takes circuit-convention phases")
     degrees = {ps.degree for ps in phis}
     if len(degrees) > 1:
         raise ValueError(f"stacked phase factors must share one degree, got {sorted(degrees)}")
     if not phis:
         return []
-    u = _interleaved(enc, phis, [1.0, -1.0])
+    u = _interleaved(enc, phis)
     u_pos, u_neg = u[: len(phis)], u[len(phis) :]
     a = 0.5 * (u_pos + u_neg)
     b = 0.5 * (u_pos - u_neg)
@@ -89,7 +88,7 @@ def predicted_blocks(h: np.ndarray, phi: PhaseFactorSet) -> np.ndarray:
     transformation is T2 = (-1)^d V.
     """
     spectrum, s = _psd_contraction_spectrum(h)
-    pair = extract_pq([to_su2(phi)])[0]
+    pair = extract_pq([phi])[0]
     v, sigma = spectrum.vectors, spectrum.values
     t2 = -v if phi.degree % 2 else v
 
@@ -110,7 +109,7 @@ def predicted_blocks(h: np.ndarray, phi: PhaseFactorSet) -> np.ndarray:
 def garbage_state(h: np.ndarray, phi: PhaseFactorSet, state: np.ndarray) -> np.ndarray:
     """Predicted garbage component of the circuit action on |0...0>|phi>.
 
-    For phases whose rotation-convention values are palindromic the garbage
+    For palindromic phases (`PhaseFactorSet.symmetric`) the garbage
     sits entirely in the monitoring-qubit |1> sector, with ancilla
     components i P_Im(H)|phi> and i T2 V^dag sqrt(I-H^2) Q_Re(H)|phi>.
     """
@@ -119,11 +118,10 @@ def garbage_state(h: np.ndarray, phi: PhaseFactorSet, state: np.ndarray) -> np.n
     amp = _check_state(state)
     if len(amp) != n:
         raise ValueError(f"input state must have dimension {n}, got {len(amp)}")
-    if not to_su2(phi).symmetric:
+    if not phi.symmetric:
         raise ValueError(
-            "garbage-state prediction requires symmetric phase factors "
-            "(palindromic rotation-convention values); use predicted_blocks "
-            "for the general case"
+            "garbage-state prediction requires symmetric (palindromic) phase "
+            "factors; use predicted_blocks for the general case"
         )
     table = predicted_blocks(h, phi)
     out = np.zeros(4 * n, dtype=complex)

@@ -37,7 +37,7 @@ from .feedforward import (
     run_multiband,
 )
 from .linalg import dagger, eigh, haar_vector, hermitian_from_spectrum, rng
-from .qsp import PhaseFactorSet, _mirror, extract_pq, synthesize_symmetric, to_circuit
+from .qsp import PhaseFactorSet, _mirror, extract_pq, synthesize_symmetric
 from .qsvt import assemble_full, garbage_state, predicted_blocks
 
 __all__ = ["CriterionResult", "run_criteria", "CRITERIA"]
@@ -53,7 +53,7 @@ class CriterionResult:
 
 def _random_symmetric(gen, degree: int) -> PhaseFactorSet:
     free = gen.uniform(-math.pi, math.pi, (degree + 2) // 2)
-    return PhaseFactorSet(_mirror(free, degree), "su2")
+    return PhaseFactorSet(_mirror(free, degree))
 
 
 def _extract_by_degree(psis: list[PhaseFactorSet]) -> list[tuple[list[int], list]]:
@@ -96,9 +96,9 @@ def criterion_2() -> CriterionResult:
         degree = int(gen.integers(1, 13))
         h = hermitian_from_spectrum(gen.uniform(0.02, 0.98, n), gen)
         enc = dilate_hermitian(h)
-        phi = PhaseFactorSet(gen.uniform(-math.pi, math.pi, degree + 1), "circuit")
-        q = assemble_full(enc, [phi])[0]
-        pred = predicted_blocks(h, phi)
+        psi = PhaseFactorSet(gen.uniform(-math.pi, math.pi, degree + 1))
+        q = assemble_full(enc, [psi])[0]
+        pred = predicted_blocks(h, psi)
         for i in range(4):
             for j in range(4):
                 block = q[i * n : (i + 1) * n, j * n : (j + 1) * n]
@@ -126,14 +126,13 @@ def criterion_3() -> CriterionResult:
         for i, pair in zip(idx, pairs):
             h, psi, amp = instances[i]
             n = len(amp)
-            phi = to_circuit(psi)
-            q = assemble_full(dilate_hermitian(h), [phi])[0]
+            q = assemble_full(dilate_hermitian(h), [psi])[0]
             full = np.zeros(4 * n, dtype=complex)
             full[:n] = amp
             full = q @ full
             actual_garbage = full.copy()
             actual_garbage[:n] = 0.0
-            predicted = garbage_state(h, phi, amp)
+            predicted = garbage_state(h, psi, amp)
             worst_state = max(worst_state, float(np.max(np.abs(predicted - actual_garbage))))
 
             spec_h = eigh(h)
@@ -156,8 +155,7 @@ def criterion_4() -> CriterionResult:
     gen = rng(104)
     h = np.diag([0.6, 0.3]).astype(complex)
     enc = dilate_hermitian(h)
-    phi = to_circuit(PhaseFactorSet([0.0, 0.0], "su2"))
-    branches = {b.record: b for b in run_1fqsvt(enc, phi, [1.0, 0.0])}
+    branches = {b.record: b for b in run_1fqsvt(enc, PhaseFactorSet([0.0, 0.0]), [1.0, 0.0])}
     example_dev = max(
         abs(branches[(0, 0)].probability - 0.1296),
         abs(branches[(1, 0)].probability - 0.4096),
@@ -181,7 +179,7 @@ def criterion_4() -> CriterionResult:
             spec_h = eigh(h)
             f2 = ((spec_h.vectors * _clenshaw(pair.p.real, spec_h.values) ** 2)
                   @ dagger(spec_h.vectors))
-            leaves = {b.record: b for b in run_1fqsvt(dilate_hermitian(h), to_circuit(psi), amp)}
+            leaves = {b.record: b for b in run_1fqsvt(dilate_hermitian(h), psi, amp)}
             s00 = leaves[(0, 0)].state
             s10 = leaves[(1, 0)].state
             worst = max(
@@ -206,7 +204,7 @@ def criterion_5() -> CriterionResult:
     h = hermitian_from_spectrum([0.08, 0.15, 0.82, 0.93], gen)
     spec_h = eigh(h)
     filt = heaviside_filter([FilterSpec(0.5, 0.5, eps)])
-    phi = to_circuit(synthesize_symmetric(filt, 1e-11)[0])
+    psi = synthesize_symmetric(filt, 1e-11)[0]
     enc = dilate_hermitian(h)
     bound = 2.0 * math.sqrt(2.0) * eps
 
@@ -217,7 +215,7 @@ def criterion_5() -> CriterionResult:
     inputs.append(haar_vector(gen, 4))
     low = spec_h.vectors[:, :2] @ dagger(spec_h.vectors[:, :2])
     for amp in inputs:
-        leaves = {b.record: b for b in run_1fqsvt(enc, phi, amp)}
+        leaves = {b.record: b for b in run_1fqsvt(enc, psi, amp)}
         p_fail = leaves[(0, 1)].probability + leaves[(1, 1)].probability
         worst_fail = max(worst_fail, p_fail)
         s00 = leaves[(0, 0)].state[:4]

@@ -18,7 +18,7 @@ from fqsvt.blockenc import dilate_hermitian
 from fqsvt.feedforward import run_1fqsvt
 from fqsvt.linalg import dagger, eigh, haar_vector, hermitian_from_spectrum, rng
 from fqsvt.qsvt import assemble_full
-from fqsvt.qsp import PhaseFactorSet, to_circuit
+from fqsvt.qsp import PhaseFactorSet
 from fqsvt.verify import CRITERIA, CriterionResult, _random_symmetric
 from test_chebyshev import reference_clenshaw
 from test_qsp import reference_single_extract_pq
@@ -57,16 +57,15 @@ def reference_criterion_3() -> CriterionResult:
         h = hermitian_from_spectrum(gen.uniform(0.02, 0.98, n), gen)
         enc = dilate_hermitian(h)
         psi = _random_symmetric(gen, degree)
-        phi = to_circuit(psi)
         amp = haar_vector(gen, n)
 
-        q = assemble_full(enc, [phi])[0]
+        q = assemble_full(enc, [psi])[0]
         full = np.zeros(4 * n, dtype=complex)
         full[:n] = amp
         full = q @ full
         actual_garbage = full.copy()
         actual_garbage[:n] = 0.0
-        predicted = reference_garbage_state(h, phi, amp)
+        predicted = reference_garbage_state(h, psi, amp)
         worst_state = max(worst_state, float(np.max(np.abs(predicted - actual_garbage))))
 
         pair = reference_single_extract_pq(psi)
@@ -89,7 +88,7 @@ def reference_criterion_4() -> CriterionResult:
     gen = rng(104)
     h = np.diag([0.6, 0.3]).astype(complex)
     enc = dilate_hermitian(h)
-    phi = to_circuit(PhaseFactorSet([0.0, 0.0], "su2"))
+    phi = PhaseFactorSet([0.0, 0.0])
     branches = {b.record: b for b in run_1fqsvt(enc, phi, [1.0, 0.0])}
     example_dev = max(
         abs(branches[(0, 0)].probability - 0.1296),
@@ -109,13 +108,12 @@ def reference_criterion_4() -> CriterionResult:
         enc = dilate_hermitian(h)
         degree = int(gen.integers(1, 31))
         psi = _random_symmetric(gen, degree)
-        phi = to_circuit(psi)
         pair = reference_single_extract_pq(psi)
         spec_h = eigh(h)
         f2 = ((spec_h.vectors * reference_clenshaw(pair.p.real, spec_h.values) ** 2)
               @ dagger(spec_h.vectors))
         amp = haar_vector(gen, n)
-        leaves = {b.record: b for b in run_1fqsvt(enc, phi, amp)}
+        leaves = {b.record: b for b in run_1fqsvt(enc, psi, amp)}
         s00 = leaves[(0, 0)].state
         s10 = leaves[(1, 0)].state
         worst = max(

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,8 +40,6 @@ from fqsvt.qsp import (
     _mirror,
     extract_pq,
     synthesize_symmetric,
-    to_circuit,
-    to_su2,
 )
 from fqsvt.qsvt import assemble_full, garbage_state
 
@@ -58,10 +57,10 @@ def success_projectors(kraus: KrausExtraction) -> dict:
 
 
 def random_symmetric(gen, degree):
-    return PhaseFactorSet(_mirror(gen.uniform(-np.pi, np.pi, (degree + 2) // 2), degree), "su2")
+    return PhaseFactorSet(_mirror(gen.uniform(-np.pi, np.pi, (degree + 2) // 2), degree))
 
 
-IDENTITY = to_circuit(PhaseFactorSet([0.0, 0.0], "su2"))  # f(x) = x, degree 1
+IDENTITY = PhaseFactorSet([0.0, 0.0])  # f(x) = x, degree 1
 
 
 def test_mar_deterministic_zero_branch():
@@ -110,7 +109,7 @@ def test_mar_rejects_zero_state():
 def test_one_step_identity_polynomial_worked_example():
     h = np.diag([0.6, 0.3]).astype(complex)
     enc = dilate_hermitian(h)
-    phi = to_circuit(PhaseFactorSet([0.0, 0.0], "su2"))
+    phi = PhaseFactorSet([0.0, 0.0])
     leaves = {b.record: b for b in
               run_1fqsvt(enc, phi, [1, 0])}
     assert leaves[(0, 0)].probability == pytest.approx(0.1296, abs=1e-12)
@@ -127,7 +126,7 @@ def test_one_step_t2_zero_crossing():
     e = 1.0 / math.sqrt(2.0)
     h = np.diag([e, 0.2]).astype(complex)
     enc = dilate_hermitian(h)
-    phi = to_circuit(PhaseFactorSet([0.0, 0.0, 0.0], "su2"))
+    phi = PhaseFactorSet([0.0, 0.0, 0.0])
     leaves = {b.record: b for b in
               run_1fqsvt(enc, phi, [1, 0])}
     assert leaves[(0, 0)].probability <= 1e-12
@@ -138,7 +137,7 @@ def test_one_step_t2_zero_crossing():
 def test_one_step_heaviside_keeps_low_eigenstate():
     eps = 1e-3
     filt = heaviside_filter([FilterSpec(0.5, 0.4, eps)])[0]
-    phi = to_circuit(synthesize_symmetric([filt], 1e-11)[0])
+    phi = synthesize_symmetric([filt], 1e-11)[0]
     h = np.diag([0.2, 0.85]).astype(complex)
     enc = dilate_hermitian(h)
     leaves = {b.record: b for b in
@@ -149,7 +148,7 @@ def test_one_step_heaviside_keeps_low_eigenstate():
 
 def test_one_step_rejects_asymmetric_phases():
     enc = dilate_hermitian(np.diag([0.3, 0.6]))
-    phi = to_circuit(PhaseFactorSet([0.4, 0.0, 0.1], "su2"))
+    phi = PhaseFactorSet([0.4, 0.0, 0.1])
     with pytest.raises(ValueError, match="symmetric"):
         run_1fqsvt(enc, phi, [1, 0])
 
@@ -525,7 +524,7 @@ def test_extract_kraus_branch_linearity():
     for leaf in single:
         predicted = by_record[leaf.record] @ amp
         assert np.max(np.abs(predicted - leaf.state)) <= 1e-12
-    f = _clenshaw(extract_pq([to_su2(table[1])])[0].p.real, spec.values)
+    f = _clenshaw(extract_pq([table[1]])[0].p.real, spec.values)
     f2 = (spec.vectors * f**2) @ spec.vectors.conj().T
     assert np.max(np.abs(by_record[(0, 0)][:2] - f2)) <= 1e-10
     assert np.max(np.abs(by_record[(1, 0)][:2] + (np.eye(2) - f2))) <= 1e-10
@@ -746,7 +745,7 @@ def test_phase_table_builds_each_split_once_and_pads_to_the_hardest(monkeypatch)
     for k, c in enumerate(structure.centers, start=1):
         filt = built[FilterSpec(float(c), structure.delta, eps)][0]
         assert table[k].degree == degree
-        realized = _clenshaw(extract_pq([to_su2(table[k])])[0].p.real, xs)
+        realized = _clenshaw(extract_pq([table[k]])[0].p.real, xs)
         assert np.max(np.abs(realized - _clenshaw(filt.coeffs, xs))) <= 1e-10
 
 
@@ -802,6 +801,18 @@ def test_channel_bound_is_the_papers_bound_and_inverts_round_budget():
         assert channel_bound(count, 1e-3) == 4.0 * count * math.log2(count) * 1e-3
         assert round_budget(channel_bound(count, 1.0), count) == 1.0
         assert channel_bound(count, round_budget(0.1, count)) == pytest.approx(0.1, rel=1e-15)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: round_budget(4e-2, 1), "band count must be at least 2 for a round budget, got 1"),
+    (lambda: round_budget(4e-2, 0), "band count must be at least 2 for a round budget, got 0"),
+    (lambda: channel_bound(0, 1e-3), "band count must be at least 1, got 0"),
+    (lambda: channel_bound(-1, 1e-3), "band count must be at least 1, got -1"),
+], ids=["round_budget-1", "round_budget-0", "channel_bound-0", "channel_bound-negative"])
+def test_bounds_below_their_band_count_name_it(call, message):
+    # One band has no round to budget, and no band count below 1 has a bound.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_tree_json_shape(tmp_path):

@@ -21,8 +21,6 @@ from fqsvt.qsp import (
     _product,
     extract_pq,
     synthesize_symmetric,
-    to_circuit,
-    to_su2,
 )
 from test_chebyshev import filter_specs, layout_filters, phases_artifacts, reference_clenshaw
 
@@ -35,7 +33,21 @@ def batch_unitaries(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 def random_symmetric(gen, degree):
-    return PhaseFactorSet(_mirror(gen.uniform(-np.pi, np.pi, (degree + 2) // 2), degree), "su2")
+    return PhaseFactorSet(_mirror(gen.uniform(-np.pi, np.pi, (degree + 2) // 2), degree))
+
+
+def reference_circuit_offsets(d: int) -> np.ndarray:
+    """Rotation minus circuit phases, written out entry by entry.
+
+    +pi/2 at phase d, alternating in sign down to phase 0, and halved at
+    both ends (once at degree 0).
+    """
+    offsets = np.array([math.pi / 2.0 if (d - k) % 2 == 0 else -math.pi / 2.0
+                        for k in range(d + 1)])
+    offsets[0] *= 0.5
+    if d > 0:
+        offsets[d] *= 0.5
+    return offsets
 
 
 def qsp_unitary(x: float, values) -> np.ndarray:
@@ -87,7 +99,7 @@ def test_batch_unitaries_match_explicit_matrix_product():
 
 def test_extract_pq_chebyshev_case():
     d = 5
-    pair = extract_pq([PhaseFactorSet(np.zeros(d + 1), "su2")])[0]
+    pair = extract_pq([PhaseFactorSet(np.zeros(d + 1))])[0]
     t5 = np.zeros(d + 1)
     t5[d] = 1.0
     assert np.allclose(pair.p, t5, atol=1e-12)
@@ -96,7 +108,7 @@ def test_extract_pq_chebyshev_case():
 
 
 def test_extract_pq_degree_zero():
-    pair = extract_pq([PhaseFactorSet([math.pi / 2], "su2")])[0]
+    pair = extract_pq([PhaseFactorSet([math.pi / 2])])[0]
     assert np.allclose(pair.p, [1j])
     assert len(pair.q) == 0
 
@@ -129,12 +141,12 @@ def reference_extract_pq(psi: PhaseFactorSet):
 
 def test_extract_pq_one_sweep_matches_separate_sweeps_bitwise():
     # Criterion 1 draws symmetric phases of degree 1-30; criterion 2 reads
-    # the pair of random circuit phases of degree 1-12 through `to_su2`.
+    # the pair of random phases of degree 1-12.
     gen = rng(101)
-    cases = [PhaseFactorSet([0.3], "su2")]
+    cases = [PhaseFactorSet([0.3])]
     cases += [random_symmetric(gen, int(gen.integers(1, 31))) for _ in range(60)]
-    cases += [to_su2(PhaseFactorSet(gen.uniform(-np.pi, np.pi, int(gen.integers(1, 13)) + 1),
-                                    "circuit")) for _ in range(60)]
+    cases += [PhaseFactorSet(gen.uniform(-np.pi, np.pi, int(gen.integers(1, 13)) + 1))
+              for _ in range(60)]
     for psi in cases:
         pair = extract_pq([psi])[0]
         p, q = reference_extract_pq(psi)
@@ -158,7 +170,6 @@ def reference_forward_pairs(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 def reference_single_extract_pq(psi: PhaseFactorSet) -> qsp.QspPolynomialPair:
     """`extract_pq` of one phase set as it ran before it took stacks, validation included."""
-    assert psi.convention == "su2"
     d = psi.degree
     theta_p = (2.0 * np.arange(d + 1) + 1.0) * math.pi / (2.0 * (d + 1))
     theta_q = (2.0 * np.arange(d) + 1.0) * math.pi / (2.0 * d)
@@ -217,7 +228,7 @@ def phase_stacks(draw):
     d = draw(st.integers(0, 30))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return [random_symmetric(gen, d) if draw(st.booleans())
-            else PhaseFactorSet(gen.uniform(-np.pi, np.pi, d + 1), "su2")
+            else PhaseFactorSet(gen.uniform(-np.pi, np.pi, d + 1))
             for _ in range(draw(st.integers(1, 8)))]
 
 
@@ -236,11 +247,7 @@ def test_stacked_extract_pq_matches_the_single_call_bitwise(stack):
 
 def test_stacked_extract_pq_checks_its_items():
     with pytest.raises(ValueError, match=r"one degree, got \[2, 3\]"):
-        extract_pq([PhaseFactorSet([0.1, 0.2, 0.1], "su2"), PhaseFactorSet(np.zeros(4), "su2")])
-    with pytest.raises(ValueError, match="expected su2"):
-        extract_pq([PhaseFactorSet([0.1, 0.2], "su2"), PhaseFactorSet([0.1, 0.2], "circuit")])
-    with pytest.raises(ValueError, match="expected su2"):
-        extract_pq([PhaseFactorSet([0.1, 0.2], "circuit")])
+        extract_pq([PhaseFactorSet([0.1, 0.2, 0.1]), PhaseFactorSet(np.zeros(4))])
     assert extract_pq([]) == []
 
 
@@ -306,30 +313,16 @@ def test_a_failure_names_its_item_only_in_a_list_of_several(monkeypatch, stage, 
 
 
 def test_conversion_examples():
-    psi = to_su2(PhaseFactorSet([0.0, 0.0], "circuit"))
-    assert np.allclose(psi.values, [-np.pi / 4, np.pi / 4])
-    psi2 = to_su2(PhaseFactorSet([0.0, 0.0, 0.0], "circuit"))
-    assert np.allclose(psi2.values, [np.pi / 4, -np.pi / 2, np.pi / 4])
-    phi = to_circuit(PhaseFactorSet([-np.pi / 4, np.pi / 4], "su2"))
-    assert np.allclose(phi.values, [0.0, 0.0])
-    phi0 = to_circuit(PhaseFactorSet([0.0], "su2"))
-    assert np.allclose(phi0.values, [-np.pi / 4])
-
-
-def test_conversion_round_trips():
-    gen = rng(3)
-    for _ in range(100):
-        d = int(gen.integers(0, 15))
-        vals = gen.uniform(-np.pi, np.pi, d + 1)
-        psi = PhaseFactorSet(vals, "su2")
-        assert np.allclose(to_su2(to_circuit(psi)).values, vals)
-        phi = PhaseFactorSet(vals, "circuit")
-        assert np.allclose(to_circuit(to_su2(phi)).values, vals)
-
-
-def test_conversion_requires_convention():
-    with pytest.raises(ValueError, match="circuit"):
-        to_su2(PhaseFactorSet([0.0], "su2"))
+    # Rotation phases are circuit phases plus `_circuit_offsets`: circuit
+    # (0, 0) and (0, 0, 0) are rotation (-pi/4, pi/4) and (pi/4, -pi/2, pi/4),
+    # and rotation (0) is circuit (-pi/4).
+    offsets = qsp._circuit_offsets
+    assert np.allclose(offsets(1), [-np.pi / 4, np.pi / 4])
+    assert np.allclose(offsets(2), [np.pi / 4, -np.pi / 2, np.pi / 4])
+    assert np.allclose(np.array([-np.pi / 4, np.pi / 4]) - offsets(1), [0.0, 0.0])
+    assert np.allclose(-offsets(0), [-np.pi / 4])
+    for d in range(64):
+        assert np.array_equal(offsets(d), reference_circuit_offsets(d)), d
 
 
 def test_conjugation_identity():
@@ -338,8 +331,9 @@ def test_conjugation_identity():
     grid = np.linspace(-1, 1, 33)
 
     def deviation(values):
-        pos = batch_unitaries(to_su2(PhaseFactorSet(values, "circuit")).values, grid)
-        neg = batch_unitaries(to_su2(PhaseFactorSet(-values, "circuit")).values, grid)
+        offsets = reference_circuit_offsets(len(values) - 1)
+        pos = batch_unitaries(values + offsets, grid)
+        neg = batch_unitaries(-values + offsets, grid)
         return float(np.max(np.abs(neg - pos.conj())))
 
     assert deviation(np.array([0.0, 0.0])) <= 1e-10
@@ -352,8 +346,8 @@ def test_conjugation_identity():
 
 
 def test_symmetric_flag():
-    assert PhaseFactorSet([0.1, 0.5, 0.1], "su2").symmetric
-    assert not PhaseFactorSet([0.1, 0.5, 0.2], "su2").symmetric
+    assert PhaseFactorSet([0.1, 0.5, 0.1]).symmetric
+    assert not PhaseFactorSet([0.1, 0.5, 0.2]).symmetric
 
 
 def test_synthesize_identity_target():
@@ -699,23 +693,13 @@ def test_random_targets_near_sup_norm_one_synthesize():
 
 
 def test_phase_set_json_round_trip(tmp_path):
+    # `phases_circuit.json` is `phases_su2.json` minus the circuit offsets, bit for bit.
     spec = FilterSpec(0.5, 0.6, 0.1)
-    phi = to_circuit(synthesize_symmetric(heaviside_filter([spec]), 1e-11)[0])
-    doc = phases_artifacts(tmp_path, spec)["phases_circuit.json"]
-    assert doc["convention"] == "circuit"
-    restored = PhaseFactorSet(doc["values"], doc["convention"])
-    assert np.allclose(restored.values, phi.values)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.integers(0, 200), st.integers(0, 2**32 - 1))
-def test_to_su2_and_to_circuit_are_inverses(degree, seed):
-    values = np.random.default_rng(seed).uniform(-np.pi, np.pi, degree + 1)
-    phi = PhaseFactorSet(values, "circuit")
-    back = to_circuit(to_su2(phi))
-    assert back.convention == "circuit"
-    assert np.max(np.abs(back.values - values)) <= 1e-14
-    psi = PhaseFactorSet(values, "su2")
-    again = to_su2(to_circuit(psi))
-    assert again.convention == "su2"
-    assert np.max(np.abs(again.values - values)) <= 1e-14
+    psi = synthesize_symmetric(heaviside_filter([spec]), 1e-11)[0]
+    docs = phases_artifacts(tmp_path, spec)
+    su2, circuit = docs["phases_su2.json"], docs["phases_circuit.json"]
+    assert su2["convention"] == "su2" and circuit["convention"] == "circuit"
+    values = np.array(su2["values"])
+    assert np.array_equal(values, psi.values)
+    assert np.array_equal(np.array(circuit["values"]),
+                          values - reference_circuit_offsets(psi.degree))

@@ -8,15 +8,15 @@ from fqsvt.blockenc import dilate_hermitian
 from fqsvt.chebyshev import _clenshaw
 from fqsvt.linalg import (check_hermitian, dagger, eigh, haar_vector,
                           hermitian_from_spectrum, rng)
-from fqsvt.qsp import PhaseFactorSet, _mirror, extract_pq, to_circuit, to_su2
+from fqsvt.qsp import PhaseFactorSet, _mirror, extract_pq
 from fqsvt.qsvt import _interleaved, assemble_full, garbage_state, predicted_blocks
 from test_blockenc import csd_factors
 from test_chebyshev import reference_clenshaw
-from test_qsp import reference_single_extract_pq
+from test_qsp import reference_circuit_offsets, reference_single_extract_pq
 
 
 def random_symmetric(gen, degree):
-    return PhaseFactorSet(_mirror(gen.uniform(-np.pi, np.pi, (degree + 2) // 2), degree), "su2")
+    return PhaseFactorSet(_mirror(gen.uniform(-np.pi, np.pi, (degree + 2) // 2), degree))
 
 
 def reference_predicted_blocks(h, phi: PhaseFactorSet, t2_is_w2: bool | None = None) -> np.ndarray:
@@ -26,7 +26,7 @@ def reference_predicted_blocks(h, phi: PhaseFactorSet, t2_is_w2: bool | None = N
     degree; `t2_is_w2` overrides the choice.
     """
     h = check_hermitian(h)
-    pair = reference_single_extract_pq(to_su2(phi))
+    pair = reference_single_extract_pq(phi)
     if t2_is_w2 is None:
         t2_is_w2 = phi.degree % 2 == 1
 
@@ -70,7 +70,7 @@ def reference_predicted_blocks(h, phi: PhaseFactorSet, t2_is_w2: bool | None = N
 
 def reference_garbage_state(h, phi: PhaseFactorSet, state: np.ndarray) -> np.ndarray:
     """The garbage component read from sectors (2, 0) and (3, 0) of the reference table."""
-    assert to_su2(phi).symmetric
+    assert phi.symmetric
     table = reference_predicted_blocks(h, phi)
     n = h.shape[0]
     amp = np.asarray(state, dtype=complex)
@@ -88,43 +88,41 @@ def setup():
 
 
 def test_interleaved_degree_zero_identity(setup):
+    # Circuit phase 0: the +phi product of rotation phase pi/4 is the identity.
     _, _, enc = setup
-    u = _interleaved(enc, [PhaseFactorSet([0.0], "circuit")], [1.0])[0]
+    u = _interleaved(enc, [PhaseFactorSet([np.pi / 4])])[0]
     assert np.allclose(u, np.eye(8))
 
 
 def test_interleaved_degree_one_is_encoding(setup):
+    # Circuit phases (0, 0) are rotation phases (-pi/4, pi/4).
     _, _, enc = setup
-    u = _interleaved(enc, [PhaseFactorSet([0.0, 0.0], "circuit")], [1.0])[0]
+    u = _interleaved(enc, [PhaseFactorSet([-np.pi / 4, np.pi / 4])])[0]
     assert np.allclose(u, enc)
 
 
 def test_full_circuit_realizes_identity_polynomial(setup):
     _, h, enc = setup
-    phi = to_circuit(PhaseFactorSet([0.0, 0.0], "su2"))
-    q = assemble_full(enc, [phi])[0]
+    q = assemble_full(enc, [PhaseFactorSet([0.0, 0.0])])[0]
     assert np.max(np.abs(q[:4, :4] - h)) <= 1e-12
 
 
 def test_full_circuit_realizes_t2(setup):
     _, h, enc = setup
-    phi = to_circuit(PhaseFactorSet([0.0, 0.0, 0.0], "su2"))
-    q = assemble_full(enc, [phi])[0]
+    q = assemble_full(enc, [PhaseFactorSet([0.0, 0.0, 0.0])])[0]
     expected = 2 * h @ h - np.eye(4)
     assert np.max(np.abs(q[:4, :4] - expected)) <= 1e-10
 
 
 def test_full_circuit_unitary(setup):
     gen, _, enc = setup
-    phi = PhaseFactorSet(gen.uniform(-np.pi, np.pi, 8), "circuit")
+    phi = PhaseFactorSet(gen.uniform(-np.pi, np.pi, 8))
     q = assemble_full(enc, [phi])[0]
     assert np.max(np.abs(dagger(q) @ q - np.eye(16))) <= 1e-10
-    with pytest.raises(ValueError, match="circuit-convention"):
-        assemble_full(enc, [PhaseFactorSet(phi.values, "su2")])
 
 
 def reference_interleaved(enc, values: np.ndarray) -> np.ndarray:
-    """The interleaved product with one rotation diagonal built per factor."""
+    """The interleaved product of circuit phases `values`, one rotation diagonal per factor."""
 
     def rotation(angle):
         diag = np.full(len(enc), np.exp(-1j * angle), dtype=complex)
@@ -139,29 +137,33 @@ def reference_interleaved(enc, values: np.ndarray) -> np.ndarray:
     return u
 
 
+def circuit_values(psi: PhaseFactorSet) -> np.ndarray:
+    return psi.values - reference_circuit_offsets(psi.degree)
+
+
 def reference_assemble_full(enc, phi: PhaseFactorSet) -> np.ndarray:
     """`assemble_full` from two separate interleaved products."""
-    u_pos, u_neg = reference_interleaved(enc, phi.values), reference_interleaved(enc, -phi.values)
+    values = circuit_values(phi)
+    u_pos, u_neg = reference_interleaved(enc, values), reference_interleaved(enc, -values)
     a, b = 0.5 * (u_pos + u_neg), 0.5 * (u_pos - u_neg)
     return np.block([[a, b], [b, a]])
 
 
 def test_stacked_assembly_matches_separate_products_bitwise():
-    # Criterion 2 draws random circuit phases of degree 1-12 on n = 2, 4, 8;
-    # criterion 3 the circuit form of symmetric phases of degree 1-15.
+    # Criterion 2 draws random phases of degree 1-12 on n = 2, 4, 8;
+    # criterion 3 symmetric phases of degree 1-15.
     gen = rng(102)
     for trial in range(40):
         n = int(2 ** gen.integers(1, 4))
         h = hermitian_from_spectrum(gen.uniform(0.02, 0.98, n), gen)
         enc = dilate_hermitian(h)
         if trial % 2:
-            phi = to_circuit(random_symmetric(gen, int(gen.integers(1, 16))))
+            phi = random_symmetric(gen, int(gen.integers(1, 16)))
         else:
-            phi = PhaseFactorSet(gen.uniform(-np.pi, np.pi, int(gen.integers(1, 13)) + 1),
-                                 "circuit")
+            phi = PhaseFactorSet(gen.uniform(-np.pi, np.pi, int(gen.integers(1, 13)) + 1))
         assert np.array_equal(assemble_full(enc, [phi])[0], reference_assemble_full(enc, phi))
-        assert np.array_equal(_interleaved(enc, [phi], [1.0])[0],
-                              reference_interleaved(enc, phi.values))
+        assert np.array_equal(_interleaved(enc, [phi])[0],
+                              reference_interleaved(enc, circuit_values(phi)))
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
@@ -172,8 +174,8 @@ def test_assembly_of_a_list_matches_single_calls_bitwise(n):
     enc = dilate_hermitian(hermitian_from_spectrum(gen.uniform(0.02, 0.98, n), gen))
     for count in range(1, 8):
         degree = int(gen.integers(1, 13))
-        phis = [to_circuit(random_symmetric(gen, degree)) if j % 2 else
-                PhaseFactorSet(gen.uniform(-np.pi, np.pi, degree + 1), "circuit")
+        phis = [random_symmetric(gen, degree) if j % 2 else
+                PhaseFactorSet(gen.uniform(-np.pi, np.pi, degree + 1))
                 for j in range(count)]
         stacked = assemble_full(enc, phis)
         assert isinstance(stacked, list) and len(stacked) == count
@@ -181,20 +183,18 @@ def test_assembly_of_a_list_matches_single_calls_bitwise(n):
             assert np.array_equal(q, assemble_full(enc, [phi])[0])
 
 
-def test_assembly_of_a_list_rejects_mixed_degrees_and_rotation_phases(setup):
+def test_assembly_of_a_list_rejects_mixed_degrees(setup):
     _, _, enc = setup
-    short, long = PhaseFactorSet([0.1, 0.2], "circuit"), PhaseFactorSet([0.1, 0.2, 0.3], "circuit")
+    short, long = PhaseFactorSet([0.1, 0.2]), PhaseFactorSet([0.1, 0.2, 0.3])
     with pytest.raises(ValueError, match=r"share one degree, got \[1, 2\]"):
         assemble_full(enc, [short, long])
-    with pytest.raises(ValueError, match="circuit-convention"):
-        assemble_full(enc, [short, PhaseFactorSet(short.values, "su2")])
     assert assemble_full(enc, []) == []
 
 
 def test_predicted_blocks_match_assembled_both_parities(setup):
     gen, h, enc = setup
     for degree in (2, 5):
-        phi = PhaseFactorSet(gen.uniform(-np.pi, np.pi, degree + 1), "circuit")
+        phi = PhaseFactorSet(gen.uniform(-np.pi, np.pi, degree + 1))
         q = assemble_full(enc, [phi])[0]
         pred = predicted_blocks(h, phi)
         assert pred.shape == (4, 4, 4, 4)
@@ -208,7 +208,7 @@ def test_predicted_blocks_wrong_parity_choice_fails(setup):
     # W2 and V2 differ only in sign, so a table with the other choice of T2
     # (built by the reference) must miss the assembled circuit.
     gen, h, enc = setup
-    phi = PhaseFactorSet(gen.uniform(-np.pi, np.pi, 4), "circuit")
+    phi = PhaseFactorSet(gen.uniform(-np.pi, np.pi, 4))
     q = assemble_full(enc, [phi])[0]
     right = predicted_blocks(h, phi)
     wrong = reference_predicted_blocks(h, phi, t2_is_w2=phi.degree % 2 == 0)
@@ -226,7 +226,7 @@ def test_predicted_blocks_wrong_parity_choice_fails(setup):
 
 def test_predicted_blocks_symmetric_kills_q_imag(setup):
     gen, h, _ = setup
-    phi = to_circuit(random_symmetric(gen, 7))
+    phi = random_symmetric(gen, 7)
     pred = predicted_blocks(h, phi)
     # The Q_Im sectors of the A (monitoring-even) half.
     for block in (pred[0, 1], pred[1, 0]):
@@ -234,7 +234,7 @@ def test_predicted_blocks_symmetric_kills_q_imag(setup):
 
 
 def test_closed_form_matches_the_cosine_sine_route_bitwise():
-    # n = 1, 2, 4, 8; degree 0-15; random and symmetric circuit phases;
+    # n = 1, 2, 4, 8; degree 0-15; random and symmetric phases;
     # spectra that contain 0 and 1 exactly, and random interior ones.
     gen = rng(15)
     checked = 0
@@ -250,9 +250,9 @@ def test_closed_form_matches_the_cosine_sine_route_bitwise():
         h = hermitian_from_spectrum(values, gen)
         symmetric = (trial // 64) % 2 == 1
         if symmetric:
-            phi = to_circuit(random_symmetric(gen, degree))
+            phi = random_symmetric(gen, degree)
         else:
-            phi = PhaseFactorSet(gen.uniform(-np.pi, np.pi, degree + 1), "circuit")
+            phi = PhaseFactorSet(gen.uniform(-np.pi, np.pi, degree + 1))
         table = predicted_blocks(h, phi)
         assert table.shape == (4, 4, n, n)
         assert np.array_equal(table, reference_predicted_blocks(h, phi))
@@ -280,7 +280,7 @@ BAD_HAMILTONIANS = {
 @pytest.mark.parametrize("case", BAD_HAMILTONIANS)
 @pytest.mark.parametrize("entry", [
     dilate_hermitian,
-    lambda h: predicted_blocks(h, PhaseFactorSet([0.3, 0.1, 0.3], "circuit")),
+    lambda h: predicted_blocks(h, PhaseFactorSet([0.3, 0.1, 0.3])),
 ], ids=["dilate_hermitian", "predicted_blocks"])
 def test_entries_reject_bad_hamiltonians_with_the_full_message(entry, case):
     h, message = BAD_HAMILTONIANS[case]
@@ -288,25 +288,17 @@ def test_entries_reject_bad_hamiltonians_with_the_full_message(entry, case):
         entry(h)
 
 
-@pytest.mark.parametrize("case", ["non-hermitian", "above-one"])
-def test_predicted_blocks_reports_a_bad_hamiltonian_before_bad_phases(case):
-    # Rotation-convention phases are rejected too, but H is looked at first.
-    h, message = BAD_HAMILTONIANS[case]
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        predicted_blocks(h, PhaseFactorSet([0.3, 0.1, 0.3], "su2"))
-
-
 def test_garbage_state_checks_the_state_dimension_first(setup):
     _, h, _ = setup
     # The asymmetric phases are not looked at: the dimension check comes first.
-    phi = to_circuit(PhaseFactorSet([0.3, 0.1, -0.2], "su2"))
+    phi = PhaseFactorSet([0.3, 0.1, -0.2])
     with pytest.raises(ValueError, match="dimension 4, got 2"):
         garbage_state(h, phi, [1.0, 0.0])
 
 
 def test_garbage_state_prediction(setup):
     gen, h, enc = setup
-    phi = to_circuit(random_symmetric(gen, 6))
+    phi = random_symmetric(gen, 6)
     amp = gen.standard_normal(4) + 1j * gen.standard_normal(4)
     amp /= np.linalg.norm(amp)
     q = assemble_full(enc, [phi])[0]
@@ -324,8 +316,8 @@ def test_garbage_state_prediction(setup):
 def test_garbage_norm_identity_on_eigenstates(setup):
     gen, h, _ = setup
     spec = eigh(h)
-    phi = to_circuit(random_symmetric(gen, 9))
-    pair = extract_pq([to_su2(phi)])[0]
+    phi = random_symmetric(gen, 9)
+    pair = extract_pq([phi])[0]
     for idx in range(4):
         garbage = garbage_state(h, phi, spec.vectors[:, idx])
         f_val = float(_clenshaw(pair.p.real, np.array([spec.values[idx]]))[0])
@@ -336,14 +328,13 @@ def test_garbage_vanishes_where_filter_is_exactly_one():
     # Psi = (0, 0, 0) realizes f = T2; at the eigenvalue 0 the filter hits -1
     # exactly, so the normalization condition forces zero garbage.
     h = np.diag([0.0, 0.5])
-    phi = to_circuit(PhaseFactorSet([0.0, 0.0, 0.0], "su2"))
-    garbage = garbage_state(h, phi, [1.0, 0.0])
+    garbage = garbage_state(h, PhaseFactorSet([0.0, 0.0, 0.0]), [1.0, 0.0])
     assert np.linalg.norm(garbage) <= 1e-12
 
 
 def test_garbage_state_rejects_asymmetric_phases(setup):
     _, h, _ = setup
-    phi = to_circuit(PhaseFactorSet([0.3, 0.1, -0.2], "su2"))
+    phi = PhaseFactorSet([0.3, 0.1, -0.2])
     with pytest.raises(ValueError, match="symmetric"):
         garbage_state(h, phi, [1, 0, 0, 0])
 
@@ -351,8 +342,8 @@ def test_garbage_state_rejects_asymmetric_phases(setup):
 def test_three_term_norm_completeness(setup):
     gen, h, _ = setup
     spec = eigh(h)
-    phi = to_circuit(random_symmetric(gen, 8))
-    pair = extract_pq([to_su2(phi)])[0]
+    phi = random_symmetric(gen, 8)
+    pair = extract_pq([phi])[0]
     amp = gen.standard_normal(4) + 1j * gen.standard_normal(4)
     amp /= np.linalg.norm(amp)
     weights = np.abs(dagger(spec.vectors) @ amp) ** 2
@@ -365,17 +356,18 @@ def test_three_term_norm_completeness(setup):
 
 
 def test_negated_phase_substitution_identity(setup):
+    # Negating the circuit phases phi = psi - offsets gives rotation phases 2 offsets - psi.
     gen, _, _ = setup
-    phi = PhaseFactorSet(gen.uniform(-np.pi, np.pi, 7), "circuit")
-    pair = extract_pq([to_su2(phi)])[0]
-    neg = extract_pq([to_su2(PhaseFactorSet(-phi.values, "circuit"))])[0]
+    psi = PhaseFactorSet(gen.uniform(-np.pi, np.pi, 7))
+    pair = extract_pq([psi])[0]
+    neg = extract_pq([PhaseFactorSet(2.0 * reference_circuit_offsets(6) - psi.values)])[0]
     assert np.max(np.abs(neg.p - pair.p.conj())) <= 1e-10
     assert np.max(np.abs(neg.q + pair.q.conj())) <= 1e-10
 
 
 def test_monitoring_flag_single_ancilla_suffices(setup):
     gen, h, enc = setup
-    phi = to_circuit(random_symmetric(gen, 5))
+    phi = random_symmetric(gen, 5)
     q = assemble_full(enc, [phi])[0]
     amp = gen.standard_normal(4) + 1j * gen.standard_normal(4)
     amp /= np.linalg.norm(amp)
