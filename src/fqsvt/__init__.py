@@ -51,6 +51,6 @@ from .qsp import (
     extract_pq,
     synthesize_symmetric,
 )
-from .qsvt import assemble_full, garbage_state, predicted_blocks
+from .qsvt import assemble_full, predicted_blocks
 
 __version__ = "0.1.0"

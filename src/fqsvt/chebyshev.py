@@ -38,7 +38,6 @@ SYNTHESIS_GUARD = 1e-8
 # Smallest budget whose margin eps / 8 still clears the synthesis guard.
 EPS_FLOOR = 8.0 * SYNTHESIS_GUARD
 
-PARITY_TOL = 1e-12
 DEGREE_CAP = 2000
 # Remez stops once the level is within this factor of the levelled error.
 REMEZ_TOL = 1e-6
@@ -71,10 +70,9 @@ def _clenshaw(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class ChebyshevSeries:
-    """Real polynomial sum_k c_k T_k(x) with a parity tag."""
+    """Real polynomial sum_k c_k T_k(x)."""
 
     coeffs: np.ndarray
-    parity: str = "none"
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
@@ -82,12 +80,6 @@ class ChebyshevSeries:
             raise ValueError("coefficients must be a nonempty 1-d array")
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("coefficients must be finite")
-        if self.parity not in ("even", "odd", "none"):
-            raise ValueError(f"unknown parity tag {self.parity!r}")
-        if self.parity == "even" and np.any(np.abs(self.coeffs[1::2]) > PARITY_TOL):
-            raise ValueError("even series has odd-index coefficients above tolerance")
-        if self.parity == "odd" and np.any(np.abs(self.coeffs[0::2]) > PARITY_TOL):
-            raise ValueError("odd series has even-index coefficients above tolerance")
 
     @property
     def degree(self) -> int:
@@ -571,7 +563,7 @@ def _build_filters(specs: list[FilterSpec]) -> list[_Search]:
         # T_h(2x^2 - 1) = T_2h(x): G's coefficients are the filter's even ones.
         coeffs = np.zeros(2 * len(best.coeffs) - 1)
         coeffs[0::2] = best.coeffs
-        search.filter = ChebyshevSeries(coeffs, "even")
+        search.filter = ChebyshevSeries(coeffs)
         search.report = _certify(best.coeffs, best.crit, True, search.spec)
         if not search.report.passed:
             worst = min(search.report.conditions(), key=lambda c: c.margin)

@@ -332,7 +332,8 @@ def cmd_phases(cfg: dict, out: Path, seed: int) -> int:
     filt, report = build.filter, build.report
     psi = synthesize_symmetric([filt], cfg["tol"])[0]
 
-    _write_json(out / "filter.json", {"parity": filt.parity, "coeffs": filt.coeffs})
+    # Every filter is even by construction: T_h(2x^2 - 1) = T_2h(x).
+    _write_json(out / "filter.json", {"parity": "even", "coeffs": filt.coeffs})
     _write_json(out / "phases_su2.json", {"convention": "su2", "values": psi.values})
     _write_json(out / "phases_circuit.json",
                 {"convention": "circuit", "values": psi.values - _circuit_offsets(psi.degree)})
@@ -494,6 +495,12 @@ def cmd_baselines(cfg: dict, out: Path, seed: int) -> int:
         h = hermitian_from_spectrum(values, rng(seed, count))
         spectrum = eigh(h)
         structure = detect_bands(spectrum.values, target_bands=count)
+        if [len(band) for band in structure.bands] != [per_band] * count:
+            raise ConfigError(
+                f"baselines.Ls: L={count} with per_band={per_band} spaces its clusters, "
+                f"0.01 wide, {values[per_band] - values[0]:.3g} apart; band detection does "
+                f"not split them into {count} bands of {per_band} eigenvalues"
+            )
         walk = random_walk_success(structure, spectrum, cfg["trials"], seed)
         rows.append([
             count,

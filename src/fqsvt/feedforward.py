@@ -205,7 +205,9 @@ def _leaves(
 ) -> list[TreeLeaf]:
     """Leaves of a branch tree in node order; with `amp`, each register is that leaf's operator.
 
-    Success branches must leave the encoding ancillas in |0...0>.
+    Success branches must leave the encoding ancillas in |0...0>: the
+    whole register is checked, by Frobenius norm, so an operator may not
+    leak in any direction, even one orthogonal to `amp`.
     """
     leaves = []
     for bits, (register, queries) in nodes.items():
@@ -214,17 +216,17 @@ def _leaves(
         # A copy frees the circuit output the register was sliced from.
         register = register.copy()
         failed = any(bits[1::2])
-        state = register[:, 0] if amp is None else register @ amp
-        total = float(np.vdot(state, state).real)
-        head = float(np.vdot(state[:n], state[:n]).real)
+        total = float(np.vdot(register, register).real)
+        head = float(np.vdot(register[:n], register[:n]).real)
         if not failed and total > 1e-18 and head < (1.0 - ANCILLA_PURITY_TOL) * total:
             raise RuntimeError(
                 f"ancilla register left the |0...0> sector on a success branch "
                 f"(record {bits}): purity {head / total}"
             )
+        state = register[:, 0] if amp is None else register @ amp
         operator = None if amp is None else register
-        leaves.append(TreeLeaf(bits, state, total, policy.claimed_band(bits), failed, queries,
-                               operator))
+        leaves.append(TreeLeaf(bits, state, float(np.vdot(state, state).real),
+                               policy.claimed_band(bits), failed, queries, operator))
     return leaves
 
 
@@ -278,7 +280,7 @@ def _multiband_phase_table(structure: BandStructure, round_eps: float) -> tuple[
     filters = heaviside_filter([FilterSpec(float(c), structure.delta, round_eps)
                                 for c in structure.centers])
     degree = max((f.degree for f in filters), default=0)
-    padded = [ChebyshevSeries(np.pad(f.coeffs, (0, degree - f.degree)), "even") for f in filters]
+    padded = [ChebyshevSeries(np.pad(f.coeffs, (0, degree - f.degree))) for f in filters]
     try:
         phases = synthesize_symmetric(padded, SYNTHESIS_TOL)
     except SynthesisError as err:

@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 SYMMETRY_TOL = 1e-12
+# A synthesis target's coefficients of the other parity than its degree must stay below this.
+PARITY_TOL = 1e-12
 
 
 @dataclass(eq=False)
@@ -336,13 +338,8 @@ def _damped_newton(free, d, xs, target, tol, histories, max_iters=80):
 
 
 def _closed_form(f: ChebyshevSeries) -> np.ndarray | None:
-    """Validate one target; return its phases if a closed form gives them."""
-    if f.parity == "none":
-        raise ValueError("synthesis target must have definite parity")
+    """Validate one target's magnitude; return its phases if a closed form gives them."""
     d = f.degree
-    if d % 2 != (0 if f.parity == "even" else 1):
-        raise ValueError(f"target degree {d} does not match parity tag {f.parity!r}")
-
     if d == 0:
         c0 = float(f.coeffs[0])
         if abs(c0) > 1.0:
@@ -365,7 +362,8 @@ def synthesize_symmetric(targets: list[ChebyshevSeries], tol: float) -> list[Pha
     """Symmetric phases whose Re P matches each target.
 
     `targets` share one degree, and their phases come back in the same
-    order. Each target must have definite parity and, unless it is a single
+    order. Each target must have the parity of its degree (every coefficient
+    of the other parity within `PARITY_TOL` of 0) and, unless it is a single
     Chebyshev component (handled in closed form), stay strictly inside the
     synthesis margin; callers rescale, this routine never does. A symmetric
     degree-d sequence has m = (d+2)//2 free phases, and Re P - f has definite
@@ -385,6 +383,14 @@ def synthesize_symmetric(targets: list[ChebyshevSeries], tol: float) -> list[Pha
     degrees = {g.degree for g in targets}
     if len(degrees) > 1:
         raise ValueError(f"stacked synthesis targets must share one degree, got {sorted(degrees)}")
+    for i, g in enumerate(targets):
+        wrong = float(np.max(np.abs(g.coeffs[1 - g.degree % 2 :: 2]), initial=0.0))
+        if wrong > PARITY_TOL:
+            raise ValueError(
+                f"synthesis target of degree {g.degree} has a coefficient {wrong:.3e} of the "
+                f"other parity (tolerance {PARITY_TOL:g})"
+                + (f" (item {i} of {len(targets)})" if len(targets) > 1 else "")
+            )
     values = [_closed_form(g) for g in targets]
     solve = [i for i, v in enumerate(values) if v is None]
     if solve:

@@ -5,8 +5,9 @@ matrix is the Hadamard butterfly over the monitoring sectors of the
 interleaved product of controlled rotations and the block encoding. Every
 sector of the assembled matrix is predicted in closed form from the
 polynomial pair of the phase factors and the eigenbasis of H, which fixes
-the cosine-sine factors of the symmetric dilation; the garbage component
-of the action on |0...0>|phi> is predicted likewise.
+the cosine-sine factors of the symmetric dilation. For palindromic
+phases the garbage component of the action on |0...0>|phi>, which
+feedforward reclaims, is sectors (2, 0) and (3, 0) of that prediction.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ import numpy as np
 
 from .blockenc import _check_encoding, _psd_contraction_spectrum
 from .chebyshev import _clenshaw
-from .linalg import _check_state, check_hermitian, dagger
-from .qsp import PhaseFactorSet, _circuit_offsets, extract_pq
+from .linalg import dagger
+from .qsp import PhaseFactorSet, QspPolynomialPair, _circuit_offsets
 
 __all__ = [
     "assemble_full",
     "predicted_blocks",
-    "garbage_state",
 ]
 
 
@@ -78,19 +78,21 @@ def assemble_full(enc: np.ndarray, phis: list[PhaseFactorSet]) -> list[np.ndarra
     return list(q)
 
 
-def predicted_blocks(h: np.ndarray, phi: PhaseFactorSet) -> np.ndarray:
+def predicted_blocks(h: np.ndarray, pair: QspPolynomialPair) -> np.ndarray:
     """Sector-by-sector prediction of the assembled circuit from (P, Q) and H's eigenbasis.
 
-    Returns the (4, 4, N, N) table whose entry [i, j] is the block at sector
-    row i, column j, sectors being (monitoring, ancilla) pairs flattened to
-    0..3 in register order. With H = V Sigma V^dag the dilation's
-    cosine-sine factors are V2 = V and W2 = -V, so the final basis
-    transformation is T2 = (-1)^d V.
+    `pair` is the `extract_pq` pair of the circuit's phase set. Returns the
+    (4, 4, N, N) table whose entry [i, j] is the block at sector row i,
+    column j, sectors being (monitoring, ancilla) pairs flattened to 0..3 in
+    register order. With H = V Sigma V^dag the dilation's cosine-sine
+    factors are V2 = V and W2 = -V, so the final basis transformation is
+    T2 = (-1)^d V. Palindromic phases give Q_Im = 0, so the garbage of the
+    action on |0...0>|phi> sits in sectors (2, 0) and (3, 0):
+    i P_Im(H)|phi> and i T2 sqrt(I - Sigma^2) Q_Re(Sigma) V^dag|phi>.
     """
     spectrum, s = _psd_contraction_spectrum(h)
-    pair = extract_pq([phi])[0]
     v, sigma = spectrum.vectors, spectrum.values
-    t2 = -v if phi.degree % 2 else v
+    t2 = -v if pair.degree % 2 else v
 
     p_re = _clenshaw(pair.p.real, sigma)
     p_im = _clenshaw(pair.p.imag, sigma)
@@ -104,27 +106,3 @@ def predicted_blocks(h: np.ndarray, phi: PhaseFactorSet) -> np.ndarray:
          [1j * (t2 * (s * q_re)) @ vh, -1j * (t2 * p_im) @ vh]]
     # The monitoring butterfly: A on the diagonal sector pairs, B off it.
     return np.array([[*a[0], *b[0]], [*a[1], *b[1]], [*b[0], *a[0]], [*b[1], *a[1]]])
-
-
-def garbage_state(h: np.ndarray, phi: PhaseFactorSet, state: np.ndarray) -> np.ndarray:
-    """Predicted garbage component of the circuit action on |0...0>|phi>.
-
-    For palindromic phases (`PhaseFactorSet.symmetric`) the garbage
-    sits entirely in the monitoring-qubit |1> sector, with ancilla
-    components i P_Im(H)|phi> and i T2 V^dag sqrt(I-H^2) Q_Re(H)|phi>.
-    """
-    h = check_hermitian(h)
-    n = h.shape[0]
-    amp = _check_state(state)
-    if len(amp) != n:
-        raise ValueError(f"input state must have dimension {n}, got {len(amp)}")
-    if not phi.symmetric:
-        raise ValueError(
-            "garbage-state prediction requires symmetric (palindromic) phase "
-            "factors; use predicted_blocks for the general case"
-        )
-    table = predicted_blocks(h, phi)
-    out = np.zeros(4 * n, dtype=complex)
-    out[2 * n : 3 * n] = table[2, 0] @ amp
-    out[3 * n :] = table[3, 0] @ amp
-    return out

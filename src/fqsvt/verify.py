@@ -38,7 +38,7 @@ from .feedforward import (
 )
 from .linalg import dagger, eigh, haar_vector, hermitian_from_spectrum, rng
 from .qsp import PhaseFactorSet, _mirror, extract_pq, synthesize_symmetric
-from .qsvt import assemble_full, garbage_state, predicted_blocks
+from .qsvt import assemble_full, predicted_blocks
 
 __all__ = ["CriterionResult", "run_criteria", "CRITERIA"]
 
@@ -90,19 +90,24 @@ def criterion_1() -> CriterionResult:
 def criterion_2() -> CriterionResult:
     """Assembled circuit matches every predicted sector block to 1e-9."""
     gen = rng(102)
-    worst = 0.0
+    instances = []
     for trial in range(50):
         n = int(2 ** gen.integers(1, 4))
         degree = int(gen.integers(1, 13))
         h = hermitian_from_spectrum(gen.uniform(0.02, 0.98, n), gen)
-        enc = dilate_hermitian(h)
-        psi = PhaseFactorSet(gen.uniform(-math.pi, math.pi, degree + 1))
-        q = assemble_full(enc, [psi])[0]
-        pred = predicted_blocks(h, psi)
-        for i in range(4):
-            for j in range(4):
-                block = q[i * n : (i + 1) * n, j * n : (j + 1) * n]
-                worst = max(worst, float(np.max(np.abs(block - pred[i, j]))))
+        instances.append((h, PhaseFactorSet(gen.uniform(-math.pi, math.pi, degree + 1))))
+
+    worst = 0.0
+    for idx, pairs in _extract_by_degree([psi for _, psi in instances]):
+        for i, pair in zip(idx, pairs):
+            h, psi = instances[i]
+            n = len(h)
+            q = assemble_full(dilate_hermitian(h), [psi])[0]
+            pred = predicted_blocks(h, pair)
+            for r in range(4):
+                for c in range(4):
+                    block = q[r * n : (r + 1) * n, c * n : (c + 1) * n]
+                    worst = max(worst, float(np.max(np.abs(block - pred[r, c]))))
     return CriterionResult(
         2, "comprehensive circuit block prediction",
         worst <= 1e-9, f"worst block deviation {worst:.2e} over 50 instances",
@@ -132,7 +137,9 @@ def criterion_3() -> CriterionResult:
             full = q @ full
             actual_garbage = full.copy()
             actual_garbage[:n] = 0.0
-            predicted = garbage_state(h, psi, amp)
+            # The garbage sits in the monitoring |1> sectors (2, 0) and (3, 0).
+            table = predicted_blocks(h, pair)
+            predicted = np.concatenate([np.zeros(2 * n), table[2, 0] @ amp, table[3, 0] @ amp])
             worst_state = max(worst_state, float(np.max(np.abs(predicted - actual_garbage))))
 
             spec_h = eigh(h)

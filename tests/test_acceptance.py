@@ -1,19 +1,20 @@
 """Acceptance battery: every closed-form claim at its stated tolerance.
 
 Each test prints one pass/fail line (visible with `pytest -s` or through
-the `fqsvt verify` command, which runs the same battery). Criteria 1, 3
-and 4 draw every instance first and extract the pairs of one degree in one
+the `fqsvt verify` command, which runs the same battery). Criteria 1–4
+draw every instance first and extract the pairs of one degree in one
 call; their results must equal those of the instance-by-instance loops
-below, which extract and evaluate each pair alone. Criterion 3's loop
-predicts the garbage state through the dilation's explicit cosine-sine
-factors (`test_qsvt.reference_garbage_state`).
+below, which extract and evaluate each pair alone. Criteria 2 and 3
+predict the sectors through the dilation's explicit cosine-sine factors
+(`test_qsvt.reference_predicted_blocks` and `reference_garbage_state`).
 """
 
 import math
 
 import numpy as np
+import pytest
 
-from fqsvt import chebyshev, feedforward, verify
+from fqsvt import chebyshev, feedforward, qsp, qsvt, verify
 from fqsvt.blockenc import dilate_hermitian
 from fqsvt.feedforward import run_1fqsvt
 from fqsvt.linalg import dagger, eigh, haar_vector, hermitian_from_spectrum, rng
@@ -22,7 +23,7 @@ from fqsvt.qsp import PhaseFactorSet
 from fqsvt.verify import CRITERIA, CriterionResult, _random_symmetric
 from test_chebyshev import reference_clenshaw
 from test_qsp import reference_single_extract_pq
-from test_qsvt import reference_garbage_state
+from test_qsvt import reference_garbage_state, reference_predicted_blocks
 
 
 def reference_criterion_1() -> CriterionResult:
@@ -44,6 +45,27 @@ def reference_criterion_1() -> CriterionResult:
     return CriterionResult(
         1, "signal-processing pair round-trip",
         passed, f"normalization dev {worst_norm:.2e}, Q imaginary part {worst_imag:.2e}",
+    )
+
+
+def reference_criterion_2() -> CriterionResult:
+    gen = rng(102)
+    worst = 0.0
+    for trial in range(50):
+        n = int(2 ** gen.integers(1, 4))
+        degree = int(gen.integers(1, 13))
+        h = hermitian_from_spectrum(gen.uniform(0.02, 0.98, n), gen)
+        enc = dilate_hermitian(h)
+        psi = PhaseFactorSet(gen.uniform(-math.pi, math.pi, degree + 1))
+        q = assemble_full(enc, [psi])[0]
+        pred = reference_predicted_blocks(h, psi)
+        for i in range(4):
+            for j in range(4):
+                block = q[i * n : (i + 1) * n, j * n : (j + 1) * n]
+                worst = max(worst, float(np.max(np.abs(block - pred[i, j]))))
+    return CriterionResult(
+        2, "comprehensive circuit block prediction",
+        worst <= 1e-9, f"worst block deviation {worst:.2e} over 50 instances",
     )
 
 
@@ -144,7 +166,7 @@ def test_criterion_01_qsp_round_trip():
 
 
 def test_criterion_02_comprehensive_blocks():
-    _run(2)
+    assert _run(2) == reference_criterion_2()
 
 
 def test_criterion_03_garbage_state():
@@ -153,6 +175,22 @@ def test_criterion_03_garbage_state():
 
 def test_criterion_04_two_block_exactness():
     assert _run(4) == reference_criterion_4()
+
+
+@pytest.mark.parametrize("number", [1, 2, 3, 4])
+def test_closed_form_criteria_extract_each_degree_once(monkeypatch, number):
+    # One `extract_pq` call per distinct degree, wherever the criterion
+    # reaches it from: `verify` itself or the closed-form oracle in `qsvt`.
+    degrees = []
+
+    def counting(items):
+        degrees.append(items[0].degree)
+        return qsp.extract_pq(items)
+
+    monkeypatch.setattr(verify, "extract_pq", counting)
+    monkeypatch.setattr(qsvt, "extract_pq", counting, raising=False)
+    assert CRITERIA[number]().passed
+    assert len(degrees) == len(set(degrees)) > 1
 
 
 def test_criterion_05_projection_error_budget():

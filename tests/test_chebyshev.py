@@ -31,14 +31,14 @@ from fqsvt.qsp import synthesize_symmetric
 
 
 def test_series_evaluates_t1_t2():
-    assert _clenshaw(ChebyshevSeries([0.0, 1.0], "odd").coeffs, 0.7) == pytest.approx(0.7)
-    assert _clenshaw(ChebyshevSeries([0.0, 0.0, 1.0], "even").coeffs, 0.3) == pytest.approx(-0.82)
+    assert _clenshaw(ChebyshevSeries([0.0, 1.0]).coeffs, 0.7) == pytest.approx(0.7)
+    assert _clenshaw(ChebyshevSeries([0.0, 0.0, 1.0]).coeffs, 0.3) == pytest.approx(-0.82)
 
 
 def test_series_matches_direct_summation():
     gen = rng(1)
     coeffs = gen.uniform(-1, 1, 21)
-    series = ChebyshevSeries(coeffs, "none")
+    series = ChebyshevSeries(coeffs)
     xs = gen.uniform(-1, 1, 100)
     direct = sum(c * np.cos(k * np.arccos(xs)) for k, c in enumerate(coeffs))
     assert np.max(np.abs(_clenshaw(series.coeffs, xs) - direct)) <= 1e-12
@@ -73,12 +73,6 @@ def test_clenshaw_matches_the_reference_recurrence_bitwise():
                 assert np.array_equal(rows[j], reference_clenshaw(stack[:, j], x)), d
 
 
-def test_parity_validation():
-    with pytest.raises(ValueError, match="odd-index"):
-        ChebyshevSeries([0.0, 0.5], "even")
-    ChebyshevSeries([0.0, 0.5], "odd")
-
-
 def test_filter_spec_invariants():
     FilterSpec(0.5, 0.3, 1e-3)
     with pytest.raises(ValueError, match="inside"):
@@ -93,7 +87,7 @@ def test_heaviside_low_degree_example():
     spec = FilterSpec(0.5, 0.6, 0.1)
     filt = heaviside_filter([spec])[0]
     assert filt.degree <= 12
-    assert filt.parity == "even"
+    assert filt.degree % 2 == 0
     assert certify_filter(filt, spec).passed
 
 
@@ -123,7 +117,7 @@ def _even_series(g_power: np.ndarray) -> ChebyshevSeries:
     g = np.polynomial.chebyshev.poly2cheb(g_power)
     coeffs = np.zeros(2 * len(g) - 1)
     coeffs[0::2] = g
-    return ChebyshevSeries(coeffs, "even")
+    return ChebyshevSeries(coeffs)
 
 
 def test_certify_finds_a_clustered_critical_point():
@@ -140,7 +134,7 @@ def test_certify_finds_a_clustered_critical_point():
 def test_certify_exact_worst_at_a_peak_between_grid_points():
     # T_201's extrema cos(j pi / 201) miss the points of a 2001-point grid
     # away from the ends, so the grid undershoots an interior peak.
-    filt = ChebyshevSeries(np.eye(202)[201], "odd")
+    filt = ChebyshevSeries(np.eye(202)[201])
     spec = FilterSpec(0.5, 0.2, 0.1)
     report = certify_filter(filt, spec)
     assert report.high_side.worst == pytest.approx(1.0, abs=1e-12)
@@ -375,7 +369,7 @@ def test_certify_constant_half_fails_both_sides():
 
 
 def test_certify_t2_fails_low_side():
-    report = certify_filter(ChebyshevSeries([0, 0, 1.0], "even"), FilterSpec(0.5, 0.2, 0.5))
+    report = certify_filter(ChebyshevSeries([0, 0, 1.0]), FilterSpec(0.5, 0.2, 0.5))
     assert not report.low_side.passed
 
 
@@ -512,5 +506,5 @@ def test_series_json_round_trip(tmp_path):
     filt = heaviside_filter([FilterSpec(0.5, 0.6, 0.1)])[0]
     doc = phases_artifacts(tmp_path, FilterSpec(0.5, 0.6, 0.1))["filter.json"]
     assert doc["parity"] == "even"
-    restored = ChebyshevSeries(doc["coeffs"], doc["parity"])
+    restored = ChebyshevSeries(doc["coeffs"])
     assert np.array_equal(restored.coeffs, filt.coeffs)

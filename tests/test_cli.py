@@ -606,12 +606,19 @@ def test_unreadable_config_or_output_path_exits_2(tmp_path, capsys, case):
     ({"adiabatic_eps": -1}, "baselines.adiabatic_eps must be > 0.0, got -1.0"),
     ({"trials": 999}, "baselines.trials must be >= 1000, got 999"),
     ({"trials": 1000.5}, "baselines.trials: expected int, got 1000.5"),
+    # Clusters 0.01 wide and 0.9 / (L - 1) apart that band detection cannot
+    # split into L bands of `per_band`: the walk would be priced on wrong bands.
+    ({"Ls": [2, 64]}, "baselines.Ls: L=64 with per_band=2 spaces its clusters, 0.01 wide, "
+                      "0.0143 apart; band detection does not split them into 64 bands of 2 "
+                      "eigenvalues"),
+    ({"Ls": [128], "per_band": 4}, "baselines.Ls: L=128 with per_band=4 "),
 ], ids=["filter-delta", "filter-eps", "adiabatic-min-gap", "adiabatic-eps", "trials-below-1000",
-        "trials-fractional"])
+        "trials-fractional", "L64-unresolved", "L128-per-band-4-unresolved"])
 def test_baselines_rejects_bad_config_value_with_exit_2(tmp_path, capsys, changes, cause):
     cfg = write_config(tmp_path, {"Ls": [2], "trials": 1000, **changes})
     assert main(["baselines", "--config", cfg, "--out", str(tmp_path / "b")]) == 2
     assert cause in capsys.readouterr().err
+    assert not (tmp_path / "b" / "baselines.csv").exists()
 
 
 @pytest.mark.parametrize("changes, cause", [

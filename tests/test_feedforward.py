@@ -17,6 +17,7 @@ from fqsvt.feedforward import (
     KrausExtraction,
     MultibandPolicy,
     TreeLeaf,
+    _leaves,
     _multiband_phase_table,
     channel_bound,
     channel_distance,
@@ -41,7 +42,7 @@ from fqsvt.qsp import (
     extract_pq,
     synthesize_symmetric,
 )
-from fqsvt.qsvt import assemble_full, garbage_state
+from fqsvt.qsvt import assemble_full
 
 
 def success_projectors(kraus: KrausExtraction) -> dict:
@@ -403,7 +404,6 @@ ENTRIES = {
         enc, detect_bands(np.diag(h), min_gap=0.2), 1e-2, state),
     "sample": lambda h, enc, state: run_multiband(
         enc, detect_bands(np.diag(h), min_gap=0.2), 1e-2, state, mode="sample"),
-    "garbage_state": lambda h, enc, state: garbage_state(h, IDENTITY, state),
     "adiabatic": lambda h, enc, state: adiabatic_leakage_scaling(
         h, h, detect_bands(np.diag(h), min_gap=0.2), 0, [1.0], state),
     "assemble_full": lambda h, enc, state: assemble_full(enc, [IDENTITY])[0],
@@ -427,8 +427,8 @@ BAD_ENCODINGS = {
 
 
 @pytest.mark.parametrize("entry, case", [
-    *((entry, case) for entry in ("run_1fqsvt", "enumerate", "sample", "garbage_state",
-                                  "adiabatic") for case in BAD_STATES),
+    *((entry, case) for entry in ("run_1fqsvt", "enumerate", "sample", "adiabatic")
+      for case in BAD_STATES),
     *((entry, case) for entry in ("run_1fqsvt", "enumerate", "sample", "assemble_full")
       for case in BAD_ENCODINGS),
 ])
@@ -757,7 +757,7 @@ def test_phase_table_names_the_split_whose_synthesis_stalls(monkeypatch):
     def fake_filter(spec):
         coeffs = np.zeros(11)
         coeffs[[0, 10]] = (0.3 if spec.mu == 0.225 else 0.0), 0.5
-        return ChebyshevSeries(coeffs, "even")
+        return ChebyshevSeries(coeffs)
 
     monkeypatch.setattr(feedforward, "heaviside_filter",
                         lambda specs: [fake_filter(spec) for spec in specs])
@@ -765,6 +765,23 @@ def test_phase_table_names_the_split_whose_synthesis_stalls(monkeypatch):
     with pytest.raises(SynthesisError, match=r"^split 2: phase synthesis stalled") as info:
         _multiband_phase_table(structure, 0.1)
     assert info.value.index == 1 and info.value.history
+
+
+def test_enumerate_purity_check_covers_the_whole_success_operator():
+    # A success operator that is pure on the input column and leaks into the
+    # ancilla only on the orthogonal column: the leak is part of the operator
+    # that kraus.json writes, so enumerate mode rejects it.
+    policy = MultibandPolicy(2, {1: IDENTITY})
+    operator = np.zeros((4, 2), dtype=complex)
+    operator[0, 0] = 1.0
+    operator[3, 1] = 0.5
+    amp = np.array([1.0, 0.0], dtype=complex)
+    with pytest.raises(RuntimeError, match=r"success branch \(record \(0, 0\)\): purity 0\.8$"):
+        _leaves(2, policy, {(0, 0): (operator, 2)}, amp)
+    # A failed record is not checked, and sample mode checks its one column.
+    assert _leaves(2, policy, {(0, 1): (operator, 2)}, amp)[0].failed
+    (leaf,) = _leaves(2, policy, {(0, 0): (operator[:, :1], 2)})
+    assert leaf.probability == 1.0 and not leaf.failed
 
 
 @pytest.mark.parametrize("count", range(2, 18))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -295,8 +296,8 @@ def failing_synthesis(monkeypatch, count):
     # The pure 0.5 T_10 target has closed-form phases; the other stalls.
     coeffs = 0.9 * extract_pq([random_symmetric(rng(9), 10)])[0].p.real
     coeffs[1::2] = 0.0
-    pure = ChebyshevSeries(np.eye(11)[10] * 0.5, "even")
-    synthesize_symmetric([pure, ChebyshevSeries(coeffs, "even")][-count:], 1e-30)
+    pure = ChebyshevSeries(np.eye(11)[10] * 0.5)
+    synthesize_symmetric([pure, ChebyshevSeries(coeffs)][-count:], 1e-30)
 
 
 @pytest.mark.parametrize("count", [1, 2])
@@ -351,17 +352,17 @@ def test_symmetric_flag():
 
 
 def test_synthesize_identity_target():
-    psi = synthesize_symmetric([ChebyshevSeries([0.0, 1.0], "odd")], 1e-12)[0]
+    psi = synthesize_symmetric([ChebyshevSeries([0.0, 1.0])], 1e-12)[0]
     assert np.allclose(psi.values, [0.0, 0.0])
 
 
 def test_synthesize_chebyshev_target():
-    psi = synthesize_symmetric([ChebyshevSeries([0, 0, 0, 0, 0, 1.0], "odd")], 1e-12)[0]
+    psi = synthesize_symmetric([ChebyshevSeries([0, 0, 0, 0, 0, 1.0])], 1e-12)[0]
     assert np.allclose(psi.values, np.zeros(6))
 
 
 def test_synthesize_scaled_chebyshev():
-    target = ChebyshevSeries([0, 0, 0, 0, 0.9], "even")
+    target = ChebyshevSeries([0, 0, 0, 0, 0.9])
     psi = synthesize_symmetric([target], 1e-12)[0]
     assert psi.symmetric
     pair = extract_pq([psi])[0]
@@ -377,7 +378,7 @@ def test_synthesize_general_target_and_normalization():
         source = random_symmetric(gen, d)
         coeffs = 0.95 * extract_pq([source])[0].p.real
         coeffs[(1 if d % 2 == 0 else 0)::2] = 0.0
-        target = ChebyshevSeries(coeffs, "even" if d % 2 == 0 else "odd")
+        target = ChebyshevSeries(coeffs)
         psi = synthesize_symmetric([target], 1e-11)[0]
         pair = extract_pq([psi])[0]
         assert np.max(np.abs(_clenshaw(pair.p, xs).real - _clenshaw(target.coeffs, xs))) <= 1e-11
@@ -399,7 +400,7 @@ def synthesis_targets(draw):
     source = random_symmetric(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), d)
     coeffs = scale * extract_pq([source])[0].p.real
     coeffs[(d + 1) % 2::2] = 0.0
-    return ChebyshevSeries(coeffs, "even" if d % 2 == 0 else "odd")
+    return ChebyshevSeries(coeffs)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -418,14 +419,14 @@ def test_synthesis_stall_raises_with_its_history():
     gen = rng(9)
     coeffs = 0.9 * extract_pq([random_symmetric(gen, 10)])[0].p.real
     coeffs[1::2] = 0.0
-    target = ChebyshevSeries(coeffs, "even")
+    target = ChebyshevSeries(coeffs)
     with pytest.raises(SynthesisError, match="stalled") as info:
         synthesize_symmetric([target], 1e-30)
     alone = info.value.history
     assert alone and min(alone) > 2.5e-31 and info.value.index == 0
     # In a stack, a pure 0.5 T_10 target has closed-form phases and cannot
     # stall, so the error names the second item and carries its own history.
-    pure = ChebyshevSeries(np.eye(11)[10] * 0.5, "even")
+    pure = ChebyshevSeries(np.eye(11)[10] * 0.5)
     with pytest.raises(SynthesisError, match="item 1 of 2") as info:
         synthesize_symmetric([pure, target], 1e-30)
     assert info.value.index == 1 and info.value.history == alone
@@ -498,7 +499,7 @@ def newton_start(targets):
 
 def padded_to_one_degree(filters) -> list:
     degree = max(f.degree for f in filters)
-    return [ChebyshevSeries(np.pad(f.coeffs, (0, degree - f.degree)), "even") for f in filters]
+    return [ChebyshevSeries(np.pad(f.coeffs, (0, degree - f.degree))) for f in filters]
 
 
 @pytest.mark.parametrize("count", [2, 4, 8, 16])
@@ -532,7 +533,7 @@ def shared_degree_targets(draw):
             coeffs = gen.standard_normal(d + 1)
         coeffs[1::2] = 0.0
         scale = (1.0 - 10.0 ** draw(st.floats(-6.0, -0.5))) / np.max(np.abs(_clenshaw(coeffs, grid)))
-        targets.append(ChebyshevSeries(scale * coeffs, "even"))
+        targets.append(ChebyshevSeries(scale * coeffs))
     return targets
 
 
@@ -568,8 +569,8 @@ def test_a_stack_of_copies_takes_the_sweeps_of_one_target(monkeypatch):
 
 def test_synthesize_rejects_targets_of_different_degrees():
     with pytest.raises(ValueError, match="one degree"):
-        synthesize_symmetric([ChebyshevSeries([0.1, 0.0, 0.2], "even"),
-                              ChebyshevSeries([0.1, 0.0, 0.2, 0.0, 0.1], "even")], 1e-10)
+        synthesize_symmetric([ChebyshevSeries([0.1, 0.0, 0.2]),
+                              ChebyshevSeries([0.1, 0.0, 0.2, 0.0, 0.1])], 1e-10)
 
 
 def test_synthesize_rejects_margin_violation():
@@ -578,12 +579,25 @@ def test_synthesize_rejects_margin_violation():
     coeffs[2] = 0.3
     coeffs[4] = 0.2  # sup-norm above 1 - 1e-8 at x = 1
     with pytest.raises(ValueError, match="margin"):
-        synthesize_symmetric([ChebyshevSeries(coeffs, "even")], 1e-10)
+        synthesize_symmetric([ChebyshevSeries(coeffs)], 1e-10)
 
 
 def test_synthesize_rejects_mixed_parity():
-    with pytest.raises(ValueError, match="parity"):
-        synthesize_symmetric([ChebyshevSeries([0.1, 0.2], "none")], 1e-10)
+    # The degree fixes the parity: every coefficient of the other parity must
+    # stay within PARITY_TOL of 0, and a list names the offending item.
+    message = "synthesis target of degree {} has a coefficient {} of the other parity"
+    with pytest.raises(ValueError, match=re.escape(message.format(1, "1.000e-01"))
+                       + r" \(tolerance 1e-12\)$"):
+        synthesize_symmetric([ChebyshevSeries([0.1, 0.2])], 1e-10)
+    with pytest.raises(ValueError, match=re.escape(message.format(2, "5.000e-01"))
+                       + r" \(tolerance 1e-12\) \(item 1 of 2\)$"):
+        synthesize_symmetric([ChebyshevSeries([0.1, 0.0, 0.2]),
+                              ChebyshevSeries([0.0, 0.5, 0.0])], 1e-10)
+    with pytest.raises(ValueError, match=re.escape(message.format(2, "2.000e-12"))):
+        synthesize_symmetric([ChebyshevSeries([0.1, 2e-12, 0.2])], 1e-10)
+    # Within the tolerance, and an odd target with no even part, synthesize.
+    synthesize_symmetric([ChebyshevSeries([0.1, 1e-12, 0.2])], 1e-10)
+    assert synthesize_symmetric([ChebyshevSeries([0.0, 0.5])], 1e-12)[0].degree == 1
 
 
 def test_gradient_matches_finite_differences():
@@ -663,11 +677,11 @@ def test_synthesize_rejects_a_tolerance_that_is_not_finite_and_positive(monkeypa
 
     monkeypatch.setattr(qsp, "_half_prefixes", no_sweep)
     monkeypatch.setattr(qsp, "_half_product", no_sweep)
-    target = ChebyshevSeries([0.1, 0, 0.5, 0, 0.2], "even")
+    target = ChebyshevSeries([0.1, 0, 0.5, 0, 0.2])
     with pytest.raises(ValueError, match=f"finite positive number, got {tol!r}"):
         synthesize_symmetric([target], tol)
     with pytest.raises(ValueError, match="finite positive"):
-        synthesize_symmetric([target, ChebyshevSeries(np.eye(5)[4] * 0.5, "even")], tol)
+        synthesize_symmetric([target, ChebyshevSeries(np.eye(5)[4] * 0.5)], tol)
 
 
 def random_even_target(seed: int, sup: float) -> ChebyshevSeries:
@@ -675,7 +689,7 @@ def random_even_target(seed: int, sup: float) -> ChebyshevSeries:
     coeffs = np.random.default_rng(seed).standard_normal(41)
     coeffs[1::2] = 0.0
     coeffs *= sup / np.max(np.abs(_clenshaw(coeffs, np.linspace(-1.0, 1.0, 4001))))
-    return ChebyshevSeries(coeffs, "even")
+    return ChebyshevSeries(coeffs)
 
 
 # Seeds 0-19 whose target at sup-norm 0.9999 synthesizes; 13 and 14 stall
