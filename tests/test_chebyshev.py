@@ -73,6 +73,15 @@ def test_clenshaw_matches_the_reference_recurrence_bitwise():
                 assert np.array_equal(rows[j], reference_clenshaw(stack[:, j], x)), d
 
 
+def test_parity_validation():
+    # The degree fixes a series' parity: the same odd coefficient is refused
+    # in a degree-2 target and synthesizes as a degree-1 one.
+    message = "degree 2 has a coefficient 5.000e-01 of the other parity"
+    with pytest.raises(ValueError, match=message):
+        synthesize_symmetric([ChebyshevSeries([0.0, 0.5, 0.0])], 1e-10)
+    assert synthesize_symmetric([ChebyshevSeries([0.0, 0.5])], 1e-12)[0].degree == 1
+
+
 def test_filter_spec_invariants():
     FilterSpec(0.5, 0.3, 1e-3)
     with pytest.raises(ValueError, match="inside"):
