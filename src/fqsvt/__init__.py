@@ -37,6 +37,7 @@ from .feedforward import (
     feedforward_query_count,
     run_1fqsvt,
     run_multiband,
+    sample_trajectories,
 )
 from .linalg import (
     HermitianSpectrum,

@@ -157,7 +157,8 @@ def adiabatic_leakage_scaling(
 ) -> LeakageFit:
     """Leakage out of the target band of H1 after the linear path from H0, fit against T.
 
-    The endpoints, the state and the times are checked once. The evolution
+    The endpoints, the state, the band (0 .. L-1) and the times (positive,
+    finite, at least two distinct) are checked once. The evolution
     to time T runs max(64, ceil(16 T)) steps of `_evolve_steps`. The projector
     comes from H1's spectrum; leakage below 1e-9 at every time makes the fit
     degenerate (reported, not raised).
@@ -169,9 +170,13 @@ def adiabatic_leakage_scaling(
     initial = _check_state(initial)
     if h0.shape[0] != len(initial):
         raise ValueError("initial state dimension does not match the Hamiltonians")
+    if not 0 <= band < structure.band_count:
+        raise ValueError(f"band {band} is outside 0..{structure.band_count - 1}")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not len(times) or not np.all(np.isfinite(times) & (times > 0)):
         raise ValueError(f"times must be a nonempty list of positive finite values, got {times}")
+    if np.all(times == times[0]):
+        raise ValueError(f"a slope needs at least two distinct times, got {times}")
     spectrum = eigh(h1)
     projector = exact_projectors(spectrum, structure)[band]
     leakages = []

@@ -47,6 +47,7 @@ from .feedforward import (
     feedforward_query_count,
     round_budget,
     run_multiband,
+    sample_trajectories,
 )
 from .linalg import eigh, haar_vector, hermitian_from_spectrum, rng
 from .qsp import _circuit_offsets, synthesize_symmetric
@@ -436,14 +437,15 @@ def cmd_project(cfg: dict, out: Path, seed: int) -> int:
                               f"next to the selected gap ({below}, {above}): {exc}") from exc
 
     amp = _resolve_input(cfg["input"], spectrum, seed)
-    mode = cfg["mode"]
-    tree = run_multiband(enc, structure, round_eps, amp, mode=mode, seed=seed,
-                         trajectories=cfg["trajectories"])
+    tree = run_multiband(enc, structure, round_eps, amp)
+    # Drawn before any artifact is written, so a draw too large to hold writes none.
+    sampled = (sample_trajectories(tree, seed, cfg["trajectories"])
+               if cfg["mode"] == "sample" else None)
     _write_bands(out / "bands.json", structure)
 
-    if mode == "sample":
+    if sampled is not None:
         rows = ((t, "".join(map(str, leaf.record)), leaf.claimed_band, leaf.failed)
-                for t, leaf in enumerate(tree.leaves))
+                for t, leaf in enumerate(sampled))
         _write_csv(out / "records.csv",
                    ["trajectory", "record_bits", "claimed_band", "failed"], rows)
         weights = [np.vdot(amp, p @ amp).real for p in exact_projectors(spectrum, structure)]

@@ -4,16 +4,16 @@ A run alternates circuit blocks with measure-and-reset (MAR) of the
 monitoring qubit. A measurement record is the tuple of those bits: even
 positions (0-based) carry band bits, odd positions success bits. One
 policy, `MultibandPolicy`, maps a record to the split whose block runs
-next; one driver expands every branch of a block of input columns with
-unnormalized registers. Run on the identity, each leaf's register is the
-linear map of its measurement record; a sampled trajectory is one
-root-to-leaf walk down the tree of its input column.
+next; one driver expands every branch on the identity with unnormalized
+registers, so each leaf's register is the linear map of its measurement
+record and its state is that map applied to the input. A sampled
+trajectory is one root-to-leaf walk down that tree (`sample_trajectories`).
 The two-block primitive realizes f^2(H) on outcome (0,0) and
 -(1 - f^2(H)) on (1,0); it is the two-band case of the policy, and the
 multi-band driver stacks rounds of it, choosing each threshold from the
 measured band bits.
-In H's eigenbasis both an enumerate run's channel and band dephasing are
-Schur multipliers, so one `eigh` brackets their distance with no sampling.
+In H's eigenbasis both a run's channel and band dephasing are Schur
+multipliers, so one `eigh` brackets their distance with no sampling.
 
 The encoding and the state are plain arrays. `run_1fqsvt` and
 `run_multiband` check both before any filter is built: a unitary of even
@@ -41,6 +41,7 @@ __all__ = [
     "KrausExtraction",
     "run_1fqsvt",
     "run_multiband",
+    "sample_trajectories",
     "extract_kraus",
     "channel_distance",
     "channel_bound",
@@ -127,26 +128,21 @@ def _check_input(enc, state) -> tuple[np.ndarray, np.ndarray]:
     return enc, state
 
 
-def _run_blocks(
-    enc: np.ndarray,
-    policy: MultibandPolicy,
-    columns: np.ndarray,
-) -> dict[tuple, tuple[np.ndarray, int]]:
-    """Expand every MAR outcome on a block of input columns until the policy stops.
+def _run_blocks(enc: np.ndarray, policy: MultibandPolicy) -> dict[tuple, tuple[np.ndarray, int]]:
+    """Expand every MAR outcome on the identity until the policy stops.
 
     Returns every node of the branch tree keyed by its bits, in breadth-first
     order: the root () plus both children of each executed block. A node
-    holds its unnormalized (ancilla (x) system, input columns) register and
-    the queries spent to reach it; a node without children is a leaf. Each
-    split's circuit is assembled once, all in one stacked product.
+    holds its unnormalized (ancilla (x) system, system) register, the linear
+    map of its record so far, and the queries spent to reach it; a node
+    without children is a leaf. Each split's circuit is assembled once, all
+    in one stacked product.
     """
     table = policy.phase_table
     circuits = dict(zip(table, assemble_full(enc, list(table.values()))))
     n = len(enc) // 2
-    width = columns.shape[1]
     reg_dim = 2 * n
-    register = np.zeros((reg_dim, width), dtype=complex)
-    register[:n] = columns
+    register = np.eye(reg_dim, n, dtype=complex)
 
     # Ancilla reflection 2|0..0><0..0| - I within each monitoring sector.
     reflect_signs = -np.ones((2 * reg_dim, 1))
@@ -164,7 +160,7 @@ def _run_blocks(
         second = len(bits) % 2 == 1
         degree = policy.phase_table[k].degree
         register, queries = nodes[bits]
-        full = np.zeros((2 * reg_dim, width), dtype=complex)
+        full = np.zeros((2 * reg_dim, n), dtype=complex)
         if second and bits[-1] == 1:
             full[reg_dim:] = register
         else:
@@ -184,8 +180,8 @@ class TreeLeaf:
     """One finished branch: its record bits, unnormalized register state and weight.
 
     The branch failed if any success bit (odd position) is 1. `operator` is
-    the branch's linear map from the system onto the register (enumerate
-    mode of `run_multiband` only); `state` is it applied to the input.
+    the branch's linear map from the system onto the register; `state` is
+    it applied to the input.
     """
 
     record: tuple
@@ -194,16 +190,11 @@ class TreeLeaf:
     claimed_band: int
     failed: bool
     queries: int
-    operator: np.ndarray | None = field(default=None, repr=False)
+    operator: np.ndarray = field(repr=False)
 
 
-def _leaves(
-    n: int,
-    policy: MultibandPolicy,
-    nodes: dict,
-    amp: np.ndarray | None = None,
-) -> list[TreeLeaf]:
-    """Leaves of a branch tree in node order; with `amp`, each register is that leaf's operator.
+def _leaves(n: int, policy: MultibandPolicy, nodes: dict, amp: np.ndarray) -> list[TreeLeaf]:
+    """Leaves of a branch tree in node order; each register is that leaf's operator.
 
     Success branches must leave the encoding ancillas in |0...0>: the
     whole register is checked, by Frobenius norm, so an operator may not
@@ -223,10 +214,9 @@ def _leaves(
                 f"ancilla register left the |0...0> sector on a success branch "
                 f"(record {bits}): purity {head / total}"
             )
-        state = register[:, 0] if amp is None else register @ amp
-        operator = None if amp is None else register
+        state = register @ amp
         leaves.append(TreeLeaf(bits, state, float(np.vdot(state, state).real),
-                               policy.claimed_band(bits), failed, queries, operator))
+                               policy.claimed_band(bits), failed, queries, register))
     return leaves
 
 
@@ -234,29 +224,23 @@ def run_1fqsvt(enc: np.ndarray, phi: PhaseFactorSet, state: np.ndarray) -> list[
     """Two-block feedforward primitive on a unit-norm system state.
 
     This is one round of the multi-band policy with a single split. It
-    returns all four (s1, s2) branches with unnormalized ancilla (x) system
-    registers; the (0,0) branch carries f^2(H)|phi> and the (1,0) branch
-    carries -(1 - f^2(H))|phi>.
+    returns all four (s1, s2) branches with their operators and unnormalized
+    ancilla (x) system states; the (0,0) branch carries f^2(H)|phi> and the
+    (1,0) branch carries -(1 - f^2(H))|phi>.
     """
     enc, state = _check_input(enc, state)
     policy = MultibandPolicy(2, {1: phi})
-    return _leaves(len(state), policy, _run_blocks(enc, policy, state[:, np.newaxis]))
+    return _leaves(len(state), policy, _run_blocks(enc, policy), state)
 
 
 @dataclass
 class BranchTree:
-    """Leaves of a multi-band run with its rounds, budget and filter degree.
-
-    In enumerate mode every leaf also carries its operator. In sample mode
-    `leaves` lists the leaf each trajectory reached; trajectories that reach
-    the same record share one `TreeLeaf` object.
-    """
+    """Leaves of a multi-band run, each with its operator, and its rounds, budget and degree."""
 
     leaves: list[TreeLeaf]
     rounds: int
     round_eps: float
     degree: int
-    mode: str = "enumerate"
 
     @property
     def query_count(self) -> int:
@@ -293,26 +277,17 @@ def run_multiband(
     structure: BandStructure,
     round_eps: float,
     state: np.ndarray,
-    mode: str = "enumerate",
-    seed: int = 0,
-    trajectories: int = 1,
 ) -> BranchTree:
     """Adaptive multi-round band projection of an input state.
 
     `round_eps` is the filter budget of each round (`round_budget` splits a
     global budget); a single band runs no round and ignores it. Filters for
     all rounds share one degree so each executed round costs the same number
-    of encoding queries, and each split's circuit is assembled once.
-    Enumerate mode expands every branch in one pass on the identity, so each
-    leaf carries its operator and its state is that operator applied to the
-    input. Sample mode expands the tree of the input column once; trajectory
-    s walks down it reading row s of a (trajectories, 2 rounds) uniform block
-    from the `SAMPLE_UNIFORMS` stream, entry `len(bits)` at each MAR, taking
-    outcome 0 below the 0-child's weight share. A block that numpy cannot
-    hold, or whose shape is past its array limit, raises a MemoryError.
+    of encoding queries, and each split's circuit is assembled once. Every
+    branch is expanded in one pass on the identity, so each leaf carries its
+    operator and its state is that operator applied to the input;
+    `sample_trajectories` walks the tree.
     """
-    if mode not in ("enumerate", "sample"):
-        raise ValueError(f"unknown mode {mode!r}")
     enc, state = _check_input(enc, state)
     count = structure.band_count
     n = len(state)
@@ -322,19 +297,34 @@ def run_multiband(
         round_eps = 0.0
     table, degree = _multiband_phase_table(structure, round_eps)
     policy = MultibandPolicy(count, table)
+    leaves = _leaves(n, policy, _run_blocks(enc, policy), state)
+    return BranchTree(leaves, policy.ell, round_eps, degree)
 
-    if mode == "enumerate":
-        nodes = _run_blocks(enc, policy, np.eye(n, dtype=complex))
-        leaves = _leaves(n, policy, nodes, state)
-        return BranchTree(leaves, policy.ell, round_eps, degree, mode)
 
-    nodes = _run_blocks(enc, policy, state[:, np.newaxis])
-    by_record = {leaf.record: leaf for leaf in _leaves(n, policy, nodes)}
+def sample_trajectories(tree: BranchTree, seed: int, trajectories: int) -> list[TreeLeaf]:
+    """The leaf that each of `trajectories` sampled runs reaches, walking down `tree`.
+
+    A node's weight is the summed probability of the leaves below it.
+    Trajectory s reads row s of a (trajectories, 2 rounds) uniform block
+    from the `SAMPLE_UNIFORMS` stream, entry `len(bits)` at each MAR, and
+    takes outcome 0 below the 0-child's weight share. Trajectories that
+    reach the same record share one `TreeLeaf` object. A count below 1
+    raises a ValueError before the draw; a block that numpy cannot hold, or
+    whose shape is past its array limit, raises a MemoryError.
+    """
+    if trajectories < 1:
+        raise ValueError(f"trajectory count must be at least 1, got {trajectories}")
+    by_record = {leaf.record: leaf for leaf in tree.leaves}
+    weights: dict = {}
+    for leaf in tree.leaves:
+        for depth in range(1, len(leaf.record) + 1):
+            prefix = leaf.record[:depth]
+            weights[prefix] = weights.get(prefix, 0.0) + leaf.probability
     # Filled as trajectories reach each node, so a zero-weight subtree that
     # no trajectory enters never raises.
     thresholds: dict = {}
     leaves = []
-    shape = (trajectories, 2 * policy.ell)
+    shape = (trajectories, 2 * tree.rounds)
     try:
         uniforms = rng(seed, SAMPLE_UNIFORMS).random(shape)
     except ValueError as exc:  # numpy refuses a shape past its array limit
@@ -343,31 +333,28 @@ def run_multiband(
         bits = ()
         while bits not in by_record:
             if bits not in thresholds:
-                w0, w1 = (float(np.vdot(h, h).real)
-                          for h, _ in (nodes[bits + (0,)], nodes[bits + (1,)]))
+                w0, w1 = weights[bits + (0,)], weights[bits + (1,)]
                 if w0 + w1 == 0.0:
                     raise ValueError("trajectory reached a zero-norm state")
                 thresholds[bits] = w0 / (w0 + w1)
             bits += (0 if row[len(bits)] < thresholds[bits] else 1,)
         leaves.append(by_record[bits])
-    return BranchTree(leaves, policy.ell, round_eps, degree, mode)
+    return leaves
 
 
 @dataclass
 class KrausExtraction:
-    """The leaves of an enumerate-mode tree sorted by record, each with its operator."""
+    """The leaves of a tree sorted by record, each with its operator."""
 
     leaves: list[TreeLeaf]
     completeness_residual: float
 
 
 def extract_kraus(tree: BranchTree) -> KrausExtraction:
-    """The leaves of an enumerate-mode tree, sorted by record.
+    """The leaves of a tree, sorted by record.
 
     Trace preservation across all leaf operators is asserted before returning.
     """
-    if tree.mode != "enumerate":
-        raise ValueError("operator extraction requires an enumerate-mode tree")
     leaves = sorted(tree.leaves, key=lambda leaf: leaf.record)
     n = leaves[0].operator.shape[1]
 

@@ -35,6 +35,7 @@ from .feedforward import (
     feedforward_query_count,
     run_1fqsvt,
     run_multiband,
+    sample_trajectories,
 )
 from .linalg import dagger, eigh, haar_vector, hermitian_from_spectrum, rng
 from .qsp import PhaseFactorSet, _mirror, extract_pq, synthesize_symmetric
@@ -142,13 +143,9 @@ def criterion_3() -> CriterionResult:
             predicted = np.concatenate([np.zeros(2 * n), table[2, 0] @ amp, table[3, 0] @ amp])
             worst_state = max(worst_state, float(np.max(np.abs(predicted - actual_garbage))))
 
-            spec_h = eigh(h)
-            evals = spec_h.values
-            weights = np.abs(dagger(spec_h.vectors) @ amp) ** 2
-            f_vals = _clenshaw(pair.p.real, evals)
-            p_im = _clenshaw(pair.p.imag, evals)
-            q_re = _clenshaw(pair.q.real, evals)
-            total = float(np.sum(weights * (f_vals**2 + p_im**2 + (1 - evals**2) * q_re**2)))
+            # Sectors (0, 0), (2, 0) and (3, 0) carry f, i P_Im and the
+            # sqrt(1 - x^2) Q_Re term: their weights sum to 1.
+            total = sum(float(np.linalg.norm(table[r, 0] @ amp) ** 2) for r in (0, 2, 3))
             worst_norm = max(worst_norm, abs(total - 1.0))
     passed = worst_state <= 1e-9 and worst_norm <= 1e-10
     return CriterionResult(
@@ -371,9 +368,9 @@ def criterion_10() -> CriterionResult:
     projectors = exact_projectors(spectrum, structure)
     weights = np.array([float(np.vdot(amp, p @ amp).real) for p in projectors])
     trials = 1000
-    tree = run_multiband(dilate_hermitian(normalized), structure, 1e-3, amp, mode="sample",
-                         seed=110, trajectories=trials)
-    freqs = np.bincount([leaf.claimed_band for leaf in tree.leaves],
+    tree = run_multiband(dilate_hermitian(normalized), structure, 1e-3, amp)
+    leaves = sample_trajectories(tree, 110, trials)
+    freqs = np.bincount([leaf.claimed_band for leaf in leaves],
                         minlength=structure.band_count) / trials
     sigma = np.sqrt(np.maximum(weights * (1 - weights), 1.0 / trials) / trials)
     histogram_ok = bool(np.all(np.abs(freqs - weights) <= 3.0 * sigma))

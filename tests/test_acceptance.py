@@ -6,7 +6,8 @@ draw every instance first and extract the pairs of one degree in one
 call; their results must equal those of the instance-by-instance loops
 below, which extract and evaluate each pair alone. Criteria 2 and 3
 predict the sectors through the dilation's explicit cosine-sine factors
-(`test_qsvt.reference_predicted_blocks` and `reference_garbage_state`).
+(`test_qsvt.reference_predicted_blocks`); criterion 3 reads the garbage
+and the three-term norm identity from sectors (0, 0), (2, 0) and (3, 0).
 """
 
 import math
@@ -23,7 +24,7 @@ from fqsvt.qsp import PhaseFactorSet
 from fqsvt.verify import CRITERIA, CriterionResult, _random_symmetric
 from test_chebyshev import reference_clenshaw
 from test_qsp import reference_single_extract_pq
-from test_qsvt import reference_garbage_state, reference_predicted_blocks
+from test_qsvt import reference_predicted_blocks, sector_garbage
 
 
 def reference_criterion_1() -> CriterionResult:
@@ -87,17 +88,12 @@ def reference_criterion_3() -> CriterionResult:
         full = q @ full
         actual_garbage = full.copy()
         actual_garbage[:n] = 0.0
-        predicted = reference_garbage_state(h, psi, amp)
+        table = reference_predicted_blocks(h, psi)
+        predicted = sector_garbage(table, amp)
         worst_state = max(worst_state, float(np.max(np.abs(predicted - actual_garbage))))
 
-        pair = reference_single_extract_pq(psi)
-        spec_h = eigh(h)
-        evals = spec_h.values
-        weights = np.abs(dagger(spec_h.vectors) @ amp) ** 2
-        f_vals = reference_clenshaw(pair.p.real, evals)
-        p_im = reference_clenshaw(pair.p.imag, evals)
-        q_re = reference_clenshaw(pair.q.real, evals) if len(pair.q) else np.zeros_like(evals)
-        total = float(np.sum(weights * (f_vals**2 + p_im**2 + (1 - evals**2) * q_re**2)))
+        # f^2 + P_Im^2 + (1 - x^2) Q_Re^2 on the input: sectors (0, 0), (2, 0), (3, 0).
+        total = sum(float(np.linalg.norm(table[r, 0] @ amp) ** 2) for r in (0, 2, 3))
         worst_norm = max(worst_norm, abs(total - 1.0))
     passed = worst_state <= 1e-9 and worst_norm <= 1e-10
     return CriterionResult(

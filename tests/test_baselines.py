@@ -176,12 +176,17 @@ def _reference_instance():
     ({"times": [-1.0]}, "positive finite"),
     ({"times": [math.inf]}, "positive finite"),
     ({"times": []}, "nonempty"),
+    ({"band": -1}, r"^band -1 is outside 0\.\.1$"),
+    ({"band": 2}, r"^band 2 is outside 0\.\.1$"),
+    ({"times": [50.0]}, r"^a slope needs at least two distinct times, got \[50\.\]$"),
+    ({"times": [50.0, 50.0]}, r"^a slope needs at least two distinct times, got \[50\. 50\.\]$"),
 ], ids=["h0-not-hermitian", "shapes-differ", "state-length", "state-nan", "zero-time",
-        "negative-time", "infinite-time", "no-times"])
+        "negative-time", "infinite-time", "no-times", "band-negative", "band-past-last",
+        "one-time", "repeated-time"])
 def test_leakage_scaling_validates_its_inputs(change, message):
     h0, h1 = _reference_instance()
     args = {"h0": h0, "h1": h1, "structure": detect_bands(eigh(h1).values, target_bands=2),
-            "band": 0, "times": [50.0], "initial": [1, 0, 0, 0], **change}
+            "band": 0, "times": [50.0, 100.0], "initial": [1, 0, 0, 0], **change}
     with pytest.raises(ValueError, match=message):
         adiabatic_leakage_scaling(**args)
 

@@ -26,6 +26,7 @@ from fqsvt.feedforward import (
     round_budget,
     run_1fqsvt,
     run_multiband,
+    sample_trajectories,
 )
 from fqsvt.linalg import (
     SAMPLE_UNIFORMS,
@@ -94,9 +95,8 @@ def test_mar_sampled_frequencies_match_enumerate():
     enumerated = run_multiband(enc, structure, 1e-2, state)
     p1 = sum(leaf.probability for leaf in enumerated.leaves if leaf.record[0] == 1)
     draws = 10000
-    sampled = run_multiband(enc, structure, 1e-2, state, mode="sample", seed=5,
-                            trajectories=draws)
-    hits = sum(leaf.record[0] for leaf in sampled.leaves)
+    sampled = sample_trajectories(enumerated, 5, draws)
+    hits = sum(leaf.record[0] for leaf in sampled)
     sigma = math.sqrt(p1 * (1 - p1) / draws)
     assert abs(hits / draws - p1) <= 3 * sigma
 
@@ -268,59 +268,74 @@ def test_multiband_band_supported_input_claims_its_band():
     enc = dilate_hermitian(h)
     target_band = 1
     amp = spec.vectors[:, 1]
-    tree = run_multiband(enc, structure, round_budget(1e-2, 3), amp,
-                         mode="sample", seed=9, trajectories=200)
-    hits = sum(1 for l in tree.leaves if l.claimed_band == target_band and not l.failed)
+    tree = run_multiband(enc, structure, round_budget(1e-2, 3), amp)
+    leaves = sample_trajectories(tree, 9, 200)
+    hits = sum(1 for l in leaves if l.claimed_band == target_band and not l.failed)
     assert hits / 200 >= 1.0 - 8 * tree.rounds * tree.round_eps - 0.03
 
 
-def per_trajectory_sample(enc, policy, amp, seed, trajectories):
-    """Sampling as one propagation per trajectory: (record, state, queries) per trajectory.
+def propagate(enc, policy, circuits, columns, choose):
+    """One trajectory on its own block of input columns: (record, register, queries).
 
-    Each trajectory runs the circuits on its own input column and draws each
-    MAR outcome from the weights of the two halves: trajectory s at its MAR
-    after `len(bits)` bits reads entry `len(bits)` of row s of the
-    `SAMPLE_UNIFORMS` block, drawn whole in one call.
+    `circuits` maps each split index to its assembled circuit, and
+    `choose(bits, halves)` picks the outcome of the MAR after `bits` from the
+    two unnormalized halves of the register.
     """
-    circuits = {k: assemble_full(enc, [phi])[0] for k, phi in policy.phase_table.items()}
     n = len(enc) // 2
     reg_dim = 2 * n
     reflect_signs = -np.ones((2 * reg_dim, 1))
     for mon in (0, 1):
         reflect_signs[mon * reg_dim : mon * reg_dim + n] = 1.0
+    bits, queries = (), 0
+    register = np.zeros((reg_dim, columns.shape[1]), dtype=complex)
+    register[:n] = columns
+    while (k := policy.next_block(bits)) is not None:
+        second = len(bits) % 2 == 1
+        degree = policy.phase_table[k].degree
+        full = np.zeros((2 * reg_dim, columns.shape[1]), dtype=complex)
+        if second and bits[-1] == 1:
+            full[reg_dim:] = register
+        else:
+            full[:reg_dim] = register
+        circuit = circuits[k]
+        if second and degree % 2 == 1:
+            full = reflect_signs * (circuit @ (reflect_signs * full))
+        else:
+            full = circuit @ full
+        halves = (full[:reg_dim], full[reg_dim:])
+        bit = choose(bits, halves)
+        bits, register = bits + (bit,), halves[bit]
+        queries += degree
+    return bits, register, queries
+
+
+def per_trajectory_sample(enc, policy, amp, seed, trajectories):
+    """Sampling as one propagation per trajectory: (record, state, queries) per trajectory.
+
+    Each trajectory runs the circuits on the identity columns and draws each
+    MAR outcome from the weights ||half @ amp||^2 of the two halves:
+    trajectory s at its MAR after `len(bits)` bits reads entry `len(bits)`
+    of row s of the `SAMPLE_UNIFORMS` block, drawn whole in one call.
+    """
+    circuits = {k: assemble_full(enc, [phi])[0] for k, phi in policy.phase_table.items()}
     uniforms = rng(seed, SAMPLE_UNIFORMS).random((trajectories, 2 * policy.ell))
     out = []
-    for s in range(trajectories):
-        bits, queries = (), 0
-        register = np.zeros((reg_dim, 1), dtype=complex)
-        register[:n, 0] = amp
-        while (k := policy.next_block(bits)) is not None:
-            second = len(bits) % 2 == 1
-            degree = policy.phase_table[k].degree
-            full = np.zeros((2 * reg_dim, 1), dtype=complex)
-            if second and bits[-1] == 1:
-                full[reg_dim:] = register
-            else:
-                full[:reg_dim] = register
-            circuit = circuits[k]
-            if second and degree % 2 == 1:
-                full = reflect_signs * (circuit @ (reflect_signs * full))
-            else:
-                full = circuit @ full
-            halves = (full[:reg_dim], full[reg_dim:])
-            weights = [float(np.vdot(h, h).real) for h in halves]
-            bit = 0 if uniforms[s, len(bits)] < weights[0] / (weights[0] + weights[1]) else 1
-            bits, register = bits + (bit,), halves[bit]
-            queries += degree
-        out.append((bits, register[:, 0], queries))
+    for row in uniforms:
+        def choose(bits, halves):
+            w0, w1 = (float(np.vdot(h @ amp, h @ amp).real) for h in halves)
+            return 0 if row[len(bits)] < w0 / (w0 + w1) else 1
+
+        bits, register, queries = propagate(enc, policy, circuits, np.eye(len(amp)), choose)
+        out.append((bits, register @ amp, queries))
     return out
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 5, 8, 16])
 def test_sample_mode_matches_per_trajectory_propagation(count, monkeypatch):
-    # Walking the enumerated tree of the input column must reach, for every
-    # trajectory, the leaf a propagation of that trajectory alone reaches,
-    # bit for bit. Bands hold one or two eigenvalues on 2^ceil(log2 L) dims.
+    # Walking the enumerated tree must reach, for every trajectory, the leaf
+    # a propagation of that trajectory alone reaches, bit for bit, and hand
+    # back that very leaf of the tree. Bands hold one or two eigenvalues on
+    # 2^ceil(log2 L) dims.
     n = 2 ** max(1, math.ceil(math.log2(count)))
     centers = synthetic_band_spectrum(count)
     gen = rng(40, count)
@@ -335,19 +350,20 @@ def test_sample_mode_matches_per_trajectory_propagation(count, monkeypatch):
     for seed in (3, 11):
         # Trajectory s reads row s alone, so one reference run covers both lengths.
         reference = per_trajectory_sample(enc, policy, state, seed, 3000)
+        tree = run_multiband(enc, structure, 1e-1, state)
         for trajectories in (1, 3000):
-            tree = run_multiband(enc, structure, 1e-1, state, mode="sample", seed=seed,
-                                 trajectories=trajectories)
+            leaves = sample_trajectories(tree, seed, trajectories)
             expected = reference[:trajectories]
+            assert all(any(leaf is own for own in tree.leaves) for leaf in leaves)
             assert [(leaf.record, leaf.probability, leaf.claimed_band, leaf.failed, leaf.queries)
-                    for leaf in tree.leaves] == [
+                    for leaf in leaves] == [
                 (bits, float(np.vdot(amplitudes, amplitudes).real),
                  policy.claimed_band(bits), any(bits[1::2]), queries)
                 for bits, amplitudes, queries in expected]
-            assert np.array_equal([leaf.state for leaf in tree.leaves],
+            assert np.array_equal([leaf.state for leaf in leaves],
                                   [amplitudes for _, amplitudes, _ in expected])
             if trajectories > 1 and count > 1:
-                assert len({leaf.record for leaf in tree.leaves}) > 2
+                assert len({leaf.record for leaf in leaves}) > 2
 
 
 def test_sample_mode_builds_one_generator_whatever_the_trajectory_count(monkeypatch):
@@ -355,25 +371,29 @@ def test_sample_mode_builds_one_generator_whatever_the_trajectory_count(monkeypa
     structure = detect_bands(eigh(h).values, target_bands=4)
     enc = dilate_hermitian(h)
     state = haar_vector(rng(42), 4)
+    tree = run_multiband(enc, structure, 1e-1, state)
     built = []
     philox = np.random.Philox
     monkeypatch.setattr(np.random, "Philox", lambda **kw: built.append(kw) or philox(**kw))
     for trajectories in (1, 2000):
         built.clear()
-        run_multiband(enc, structure, 1e-1, state, mode="sample", seed=5,
-                      trajectories=trajectories)
+        sample_trajectories(tree, 5, trajectories)
         assert len(built) == 1
 
 
-def test_run_multiband_rejects_unknown_mode_before_compiling(monkeypatch):
-    def no_filters(specs):
-        raise AssertionError("a filter was built before the mode was checked")
+@pytest.mark.parametrize("trajectories", [0, -1])
+def test_sample_trajectories_rejects_a_count_below_one_before_drawing(monkeypatch, trajectories):
+    h = hermitian_from_spectrum(synthetic_band_spectrum(2, 1), rng(41))
+    tree = run_multiband(dilate_hermitian(h), detect_bands(eigh(h).values, target_bands=2),
+                         1e-1, [1.0, 0.0])
 
-    monkeypatch.setattr(feedforward, "heaviside_filter", no_filters)
-    enc = dilate_hermitian(np.diag([0.6, 0.3]))
-    structure = detect_bands([0.3, 0.6], min_gap=0.2)
-    with pytest.raises(ValueError, match="unknown mode 'walk'"):
-        run_multiband(enc, structure, 1e-2, [1, 0], mode="walk")
+    def no_draw(*args):
+        raise AssertionError("a generator was built before the count was checked")
+
+    monkeypatch.setattr(feedforward, "rng", no_draw)
+    with pytest.raises(ValueError, match=f"^trajectory count must be at least 1, "
+                                         f"got {trajectories}$"):
+        sample_trajectories(tree, 5, trajectories)
 
 
 @pytest.mark.parametrize("mode", ["1fqsvt", "enumerate", "sample"])
@@ -387,8 +407,10 @@ def test_input_state_must_match_the_encoded_dimension(monkeypatch, mode):
     def run(enc, state):
         if mode == "1fqsvt":
             run_1fqsvt(enc, IDENTITY, state)
+        elif mode == "enumerate":
+            run_multiband(enc, structure, 1e-2, state)
         else:
-            run_multiband(enc, structure, 1e-2, state, mode=mode)
+            sample_trajectories(run_multiband(enc, structure, 1e-2, state), 0, 1)
 
     with pytest.raises(ValueError, match="dimension 2, the encoding acts on dimension 4"):
         run(dilate_hermitian(np.diag([0.2, 0.3, 0.6, 0.7])), [1.0, 0.0])
@@ -402,10 +424,11 @@ ENTRIES = {
     "run_1fqsvt": lambda h, enc, state: run_1fqsvt(enc, IDENTITY, state),
     "enumerate": lambda h, enc, state: run_multiband(
         enc, detect_bands(np.diag(h), min_gap=0.2), 1e-2, state),
-    "sample": lambda h, enc, state: run_multiband(
-        enc, detect_bands(np.diag(h), min_gap=0.2), 1e-2, state, mode="sample"),
+    # The sample path of `fqsvt project`: the run, then the walk.
+    "sample": lambda h, enc, state: sample_trajectories(run_multiband(
+        enc, detect_bands(np.diag(h), min_gap=0.2), 1e-2, state), 0, 1),
     "adiabatic": lambda h, enc, state: adiabatic_leakage_scaling(
-        h, h, detect_bands(np.diag(h), min_gap=0.2), 0, [1.0], state),
+        h, h, detect_bands(np.diag(h), min_gap=0.2), 0, [1.0, 2.0], state),
     "assemble_full": lambda h, enc, state: assemble_full(enc, [IDENTITY])[0],
 }
 # case -> (H, state, expected message); the encoding is H's dilation.
@@ -529,21 +552,24 @@ def test_extract_kraus_branch_linearity():
     assert np.max(np.abs(by_record[(0, 0)][:2] - f2)) <= 1e-10
     assert np.max(np.abs(by_record[(1, 0)][:2] + (np.eye(2) - f2))) <= 1e-10
 
-    # Four bands: sampled trajectories carry unnormalized single-column
-    # registers, which must equal the enumerated operator on the input.
+    # Four bands: propagating the input column alone down each sampled
+    # record must reach that leaf's state, the enumerated operator on the input.
     h = hermitian_from_spectrum([0.05, 0.35, 0.65, 0.95], gen)
     spec = eigh(h)
     structure = detect_bands(spec.values, min_gap=0.2)
     enc = dilate_hermitian(h)
     amp = spec.vectors @ np.array([0.4, 0.5, 0.3, math.sqrt(0.5)])
-    kraus = extract_kraus(run_multiband(enc, structure, round_budget(4e-2, 4), amp))
-    by_record = {leaf.record: leaf.operator for leaf in kraus.leaves}
-    sampled = run_multiband(enc, structure, round_budget(4e-2, 4), amp, mode="sample",
-                            seed=4, trajectories=40)
-    assert len({l.record for l in sampled.leaves}) == 4
-    for leaf in sampled.leaves:
-        predicted = by_record[leaf.record] @ amp
-        assert np.max(np.abs(predicted - leaf.state)) <= 1e-12
+    tree = run_multiband(enc, structure, round_budget(4e-2, 4), amp)
+    sampled = sample_trajectories(tree, 4, 40)
+    assert len({l.record for l in sampled}) == 4
+    table, _ = _multiband_phase_table(structure, tree.round_eps)
+    policy = MultibandPolicy(4, table)
+    circuits = {k: assemble_full(enc, [phi])[0] for k, phi in table.items()}
+    for leaf in sampled:
+        bits, register, _ = propagate(enc, policy, circuits, amp[:, np.newaxis],
+                                      lambda bits, halves: leaf.record[len(bits)])
+        assert bits == leaf.record
+        assert np.max(np.abs(register[:, 0] - leaf.state)) <= 1e-12
 
 
 def test_extract_kraus_failure_weight_bounded():
@@ -570,17 +596,6 @@ def test_extract_kraus_rejects_a_nan_leaf_operator():
     assert extract_kraus(tree).completeness_residual <= 1e-9
     tree.leaves[-1].operator[0, 0] = math.nan
     with pytest.raises(RuntimeError, match="not trace preserving"):
-        extract_kraus(tree)
-
-
-def test_extract_kraus_requires_enumerate_tree():
-    gen = rng(31)
-    h = hermitian_from_spectrum([0.1, 0.9], gen)
-    spec = eigh(h)
-    structure = detect_bands(spec.values, min_gap=0.5)
-    tree = run_multiband(dilate_hermitian(h), structure, round_budget(1e-2, 2),
-                         spec.vectors[:, 0], mode="sample", seed=1)
-    with pytest.raises(ValueError, match="enumerate"):
         extract_kraus(tree)
 
 
@@ -770,7 +785,7 @@ def test_phase_table_names_the_split_whose_synthesis_stalls(monkeypatch):
 def test_enumerate_purity_check_covers_the_whole_success_operator():
     # A success operator that is pure on the input column and leaks into the
     # ancilla only on the orthogonal column: the leak is part of the operator
-    # that kraus.json writes, so enumerate mode rejects it.
+    # that kraus.json writes, so the run rejects it.
     policy = MultibandPolicy(2, {1: IDENTITY})
     operator = np.zeros((4, 2), dtype=complex)
     operator[0, 0] = 1.0
@@ -778,9 +793,10 @@ def test_enumerate_purity_check_covers_the_whole_success_operator():
     amp = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(RuntimeError, match=r"success branch \(record \(0, 0\)\): purity 0\.8$"):
         _leaves(2, policy, {(0, 0): (operator, 2)}, amp)
-    # A failed record is not checked, and sample mode checks its one column.
+    # A failed record is not checked, and without the leak the operator passes.
     assert _leaves(2, policy, {(0, 1): (operator, 2)}, amp)[0].failed
-    (leaf,) = _leaves(2, policy, {(0, 0): (operator[:, :1], 2)})
+    operator[3, 1] = 0.0
+    (leaf,) = _leaves(2, policy, {(0, 0): (operator, 2)}, amp)
     assert leaf.probability == 1.0 and not leaf.failed
 
 

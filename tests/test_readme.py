@@ -22,7 +22,10 @@ def test_readme_library_example_runs():
     done = subprocess.run([sys.executable, "-c", blocks[0]], capture_output=True, text=True,
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert len(done.stdout.split()) == 3
+    run, counts = done.stdout.splitlines()
+    assert len(run.split()) == 3
+    # One count per band for the 1000 sampled trajectories.
+    assert sum(map(int, counts.strip("[]").split())) == 1000
 
 
 def show(x) -> str:

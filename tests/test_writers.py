@@ -259,6 +259,8 @@ def test_project_artifacts_match_the_one_shot_encoders(tmp_path, monkeypatch, mo
 
     monkeypatch.setattr(cli, "run_multiband", capture("tree", cli.run_multiband))
     monkeypatch.setattr(cli, "extract_kraus", capture("kraus", cli.extract_kraus))
+    monkeypatch.setattr(cli, "sample_trajectories",
+                        capture("sampled", cli.sample_trajectories))
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"model": model, "bands": {"target": bands}, "round_eps": 1e-3,
                                "mode": mode, "trajectories": 300, "input": {"type": "haar"}}))
@@ -271,11 +273,11 @@ def test_project_artifacts_match_the_one_shot_encoders(tmp_path, monkeypatch, mo
         reference_write_kraus(reference / "kraus.json", captured["kraus"])
         files = ["bands.json", "distance.csv", "kraus.json", "tree.json"]
     else:
-        assert len(captured["tree"].leaves) == leaves
+        assert len(captured["sampled"]) == leaves
         reference_write_csv(reference / "records.csv",
                             ["trajectory", "record_bits", "claimed_band", "failed"],
                             [[t, "".join(map(str, leaf.record)), leaf.claimed_band, leaf.failed]
-                             for t, leaf in enumerate(captured["tree"].leaves)])
+                             for t, leaf in enumerate(captured["sampled"])])
         files = ["band_weights.csv", "bands.json", "records.csv"]
     assert sorted(p.name for p in out.iterdir()) == files
     for path in reference.iterdir():
