@@ -1,9 +1,9 @@
 """Comparator methods that use no measurement feedback.
 
 Three baselines frame the feedforward advantage: expected circuit depth of
-probabilistic projection, the success probability of a memoryless random
-walk over binary spectral splits, and adiabatic band following with its
-1/T diabatic leakage.
+probabilistic projection, the exact expected success probability of a
+memoryless random walk over binary spectral splits, and adiabatic band
+following with its 1/T diabatic leakage.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import BandStructure, exact_projectors
-from .linalg import (WALK_NORMALS, WALK_UNIFORMS, HermitianSpectrum, _check_state,
-                     check_hermitian, eigh, rng)
+from .linalg import _check_state, check_hermitian, eigh
 
 __all__ = [
     "WalkEstimate",
@@ -26,9 +25,9 @@ __all__ = [
     "adiabatic_time_estimate",
 ]
 
-# Trials of the walk, and steps of the adiabatic evolution, handled per
-# vectorised block: large enough to amortise the Python loop, small enough
-# to keep the working set a few hundred kilobytes.
+# Steps of the adiabatic evolution handled per stacked `eigh`: large enough
+# to amortise the Python loop, small enough to keep the working set a few
+# hundred kilobytes.
 _BLOCK = 256
 
 
@@ -48,73 +47,48 @@ def prob_projection_depth(q) -> float:
 
 @dataclass
 class WalkEstimate:
-    """Monte Carlo estimate of the memoryless walk's success probability."""
+    """The memoryless walk's expected success probability over Haar inputs."""
 
     success_rate: float
-    stderr: float
     queries_per_trial: int
 
 
-def random_walk_success(
-    structure: BandStructure,
-    spectrum: HermitianSpectrum,
-    trials: int,
-    seed: int,
-) -> WalkEstimate:
-    """Success rate of binary splitting when the runner cannot see outcomes.
+def random_walk_success(structure: BandStructure) -> WalkEstimate:
+    """Expected success of binary splitting when the runner cannot see outcomes.
 
     Each level applies the query pair dictated by the runner's guessed
-    range; the state collapses by the Born rule, while the runner draws its
-    guess of the outcome uniformly (the guess is only needed to choose the
-    next query, so none is drawn after the last level). A trial succeeds
-    when the final collapsed state is fully supported on a single band.
+    range: inside [lo, mid) or not. The state collapses by the Born rule,
+    while the runner guesses the outcome uniformly (the guess only chooses
+    the next query, so none follows the last level). A run succeeds when
+    its final collapsed state lies in a single band.
 
-    Band projectors are diagonal in the eigenbasis, so a trial is its
-    input's weight on each band plus the set of bands its collapses have
-    kept; trials run in blocks of `_BLOCK`. Trial t reads row t of a
-    (trials, 2n) Gaussian block from the `WALK_NORMALS` stream (real then
-    imaginary parts of its input) and of a (trials, 2 ell - 1) uniform block
-    from `WALK_UNIFORMS` (outcome and guess draws in level order).
+    Band projectors commute, so along one of the 2^(ell - 1) guess paths
+    each band carries one bit per level, and the run ends in the cell of
+    bands that share its bits with probability the input's weight on that
+    cell. The success is linear in the band weights, and a Haar input puts
+    mean weight m_j / n on band j of m_j eigenvalues, so the expected
+    success is the sum of m_j / n over the bands alone in their cell,
+    averaged over the paths. At a power of two each path leaves exactly the
+    two bands of its last query alone, so the success is exactly 2/L.
     """
-    if trials < 1000:
-        raise ValueError("use at least 1000 trials for a meaningful estimate")
     count = structure.band_count
     ell = math.ceil(math.log2(count)) if count > 1 else 0
-    n = spectrum.vectors.shape[0]
-    if n != structure.dimension:
-        raise ValueError("spectrum dimension does not match the band structure")
-    membership = np.zeros((n, count))
-    for j, band in enumerate(structure.bands):
-        membership[band, j] = 1.0
+    paths = 2 ** max(ell - 1, 0)
+    sizes = np.array([len(band) for band in structure.bands])
     band_index = np.arange(count)
-
-    normal_gen, uniform_gen = rng(seed, WALK_NORMALS), rng(seed, WALK_UNIFORMS)
-    successes = 0
-    for start in range(0, trials, _BLOCK):
-        size = min(_BLOCK, trials - start)
-        normals = normal_gen.standard_normal((size, 2 * n))
-        uniforms = uniform_gen.random((size, max(2 * ell - 1, 0)))
-        amps = normals[:, :n] + 1j * normals[:, n:]
-        weights = np.abs(amps @ spectrum.vectors.conj()) ** 2 @ membership
-        alive = np.ones((size, count), dtype=bool)
-        lo = np.zeros(size, dtype=int)
+    alone = 0
+    for path in range(paths):
+        # Each band's integer cell label gains one bit per level: inside
+        # the queried [lo, mid) or not.
+        labels = np.zeros(count, dtype=int)
+        lo = 0
         for level in range(1, ell + 1):
             mid = lo + 2 ** (ell - level)
-            low = (band_index >= lo[:, None]) & (band_index < mid[:, None])
-            w_low = np.where(alive & low, weights, 0.0).sum(axis=1)
-            total = np.where(alive, weights, 0.0).sum(axis=1)
-            outcome_low = uniforms[:, 2 * level - 2] < w_low / total
-            alive &= low == outcome_low[:, None]
-            if level < ell:
-                # Memoryless guess of the outcome, used only to steer the
-                # next query; it never sees `outcome_low`.
-                guess_low = uniforms[:, 2 * level - 1] < 0.5
-                lo = np.where(guess_low, lo, mid)
-        kept = np.where(alive, weights, 0.0)
-        successes += int(np.count_nonzero(kept.max(axis=1) >= (1.0 - 1e-9) * kept.sum(axis=1)))
-    rate = successes / trials
-    stderr = math.sqrt(max(rate * (1.0 - rate), 1.0 / trials) / trials)
-    return WalkEstimate(rate, stderr, ell)
+            labels = 2 * labels + ((band_index >= lo) & (band_index < mid))
+            if level < ell and path >> (level - 1) & 1:  # this path guesses "not low"
+                lo = mid
+        alone += int(sizes[np.bincount(labels)[labels] == 1].sum())
+    return WalkEstimate(alone / (structure.dimension * paths), ell)
 
 
 def _evolve_steps(h0, h1, total_time, steps, amplitudes) -> np.ndarray:
@@ -157,11 +131,12 @@ def adiabatic_leakage_scaling(
 ) -> LeakageFit:
     """Leakage out of the target band of H1 after the linear path from H0, fit against T.
 
-    The endpoints, the state, the band (0 .. L-1) and the times (positive,
-    finite, at least two distinct) are checked once. The evolution
-    to time T runs max(64, ceil(16 T)) steps of `_evolve_steps`. The projector
-    comes from H1's spectrum; leakage below 1e-9 at every time makes the fit
-    degenerate (reported, not raised).
+    The endpoints, the state, the band (an integer in 0 .. L-1, not a
+    bool) and the times (positive, finite, at least two distinct) are
+    checked once. The evolution to time T runs max(64, ceil(16 T)) steps
+    of `_evolve_steps`. The projector comes from H1's spectrum; leakage
+    below 1e-9 at every time makes the fit degenerate (reported, not
+    raised).
     """
     h0 = check_hermitian(h0)
     h1 = check_hermitian(h1)
@@ -170,6 +145,8 @@ def adiabatic_leakage_scaling(
     initial = _check_state(initial)
     if h0.shape[0] != len(initial):
         raise ValueError("initial state dimension does not match the Hamiltonians")
+    if isinstance(band, bool) or not isinstance(band, (int, np.integer)):
+        raise ValueError(f"band must be an integer, got {band!r}")
     if not 0 <= band < structure.band_count:
         raise ValueError(f"band {band} is outside 0..{structure.band_count - 1}")
     times = np.asarray(times, dtype=float)

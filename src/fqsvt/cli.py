@@ -285,7 +285,6 @@ PROJECT = Table({
 })
 BASELINES = Table({
     "Ls": (ListOf(COUNT, "band counts", nonempty=True), REQUIRED),
-    "trials": (Num(int, low=1000), 10000),
     "per_band": (COUNT, 2),
     "filter": (Table({"delta": (NUMBER, 0.2), "eps": (NUMBER, 1e-3)}), {}),
     "adiabatic_min_gap": (POSITIVE, 0.1),
@@ -494,28 +493,24 @@ def cmd_baselines(cfg: dict, out: Path, seed: int) -> int:
                 "power-of-two dimension"
             )
         values = synthetic_band_spectrum(count, per_band, width=0.01)
-        h = hermitian_from_spectrum(values, rng(seed, count))
-        spectrum = eigh(h)
-        structure = detect_bands(spectrum.values, target_bands=count)
+        structure = detect_bands(values, target_bands=count)
         if [len(band) for band in structure.bands] != [per_band] * count:
             raise ConfigError(
                 f"baselines.Ls: L={count} with per_band={per_band} spaces its clusters, "
                 f"0.01 wide, {values[per_band] - values[0]:.3g} apart; band detection does "
                 f"not split them into {count} bands of {per_band} eigenvalues"
             )
-        walk = random_walk_success(structure, spectrum, cfg["trials"], seed)
         rows.append([
             count,
             feedforward_query_count(count, degree),
-            _fmt(walk.success_rate),
-            _fmt(walk.stderr),
+            _fmt(random_walk_success(structure).success_rate),
             _fmt(prob_projection_depth(np.full(count, 1.0 / count))),
             _fmt(estimate),
         ])
     _write_csv(
         out / "baselines.csv",
-        ["L", "feedforward_queries", "random_walk_success", "walk_stderr",
-         "prob_projection_depth_amplify", "adiabatic_time_estimate"],
+        ["L", "feedforward_queries", "random_walk_success", "prob_projection_depth_amplify",
+         "adiabatic_time_estimate"],
         rows,
     )
     return 0

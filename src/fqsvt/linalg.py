@@ -27,10 +27,11 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-# Purpose streams: each Monte Carlo purpose draws from one generator
-# `rng(seed, PURPOSE)` in blocks whose row t belongs to trial t. The ids sit
-# at 2^32 and up, beyond every other stream index (0-3 or a band count).
-WALK_NORMALS, WALK_UNIFORMS, SAMPLE_UNIFORMS = 2**32, 2**32 + 1, 2**32 + 2
+# The purpose stream of trajectory sampling: one generator `rng(seed,
+# SAMPLE_UNIFORMS)` whose block row t belongs to trajectory t. The id sits
+# above 2^32, beyond every other stream index (0-3 or a band count).
+# Every sampled record depends on its value.
+SAMPLE_UNIFORMS = 2**32 + 2
 
 
 def rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -38,7 +39,7 @@ def rng(seed: int, stream: int = 0) -> np.random.Generator:
 
     Philox is counter-based, so runs are bit-reproducible across platforms
     and independent streams come from distinct keys rather than shared
-    state. Monte Carlo draws come from the purpose streams above.
+    state. Trajectory sampling draws from the purpose stream above.
     """
     if seed < 0 or seed >= 2**64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")

@@ -273,23 +273,18 @@ def criterion_6() -> CriterionResult:
 
 
 def criterion_7() -> CriterionResult:
-    """Memoryless walk success stays below 2/L; query separation against feedforward."""
-    gen = rng(107)
+    """Memoryless walk success equals 2/L at powers of two; query separation against feedforward."""
     degree = heaviside_filter([FilterSpec(0.5, 0.2, 1e-3)])[0].degree
     passed = True
     detail = []
     rates = {}
     for count in (2, 4, 8, 16):
         values = synthetic_band_spectrum(count, per_band=2, width=0.01)
-        h = hermitian_from_spectrum(values, gen)
-        spectrum = eigh(h)
-        structure = detect_bands(spectrum.values, target_bands=count)
-        est = random_walk_success(structure, spectrum, trials=10000, seed=107)
-        bound = 2.0 / count + 3.0 * est.stderr
-        passed = passed and est.success_rate <= bound
-        rates[count] = est.success_rate
-        detail.append(f"L={count}: success {est.success_rate:.4f} (bound {bound:.4f})")
-    # Separation: repetitions to success grow like L (factor ~8 from L=2 to
+        rate = random_walk_success(detect_bands(values, target_bands=count)).success_rate
+        passed = passed and rate == 2.0 / count
+        rates[count] = rate
+        detail.append(f"L={count}: success {rate:g} (2/L {2.0 / count:g})")
+    # Separation: repetitions to success grow like L (factor 8 from L=2 to
     # L=16) while feedforward queries grow like log L (factor 4).
     cost_growth = rates[2] / rates[16]
     query_growth = feedforward_query_count(16, degree) / feedforward_query_count(2, degree)

@@ -219,11 +219,10 @@ def test_criterion_06_builds_its_scaling_filters_in_one_call(monkeypatch):
 
 
 def test_criterion_07_walk_bound_and_separation():
-    # The walk's estimates are pinned: any drift in the sampling is a change.
+    # The walk's success is exact: 2/L at every power of two.
     assert _run(7).detail == (
-        "L=2: success 1.0000 (bound 1.0003); L=4: success 0.4969 (bound 0.5150); "
-        "L=8: success 0.2476 (bound 0.2629); L=16: success 0.1247 (bound 0.1349); "
-        "cost growth x8.0 vs query growth x4"
+        "L=2: success 1 (2/L 1); L=4: success 0.5 (2/L 0.5); L=8: success 0.25 (2/L 0.25); "
+        "L=16: success 0.125 (2/L 0.125); cost growth x8.0 vs query growth x4"
     )
 
 

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fqsvt import baselines
-from fqsvt.bands import detect_bands, exact_projectors, synthetic_band_spectrum
+from fqsvt.bands import BandStructure, detect_bands, exact_projectors, synthetic_band_spectrum
 from fqsvt.baselines import (
     _BLOCK,
     WalkEstimate,
@@ -14,21 +15,14 @@ from fqsvt.baselines import (
     prob_projection_depth,
     random_walk_success,
 )
-from fqsvt.linalg import (
-    WALK_NORMALS,
-    WALK_UNIFORMS,
-    dagger,
-    eigh,
-    hermitian_from_spectrum,
-    rng,
-)
+from fqsvt.linalg import dagger, eigh, hermitian_from_spectrum, rng
 
 
-def _reference_walk(structure, spectrum, trials, seed):
-    """The walk one trial at a time, with n x n band projectors on the state.
+def _reference_walk(structure, spectrum, trials, gen):
+    """Monte Carlo success rate of the walk, one trial at a time, with n x n
+    band projectors on a Haar input.
 
-    Each purpose stream's whole block is drawn in one call, so equality with
-    the chunked walk also pins chunk invariance.
+    Every draw comes from `gen`, a test-local generator.
     """
     count = structure.band_count
     ell = math.ceil(math.log2(count)) if count > 1 else 0
@@ -41,11 +35,9 @@ def _reference_walk(structure, spectrum, trials, seed):
             out += projectors[j]
         return out
 
-    normals = rng(seed, WALK_NORMALS).standard_normal((trials, 2 * n))
-    uniforms = rng(seed, WALK_UNIFORMS).random((trials, max(2 * ell - 1, 0)))
     successes = 0
-    for trial in range(trials):
-        state = normals[trial, :n] + 1j * normals[trial, n:]
+    for _ in range(trials):
+        state = gen.standard_normal(n) + 1j * gen.standard_normal(n)
         state /= np.linalg.norm(state)
         lo, hi = 0, 2**ell
         for level in range(1, ell + 1):
@@ -53,19 +45,17 @@ def _reference_walk(structure, spectrum, trials, seed):
             low_part = range_projector(lo, mid) @ state
             w_low = float(np.vdot(low_part, low_part).real)
             total = float(np.vdot(state, state).real)
-            outcome_low = uniforms[trial, 2 * level - 2] < w_low / total
+            outcome_low = gen.random() < w_low / total
             state = low_part if outcome_low else state - low_part
             if level < ell:
-                guess_low = uniforms[trial, 2 * level - 1] < 0.5
+                guess_low = gen.random() < 0.5
                 lo, hi = (lo, mid) if guess_low else (mid, hi)
         weight = float(np.vdot(state, state).real)
         if weight > 0:
             band_weights = [float(np.vdot(state, p @ state).real) for p in projectors]
             if max(band_weights) >= (1.0 - 1e-9) * weight:
                 successes += 1
-    rate = successes / trials
-    stderr = math.sqrt(max(rate * (1.0 - rate), 1.0 / trials) / trials)
-    return WalkEstimate(rate, stderr, ell)
+    return successes / trials
 
 
 def _reference_evolve(h0, h1, total_time, steps, amplitudes):
@@ -95,68 +85,58 @@ def test_prob_projection_depth_validation():
         prob_projection_depth([1.5, -0.5])
 
 
+def _structure(sizes):
+    """Consecutive bands of the given sizes; the gap centers are placeholders."""
+    edges = np.cumsum([0, *sizes])
+    return BandStructure(len(sizes), np.arange(len(sizes) - 1) + 0.5, 1.0,
+                         [list(range(a, b)) for a, b in zip(edges[:-1], edges[1:])])
+
+
 def test_random_walk_two_bands_always_classifies():
-    gen = rng(1)
-    h = hermitian_from_spectrum(synthetic_band_spectrum(2, 2, 0.02), gen)
-    spec = eigh(h)
-    structure = detect_bands(spec.values, target_bands=2)
-    est = random_walk_success(structure, spec, trials=1000, seed=2)
-    assert est.success_rate == pytest.approx(1.0, abs=1e-9)
+    est = random_walk_success(_structure([2, 2]))
+    assert est.success_rate == 1.0
     assert est.queries_per_trial == 1
 
 
 def test_random_walk_four_bands_bounded_by_half():
-    gen = rng(2)
-    h = hermitian_from_spectrum(synthetic_band_spectrum(4, 2, 0.02), gen)
-    spec = eigh(h)
-    structure = detect_bands(spec.values, target_bands=4)
-    est = random_walk_success(structure, spec, trials=2000, seed=3)
-    assert est.success_rate <= 0.5 + 3 * est.stderr
-    assert est.success_rate >= 0.5 - 3 * est.stderr
+    structure = detect_bands(synthetic_band_spectrum(4, 2, 0.02), target_bands=4)
+    assert random_walk_success(structure) == WalkEstimate(0.5, 2)
 
 
-def test_random_walk_requires_enough_trials():
-    gen = rng(3)
-    h = hermitian_from_spectrum([0.1, 0.9], gen)
-    spec = eigh(h)
-    structure = detect_bands(spec.values, target_bands=2)
-    with pytest.raises(ValueError, match="trials"):
-        random_walk_success(structure, spec, trials=10, seed=1)
+@pytest.mark.parametrize("sizes, success", [
+    ([3], 1.0),
+    # A low first guess leaves all three bands alone, a high one only band 2:
+    # (4 + 2) / (2 * 4), and (4 + 1) / (2 * 4) with the sizes reversed.
+    ([1, 1, 2], 0.75),
+    ([2, 1, 1], 0.625),
+    # Both paths that guess low first leave three bands alone, both that
+    # guess high only band 4: (3 + 3 + 1 + 1) / (4 * 5).
+    ([1, 1, 1, 1, 1], 0.4),
+], ids=["one-band", "three-bands-heavy-last", "three-bands-heavy-first", "five-bands"])
+def test_random_walk_success_by_hand(sizes, success):
+    assert random_walk_success(_structure(sizes)).success_rate == success
 
 
-@pytest.mark.parametrize("count", [1, 2, 3, 5, 8, 16])
+@pytest.mark.parametrize("count", list(range(1, 17)))
 @pytest.mark.parametrize("seed, trials", [(0, 1000), (1, 1001), (2, 1300)])
 def test_random_walk_matches_per_trial_reference(count, seed, trials):
+    # A z-test of the exact expectation against a Monte Carlo of the walk on
+    # one Haar basis, with bands of 1-3 eigenvalues.
     per_band = 1 + (count + seed) % 3
     spectrum = eigh(hermitian_from_spectrum(
         synthetic_band_spectrum(count, per_band, 0.02), rng(seed, count)))
     structure = detect_bands(spectrum.values, target_bands=count)
-    assert random_walk_success(structure, spectrum, trials, seed) == \
-        _reference_walk(structure, spectrum, trials, seed)
+    exact = random_walk_success(structure).success_rate
+    rate = _reference_walk(structure, spectrum, trials, np.random.default_rng([seed, count]))
+    stderr = math.sqrt(max(exact * (1.0 - exact), 1.0 / trials) / trials)
+    assert abs(rate - exact) <= 4.0 * stderr
 
 
-def _walk_instance(count=8, per_band=2, seed=6):
-    spectrum = eigh(hermitian_from_spectrum(
-        synthetic_band_spectrum(count, per_band, 0.02), rng(seed, count)))
-    return detect_bands(spectrum.values, target_bands=count), spectrum
-
-
-def test_random_walk_does_not_depend_on_the_block_size(monkeypatch):
-    structure, spectrum = _walk_instance()
-    expected = random_walk_success(structure, spectrum, 1300, seed=6)
-    monkeypatch.setattr(baselines, "_BLOCK", 7)
-    assert random_walk_success(structure, spectrum, 1300, seed=6) == expected
-
-
-def test_random_walk_builds_two_generators_whatever_the_trial_count(monkeypatch):
-    structure, spectrum = _walk_instance()
-    built = []
-    philox = np.random.Philox
-    monkeypatch.setattr(np.random, "Philox", lambda **kw: built.append(kw) or philox(**kw))
-    for trials in (1000, 5000):
-        built.clear()
-        random_walk_success(structure, spectrum, trials, seed=6)
-        assert len(built) == 2
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 4, 8, 16]).flatmap(
+    lambda count: st.lists(st.integers(1, 4), min_size=count, max_size=count)))
+def test_random_walk_success_is_two_over_L_at_powers_of_two(sizes):
+    assert abs(random_walk_success(_structure(sizes)).success_rate - 2.0 / len(sizes)) <= 1e-15
 
 
 def _reference_instance():
@@ -178,17 +158,27 @@ def _reference_instance():
     ({"times": []}, "nonempty"),
     ({"band": -1}, r"^band -1 is outside 0\.\.1$"),
     ({"band": 2}, r"^band 2 is outside 0\.\.1$"),
+    ({"band": 0.5}, r"^band must be an integer, got 0\.5$"),
+    ({"band": True}, r"^band must be an integer, got True$"),
     ({"times": [50.0]}, r"^a slope needs at least two distinct times, got \[50\.\]$"),
     ({"times": [50.0, 50.0]}, r"^a slope needs at least two distinct times, got \[50\. 50\.\]$"),
 ], ids=["h0-not-hermitian", "shapes-differ", "state-length", "state-nan", "zero-time",
         "negative-time", "infinite-time", "no-times", "band-negative", "band-past-last",
-        "one-time", "repeated-time"])
+        "band-half", "band-bool", "one-time", "repeated-time"])
 def test_leakage_scaling_validates_its_inputs(change, message):
     h0, h1 = _reference_instance()
     args = {"h0": h0, "h1": h1, "structure": detect_bands(eigh(h1).values, target_bands=2),
             "band": 0, "times": [50.0, 100.0], "initial": [1, 0, 0, 0], **change}
     with pytest.raises(ValueError, match=message):
         adiabatic_leakage_scaling(**args)
+
+
+def test_leakage_scaling_takes_a_numpy_integer_band():
+    h0, h1 = _reference_instance()
+    structure = detect_bands(eigh(h1).values, target_bands=2)
+    fits = [adiabatic_leakage_scaling(h0, h1, structure, band, [5.0, 10.0], [1, 0, 0, 0])
+            for band in (1, np.int64(1))]
+    assert np.array_equal(fits[0].leakages, fits[1].leakages)
 
 
 def test_adiabatic_constant_hamiltonian():

@@ -14,7 +14,7 @@ import pytest
 import fqsvt
 from fqsvt import chebyshev, cli, feedforward
 from fqsvt.cli import ConfigError, _number, main, matrix_to_json
-from fqsvt.linalg import SAMPLE_UNIFORMS, WALK_NORMALS, WALK_UNIFORMS
+from fqsvt.linalg import SAMPLE_UNIFORMS
 from fqsvt.verify import CRITERIA
 
 
@@ -494,7 +494,7 @@ def test_no_random_stream_key_serves_two_purposes(tmp_path, monkeypatch):
     enumerate_project = write_config(tmp_path, {
         "model": {"type": "gmon", "perturb_seed": 4}, "bands": {"target": 2},
         "round_eps": 1e-2}, "enumerate.json")
-    baselines = write_config(tmp_path, {"Ls": [1, 2, 4], "trials": 1000}, "baselines.json")
+    baselines = write_config(tmp_path, {"Ls": [1, 2, 4]}, "baselines.json")
     runs = {
         "project": lambda: main(["project", "--config", project, "--seed", "3",
                                  "--out", str(tmp_path / "p")]) == 0,
@@ -510,37 +510,49 @@ def test_no_random_stream_key_serves_two_purposes(tmp_path, monkeypatch):
     for name, run in runs.items():
         keys.clear()
         assert run()
+        if name in ("baselines", "criterion 7"):  # the memoryless walk is exact
+            assert not keys, f"{name}: built generators for keys {sorted(keys)}"
         shared = {key: sites for key, sites in keys.items() if len(sites) > 1}
         assert not shared, f"{name}: keys built at two call sites: {shared}"
         for (_, stream), sites in keys.items():
             if stream >= 2**32:
                 purpose_sites.setdefault(stream, set()).update(sites)
-    assert sorted(purpose_sites) == [WALK_NORMALS, WALK_UNIFORMS, SAMPLE_UNIFORMS]
+    assert sorted(purpose_sites) == [SAMPLE_UNIFORMS]
     assert all(len(sites) == 1 for sites in purpose_sites.values()), purpose_sites
 
 
 def test_baselines_csv(tmp_path):
-    cfg = write_config(tmp_path, {"Ls": [2, 4], "trials": 1000,
-                                  "filter": {"delta": 0.4, "eps": 1e-2}})
+    cfg = write_config(tmp_path, {"Ls": [2, 4], "filter": {"delta": 0.4, "eps": 1e-2}})
     out = tmp_path / "base"
     assert main(["baselines", "--config", cfg, "--seed", "5", "--out", str(out)]) == 0
     lines = (out / "baselines.csv").read_text().splitlines()
-    assert lines[0].startswith("L,feedforward_queries,random_walk_success")
+    assert lines[0] == ("L,feedforward_queries,random_walk_success,"
+                        "prob_projection_depth_amplify,adiabatic_time_estimate")
     assert len(lines) == 3
     for line, count in zip(lines[1:], (2, 4)):
         cells = line.split(",")
         assert int(cells[0]) == count
-        assert float(cells[2]) <= 2.0 / count + 3 * float(cells[3])
+        # The walk's exact success at a power of two.
+        assert float(cells[2]) == 2.0 / count
     # Amplified depth column is sqrt(L) for the uniform weights.
-    assert float(lines[1].split(",")[4]) == pytest.approx(math.sqrt(2))
+    assert float(lines[1].split(",")[3]) == pytest.approx(math.sqrt(2))
 
     out2 = tmp_path / "base2"
     main(["baselines", "--config", cfg, "--seed", "5", "--out", str(out2)])
     assert (out / "baselines.csv").read_bytes() == (out2 / "baselines.csv").read_bytes()
 
 
+def test_baselines_csv_does_not_depend_on_the_seed(tmp_path):
+    # Nothing in `fqsvt baselines` is drawn: the walk's success is exact.
+    cfg = write_config(tmp_path, {"Ls": [1, 2, 4, 8, 16]})
+    outs = [tmp_path / f"seed-{seed}" for seed in (3, 5)]
+    for seed, out in zip((3, 5), outs):
+        assert main(["baselines", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
+    assert (outs[0] / "baselines.csv").read_bytes() == (outs[1] / "baselines.csv").read_bytes()
+
+
 def test_baselines_single_row(tmp_path):
-    cfg = write_config(tmp_path, {"Ls": [2], "trials": 1000})
+    cfg = write_config(tmp_path, {"Ls": [2]})
     out = tmp_path / "single"
     assert main(["baselines", "--config", cfg, "--out", str(out)]) == 0
     assert len((out / "baselines.csv").read_text().splitlines()) == 2
@@ -571,11 +583,11 @@ def test_bosehubbard_rejects_margin_outside_open_half_with_exit_2(tmp_path, caps
     ("phases", {"mu": 0.5, "delta": 0.3, "eps": 1e-3, "tol": True},
      "phases.tol: expected float, got True"),
     # An int past the float range is not finite, and never reaches math.isfinite.
-    ("baselines", {"Ls": [2], "trials": 10**399}, "baselines.trials: expected a finite value"),
+    ("baselines", {"Ls": [2], "per_band": 10**399}, "baselines.per_band: expected a finite value"),
     ("bosehubbard", {"model": {**GMON_SPEC_DOC, "nmax": 10**399}},
      "bosehubbard.model.nmax: expected a finite value"),
 ], ids=["perturb-seed-above-64-bits", "perturb-seed-boolean", "tol-boolean",
-        "trials-past-the-float-range", "nmax-past-the-float-range"])
+        "per-band-past-the-float-range", "nmax-past-the-float-range"])
 def test_other_commands_reject_bad_numbers_with_exit_2(tmp_path, capsys, command, doc, cause):
     cfg = write_config(tmp_path, doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -604,18 +616,19 @@ def test_unreadable_config_or_output_path_exits_2(tmp_path, capsys, case):
     ({"filter": {"eps": 1e-9}}, "baselines.filter: invalid filter parameters: error budget 1e-09"),
     ({"adiabatic_min_gap": 0}, "baselines.adiabatic_min_gap must be > 0.0, got 0.0"),
     ({"adiabatic_eps": -1}, "baselines.adiabatic_eps must be > 0.0, got -1.0"),
-    ({"trials": 999}, "baselines.trials must be >= 1000, got 999"),
-    ({"trials": 1000.5}, "baselines.trials: expected int, got 1000.5"),
+    ({"per_band": 0}, "baselines.per_band must be >= 1, got 0"),
+    ({"per_band": 1.5}, "baselines.per_band: expected int, got 1.5"),
+    ({"trials": 1000}, "baselines: unknown keys ['trials']"),
     # Clusters 0.01 wide and 0.9 / (L - 1) apart that band detection cannot
     # split into L bands of `per_band`: the walk would be priced on wrong bands.
     ({"Ls": [2, 64]}, "baselines.Ls: L=64 with per_band=2 spaces its clusters, 0.01 wide, "
                       "0.0143 apart; band detection does not split them into 64 bands of 2 "
                       "eigenvalues"),
     ({"Ls": [128], "per_band": 4}, "baselines.Ls: L=128 with per_band=4 "),
-], ids=["filter-delta", "filter-eps", "adiabatic-min-gap", "adiabatic-eps", "trials-below-1000",
-        "trials-fractional", "L64-unresolved", "L128-per-band-4-unresolved"])
+], ids=["filter-delta", "filter-eps", "adiabatic-min-gap", "adiabatic-eps", "per-band-below-1",
+        "per-band-fractional", "trials-unknown", "L64-unresolved", "L128-per-band-4-unresolved"])
 def test_baselines_rejects_bad_config_value_with_exit_2(tmp_path, capsys, changes, cause):
-    cfg = write_config(tmp_path, {"Ls": [2], "trials": 1000, **changes})
+    cfg = write_config(tmp_path, {"Ls": [2], **changes})
     assert main(["baselines", "--config", cfg, "--out", str(tmp_path / "b")]) == 2
     assert cause in capsys.readouterr().err
     assert not (tmp_path / "b" / "baselines.csv").exists()

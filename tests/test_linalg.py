@@ -5,7 +5,7 @@ import pytest
 
 from fqsvt.cli import MATRIX, _encode_json, _read, matrix_to_json
 from fqsvt.linalg import (
-    WALK_NORMALS,
+    SAMPLE_UNIFORMS,
     eigh,
     haar_vector,
     hermitian_from_spectrum,
@@ -138,8 +138,8 @@ def test_haar_vector_matches_legacy_draw_order():
 def test_purpose_stream_draws_are_chunk_invariant(draw, a, b, width):
     # The block contract: trial t reads row t whatever the chunking, so an
     # (a + b, w) draw must equal an (a, w) draw followed by a (b, w) draw.
-    whole = getattr(rng(5, WALK_NORMALS), draw)((a + b, width))
-    gen = rng(5, WALK_NORMALS)
+    whole = getattr(rng(5, SAMPLE_UNIFORMS), draw)((a + b, width))
+    gen = rng(5, SAMPLE_UNIFORMS)
     parts = [getattr(gen, draw)((a, width)), getattr(gen, draw)((b, width))]
     assert np.array_equal(whole, np.concatenate(parts))
 
