@@ -209,5 +209,8 @@ def normalize_for_qsvt(h: np.ndarray, margin: float) -> tuple:
         raise ValueError("spectrum is a single point; nothing to normalize")
     pad = margin * span
     scale = 1.0 / (span + 2.0 * pad)
+    if math.isinf(scale):
+        raise ValueError(f"spectral span {span:.3g} is too narrow to normalize: "
+                         "its reciprocal overflows a float")
     offset = -(lo - pad) * scale
     return scale * h + offset * np.eye(h.shape[0]), scale

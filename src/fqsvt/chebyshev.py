@@ -26,6 +26,7 @@ __all__ = [
     "ChebyshevSeries",
     "FilterSpec",
     "FilterReport",
+    "NarrowPlateauError",
     "heaviside_filter",
     "certify_filter",
 ]
@@ -42,6 +43,8 @@ DEGREE_CAP = 2000
 # Remez stops once the level is within this factor of the levelled error.
 REMEZ_TOL = 1e-6
 REMEZ_MAX_ITER = 40
+# Phase synthesis (`qsp`) stops its damped Newton after this many iterations.
+NEWTON_MAX_ITER = 80
 # Nodes of the quadratures that place the first Remez reference.
 QUADRATURE = 1000
 # The verdicts of a Remez probe that are proofs; see `_Verdict`.
@@ -114,6 +117,18 @@ def _check_window(mu: float, delta: float):
             f"transition window [{mu - delta / 2}, {mu + delta / 2}] "
             "must sit strictly inside (0, 1)"
         )
+
+
+class NarrowPlateauError(ValueError):
+    """The transition window nearly fills (0, 1), leaving a plateau too narrow for the exchange.
+
+    In u = 2x^2 - 1 the plateaus are [-1, a] and [b, 1]. A low window edge
+    below about 5e-9 maps to a = -1 exactly, so the first reference can
+    repeat u = -1; points crowded within a few 1e-9 of u = 1 make the
+    Chebyshev-Vandermonde system numerically singular too. The spec alone
+    decides it. An edge that rounds to u = -1 is not rejected as such: the
+    window [3e-9, 0.9] at eps 1e-3 builds at degree 6.
+    """
 
 
 def synthesis_margin(eps: float) -> float:
@@ -334,6 +349,7 @@ class _Plateaus:
         self.high_ripple = spec.eps / 2.0
         self.top = 1.0 - margin - self.ripple
         self.a, self.b = _window_in_u(spec)
+        self.window = (spec.mu - spec.delta / 2.0, spec.mu + spec.delta / 2.0)
         self.measure = _equilibrium(self.a, self.b)
 
     def first_reference(self, n: int) -> np.ndarray:
@@ -425,7 +441,15 @@ def _remez_step(probes: list[_Probe]) -> list[_Verdict | None]:
         low = p.ref <= plateaus.a
         scale = np.where(low, plateaus.ripple, plateaus.high_ripple)
         system = np.column_stack([vander[r, :p.n, :p.half + 1], -p.signs * scale])
-        solution = np.linalg.solve(system, np.where(low, plateaus.top, 0.0))
+        try:
+            solution = np.linalg.solve(system, np.where(low, plateaus.top, 0.0))
+        except np.linalg.LinAlgError:
+            raise NarrowPlateauError(
+                f"transition window [{plateaus.window[0]}, {plateaus.window[1]}] nearly fills "
+                f"(0, 1): its plateaus [-1, {plateaus.a!r}] and [{plateaus.b!r}, 1] in "
+                f"u = 2x^2 - 1 are too narrow for the Remez exchange, whose reference system "
+                f"at half-degree {p.half} is singular"
+            ) from None
         p.iterations += 1
         if abs(solution[-1]) >= 1.0:
             verdicts[r] = _Verdict(solution[:-1], abs(solution[-1]), "infeasible")
@@ -502,7 +526,8 @@ class _Search:
         """Take the running probe's verdict, then start the next probe while the bracket is open."""
         half = self.probe.half
         self.probes.append((half, verdict.reason))
-        log_level = math.log(verdict.level)
+        # A level of exactly 0 (G meets every plateau target at its extrema) is feasible.
+        log_level = math.log(max(verdict.level, math.ulp(0.0)))
         if verdict.level < 1.0:
             self.good, self.good_log, self.best = half, log_level, verdict
         else:

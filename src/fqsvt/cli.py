@@ -38,7 +38,8 @@ from .bosehubbard import (
     fock_occupations,
     normalize_for_qsvt,
 )
-from .chebyshev import EPS_FLOOR, FilterSpec, _build_filters, _check_window, heaviside_filter
+from .chebyshev import (EPS_FLOOR, FilterSpec, NarrowPlateauError, _build_filters, _check_window,
+                        heaviside_filter)
 from .feedforward import (
     KrausExtraction,
     channel_bound,
@@ -359,7 +360,11 @@ def _resolve_model(model: dict, seed: int) -> np.ndarray:
         if "perturb_seed" in model:
             gmon = gmon.perturbed(model["perturb_seed"])
         h = build_h0(gmon) + build_h1(gmon)
-        return dilate_hermitian(normalize_for_qsvt(h, model["margin"])[0])
+        try:
+            h = normalize_for_qsvt(h, model["margin"])[0]
+        except ValueError as exc:
+            raise ConfigError(f"project.model: {exc}") from exc
+        return dilate_hermitian(h)
     if model["type"] == "inline":
         h, where = model["matrix"], "project.model: invalid inline matrix"
     else:
@@ -524,11 +529,20 @@ def cmd_bosehubbard(cfg: dict, out: Path, seed: int) -> int:
     h0 = build_h0(model)
     h1 = build_h1(model)
     labels = band_labels(model)
-    normalized, scale = normalize_for_qsvt(h0 + h1, cfg["margin"])
+    try:
+        normalized, scale = normalize_for_qsvt(h0 + h1, cfg["margin"])
+    except ValueError as exc:
+        raise ConfigError(f"bosehubbard.model: {exc}") from exc
     spectrum = eigh(normalized)
     # The detected band gap is min_gap_fraction * eta in normalized units.
-    structure = detect_bands(spectrum.values,
-                             min_gap=cfg["min_gap_fraction"] * model.eta * scale)
+    min_gap = cfg["min_gap_fraction"] * model.eta * scale
+    if min_gap == 0.0:
+        raise ConfigError(
+            f"bosehubbard.min_gap_fraction {cfg['min_gap_fraction']:g} times model.eta "
+            f"{model.eta:g} underflows to a band gap of 0 in normalized units "
+            f"(scale {scale:.3g})"
+        )
+    structure = detect_bands(spectrum.values, min_gap=min_gap)
 
     _write_json(out / "model.json", {key: getattr(model, key) for key in GMON_FIELDS})
     _write_json(out / "h0.json", matrix_to_json(h0))
@@ -592,6 +606,10 @@ def main(argv=None) -> int:
         return handler(_read(table, config, args.command), out, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except NarrowPlateauError as exc:
+        # Every window comes from the config: a command's filter keys or its model's gaps.
+        print(f"config error: {args.command}: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -65,37 +65,27 @@ class HermitianSpectrum:
 
 
 def check_hermitian(h: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Validate a square Hermitian matrix; the diagnostic names the worst entry.
+    """Validate a square Hermitian matrix or a stack of them; the diagnostic names the worst entry.
 
-    A stack of shape (..., n, n) is checked matrix by matrix, each at its own
-    scale `tol * max(1, max|H_k|)`, and the diagnostic names the first
-    offending matrix's stack index and its worst entry.
+    A matrix is a stack with no stack axes. Each matrix of shape (..., n, n)
+    is checked at its own scale `tol * max(1, max|H_k|)`, and the diagnostic
+    names the first offending matrix's stack index, if it has one, and its
+    worst entry.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         raise ValueError("matrix entries must be finite")
-    if h.ndim == 2:
-        dev = np.abs(h - dagger(h))
-        row, col = np.unravel_index(int(np.argmax(dev)), dev.shape)
-        scale = max(1.0, float(np.max(np.abs(h))))
-        if dev[row, col] > tol * scale:
-            raise ValueError(
-                f"matrix is not Hermitian: entry ({int(row)}, {int(col)}) deviates "
-                f"from its conjugate transpose by {dev[row, col]:.3e}"
-            )
-        return h
-    dev = np.abs(h - np.swapaxes(h, -1, -2).conj())
-    limit = tol * np.maximum(1.0, np.max(np.abs(h), axis=(-2, -1)))
-    bad = np.max(dev, axis=(-2, -1)) > limit
-    if np.any(bad):
+    dev = np.abs(h - h.conj().swapaxes(-1, -2))
+    bad = dev.max(axis=(-2, -1)) > tol * np.abs(h).max(axis=(-2, -1), initial=1.0)
+    if bad.any():
         index = np.unravel_index(int(np.argmax(bad)), bad.shape)
         row, col = np.unravel_index(int(np.argmax(dev[index])), dev.shape[-2:])
+        stack = f" {', '.join(str(int(i)) for i in index)} of the stack" if index else ""
         raise ValueError(
-            f"matrix {', '.join(str(int(i)) for i in index)} of the stack is not Hermitian: "
-            f"entry ({int(row)}, {int(col)}) deviates from its conjugate transpose "
-            f"by {dev[index][row, col]:.3e}"
+            f"matrix{stack} is not Hermitian: entry ({int(row)}, {int(col)}) deviates "
+            f"from its conjugate transpose by {dev[index][row, col]:.3e}"
         )
     return h
 

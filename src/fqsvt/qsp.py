@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import SYNTHESIS_GUARD, ChebyshevSeries, _clenshaw
+from .chebyshev import NEWTON_MAX_ITER, SYNTHESIS_GUARD, ChebyshevSeries, _clenshaw
 
 __all__ = [
     "PhaseFactorSet",
@@ -290,7 +290,7 @@ def _newton_system(prefix: np.ndarray, d: int, target: np.ndarray):
     return a.real - target, np.moveaxis(jac_t, 0, -1)
 
 
-def _damped_newton(free, d, xs, target, tol, histories, max_iters=80):
+def _damped_newton(free, d, xs, target, tol, histories):
     """Newton with backtracking on the max residual, one node per free phase.
 
     Row s of `free` and `target` is one target; each accepts its own step
@@ -304,7 +304,7 @@ def _damped_newton(free, d, xs, target, tol, histories, max_iters=80):
     free = free.copy()
     running = np.arange(len(free))
     r, jac = _newton_system(_half_prefixes(free, d, xs), d, target)
-    for _ in range(max_iters):
+    for _ in range(NEWTON_MAX_ITER):
         cur = np.max(np.abs(r), axis=-1)
         for s, c in zip(running, cur):
             histories[s].append(float(c))

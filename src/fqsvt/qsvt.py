@@ -33,9 +33,10 @@ def _interleaved(enc: np.ndarray, phis: list[PhaseFactorSet]) -> np.ndarray:
     The product is R(phi_0) prod_k U^{(-1)^{d-k}} R(phi_k): the encoding
     and its inverse alternate, ending on U itself. Rotation k is
     diag(e^{i phi_k} I_N, e^{-i phi_k} I_{N (M-1)}); one `exp` gives every
-    rotation diagonal of every sign and phase set, and each factor of the
-    encoding is one matmul on the stack, whose every matrix is its own
-    product.
+    rotation diagonal of every sign and phase set. Each factor of the
+    encoding is one GEMM on the stack's rows, all (2 * len(phis) * NM, NM)
+    of them, into a buffer that the rotation then scales back into the
+    stack; row by row it is each matrix's own product.
     """
     base = _check_encoding(enc)
     base_inv = dagger(base)
@@ -47,9 +48,11 @@ def _interleaved(enc: np.ndarray, phis: list[PhaseFactorSet]) -> np.ndarray:
     diags = np.exp(np.multiply.outer(phases, [1j, -1j]))[..., (np.arange(size) >= n).astype(int)]
     u = np.zeros((len(phases), size, size), dtype=complex)
     u[:, np.arange(size), np.arange(size)] = diags[:, 0]
+    product = np.empty_like(u)
     for k in range(1, d + 1):
-        u = u @ (base if (d - k) % 2 == 0 else base_inv)
-        u *= diags[:, k, np.newaxis, :]
+        np.matmul(u.reshape(-1, size), base if (d - k) % 2 == 0 else base_inv,
+                  out=product.reshape(-1, size))
+        np.multiply(product, diags[:, k, np.newaxis, :], out=u)
     return u
 
 

@@ -104,11 +104,9 @@ def criterion_2() -> CriterionResult:
             h, psi = instances[i]
             n = len(h)
             q = assemble_full(dilate_hermitian(h), [psi])[0]
-            pred = predicted_blocks(h, pair)
-            for r in range(4):
-                for c in range(4):
-                    block = q[r * n : (r + 1) * n, c * n : (c + 1) * n]
-                    worst = max(worst, float(np.max(np.abs(block - pred[r, c]))))
+            # Block (r, c) of q is q.reshape(4, n, 4, n)[r, :, c, :].
+            blocks = q.reshape(4, n, 4, n).swapaxes(1, 2)
+            worst = max(worst, float(np.max(np.abs(blocks - predicted_blocks(h, pair)))))
     return CriterionResult(
         2, "comprehensive circuit block prediction",
         worst <= 1e-9, f"worst block deviation {worst:.2e} over 50 instances",

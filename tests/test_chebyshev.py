@@ -13,6 +13,7 @@ from fqsvt.chebyshev import (
     PROVED,
     ChebyshevSeries,
     FilterSpec,
+    NarrowPlateauError,
     _build_filters,
     _clenshaw,
     _critical_points,
@@ -260,6 +261,27 @@ def test_filter_degree_is_pinned(mu, delta, eps, degree):
     filt = heaviside_filter([spec])[0]
     assert filt.degree == degree
     assert certify_filter(filt, spec).passed
+
+
+def test_a_window_that_nearly_fills_the_interval_raises_naming_it():
+    # The low edge 1.0000000272e-9 maps to u = -1 exactly, and the first
+    # reference repeats that point, so the exchange's solve is singular.
+    with pytest.raises(NarrowPlateauError, match=r"^transition window \[1\.0000000272292198e-09, "
+                                                 r"0\.9999999989999999\] nearly fills \(0, 1\)"):
+        heaviside_filter([FilterSpec(0.5, 0.999999998, 2.5e-4)])
+
+
+@pytest.mark.parametrize("spec, degree", [
+    (FilterSpec(0.5, 0.99999998, 2.5e-4), 2),
+    # An edge of 3e-9 also maps to u = -1, and the exchange resolves it.
+    (FilterSpec(0.45 + 1.5e-9, 0.9 - 3e-9, 1e-3), 6),
+    # A first iterate that meets both plateau targets exactly has level 0.
+    (FilterSpec(0.500000001, 0.999999996, 0.1), 2),
+], ids=["low-edge-1e-8", "low-edge-3e-9", "level-zero"])
+def test_windows_that_nearly_fill_the_interval_can_build(spec, degree):
+    (search,) = _build_filters([spec])
+    assert search.filter.degree == degree
+    assert search.report.passed
 
 
 def test_heaviside_raises_when_the_cap_is_too_low(monkeypatch):

@@ -381,6 +381,12 @@ def test_gmon_spec_that_overflows_exits_2_naming_the_field(tmp_path, capsys, com
 
 
 SMALL_SYNTHETIC = {"type": "synthetic", "bands": 2, "per_band": 2, "width": 0.02}
+# A gmon spec whose Hamiltonian is eta times the band labels alone.
+ZERO_CONTROLS = {"edges": [], "delta": [0.0] * GMON_SPEC_DOC["modes"],
+                 "f": [0.0] * GMON_SPEC_DOC["modes"]}
+# One mode, one excitation: two eigenvalues, normalized to margin' and 1 - margin'.
+TWO_LEVEL_GMON = {"modes": 1, "nmax": 1, "eta": 1.0, "edges": [], "delta": [1.0], "f": [0.0],
+                  "phi": [0.0]}
 
 
 @pytest.mark.parametrize("changes, cause", [
@@ -415,13 +421,22 @@ SMALL_SYNTHETIC = {"type": "synthetic", "bands": 2, "per_band": 2, "width": 0.02
      "model.spec.nmax: expected int, got 3.9"),
     ({"model": {"type": "gmon", "spec": {**GMON_SPEC_DOC, "check_ranges": "no"}}},
      "model.spec.check_ranges: expected true or false, got 'no'"),
+    # In range, but decided by the config alone: a gmon spectrum with no
+    # width, and a window that nearly fills (0, 1) at margin 1e-9.
+    ({"model": {"type": "gmon", "spec": {**GMON_SPEC_DOC, **ZERO_CONTROLS, "eta": 0.0}}},
+     "config error: project.model: spectrum is a single point; nothing to normalize"),
+    ({"model": {"type": "gmon", "margin": 1e-9, "spec": TWO_LEVEL_GMON},
+      "bands": {"min_gap": 0.05}, "round_eps": 1e-3},
+     "config error: project: transition window [9.999999717180685e-10, 0.999999999] nearly "
+     "fills (0, 1)"),
 ], ids=["min-gap-negative", "target-too-large", "target-type", "per-band-zero",
         "round-eps-type", "budget-type", "split-constant-zero", "trajectories-negative",
         "haar-samples-negative", "haar-samples-zero", "round-eps-nan", "width-outside-unit-interval",
         "gmon-margin-too-large", "gmon-spec-missing-key", "gmon-spec-bad-field",
         "basis-seed-above-64-bits", "input-seed-above-64-bits", "perturb-seed-above-64-bits",
         "trajectories-fractional", "bands-fractional", "target-boolean", "round-eps-boolean",
-        "gmon-spec-fractional-nmax", "gmon-spec-string-check-ranges"])
+        "gmon-spec-fractional-nmax", "gmon-spec-string-check-ranges", "gmon-single-point",
+        "gmon-window-nearly-fills"])
 def test_project_rejects_bad_config_value_with_exit_2(tmp_path, capsys, changes, cause):
     doc = {"model": SMALL_SYNTHETIC, "bands": {"target": 2}, "round_eps": 1e-2, **changes}
     doc = {key: value for key, value in doc.items() if value is not None}
@@ -586,8 +601,16 @@ def test_bosehubbard_rejects_margin_outside_open_half_with_exit_2(tmp_path, caps
     ("baselines", {"Ls": [2], "per_band": 10**399}, "baselines.per_band: expected a finite value"),
     ("bosehubbard", {"model": {**GMON_SPEC_DOC, "nmax": 10**399}},
      "bosehubbard.model.nmax: expected a finite value"),
+    # In range, but decided by the config alone.
+    ("bosehubbard", {"min_gap_fraction": 5e-324},
+     "config error: bosehubbard.min_gap_fraction 4.94066e-324 times model.eta 1256.64 "
+     "underflows to a band gap of 0 in normalized units"),
+    ("phases", {"mu": 0.5, "delta": 0.999999998, "eps": 2.5e-4},
+     "config error: phases: transition window [1.0000000272292198e-09, 0.9999999989999999] "
+     "nearly fills (0, 1): its plateaus [-1, -1.0] and"),
 ], ids=["perturb-seed-above-64-bits", "perturb-seed-boolean", "tol-boolean",
-        "per-band-past-the-float-range", "nmax-past-the-float-range"])
+        "per-band-past-the-float-range", "nmax-past-the-float-range", "gap-underflows",
+        "window-nearly-fills"])
 def test_other_commands_reject_bad_numbers_with_exit_2(tmp_path, capsys, command, doc, cause):
     cfg = write_config(tmp_path, doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -625,8 +648,11 @@ def test_unreadable_config_or_output_path_exits_2(tmp_path, capsys, case):
                       "0.0143 apart; band detection does not split them into 64 bands of 2 "
                       "eigenvalues"),
     ({"Ls": [128], "per_band": 4}, "baselines.Ls: L=128 with per_band=4 "),
+    ({"filter": {"delta": 0.999999998, "eps": 2.5e-4}},
+     "config error: baselines: transition window [1.0000000272292198e-09, "),
 ], ids=["filter-delta", "filter-eps", "adiabatic-min-gap", "adiabatic-eps", "per-band-below-1",
-        "per-band-fractional", "trials-unknown", "L64-unresolved", "L128-per-band-4-unresolved"])
+        "per-band-fractional", "trials-unknown", "L64-unresolved", "L128-per-band-4-unresolved",
+        "filter-window-nearly-fills"])
 def test_baselines_rejects_bad_config_value_with_exit_2(tmp_path, capsys, changes, cause):
     cfg = write_config(tmp_path, {"Ls": [2], **changes})
     assert main(["baselines", "--config", cfg, "--out", str(tmp_path / "b")]) == 2
@@ -681,8 +707,14 @@ def test_project_trajectories_past_the_array_limit_exit_1_out_of_memory(tmp_path
     ({**GMON_SPEC_DOC, "eta": 0}, "bosehubbard.model.eta must be > 0.0, got 0.0"),
     ({**GMON_SPEC_DOC, "eta": -1256.6},
      "bosehubbard.model.eta must be > 0.0, got -1256.6"),
+    # In range, but the spectrum eta spans cannot be normalized.
+    ({**GMON_SPEC_DOC, **ZERO_CONTROLS, "eta": 5e-324},
+     "config error: bosehubbard.model: spectrum is a single point; nothing to normalize"),
+    ({**GMON_SPEC_DOC, **ZERO_CONTROLS, "eta": 1e-310},
+     "config error: bosehubbard.model: spectral span 6e-310 is too narrow to normalize"),
 ], ids=["missing-key", "bad-field", "fractional-nmax", "string-check-ranges", "edge-not-a-triple",
-        "eta-not-a-number", "phi-not-a-list", "unknown-key", "eta-zero", "eta-negative"])
+        "eta-not-a-number", "phi-not-a-list", "unknown-key", "eta-zero", "eta-negative",
+        "eta-single-point", "eta-span-too-narrow"])
 def test_bosehubbard_rejects_bad_model_with_exit_2(tmp_path, capsys, model, cause):
     cfg = write_config(tmp_path, {"model": model})
     assert main(["bosehubbard", "--config", cfg, "--out", str(tmp_path / "bh")]) == 2
