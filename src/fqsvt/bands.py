@@ -61,7 +61,8 @@ def detect_bands(
     With `min_gap`, every maximal gap at least that wide is selected (no
     qualifying gap yields a single-band structure, not an error). With
     `target_bands` = L, the L - 1 widest gaps are selected, ties broken
-    toward lower energy.
+    toward lower energy. Two selected gaps whose centers round to one float
+    are narrower than float resolution, and raise a ValueError naming them.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or len(values) == 0:
@@ -86,6 +87,12 @@ def detect_bands(
         return BandStructure(1, np.zeros(0), 0.0, [list(range(len(values)))])
 
     centers = np.array([(values[i] + values[i + 1]) / 2.0 for i in chosen])
+    tied = np.flatnonzero(np.diff(centers) == 0.0)
+    if len(tied):
+        gaps = [f"({float(values[i])!r}, {float(values[i + 1])!r})"
+                for i in chosen[tied[0] : tied[0] + 2]]
+        raise ValueError(f"the gaps {gaps[0]} and {gaps[1]} both center on "
+                         f"{float(centers[tied[0]])!r}: they are narrower than float resolution")
     delta = float(min(widths[i] for i in chosen))
     edges = [0] + [i + 1 for i in chosen] + [len(values)]
     bands = [list(range(edges[j], edges[j + 1])) for j in range(len(edges) - 1)]

@@ -27,6 +27,7 @@ __all__ = [
     "FilterSpec",
     "FilterReport",
     "NarrowPlateauError",
+    "UnresolvedWindowError",
     "heaviside_filter",
     "certify_filter",
 ]
@@ -117,6 +118,17 @@ def _check_window(mu: float, delta: float):
             f"transition window [{mu - delta / 2}, {mu + delta / 2}] "
             "must sit strictly inside (0, 1)"
         )
+
+
+class UnresolvedWindowError(ValueError):
+    """The transition window is narrower than float resolution in u = 2x^2 - 1.
+
+    Its edges map to one u, or to neighbouring floats, so the quadrature
+    nodes of one plateau round onto the other plateau's edge and the
+    equilibrium measure that places the first Remez reference is not
+    finite. The spec alone decides it: FilterSpec(0.5, 1e-16, eps) maps its
+    window [0.49999999999999994, 0.5] to u = -0.5000000000000001 and -0.5.
+    """
 
 
 class NarrowPlateauError(ValueError):
@@ -350,7 +362,14 @@ class _Plateaus:
         self.top = 1.0 - margin - self.ripple
         self.a, self.b = _window_in_u(spec)
         self.window = (spec.mu - spec.delta / 2.0, spec.mu + spec.delta / 2.0)
-        self.measure = _equilibrium(self.a, self.b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.measure = _equilibrium(self.a, self.b)
+        if not all(np.isfinite(mass[-1]) for _, mass in self.measure):
+            raise UnresolvedWindowError(
+                f"transition window [{self.window[0]}, {self.window[1]}] is narrower than "
+                f"float resolution: its edges map to u = 2x^2 - 1 = {self.a!r} and {self.b!r}, "
+                f"too close for the equilibrium measure that places the first Remez reference"
+            )
 
     def first_reference(self, n: int) -> np.ndarray:
         """n points at even quantiles of the equilibrium measure of [-1, a] and [b, 1]."""

@@ -38,8 +38,8 @@ from .bosehubbard import (
     fock_occupations,
     normalize_for_qsvt,
 )
-from .chebyshev import (EPS_FLOOR, FilterSpec, NarrowPlateauError, _build_filters, _check_window,
-                        heaviside_filter)
+from .chebyshev import (EPS_FLOOR, FilterSpec, NarrowPlateauError, UnresolvedWindowError,
+                        _build_filters, _check_window, heaviside_filter)
 from .feedforward import (
     KrausExtraction,
     channel_bound,
@@ -411,11 +411,14 @@ def cmd_project(cfg: dict, out: Path, seed: int) -> int:
             f"project.model: the system register needs a power-of-two dimension, got {dim}"
         )
     spectrum = eigh(enc[:dim, :dim])
-    if "min_gap" in cfg["bands"]:
-        structure = detect_bands(spectrum.values, min_gap=cfg["bands"]["min_gap"])
-    else:
-        target = _number(int, cfg["bands"]["target"], "project.bands.target", high=dim)
-        structure = detect_bands(spectrum.values, target_bands=target)
+    try:
+        if "min_gap" in cfg["bands"]:
+            structure = detect_bands(spectrum.values, min_gap=cfg["bands"]["min_gap"])
+        else:
+            target = _number(int, cfg["bands"]["target"], "project.bands.target", high=dim)
+            structure = detect_bands(spectrum.values, target_bands=target)
+    except ValueError as exc:
+        raise ConfigError(f"project.bands: {exc}") from exc
 
     count = structure.band_count
     if "round_eps" in cfg:
@@ -542,7 +545,13 @@ def cmd_bosehubbard(cfg: dict, out: Path, seed: int) -> int:
             f"{model.eta:g} underflows to a band gap of 0 in normalized units "
             f"(scale {scale:.3g})"
         )
-    structure = detect_bands(spectrum.values, min_gap=min_gap)
+    try:
+        structure = detect_bands(spectrum.values, min_gap=min_gap)
+    except ValueError as exc:
+        raise ConfigError(
+            f"bosehubbard.min_gap_fraction {cfg['min_gap_fraction']:g} times model.eta "
+            f"{model.eta:g} selects gaps that cannot be told apart: {exc}"
+        ) from exc
 
     _write_json(out / "model.json", {key: getattr(model, key) for key in GMON_FIELDS})
     _write_json(out / "h0.json", matrix_to_json(h0))
@@ -607,7 +616,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NarrowPlateauError as exc:
+    except (NarrowPlateauError, UnresolvedWindowError) as exc:
         # Every window comes from the config: a command's filter keys or its model's gaps.
         print(f"config error: {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -33,6 +33,8 @@ __all__ = [
 SYMMETRY_TOL = 1e-12
 # A synthesis target's coefficients of the other parity than its degree must stay below this.
 PARITY_TOL = 1e-12
+# `extract_pq` certifies each residual of its pairs to this sup-norm over [-1, 1].
+VALIDATION_TOL = 1e-9
 
 
 @dataclass(eq=False)
@@ -135,17 +137,32 @@ def _cheb_interpolate(values: np.ndarray, theta: np.ndarray, degree: int) -> np.
     return coeffs
 
 
+def _validation_grid(d: int) -> np.ndarray:
+    """The M + 1 Chebyshev-Lobatto points cos(j pi / M), M = 4 max(d, 1), that `extract_pq` checks."""
+    m = 4 * max(d, 1)
+    return np.cos(np.arange(m + 1) * (math.pi / m))
+
+
 def extract_pq(items: list[PhaseFactorSet]) -> list[QspPolynomialPair]:
-    """Interpolate (P, Q) from unitary samples at Chebyshev nodes.
+    """Interpolate (P, Q) from unitary samples at Chebyshev nodes, and certify each pair.
 
     `items` are `PhaseFactorSet`s of one degree, and their pairs come back
     in the same order. P is read from the top-left entry at d+1 nodes, Q
     from the top-right at d interior nodes (where the sqrt(1-x^2) prefactor
-    is nonzero). An independent uniform grid re-checks every item's
-    interpolation before returning; a failure names the first inconsistent
-    item. One forward sweep covers all three node sets and every item, and
-    each item is interpolated on its own, so it gets the pair it would get
-    alone.
+    is nonzero). Every item's interpolation is then re-checked on the
+    validation grid (`_validation_grid`), and a failure names the first
+    inconsistent item. Both residuals, P(x) - a(x) and
+    i sqrt(1-x^2) Q(x) - b(x) at x = cos(theta), are trigonometric
+    polynomials of degree <= d in theta, and the grid samples theta at 2M
+    equispaced points of the circle, so each residual's sup over [-1, 1] is
+    at most sec(d pi / (2M)) <= sec(pi / 8) times its grid max (Ehlich and
+    Zeller, Math. Z. 1964). The gate is `VALIDATION_TOL` cos(pi / 8), so a
+    pair that passes is certified to `VALIDATION_TOL` at every degree, up to
+    the sweep's roundoff; a uniform grid of fixed size guarantees nothing
+    once d^2 exceeds its point count (Coppersmith and Rivlin, SIAM J. Math.
+    Anal. 1992). One forward sweep covers all three node sets and every
+    item, each column on its own, and each item is interpolated on its own,
+    so it gets the pair it would get alone.
     """
     degrees = {ps.degree for ps in items}
     if len(degrees) > 1:
@@ -156,7 +173,7 @@ def extract_pq(items: list[PhaseFactorSet]) -> list[QspPolynomialPair]:
     theta_p = (2.0 * np.arange(d + 1) + 1.0) * math.pi / (2.0 * (d + 1))
     theta_q = (2.0 * np.arange(d) + 1.0) * math.pi / (2.0 * d)
     xq = np.cos(theta_q)
-    xs = np.linspace(-1.0, 1.0, 401)
+    xs = _validation_grid(d)
     values = np.array([ps.values for ps in items])
     a, b = np.moveaxis(_product(values, np.concatenate([np.cos(theta_p), xq, xs])), -2, 0)
 
@@ -167,10 +184,14 @@ def extract_pq(items: list[PhaseFactorSet]) -> list[QspPolynomialPair]:
         q = _cheb_interpolate(b[:, d + 1 : 2 * d + 1] / (1j * np.sqrt(1.0 - xq * xq)),
                               theta_q, d - 1)
 
-    res_p = np.max(np.abs(_clenshaw(p.T[..., None], xs) - a[:, 2 * d + 1 :]), axis=-1)
-    res_q = np.max(np.abs(1j * np.sqrt(1.0 - xs * xs) * _clenshaw(q.T[..., None], xs)
-                          - b[:, 2 * d + 1 :]), axis=-1)
-    bad = np.maximum(res_p, res_q) > 1e-9
+    # Shape (d+1, 2, items, 1): P and Q, zero-padded to P's length, in one recurrence.
+    series = np.zeros((d + 1, 2, len(items), 1), dtype=complex)
+    series[:, 0, :, 0] = p.T
+    series[:d, 1, :, 0] = q.T
+    p_on_grid, q_on_grid = _clenshaw(series, xs)
+    res_p = np.max(np.abs(p_on_grid - a[:, 2 * d + 1 :]), axis=-1)
+    res_q = np.max(np.abs(1j * np.sqrt(1.0 - xs * xs) * q_on_grid - b[:, 2 * d + 1 :]), axis=-1)
+    bad = np.maximum(res_p, res_q) > VALIDATION_TOL * math.cos(math.pi / 8.0)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise RuntimeError(

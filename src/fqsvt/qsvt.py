@@ -92,15 +92,19 @@ def predicted_blocks(h: np.ndarray, pair: QspPolynomialPair) -> np.ndarray:
     T2 = (-1)^d V. Palindromic phases give Q_Im = 0, so the garbage of the
     action on |0...0>|phi> sits in sectors (2, 0) and (3, 0):
     i P_Im(H)|phi> and i T2 sqrt(I - Sigma^2) Q_Re(Sigma) V^dag|phi>.
+    The four real series are evaluated at Sigma in one Clenshaw recurrence,
+    each row with the bits it would get alone.
     """
     spectrum, s = _psd_contraction_spectrum(h)
     v, sigma = spectrum.vectors, spectrum.values
     t2 = -v if pair.degree % 2 else v
 
-    p_re = _clenshaw(pair.p.real, sigma)
-    p_im = _clenshaw(pair.p.imag, sigma)
-    q_re = _clenshaw(pair.q.real, sigma)
-    q_im = _clenshaw(pair.q.imag, sigma)
+    # Shape (d+1, 4, 1), Q zero-padded to P's length: zero leading coefficients
+    # leave a row's bits unchanged.
+    series = np.zeros((len(pair.p), 4, 1))
+    series[:, :2, 0] = np.column_stack([pair.p.real, pair.p.imag])
+    series[: len(pair.q), 2:, 0] = np.column_stack([pair.q.real, pair.q.imag])
+    p_re, p_im, q_re, q_im = _clenshaw(series, sigma)
 
     vh = dagger(v)
     a = [[(v * p_re) @ vh, -(v * (s * q_im)) @ vh],

@@ -173,14 +173,23 @@ def criterion_4() -> CriterionResult:
         psi = _random_symmetric(gen, int(gen.integers(1, 31)))
         instances.append((h, psi, haar_vector(gen, 2**n_qubits)))
 
+    pairs = {i: pair for idx, group in _extract_by_degree([psi for _, psi, _ in instances])
+             for i, pair in zip(idx, group)}
     worst = 0.0
-    for idx, pairs in _extract_by_degree([psi for _, psi, _ in instances]):
-        for i, pair in zip(idx, pairs):
+    # One stacked `eigh` per system size, each matrix exactly as on its own,
+    # and f = Re P at that size's spectra in one recurrence, zero-padded to its
+    # highest degree. Only one size's eigenvectors are held at a time.
+    for n in sorted({len(h) for h, _, _ in instances}):
+        idx = [i for i, (h, _, _) in enumerate(instances) if len(h) == n]
+        spec = eigh(np.array([instances[i][0] for i in idx]))
+        coeffs = np.zeros((max(len(pairs[i].p) for i in idx), len(idx), 1))
+        for j, i in enumerate(idx):
+            coeffs[: len(pairs[i].p), j, 0] = pairs[i].p.real
+        f = _clenshaw(coeffs, spec.values)
+        for j, i in enumerate(idx):
             h, psi, amp = instances[i]
-            n = len(amp)
-            spec_h = eigh(h)
-            f2 = ((spec_h.vectors * _clenshaw(pair.p.real, spec_h.values) ** 2)
-                  @ dagger(spec_h.vectors))
+            v = spec.vectors[j]
+            f2 = (v * f[j] ** 2) @ dagger(v)
             leaves = {b.record: b for b in run_1fqsvt(dilate_hermitian(h), psi, amp)}
             s00 = leaves[(0, 0)].state
             s10 = leaves[(1, 0)].state

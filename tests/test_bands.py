@@ -59,6 +59,16 @@ def test_detect_bands_input_validation():
         detect_bands([0.1, 0.9])
 
 
+@pytest.mark.parametrize("selection", [{"min_gap": 1e-300}, {"target_bands": 4}])
+def test_gaps_whose_centers_round_to_one_float_raise_naming_them(selection):
+    values = [0.1, 0.3, 0.30000000000000004, 0.3000000000000001]
+    with pytest.raises(ValueError, match=r"^the gaps \(0\.3, 0\.30000000000000004\) and "
+                                         r"\(0\.30000000000000004, 0\.3000000000000001\) both "
+                                         r"center on 0\.30000000000000004: they are narrower "
+                                         r"than float resolution$"):
+        detect_bands(values, **selection)
+
+
 def test_exact_projectors_diagonal_case():
     spec = eigh(np.diag([0.1, 0.2, 0.8, 0.9]))
     s = detect_bands(spec.values, min_gap=0.5)

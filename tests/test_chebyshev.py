@@ -14,6 +14,7 @@ from fqsvt.chebyshev import (
     ChebyshevSeries,
     FilterSpec,
     NarrowPlateauError,
+    UnresolvedWindowError,
     _build_filters,
     _clenshaw,
     _critical_points,
@@ -269,6 +270,21 @@ def test_a_window_that_nearly_fills_the_interval_raises_naming_it():
     with pytest.raises(NarrowPlateauError, match=r"^transition window \[1\.0000000272292198e-09, "
                                                  r"0\.9999999989999999\] nearly fills \(0, 1\)"):
         heaviside_filter([FilterSpec(0.5, 0.999999998, 2.5e-4)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta, window, u", [
+    (1e-16, r"0\.49999999999999994, 0\.5", r"-0\.5000000000000001 and -0\.5"),
+    (1e-17, r"0\.5, 0\.5", r"-0\.5 and -0\.5"),
+], ids=["neighbouring-floats-in-u", "one-x"])
+def test_a_window_narrower_than_float_resolution_raises_naming_it(delta, window, u):
+    # The quadrature nodes of one plateau round onto the other plateau's
+    # edge, where the equilibrium density would divide by zero: the build
+    # raises, with no warning.
+    with pytest.raises(UnresolvedWindowError, match=rf"^transition window \[{window}\] is "
+                                                    rf"narrower than float resolution: its "
+                                                    rf"edges map to u = 2x\^2 - 1 = {u},"):
+        heaviside_filter([FilterSpec(0.2, 0.1, 1e-3), FilterSpec(0.5, delta, 1e-3)])
 
 
 @pytest.mark.parametrize("spec, degree", [

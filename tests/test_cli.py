@@ -429,6 +429,16 @@ TWO_LEVEL_GMON = {"modes": 1, "nmax": 1, "eta": 1.0, "edges": [], "delta": [1.0]
       "bands": {"min_gap": 0.05}, "round_eps": 1e-3},
      "config error: project: transition window [9.999999717180685e-10, 0.999999999] nearly "
      "fills (0, 1)"),
+    # Gaps narrower than float resolution: a window whose edges map to
+    # neighbouring floats in u, and two gaps whose centers round to one float.
+    ({"model": _inline(np.diag([0.1, 0.5, 0.5000000000000001, 0.5000000000000002])),
+      "bands": {"min_gap": 1e-300}},
+     "config error: project: transition window [0.49999999999999994, 0.5] is narrower than "
+     "float resolution"),
+    ({"model": _inline(np.diag([0.1, 0.3, 0.30000000000000004, 0.3000000000000001])),
+      "bands": {"min_gap": 1e-300}},
+     "config error: project.bands: the gaps (0.3, 0.30000000000000004) and "
+     "(0.30000000000000004, 0.3000000000000001) both center on 0.30000000000000004"),
 ], ids=["min-gap-negative", "target-too-large", "target-type", "per-band-zero",
         "round-eps-type", "budget-type", "split-constant-zero", "trajectories-negative",
         "haar-samples-negative", "haar-samples-zero", "round-eps-nan", "width-outside-unit-interval",
@@ -436,7 +446,7 @@ TWO_LEVEL_GMON = {"modes": 1, "nmax": 1, "eta": 1.0, "edges": [], "delta": [1.0]
         "basis-seed-above-64-bits", "input-seed-above-64-bits", "perturb-seed-above-64-bits",
         "trajectories-fractional", "bands-fractional", "target-boolean", "round-eps-boolean",
         "gmon-spec-fractional-nmax", "gmon-spec-string-check-ranges", "gmon-single-point",
-        "gmon-window-nearly-fills"])
+        "gmon-window-nearly-fills", "window-narrower-than-resolution", "gap-centers-tie"])
 def test_project_rejects_bad_config_value_with_exit_2(tmp_path, capsys, changes, cause):
     doc = {"model": SMALL_SYNTHETIC, "bands": {"target": 2}, "round_eps": 1e-2, **changes}
     doc = {key: value for key, value in doc.items() if value is not None}
@@ -608,9 +618,22 @@ def test_bosehubbard_rejects_margin_outside_open_half_with_exit_2(tmp_path, caps
     ("phases", {"mu": 0.5, "delta": 0.999999998, "eps": 2.5e-4},
      "config error: phases: transition window [1.0000000272292198e-09, 0.9999999989999999] "
      "nearly fills (0, 1): its plateaus [-1, -1.0] and"),
+    ("phases", {"mu": 0.5, "delta": 1e-16, "eps": 1e-3},
+     "config error: phases: transition window [0.49999999999999994, 0.5] is narrower than "
+     "float resolution: its edges map to u = 2x^2 - 1 = -0.5000000000000001 and -0.5"),
+    ("baselines", {"Ls": [2], "filter": {"delta": 1e-16}},
+     "config error: baselines: transition window [0.49999999999999994, 0.5] is narrower than "
+     "float resolution"),
+    ("bosehubbard", {"model": {"modes": 2, "nmax": 3, "eta": 1e-100, "edges": [],
+                               "delta": [1e66, 1.0], "f": [1.0, 2.0], "phi": [0.4, 1.9],
+                               "check_ranges": False}},
+     "config error: bosehubbard.min_gap_fraction 0.5 times model.eta 1e-100 selects gaps that "
+     "cannot be told apart: the gaps (0.08333333333333336, 0.08333333333333337) and "
+     "(0.08333333333333337, 0.08333333333333338) both center on 0.08333333333333337"),
 ], ids=["perturb-seed-above-64-bits", "perturb-seed-boolean", "tol-boolean",
         "per-band-past-the-float-range", "nmax-past-the-float-range", "gap-underflows",
-        "window-nearly-fills"])
+        "window-nearly-fills", "window-narrower-than-resolution",
+        "filter-window-narrower-than-resolution", "gap-centers-tie"])
 def test_other_commands_reject_bad_numbers_with_exit_2(tmp_path, capsys, command, doc, cause):
     cfg = write_config(tmp_path, doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -15,6 +15,7 @@ import copy
 import io
 import json
 import math
+import os
 import re
 import tempfile
 import warnings
@@ -177,14 +178,19 @@ def bosehubbard_configs(draw):
 
 
 # Causes that the config alone decides though every key is in range: an
-# underflowed gmon gap, a gmon spectrum too narrow to normalize, and a
-# transition window that nearly fills (0, 1).
+# underflowed gmon gap or gmon gaps narrower than float resolution, a gmon
+# spectrum too narrow to normalize, and a transition window that nearly
+# fills (0, 1).
 IN_RANGE_EXIT_2 = re.compile(
-    r"config error: (bosehubbard\.min_gap_fraction \S+ times model\.eta \S+ underflows"
+    r"config error: (bosehubbard\.min_gap_fraction \S+ times model\.eta \S+ "
+    r"(underflows|selects gaps that cannot be told apart)"
     r"|(bosehubbard|project)\.model: (spectrum is a single point|spectral span \S+ is too narrow)"
     r"|(phases|project|baselines): transition window \[\S+, \S+\] nearly fills \(0, 1\))"
 )
 
+
+# Draws per command: 25 in Tier-1; CI's fuzz step sets FQSVT_FUZZ_EXAMPLES=200.
+EXAMPLES = int(os.environ.get("FQSVT_FUZZ_EXAMPLES", "25"))
 
 CONFIGS = {"phases": phases_configs(), "project": project_configs(),
            "baselines": baselines_configs(), "bosehubbard": bosehubbard_configs()}
@@ -239,7 +245,7 @@ def run(command, doc, seed):
 
 
 @pytest.mark.parametrize("command", sorted(CONFIGS))
-@settings(max_examples=25, deadline=None, derandomize=True,
+@settings(max_examples=EXAMPLES, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(data=st.data())
 def test_configs_from_the_schema_exit_by_contract(command, data):

@@ -274,6 +274,50 @@ def test_extract_pq_names_the_item_that_fails_validation(monkeypatch):
         extract_pq([stack[1]])
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 120), st.floats(-0.2, 0.5), st.integers(0, 2**32 - 1))
+def test_the_validation_grid_certifies_the_sup_of_both_residual_shapes(d, tilt, seed):
+    # Both residuals of `extract_pq` are trigonometric polynomials of degree
+    # <= d in theta: P(cos theta), and i sin(theta) Q(cos theta) with Q of
+    # degree d - 1. On its grid of 2M equispaced angles, M = 4 max(d, 1),
+    # sec(pi / 8) times the grid max bounds the sup (Ehlich and Zeller), here
+    # read on 20 001 uniform angles. A negative tilt weights the top degrees.
+    gen = np.random.default_rng(seed)
+    coeffs = ((gen.standard_normal(d + 1) + 1j * gen.standard_normal(d + 1))
+              * np.exp(-tilt * np.arange(d + 1)))
+    grid = qsp._validation_grid(d)
+    assert len(grid) == 4 * max(d, 1) + 1
+    dense = np.cos(np.linspace(0.0, np.pi, 20001))
+    for shape in (lambda x: _clenshaw(coeffs, x),
+                  lambda x: 1j * np.sqrt(1.0 - x * x) * _clenshaw(coeffs[:d], x)):
+        assert (np.max(np.abs(shape(dense)))
+                <= np.max(np.abs(shape(grid))) / math.cos(math.pi / 8.0))
+
+
+@pytest.mark.parametrize("d", [0, 1, 12, 57, 116])
+@pytest.mark.parametrize("bump, raises", [(1e-9, True), (0.9e-9, False)])
+def test_the_validation_gate_certifies_a_sup_of_1e_9(monkeypatch, d, bump, raises):
+    # bump * T_d added to one item's P moves its residual by bump at x = 1, a
+    # grid point, and by no more anywhere: 1e-9 exceeds the gate
+    # 1e-9 cos(pi / 8), and 0.9e-9 stays under it.
+    interpolate = qsp._cheb_interpolate
+
+    def bump_one_p(values, theta, degree):
+        coeffs = interpolate(values, theta, degree)
+        if degree == d:  # P's call; Q's has degree d - 1
+            coeffs[1, d] += bump
+        return coeffs
+
+    monkeypatch.setattr(qsp, "_cheb_interpolate", bump_one_p)
+    gen = rng(14)
+    stack = [random_symmetric(gen, d) for _ in range(3)]
+    if raises:
+        with pytest.raises(RuntimeError, match=r"P residual 1\.000e-09, .* \(item 1 of 3\)$"):
+            extract_pq(stack)
+    else:
+        assert len(extract_pq(stack)) == 3
+
+
 def failing_filter_build(monkeypatch, count):
     monkeypatch.setattr(chebyshev, "DEGREE_CAP", 20)
     heaviside_filter([FilterSpec(0.5, 0.6, 0.1), FilterSpec(0.5, 0.2, 1e-3)][-count:])
