@@ -28,6 +28,7 @@ __all__ = [
     "FilterReport",
     "NarrowPlateauError",
     "UnresolvedWindowError",
+    "DegreeCapError",
     "heaviside_filter",
     "certify_filter",
 ]
@@ -143,6 +144,15 @@ class NarrowPlateauError(ValueError):
     """
 
 
+class DegreeCapError(ValueError):
+    """The probe at half-degree DEGREE_CAP // 2 proved that no filter up to the cap meets the spec.
+
+    Its infeasible verdict is the minimax one, which a lower degree cannot
+    improve, so the spec alone decides it: FilterSpec(0.5, 1e-4, 1e-3) does.
+    A cap probe that stopped unproven decides nothing and raises RuntimeError.
+    """
+
+
 def synthesis_margin(eps: float) -> float:
     """Margin below 1 that a filter with budget eps keeps for synthesis.
 
@@ -243,55 +253,46 @@ def _window_in_u(spec: FilterSpec) -> tuple[float, float]:
             2.0 * (spec.mu + spec.delta / 2.0) ** 2 - 1.0)
 
 
-def _u_to_x(u: float) -> float:
-    """The x in [0, 1] with 2x^2 - 1 = u."""
-    return math.sqrt(0.5 * (1.0 + u))
-
-
-def _condition(name: str, bound: float, points, values, to_x, strict: bool) -> ConditionReport:
+def _condition(name: str, bound: float, points, values, strict: bool) -> ConditionReport:
+    """The worst of `values` on the points u, reported at the x in [0, 1] with 2x^2 - 1 = u."""
     i = int(np.argmax(values))
     worst = float(values[i])
-    return ConditionReport(name, bound, worst, float(to_x(points[i])),
+    return ConditionReport(name, bound, worst, math.sqrt(0.5 * (1.0 + points[i])),
                            worst < bound if strict else worst <= bound)
 
 
 def certify_filter(f: ChebyshevSeries, spec: FilterSpec) -> FilterReport:
-    """Evaluate the three filter conditions at the exact extrema of their regions.
+    """Evaluate the three filter conditions of an even series at the exact extrema of their regions.
 
-    A series with no odd coefficients is f(x) = G(2x^2 - 1) with G's
-    coefficients the even ones; x -> 2x^2 - 1 maps [0, 1] monotonically onto
-    [-1, 1] and f is even, so each region's extrema are G's on the mapped
-    region, found at half the degree. Any other series is checked in x.
+    f(x) = G(2x^2 - 1) with G's coefficients the even ones; x -> 2x^2 - 1
+    maps [0, 1] monotonically onto [-1, 1], so each region's extrema are G's
+    on the mapped region, found at half the degree. An odd coefficient
+    raises: every filter built here is even, and an odd series has f(0) = 0,
+    so it fails the low side, whose region starts at x = 0.
     """
-    even = not np.any(f.coeffs[1::2])
-    coeffs = f.coeffs[0::2] if even else f.coeffs
-    return _certify(coeffs, _critical_points(coeffs), even, spec)
+    if np.any(f.coeffs[1::2]):
+        raise ValueError(f"certify_filter takes even series only, and the series of degree "
+                         f"{f.degree} has an odd coefficient")
+    coeffs = f.coeffs[0::2]
+    return _certify(coeffs, _critical_points(coeffs), spec)
 
 
-def _certify(coeffs: np.ndarray, crit: np.ndarray, even: bool, spec: FilterSpec) -> FilterReport:
-    """The report of `certify_filter` from the series' critical points `crit`.
+def _certify(coeffs: np.ndarray, crit: np.ndarray, spec: FilterSpec) -> FilterReport:
+    """The report of `certify_filter` from G's coefficients and critical points `crit`.
 
-    `coeffs` are G's when `even`, and the series' own otherwise. One
-    Clenshaw recurrence evaluates the extrema of all three regions.
+    One Clenshaw recurrence evaluates the extrema of all three regions.
     """
-    if even:
-        lo_u, hi_u = _window_in_u(spec)
-        regions, to_x = ((hi_u, 1.0), (-1.0, lo_u), (-1.0, 1.0)), _u_to_x
-    else:
-        regions = ((spec.mu + spec.delta / 2.0, 1.0), (0.0, spec.mu - spec.delta / 2.0),
-                   (-1.0, 1.0))
-        to_x = float
-    high, low, everywhere = _extrema(crit, *regions)
+    lo_u, hi_u = _window_in_u(spec)
+    high, low, everywhere = _extrema(crit, (hi_u, 1.0), (-1.0, lo_u), (-1.0, 1.0))
     on_high, on_low, on_all = np.split(_clenshaw(coeffs, np.concatenate([high, low, everywhere])),
                                        [len(high), len(high) + len(low)])
     half_eps = spec.eps / 2.0
     return FilterReport(
-        high_side=_condition("vanishes-above-window", half_eps, high, np.abs(on_high), to_x,
-                             strict=True),
-        low_side=_condition("near-one-below-window", half_eps, low, np.abs(1.0 - on_low), to_x,
+        high_side=_condition("vanishes-above-window", half_eps, high, np.abs(on_high), strict=True),
+        low_side=_condition("near-one-below-window", half_eps, low, np.abs(1.0 - on_low),
                             strict=True),
         sup_norm=_condition("bounded-with-margin", 1.0 - synthesis_margin(spec.eps), everywhere,
-                            np.abs(on_all), to_x, strict=False),
+                            np.abs(on_all), strict=False),
     )
 
 
@@ -600,7 +601,8 @@ def _build_filters(specs: list[FilterSpec]) -> list[_Search]:
         best = search.best
         if best is None:
             unproven = sum(reason not in PROVED for _, reason in search.probes)
-            raise RuntimeError(
+            error = DegreeCapError if search.probes[-1][1] == "infeasible" else RuntimeError
+            raise error(
                 f"no even filter of degree <= {DEGREE_CAP} meets {search.spec}{item}; "
                 f"{unproven} of its {len(search.probes)} probes stopped unproven"
             )
@@ -608,7 +610,7 @@ def _build_filters(specs: list[FilterSpec]) -> list[_Search]:
         coeffs = np.zeros(2 * len(best.coeffs) - 1)
         coeffs[0::2] = best.coeffs
         search.filter = ChebyshevSeries(coeffs)
-        search.report = _certify(best.coeffs, best.crit, True, search.spec)
+        search.report = _certify(best.coeffs, best.crit, search.spec)
         if not search.report.passed:
             worst = min(search.report.conditions(), key=lambda c: c.margin)
             raise RuntimeError(

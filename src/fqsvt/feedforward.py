@@ -31,7 +31,7 @@ from .bands import BandStructure, check_band_assumption
 from .blockenc import _check_encoding
 from .chebyshev import ChebyshevSeries, FilterSpec, heaviside_filter
 from .linalg import SAMPLE_UNIFORMS, HermitianSpectrum, _check_state, dagger, eigh, rng
-from .qsp import PhaseFactorSet, SynthesisError, synthesize_symmetric
+from .qsp import SYNTHESIS_TOL, PhaseFactorSet, SynthesisError, synthesize_symmetric
 from .qsvt import assemble_full
 
 __all__ = [
@@ -50,8 +50,6 @@ __all__ = [
 ]
 
 ANCILLA_PURITY_TOL = 1e-9
-# Residual of every split's phase synthesis on its 2d-node contract grid.
-SYNTHESIS_TOL = 1e-11
 
 
 class MultibandPolicy:

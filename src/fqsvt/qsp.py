@@ -10,7 +10,7 @@ the pair, states the fixed offsets by which the interleaved circuit's
 phases differ (`_circuit_offsets`), and synthesizes symmetric phase
 factors realizing a target real polynomial as Re P: damped Newton on one
 Chebyshev node per free phase, sweeping only the first half of the
-palindromic sequence, checked on 2d nodes.
+palindromic sequence, checked on 2d nodes by a sweep of the whole one.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ SYMMETRY_TOL = 1e-12
 PARITY_TOL = 1e-12
 # `extract_pq` certifies each residual of its pairs to this sup-norm over [-1, 1].
 VALIDATION_TOL = 1e-9
+# Every command's phase synthesis meets this residual on its 2d-node contract grid.
+SYNTHESIS_TOL = 1e-11
 
 
 @dataclass(eq=False)
@@ -101,7 +103,8 @@ def _step(ab, xs, isx, scale, out) -> None:
 def _product(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """The product of every factor, keeping only the running partial product.
 
-    Phases need not be palindromic; `extract_pq` reads any sequence this way.
+    Phases need not be palindromic; `extract_pq` reads any sequence this way,
+    and `synthesize_symmetric` checks its mirrored sequences.
     """
     ab, xs, isx, scale = _sweep_start(values, xs)
     for k in range(1, len(scale)):
@@ -232,51 +235,31 @@ def _mirror(free: np.ndarray, d: int) -> np.ndarray:
     return full
 
 
-def _half_start(free: np.ndarray, d: int, xs: np.ndarray):
-    """`_sweep_start` of the first half L of a palindromic sequence.
+def _half_prefixes(free: np.ndarray, d: int, xs: np.ndarray) -> np.ndarray:
+    """Every partial product of the first half L of a palindromic sequence.
 
     The 2d + 1 factors e^{i psi_0 Z}, W, e^{i psi_1 Z}, ..., W, e^{i psi_d Z}
     read the same backwards and each is a symmetric matrix, so U = L L^T.
     L ends on the free phase m - 1 = d/2 at half angle for an even degree,
-    and on W^(1/2) (`_root_w`) after the last free phase for an odd one.
+    and on W^(1/2) = (cos(theta/2), i sin(theta/2)) at x = cos(theta) after
+    the last free phase for an odd one. The pairs come in an array of shape
+    (m + d % 2, ..., 2, len(xs)), as `_sweep_start` stores them: entry k < m
+    ends on free phase k, and the last entry is L. A stack of free phases
+    (..., m) is swept together, each row as it would be alone.
     """
     if d % 2 == 0:
         free = free.copy()
         free[..., -1] *= 0.5
-    return _sweep_start(free, xs)
-
-
-def _root_w(xs: np.ndarray):
-    """W^(1/2) at x = cos(theta) as `_step` takes it: (cos(theta/2), i sin(theta/2))."""
-    return np.sqrt(0.5 * (1.0 + xs)), 1j * np.sqrt(0.5 * (1.0 - xs))
-
-
-def _half_prefixes(free: np.ndarray, d: int, xs: np.ndarray) -> np.ndarray:
-    """Every partial product of L, in an array of shape (m + d % 2, ..., 2, len(xs)).
-
-    Entry k < m ends on free phase k; for an odd degree one more entry ends
-    on W^(1/2). The last entry is L. A stack of free phases (..., m) is
-    swept together, each row as it would be alone.
-    """
-    first, xs, isx, scale = _half_start(free, d, xs)
+    first, xs, isx, scale = _sweep_start(free, xs)
     m = len(scale)
     pairs = np.empty((m + d % 2,) + first.shape, dtype=complex)
     pairs[0] = first
     for k in range(1, m):
         _step(pairs[k - 1], xs, isx, scale[k], out=pairs[k])
     if d % 2:
-        _step(pairs[m - 1], *_root_w(xs), 1.0, out=pairs[m])
+        _step(pairs[m - 1], np.sqrt(0.5 * (1.0 + xs)), 1j * np.sqrt(0.5 * (1.0 - xs)), 1.0,
+              out=pairs[m])
     return pairs
-
-
-def _half_product(free: np.ndarray, d: int, xs: np.ndarray) -> np.ndarray:
-    """L alone, keeping only the running partial product."""
-    ab, xs, isx, scale = _half_start(free, d, xs)
-    for k in range(1, len(scale)):
-        _step(ab, xs, isx, scale[k], out=ab)
-    if d % 2:
-        _step(ab, *_root_w(xs), 1.0, out=ab)
-    return ab
 
 
 def _fold(half: np.ndarray):
@@ -397,7 +380,9 @@ def synthesize_symmetric(targets: list[ChebyshevSeries], tol: float) -> list[Pha
     line-search trial. All targets run in one Newton pass over their stack,
     each with its own steps, so each gets the phases it would get alone.
     Every result must then meet `tol`, a finite positive number, on the
-    2d-node grid, or `SynthesisError` names the first that does not.
+    2d-node grid, swept over the whole mirrored sequence (`_product`), or
+    `SynthesisError` names the first that does not. Commands pass
+    `SYNTHESIS_TOL`.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"synthesis tolerance must be a finite positive number, got {tol!r}")
@@ -435,9 +420,10 @@ def synthesize_symmetric(targets: list[ChebyshevSeries], tol: float) -> list[Pha
         histories: list[list[float]] = [[] for _ in solve]
         free = _damped_newton(x0, d, xs, _clenshaw(coeffs, xs), 0.25 * tol, histories)
 
-        # Contract check on the full 2d-node grid (parity mirrors the positive nodes).
+        # Contract check on the full 2d-node grid (parity mirrors the positive nodes),
+        # by a sweep of the whole mirrored sequence, not by the U = L L^T that Newton uses.
         check_grid = np.cos((2.0 * np.arange(1, 2 * d + 1) - 1.0) * math.pi / (4.0 * d))
-        a, _ = _fold(_half_product(free, d, check_grid))
+        a = _product(_mirror(free, d), check_grid)[..., 0, :]
         final = np.max(np.abs(a.real - _clenshaw(coeffs, check_grid)), axis=-1)
         for j, i in enumerate(solve):
             if final[j] > tol:

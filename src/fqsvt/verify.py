@@ -38,7 +38,7 @@ from .feedforward import (
     sample_trajectories,
 )
 from .linalg import dagger, eigh, haar_vector, hermitian_from_spectrum, rng
-from .qsp import PhaseFactorSet, _mirror, extract_pq, synthesize_symmetric
+from .qsp import SYNTHESIS_TOL, PhaseFactorSet, _mirror, extract_pq, synthesize_symmetric
 from .qsvt import assemble_full, predicted_blocks
 
 __all__ = ["CriterionResult", "run_criteria", "CRITERIA"]
@@ -57,12 +57,11 @@ def _random_symmetric(gen, degree: int) -> PhaseFactorSet:
     return PhaseFactorSet(_mirror(free, degree))
 
 
-def _extract_by_degree(psis: list[PhaseFactorSet]) -> list[tuple[list[int], list]]:
-    """(positions, pairs) for each degree among `psis`, one `extract_pq` call per degree."""
-    groups: dict[int, list[int]] = {}
-    for i, psi in enumerate(psis):
-        groups.setdefault(psi.degree, []).append(i)
-    return [(idx, extract_pq([psis[i] for i in idx])) for idx in groups.values()]
+def _extract_by_degree(psis: list[PhaseFactorSet]) -> list:
+    """The pair of each of `psis`, in order, from one `extract_pq` call per degree."""
+    by_degree = {d: iter(extract_pq([psi for psi in psis if psi.degree == d]))
+                 for d in {psi.degree for psi in psis}}
+    return [next(by_degree[psi.degree]) for psi in psis]
 
 
 def criterion_1() -> CriterionResult:
@@ -72,7 +71,8 @@ def criterion_1() -> CriterionResult:
     psis = [_random_symmetric(gen, int(gen.integers(1, 31))) for _ in range(200)]
     worst_norm = 0.0
     worst_imag = 0.0
-    for _, pairs in _extract_by_degree(psis):
+    for d in sorted({psi.degree for psi in psis}):
+        pairs = extract_pq([psi for psi in psis if psi.degree == d])
         # Shape (d+1, items, 1): `_clenshaw` gives one row of values per item.
         p_coeffs = np.array([pair.p for pair in pairs]).T[..., None]
         q_coeffs = np.array([pair.q for pair in pairs]).T[..., None]
@@ -99,14 +99,12 @@ def criterion_2() -> CriterionResult:
         instances.append((h, PhaseFactorSet(gen.uniform(-math.pi, math.pi, degree + 1))))
 
     worst = 0.0
-    for idx, pairs in _extract_by_degree([psi for _, psi in instances]):
-        for i, pair in zip(idx, pairs):
-            h, psi = instances[i]
-            n = len(h)
-            q = assemble_full(dilate_hermitian(h), [psi])[0]
-            # Block (r, c) of q is q.reshape(4, n, 4, n)[r, :, c, :].
-            blocks = q.reshape(4, n, 4, n).swapaxes(1, 2)
-            worst = max(worst, float(np.max(np.abs(blocks - predicted_blocks(h, pair)))))
+    for (h, psi), pair in zip(instances, _extract_by_degree([psi for _, psi in instances])):
+        n = len(h)
+        q = assemble_full(dilate_hermitian(h), [psi])[0]
+        # Block (r, c) of q is q.reshape(4, n, 4, n)[r, :, c, :].
+        blocks = q.reshape(4, n, 4, n).swapaxes(1, 2)
+        worst = max(worst, float(np.max(np.abs(blocks - predicted_blocks(h, pair)))))
     return CriterionResult(
         2, "comprehensive circuit block prediction",
         worst <= 1e-9, f"worst block deviation {worst:.2e} over 50 instances",
@@ -126,25 +124,24 @@ def criterion_3() -> CriterionResult:
 
     worst_state = 0.0
     worst_norm = 0.0
-    for idx, pairs in _extract_by_degree([psi for _, psi, _ in instances]):
-        for i, pair in zip(idx, pairs):
-            h, psi, amp = instances[i]
-            n = len(amp)
-            q = assemble_full(dilate_hermitian(h), [psi])[0]
-            full = np.zeros(4 * n, dtype=complex)
-            full[:n] = amp
-            full = q @ full
-            actual_garbage = full.copy()
-            actual_garbage[:n] = 0.0
-            # The garbage sits in the monitoring |1> sectors (2, 0) and (3, 0).
-            table = predicted_blocks(h, pair)
-            predicted = np.concatenate([np.zeros(2 * n), table[2, 0] @ amp, table[3, 0] @ amp])
-            worst_state = max(worst_state, float(np.max(np.abs(predicted - actual_garbage))))
+    pairs = _extract_by_degree([psi for _, psi, _ in instances])
+    for (h, psi, amp), pair in zip(instances, pairs):
+        n = len(amp)
+        q = assemble_full(dilate_hermitian(h), [psi])[0]
+        full = np.zeros(4 * n, dtype=complex)
+        full[:n] = amp
+        full = q @ full
+        actual_garbage = full.copy()
+        actual_garbage[:n] = 0.0
+        # The garbage sits in the monitoring |1> sectors (2, 0) and (3, 0).
+        table = predicted_blocks(h, pair)
+        predicted = np.concatenate([np.zeros(2 * n), table[2, 0] @ amp, table[3, 0] @ amp])
+        worst_state = max(worst_state, float(np.max(np.abs(predicted - actual_garbage))))
 
-            # Sectors (0, 0), (2, 0) and (3, 0) carry f, i P_Im and the
-            # sqrt(1 - x^2) Q_Re term: their weights sum to 1.
-            total = sum(float(np.linalg.norm(table[r, 0] @ amp) ** 2) for r in (0, 2, 3))
-            worst_norm = max(worst_norm, abs(total - 1.0))
+        # Sectors (0, 0), (2, 0) and (3, 0) carry f, i P_Im and the
+        # sqrt(1 - x^2) Q_Re term: their weights sum to 1.
+        total = sum(float(np.linalg.norm(table[r, 0] @ amp) ** 2) for r in (0, 2, 3))
+        worst_norm = max(worst_norm, abs(total - 1.0))
     passed = worst_state <= 1e-9 and worst_norm <= 1e-10
     return CriterionResult(
         3, "garbage-state structure and norm identity",
@@ -173,8 +170,7 @@ def criterion_4() -> CriterionResult:
         psi = _random_symmetric(gen, int(gen.integers(1, 31)))
         instances.append((h, psi, haar_vector(gen, 2**n_qubits)))
 
-    pairs = {i: pair for idx, group in _extract_by_degree([psi for _, psi, _ in instances])
-             for i, pair in zip(idx, group)}
+    pairs = _extract_by_degree([psi for _, psi, _ in instances])
     worst = 0.0
     # One stacked `eigh` per system size, each matrix exactly as on its own,
     # and f = Re P at that size's spectra in one recurrence, zero-padded to its
@@ -215,7 +211,7 @@ def criterion_5() -> CriterionResult:
     h = hermitian_from_spectrum([0.08, 0.15, 0.82, 0.93], gen)
     spec_h = eigh(h)
     filt = heaviside_filter([FilterSpec(0.5, 0.5, eps)])
-    psi = synthesize_symmetric(filt, 1e-11)[0]
+    psi = synthesize_symmetric(filt, SYNTHESIS_TOL)[0]
     enc = dilate_hermitian(h)
     bound = 2.0 * math.sqrt(2.0) * eps
 

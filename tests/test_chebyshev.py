@@ -143,14 +143,26 @@ def test_certify_finds_a_clustered_critical_point():
 
 
 def test_certify_exact_worst_at_a_peak_between_grid_points():
-    # T_201's extrema cos(j pi / 201) miss the points of a 2001-point grid
-    # away from the ends, so the grid undershoots an interior peak.
-    filt = ChebyshevSeries(np.eye(202)[201])
+    # T_202 = T_101(2x^2 - 1) is even, and its extrema cos(j pi / 202) miss
+    # the points of a 2001-point grid away from the ends, so the grid
+    # undershoots an interior peak.
+    filt = ChebyshevSeries(np.eye(203)[202])
     spec = FilterSpec(0.5, 0.2, 0.1)
     report = certify_filter(filt, spec)
     assert report.high_side.worst == pytest.approx(1.0, abs=1e-12)
     grid = np.linspace(spec.mu + spec.delta / 2, 1.0, 2001)[1:-1]
     assert np.max(np.abs(_clenshaw(filt.coeffs, grid))) < 1.0 - 1e-7
+
+@pytest.mark.parametrize("coeffs", [np.eye(202)[201], [0.5, 1e-300, 0.2], [0.5, 0, 0.2, 0.1]],
+                         ids=["odd", "mixed", "odd-top"])
+def test_certify_rejects_an_odd_coefficient_naming_the_degree(coeffs):
+    # Every filter built is even; an odd series has f(0) = 0 and can never
+    # pass the low side, which starts at x = 0.
+    series = ChebyshevSeries(coeffs)
+    with pytest.raises(ValueError, match=f"even series only, and the series of degree "
+                                         f"{series.degree} has an odd coefficient"):
+        certify_filter(series, FilterSpec(0.5, 0.2, 0.1))
+
 
 @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-5, 4e-6, 1e-6, 1e-7])
 def test_heaviside_certifies_and_synthesizes_down_to_small_budgets(eps):
@@ -301,18 +313,22 @@ def test_windows_that_nearly_fill_the_interval_can_build(spec, degree):
 
 
 def test_heaviside_raises_when_the_cap_is_too_low(monkeypatch):
+    # The probe at the cap proves it infeasible, so the spec alone decides it.
     monkeypatch.setattr(chebyshev, "DEGREE_CAP", 20)
-    with pytest.raises(RuntimeError, match="no even filter of degree <= 20"):
+    with pytest.raises(chebyshev.DegreeCapError, match="no even filter of degree <= 20"):
         heaviside_filter([FilterSpec(0.5, 0.2, 1e-3)])
 
 
 def test_the_cap_error_names_the_item_and_its_unproven_probes(monkeypatch):
     # Item 0 needs degree 8; item 1 needs 60 and, with one exchange iteration
     # a probe, stops unproven at each of its probes below the cap.
+    # A cap probe proved infeasible is a DegreeCapError (a ValueError); one
+    # that stopped unproven decides nothing and stays a RuntimeError.
     specs = [FilterSpec(0.5, 0.6, 0.1), FilterSpec(0.5, 0.2, 1e-3)]
     monkeypatch.setattr(chebyshev, "DEGREE_CAP", 20)
-    with pytest.raises(RuntimeError, match=r"delta=0\.2, eps=0\.001\) \(item 1 of 2\); "
-                                           r"0 of its 1 probes stopped unproven$"):
+    with pytest.raises(chebyshev.DegreeCapError,
+                       match=r"delta=0\.2, eps=0\.001\) \(item 1 of 2\); "
+                             r"0 of its 1 probes stopped unproven$"):
         heaviside_filter(specs)
     monkeypatch.setattr(chebyshev, "DEGREE_CAP", 58)
     monkeypatch.setattr(chebyshev, "REMEZ_MAX_ITER", 1)

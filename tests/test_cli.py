@@ -439,6 +439,12 @@ TWO_LEVEL_GMON = {"modes": 1, "nmax": 1, "eta": 1.0, "edges": [], "delta": [1.0]
       "bands": {"min_gap": 1e-300}},
      "config error: project.bands: the gaps (0.3, 0.30000000000000004) and "
      "(0.30000000000000004, 0.3000000000000001) both center on 0.30000000000000004"),
+    # A gap of 1e-4 needs a filter above the degree cap.
+    ({"model": _inline(np.diag([0.1, 0.5, 0.5001, 0.9])), "bands": {"min_gap": 1e-5},
+      "round_eps": 1e-3},
+     "config error: project: no even filter of degree <= 2000 meets FilterSpec(mu=0.3, "
+     "delta=9.999999999998899e-05, eps=0.001) (item 0 of 3); 0 of its 1 probes stopped "
+     "unproven"),
 ], ids=["min-gap-negative", "target-too-large", "target-type", "per-band-zero",
         "round-eps-type", "budget-type", "split-constant-zero", "trajectories-negative",
         "haar-samples-negative", "haar-samples-zero", "round-eps-nan", "width-outside-unit-interval",
@@ -446,7 +452,8 @@ TWO_LEVEL_GMON = {"modes": 1, "nmax": 1, "eta": 1.0, "edges": [], "delta": [1.0]
         "basis-seed-above-64-bits", "input-seed-above-64-bits", "perturb-seed-above-64-bits",
         "trajectories-fractional", "bands-fractional", "target-boolean", "round-eps-boolean",
         "gmon-spec-fractional-nmax", "gmon-spec-string-check-ranges", "gmon-single-point",
-        "gmon-window-nearly-fills", "window-narrower-than-resolution", "gap-centers-tie"])
+        "gmon-window-nearly-fills", "window-narrower-than-resolution", "gap-centers-tie",
+        "above-the-degree-cap"])
 def test_project_rejects_bad_config_value_with_exit_2(tmp_path, capsys, changes, cause):
     doc = {"model": SMALL_SYNTHETIC, "bands": {"target": 2}, "round_eps": 1e-2, **changes}
     doc = {key: value for key, value in doc.items() if value is not None}
@@ -605,8 +612,9 @@ def test_bosehubbard_rejects_margin_outside_open_half_with_exit_2(tmp_path, caps
     ("bosehubbard", {"perturb_seed": 2**64},
      "bosehubbard.perturb_seed must be <= 18446744073709551615, got 18446744073709551616"),
     ("bosehubbard", {"perturb_seed": True}, "bosehubbard.perturb_seed: expected int, got True"),
-    ("phases", {"mu": 0.5, "delta": 0.3, "eps": 1e-3, "tol": True},
-     "phases.tol: expected float, got True"),
+    ("phases", {"mu": 0.5, "delta": 0.3, "eps": True}, "phases.eps: expected float, got True"),
+    ("phases", {"mu": 0.5, "delta": 0.3, "eps": 1e-3, "tol": 1e-11},
+     "config error: phases: unknown keys ['tol']"),
     # An int past the float range is not finite, and never reaches math.isfinite.
     ("baselines", {"Ls": [2], "per_band": 10**399}, "baselines.per_band: expected a finite value"),
     ("bosehubbard", {"model": {**GMON_SPEC_DOC, "nmax": 10**399}},
@@ -630,14 +638,34 @@ def test_bosehubbard_rejects_margin_outside_open_half_with_exit_2(tmp_path, caps
      "config error: bosehubbard.min_gap_fraction 0.5 times model.eta 1e-100 selects gaps that "
      "cannot be told apart: the gaps (0.08333333333333336, 0.08333333333333337) and "
      "(0.08333333333333337, 0.08333333333333338) both center on 0.08333333333333337"),
-], ids=["perturb-seed-above-64-bits", "perturb-seed-boolean", "tol-boolean",
+    # The probe at the degree cap proves that no filter up to it meets the spec.
+    ("phases", {"mu": 0.5, "delta": 1e-4, "eps": 1e-3},
+     "config error: phases: no even filter of degree <= 2000 meets "
+     "FilterSpec(mu=0.5, delta=0.0001, eps=0.001); 0 of its 1 probes stopped unproven"),
+    ("baselines", {"Ls": [2], "filter": {"delta": 1e-4}},
+     "config error: baselines: no even filter of degree <= 2000 meets "
+     "FilterSpec(mu=0.5, delta=0.0001, eps=0.001); 0 of its 1 probes stopped unproven"),
+], ids=["perturb-seed-above-64-bits", "perturb-seed-boolean", "eps-boolean", "tol-unknown-key",
         "per-band-past-the-float-range", "nmax-past-the-float-range", "gap-underflows",
         "window-nearly-fills", "window-narrower-than-resolution",
-        "filter-window-narrower-than-resolution", "gap-centers-tie"])
+        "filter-window-narrower-than-resolution", "gap-centers-tie", "above-the-degree-cap",
+        "filter-above-the-degree-cap"])
 def test_other_commands_reject_bad_numbers_with_exit_2(tmp_path, capsys, command, doc, cause):
     cfg = write_config(tmp_path, doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert cause in capsys.readouterr().err
+
+
+def test_a_cap_probe_that_stops_unproven_exits_1(tmp_path, capsys, monkeypatch):
+    # With one exchange iteration a probe, every probe up to the cap stops
+    # unproven: that decides nothing about the spec, so it is no config error.
+    monkeypatch.setattr(chebyshev, "DEGREE_CAP", 58)
+    monkeypatch.setattr(chebyshev, "REMEZ_MAX_ITER", 1)
+    cfg = write_config(tmp_path, {"mu": 0.5, "delta": 0.2, "eps": 1e-3})
+    assert main(["phases", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "error: no even filter of degree <= 58 meets FilterSpec(mu=0.5, delta=0.2, eps=0.001); "
+        "3 of its 3 probes stopped unproven\n")
 
 
 @pytest.mark.parametrize("case", ["config-not-utf8", "config-directory", "out-is-a-file"])

@@ -91,7 +91,6 @@ def phases_configs(draw):
     delta = draw(within(key(table, "delta"), 0.05, 0.9))
     doc = {"mu": draw(within(key(table, "mu"), delta / 2 + 0.01, 1 - delta / 2 - 0.01)),
            "delta": delta, "eps": draw(within(key(table, "eps"), 1e-4, 0.5))}
-    optional(draw, doc, "tol", within(key(table, "tol")))
     return doc
 
 

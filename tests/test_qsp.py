@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 
 from fqsvt import chebyshev, qsp
 from fqsvt.chebyshev import ChebyshevSeries, FilterSpec, _clenshaw, heaviside_filter
-from fqsvt.feedforward import SYNTHESIS_TOL
 from fqsvt.linalg import rng
 from fqsvt.qsp import (
+    SYNTHESIS_TOL,
     PhaseFactorSet,
     SynthesisError,
     _damped_newton,
     _fold,
     _half_prefixes,
-    _half_product,
     _mirror,
     _newton_system,
     _product,
@@ -206,7 +205,6 @@ def test_sweeps_match_the_preallocated_loop_bitwise():
             prefixes = _half_prefixes(free, d, xs)
             assert np.array_equal(prefixes[:m], reference_forward_pairs(half, xs))
             assert len(prefixes) == m + d % 2
-            assert np.array_equal(_half_product(free, d, xs), prefixes[-1])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -217,7 +215,7 @@ def test_half_sweep_folds_to_the_full_product(d, rows, seed):
     gen = np.random.default_rng(seed)
     free = gen.uniform(-np.pi, np.pi, (rows, (d + 2) // 2))
     xs = np.concatenate([[-1.0, 0.0, 1.0], gen.uniform(-1.0, 1.0, 20)])
-    a, b = _fold(_half_product(free, d, xs))
+    a, b = _fold(_half_prefixes(free, d, xs)[-1])
     full = _product(_mirror(free, d), xs)
     assert np.max(np.abs(a - full[..., 0, :])) <= 1e-13
     assert np.max(np.abs(b - full[..., 1, :])) <= 1e-13
@@ -345,11 +343,13 @@ def failing_synthesis(monkeypatch, count):
 
 
 @pytest.mark.parametrize("count", [1, 2])
-@pytest.mark.parametrize("stage", [failing_filter_build, failing_extraction, failing_synthesis],
+@pytest.mark.parametrize("stage, error", [(failing_filter_build, chebyshev.DegreeCapError),
+                                          (failing_extraction, RuntimeError),
+                                          (failing_synthesis, SynthesisError)],
                          ids=["heaviside_filter", "extract_pq", "synthesize_symmetric"])
-def test_a_failure_names_its_item_only_in_a_list_of_several(monkeypatch, stage, count):
+def test_a_failure_names_its_item_only_in_a_list_of_several(monkeypatch, stage, error, count):
     # The last item fails: a list of two names it, a one-item list does not.
-    with pytest.raises(RuntimeError) as info:
+    with pytest.raises(error) as info:
         stage(monkeypatch, count)
     if count == 1:
         assert "item" not in str(info.value)
@@ -459,6 +459,25 @@ def test_synthesis_meets_the_2d_node_contract(target):
     assert np.max(np.abs(realized - _clenshaw(target.coeffs, xs))) <= tol
 
 
+def test_the_contract_check_sweeps_the_whole_mirrored_sequence(monkeypatch):
+    # The check reads the mirrored phases with the full sweep, not with the
+    # half sweep that Newton solved on: a full sweep that misreads the
+    # phases by 1e-9 fails it.
+    targets = [ChebyshevSeries([0.1, 0, 0.5, 0, 0.2]), ChebyshevSeries([-0.3, 0, 0.4, 0, 0.1])]
+    swept = []
+
+    def recording(values, xs):
+        swept.append(values.copy())
+        return _product(values, xs)
+
+    monkeypatch.setattr(qsp, "_product", recording)
+    phases = synthesize_symmetric(targets, SYNTHESIS_TOL)
+    assert len(swept) == 1 and np.array_equal(swept[0], [psi.values for psi in phases])
+    monkeypatch.setattr(qsp, "_product", lambda values, xs: _product(values + 1e-9, xs))
+    with pytest.raises(SynthesisError, match="item 0 of 2"):
+        synthesize_symmetric(targets, SYNTHESIS_TOL)
+
+
 def test_synthesis_stall_raises_with_its_history():
     gen = rng(9)
     coeffs = 0.9 * extract_pq([random_symmetric(gen, 10)])[0].p.real
@@ -478,7 +497,7 @@ def test_synthesis_stall_raises_with_its_history():
 
 def half_residual(free, d, xs, target):
     """Residuals Re P(x_j) - f(x_j) from the half product alone."""
-    a, _ = _fold(_half_product(free, d, xs))
+    a, _ = _fold(_half_prefixes(free, d, xs)[-1])
     return a.real - target
 
 
@@ -719,7 +738,7 @@ def test_synthesize_rejects_a_tolerance_that_is_not_finite_and_positive(monkeypa
         raise AssertionError("swept before checking the tolerance")
 
     monkeypatch.setattr(qsp, "_half_prefixes", no_sweep)
-    monkeypatch.setattr(qsp, "_half_product", no_sweep)
+    monkeypatch.setattr(qsp, "_product", no_sweep)
     target = ChebyshevSeries([0.1, 0, 0.5, 0, 0.2])
     with pytest.raises(ValueError, match=f"finite positive number, got {tol!r}"):
         synthesize_symmetric([target], tol)
