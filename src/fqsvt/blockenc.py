@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import HermitianSpectrum, dagger, eigh
+from .linalg import HermitianSpectrum, _first_in_stack, dagger, eigh
 
 __all__ = [
     "dilate_hermitian",
@@ -30,33 +30,62 @@ def _check_encoding(u) -> np.ndarray:
     shape = u.shape
     if len(shape) != 2 or shape[0] != shape[1] or shape[0] % 2 or not shape[0]:
         raise ValueError(f"encoding must be a square unitary of even size, got shape {shape}")
-    dev = np.max(np.abs(dagger(u) @ u - np.eye(shape[0])))
-    if dev > UNITARITY_TOL:
-        raise ValueError(f"matrix is not unitary: ||U^dag U - I||_max = {dev:.3e}")
+    return _check_unitary(u)
+
+
+def _check_unitary(u: np.ndarray) -> np.ndarray:
+    """`u`, a square matrix or a stack of them, checked to be unitary to `UNITARITY_TOL`.
+
+    The diagnostic names the first offending matrix's stack index, if it has one.
+    """
+    dev = np.abs(dagger(u) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
+    bad = dev > UNITARITY_TOL
+    if bad.any():
+        index, stack = _first_in_stack(bad)
+        raise ValueError(f"matrix{stack} is not unitary: ||U^dag U - I||_max = {dev[index]:.3e}")
     return u
 
 
-def _psd_contraction_spectrum(h: np.ndarray) -> tuple[HermitianSpectrum, np.ndarray]:
-    """The spectrum of H, checked to lie in [0, 1], and the sines sqrt(1 - sigma^2)."""
+def _psd_contraction_spectrum(h) -> tuple[HermitianSpectrum, np.ndarray]:
+    """The spectrum of H, checked to lie in [0, 1], and the sines sqrt(1 - sigma^2).
+
+    H may be a stack (..., N, N), diagonalized in one `eigh`; the diagnostic
+    names the first offending matrix's stack index, if it has one.
+    """
     spectrum = eigh(h)
-    lo, hi = spectrum.values[0], spectrum.values[-1]
-    if lo < -1e-12 or hi > 1.0 + 1e-12:
-        bad = lo if lo < -1e-12 else hi
+    lo, hi = spectrum.values[..., 0], spectrum.values[..., -1]
+    bad = (lo < -1e-12) | (hi > 1.0 + 1e-12)
+    if bad.any():
+        index, stack = _first_in_stack(bad)
+        value = lo[index] if lo[index] < -1e-12 else hi[index]
         raise ValueError(
-            f"spectrum must lie in [0, 1] for the symmetric dilation; "
-            f"offending eigenvalue {bad}"
+            f"spectrum{' of matrix' + stack if stack else ''} must lie in [0, 1] for the "
+            f"symmetric dilation; offending eigenvalue {value}"
         )
     return spectrum, np.sqrt(np.clip(1.0 - spectrum.values**2, 0.0, None))
 
 
-def dilate_hermitian(h: np.ndarray) -> np.ndarray:
-    """The 2N x 2N single-ancilla symmetric dilation [[H, S], [S, -H]] of a PSD contraction."""
+def _dilation(h, vectors: np.ndarray, svals: np.ndarray) -> np.ndarray:
+    """[[H, S], [S, -H]] with S = V diag(svals) V^dag, for H or each matrix of a stack.
+
+    `vectors` and `svals` are H's eigenvectors and sines from
+    `_psd_contraction_spectrum`, with H's stack axes.
+    """
+    s = (vectors * svals[..., np.newaxis, :]) @ dagger(vectors)
+    n = svals.shape[-1]
+    u = np.zeros(svals.shape[:-1] + (2 * n, 2 * n), dtype=complex)
+    u[..., :n, :n] = h
+    u[..., :n, n:] = s
+    u[..., n:, :n] = s
+    u[..., n:, n:] = -u[..., :n, :n]
+    return _check_unitary(u)
+
+
+def dilate_hermitian(h) -> np.ndarray:
+    """The 2N x 2N single-ancilla symmetric dilation [[H, S], [S, -H]] of a PSD contraction.
+
+    A stack (..., N, N) gives the stack of dilations from one `eigh`, each
+    equal to the one-matrix call's bit for bit.
+    """
     spectrum, svals = _psd_contraction_spectrum(h)
-    s = (spectrum.vectors * svals) @ dagger(spectrum.vectors)
-    n = len(spectrum.values)
-    u = np.zeros((2 * n, 2 * n), dtype=complex)
-    u[:n, :n] = h
-    u[:n, n:] = s
-    u[n:, :n] = s
-    u[n:, n:] = -u[:n, :n]
-    return _check_encoding(u)
+    return _dilation(h, spectrum.vectors, svals)

@@ -352,12 +352,24 @@ def _write_bands(path: Path, structure):
                        "delta": structure.delta, "bands": structure.bands})
 
 
+def _perturbed(model: GmonModel, seed: int, where: str) -> GmonModel:
+    """`model.perturbed(seed)`, or a ConfigError that names `where`.perturb_seed and the cause.
+
+    The cause is a control that the noise moved outside its range.
+    """
+    try:
+        return model.perturbed(seed)
+    except ValueError as exc:
+        raise ConfigError(f"{where}.perturb_seed {seed} moves the model out of range: "
+                          f"{exc}") from exc
+
+
 def _resolve_model(model: dict, seed: int) -> np.ndarray:
     """A read `model` -> symmetric dilation of a Hermitian matrix with spectrum in [0, 1]."""
     if model["type"] == "gmon":
         gmon = model["spec"] if "spec" in model else default_model()
         if "perturb_seed" in model:
-            gmon = gmon.perturbed(model["perturb_seed"])
+            gmon = _perturbed(gmon, model["perturb_seed"], "project.model")
         h = build_h0(gmon) + build_h1(gmon)
         try:
             h = normalize_for_qsvt(h, model["margin"])[0]
@@ -488,7 +500,12 @@ def cmd_baselines(cfg: dict, out: Path, seed: int) -> int:
     except ValueError as exc:
         raise ConfigError(f"baselines.filter: invalid filter parameters: {exc}") from exc
     per_band = cfg["per_band"]
-    estimate = adiabatic_time_estimate(per_band, cfg["adiabatic_min_gap"], cfg["adiabatic_eps"])
+    try:
+        estimate = adiabatic_time_estimate(per_band, cfg["adiabatic_min_gap"],
+                                           cfg["adiabatic_eps"])
+    except ValueError as exc:
+        raise ConfigError(f"baselines.per_band (M), baselines.adiabatic_min_gap (gap) and "
+                          f"baselines.adiabatic_eps (eps): {exc}") from exc
     degree = heaviside_filter([spec])[0].degree
 
     rows = []
@@ -526,7 +543,7 @@ def cmd_baselines(cfg: dict, out: Path, seed: int) -> int:
 def cmd_bosehubbard(cfg: dict, out: Path, seed: int) -> int:
     model = cfg["model"] if "model" in cfg else default_model()
     if "perturb_seed" in cfg:
-        model = model.perturbed(cfg["perturb_seed"])
+        model = _perturbed(model, cfg["perturb_seed"], "bosehubbard")
 
     h0 = build_h0(model)
     h1 = build_h1(model)

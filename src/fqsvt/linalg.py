@@ -24,7 +24,8 @@ __all__ = [
 ]
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """The conjugate transpose of a matrix, or of each matrix of a stack (..., m, n)."""
+    return a.conj().swapaxes(-1, -2)
 
 
 # The purpose stream of trajectory sampling: one generator `rng(seed,
@@ -64,6 +65,16 @@ class HermitianSpectrum:
     vectors: np.ndarray
 
 
+def _first_in_stack(bad: np.ndarray) -> tuple[tuple, str]:
+    """The stack index of the first matrix that `bad` flags, one flag per matrix, and its label.
+
+    The label reads " i, j of the stack" after the word "matrix" in a
+    diagnostic, and is empty for a single matrix, whose flag has no axes.
+    """
+    index = np.unravel_index(int(np.argmax(bad)), np.shape(bad))
+    return index, f" {', '.join(str(int(i)) for i in index)} of the stack" if index else ""
+
+
 def check_hermitian(h: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Validate a square Hermitian matrix or a stack of them; the diagnostic names the worst entry.
 
@@ -80,9 +91,8 @@ def check_hermitian(h: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     dev = np.abs(h - h.conj().swapaxes(-1, -2))
     bad = dev.max(axis=(-2, -1)) > tol * np.abs(h).max(axis=(-2, -1), initial=1.0)
     if bad.any():
-        index = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        index, stack = _first_in_stack(bad)
         row, col = np.unravel_index(int(np.argmax(dev[index])), dev.shape[-2:])
-        stack = f" {', '.join(str(int(i)) for i in index)} of the stack" if index else ""
         raise ValueError(
             f"matrix{stack} is not Hermitian: entry ({int(row)}, {int(col)}) deviates "
             f"from its conjugate transpose by {dev[index][row, col]:.3e}"
@@ -136,6 +146,16 @@ def hermitian_from_spectrum(values, gen: np.random.Generator) -> np.ndarray:
     distributed up to column phases.
     """
     values = np.asarray(values, dtype=float)
-    basis = eigh(random_hermitian(len(values), gen)).vectors
-    return (basis * values) @ dagger(basis)
+    return _in_eigenbasis_of(random_hermitian(len(values), gen), values)
+
+
+def _in_eigenbasis_of(samples: np.ndarray, values) -> np.ndarray:
+    """V diag(values) V^dag, V the eigenvectors of `samples`, a matrix or a stack (..., n, n).
+
+    `values` has shape (..., n) with the same stack axes. A stack takes one
+    `eigh` and one product, and each matrix equals the one-matrix call's bit
+    for bit; `hermitian_from_spectrum` is that call on the GUE sample it draws.
+    """
+    basis = eigh(samples).vectors
+    return (basis * np.asarray(values, dtype=float)[..., np.newaxis, :]) @ dagger(basis)
 

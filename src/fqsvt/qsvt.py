@@ -81,30 +81,40 @@ def assemble_full(enc: np.ndarray, phis: list[PhaseFactorSet]) -> list[np.ndarra
     return list(q)
 
 
-def predicted_blocks(h: np.ndarray, pair: QspPolynomialPair) -> np.ndarray:
-    """Sector-by-sector prediction of the assembled circuit from (P, Q) and H's eigenbasis.
+def predicted_blocks(hs, pairs: list[QspPolynomialPair]) -> list[np.ndarray]:
+    """Sector-by-sector prediction of each assembled circuit from (P, Q) and H's eigenbasis.
 
-    `pair` is the `extract_pq` pair of the circuit's phase set. Returns the
-    (4, 4, N, N) table whose entry [i, j] is the block at sector row i,
-    column j, sectors being (monitoring, ancilla) pairs flattened to 0..3 in
-    register order. With H = V Sigma V^dag the dilation's cosine-sine
-    factors are V2 = V and W2 = -V, so the final basis transformation is
-    T2 = (-1)^d V. Palindromic phases give Q_Im = 0, so the garbage of the
-    action on |0...0>|phi> sits in sectors (2, 0) and (3, 0):
-    i P_Im(H)|phi> and i T2 sqrt(I - Sigma^2) Q_Re(Sigma) V^dag|phi>.
-    The four real series are evaluated at Sigma in one Clenshaw recurrence,
-    each row with the bits it would get alone.
+    `hs` is a stack of one size's matrices, shape (len(pairs), N, N), and
+    `pairs[k]` is the `extract_pq` pair of the circuit on `hs[k]`. Returns
+    one (4, 4, N, N) table per pair, in order; entry [i, j] is the block at
+    sector row i, column j, sectors being (monitoring, ancilla) pairs
+    flattened to 0..3 in register order. With H = V Sigma V^dag the
+    dilation's cosine-sine factors are V2 = V and W2 = -V, so the final
+    basis transformation is T2 = (-1)^d V, its sign taken per pair.
+    Palindromic phases give Q_Im = 0, so the garbage of the action on
+    |0...0>|phi> sits in sectors (2, 0) and (3, 0): i P_Im(H)|phi> and
+    i T2 sqrt(I - Sigma^2) Q_Re(Sigma) V^dag|phi>. One `eigh` diagonalizes
+    the stack, and the four real series of every pair are evaluated in one
+    Clenshaw recurrence; each table equals a one-item call's bit for bit.
     """
-    spectrum, s = _psd_contraction_spectrum(h)
+    if not pairs:
+        return []
+    spectrum, s = _psd_contraction_spectrum(hs)
+    if spectrum.values.shape[:-1] != (len(pairs),):
+        raise ValueError(f"expected one matrix per pair ({len(pairs)}), "
+                         f"got shape {spectrum.vectors.shape}")
     v, sigma = spectrum.vectors, spectrum.values
-    t2 = -v if pair.degree % 2 else v
+    t2 = np.where(np.array([pair.degree % 2 for pair in pairs], dtype=bool)[:, None, None], -v, v)
 
-    # Shape (d+1, 4, 1), Q zero-padded to P's length: zero leading coefficients
-    # leave a row's bits unchanged.
-    series = np.zeros((len(pair.p), 4, 1))
-    series[:, :2, 0] = np.column_stack([pair.p.real, pair.p.imag])
-    series[: len(pair.q), 2:, 0] = np.column_stack([pair.q.real, pair.q.imag])
-    p_re, p_im, q_re, q_im = _clenshaw(series, sigma)
+    # Shape (d+1, pairs, 4, 1): every series zero-padded to the longest P, and
+    # zero leading coefficients leave a row's bits unchanged.
+    series = np.zeros((max(len(pair.p) for pair in pairs), len(pairs), 4, 1))
+    for k, pair in enumerate(pairs):
+        series[: len(pair.p), k, :2, 0] = np.column_stack([pair.p.real, pair.p.imag])
+        series[: len(pair.q), k, 2:, 0] = np.column_stack([pair.q.real, pair.q.imag])
+    # Each series of shape (pairs, 1, N) scales the columns of that pair's V or T2.
+    p_re, p_im, q_re, q_im = np.moveaxis(_clenshaw(series, sigma[:, None, :]), 1, 0)[:, :, None]
+    s = s[:, None, :]
 
     vh = dagger(v)
     a = [[(v * p_re) @ vh, -(v * (s * q_im)) @ vh],
@@ -112,4 +122,5 @@ def predicted_blocks(h: np.ndarray, pair: QspPolynomialPair) -> np.ndarray:
     b = [[1j * (v * p_im) @ vh, 1j * (v * (s * q_re)) @ vh],
          [1j * (t2 * (s * q_re)) @ vh, -1j * (t2 * p_im) @ vh]]
     # The monitoring butterfly: A on the diagonal sector pairs, B off it.
-    return np.array([[*a[0], *b[0]], [*a[1], *b[1]], [*b[0], *a[0]], [*b[1], *a[1]]])
+    tables = np.array([[*a[0], *b[0]], [*a[1], *b[1]], [*b[0], *a[0]], [*b[1], *a[1]]])
+    return list(np.moveaxis(tables, 2, 0))

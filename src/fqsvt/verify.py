@@ -18,7 +18,7 @@ from .baselines import (
     prob_projection_depth,
     random_walk_success,
 )
-from .blockenc import dilate_hermitian
+from .blockenc import _dilation, _psd_contraction_spectrum, dilate_hermitian
 from .bosehubbard import (
     band_labels,
     build_h0,
@@ -37,7 +37,15 @@ from .feedforward import (
     run_multiband,
     sample_trajectories,
 )
-from .linalg import dagger, eigh, haar_vector, hermitian_from_spectrum, rng
+from .linalg import (
+    _in_eigenbasis_of,
+    dagger,
+    eigh,
+    haar_vector,
+    hermitian_from_spectrum,
+    random_hermitian,
+    rng,
+)
 from .qsp import SYNTHESIS_TOL, PhaseFactorSet, _mirror, extract_pq, synthesize_symmetric
 from .qsvt import assemble_full, predicted_blocks
 
@@ -57,11 +65,53 @@ def _random_symmetric(gen, degree: int) -> PhaseFactorSet:
     return PhaseFactorSet(_mirror(free, degree))
 
 
+def _positions_by(keys) -> dict:
+    """The positions of each distinct key in `keys`, found in one pass, keys ascending."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return dict(sorted(groups.items()))
+
+
 def _extract_by_degree(psis: list[PhaseFactorSet]) -> list:
     """The pair of each of `psis`, in order, from one `extract_pq` call per degree."""
-    by_degree = {d: iter(extract_pq([psi for psi in psis if psi.degree == d]))
-                 for d in {psi.degree for psi in psis}}
-    return [next(by_degree[psi.degree]) for psi in psis]
+    pairs = [None] * len(psis)
+    for idx in _positions_by(psi.degree for psi in psis).values():
+        for i, pair in zip(idx, extract_pq([psis[i] for i in idx])):
+            pairs[i] = pair
+    return pairs
+
+
+def _draw_hermitian(gen, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The spectrum and the GUE sample that `hermitian_from_spectrum` draws, in its order."""
+    return gen.uniform(0.02, 0.98, n), random_hermitian(n, gen)
+
+
+def _hermitians_by_size(draws: list):
+    """Yield (positions, matrices) per system size, each size's stack from one `eigh`.
+
+    Each matrix equals `hermitian_from_spectrum`'s from the same draw, bit
+    for bit. Only one size's stack is built at a time, and `draws` gives up
+    each draw (its entry becomes None) once the stack holding it is built.
+    """
+    for idx in _positions_by(len(values) for values, _ in draws).values():
+        values, samples = (np.array(part) for part in zip(*(draws[i] for i in idx)))
+        for i in idx:
+            draws[i] = None
+        yield idx, _in_eigenbasis_of(samples, values)
+
+
+def _circuits_with_tables(draws: list, psis: list[PhaseFactorSet]):
+    """Yield (position, assembled circuit, predicted sector table) of each instance.
+
+    One system size at a time: one stacked `eigh` each for its matrices,
+    their dilations and their `predicted_blocks` tables.
+    """
+    pairs = _extract_by_degree(psis)
+    for idx, hs in _hermitians_by_size(draws):
+        tables = predicted_blocks(hs, [pairs[i] for i in idx])
+        for i, enc, table in zip(idx, dilate_hermitian(hs), tables):
+            yield i, assemble_full(enc, [psis[i]])[0], table
 
 
 def criterion_1() -> CriterionResult:
@@ -71,8 +121,8 @@ def criterion_1() -> CriterionResult:
     psis = [_random_symmetric(gen, int(gen.integers(1, 31))) for _ in range(200)]
     worst_norm = 0.0
     worst_imag = 0.0
-    for d in sorted({psi.degree for psi in psis}):
-        pairs = extract_pq([psi for psi in psis if psi.degree == d])
+    for idx in _positions_by(psi.degree for psi in psis).values():
+        pairs = extract_pq([psis[i] for i in idx])
         # Shape (d+1, items, 1): `_clenshaw` gives one row of values per item.
         p_coeffs = np.array([pair.p for pair in pairs]).T[..., None]
         q_coeffs = np.array([pair.q for pair in pairs]).T[..., None]
@@ -91,20 +141,19 @@ def criterion_1() -> CriterionResult:
 def criterion_2() -> CriterionResult:
     """Assembled circuit matches every predicted sector block to 1e-9."""
     gen = rng(102)
-    instances = []
+    draws, psis = [], []
     for trial in range(50):
         n = int(2 ** gen.integers(1, 4))
         degree = int(gen.integers(1, 13))
-        h = hermitian_from_spectrum(gen.uniform(0.02, 0.98, n), gen)
-        instances.append((h, PhaseFactorSet(gen.uniform(-math.pi, math.pi, degree + 1))))
+        draws.append(_draw_hermitian(gen, n))
+        psis.append(PhaseFactorSet(gen.uniform(-math.pi, math.pi, degree + 1)))
 
     worst = 0.0
-    for (h, psi), pair in zip(instances, _extract_by_degree([psi for _, psi in instances])):
-        n = len(h)
-        q = assemble_full(dilate_hermitian(h), [psi])[0]
+    for _, q, table in _circuits_with_tables(draws, psis):
+        n = len(q) // 4
         # Block (r, c) of q is q.reshape(4, n, 4, n)[r, :, c, :].
         blocks = q.reshape(4, n, 4, n).swapaxes(1, 2)
-        worst = max(worst, float(np.max(np.abs(blocks - predicted_blocks(h, pair)))))
+        worst = max(worst, float(np.max(np.abs(blocks - table))))
     return CriterionResult(
         2, "comprehensive circuit block prediction",
         worst <= 1e-9, f"worst block deviation {worst:.2e} over 50 instances",
@@ -114,27 +163,25 @@ def criterion_2() -> CriterionResult:
 def criterion_3() -> CriterionResult:
     """Garbage-state prediction and the three-term norm identity for symmetric phases."""
     gen = rng(103)
-    instances = []
+    draws, psis, amps = [], [], []
     for trial in range(50):
         n = int(2 ** gen.integers(1, 4))
         degree = int(gen.integers(1, 16))
-        h = hermitian_from_spectrum(gen.uniform(0.02, 0.98, n), gen)
-        psi = _random_symmetric(gen, degree)
-        instances.append((h, psi, haar_vector(gen, n)))
+        draws.append(_draw_hermitian(gen, n))
+        psis.append(_random_symmetric(gen, degree))
+        amps.append(haar_vector(gen, n))
 
     worst_state = 0.0
     worst_norm = 0.0
-    pairs = _extract_by_degree([psi for _, psi, _ in instances])
-    for (h, psi, amp), pair in zip(instances, pairs):
+    for i, q, table in _circuits_with_tables(draws, psis):
+        amp = amps[i]
         n = len(amp)
-        q = assemble_full(dilate_hermitian(h), [psi])[0]
         full = np.zeros(4 * n, dtype=complex)
         full[:n] = amp
         full = q @ full
         actual_garbage = full.copy()
         actual_garbage[:n] = 0.0
         # The garbage sits in the monitoring |1> sectors (2, 0) and (3, 0).
-        table = predicted_blocks(h, pair)
         predicted = np.concatenate([np.zeros(2 * n), table[2, 0] @ amp, table[3, 0] @ amp])
         worst_state = max(worst_state, float(np.max(np.abs(predicted - actual_garbage))))
 
@@ -163,30 +210,31 @@ def criterion_4() -> CriterionResult:
         float(np.max(np.abs(branches[(1, 0)].state - np.array([-0.64, 0, 0, 0])))),
     )
 
-    instances = []
+    draws, psis, amps = [], [], []
     for trial in range(200):
         n_qubits = int(gen.integers(1, 5))
-        h = hermitian_from_spectrum(gen.uniform(0.02, 0.98, 2**n_qubits), gen)
-        psi = _random_symmetric(gen, int(gen.integers(1, 31)))
-        instances.append((h, psi, haar_vector(gen, 2**n_qubits)))
+        draws.append(_draw_hermitian(gen, 2**n_qubits))
+        psis.append(_random_symmetric(gen, int(gen.integers(1, 31))))
+        amps.append(haar_vector(gen, 2**n_qubits))
 
-    pairs = _extract_by_degree([psi for _, psi, _ in instances])
+    pairs = _extract_by_degree(psis)
     worst = 0.0
     # One stacked `eigh` per system size, each matrix exactly as on its own,
     # and f = Re P at that size's spectra in one recurrence, zero-padded to its
-    # highest degree. Only one size's eigenvectors are held at a time.
-    for n in sorted({len(h) for h, _, _ in instances}):
-        idx = [i for i, (h, _, _) in enumerate(instances) if len(h) == n]
-        spec = eigh(np.array([instances[i][0] for i in idx]))
+    # highest degree. Each dilation is built from that spectrum when its
+    # instance runs, so only one size's eigenvectors and one dilation are held.
+    for idx, hs in _hermitians_by_size(draws):
+        n = hs.shape[-1]
+        spec, svals = _psd_contraction_spectrum(hs)
         coeffs = np.zeros((max(len(pairs[i].p) for i in idx), len(idx), 1))
         for j, i in enumerate(idx):
             coeffs[: len(pairs[i].p), j, 0] = pairs[i].p.real
         f = _clenshaw(coeffs, spec.values)
         for j, i in enumerate(idx):
-            h, psi, amp = instances[i]
             v = spec.vectors[j]
             f2 = (v * f[j] ** 2) @ dagger(v)
-            leaves = {b.record: b for b in run_1fqsvt(dilate_hermitian(h), psi, amp)}
+            amp = amps[i]
+            leaves = {b.record: b for b in run_1fqsvt(_dilation(hs[j], v, svals[j]), psis[i], amp)}
             s00 = leaves[(0, 0)].state
             s10 = leaves[(1, 0)].state
             worst = max(

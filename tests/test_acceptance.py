@@ -189,6 +189,28 @@ def test_closed_form_criteria_extract_each_degree_once(monkeypatch, number):
     assert len(degrees) == len(set(degrees)) > 1
 
 
+@pytest.mark.parametrize("number, per_size", [(2, 3), (3, 3), (4, 2)])
+def test_closed_form_criteria_diagonalize_each_size_a_fixed_number_of_times(monkeypatch, number,
+                                                                           per_size):
+    # One stacked `eigh` per system size for each of: the instance bases, and
+    # then in criteria 2 and 3 the dilations and the predicted tables, in
+    # criterion 4 the spectra its dilations are built from. Criterion 4's
+    # worked example at n = 2 takes one more.
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    assert CRITERIA[number]().passed
+    counts = {n: sizes.count(n) for n in set(sizes)}
+    if number == 4:
+        counts[2] -= 1
+    assert len(counts) >= 3 and set(counts.values()) == {per_size}, counts
+
+
 def test_criterion_05_projection_error_budget():
     _run(5)
 

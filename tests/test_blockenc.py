@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from fqsvt.blockenc import _check_encoding, dilate_hermitian
+from fqsvt.blockenc import _check_encoding, _check_unitary, dilate_hermitian
 from fqsvt.linalg import check_hermitian, dagger, eigh, hermitian_from_spectrum, rng
 
 
@@ -95,6 +95,30 @@ def test_dilation_rejects_out_of_range_spectrum():
         dilate_hermitian(np.diag([-0.1, 0.5]))
 
 
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_stacked_dilation_equals_one_matrix_calls_bitwise(n):
+    # A (2, 3) stack: one `eigh` for all six, and each dilation keeps every bit.
+    gen = rng(3, n)
+    hs = np.array([[hermitian_from_spectrum(gen.uniform(0.0, 1.0, n), gen) for _ in range(3)]
+                   for _ in range(2)])
+    encs = dilate_hermitian(hs)
+    assert encs.shape == (2, 3, 2 * n, 2 * n)
+    for index in np.ndindex(2, 3):
+        assert encs[index].tobytes() == dilate_hermitian(hs[index]).tobytes()
+
+
+def test_stacked_dilation_names_the_offending_matrix():
+    hs = np.array([[np.diag([0.1, 0.9]), np.diag([0.2, 0.8])],
+                   [np.diag([0.3, 0.7]), np.diag([0.5, 1.2])]])
+    with pytest.raises(ValueError, match=r"^spectrum of matrix 1, 1 of the stack must lie in "
+                                         r"\[0, 1\] for the symmetric dilation; offending "
+                                         r"eigenvalue 1.2$"):
+        dilate_hermitian(hs)
+    hs[0, 1] = np.diag([-0.1, 0.5])
+    with pytest.raises(ValueError, match=r"^spectrum of matrix 0, 1 of the stack .* -0.1$"):
+        dilate_hermitian(hs)
+
+
 def test_dilation_takes_a_nested_list():
     h = [[0.2, 0.1 - 0.05j], [0.1 + 0.05j, 0.8]]
     assert np.array_equal(dilate_hermitian(h), dilate_hermitian(np.array(h)))
@@ -122,6 +146,13 @@ def test_encoded_block_norm_bound_for_random_unitary():
 def test_block_encoding_rejects_non_unitary():
     with pytest.raises(ValueError, match="not unitary"):
         _check_encoding(np.diag([1.0, 0.5]))
+
+
+def test_unitarity_check_names_the_offending_matrix_of_a_stack():
+    stack = np.array([np.eye(2), np.eye(2), np.diag([1.0, 0.5])])
+    with pytest.raises(ValueError, match=r"^matrix 2 of the stack is not unitary: "
+                                         r"\|\|U\^dag U - I\|\|_max = 7\.500e-01$"):
+        _check_unitary(stack)
 
 
 @pytest.mark.parametrize("u", [np.eye(3), np.eye(4)[:, :2], np.eye(2)[0], np.zeros((0, 0))],

@@ -384,6 +384,8 @@ SMALL_SYNTHETIC = {"type": "synthetic", "bands": 2, "per_band": 2, "width": 0.02
 # A gmon spec whose Hamiltonian is eta times the band labels alone.
 ZERO_CONTROLS = {"edges": [], "delta": [0.0] * GMON_SPEC_DOC["modes"],
                  "f": [0.0] * GMON_SPEC_DOC["modes"]}
+# The default spec with mode 0's detuning at 2 pi 19.99 MHz, just inside its range.
+NEAR_RANGE_GMON = {**GMON_SPEC_DOC, "delta": [125.6, GMON_SPEC_DOC["delta"][1]]}
 # One mode, one excitation: two eigenvalues, normalized to margin' and 1 - margin'.
 TWO_LEVEL_GMON = {"modes": 1, "nmax": 1, "eta": 1.0, "edges": [], "delta": [1.0], "f": [0.0],
                   "phi": [0.0]}
@@ -439,6 +441,11 @@ TWO_LEVEL_GMON = {"modes": 1, "nmax": 1, "eta": 1.0, "edges": [], "delta": [1.0]
       "bands": {"min_gap": 1e-300}},
      "config error: project.bands: the gaps (0.3, 0.30000000000000004) and "
      "(0.30000000000000004, 0.3000000000000001) both center on 0.30000000000000004"),
+    # Seeded control noise moves a detuning past its range.
+    ({"model": {"type": "gmon", "spec": NEAR_RANGE_GMON, "perturb_seed": 1},
+      "bands": {"min_gap": 0.05}, "round_eps": 1e-3},
+     "config error: project.model.perturb_seed 1 moves the model out of range: detuning "
+     "130.37341875031717 outside the control range (amplitude 20 MHz)"),
     # A gap of 1e-4 needs a filter above the degree cap.
     ({"model": _inline(np.diag([0.1, 0.5, 0.5001, 0.9])), "bands": {"min_gap": 1e-5},
       "round_eps": 1e-3},
@@ -453,7 +460,7 @@ TWO_LEVEL_GMON = {"modes": 1, "nmax": 1, "eta": 1.0, "edges": [], "delta": [1.0]
         "trajectories-fractional", "bands-fractional", "target-boolean", "round-eps-boolean",
         "gmon-spec-fractional-nmax", "gmon-spec-string-check-ranges", "gmon-single-point",
         "gmon-window-nearly-fills", "window-narrower-than-resolution", "gap-centers-tie",
-        "above-the-degree-cap"])
+        "perturbed-out-of-range", "above-the-degree-cap"])
 def test_project_rejects_bad_config_value_with_exit_2(tmp_path, capsys, changes, cause):
     doc = {"model": SMALL_SYNTHETIC, "bands": {"target": 2}, "round_eps": 1e-2, **changes}
     doc = {key: value for key, value in doc.items() if value is not None}
@@ -638,6 +645,10 @@ def test_bosehubbard_rejects_margin_outside_open_half_with_exit_2(tmp_path, caps
      "config error: bosehubbard.min_gap_fraction 0.5 times model.eta 1e-100 selects gaps that "
      "cannot be told apart: the gaps (0.08333333333333336, 0.08333333333333337) and "
      "(0.08333333333333337, 0.08333333333333338) both center on 0.08333333333333337"),
+    # Seeded control noise moves a detuning 4.8 MHz past its 20 MHz range.
+    ("bosehubbard", {"model": NEAR_RANGE_GMON, "perturb_seed": 1},
+     "config error: bosehubbard.perturb_seed 1 moves the model out of range: detuning "
+     "130.37341875031717 outside the control range (amplitude 20 MHz)"),
     # The probe at the degree cap proves that no filter up to it meets the spec.
     ("phases", {"mu": 0.5, "delta": 1e-4, "eps": 1e-3},
      "config error: phases: no even filter of degree <= 2000 meets "
@@ -648,8 +659,8 @@ def test_bosehubbard_rejects_margin_outside_open_half_with_exit_2(tmp_path, caps
 ], ids=["perturb-seed-above-64-bits", "perturb-seed-boolean", "eps-boolean", "tol-unknown-key",
         "per-band-past-the-float-range", "nmax-past-the-float-range", "gap-underflows",
         "window-nearly-fills", "window-narrower-than-resolution",
-        "filter-window-narrower-than-resolution", "gap-centers-tie", "above-the-degree-cap",
-        "filter-above-the-degree-cap"])
+        "filter-window-narrower-than-resolution", "gap-centers-tie", "perturbed-out-of-range",
+        "above-the-degree-cap", "filter-above-the-degree-cap"])
 def test_other_commands_reject_bad_numbers_with_exit_2(tmp_path, capsys, command, doc, cause):
     cfg = write_config(tmp_path, doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -701,27 +712,26 @@ def test_unreadable_config_or_output_path_exits_2(tmp_path, capsys, case):
     ({"Ls": [128], "per_band": 4}, "baselines.Ls: L=128 with per_band=4 "),
     ({"filter": {"delta": 0.999999998, "eps": 2.5e-4}},
      "config error: baselines: transition window [1.0000000272292198e-09, "),
+    # Inside the documented range (positive), but the adiabatic estimate overflows a float.
+    ({"adiabatic_min_gap": 1e-120},
+     "config error: baselines.per_band (M), baselines.adiabatic_min_gap (gap) and "
+     "baselines.adiabatic_eps (eps): adiabatic time estimate M^(3/2) / (eps gap^3) overflows "
+     "at M=2, gap=1e-120, eps=0.01"),
+    ({"adiabatic_min_gap": 1e-200}, "(eps): adiabatic time estimate M^(3/2) / (eps gap^3) "
+                                    "overflows at M=2, gap=1e-200, eps=0.01"),
+    ({"adiabatic_min_gap": 1e-104}, "(eps): adiabatic time estimate M^(3/2) / (eps gap^3) "
+                                    "overflows at M=2, gap=1e-104, eps=0.01"),
+    ({"adiabatic_eps": 1e-320}, "(eps): adiabatic time estimate M^(3/2) / (eps gap^3) "
+                                "overflows at M=2, gap=0.1, eps=1e-320"),
 ], ids=["filter-delta", "filter-eps", "adiabatic-min-gap", "adiabatic-eps", "per-band-below-1",
         "per-band-fractional", "trials-unknown", "L64-unresolved", "L128-per-band-4-unresolved",
-        "filter-window-nearly-fills"])
+        "filter-window-nearly-fills", "adiabatic-estimate-overflows",
+        "adiabatic-gap-cube-underflows", "adiabatic-estimate-overflows-at-1e-104",
+        "adiabatic-eps-subnormal"])
 def test_baselines_rejects_bad_config_value_with_exit_2(tmp_path, capsys, changes, cause):
     cfg = write_config(tmp_path, {"Ls": [2], **changes})
     assert main(["baselines", "--config", cfg, "--out", str(tmp_path / "b")]) == 2
     assert cause in capsys.readouterr().err
-    assert not (tmp_path / "b" / "baselines.csv").exists()
-
-
-@pytest.mark.parametrize("changes, cause", [
-    ({"adiabatic_min_gap": 1e-200}, "M=2, gap=1e-200, eps=0.01"),
-    ({"adiabatic_min_gap": 1e-104}, "M=2, gap=1e-104, eps=0.01"),
-    ({"adiabatic_eps": 1e-320}, "M=2, gap=0.1, eps=1e-320"),
-], ids=["gap-cube-underflows", "estimate-overflows", "eps-subnormal"])
-def test_baselines_adiabatic_overflow_exits_1_and_writes_no_csv(tmp_path, capsys, changes, cause):
-    # Inside the documented range (positive), but the estimate overflows a float.
-    cfg = write_config(tmp_path, {"Ls": [2], **changes})
-    assert main(["baselines", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: adiabatic time estimate") and cause in err
     assert not (tmp_path / "b" / "baselines.csv").exists()
 
 

@@ -178,13 +178,18 @@ def bosehubbard_configs(draw):
 
 # Causes that the config alone decides though every key is in range: an
 # underflowed gmon gap or gmon gaps narrower than float resolution, a gmon
-# spectrum too narrow to normalize, and a transition window that nearly
-# fills (0, 1).
+# spectrum too narrow to normalize, a transition window that nearly fills
+# (0, 1), an adiabatic time estimate that overflows a float, and seeded
+# control noise that moves a control outside its range.
 IN_RANGE_EXIT_2 = re.compile(
     r"config error: (bosehubbard\.min_gap_fraction \S+ times model\.eta \S+ "
     r"(underflows|selects gaps that cannot be told apart)"
     r"|(bosehubbard|project)\.model: (spectrum is a single point|spectral span \S+ is too narrow)"
-    r"|(phases|project|baselines): transition window \[\S+, \S+\] nearly fills \(0, 1\))"
+    r"|(phases|project|baselines): transition window \[\S+, \S+\] nearly fills \(0, 1\)"
+    r"|baselines\.per_band \(M\), baselines\.adiabatic_min_gap \(gap\) and "
+    r"baselines\.adiabatic_eps \(eps\): adiabatic time estimate \S+ / \(eps gap\^3\) overflows"
+    r"|(bosehubbard|project\.model)\.perturb_seed \d+ moves the model out of range: "
+    r"(detuning|drive amplitude|coupling) \S+ outside the control range)"
 )
 
 

@@ -85,8 +85,8 @@ def reference_garbage_state(h, phi: PhaseFactorSet, state: np.ndarray) -> np.nda
 
 
 def blocks(h, phi: PhaseFactorSet) -> np.ndarray:
-    """`predicted_blocks` of the pair that a one-item `extract_pq` call gives for `phi`."""
-    return predicted_blocks(h, extract_pq([phi])[0])
+    """The one-item `predicted_blocks` table of the pair that `extract_pq` gives for `phi`."""
+    return predicted_blocks([h], extract_pq([phi]))[0]
 
 
 @pytest.fixture
@@ -273,28 +273,68 @@ def test_closed_form_matches_the_cosine_sine_route_bitwise():
     assert checked >= 100
 
 
+# Each case: the matrix, its message alone, and its message as the one matrix of a stack.
 BAD_HAMILTONIANS = {
-    "not-square": (np.zeros((2, 3)), "expected a square matrix, got shape (2, 3)"),
-    "vector": (np.ones(2), "expected a square matrix, got shape (2,)"),
-    "non-finite": (np.array([[0.5, np.nan], [np.nan, 0.5]]), "matrix entries must be finite"),
+    "not-square": (np.zeros((2, 3)), "expected a square matrix, got shape (2, 3)",
+                   "expected a square matrix, got shape (1, 2, 3)"),
+    "vector": (np.ones(2), "expected a square matrix, got shape (2,)",
+               "expected a square matrix, got shape (1, 2)"),
+    "non-finite": (np.array([[0.5, np.nan], [np.nan, 0.5]]), "matrix entries must be finite",
+                   "matrix entries must be finite"),
     "non-hermitian": (np.array([[0.5, 0.1], [0.0, 0.5]]), "matrix is not Hermitian: entry (0, 1) "
-                      "deviates from its conjugate transpose by 1.000e-01"),
+                      "deviates from its conjugate transpose by 1.000e-01",
+                      "matrix 0 of the stack is not Hermitian: entry (0, 1) deviates from its "
+                      "conjugate transpose by 1.000e-01"),
     "above-one": (np.diag([0.5, 1.25]), "spectrum must lie in [0, 1] for the symmetric "
-                                        "dilation; offending eigenvalue 1.25"),
+                                        "dilation; offending eigenvalue 1.25",
+                  "spectrum of matrix 0 of the stack must lie in [0, 1] for the symmetric "
+                  "dilation; offending eigenvalue 1.25"),
     "below-zero": (np.diag([-0.25, 0.5]), "spectrum must lie in [0, 1] for the symmetric "
-                                          "dilation; offending eigenvalue -0.25"),
+                                          "dilation; offending eigenvalue -0.25",
+                   "spectrum of matrix 0 of the stack must lie in [0, 1] for the symmetric "
+                   "dilation; offending eigenvalue -0.25"),
 }
 
 
 @pytest.mark.parametrize("case", BAD_HAMILTONIANS)
-@pytest.mark.parametrize("entry", [
-    dilate_hermitian,
-    lambda h: blocks(h, PhaseFactorSet([0.3, 0.1, 0.3])),
-], ids=["dilate_hermitian", "predicted_blocks"])
-def test_entries_reject_bad_hamiltonians_with_the_full_message(entry, case):
-    h, message = BAD_HAMILTONIANS[case]
+@pytest.mark.parametrize("entry, stacked", [
+    (dilate_hermitian, False),
+    (lambda h: dilate_hermitian([h]), True),
+    (lambda h: blocks(h, PhaseFactorSet([0.3, 0.1, 0.3])), True),
+], ids=["dilate_hermitian", "dilate_hermitian-stack", "predicted_blocks"])
+def test_entries_reject_bad_hamiltonians_with_the_full_message(entry, stacked, case):
+    h, alone, in_stack = BAD_HAMILTONIANS[case]
+    message = in_stack if stacked else alone
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         entry(h)
+
+
+def test_predicted_blocks_list_form_equals_one_item_calls_bitwise():
+    # Odd and even degrees 0-12 mixed in each stack, n = 1 to 8: one stacked
+    # `eigh`, a per-pair T2 sign and zero-padded series change no bit.
+    gen = rng(16)
+    for n in (1, 2, 4, 8):
+        hs = [hermitian_from_spectrum(gen.uniform(0.0, 1.0, n), gen) for _ in range(13)]
+        phis = [PhaseFactorSet(gen.uniform(-np.pi, np.pi, degree + 1))
+                if degree % 3 else random_symmetric(gen, degree)
+                for degree in gen.permutation(13)]
+        pairs = [extract_pq([phi])[0] for phi in phis]
+        tables = predicted_blocks(np.array(hs), pairs)
+        assert len(tables) == len(pairs)
+        for h, pair, table in zip(hs, pairs, tables):
+            assert table.tobytes() == predicted_blocks([h], [pair])[0].tobytes()
+
+
+def test_predicted_blocks_takes_one_matrix_per_pair(setup):
+    gen, h, _ = setup
+    pair = extract_pq([PhaseFactorSet([0.3, 0.1, 0.3])])[0]
+    assert predicted_blocks([], []) == []
+    with pytest.raises(ValueError, match=r"^expected one matrix per pair \(2\), got shape "
+                                         r"\(1, 4, 4\)$"):
+        predicted_blocks([h], [pair, pair])
+    with pytest.raises(ValueError, match=r"^expected one matrix per pair \(1\), got shape "
+                                         r"\(4, 4\)$"):
+        predicted_blocks(h, [pair])
 
 
 def test_garbage_state_prediction(setup):
@@ -319,7 +359,7 @@ def test_garbage_norm_identity_on_eigenstates(setup):
     spec = eigh(h)
     phi = random_symmetric(gen, 9)
     pair = extract_pq([phi])[0]
-    table = predicted_blocks(h, pair)
+    table = predicted_blocks([h], [pair])[0]
     for idx in range(4):
         garbage = sector_garbage(table, spec.vectors[:, idx])
         f_val = float(_clenshaw(pair.p.real, np.array([spec.values[idx]]))[0])
