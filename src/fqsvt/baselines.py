@@ -17,7 +17,6 @@ from .bands import BandStructure, exact_projectors
 from .linalg import _check_state, check_hermitian, eigh
 
 __all__ = [
-    "WalkEstimate",
     "LeakageFit",
     "prob_projection_depth",
     "random_walk_success",
@@ -45,16 +44,8 @@ def prob_projection_depth(q) -> float:
     return float(np.sum(np.sqrt(q[q > 0])))
 
 
-@dataclass
-class WalkEstimate:
-    """The memoryless walk's expected success probability over Haar inputs."""
-
-    success_rate: float
-    queries_per_trial: int
-
-
-def random_walk_success(structure: BandStructure) -> WalkEstimate:
-    """Expected success of binary splitting when the runner cannot see outcomes.
+def random_walk_success(structure: BandStructure) -> float:
+    """Expected success of binary splitting, over Haar inputs, when the runner cannot see outcomes.
 
     Each level applies the query pair dictated by the runner's guessed
     range: inside [lo, mid) or not. The state collapses by the Born rule,
@@ -88,7 +79,7 @@ def random_walk_success(structure: BandStructure) -> WalkEstimate:
             if level < ell and path >> (level - 1) & 1:  # this path guesses "not low"
                 lo = mid
         alone += int(sizes[np.bincount(labels)[labels] == 1].sum())
-    return WalkEstimate(alone / (structure.dimension * paths), ell)
+    return alone / (structure.dimension * paths)
 
 
 def _evolve_steps(h0, h1, total_time, steps, amplitudes) -> np.ndarray:

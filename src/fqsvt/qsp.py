@@ -362,7 +362,7 @@ def _closed_form(f: ChebyshevSeries) -> np.ndarray | None:
     return None
 
 
-def synthesize_symmetric(targets: list[ChebyshevSeries], tol: float) -> list[PhaseFactorSet]:
+def synthesize_symmetric(targets: list[ChebyshevSeries]) -> list[PhaseFactorSet]:
     """Symmetric phases whose Re P matches each target.
 
     `targets` share one degree, and their phases come back in the same
@@ -379,13 +379,10 @@ def synthesize_symmetric(targets: list[ChebyshevSeries], tol: float) -> list[Pha
     (`_half_prefixes`); each Newton step reuses the sweep of its accepted
     line-search trial. All targets run in one Newton pass over their stack,
     each with its own steps, so each gets the phases it would get alone.
-    Every result must then meet `tol`, a finite positive number, on the
-    2d-node grid, swept over the whole mirrored sequence (`_product`), or
-    `SynthesisError` names the first that does not. Commands pass
-    `SYNTHESIS_TOL`.
+    Every result must then meet `SYNTHESIS_TOL` on the 2d-node grid, swept
+    over the whole mirrored sequence (`_product`), or `SynthesisError` names
+    the first that does not.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"synthesis tolerance must be a finite positive number, got {tol!r}")
     degrees = {g.degree for g in targets}
     if len(degrees) > 1:
         raise ValueError(f"stacked synthesis targets must share one degree, got {sorted(degrees)}")
@@ -418,7 +415,7 @@ def synthesize_symmetric(targets: list[ChebyshevSeries], tol: float) -> list[Pha
         x0 = np.zeros((len(solve), m))
         x0[:, 0] = math.pi / 4.0
         histories: list[list[float]] = [[] for _ in solve]
-        free = _damped_newton(x0, d, xs, _clenshaw(coeffs, xs), 0.25 * tol, histories)
+        free = _damped_newton(x0, d, xs, _clenshaw(coeffs, xs), 0.25 * SYNTHESIS_TOL, histories)
 
         # Contract check on the full 2d-node grid (parity mirrors the positive nodes),
         # by a sweep of the whole mirrored sequence, not by the U = L L^T that Newton uses.
@@ -426,10 +423,10 @@ def synthesize_symmetric(targets: list[ChebyshevSeries], tol: float) -> list[Pha
         a = _product(_mirror(free, d), check_grid)[..., 0, :]
         final = np.max(np.abs(a.real - _clenshaw(coeffs, check_grid)), axis=-1)
         for j, i in enumerate(solve):
-            if final[j] > tol:
+            if final[j] > SYNTHESIS_TOL:
                 raise SynthesisError(
-                    f"phase synthesis stalled at residual {final[j]:.3e} (target {tol:.3e}, "
-                    f"degree {d}"
+                    f"phase synthesis stalled at residual {final[j]:.3e} "
+                    f"(target {SYNTHESIS_TOL:.3e}, degree {d}"
                     + (f", item {i} of {len(targets)})" if len(targets) > 1 else ")"),
                     histories[j], i,
                 )

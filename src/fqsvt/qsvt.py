@@ -81,6 +81,19 @@ def assemble_full(enc: np.ndarray, phis: list[PhaseFactorSet]) -> list[np.ndarra
     return list(q)
 
 
+def _pair_series(pairs: list[QspPolynomialPair], x: np.ndarray) -> np.ndarray:
+    """P_Re, P_Im, Q_Re and Q_Im of each pair at its row of `x` (len(pairs), N), stacked first.
+
+    One Clenshaw recurrence over every series zero-padded to the longest P:
+    its rows do not interact, and zero leading coefficients keep a row's bits.
+    """
+    series = np.zeros((max(len(pair.p) for pair in pairs), len(pairs), 4, 1))
+    for k, pair in enumerate(pairs):
+        series[: len(pair.p), k, :2, 0] = np.column_stack([pair.p.real, pair.p.imag])
+        series[: len(pair.q), k, 2:, 0] = np.column_stack([pair.q.real, pair.q.imag])
+    return np.moveaxis(_clenshaw(series, x[:, None, :]), 1, 0)
+
+
 def predicted_blocks(hs, pairs: list[QspPolynomialPair]) -> list[np.ndarray]:
     """Sector-by-sector prediction of each assembled circuit from (P, Q) and H's eigenbasis.
 
@@ -103,17 +116,10 @@ def predicted_blocks(hs, pairs: list[QspPolynomialPair]) -> list[np.ndarray]:
     if spectrum.values.shape[:-1] != (len(pairs),):
         raise ValueError(f"expected one matrix per pair ({len(pairs)}), "
                          f"got shape {spectrum.vectors.shape}")
-    v, sigma = spectrum.vectors, spectrum.values
+    v = spectrum.vectors
     t2 = np.where(np.array([pair.degree % 2 for pair in pairs], dtype=bool)[:, None, None], -v, v)
-
-    # Shape (d+1, pairs, 4, 1): every series zero-padded to the longest P, and
-    # zero leading coefficients leave a row's bits unchanged.
-    series = np.zeros((max(len(pair.p) for pair in pairs), len(pairs), 4, 1))
-    for k, pair in enumerate(pairs):
-        series[: len(pair.p), k, :2, 0] = np.column_stack([pair.p.real, pair.p.imag])
-        series[: len(pair.q), k, 2:, 0] = np.column_stack([pair.q.real, pair.q.imag])
     # Each series of shape (pairs, 1, N) scales the columns of that pair's V or T2.
-    p_re, p_im, q_re, q_im = np.moveaxis(_clenshaw(series, sigma[:, None, :]), 1, 0)[:, :, None]
+    p_re, p_im, q_re, q_im = _pair_series(pairs, spectrum.values)[:, :, None]
     s = s[:, None, :]
 
     vh = dagger(v)

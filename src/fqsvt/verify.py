@@ -46,8 +46,8 @@ from .linalg import (
     random_hermitian,
     rng,
 )
-from .qsp import SYNTHESIS_TOL, PhaseFactorSet, _mirror, extract_pq, synthesize_symmetric
-from .qsvt import assemble_full, predicted_blocks
+from .qsp import PhaseFactorSet, _mirror, extract_pq, synthesize_symmetric
+from .qsvt import _pair_series, assemble_full, predicted_blocks
 
 __all__ = ["CriterionResult", "run_criteria", "CRITERIA"]
 
@@ -220,16 +220,13 @@ def criterion_4() -> CriterionResult:
     pairs = _extract_by_degree(psis)
     worst = 0.0
     # One stacked `eigh` per system size, each matrix exactly as on its own,
-    # and f = Re P at that size's spectra in one recurrence, zero-padded to its
-    # highest degree. Each dilation is built from that spectrum when its
-    # instance runs, so only one size's eigenvectors and one dilation are held.
+    # and f = Re P at that size's spectra from `predicted_blocks`' recurrence.
+    # Each dilation is built from that spectrum when its instance runs, so
+    # only one size's eigenvectors and one dilation are held.
     for idx, hs in _hermitians_by_size(draws):
         n = hs.shape[-1]
         spec, svals = _psd_contraction_spectrum(hs)
-        coeffs = np.zeros((max(len(pairs[i].p) for i in idx), len(idx), 1))
-        for j, i in enumerate(idx):
-            coeffs[: len(pairs[i].p), j, 0] = pairs[i].p.real
-        f = _clenshaw(coeffs, spec.values)
+        f = _pair_series([pairs[i] for i in idx], spec.values)[0]
         for j, i in enumerate(idx):
             v = spec.vectors[j]
             f2 = (v * f[j] ** 2) @ dagger(v)
@@ -259,7 +256,7 @@ def criterion_5() -> CriterionResult:
     h = hermitian_from_spectrum([0.08, 0.15, 0.82, 0.93], gen)
     spec_h = eigh(h)
     filt = heaviside_filter([FilterSpec(0.5, 0.5, eps)])
-    psi = synthesize_symmetric(filt, SYNTHESIS_TOL)[0]
+    psi = synthesize_symmetric(filt)[0]
     enc = dilate_hermitian(h)
     bound = 2.0 * math.sqrt(2.0) * eps
 
@@ -331,7 +328,7 @@ def criterion_7() -> CriterionResult:
     rates = {}
     for count in (2, 4, 8, 16):
         values = synthetic_band_spectrum(count, per_band=2, width=0.01)
-        rate = random_walk_success(detect_bands(values, target_bands=count)).success_rate
+        rate = random_walk_success(detect_bands(values, target_bands=count))
         passed = passed and rate == 2.0 / count
         rates[count] = rate
         detail.append(f"L={count}: success {rate:g} (2/L {2.0 / count:g})")

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fqsvt.bands import BandStructure, detect_bands, exact_projectors, synthetic_band_spectrum
 from fqsvt.baselines import (
     _BLOCK,
-    WalkEstimate,
     _evolve_steps,
     adiabatic_leakage_scaling,
     adiabatic_time_estimate,
@@ -93,14 +92,12 @@ def _structure(sizes):
 
 
 def test_random_walk_two_bands_always_classifies():
-    est = random_walk_success(_structure([2, 2]))
-    assert est.success_rate == 1.0
-    assert est.queries_per_trial == 1
+    assert random_walk_success(_structure([2, 2])) == 1.0
 
 
 def test_random_walk_four_bands_bounded_by_half():
     structure = detect_bands(synthetic_band_spectrum(4, 2, 0.02), target_bands=4)
-    assert random_walk_success(structure) == WalkEstimate(0.5, 2)
+    assert random_walk_success(structure) == 0.5
 
 
 @pytest.mark.parametrize("sizes, success", [
@@ -114,7 +111,7 @@ def test_random_walk_four_bands_bounded_by_half():
     ([1, 1, 1, 1, 1], 0.4),
 ], ids=["one-band", "three-bands-heavy-last", "three-bands-heavy-first", "five-bands"])
 def test_random_walk_success_by_hand(sizes, success):
-    assert random_walk_success(_structure(sizes)).success_rate == success
+    assert random_walk_success(_structure(sizes)) == success
 
 
 @pytest.mark.parametrize("count", list(range(1, 17)))
@@ -126,7 +123,7 @@ def test_random_walk_matches_per_trial_reference(count, seed, trials):
     spectrum = eigh(hermitian_from_spectrum(
         synthetic_band_spectrum(count, per_band, 0.02), rng(seed, count)))
     structure = detect_bands(spectrum.values, target_bands=count)
-    exact = random_walk_success(structure).success_rate
+    exact = random_walk_success(structure)
     rate = _reference_walk(structure, spectrum, trials, np.random.default_rng([seed, count]))
     stderr = math.sqrt(max(exact * (1.0 - exact), 1.0 / trials) / trials)
     assert abs(rate - exact) <= 4.0 * stderr
@@ -136,7 +133,7 @@ def test_random_walk_matches_per_trial_reference(count, seed, trials):
 @given(st.sampled_from([2, 4, 8, 16]).flatmap(
     lambda count: st.lists(st.integers(1, 4), min_size=count, max_size=count)))
 def test_random_walk_success_is_two_over_L_at_powers_of_two(sizes):
-    assert abs(random_walk_success(_structure(sizes)).success_rate - 2.0 / len(sizes)) <= 1e-15
+    assert abs(random_walk_success(_structure(sizes)) - 2.0 / len(sizes)) <= 1e-15
 
 
 def _reference_instance():

@@ -5,7 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from fqsvt import cli
 from fqsvt.bands import detect_bands
 from fqsvt.bosehubbard import (
     GmonModel,
@@ -18,6 +20,7 @@ from fqsvt.bosehubbard import (
 )
 from fqsvt.cli import GMON_SPEC, _read, cmd_bosehubbard, main
 from fqsvt.linalg import eigh
+from test_config_fuzz import gmon_specs, key
 
 TWO_PI = 2 * math.pi
 
@@ -262,3 +265,23 @@ def test_perturbed_respects_seed():
     c = model.perturbed(8)
     assert a.edges == b.edges
     assert a.edges != c.edges
+
+
+def assert_h1_exactly_hermitian(model: GmonModel):
+    h1 = build_h1(model)
+    assert np.array_equal(h1, h1.conj().T)
+
+
+@pytest.mark.parametrize("perturb_seed", [None, *range(20)])
+def test_h1_equals_its_conjugate_transpose_exactly(perturb_seed):
+    # Every control term is summed as X + X^dag, so H1 needs no tolerance:
+    # on the default model and its perturbations ...
+    model = default_model()
+    assert_h1_exactly_hermitian(model if perturb_seed is None else model.perturbed(perturb_seed))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(gmon_specs(key(cli.BOSEHUBBARD, "model"), range(2, 65)))
+def test_h1_of_any_config_model_equals_its_conjugate_transpose_exactly(spec):
+    # ... and on any model a config can describe, controls out of range included.
+    assert_h1_exactly_hermitian(GmonModel(**spec))

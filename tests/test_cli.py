@@ -452,6 +452,13 @@ TWO_LEVEL_GMON = {"modes": 1, "nmax": 1, "eta": 1.0, "edges": [], "delta": [1.0]
      "config error: project: no even filter of degree <= 2000 meets FilterSpec(mu=0.3, "
      "delta=9.999999999998899e-05, eps=0.001) (item 0 of 3); 0 of its 1 probes stopped "
      "unproven"),
+    # Hermitian to within the check's tolerance, but its dilation is not unitary.
+    ({"model": {"type": "inline", "matrix": {"rows": 2, "cols": 2, "data": [
+        [0.6382111963750102, -3.96316479734803e-11], [0.24684534476127407, 0.2533945154488064],
+        [0.24684534479308473, -0.253394515402791], [0.39615213370553803, -4.995e-11]]}},
+      "round_eps": 1e-3},
+     "config error: project.model: invalid inline matrix: matrix is not unitary: "
+     "||U^dag U - I||_max = 1.086e-10"),
 ], ids=["min-gap-negative", "target-too-large", "target-type", "per-band-zero",
         "round-eps-type", "budget-type", "split-constant-zero", "trajectories-negative",
         "haar-samples-negative", "haar-samples-zero", "round-eps-nan", "width-outside-unit-interval",
@@ -460,13 +467,14 @@ TWO_LEVEL_GMON = {"modes": 1, "nmax": 1, "eta": 1.0, "edges": [], "delta": [1.0]
         "trajectories-fractional", "bands-fractional", "target-boolean", "round-eps-boolean",
         "gmon-spec-fractional-nmax", "gmon-spec-string-check-ranges", "gmon-single-point",
         "gmon-window-nearly-fills", "window-narrower-than-resolution", "gap-centers-tie",
-        "perturbed-out-of-range", "above-the-degree-cap"])
+        "perturbed-out-of-range", "above-the-degree-cap", "dilation-not-unitary"])
 def test_project_rejects_bad_config_value_with_exit_2(tmp_path, capsys, changes, cause):
     doc = {"model": SMALL_SYNTHETIC, "bands": {"target": 2}, "round_eps": 1e-2, **changes}
     doc = {key: value for key, value in doc.items() if value is not None}
     cfg = write_config(tmp_path, doc)
     assert main(["project", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert cause in capsys.readouterr().err
+    assert not (tmp_path / "o" / "kraus.json").exists()
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

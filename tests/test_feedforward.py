@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqsvt import feedforward
+from fqsvt import feedforward, qsp
 from fqsvt.bands import BandStructure, detect_bands, exact_projectors, synthetic_band_spectrum
 from fqsvt.baselines import adiabatic_leakage_scaling
 from fqsvt.blockenc import dilate_hermitian
@@ -19,6 +19,7 @@ from fqsvt.feedforward import (
     TreeLeaf,
     _leaves,
     _multiband_phase_table,
+    _run_blocks,
     channel_bound,
     channel_distance,
     extract_kraus,
@@ -138,7 +139,7 @@ def test_one_step_t2_zero_crossing():
 def test_one_step_heaviside_keeps_low_eigenstate():
     eps = 1e-3
     filt = heaviside_filter([FilterSpec(0.5, 0.4, eps)])[0]
-    phi = synthesize_symmetric([filt], 1e-11)[0]
+    phi = synthesize_symmetric([filt])[0]
     h = np.diag([0.2, 0.85]).astype(complex)
     enc = dilate_hermitian(h)
     leaves = {b.record: b for b in
@@ -776,10 +777,81 @@ def test_phase_table_names_the_split_whose_synthesis_stalls(monkeypatch):
 
     monkeypatch.setattr(feedforward, "heaviside_filter",
                         lambda specs: [fake_filter(spec) for spec in specs])
-    monkeypatch.setattr(feedforward, "SYNTHESIS_TOL", 1e-30)
+    monkeypatch.setattr(qsp, "SYNTHESIS_TOL", 1e-30)
     with pytest.raises(SynthesisError, match=r"^split 2: phase synthesis stalled") as info:
         _multiband_phase_table(structure, 0.1)
     assert info.value.index == 1 and info.value.history
+
+
+def zero_padded_nodes(enc, policy: MultibandPolicy) -> dict:
+    """The branch tree with each register copied into a zero-filled (4n, n) block input.
+
+    Every block multiplies the whole circuit into that input, and at odd
+    degree a round's second block runs between full ancilla reflections.
+    """
+    table = policy.phase_table
+    circuits = dict(zip(table, assemble_full(enc, list(table.values()))))
+    n = len(enc) // 2
+    reflect = -np.ones((4 * n, 1))
+    reflect[:n] = reflect[2 * n : 3 * n] = 1.0
+    nodes = {(): (np.eye(2 * n, n, dtype=complex), 0)}
+    records = [()]
+    for bits in records:
+        k = policy.next_block(bits)
+        if k is None:
+            continue
+        second = len(bits) % 2 == 1
+        degree = table[k].degree
+        register, queries = nodes[bits]
+        full = np.zeros((4 * n, n), dtype=complex)
+        if second and bits[-1] == 1:
+            full[2 * n :] = register
+        else:
+            full[: 2 * n] = register
+        if second and degree % 2 == 1:
+            full = reflect * (circuits[k] @ (reflect * full))
+        else:
+            full = circuits[k] @ full
+        for bit in (0, 1):
+            nodes[bits + (bit,)] = (full[bit * 2 * n : (bit + 1) * 2 * n], queries + degree)
+            records.append(bits + (bit,))
+    return nodes
+
+
+def haar_unitary(gen, n: int) -> np.ndarray:
+    q, r = np.linalg.qr(gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@pytest.mark.parametrize("completion", [False, True], ids=["dilation", "random-completion"])
+@pytest.mark.parametrize("degree", [4, 5, 10, 11])
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+def test_block_products_equal_the_zero_padded_full_product(n, degree, completion):
+    # A block multiplies only the circuit's columns of the half its register
+    # occupies. Every node, taken before the purity check, equals the whole
+    # circuit on the zero-padded input, on the dilation and on a completion
+    # U' = (I + Y) U (I + X) of the same top block. An exact zero may change
+    # sign. At n = 2 and up the values are equal bit for bit; at n = 1 numpy
+    # multiplies a column by matrix-vector kernels, whose 2- and 4-column
+    # forms may round differently, and no command runs a block there (a
+    # 1 x 1 model has a single band).
+    gen = rng(41, 100 * n + degree)
+    enc = dilate_hermitian(hermitian_from_spectrum(gen.uniform(0.02, 0.98, n), gen))
+    if completion:
+        left, right = np.eye(2 * n, dtype=complex), np.eye(2 * n, dtype=complex)
+        left[n:, n:], right[n:, n:] = haar_unitary(gen, n), haar_unitary(gen, n)
+        enc = left @ enc @ right
+    for count in (2, 4, 5):
+        policy = MultibandPolicy(count, {k: random_symmetric(gen, degree) for k in range(1, count)})
+        nodes = _run_blocks(enc, policy)
+        expected = zero_padded_nodes(enc, policy)
+        assert list(nodes) == list(expected)
+        for bits, (register, queries) in nodes.items():
+            if n == 1:
+                assert np.max(np.abs(register - expected[bits][0])) <= 1e-15, bits
+            else:
+                assert np.array_equal(register, expected[bits][0]), bits
+            assert queries == expected[bits][1]
 
 
 def test_enumerate_purity_check_covers_the_whole_success_operator():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fqsvt import linalg
 from fqsvt.cli import MATRIX, _encode_json, _read, matrix_to_json
 from fqsvt.linalg import (
     SAMPLE_UNIFORMS,
@@ -89,19 +90,21 @@ def test_eigh_stack_tolerance_is_per_matrix():
 
 @pytest.mark.parametrize("amplitude", [1e-3, 1e3])
 @pytest.mark.parametrize("dim", [1, 2, 4, 16])
-def test_a_matrix_and_its_one_item_stack_get_the_same_verdict(dim, amplitude):
-    # A skew entry sets the deviation; tol sits just either side of
+def test_a_matrix_and_its_one_item_stack_get_the_same_verdict(monkeypatch, dim, amplitude):
+    # A skew entry sets the deviation; the tolerance sits just either side of
     # deviation / max(1, max|H|), on both sides of the scale's floor of 1.
     h = amplitude * random_hermitian(dim, rng(23, dim))
     h[0, -1] += 1e-7j * amplitude
     dev = np.max(np.abs(h - h.conj().T))
     ratio = dev / max(1.0, np.max(np.abs(h)))
-    check_hermitian(h, tol=ratio * (1 + 1e-9))
-    check_hermitian(h[np.newaxis], tol=ratio * (1 + 1e-9))
+    monkeypatch.setattr(linalg, "HERMITIAN_TOL", ratio * (1 + 1e-9))
+    check_hermitian(h)
+    check_hermitian(h[np.newaxis])
+    monkeypatch.setattr(linalg, "HERMITIAN_TOL", ratio * (1 - 1e-9))
     messages = []
     for case in (h, h[np.newaxis]):
         with pytest.raises(ValueError) as info:
-            check_hermitian(case, tol=ratio * (1 - 1e-9))
+            check_hermitian(case)
         messages.append(str(info.value))
     assert messages[0].startswith("matrix is not Hermitian: entry (")
     assert messages[1] == messages[0].replace("matrix", "matrix 0 of the stack", 1)
