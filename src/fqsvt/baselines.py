@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import BandStructure, exact_projectors
+from .feedforward import MultibandPolicy
 from .linalg import _check_state, check_hermitian, eigh
 
 __all__ = [
@@ -47,37 +48,38 @@ def prob_projection_depth(q) -> float:
 def random_walk_success(structure: BandStructure) -> float:
     """Expected success of binary splitting, over Haar inputs, when the runner cannot see outcomes.
 
-    Each level applies the query pair dictated by the runner's guessed
-    range: inside [lo, mid) or not. The state collapses by the Born rule,
-    while the runner guesses the outcome uniformly (the guess only chooses
-    the next query, so none follows the last level). A run succeeds when
+    The walk runs feedforward's split schedule, `MultibandPolicy`, on a
+    record of guessed band bits with every success bit 0, so a round whose
+    split reaches past the last band makes no query and draws no guess. The
+    state collapses by the Born rule, while the runner guesses the outcome
+    uniformly (the guess only chooses the next query). A run succeeds when
     its final collapsed state lies in a single band.
 
     Band projectors commute, so along one of the 2^(ell - 1) guess paths
-    each band carries one bit per level, and the run ends in the cell of
+    each band carries one bit per round, and the run ends in the cell of
     bands that share its bits with probability the input's weight on that
     cell. The success is linear in the band weights, and a Haar input puts
     mean weight m_j / n on band j of m_j eigenvalues, so the expected
     success is the sum of m_j / n over the bands alone in their cell,
-    averaged over the paths. At a power of two each path leaves exactly the
-    two bands of its last query alone, so the success is exactly 2/L.
+    averaged over the paths. The splits form a binary tree over the bands
+    and each guess picks a child uniformly, so by induction the paths leave
+    two bands alone on average: with bands of equal size the success is
+    exactly 2/L at every L.
     """
     count = structure.band_count
-    ell = math.ceil(math.log2(count)) if count > 1 else 0
-    paths = 2 ** max(ell - 1, 0)
+    policy = MultibandPolicy(count, {})
+    paths = 2 ** max(policy.ell - 1, 0)
     sizes = np.array([len(band) for band in structure.bands])
     band_index = np.arange(count)
     alone = 0
     for path in range(paths):
-        # Each band's integer cell label gains one bit per level: inside
-        # the queried [lo, mid) or not.
+        # Each band's integer cell label gains one bit per round: at or
+        # above the queried split or not. Round r guesses bit r of the path.
         labels = np.zeros(count, dtype=int)
-        lo = 0
-        for level in range(1, ell + 1):
-            mid = lo + 2 ** (ell - level)
-            labels = 2 * labels + ((band_index >= lo) & (band_index < mid))
-            if level < ell and path >> (level - 1) & 1:  # this path guesses "not low"
-                lo = mid
+        record = ()
+        while (split := policy.next_block(record)) is not None:
+            labels = 2 * labels + (band_index >= split)
+            record += (path >> len(record) // 2 & 1, 0)
         alone += int(sizes[np.bincount(labels)[labels] == 1].sum())
     return alone / (structure.dimension * paths)
 

@@ -26,9 +26,7 @@ __all__ = [
     "ChebyshevSeries",
     "FilterSpec",
     "FilterReport",
-    "NarrowPlateauError",
     "UnresolvedWindowError",
-    "DegreeCapError",
     "heaviside_filter",
     "certify_filter",
 ]
@@ -122,34 +120,27 @@ def _check_window(mu: float, delta: float):
 
 
 class UnresolvedWindowError(ValueError):
-    """The transition window is narrower than float resolution in u = 2x^2 - 1.
+    """No filter the search can build resolves the spec's window; the spec alone decides it.
 
-    Its edges map to one u, or to neighbouring floats, so the quadrature
-    nodes of one plateau round onto the other plateau's edge and the
-    equilibrium measure that places the first Remez reference is not
-    finite. The spec alone decides it: FilterSpec(0.5, 1e-16, eps) maps its
-    window [0.49999999999999994, 0.5] to u = -0.5000000000000001 and -0.5.
-    """
-
-
-class NarrowPlateauError(ValueError):
-    """The transition window nearly fills (0, 1), leaving a plateau too narrow for the exchange.
-
-    In u = 2x^2 - 1 the plateaus are [-1, a] and [b, 1]. A low window edge
-    below about 5e-9 maps to a = -1 exactly, so the first reference can
-    repeat u = -1; points crowded within a few 1e-9 of u = 1 make the
-    Chebyshev-Vandermonde system numerically singular too. The spec alone
-    decides it. An edge that rounds to u = -1 is not rejected as such: the
-    window [3e-9, 0.9] at eps 1e-3 builds at degree 6.
-    """
-
-
-class DegreeCapError(ValueError):
-    """The probe at half-degree DEGREE_CAP // 2 proved that no filter up to the cap meets the spec.
-
-    Its infeasible verdict is the minimax one, which a lower degree cannot
-    improve, so the spec alone decides it: FilterSpec(0.5, 1e-4, 1e-3) does.
-    A cap probe that stopped unproven decides nothing and raises RuntimeError.
+    The three causes, each with its own message:
+    - The window is narrower than float resolution in u = 2x^2 - 1. Its
+      edges map to one u, or to neighbouring floats, so the quadrature nodes
+      of one plateau round onto the other plateau's edge and the equilibrium
+      measure that places the first Remez reference is not finite:
+      FilterSpec(0.5, 1e-16, eps) maps its window [0.49999999999999994, 0.5]
+      to u = -0.5000000000000001 and -0.5.
+    - The window nearly fills (0, 1), leaving a plateau too narrow for the
+      exchange. In u the plateaus are [-1, a] and [b, 1]. A low window edge
+      below about 5e-9 maps to a = -1 exactly, so the first reference can
+      repeat u = -1; points crowded within a few 1e-9 of u = 1 make the
+      Chebyshev-Vandermonde system numerically singular too. An edge that
+      rounds to u = -1 is not rejected as such: the window [3e-9, 0.9] at
+      eps 1e-3 builds at degree 6.
+    - The probe at half-degree DEGREE_CAP // 2 proved that no filter up to
+      the cap meets the spec. Its infeasible verdict is the minimax one,
+      which a lower degree cannot improve: FilterSpec(0.5, 1e-4, 1e-3) has
+      it. A cap probe that stopped unproven decides nothing and raises
+      RuntimeError.
     """
 
 
@@ -464,7 +455,7 @@ def _remez_step(probes: list[_Probe]) -> list[_Verdict | None]:
         try:
             solution = np.linalg.solve(system, np.where(low, plateaus.top, 0.0))
         except np.linalg.LinAlgError:
-            raise NarrowPlateauError(
+            raise UnresolvedWindowError(
                 f"transition window [{plateaus.window[0]}, {plateaus.window[1]}] nearly fills "
                 f"(0, 1): its plateaus [-1, {plateaus.a!r}] and [{plateaus.b!r}, 1] in "
                 f"u = 2x^2 - 1 are too narrow for the Remez exchange, whose reference system "
@@ -601,7 +592,7 @@ def _build_filters(specs: list[FilterSpec]) -> list[_Search]:
         best = search.best
         if best is None:
             unproven = sum(reason not in PROVED for _, reason in search.probes)
-            error = DegreeCapError if search.probes[-1][1] == "infeasible" else RuntimeError
+            error = UnresolvedWindowError if search.probes[-1][1] == "infeasible" else RuntimeError
             raise error(
                 f"no even filter of degree <= {DEGREE_CAP} meets {search.spec}{item}; "
                 f"{unproven} of its {len(search.probes)} probes stopped unproven"

@@ -38,8 +38,8 @@ from .bosehubbard import (
     fock_occupations,
     normalize_for_qsvt,
 )
-from .chebyshev import (EPS_FLOOR, DegreeCapError, FilterSpec, NarrowPlateauError,
-                        UnresolvedWindowError, _build_filters, _check_window, heaviside_filter)
+from .chebyshev import (EPS_FLOOR, FilterSpec, UnresolvedWindowError, _build_filters,
+                        _check_window, heaviside_filter)
 from .feedforward import (
     KrausExtraction,
     channel_bound,
@@ -632,7 +632,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NarrowPlateauError, UnresolvedWindowError, DegreeCapError) as exc:
+    except UnresolvedWindowError as exc:
         # Every filter spec comes from the config: a command's filter keys or its model's gaps.
         print(f"config error: {args.command}: {exc}", file=sys.stderr)
         return 2

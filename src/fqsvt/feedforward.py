@@ -126,15 +126,14 @@ def _check_input(enc, state) -> tuple[np.ndarray, np.ndarray]:
     return enc, state
 
 
-def _run_blocks(enc: np.ndarray, policy: MultibandPolicy) -> dict[tuple, tuple[np.ndarray, int]]:
+def _run_blocks(enc: np.ndarray, policy: MultibandPolicy) -> dict[tuple, np.ndarray]:
     """Expand every MAR outcome on the identity until the policy stops.
 
     Returns every node of the branch tree keyed by its bits, in breadth-first
     order: the root () plus both children of each executed block. A node
     holds its unnormalized (ancilla (x) system, system) register, the linear
-    map of its record so far, and the queries spent to reach it; a node
-    without children is a leaf. Each split's circuit is assembled once, all
-    in one stacked product. A block's input is zero outside the monitoring
+    map of its record so far; a node without children is a leaf. Each
+    split's circuit is assembled once, all in one stacked product. A block's input is zero outside the monitoring
     half its register occupies, so only that half's columns multiply it.
     """
     table = policy.phase_table
@@ -145,7 +144,7 @@ def _run_blocks(enc: np.ndarray, policy: MultibandPolicy) -> dict[tuple, tuple[n
     # Ancilla reflection 2|0..0><0..0| - I within each monitoring sector.
     reflect_signs = np.where(np.arange(2 * reg_dim) % reg_dim < n, 1.0, -1.0)[:, np.newaxis]
 
-    nodes = {(): (np.eye(reg_dim, n, dtype=complex), 0)}
+    nodes = {(): np.eye(reg_dim, n, dtype=complex)}
     records = [()]
     for bits in records:
         k = policy.next_block(bits)
@@ -154,15 +153,14 @@ def _run_blocks(enc: np.ndarray, policy: MultibandPolicy) -> dict[tuple, tuple[n
         # A round's second block feeds the garbage branch of its first MAR
         # back in and, at odd degree, runs between ancilla reflections.
         second = len(bits) % 2 == 1
-        degree = policy.phase_table[k].degree
-        register, queries = nodes[bits]
+        register = nodes[bits]
         half = slice(reg_dim, None) if second and bits[-1] == 1 else slice(reg_dim)
-        if second and degree % 2 == 1:
+        if second and policy.phase_table[k].degree % 2 == 1:
             full = reflect_signs * (circuits[k][:, half] @ (reflect_signs[half] * register))
         else:
             full = circuits[k][:, half] @ register
         for bit in (0, 1):
-            nodes[bits + (bit,)] = (full[bit * reg_dim : (bit + 1) * reg_dim], queries + degree)
+            nodes[bits + (bit,)] = full[bit * reg_dim : (bit + 1) * reg_dim]
             records.append(bits + (bit,))
     return nodes
 
@@ -173,7 +171,8 @@ class TreeLeaf:
 
     The branch failed if any success bit (odd position) is 1. `operator` is
     the branch's linear map from the system onto the register; `state` is
-    it applied to the input.
+    it applied to the input. Each record bit ends one block of the run's one
+    degree, so the branch spent `len(record)` times that degree in queries.
     """
 
     record: tuple
@@ -181,7 +180,6 @@ class TreeLeaf:
     probability: float
     claimed_band: int
     failed: bool
-    queries: int
     operator: np.ndarray = field(repr=False)
 
 
@@ -193,7 +191,7 @@ def _leaves(n: int, policy: MultibandPolicy, nodes: dict, amp: np.ndarray) -> li
     leak in any direction, even one orthogonal to `amp`.
     """
     leaves = []
-    for bits, (register, queries) in nodes.items():
+    for bits, register in nodes.items():
         if bits + (0,) in nodes:
             continue
         # A copy frees the circuit output the register was sliced from.
@@ -208,7 +206,7 @@ def _leaves(n: int, policy: MultibandPolicy, nodes: dict, amp: np.ndarray) -> li
             )
         state = register @ amp
         leaves.append(TreeLeaf(bits, state, float(np.vdot(state, state).real),
-                               policy.claimed_band(bits), failed, queries, register))
+                               policy.claimed_band(bits), failed, register))
     return leaves
 
 
@@ -236,8 +234,8 @@ class BranchTree:
 
     @property
     def query_count(self) -> int:
-        """Block-encoding queries along the deepest trajectory."""
-        return max((leaf.queries for leaf in self.leaves), default=0)
+        """Block-encoding queries along the deepest trajectory: every block runs at `degree`."""
+        return self.degree * max((len(leaf.record) for leaf in self.leaves), default=0)
 
 
 def _multiband_phase_table(structure: BandStructure, round_eps: float) -> tuple[dict, int]:

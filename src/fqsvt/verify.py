@@ -400,9 +400,7 @@ def criterion_10() -> CriterionResult:
             continue
         for j, band in enumerate(structure.bands):
             for col in band:
-                weights = np.zeros(7)
-                for k in range(model.dimension):
-                    weights[labels[k]] += abs(spectrum.vectors[k, col]) ** 2
+                weights = np.bincount(labels, weights=np.abs(spectrum.vectors[:, col]) ** 2)
                 if int(np.argmax(weights)) != sorted(set(labels))[j]:
                     detection_ok = False
 

@@ -21,34 +21,33 @@ def _reference_walk(structure, spectrum, trials, gen):
     """Monte Carlo success rate of the walk, one trial at a time, with n x n
     band projectors on a Haar input.
 
-    Every draw comes from `gen`, a test-local generator.
+    The walk keeps a claimed prefix i. At each level it queries split
+    k = i + 2^(ell - level), the projector onto the bands below k, and then
+    guesses the outcome: a high guess moves the prefix to k. A level whose
+    split reaches past the last band is skipped: it makes no query and draws
+    no guess. Every draw comes from `gen`, a test-local generator.
     """
     count = structure.band_count
     ell = math.ceil(math.log2(count)) if count > 1 else 0
     projectors = exact_projectors(spectrum, structure)
     n = spectrum.vectors.shape[0]
 
-    def range_projector(lo, hi):
-        out = np.zeros((n, n), dtype=complex)
-        for j in range(lo, min(hi, count)):
-            out += projectors[j]
-        return out
-
     successes = 0
     for _ in range(trials):
         state = gen.standard_normal(n) + 1j * gen.standard_normal(n)
         state /= np.linalg.norm(state)
-        lo, hi = 0, 2**ell
+        prefix = 0
         for level in range(1, ell + 1):
-            mid = lo + 2 ** (ell - level)
-            low_part = range_projector(lo, mid) @ state
+            split = prefix + 2 ** (ell - level)
+            if split >= count:
+                continue
+            low_part = sum(projectors[:split]) @ state
             w_low = float(np.vdot(low_part, low_part).real)
             total = float(np.vdot(state, state).real)
             outcome_low = gen.random() < w_low / total
             state = low_part if outcome_low else state - low_part
-            if level < ell:
-                guess_low = gen.random() < 0.5
-                lo, hi = (lo, mid) if guess_low else (mid, hi)
+            if level < ell and gen.random() >= 0.5:
+                prefix = split
         weight = float(np.vdot(state, state).real)
         if weight > 0:
             band_weights = [float(np.vdot(state, p @ state).real) for p in projectors]
@@ -109,7 +108,12 @@ def test_random_walk_four_bands_bounded_by_half():
     # Both paths that guess low first leave three bands alone, both that
     # guess high only band 4: (3 + 3 + 1 + 1) / (4 * 5).
     ([1, 1, 1, 1, 1], 0.4),
-], ids=["one-band", "three-bands-heavy-last", "three-bands-heavy-first", "five-bands"])
+    # Splits 4, 2, 1 or 4, 2, 3 after a low first guess and 4, 5 after a high
+    # one (split 6 is past the last band): every path leaves two bands of 2
+    # alone, 4 / 12.
+    ([2, 2, 2, 2, 2, 2], 1 / 3),
+], ids=["one-band", "three-bands-heavy-last", "three-bands-heavy-first", "five-bands",
+        "six-bands"])
 def test_random_walk_success_by_hand(sizes, success):
     assert random_walk_success(_structure(sizes)) == success
 
@@ -134,6 +138,13 @@ def test_random_walk_matches_per_trial_reference(count, seed, trials):
     lambda count: st.lists(st.integers(1, 4), min_size=count, max_size=count)))
 def test_random_walk_success_is_two_over_L_at_powers_of_two(sizes):
     assert abs(random_walk_success(_structure(sizes)) - 2.0 / len(sizes)) <= 1e-15
+
+
+@pytest.mark.parametrize("count", list(range(2, 17)))
+def test_random_walk_success_is_two_over_L_with_one_eigenvalue_per_band(count):
+    # The splits form a binary tree over the bands, and a uniform walk down
+    # it leaves two bands alone on average at every L.
+    assert random_walk_success(_structure([1] * count)) == 2.0 / count
 
 
 def _reference_instance():

@@ -13,7 +13,6 @@ from fqsvt.chebyshev import (
     PROVED,
     ChebyshevSeries,
     FilterSpec,
-    NarrowPlateauError,
     UnresolvedWindowError,
     _build_filters,
     _clenshaw,
@@ -279,8 +278,9 @@ def test_filter_degree_is_pinned(mu, delta, eps, degree):
 def test_a_window_that_nearly_fills_the_interval_raises_naming_it():
     # The low edge 1.0000000272e-9 maps to u = -1 exactly, and the first
     # reference repeats that point, so the exchange's solve is singular.
-    with pytest.raises(NarrowPlateauError, match=r"^transition window \[1\.0000000272292198e-09, "
-                                                 r"0\.9999999989999999\] nearly fills \(0, 1\)"):
+    with pytest.raises(UnresolvedWindowError,
+                       match=r"^transition window \[1\.0000000272292198e-09, "
+                             r"0\.9999999989999999\] nearly fills \(0, 1\)"):
         heaviside_filter([FilterSpec(0.5, 0.999999998, 2.5e-4)])
 
 
@@ -315,18 +315,18 @@ def test_windows_that_nearly_fill_the_interval_can_build(spec, degree):
 def test_heaviside_raises_when_the_cap_is_too_low(monkeypatch):
     # The probe at the cap proves it infeasible, so the spec alone decides it.
     monkeypatch.setattr(chebyshev, "DEGREE_CAP", 20)
-    with pytest.raises(chebyshev.DegreeCapError, match="no even filter of degree <= 20"):
+    with pytest.raises(chebyshev.UnresolvedWindowError, match="no even filter of degree <= 20"):
         heaviside_filter([FilterSpec(0.5, 0.2, 1e-3)])
 
 
 def test_the_cap_error_names_the_item_and_its_unproven_probes(monkeypatch):
     # Item 0 needs degree 8; item 1 needs 60 and, with one exchange iteration
     # a probe, stops unproven at each of its probes below the cap.
-    # A cap probe proved infeasible is a DegreeCapError (a ValueError); one
+    # A cap probe proved infeasible is an UnresolvedWindowError (a ValueError); one
     # that stopped unproven decides nothing and stays a RuntimeError.
     specs = [FilterSpec(0.5, 0.6, 0.1), FilterSpec(0.5, 0.2, 1e-3)]
     monkeypatch.setattr(chebyshev, "DEGREE_CAP", 20)
-    with pytest.raises(chebyshev.DegreeCapError,
+    with pytest.raises(chebyshev.UnresolvedWindowError,
                        match=r"delta=0\.2, eps=0\.001\) \(item 1 of 2\); "
                              r"0 of its 1 probes stopped unproven$"):
         heaviside_filter(specs)

@@ -14,6 +14,7 @@ from fqsvt.blockenc import dilate_hermitian
 from fqsvt.chebyshev import ChebyshevSeries, FilterSpec, _clenshaw, heaviside_filter
 from fqsvt.cli import main, matrix_to_json
 from fqsvt.feedforward import (
+    BranchTree,
     KrausExtraction,
     MultibandPolicy,
     TreeLeaf,
@@ -356,8 +357,8 @@ def test_sample_mode_matches_per_trajectory_propagation(count, monkeypatch):
             leaves = sample_trajectories(tree, seed, trajectories)
             expected = reference[:trajectories]
             assert all(any(leaf is own for own in tree.leaves) for leaf in leaves)
-            assert [(leaf.record, leaf.probability, leaf.claimed_band, leaf.failed, leaf.queries)
-                    for leaf in leaves] == [
+            assert [(leaf.record, leaf.probability, leaf.claimed_band, leaf.failed,
+                     len(leaf.record) * tree.degree) for leaf in leaves] == [
                 (bits, float(np.vdot(amplitudes, amplitudes).real),
                  policy.claimed_band(bits), any(bits[1::2]), queries)
                 for bits, amplitudes, queries in expected]
@@ -609,7 +610,7 @@ def test_channel_distance_zero_for_exact_projectors():
     amp = spec.vectors[:, 0]
     kraus = KrausExtraction(
         [TreeLeaf((band, 0), p @ amp, float(np.vdot(amp, p @ amp).real),
-                  band, False, 2, p.copy())
+                  band, False, p.copy())
          for band, p in enumerate(projectors)],
         completeness_residual=0.0,
     )
@@ -655,7 +656,7 @@ def test_channel_distance_qubit_identity_against_full_dephasing():
     # M = [[0, 1], [1, 0]]: the identity channel is at distance exactly 1.
     spec = eigh(np.diag([0.2, 0.8]))
     structure = BandStructure(2, [0.5], 0.6, [[0], [1]])
-    kraus = KrausExtraction([TreeLeaf((), np.eye(2)[:, 0], 1.0, 0, False, 0, np.eye(2))], 0.0)
+    kraus = KrausExtraction([TreeLeaf((), np.eye(2)[:, 0], 1.0, 0, False, np.eye(2))], 0.0)
     lower, upper, residual = channel_distance(kraus, spec, structure)
     assert residual == 0.0
     assert abs(lower - 1.0) <= 1e-12 and abs(upper - 1.0) <= 1e-12
@@ -667,7 +668,7 @@ def test_channel_distance_takes_band_labels_not_positions():
     spec = eigh(np.diag([0.1, 0.5, 0.9]))
     theta = np.array([0.1, 0.7, 1.3])
     operator = np.vstack([np.diag(np.cos(theta)), np.diag(np.sin(theta))])
-    kraus = KrausExtraction([TreeLeaf((), operator[:, 0], 1.0, 0, False, 0, operator)], 0.0)
+    kraus = KrausExtraction([TreeLeaf((), operator[:, 0], 1.0, 0, False, operator)], 0.0)
     split = BandStructure(2, [0.3], 0.4, [[0, 2], [1]])
     lower, upper, residual = channel_distance(kraus, spec, split)
     trace, watrous = choi_oracle(kraus, exact_projectors(spec, split))
@@ -794,26 +795,24 @@ def zero_padded_nodes(enc, policy: MultibandPolicy) -> dict:
     n = len(enc) // 2
     reflect = -np.ones((4 * n, 1))
     reflect[:n] = reflect[2 * n : 3 * n] = 1.0
-    nodes = {(): (np.eye(2 * n, n, dtype=complex), 0)}
+    nodes = {(): np.eye(2 * n, n, dtype=complex)}
     records = [()]
     for bits in records:
         k = policy.next_block(bits)
         if k is None:
             continue
         second = len(bits) % 2 == 1
-        degree = table[k].degree
-        register, queries = nodes[bits]
         full = np.zeros((4 * n, n), dtype=complex)
         if second and bits[-1] == 1:
-            full[2 * n :] = register
+            full[2 * n :] = nodes[bits]
         else:
-            full[: 2 * n] = register
-        if second and degree % 2 == 1:
+            full[: 2 * n] = nodes[bits]
+        if second and table[k].degree % 2 == 1:
             full = reflect * (circuits[k] @ (reflect * full))
         else:
             full = circuits[k] @ full
         for bit in (0, 1):
-            nodes[bits + (bit,)] = (full[bit * 2 * n : (bit + 1) * 2 * n], queries + degree)
+            nodes[bits + (bit,)] = full[bit * 2 * n : (bit + 1) * 2 * n]
             records.append(bits + (bit,))
     return nodes
 
@@ -846,12 +845,11 @@ def test_block_products_equal_the_zero_padded_full_product(n, degree, completion
         nodes = _run_blocks(enc, policy)
         expected = zero_padded_nodes(enc, policy)
         assert list(nodes) == list(expected)
-        for bits, (register, queries) in nodes.items():
+        for bits, register in nodes.items():
             if n == 1:
-                assert np.max(np.abs(register - expected[bits][0])) <= 1e-15, bits
+                assert np.max(np.abs(register - expected[bits])) <= 1e-15, bits
             else:
-                assert np.array_equal(register, expected[bits][0]), bits
-            assert queries == expected[bits][1]
+                assert np.array_equal(register, expected[bits]), bits
 
 
 def test_enumerate_purity_check_covers_the_whole_success_operator():
@@ -864,11 +862,11 @@ def test_enumerate_purity_check_covers_the_whole_success_operator():
     operator[3, 1] = 0.5
     amp = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(RuntimeError, match=r"success branch \(record \(0, 0\)\): purity 0\.8$"):
-        _leaves(2, policy, {(0, 0): (operator, 2)}, amp)
+        _leaves(2, policy, {(0, 0): operator}, amp)
     # A failed record is not checked, and without the leak the operator passes.
-    assert _leaves(2, policy, {(0, 1): (operator, 2)}, amp)[0].failed
+    assert _leaves(2, policy, {(0, 1): operator}, amp)[0].failed
     operator[3, 1] = 0.0
-    (leaf,) = _leaves(2, policy, {(0, 0): (operator, 2)}, amp)
+    (leaf,) = _leaves(2, policy, {(0, 0): operator}, amp)
     assert leaf.probability == 1.0 and not leaf.failed
 
 
@@ -889,6 +887,19 @@ def test_policy_reaches_every_split_and_no_other(count):
             reached.add(k)
             frontier += [bits + (0,), bits + (1,)]
     assert reached == set(range(1, count))
+
+
+@pytest.mark.parametrize("count", range(1, 17))
+def test_deepest_record_and_query_count_follow_the_schedule(count):
+    # On a cheap table of one degree, the deepest record runs every level of
+    # the schedule and the tree's query count is the paper's formula.
+    phases = random_symmetric(rng(43), 3)
+    policy = MultibandPolicy(count, {k: phases for k in range(1, count)})
+    enc = dilate_hermitian(np.diag([0.1, 0.9]))
+    leaves = _leaves(2, policy, _run_blocks(enc, policy), np.array([1.0, 0.0]))
+    tree = BranchTree(leaves, policy.ell, 0.1, phases.degree)
+    assert max(len(leaf.record) for leaf in leaves) == 2 * math.ceil(math.log2(count))
+    assert tree.query_count == feedforward_query_count(count, 3)
 
 
 def test_query_count_formula():

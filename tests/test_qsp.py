@@ -344,7 +344,7 @@ def failing_synthesis(monkeypatch, count):
 
 
 @pytest.mark.parametrize("count", [1, 2])
-@pytest.mark.parametrize("stage, error", [(failing_filter_build, chebyshev.DegreeCapError),
+@pytest.mark.parametrize("stage, error", [(failing_filter_build, chebyshev.UnresolvedWindowError),
                                           (failing_extraction, RuntimeError),
                                           (failing_synthesis, SynthesisError)],
                          ids=["heaviside_filter", "extract_pq", "synthesize_symmetric"])

@@ -59,7 +59,7 @@ def reference_write_kraus(path, kraus):
 
 
 def leaf(record, claimed_band, failed, operator) -> TreeLeaf:
-    return TreeLeaf(tuple(record), None, 0.0, claimed_band, failed, 0, operator)
+    return TreeLeaf(tuple(record), None, 0.0, claimed_band, failed, operator)
 
 
 def random_kraus(gen, count, shape) -> KrausExtraction:
