@@ -26,7 +26,6 @@ __all__ = [
 class BandStructure:
     """L bands separated by L-1 gap centers; delta is the smallest selected gap width."""
 
-    band_count: int
     centers: np.ndarray
     delta: float
     bands: list[list[int]]
@@ -38,13 +37,15 @@ class BandStructure:
                 f"{self.band_count} bands need {self.band_count - 1} centers, "
                 f"got {len(self.centers)}"
             )
-        if len(self.bands) != self.band_count:
-            raise ValueError("band index sets must match the band count")
         if len(self.centers) > 1 and np.any(np.diff(self.centers) <= 0):
             raise ValueError("gap centers must be strictly ascending")
         seen = [i for band in self.bands for i in band]
         if sorted(seen) != list(range(len(seen))):
             raise ValueError("band index sets must partition 0..N-1")
+
+    @property
+    def band_count(self) -> int:
+        return len(self.bands)
 
     @property
     def dimension(self) -> int:
@@ -84,7 +85,7 @@ def detect_bands(
         chosen = sorted(order[: target_bands - 1])
 
     if not chosen:
-        return BandStructure(1, np.zeros(0), 0.0, [list(range(len(values)))])
+        return BandStructure(np.zeros(0), 0.0, [list(range(len(values)))])
 
     centers = np.array([(values[i] + values[i + 1]) / 2.0 for i in chosen])
     tied = np.flatnonzero(np.diff(centers) == 0.0)
@@ -96,7 +97,7 @@ def detect_bands(
     delta = float(min(widths[i] for i in chosen))
     edges = [0] + [i + 1 for i in chosen] + [len(values)]
     bands = [list(range(edges[j], edges[j + 1])) for j in range(len(edges) - 1)]
-    return BandStructure(len(bands), centers, delta, bands)
+    return BandStructure(centers, delta, bands)
 
 
 def check_band_assumption(values, structure: BandStructure):

@@ -43,8 +43,6 @@ DEGREE_CAP = 2000
 # Remez stops once the level is within this factor of the levelled error.
 REMEZ_TOL = 1e-6
 REMEZ_MAX_ITER = 40
-# Phase synthesis (`qsp`) stops its damped Newton after this many iterations.
-NEWTON_MAX_ITER = 80
 # Nodes of the quadratures that place the first Remez reference.
 QUADRATURE = 1000
 # The verdicts of a Remez probe that are proofs; see `_Verdict`.

@@ -65,6 +65,15 @@ def _fmt(x) -> str:
 
 
 @contextlib.contextmanager
+def _config_error(prefix: str, errors=ValueError):
+    """Re-raise an `errors` exception from the body as a ConfigError led by `prefix`."""
+    try:
+        yield
+    except errors as exc:
+        raise ConfigError(f"{prefix}: {exc}") from exc
+
+
+@contextlib.contextmanager
 def _replacing(path: Path):
     """A text file, written at a sibling name and moved onto `path` once whole.
 
@@ -224,10 +233,8 @@ def _read(kind, value, name: str):
     values = {key: _read(k, value.get(key, default), f"{name}.{key}")
               for key, (k, default) in kind.fields.items()
               if key in value or default is not OPTIONAL}
-    try:
+    with _config_error(name):
         return values if kind.build is None else kind.build(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def matrix_to_json(a: np.ndarray) -> dict:
@@ -323,10 +330,8 @@ def _out_dir(path) -> Path:
 
 
 def cmd_phases(cfg: dict, out: Path, seed: int) -> int:
-    try:
+    with _config_error("phases: invalid filter parameters"):
         spec = FilterSpec(cfg["mu"], cfg["delta"], cfg["eps"])
-    except ValueError as exc:
-        raise ConfigError(f"phases: invalid filter parameters: {exc}") from exc
 
     build = _build_filters([spec])[0]
     filt, report = build.filter, build.report
@@ -357,11 +362,8 @@ def _perturbed(model: GmonModel, seed: int, where: str) -> GmonModel:
 
     The cause is a control that the noise moved outside its range.
     """
-    try:
+    with _config_error(f"{where}.perturb_seed {seed} moves the model out of range"):
         return model.perturbed(seed)
-    except ValueError as exc:
-        raise ConfigError(f"{where}.perturb_seed {seed} moves the model out of range: "
-                          f"{exc}") from exc
 
 
 def _resolve_model(model: dict, seed: int) -> np.ndarray:
@@ -371,10 +373,8 @@ def _resolve_model(model: dict, seed: int) -> np.ndarray:
         if "perturb_seed" in model:
             gmon = _perturbed(gmon, model["perturb_seed"], "project.model")
         h = build_h0(gmon) + build_h1(gmon)
-        try:
+        with _config_error("project.model"):
             h = normalize_for_qsvt(h, model["margin"])[0]
-        except ValueError as exc:
-            raise ConfigError(f"project.model: {exc}") from exc
         return dilate_hermitian(h)
     if model["type"] == "inline":
         h, where = model["matrix"], "project.model: invalid inline matrix"
@@ -382,10 +382,8 @@ def _resolve_model(model: dict, seed: int) -> np.ndarray:
         values = synthetic_band_spectrum(model["bands"], model["per_band"], model["width"])
         h = hermitian_from_spectrum(values, rng(model.get("basis_seed", seed), 1))
         where = f"project.model.width {model['width']}"
-    try:
+    with _config_error(where):
         return dilate_hermitian(h)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _resolve_input(inp: dict, spectrum, seed: int) -> np.ndarray:
@@ -422,14 +420,12 @@ def cmd_project(cfg: dict, out: Path, seed: int) -> int:
             f"project.model: the system register needs a power-of-two dimension, got {dim}"
         )
     spectrum = eigh(enc[:dim, :dim])
-    try:
+    with _config_error("project.bands"):
         if "min_gap" in cfg["bands"]:
             structure = detect_bands(spectrum.values, min_gap=cfg["bands"]["min_gap"])
         else:
             target = _number(int, cfg["bands"]["target"], "project.bands.target", high=dim)
             structure = detect_bands(spectrum.values, target_bands=target)
-    except ValueError as exc:
-        raise ConfigError(f"project.bands: {exc}") from exc
 
     count = structure.band_count
     if "round_eps" in cfg:
@@ -445,14 +441,12 @@ def cmd_project(cfg: dict, out: Path, seed: int) -> int:
     # so an eigenvalue at 0 or 1 next to the narrowest selected gap rejects
     # the model before any filter is built.
     for j, center in enumerate(structure.centers):
-        try:
+        below = spectrum.values[structure.bands[j][-1]]
+        above = spectrum.values[structure.bands[j + 1][0]]
+        edge = below if center - structure.delta / 2.0 <= 0.0 else above
+        with _config_error(f"project.model: eigenvalue {edge} is a band edge at 0 or 1 "
+                           f"next to the selected gap ({below}, {above})"):
             _check_window(float(center), structure.delta)
-        except ValueError as exc:
-            below = spectrum.values[structure.bands[j][-1]]
-            above = spectrum.values[structure.bands[j + 1][0]]
-            edge = below if center - structure.delta / 2.0 <= 0.0 else above
-            raise ConfigError(f"project.model: eigenvalue {edge} is a band edge at 0 or 1 "
-                              f"next to the selected gap ({below}, {above}): {exc}") from exc
 
     amp = _resolve_input(cfg["input"], spectrum, seed)
     tree = run_multiband(enc, structure, round_eps, amp)
@@ -495,17 +489,13 @@ def cmd_project(cfg: dict, out: Path, seed: int) -> int:
 
 
 def cmd_baselines(cfg: dict, out: Path, seed: int) -> int:
-    try:
+    with _config_error("baselines.filter: invalid filter parameters"):
         spec = FilterSpec(0.5, cfg["filter"]["delta"], cfg["filter"]["eps"])
-    except ValueError as exc:
-        raise ConfigError(f"baselines.filter: invalid filter parameters: {exc}") from exc
     per_band = cfg["per_band"]
-    try:
+    with _config_error("baselines.per_band (M), baselines.adiabatic_min_gap (gap) and "
+                       "baselines.adiabatic_eps (eps)"):
         estimate = adiabatic_time_estimate(per_band, cfg["adiabatic_min_gap"],
                                            cfg["adiabatic_eps"])
-    except ValueError as exc:
-        raise ConfigError(f"baselines.per_band (M), baselines.adiabatic_min_gap (gap) and "
-                          f"baselines.adiabatic_eps (eps): {exc}") from exc
     degree = heaviside_filter([spec])[0].degree
 
     rows = []
@@ -548,10 +538,8 @@ def cmd_bosehubbard(cfg: dict, out: Path, seed: int) -> int:
     h0 = build_h0(model)
     h1 = build_h1(model)
     labels = band_labels(model)
-    try:
+    with _config_error("bosehubbard.model"):
         normalized, scale = normalize_for_qsvt(h0 + h1, cfg["margin"])
-    except ValueError as exc:
-        raise ConfigError(f"bosehubbard.model: {exc}") from exc
     spectrum = eigh(normalized)
     # The detected band gap is min_gap_fraction * eta in normalized units.
     min_gap = cfg["min_gap_fraction"] * model.eta * scale
@@ -561,13 +549,9 @@ def cmd_bosehubbard(cfg: dict, out: Path, seed: int) -> int:
             f"{model.eta:g} underflows to a band gap of 0 in normalized units "
             f"(scale {scale:.3g})"
         )
-    try:
+    with _config_error(f"bosehubbard.min_gap_fraction {cfg['min_gap_fraction']:g} times "
+                       f"model.eta {model.eta:g} selects gaps that cannot be told apart"):
         structure = detect_bands(spectrum.values, min_gap=min_gap)
-    except ValueError as exc:
-        raise ConfigError(
-            f"bosehubbard.min_gap_fraction {cfg['min_gap_fraction']:g} times model.eta "
-            f"{model.eta:g} selects gaps that cannot be told apart: {exc}"
-        ) from exc
 
     _write_json(out / "model.json", {key: getattr(model, key) for key in GMON_FIELDS})
     _write_json(out / "h0.json", matrix_to_json(h0))
@@ -628,13 +612,11 @@ def main(argv=None) -> int:
             "baselines": (cmd_baselines, BASELINES),
             "bosehubbard": (cmd_bosehubbard, BOSEHUBBARD),
         }[args.command]
-        return handler(_read(table, config, args.command), out, seed)
+        # Every filter spec comes from the config: a command's filter keys or its model's gaps.
+        with _config_error(args.command, UnresolvedWindowError):
+            return handler(_read(table, config, args.command), out, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except UnresolvedWindowError as exc:
-        # Every filter spec comes from the config: a command's filter keys or its model's gaps.
-        print(f"config error: {args.command}: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

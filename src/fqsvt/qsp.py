@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import NEWTON_MAX_ITER, SYNTHESIS_GUARD, ChebyshevSeries, _clenshaw
+from .chebyshev import SYNTHESIS_GUARD, ChebyshevSeries, _clenshaw
 
 __all__ = [
     "PhaseFactorSet",
@@ -37,6 +37,8 @@ PARITY_TOL = 1e-12
 VALIDATION_TOL = 1e-9
 # Every command's phase synthesis meets this residual on its 2d-node contract grid.
 SYNTHESIS_TOL = 1e-11
+# Phase synthesis stops its damped Newton after this many iterations.
+NEWTON_MAX_ITER = 80
 
 
 @dataclass(eq=False)
@@ -116,13 +118,16 @@ def _product(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
 class QspPolynomialPair:
     """Chebyshev coefficients of the pair (P, Q) generated by a phase set.
 
-    P has degree <= d with parity d mod 2; Q has degree <= d - 1 with the
-    complementary parity (empty for d = 0).
+    P has degree <= d = len(p) - 1 with parity d mod 2; Q has degree <= d - 1
+    with the complementary parity (empty for d = 0).
     """
 
     p: np.ndarray
     q: np.ndarray
-    degree: int
+
+    @property
+    def degree(self) -> int:
+        return len(self.p) - 1
 
 
 def _cheb_interpolate(values: np.ndarray, theta: np.ndarray, degree: int) -> np.ndarray:
@@ -202,7 +207,7 @@ def extract_pq(items: list[PhaseFactorSet]) -> list[QspPolynomialPair]:
             f"P residual {res_p[i]:.3e}, Q residual {res_q[i]:.3e}"
             + (f" (item {i} of {len(items)})" if len(items) > 1 else "")
         )
-    return [QspPolynomialPair(pi, qi, d) for pi, qi in zip(p, q)]
+    return [QspPolynomialPair(pi, qi) for pi, qi in zip(p, q)]
 
 
 def _circuit_offsets(d: int) -> np.ndarray:

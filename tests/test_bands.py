@@ -95,22 +95,22 @@ def test_band_assumption_checker():
     values = np.array([0.1, 0.2, 0.8, 0.9])
     s = detect_bands(values, min_gap=0.5)
     check_band_assumption(values, s)
-    bad = BandStructure(2, [0.5], 0.7, [[0, 1], [2, 3]])
+    bad = BandStructure([0.5], 0.7, [[0, 1], [2, 3]])
     with pytest.raises(ValueError, match="band assumption"):
         check_band_assumption(values, bad)
 
 
 def test_band_structure_validation_and_json(tmp_path):
-    s = BandStructure(2, [0.5], 0.2, [[0, 1], [2]])
+    s = BandStructure([0.5], 0.2, [[0, 1], [2]])
     _write_bands(tmp_path / "bands.json", s)
     doc = json.loads((tmp_path / "bands.json").read_text(encoding="utf-8"))
     assert doc["L"] == 2
-    restored = BandStructure(doc["L"], doc["centers"], doc["delta"], doc["bands"])
+    restored = BandStructure(doc["centers"], doc["delta"], doc["bands"])
     assert restored.bands == s.bands
     with pytest.raises(ValueError, match="partition"):
-        BandStructure(2, [0.5], 0.2, [[0], [2]])
+        BandStructure([0.5], 0.2, [[0], [2]])
     with pytest.raises(ValueError, match="centers"):
-        BandStructure(3, [0.5], 0.2, [[0], [1], [2]])
+        BandStructure([0.5], 0.2, [[0], [1], [2]])
 
 
 def test_synthetic_band_spectrum_shapes():

@@ -86,7 +86,7 @@ def test_prob_projection_depth_validation():
 def _structure(sizes):
     """Consecutive bands of the given sizes; the gap centers are placeholders."""
     edges = np.cumsum([0, *sizes])
-    return BandStructure(len(sizes), np.arange(len(sizes) - 1) + 0.5, 1.0,
+    return BandStructure(np.arange(len(sizes) - 1) + 0.5, 1.0,
                          [list(range(a, b)) for a, b in zip(edges[:-1], edges[1:])])
 
 

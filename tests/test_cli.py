@@ -405,6 +405,9 @@ TWO_LEVEL_GMON = {"modes": 1, "nmax": 1, "eta": 1.0, "edges": [], "delta": [1.0]
     ({"haar_samples": 0}, "project.haar_samples must be >= 1, got 0"),
     ({"round_eps": float("nan")}, "project.round_eps: expected a finite value"),
     ({"model": {**SMALL_SYNTHETIC, "width": 0.5}}, "model.width 0.5: spectrum must lie in [0, 1]"),
+    ({"model": {**SMALL_SYNTHETIC, "width": 0.2}, "round_eps": 1e-3},
+     "config error: project.model.width 0.2: spectrum must lie in [0, 1] for the symmetric "
+     "dilation; offending eigenvalue -0.050000000000000044\n"),
     ({"model": {"type": "gmon", "margin": 0.7}}, "model.margin must be < 0.5, got 0.7"),
     ({"model": {"type": "gmon", "spec": {"modes": 2}}}, "model.spec: missing key 'nmax'"),
     ({"model": {"type": "gmon", "spec": {**GMON_SPEC_DOC, "delta": [0.0]}}},
@@ -462,6 +465,7 @@ TWO_LEVEL_GMON = {"modes": 1, "nmax": 1, "eta": 1.0, "edges": [], "delta": [1.0]
 ], ids=["min-gap-negative", "target-too-large", "target-type", "per-band-zero",
         "round-eps-type", "budget-type", "split-constant-zero", "trajectories-negative",
         "haar-samples-negative", "haar-samples-zero", "round-eps-nan", "width-outside-unit-interval",
+        "width-names-its-key",
         "gmon-margin-too-large", "gmon-spec-missing-key", "gmon-spec-bad-field",
         "basis-seed-above-64-bits", "input-seed-above-64-bits", "perturb-seed-above-64-bits",
         "trajectories-fractional", "bands-fractional", "target-boolean", "round-eps-boolean",
@@ -474,7 +478,25 @@ def test_project_rejects_bad_config_value_with_exit_2(tmp_path, capsys, changes,
     cfg = write_config(tmp_path, doc)
     assert main(["project", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert cause in capsys.readouterr().err
-    assert not (tmp_path / "o" / "kraus.json").exists()
+    assert not any((tmp_path / "o").iterdir())
+
+
+@pytest.mark.parametrize("error, code, message", [
+    (ValueError, 1, "error: boom\n"),
+    (chebyshev.UnresolvedWindowError, 2, "config error: project: boom\n"),
+], ids=["value-error", "unresolved-window"])
+def test_main_classifies_a_run_failure_by_its_type(tmp_path, capsys, monkeypatch, error, code,
+                                                   message):
+    # Only the filter-spec error is the config's; any other ValueError from a
+    # run is numerical.
+    def failing(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "run_multiband", failing)
+    cfg = write_config(tmp_path, {"model": SMALL_SYNTHETIC, "bands": {"target": 2},
+                                  "round_eps": 1e-2})
+    assert main(["project", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

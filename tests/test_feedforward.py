@@ -655,7 +655,7 @@ def test_channel_distance_matches_per_probe_reference(count, n):
 def test_channel_distance_qubit_identity_against_full_dephasing():
     # M = [[0, 1], [1, 0]]: the identity channel is at distance exactly 1.
     spec = eigh(np.diag([0.2, 0.8]))
-    structure = BandStructure(2, [0.5], 0.6, [[0], [1]])
+    structure = BandStructure([0.5], 0.6, [[0], [1]])
     kraus = KrausExtraction([TreeLeaf((), np.eye(2)[:, 0], 1.0, 0, False, np.eye(2))], 0.0)
     lower, upper, residual = channel_distance(kraus, spec, structure)
     assert residual == 0.0
@@ -669,15 +669,15 @@ def test_channel_distance_takes_band_labels_not_positions():
     theta = np.array([0.1, 0.7, 1.3])
     operator = np.vstack([np.diag(np.cos(theta)), np.diag(np.sin(theta))])
     kraus = KrausExtraction([TreeLeaf((), operator[:, 0], 1.0, 0, False, operator)], 0.0)
-    split = BandStructure(2, [0.3], 0.4, [[0, 2], [1]])
+    split = BandStructure([0.3], 0.4, [[0, 2], [1]])
     lower, upper, residual = channel_distance(kraus, spec, split)
     trace, watrous = choi_oracle(kraus, exact_projectors(spec, split))
     assert residual == 0.0
     assert abs(lower - trace) <= 1e-12 and abs(upper - watrous) <= 1e-12
-    contiguous = BandStructure(2, [0.3], 0.4, [[0, 1], [2]])
+    contiguous = BandStructure([0.3], 0.4, [[0, 1], [2]])
     assert abs(channel_distance(kraus, spec, contiguous)[0] - lower) > 1e-2
     with pytest.raises(ValueError, match="dimension"):
-        channel_distance(kraus, spec, BandStructure(2, [0.5], 0.4, [[0], [1]]))
+        channel_distance(kraus, spec, BandStructure([0.5], 0.4, [[0], [1]]))
 
 
 def test_channel_distance_residual_covers_a_block_off_the_eigenbasis():
@@ -743,7 +743,7 @@ def test_channel_distance_roughly_linear_in_budget():
 def test_phase_table_builds_each_split_once_and_pads_to_the_hardest(monkeypatch):
     # Split 2 needs the highest degree; splits 1 and 3 keep their own lower
     # degree filters, zero-padded, and are never built again.
-    structure = BandStructure(4, [0.125, 0.225, 0.5], 0.2, [[0], [1], [2], [3]])
+    structure = BandStructure([0.125, 0.225, 0.5], 0.2, [[0], [1], [2], [3]])
     eps = 0.1
     built = {}
 
@@ -769,7 +769,7 @@ def test_phase_table_builds_each_split_once_and_pads_to_the_hardest(monkeypatch)
 def test_phase_table_names_the_split_whose_synthesis_stalls(monkeypatch):
     # A pure 0.5 T_10 filter has closed-form phases, so at an unreachable
     # tolerance only split 2, given 0.3 + 0.5 T_10, can stall.
-    structure = BandStructure(4, [0.125, 0.225, 0.5], 0.2, [[0], [1], [2], [3]])
+    structure = BandStructure([0.125, 0.225, 0.5], 0.2, [[0], [1], [2], [3]])
 
     def fake_filter(spec):
         coeffs = np.zeros(11)

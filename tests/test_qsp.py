@@ -185,7 +185,7 @@ def reference_single_extract_pq(psi: PhaseFactorSet) -> qsp.QspPolynomialPair:
     res_p = np.max(np.abs(reference_clenshaw(p, xs) - a[2 * d + 1 :]))
     res_q = np.max(np.abs(1j * np.sqrt(1.0 - xs * xs) * reference_clenshaw(q, xs) - b[2 * d + 1 :]))
     assert max(res_p, res_q) <= 1e-9
-    return qsp.QspPolynomialPair(p, q, d)
+    return qsp.QspPolynomialPair(p, q)
 
 
 def test_sweeps_match_the_preallocated_loop_bitwise():
