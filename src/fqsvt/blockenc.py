@@ -5,10 +5,11 @@ N x N block is the encoded matrix (one ancilla qubit). Only the
 single-ancilla symmetric dilation [[H, S], [S, -H]] with S = sqrt(I - H^2)
 is constructed natively. Any other unitary may be passed in: `_check_encoding`
 verifies it where it enters, in `feedforward.run_1fqsvt`,
-`feedforward.run_multiband` and `qsvt.assemble_full`. For the symmetric
-dilation the cosine-sine factors are fixed by the block equations: with
-H = V Sigma V^dag they are V2 = V and W2 = -V, which `qsvt.predicted_blocks`
-uses in closed form.
+`feedforward.run_multiband` and `qsvt.assemble_full`, and a stack of them in
+one product where `run_1fqsvt` and `assemble_full` take a stack. For the
+symmetric dilation the cosine-sine factors are fixed by the block equations:
+with H = V Sigma V^dag they are V2 = V and W2 = -V, which
+`qsvt.predicted_blocks` uses in closed form.
 """
 
 from __future__ import annotations
@@ -24,11 +25,17 @@ __all__ = [
 UNITARITY_TOL = 1e-10
 
 
-def _check_encoding(u) -> np.ndarray:
-    """`u` as a complex array, checked to be a unitary of even, non-zero size."""
+def _check_encoding(u, stack: bool = False) -> np.ndarray:
+    """`u` as a complex array, checked to be a unitary of even, non-zero size.
+
+    With `stack`, `u` is a stack (B, 2N, 2N) of such unitaries, checked in
+    one stacked product, and the diagnostic names the first offending
+    matrix's stack index.
+    """
     u = np.asarray(u, dtype=complex)
     shape = u.shape
-    if len(shape) != 2 or shape[0] != shape[1] or shape[0] % 2 or not shape[0]:
+    if (len(shape) != (3 if stack else 2) or shape[-1] != shape[-2]
+            or shape[-1] % 2 or not shape[-1]):
         raise ValueError(f"encoding must be a square unitary of even size, got shape {shape}")
     return _check_unitary(u)
 

@@ -18,6 +18,8 @@ multipliers, so one `eigh` brackets their distance with no sampling.
 The encoding and the state are plain arrays. `run_1fqsvt` and
 `run_multiband` check both before any filter is built: a unitary of even
 size (`blockenc._check_encoding`), and a unit vector on its top block.
+`run_1fqsvt` also takes a stack of instances, which one expansion runs with
+a stack axis on every register.
 """
 
 from __future__ import annotations
@@ -70,16 +72,21 @@ class MultibandPolicy:
     it exactly. The literal adjoint would not do: it is a no-op on the
     dilation, where U = U^dag.
 
-    `phase_table` maps each split index to its symmetric `PhaseFactorSet`;
-    `assemble_full` applies the circuit offsets when it builds the blocks.
+    `phase_table` maps each split index to its symmetric `PhaseFactorSet`,
+    or, for a run on a stack of encodings, to a list of them, one per
+    encoding; `assemble_full` applies the circuit offsets when it builds the
+    blocks.
     """
 
     def __init__(self, band_count: int, phase_table: dict):
-        for psi in phase_table.values():
-            if not psi.symmetric:
-                raise ValueError(
-                    "the two-block primitive requires symmetric (palindromic) phase factors"
-                )
+        for entry in phase_table.values():
+            stack = isinstance(entry, list)
+            for index, psi in enumerate(entry if stack else [entry]):
+                if not psi.symmetric:
+                    raise ValueError(
+                        "the two-block primitive requires symmetric (palindromic) phase factors"
+                        + (f"; phase set {index} of the stack is not" if stack else "")
+                    )
         self.band_count = band_count
         self.phase_table = phase_table
         self.ell = math.ceil(math.log2(band_count)) if band_count > 1 else 0
@@ -112,18 +119,38 @@ class MultibandPolicy:
         return self._replay(bits[0 : len(bits) - len(bits) % 2 : 2])[1]
 
 
-def _check_input(enc, state) -> tuple[np.ndarray, np.ndarray]:
-    """(encoding, state) as complex arrays, checked to be a unitary and a unit vector for it."""
-    enc = _check_encoding(enc)
+def _check_input(enc, state, stack: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(encoding, state) as complex arrays, checked to be a unitary and a unit vector for it.
+
+    With `stack`, `enc` is a stack (B, 2N, 2N) and `state` B rows, row b the
+    input of encoding b, returned as a (B, N) array; a diagnostic names the
+    offending item's stack index.
+    """
+    enc = _check_encoding(enc, stack=stack)
+    n = enc.shape[-1] // 2
+    if not stack:
+        return enc, _unit_state(state, n)
+    if len(state) != len(enc):
+        raise ValueError(f"expected one input state per encoding ({len(enc)}), got {len(state)}")
+    rows = []
+    for index, row in enumerate(state):
+        try:
+            rows.append(_unit_state(row, n))
+        except ValueError as err:
+            raise ValueError(f"state {index} of the stack: {err}") from None
+    return enc, np.array(rows).reshape(len(enc), n)
+
+
+def _unit_state(state, n: int) -> np.ndarray:
+    """`state` as a complex vector, checked to be a unit vector of dimension `n`."""
     state = _check_state(state)
     if abs(np.linalg.norm(state) - 1.0) > 1e-8:
         raise ValueError("input system state must be unit norm")
-    if len(state) != len(enc) // 2:
+    if len(state) != n:
         raise ValueError(
-            f"input state has dimension {len(state)}, "
-            f"the encoding acts on dimension {len(enc) // 2}"
+            f"input state has dimension {len(state)}, the encoding acts on dimension {n}"
         )
-    return enc, state
+    return state
 
 
 def _run_blocks(enc: np.ndarray, policy: MultibandPolicy) -> dict[tuple, np.ndarray]:
@@ -133,18 +160,34 @@ def _run_blocks(enc: np.ndarray, policy: MultibandPolicy) -> dict[tuple, np.ndar
     order: the root () plus both children of each executed block. A node
     holds its unnormalized (ancilla (x) system, system) register, the linear
     map of its record so far; a node without children is a leaf. Each
-    split's circuit is assembled once, all in one stacked product. A block's input is zero outside the monitoring
-    half its register occupies, so only that half's columns multiply it.
+    split's circuit is assembled once, all in one stacked product. A block's
+    input is zero outside the monitoring half its register occupies, so only
+    that half's columns multiply it.
+
+    `enc` may be a stack (B, 2N, 2N) whose item b runs item b of each phase
+    table entry (a list of B sets, any degrees): one `assemble_full` call
+    per split gives the item circuits, every register carries the stack
+    axis first, and each block is one stacked product, which does each
+    item's float operations of its one-item run.
     """
     table = policy.phase_table
-    circuits = dict(zip(table, assemble_full(enc, list(table.values()))))
-    n = len(enc) // 2
+    if enc.ndim == 3:
+        circuits = {k: np.stack(assemble_full(enc, phis)) for k, phis in table.items()}
+        odd = {k: np.array([psi.degree % 2 == 1 for psi in phis])[:, np.newaxis, np.newaxis]
+               for k, phis in table.items()}
+    else:
+        circuits = dict(zip(table, assemble_full(enc, list(table.values()))))
+        odd = {k: psi.degree % 2 == 1 for k, psi in table.items()}
+    n = enc.shape[-1] // 2
     reg_dim = 2 * n
 
-    # Ancilla reflection 2|0..0><0..0| - I within each monitoring sector.
-    reflect_signs = np.where(np.arange(2 * reg_dim) % reg_dim < n, 1.0, -1.0)[:, np.newaxis]
+    # Ancilla reflection 2|0..0><0..0| - I within each monitoring sector, on
+    # the items of odd degree; the +1 signs of a stack's even items are exact.
+    reflect = np.where(np.arange(2 * reg_dim) % reg_dim < n, 1.0, -1.0)[:, np.newaxis]
+    signs = {k: np.where(flags, reflect, 1.0) for k, flags in odd.items() if np.any(flags)}
 
-    nodes = {(): np.eye(reg_dim, n, dtype=complex)}
+    root = np.eye(reg_dim, n, dtype=complex)
+    nodes = {(): np.broadcast_to(root, enc.shape[:-2] + root.shape)}
     records = [()]
     for bits in records:
         k = policy.next_block(bits)
@@ -155,12 +198,12 @@ def _run_blocks(enc: np.ndarray, policy: MultibandPolicy) -> dict[tuple, np.ndar
         second = len(bits) % 2 == 1
         register = nodes[bits]
         half = slice(reg_dim, None) if second and bits[-1] == 1 else slice(reg_dim)
-        if second and policy.phase_table[k].degree % 2 == 1:
-            full = reflect_signs * (circuits[k][:, half] @ (reflect_signs[half] * register))
+        if second and k in signs:
+            full = signs[k] * (circuits[k][..., half] @ (signs[k][..., half, :] * register))
         else:
-            full = circuits[k][:, half] @ register
+            full = circuits[k][..., half] @ register
         for bit in (0, 1):
-            nodes[bits + (bit,)] = full[bit * reg_dim : (bit + 1) * reg_dim]
+            nodes[bits + (bit,)] = full[..., bit * reg_dim : (bit + 1) * reg_dim, :]
             records.append(bits + (bit,))
     return nodes
 
@@ -183,44 +226,64 @@ class TreeLeaf:
     operator: np.ndarray = field(repr=False)
 
 
-def _leaves(n: int, policy: MultibandPolicy, nodes: dict, amp: np.ndarray) -> list[TreeLeaf]:
+def _leaves(n: int, policy: MultibandPolicy, nodes: dict, amp: np.ndarray) -> list:
     """Leaves of a branch tree in node order; each register is that leaf's operator.
 
     Success branches must leave the encoding ancillas in |0...0>: the
     whole register is checked, by Frobenius norm, so an operator may not
-    leak in any direction, even one orthogonal to `amp`.
+    leak in any direction, even one orthogonal to `amp`. When the registers
+    carry a stack axis, `amp` is a (B, N) stack of inputs and the result is
+    one leaf list per item, each leaf built as in that item's own run.
     """
-    leaves = []
+    stack = amp.ndim == 2
+    leaves = [[] for _ in range(len(amp) if stack else 1)]
     for bits, register in nodes.items():
         if bits + (0,) in nodes:
             continue
-        # A copy frees the circuit output the register was sliced from.
-        register = register.copy()
         failed = any(bits[1::2])
-        total = float(np.vdot(register, register).real)
-        head = float(np.vdot(register[:n], register[:n]).real)
-        if not failed and total > 1e-18 and head < (1.0 - ANCILLA_PURITY_TOL) * total:
-            raise RuntimeError(
-                f"ancilla register left the |0...0> sector on a success branch "
-                f"(record {bits}): purity {head / total}"
-            )
-        state = register @ amp
-        leaves.append(TreeLeaf(bits, state, float(np.vdot(state, state).real),
-                               policy.claimed_band(bits), failed, register))
-    return leaves
+        claimed = policy.claimed_band(bits)
+        for index, (operator, row) in enumerate(zip(register if stack else [register],
+                                                    amp if stack else [amp])):
+            # A copy frees the circuit output the register was sliced from.
+            operator = operator.copy()
+            total = float(np.vdot(operator, operator).real)
+            head = float(np.vdot(operator[:n], operator[:n]).real)
+            if not failed and total > 1e-18 and head < (1.0 - ANCILLA_PURITY_TOL) * total:
+                where = f", item {index} of the stack" if stack else ""
+                raise RuntimeError(
+                    f"ancilla register left the |0...0> sector on a success branch "
+                    f"(record {bits}{where}): purity {head / total}"
+                )
+            state = operator @ row
+            leaves[index].append(TreeLeaf(bits, state, float(np.vdot(state, state).real),
+                                          claimed, failed, operator))
+    return leaves if stack else leaves[0]
 
 
-def run_1fqsvt(enc: np.ndarray, phi: PhaseFactorSet, state: np.ndarray) -> list[TreeLeaf]:
+def run_1fqsvt(enc: np.ndarray, phi: PhaseFactorSet | list[PhaseFactorSet], state) -> list:
     """Two-block feedforward primitive on a unit-norm system state.
 
     This is one round of the multi-band policy with a single split. It
     returns all four (s1, s2) branches with their operators and unnormalized
     ancilla (x) system states; the (0,0) branch carries f^2(H)|phi> and the
     (1,0) branch carries -(1 - f^2(H))|phi>.
+
+    A stack of B instances runs in one branch expansion: `enc` of shape
+    (B, 2N, 2N), `phi` a list of B symmetric phase sets of any degrees and
+    `state` B rows of length N. It returns B leaf lists, each equal to its
+    one-instance call's field by field. Every item is checked before any
+    circuit is assembled, and a diagnostic names the item's stack index.
     """
-    enc, state = _check_input(enc, state)
+    stack = np.ndim(enc) == 3
+    enc, state = _check_input(enc, state, stack)
+    if stack:
+        phi = list(phi)
+        if len(phi) != len(enc):
+            raise ValueError(f"expected one phase set per encoding ({len(enc)}), got {len(phi)}")
+        if not phi:
+            return []
     policy = MultibandPolicy(2, {1: phi})
-    return _leaves(len(state), policy, _run_blocks(enc, policy), state)
+    return _leaves(enc.shape[-1] // 2, policy, _run_blocks(enc, policy), state)
 
 
 @dataclass

@@ -26,56 +26,87 @@ __all__ = [
 
 
 def _interleaved(enc: np.ndarray, phis: list[PhaseFactorSet]) -> np.ndarray:
-    """The interleaved product for +phi and -phi, one (NM, NM) matrix per sign and phase set.
+    """The interleaved product for +phi and -phi, one (NM, NM) matrix per phase set and sign.
 
-    Returns the (2 * len(phis), NM, NM) stack, sign-major: the +phi products
-    first. phi_k are the circuit phases, psi_k - `_circuit_offsets(d)`[k].
-    The product is R(phi_0) prod_k U^{(-1)^{d-k}} R(phi_k): the encoding
-    and its inverse alternate, ending on U itself. Rotation k is
+    `enc` is one encoding shared by every phase set, or a stack
+    (len(phis), NM, NM) with one per phase set. Returns the
+    (2 * len(phis), NM, NM) stack, item-major: rows 2i and 2i + 1 are phase
+    set i's +phi and -phi products. phi_k are the circuit phases,
+    psi_k - `_circuit_offsets(d)`[k]. The product is
+    R(phi_0) prod_k U^{(-1)^{d-k}} R(phi_k): the encoding and its inverse
+    alternate, ending on U itself. Rotation k is
     diag(e^{i phi_k} I_N, e^{-i phi_k} I_{N (M-1)}); one `exp` gives every
-    rotation diagonal of every sign and phase set. Each factor of the
-    encoding is one GEMM on the stack's rows, all (2 * len(phis) * NM, NM)
-    of them, into a buffer that the rotation then scales back into the
-    stack; row by row it is each matrix's own product.
+    rotation diagonal of every sign and phase set.
+
+    Phase sets of different degrees share the product end-aligned. Sorted
+    by degree, longest first, the stack runs K = max d global steps, and
+    step k multiplies only the prefix whose degree reaches it (d > K - k),
+    at its own factor k - (K - d). Since d minus that factor is K - k, every
+    item of the prefix takes the same U or U^dag at step k. A shared
+    encoding is one GEMM on the prefix's rows, a stack one GEMM per item on
+    its 2 NM rows, into a buffer that the rotation then scales back into
+    the stack; row by row it is each matrix's own product, so each item
+    does exactly the float operations of its one-item call.
     """
-    base = _check_encoding(enc)
-    base_inv = dagger(base)
-    size = base.shape[0]
+    stack = np.ndim(enc) == 3
+    base = _check_encoding(enc, stack=stack)
+    if stack and len(base) != len(phis):
+        raise ValueError(f"expected one encoding per phase set ({len(phis)}), "
+                         f"got shape {base.shape}")
+    size = base.shape[-1]
     n = size // 2
-    d = phis[0].degree
-    circuit = [psi.values - _circuit_offsets(d) for psi in phis]
-    phases = np.multiply.outer([1.0, -1.0], circuit).reshape(-1, d + 1)
+    degrees = np.array([psi.degree for psi in phis])
+    order = np.argsort(-degrees, kind="stable")
+    in_order = np.array_equal(order, np.arange(len(phis)))
+    if stack and not in_order:
+        base = base[order]
+    base_inv = dagger(base)
+    top = int(degrees.max(initial=0))
+    starts = top - degrees[order]
+    # Each set's circuit phases sit at the end of K + 1 global steps, the
+    # +phi row before the -phi row; the steps before its own start are unused.
+    phases = np.zeros((len(phis), 2, top + 1))
+    for row, (i, start) in enumerate(zip(order, starts)):
+        phases[row, :, start:] = np.multiply.outer(
+            [1.0, -1.0], phis[i].values - _circuit_offsets(phis[i].degree))
     diags = np.exp(np.multiply.outer(phases, [1j, -1j]))[..., (np.arange(size) >= n).astype(int)]
-    u = np.zeros((len(phases), size, size), dtype=complex)
-    u[:, np.arange(size), np.arange(size)] = diags[:, 0]
+    u = np.zeros((len(phis), 2, size, size), dtype=complex)
+    u[..., np.arange(size), np.arange(size)] = diags[np.arange(len(phis)), :, starts]
+    # The prefix at step k: the sets whose degree exceeds K - k, i.e. start below k.
+    active = np.searchsorted(starts, np.arange(1, top + 1))
     product = np.empty_like(u)
-    for k in range(1, d + 1):
-        np.matmul(u.reshape(-1, size), base if (d - k) % 2 == 0 else base_inv,
-                  out=product.reshape(-1, size))
-        np.multiply(product, diags[:, k, np.newaxis, :], out=u)
-    return u
+    for k, m in enumerate(active.tolist(), start=1):
+        factor = base if (top - k) % 2 == 0 else base_inv
+        if stack:
+            np.matmul(u[:m].reshape(m, 2 * size, size), factor[:m],
+                      out=product[:m].reshape(m, 2 * size, size))
+        else:
+            np.matmul(u[:m].reshape(-1, size), factor, out=product[:m].reshape(-1, size))
+        np.multiply(product[:m], diags[:m, :, k, np.newaxis, :], out=u[:m])
+    if not in_order:
+        u = u[np.argsort(order)]
+    return u.reshape(-1, size, size)
 
 
 def assemble_full(enc: np.ndarray, phis: list[PhaseFactorSet]) -> list[np.ndarray]:
     """Full circuit unitaries of size 2NM: Hadamard butterfly over +Phi / -Phi sectors.
 
-    `phis` are `PhaseFactorSet`s of one degree, and their unitaries come
-    back in the same order from one stacked interleaved product, which
+    `enc` is one encoding shared by every phase set, or a stack
+    (len(phis), NM, NM) with one encoding per phase set; `phis` are
+    `PhaseFactorSet`s of any degrees. Their unitaries come back in the same
+    order from one end-aligned interleaved product (`_interleaved`), which
     applies the circuit offsets; each equals a one-item call's bit for bit.
     """
-    degrees = {ps.degree for ps in phis}
-    if len(degrees) > 1:
-        raise ValueError(f"stacked phase factors must share one degree, got {sorted(degrees)}")
     if not phis:
         return []
     u = _interleaved(enc, phis)
-    u_pos, u_neg = u[: len(phis)], u[len(phis) :]
-    a = 0.5 * (u_pos + u_neg)
-    b = 0.5 * (u_pos - u_neg)
     size = u.shape[-1]
+    u = u.reshape(len(phis), 2, size, size)
+    u_pos, u_neg = u[:, 0], u[:, 1]
     q = np.empty((len(phis), 2 * size, 2 * size), dtype=complex)
-    q[:, :size, :size] = a
-    q[:, :size, size:] = b
+    a, b = q[:, :size, :size], q[:, :size, size:]
+    np.multiply(0.5, np.add(u_pos, u_neg, out=a), out=a)
+    np.multiply(0.5, np.subtract(u_pos, u_neg, out=b), out=b)
     q[:, size:, :size] = b
     q[:, size:, size:] = a
     return list(q)

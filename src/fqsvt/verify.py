@@ -101,17 +101,43 @@ def _hermitians_by_size(draws: list):
         yield idx, _in_eigenbasis_of(samples, values)
 
 
+# The working-set budget of one stack of instances in criteria 2-4, counted
+# at 128 (2n)^2 bytes per instance of system size n: its dilation,
+# interleaved products, circuit and branch registers. Traced, a
+# `run_1fqsvt` stack holds about 150 (2n)^2 bytes per instance at n = 8 and
+# 16, and up to 430 at n = 2, where the rotation diagonals of degree 30
+# outweigh the matrices. Criterion 4 runs within about 1 MB of the
+# battery's peak RSS, so a stack stays under 1 MB: 512 KB gives one stack
+# per size up to n = 4, and stacks of 16 and 4 at n = 8 and 16. One stack
+# per size would raise criterion 4's traced peak from 1.8 to 9.4 MB.
+_STACK_BYTES = 512 * 1024
+
+
+def _stacks(degrees: list, n: int) -> list:
+    """Positions into `degrees`, longest degree first, cut into stacks of `_STACK_BYTES`.
+
+    Longest first is the order in which `qsvt._interleaved` runs a stack, so
+    a stack is assembled in place, and its steps stop at its own degree.
+    """
+    order = sorted(range(len(degrees)), key=lambda j: -degrees[j])
+    step = max(1, _STACK_BYTES // (128 * (2 * n) ** 2))
+    return [order[lo : lo + step] for lo in range(0, len(order), step)]
+
+
 def _circuits_with_tables(draws: list, psis: list[PhaseFactorSet]):
     """Yield (position, assembled circuit, predicted sector table) of each instance.
 
     One system size at a time: one stacked `eigh` each for its matrices,
-    their dilations and their `predicted_blocks` tables.
+    their dilations and their `predicted_blocks` tables, and one
+    `assemble_full` call per stack of its circuits.
     """
     pairs = _extract_by_degree(psis)
     for idx, hs in _hermitians_by_size(draws):
         tables = predicted_blocks(hs, [pairs[i] for i in idx])
-        for i, enc, table in zip(idx, dilate_hermitian(hs), tables):
-            yield i, assemble_full(enc, [psis[i]])[0], table
+        encs = dilate_hermitian(hs)
+        for js in _stacks([psis[i].degree for i in idx], hs.shape[-1]):
+            circuits = assemble_full(encs[js], [psis[idx[j]] for j in js])
+            yield from ((idx[j], q, tables[j]) for j, q in zip(js, circuits))
 
 
 def criterion_1() -> CriterionResult:
@@ -221,26 +247,27 @@ def criterion_4() -> CriterionResult:
     worst = 0.0
     # One stacked `eigh` per system size, each matrix exactly as on its own,
     # and f = Re P at that size's spectra from `predicted_blocks`' recurrence.
-    # Each dilation is built from that spectrum when its instance runs, so
-    # only one size's eigenvectors and one dilation are held.
+    # The instances of a size run in `run_1fqsvt` stacks (`_stacks`), each
+    # stack's dilations built from that spectrum when it runs.
     for idx, hs in _hermitians_by_size(draws):
         n = hs.shape[-1]
         spec, svals = _psd_contraction_spectrum(hs)
         f = _pair_series([pairs[i] for i in idx], spec.values)[0]
-        for j, i in enumerate(idx):
-            v = spec.vectors[j]
-            f2 = (v * f[j] ** 2) @ dagger(v)
-            amp = amps[i]
-            leaves = {b.record: b for b in run_1fqsvt(_dilation(hs[j], v, svals[j]), psis[i], amp)}
-            s00 = leaves[(0, 0)].state
-            s10 = leaves[(1, 0)].state
+        for js in _stacks([psis[i].degree for i in idx], n):
+            v = spec.vectors[js]
+            states = np.array([amps[idx[j]] for j in js])
+            runs = [{leaf.record: leaf for leaf in run} for run in run_1fqsvt(
+                _dilation(hs[js], v, svals[js]), [psis[idx[j]] for j in js], states)]
+            s00, s10 = (np.array([run[key].state for run in runs]) for key in ((0, 0), (1, 0)))
+            f2 = (v * f[js, np.newaxis, :] ** 2) @ dagger(v)
+            amp = states[..., np.newaxis]
             worst = max(
                 worst,
-                float(np.max(np.abs(s00[:n] - f2 @ amp))),
-                float(np.max(np.abs(s00[n:]))),
-                float(np.max(np.abs(s10[:n] + (np.eye(n) - f2) @ amp))),
-                float(np.max(np.abs(s10[n:]))),
-                abs(sum(b.probability for b in leaves.values()) - 1.0),
+                float(np.max(np.abs(s00[:, :n] - (f2 @ amp)[..., 0]))),
+                float(np.max(np.abs(s00[:, n:]))),
+                float(np.max(np.abs(s10[:, :n] + ((np.eye(n) - f2) @ amp)[..., 0]))),
+                float(np.max(np.abs(s10[:, n:]))),
+                max(abs(sum(leaf.probability for leaf in run.values()) - 1.0) for run in runs),
             )
     passed = worst <= 1e-9 and example_dev <= 1e-9
     return CriterionResult(

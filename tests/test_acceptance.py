@@ -11,6 +11,7 @@ and the three-term norm identity from sectors (0, 0), (2, 0) and (3, 0).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +210,40 @@ def test_closed_form_criteria_diagonalize_each_size_a_fixed_number_of_times(monk
     if number == 4:
         counts[2] -= 1
     assert len(counts) >= 3 and set(counts.values()) == {per_size}, counts
+
+
+@pytest.mark.parametrize("number, stacks, circuits", [(2, 4, 50), (3, 3, 50), (4, 20, 201)])
+def test_closed_form_criteria_assemble_one_stack_at_a_time(monkeypatch, number, stacks,
+                                                          circuits):
+    # Criteria 2 and 3 assemble n = 2 and 4 in one stack each and n = 8 in
+    # stacks of up to 16 (19 and 11 instances); criterion 4 runs its worked
+    # example, then n = 2 and 4 in one `run_1fqsvt` stack each, n = 8 in four
+    # and n = 16 in thirteen, each stack one `assemble_full` call.
+    calls = []
+
+    def counting(enc, phis):
+        calls.append(len(phis))
+        return qsvt.assemble_full(enc, phis)
+
+    monkeypatch.setattr(verify, "assemble_full", counting)
+    monkeypatch.setattr(feedforward, "assemble_full", counting)
+    assert CRITERIA[number]().passed
+    assert len(calls) == stacks and sum(calls) == circuits, calls
+
+
+def test_criterion_04_holds_its_working_set_budget():
+    # The traced peak of a warm criterion 4 run: 1.82 MB with stacks cut at
+    # `verify._STACK_BYTES` (512 KB), 2.66 MB at 1 MB and 9.43 MB with one
+    # stack per size (numpy 2.4, Python 3.11). The bound is the measured
+    # value plus 0.5 MB, so a doubled budget fails it.
+    verify.criterion_4()
+    tracemalloc.start()
+    try:
+        assert verify.criterion_4().passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.3e6, peak
 
 
 def test_criterion_05_projection_error_budget():

@@ -46,6 +46,7 @@ from fqsvt.qsp import (
     synthesize_symmetric,
 )
 from fqsvt.qsvt import assemble_full
+from test_qsvt import random_completion
 
 
 def success_projectors(kraus: KrausExtraction) -> dict:
@@ -451,19 +452,59 @@ BAD_ENCODINGS = {
 }
 
 
+# case -> expected message, for a stack of three H4 instances whose item 1
+# `bad_stack` spoils.
+BAD_STACK_ITEMS = {
+    "not-unitary": r"^matrix 1 of the stack is not unitary: ",
+    "wrong-length": r"^state 1 of the stack: input state has dimension 2, "
+                    r"the encoding acts on dimension 4$",
+    "not-unit": r"^state 1 of the stack: input system state must be unit norm$",
+    "phase-count": r"^expected one phase set per encoding \(3\), got 2$",
+    "asymmetric": r"\(palindromic\) phase factors; phase set 1 of the stack is not$",
+}
+
+
+def bad_stack(case):
+    """(encodings, phase sets, states) of three H4 instances, item 1 spoiled as `case` names."""
+    encs = np.array([dilate_hermitian(H4)] * 3)
+    phis, states = [IDENTITY] * 3, [np.eye(4)[0]] * 3
+    if case == "not-unitary":
+        encs[1] = np.diag([1.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    elif case == "wrong-length":
+        states[1] = np.eye(2)[0]
+    elif case == "not-unit":
+        states[1] = 0.5 * np.eye(4)[0]
+    elif case == "phase-count":
+        phis = phis[:2]
+    else:
+        phis[1] = PhaseFactorSet([0.1, 0.2])
+    return encs, phis, states
+
+
 @pytest.mark.parametrize("entry, case", [
     *((entry, case) for entry in ("run_1fqsvt", "enumerate", "sample", "adiabatic")
       for case in BAD_STATES),
     *((entry, case) for entry in ("run_1fqsvt", "enumerate", "sample", "assemble_full")
       for case in BAD_ENCODINGS),
+    *(("run_1fqsvt-stack", case) for case in BAD_STACK_ITEMS),
 ])
 def test_entries_reject_bad_states_and_encodings_by_name(monkeypatch, entry, case):
     # A state or encoding from the caller is checked where it enters, before
-    # any filter is built, and always with a ValueError (never an IndexError).
+    # any filter is built or any circuit assembled, and always with a
+    # ValueError (never an IndexError). In a stack the message names the
+    # offending item's stack index.
     def no_filters(specs):
         raise AssertionError("a filter was built before the input was checked")
 
+    def no_assembly(enc, phis):
+        raise AssertionError("a circuit was assembled before the input was checked")
+
     monkeypatch.setattr(feedforward, "heaviside_filter", no_filters)
+    monkeypatch.setattr(feedforward, "assemble_full", no_assembly)
+    if entry == "run_1fqsvt-stack":
+        with pytest.raises(ValueError, match=BAD_STACK_ITEMS[case]):
+            run_1fqsvt(*bad_stack(case))
+        return
     if case in BAD_STATES:
         h, state, message = BAD_STATES[case]
         enc = dilate_hermitian(h)
@@ -471,6 +512,46 @@ def test_entries_reject_bad_states_and_encodings_by_name(monkeypatch, entry, cas
         (enc, message), h, state = BAD_ENCODINGS[case], H4, [1.0, 0.0]
     with pytest.raises(ValueError, match=message):
         ENTRIES[entry](h, enc, state)
+
+
+def criterion_4_instances():
+    """Criterion 4's 200 draws from rng(104): (encoding, symmetric phases, input) each.
+
+    n = 2-16, degrees 1-30; the same generator calls as the criterion.
+    """
+    gen = rng(104)
+    instances = []
+    for trial in range(200):
+        n = 2 ** int(gen.integers(1, 5))
+        enc = dilate_hermitian(hermitian_from_spectrum(gen.uniform(0.02, 0.98, n), gen))
+        psi = random_symmetric(gen, int(gen.integers(1, 31)))
+        instances.append((enc, psi, haar_vector(gen, n)))
+    return instances
+
+
+def test_stacked_run_1fqsvt_equals_one_instance_calls_field_by_field():
+    # Criterion 4's instances, grouped by size into stacks of up to seven in
+    # draw order (mixed degrees, odd and even): every field of every leaf
+    # equals the one-instance call's, arrays byte for byte. An empty stack
+    # has no leaf lists.
+    by_size = {}
+    for instance in criterion_4_instances():
+        by_size.setdefault(len(instance[0]), []).append(instance)
+    assert sorted(by_size) == [4, 8, 16, 32]
+    for instances in by_size.values():
+        for lo in range(0, len(instances), 7):
+            encs, phis, states = zip(*instances[lo : lo + 7])
+            runs = run_1fqsvt(np.array(encs), list(phis), np.array(states))
+            assert len(runs) == len(encs)
+            for run, enc, phi, state in zip(runs, encs, phis, states):
+                single = run_1fqsvt(enc, phi, state)
+                assert [leaf.record for leaf in run] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+                for ours, theirs in zip(run, single, strict=True):
+                    assert (ours.record, ours.probability, ours.claimed_band, ours.failed) == (
+                        theirs.record, theirs.probability, theirs.claimed_band, theirs.failed)
+                    assert ours.state.tobytes() == theirs.state.tobytes()
+                    assert ours.operator.tobytes() == theirs.operator.tobytes()
+    assert run_1fqsvt(np.zeros((0, 4, 4)), [], np.zeros((0, 2))) == []
 
 
 def test_tree_height_is_log2_band_count():
@@ -817,11 +898,6 @@ def zero_padded_nodes(enc, policy: MultibandPolicy) -> dict:
     return nodes
 
 
-def haar_unitary(gen, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n)))
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
 @pytest.mark.parametrize("completion", [False, True], ids=["dilation", "random-completion"])
 @pytest.mark.parametrize("degree", [4, 5, 10, 11])
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
@@ -837,9 +913,7 @@ def test_block_products_equal_the_zero_padded_full_product(n, degree, completion
     gen = rng(41, 100 * n + degree)
     enc = dilate_hermitian(hermitian_from_spectrum(gen.uniform(0.02, 0.98, n), gen))
     if completion:
-        left, right = np.eye(2 * n, dtype=complex), np.eye(2 * n, dtype=complex)
-        left[n:, n:], right[n:, n:] = haar_unitary(gen, n), haar_unitary(gen, n)
-        enc = left @ enc @ right
+        enc = random_completion(gen, enc)
     for count in (2, 4, 5):
         policy = MultibandPolicy(count, {k: random_symmetric(gen, degree) for k in range(1, count)})
         nodes = _run_blocks(enc, policy)

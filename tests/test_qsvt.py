@@ -192,12 +192,77 @@ def test_assembly_of_a_list_matches_single_calls_bitwise(n):
             assert np.array_equal(q, assemble_full(enc, [phi])[0])
 
 
-def test_assembly_of_a_list_rejects_mixed_degrees(setup):
+def test_assembly_of_a_list_of_mixed_degrees_equals_single_calls(setup):
+    # Degrees 1 and 2 share one end-aligned product, in either order.
     _, _, enc = setup
     short, long = PhaseFactorSet([0.1, 0.2]), PhaseFactorSet([0.1, 0.2, 0.3])
-    with pytest.raises(ValueError, match=r"share one degree, got \[1, 2\]"):
-        assemble_full(enc, [short, long])
+    for phis in ([short, long], [long, short]):
+        for phi, q in zip(phis, assemble_full(enc, phis)):
+            assert q.tobytes() == assemble_full(enc, [phi])[0].tobytes()
     assert assemble_full(enc, []) == []
+
+
+def haar_unitary(gen, n: int) -> np.ndarray:
+    q, r = np.linalg.qr(gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def random_completion(gen, enc: np.ndarray) -> np.ndarray:
+    """U' = (I + Y) U (I + X), X and Y Haar on the ancilla's |1> block: U's top block."""
+    n = len(enc) // 2
+    left, right = np.eye(2 * n, dtype=complex), np.eye(2 * n, dtype=complex)
+    left[n:, n:], right[n:, n:] = haar_unitary(gen, n), haar_unitary(gen, n)
+    return left @ enc @ right
+
+
+def rotation_diagonal(angle: float, size: int) -> np.ndarray:
+    return np.diag(np.where(np.arange(size) < size // 2, np.exp(1j * angle), np.exp(-1j * angle)))
+
+
+@pytest.mark.parametrize("completion", [False, True], ids=["dilation", "random-completion"])
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_stacked_assembly_of_mixed_degrees_matches_the_references_bitwise(n, completion):
+    # Degrees 0-30 in one stack, up to an even and an odd longest degree,
+    # random and symmetric phases, in the shared-encoding form and with one
+    # encoding per phase set. A random completion has U != U^dag, so a
+    # swapped U / U^dag in the end-aligned alternation would miss the
+    # reference. Degree 0 runs no factor.
+    gen = rng(300 + n, int(completion))
+    encs = [dilate_hermitian(hermitian_from_spectrum(gen.uniform(0.02, 0.98, n), gen))
+            for _ in range(12)]
+    if completion:
+        encs = [random_completion(gen, enc) for enc in encs]
+        assert not np.allclose(encs[0], dagger(encs[0]))
+    for top in (30, 29):
+        degrees = [0, top, *gen.integers(0, top + 1, 10)]
+        gen.shuffle(degrees)
+        phis = [random_symmetric(gen, int(d)) if j % 2 else
+                PhaseFactorSet(gen.uniform(-np.pi, np.pi, int(d) + 1))
+                for j, d in enumerate(degrees)]
+        shared = assemble_full(encs[0], phis)
+        stacked = assemble_full(np.array(encs), phis)
+        interleaved = _interleaved(np.array(encs), phis)
+        for j, phi in enumerate(phis):
+            assert shared[j].tobytes() == reference_assemble_full(encs[0], phi).tobytes()
+            assert stacked[j].tobytes() == reference_assemble_full(encs[j], phi).tobytes()
+            for sign in (1, -1):
+                assert interleaved[2 * j + (sign < 0)].tobytes() == reference_interleaved(
+                    encs[j], sign * circuit_values(phi)).tobytes()
+            if phi.degree == 0:
+                (angle,) = circuit_values(phi)
+                assert np.array_equal(interleaved[2 * j], rotation_diagonal(angle, 2 * n))
+                assert np.array_equal(interleaved[2 * j + 1], rotation_diagonal(-angle, 2 * n))
+
+
+def test_stacked_assembly_takes_one_encoding_per_phase_set(setup):
+    _, _, enc = setup
+    phis = [PhaseFactorSet([0.1, 0.2]), PhaseFactorSet([0.3])]
+    with pytest.raises(ValueError, match=r"^expected one encoding per phase set \(2\), got shape "
+                                         r"\(1, 8, 8\)$"):
+        assemble_full(enc[np.newaxis], phis)
+    bad = np.array([enc, np.diag([1.0, 0.5, 1, 1, 1, 1, 1, 1])])
+    with pytest.raises(ValueError, match=r"^matrix 1 of the stack is not unitary"):
+        assemble_full(bad, phis)
 
 
 def test_predicted_blocks_match_assembled_both_parities(setup):
