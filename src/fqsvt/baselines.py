@@ -25,9 +25,9 @@ __all__ = [
     "adiabatic_time_estimate",
 ]
 
-# Steps of the adiabatic evolution handled per stacked `eigh`: large enough
-# to amortise the Python loop, small enough to keep the working set a few
-# hundred kilobytes.
+# Steps of the adiabatic evolution handled per stacked `eigh` (one Magnus
+# exponent each): large enough to amortise the Python loop, small enough to
+# keep the working set a few hundred kilobytes.
 _BLOCK = 256
 
 
@@ -85,20 +85,28 @@ def random_walk_success(structure: BandStructure) -> float:
 
 
 def _evolve_steps(h0, h1, total_time, steps, amplitudes) -> np.ndarray:
-    """Midpoint exponential steps along H(s) = (1 - s) H0 + s H1.
+    """Fourth-order Magnus steps along H(t) = H0 + (t / T) V, V = H1 - H0.
 
-    Step k applies the exact exponential of H at s = (k + 0.5) / steps, so
-    the only error is the time discretization. Each block of `_BLOCK` steps
-    is one stacked `eigh`; its phases and adjoint eigenvectors are formed
-    once, and each step then applies V (phases * (V^dagger state)) in that
-    order.
+    Step k of length dt = T / steps applies exp(-i K_k), where
+    K_k = dt H(s_k) - i (dt^3 / (12 T)) [V, H(s_k)] at the midpoint
+    s_k = (k + 0.5) / steps. That is the two-point Gauss Magnus exponent,
+    which for a path linear in time reduces to the midpoint term plus one
+    commutator; it is Hermitian, and the local error is O(dt^5), so the
+    state error falls 16-fold per halving of the step. Every interpolated
+    H(s_k) is checked at its own scale before its exponent is formed. Each
+    block of `_BLOCK` steps is one stacked `eigh` of the exponents; its
+    phases and adjoint eigenvectors are formed once, and each step then
+    applies V (phases * (V^dagger state)) in that order.
     """
     state = amplitudes.astype(complex)
     dt = total_time / steps
+    drift = h1 - h0
+    commutator_weight = dt**3 / (12.0 * total_time)
     for start in range(0, steps, _BLOCK):
         g = (np.arange(start, min(start + _BLOCK, steps)) + 0.5) / steps
-        spec = eigh((1.0 - g)[:, None, None] * h0 + g[:, None, None] * h1)
-        phases = np.exp(-1j * dt * spec.values)
+        mid = check_hermitian((1.0 - g)[:, None, None] * h0 + g[:, None, None] * h1)
+        spec = eigh(dt * mid - 1j * commutator_weight * (drift @ mid - mid @ drift))
+        phases = np.exp(-1j * spec.values)
         adjoints = spec.vectors.conj().swapaxes(-1, -2)
         for vectors, ph, adjoint in zip(spec.vectors, phases, adjoints):
             state = vectors @ (ph * (adjoint @ state))
@@ -126,10 +134,10 @@ def adiabatic_leakage_scaling(
 
     The endpoints, the state, the band (an integer in 0 .. L-1, not a
     bool) and the times (positive, finite, at least two distinct) are
-    checked once. The evolution to time T runs max(64, ceil(16 T)) steps
-    of `_evolve_steps`. The projector comes from H1's spectrum; leakage
-    below 1e-9 at every time makes the fit degenerate (reported, not
-    raised).
+    checked once. The evolution to time T runs max(64, ceil(4 T))
+    fourth-order Magnus steps of `_evolve_steps`. The projector comes from
+    H1's spectrum; leakage below 1e-9 at every time makes the fit
+    degenerate (reported, not raised).
     """
     h0 = check_hermitian(h0)
     h1 = check_hermitian(h1)
@@ -151,7 +159,7 @@ def adiabatic_leakage_scaling(
     projector = exact_projectors(spectrum, structure)[band]
     leakages = []
     for total_time in times:
-        steps = max(64, int(math.ceil(16.0 * total_time)))
+        steps = max(64, int(math.ceil(4.0 * total_time)))
         final = _evolve_steps(h0, h1, float(total_time), steps, initial)
         leakages.append(float(np.linalg.norm(projector @ final - final)))
     leakages = np.array(leakages)
